@@ -16,16 +16,17 @@
 
    - *identity*: on the clean (injection-free) workload, eager and
      commit validation must be byte-identical — output, result,
-     verdicts, wall cycles, checkpoints — at every (host domains x
-     merge shards x pool kind) cell, and eager must report zero kills
+     verdicts, wall cycles, checkpoints — and eager must report zero
+     kills
      (`no_false_kills`): the board's precise confirmation never fires
      on a conflict the checkpoint merge would not also flag, so a
      violation-free run cannot tell the modes apart.  Under injection
      cycles legitimately diverge (that is the saving), so there the
      oracle is output/result identity only.
 
-   Results go to BENCH_eager.json.  Everything here is simulated
-   state, so there are no timing rounds and no ITERS knob. *)
+   Results go to BENCH_eager.json; the binary exits non-zero when a
+   gate fails.  Everything here is simulated state, so there are no
+   timing rounds and no ITERS knob. *)
 
 open Privateer_support
 module Runtime_config = Privateer_parallel.Runtime_config
@@ -51,30 +52,20 @@ let wasted_work () =
 
 (* ---- eager = commit identity on the clean workload --------------------- *)
 
-let identity_matrix () =
+let identity () =
   let c = Harness.compiled workload in
   let open Privateer.Pipeline in
-  List.concat_map
-    (fun kind ->
-      List.map
-        (fun (domains, shards) ->
-          let run validation =
-            Harness.run_parallel ~host_domains:domains ~merge_shards:shards
-              ~pool_kind:kind ~validation c
-          in
-          let commit = run Runtime_config.Commit in
-          let eager = run Runtime_config.Eager in
-          let identical =
-            commit.par_cycles = eager.par_cycles
-            && commit.stats.wall_cycles = eager.stats.wall_cycles
-            && commit.stats.checkpoints = eager.stats.checkpoints
-            && commit.stats.misspeculations = eager.stats.misspeculations
-            && String.equal commit.par_output eager.par_output
-            && commit.par_result = eager.par_result
-          in
-          (kind, domains, shards, commit, eager, identical))
-        [ (1, 1); (3, 4) ])
-    [ Domain_pool.Work_stealing; Domain_pool.Single_queue ]
+  let commit = Harness.run_parallel ~validation:Runtime_config.Commit c in
+  let eager = Harness.run_parallel ~validation:Runtime_config.Eager c in
+  let identical =
+    commit.par_cycles = eager.par_cycles
+    && commit.stats.wall_cycles = eager.stats.wall_cycles
+    && commit.stats.checkpoints = eager.stats.checkpoints
+    && commit.stats.misspeculations = eager.stats.misspeculations
+    && String.equal commit.par_output eager.par_output
+    && commit.par_result = eager.par_result
+  in
+  (commit, eager, identical)
 
 (* ---- driver ------------------------------------------------------------- *)
 
@@ -128,28 +119,13 @@ let run () =
   Printf.printf "eager reduces wasted (squashed) iteration work: %s\n"
     (if wasted_reduced then "yes" else "NO (BUG)");
 
-  let cells = identity_matrix () in
-  let all_identical =
-    List.for_all (fun (_, _, _, _, _, identical) -> identical) cells
-  in
-  let no_false_kills =
-    List.for_all
-      (fun (_, _, _, _, (eager : par_run), _) -> eager.stats.eager_kills = 0)
-      cells
-  in
-  Printf.printf "\nclean-run identity, eager vs commit per host cell (%s):\n"
-    workload.Privateer_workloads.Workload.name;
-  List.iter
-    (fun (kind, domains, shards, (commit : par_run), (eager : par_run), identical) ->
-      Printf.printf
-        "  %-13s / %d domains / %d shards -> %d vs %d wall cycles; %s\n"
-        (Domain_pool.kind_to_string kind)
-        domains shards commit.stats.wall_cycles eager.stats.wall_cycles
-        (if identical then "identical" else "DIFFERS (BUG)"))
-    cells;
-  Printf.printf "identity matrix (%d cells): %s; false kills: %s\n"
-    (List.length cells)
-    (if all_identical then "all cells identical" else "MISMATCH (BUG)")
+  let commit, eager, identical = identity () in
+  let no_false_kills = eager.stats.eager_kills = 0 in
+  Printf.printf
+    "\nclean-run identity (%s): %d vs %d wall cycles, eager vs commit: %s; false kills: %s\n"
+    workload.Privateer_workloads.Workload.name commit.stats.wall_cycles
+    eager.stats.wall_cycles
+    (if identical then "identical" else "DIFFERS (BUG)")
     (if no_false_kills then "none" else "SOME (BUG)");
 
   let json =
@@ -179,25 +155,18 @@ let run () =
         ("wasted_reduced", Bool wasted_reduced);
         ( "identity",
           Obj
-            [ ("cells_total", Int (List.length cells));
-              ("all_identical", Bool all_identical);
+            [ ("identical", Bool identical);
               ("no_false_kills", Bool no_false_kills);
-              ( "cells",
-                List
-                  (List.map
-                     (fun (kind, domains, shards, (commit : par_run),
-                           (eager : par_run), identical) ->
-                       Obj
-                         [ ("pool_kind", String (Domain_pool.kind_to_string kind));
-                           ("host_domains", Int domains);
-                           ("merge_shards", Int shards);
-                           ("wall_cycles_commit", Int commit.stats.wall_cycles);
-                           ("wall_cycles_eager", Int eager.stats.wall_cycles);
-                           ("identical", Bool identical) ])
-                     cells) ) ] ) ]
+              ("wall_cycles_commit", Int commit.stats.wall_cycles);
+              ("wall_cycles_eager", Int eager.stats.wall_cycles) ] ) ]
   in
   let oc = open_out "BENCH_eager.json" in
   output_string oc (Json.to_string json);
   output_char oc '\n';
   close_out oc;
-  print_endline "\nwrote BENCH_eager.json"
+  print_endline "\nwrote BENCH_eager.json";
+  Harness.require
+    [ ("wasted_reduced", wasted_reduced);
+      ("outputs_match_sequential", !outputs_ok);
+      ("identity.identical", identical);
+      ("identity.no_false_kills", no_false_kills) ]

@@ -33,27 +33,29 @@ let compiled wl =
 
 let config ?(workers = 24) ?checkpoint_period ?inject ?(serial_commit = false)
     ?(schedule = Privateer_parallel.Schedule.Cyclic) ?(adaptive = false) ?throttle
-    ?(host_domains = Privateer_parallel.Runtime_config.default_host_domains)
     ?(pool_cap = Privateer_parallel.Runtime_config.default_pool_cap)
-    ?(merge_shards = Privateer_parallel.Runtime_config.default_merge_shards)
-    ?(pool_kind = Privateer_parallel.Runtime_config.default_pool_kind)
-    ?(host_controller = Privateer_parallel.Runtime_config.default_host_controller)
     ?(validation = Privateer_parallel.Runtime_config.default_validation) () =
-  { Privateer_parallel.Executor.default_config with
+  { Privateer_parallel.Runtime_config.default with
     workers; checkpoint_period; inject; serial_commit; schedule;
-    adaptive_period = adaptive; throttle; host_domains; pool_cap; merge_shards;
-    pool_kind; host_controller; validation }
+    adaptive_period = adaptive; throttle; pool_cap; validation }
 
 let run_parallel ?workers ?checkpoint_period ?inject ?serial_commit ?schedule
-    ?adaptive ?throttle ?host_domains ?pool_cap ?merge_shards ?pool_kind
-    ?host_controller ?validation c =
+    ?adaptive ?throttle ?pool_cap ?validation c =
   Pipeline.run_parallel
     ~setup:(Workload.setup c.wl Workload.Ref)
     ~config:
       (config ?workers ?checkpoint_period ?inject ?serial_commit ?schedule ?adaptive
-         ?throttle ?host_domains ?pool_cap ?merge_shards ?pool_kind ?host_controller
-         ?validation ())
+         ?throttle ?pool_cap ?validation ())
     c.tr
+
+(* A bench's pass/fail gates: exit 2 naming every failed gate.  Call it
+   after the JSON artifact is written, so a failure can be inspected. *)
+let require gates =
+  match List.filter (fun (_, ok) -> not ok) gates with
+  | [] -> ()
+  | failed ->
+    Printf.eprintf "bench gate failed: %s\n" (String.concat ", " (List.map fst failed));
+    exit 2
 
 let speedup c (par : Pipeline.par_run) =
   float_of_int c.seq.seq_cycles /. float_of_int par.par_cycles

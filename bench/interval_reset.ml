@@ -1,26 +1,21 @@
-(* The `interval_reset` experiment: host-time scaling of the shadow
-   interval reset over OCaml domains, and the pooled swap-and-zero
-   retirement of fully-timestamped pages.
+(* The `interval_reset` experiment: host time of the shadow interval
+   reset, and the pooled swap-and-zero retirement of fully-timestamped
+   pages.
 
-   Three measurements:
+   Two measurements:
 
-   - reset wall time over 1/2/4/8 host domains on a fixed footprint
-     (24 fully-timestamped + 8 half-timestamped private shadow pages),
-     with the page pool disabled (every page scan-rewritten in place)
-     and with an unbounded pool (full pages retired by pointer swap,
-     retired buffers refilled by memset and recycled next interval).
-     As in `host_parallel`, the curve depends on the cores the host
-     actually has — `host_cores` is recorded next to the numbers so a
-     1-core CI container's flat curve is not mistaken for a regression;
-   - rewrite vs swap on the same footprint at one domain: the pool's
-     win is algorithmic (memset refill beats the word-wise
-     read-check-write scan), so it must show even without domain
-     parallelism.  Steady-state pool stats (swaps/recycled/high water)
-     are reported alongside;
-   - simulated-cycle identity: dijkstra across host_domains {1, 3} x
-     pool cap {0, unbounded} must report byte-identical output and the
-     same wall/parallel cycles and checkpoint count — neither host
-     knob is allowed to move the cycle model.
+   - rewrite vs swap on a fixed footprint (24 fully-timestamped + 8
+     half-timestamped private shadow pages): with the page pool
+     disabled every page is scan-rewritten in place; with an unbounded
+     pool full pages are retired by pointer swap and the retired
+     buffers are refilled by memset and recycled next interval.  The
+     pool's win is algorithmic (memset refill beats the word-wise
+     read-check-write scan).  Steady-state pool stats
+     (swaps/recycled/high water) are reported alongside;
+   - simulated-cycle identity: dijkstra at pool cap unbounded must
+     report byte-identical output and the same wall/parallel cycles
+     and checkpoint count as the cap-0 baseline — the pool is not
+     allowed to move the cycle model.
 
    Results go to BENCH_interval_reset.json; iteration counts scale
    down via INTERVAL_RESET_ITERS (CI smoke runs use a small value). *)
@@ -70,118 +65,62 @@ let fresh_pool () = Page_pool.create ~fill:(Char.chr Shadow.old_write) ()
    page pool (when present) persists across rounds, so after the
    warmup mints its buffers every timed round runs at steady state,
    swapping in recycled pages. *)
-let bench_reset ?page_pool domains =
-  let rounds = iters () in
+let bench_reset ?page_pool () =
   let machine = ref (Machine.create ()) in
   let prep () = machine := footprint () in
-  if domains = 1 then
-    time_ns ~prep ~rounds ~reps:1 (fun () ->
-        ignore (Shadow.reset_interval ?page_pool !machine))
-  else begin
-    let pool = Domain_pool.create ~domains () in
-    let ns =
-      time_ns ~prep ~rounds ~reps:1 (fun () ->
-          ignore (Shadow.reset_interval ~pool ?page_pool !machine))
-    in
-    Domain_pool.shutdown pool;
-    ns
-  end
+  time_ns ~prep ~rounds:(iters ()) ~reps:1 (fun () ->
+      ignore (Shadow.reset_interval ?page_pool !machine))
 
 (* ---- simulated-cycle identity ------------------------------------------- *)
 
-let identity_matrix () =
+let identity_check () =
   let c = Harness.compiled Privateer_workloads.Dijkstra.workload in
   let open Privateer.Pipeline in
-  let base = Harness.run_parallel ~host_domains:1 ~pool_cap:0 c in
-  let cells =
-    List.map
-      (fun (domains, cap, label) ->
-        let par = Harness.run_parallel ~host_domains:domains ~pool_cap:cap c in
-        let identical =
-          base.par_cycles = par.par_cycles
-          && base.stats.wall_cycles = par.stats.wall_cycles
-          && base.stats.checkpoints = par.stats.checkpoints
-          && String.equal base.par_output par.par_output
-        in
-        (domains, label, par, identical))
-      [ (1, Page_pool.unbounded, "unbounded");
-        (3, 0, "0");
-        (3, Page_pool.unbounded, "unbounded") ]
+  let base = Harness.run_parallel ~pool_cap:0 c in
+  let par = Harness.run_parallel ~pool_cap:Page_pool.unbounded c in
+  let identical =
+    base.par_cycles = par.par_cycles
+    && base.stats.wall_cycles = par.stats.wall_cycles
+    && base.stats.checkpoints = par.stats.checkpoints
+    && String.equal base.par_output par.par_output
   in
-  (base, cells)
+  (base, par, identical)
 
 (* ---- driver ------------------------------------------------------------- *)
 
 let run () =
-  let cores = Domain.recommended_domain_count () in
-  Printf.printf
-    "\n================ interval_reset: shadow reset over OCaml domains ================\n\n";
-  Printf.printf
-    "footprint: %d fully-timestamped + %d half-timestamped private pages; host cores: %d\n\n"
-    full_pages partial_pages cores;
-  let domain_counts = [ 1; 2; 4; 8 ] in
+  Printf.printf "\n================ interval_reset: shadow reset and page pool ================\n\n";
+  Printf.printf "footprint: %d fully-timestamped + %d half-timestamped private pages\n\n"
+    full_pages partial_pages;
   let pool = fresh_pool () in
-  let curve =
-    List.map
-      (fun d -> (d, bench_reset d, bench_reset ~page_pool:pool d))
-      domain_counts
-  in
-  let t_seq_rewrite =
-    match curve with (_, ns, _) :: _ -> ns | [] -> assert false
-  in
-  let t =
-    Table.create
-      ~aligns:[ Table.Right; Table.Right; Table.Right; Table.Right; Table.Right ]
-      [ "host domains"; "rewrite us"; "pooled us"; "pool win"; "speedup vs 1" ]
-  in
-  List.iter
-    (fun (d, rewrite_ns, pooled_ns) ->
-      Table.add_row t
-        [ string_of_int d; Printf.sprintf "%.1f" (rewrite_ns /. 1e3);
-          Printf.sprintf "%.1f" (pooled_ns /. 1e3);
-          Printf.sprintf "%.2fx" (rewrite_ns /. pooled_ns);
-          Printf.sprintf "%.2fx" (t_seq_rewrite /. pooled_ns) ])
-    curve;
-  Table.print t;
-  if cores <= 1 then
-    print_endline
-      "\n(single host core: the domain curve is flat here by construction; the\n\
-      \ pool win column is algorithmic and should hold regardless)";
+  let rewrite_ns = bench_reset () in
+  let pooled_ns = bench_reset ~page_pool:pool () in
+  Printf.printf "rewrite %.1f us, pooled %.1f us: pool win %.2fx\n" (rewrite_ns /. 1e3)
+    (pooled_ns /. 1e3) (rewrite_ns /. pooled_ns);
   let ps = Page_pool.stats pool in
   Printf.printf
     "\npool steady state: %d swaps (%d recycled), high water %d buffers, %d evictions\n"
     ps.Page_pool.swaps ps.Page_pool.recycled ps.Page_pool.high_water
     ps.Page_pool.evictions;
-  let base, cells = identity_matrix () in
+  let base, par, identical = identity_check () in
   let open Privateer.Pipeline in
   Printf.printf
-    "\nsimulated identity (dijkstra, 24 workers): 1 domain / cap 0 -> %d wall cycles\n"
-    base.stats.wall_cycles;
-  List.iter
-    (fun (domains, cap_label, (par : Privateer.Pipeline.par_run), identical) ->
-      Printf.printf "  %d domains / cap %-9s -> %d wall cycles; %s\n" domains
-        cap_label par.stats.wall_cycles
-        (if identical then "identical" else "DIFFERS (BUG)"))
-    cells;
+    "\nsimulated identity (dijkstra, 24 workers): cap 0 -> %d wall cycles, cap unbounded -> %d; %s\n"
+    base.stats.wall_cycles par.stats.wall_cycles
+    (if identical then "identical" else "DIFFERS (BUG)");
   let json =
     let open Json in
     Obj
-      [ ("experiment", String "interval_reset"); ("host_cores", Int cores);
+      [ ("experiment", String "interval_reset");
         ("iters", Int (iters ()));
         ( "footprint",
           Obj
             [ ("full_pages", Int full_pages); ("partial_pages", Int partial_pages);
               ("page_size", Int Memory.page_size) ] );
         ( "reset_ns",
-          List
-            (List.map
-               (fun (d, rewrite_ns, pooled_ns) ->
-                 Obj
-                   [ ("host_domains", Int d); ("rewrite_ns", Float rewrite_ns);
-                     ("pooled_ns", Float pooled_ns);
-                     ("pool_win", Float (rewrite_ns /. pooled_ns));
-                     ("pooled_speedup_vs_1", Float (t_seq_rewrite /. pooled_ns)) ])
-               curve) );
+          Obj
+            [ ("rewrite_ns", Float rewrite_ns); ("pooled_ns", Float pooled_ns);
+              ("pool_win", Float (rewrite_ns /. pooled_ns)) ] );
         ( "pool_stats",
           Obj
             [ ("swaps", Int ps.Page_pool.swaps);
@@ -192,20 +131,12 @@ let run () =
           Obj
             [ ("workload", String "dijkstra");
               ("baseline_wall_cycles", Int base.stats.wall_cycles);
-              ( "cells",
-                List
-                  (List.map
-                     (fun (domains, cap_label, (par : Privateer.Pipeline.par_run),
-                           identical) ->
-                       Obj
-                         [ ("host_domains", Int domains);
-                           ("pool_cap", String cap_label);
-                           ("wall_cycles", Int par.stats.wall_cycles);
-                           ("identical_to_baseline", Bool identical) ])
-                     cells) ) ] ) ]
+              ("pooled_wall_cycles", Int par.stats.wall_cycles);
+              ("identical_to_baseline", Bool identical) ] ) ]
   in
   let oc = open_out "BENCH_interval_reset.json" in
   output_string oc (Json.to_string json);
   output_char oc '\n';
   close_out oc;
-  print_endline "\nwrote BENCH_interval_reset.json"
+  print_endline "\nwrote BENCH_interval_reset.json";
+  Harness.require [ ("simulated_identity.identical_to_baseline", identical) ]

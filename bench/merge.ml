@@ -1,19 +1,12 @@
-(* The `merge` experiment: host-time scaling of the sharded phase-2
-   merge over OCaml domains, the early-exit extraction scan, and the
-   adaptive shadow-pool cap.
+(* The `merge` experiment: host time of the phase-2 merge, the
+   early-exit extraction scan, and the adaptive shadow-pool cap.
 
    Four measurements:
 
-   - merge wall time over 1/2/4/8 host domains on a dense multi-worker
-     interval (8 workers x 3000 overlapping words each + 512 live-in
-     probes per worker), through a carried 8-shard merge state.  One
-     domain is the sequential baseline (single routed pass); more
-     domains run the fill / validate / sweep passes as per-shard jobs.
-     Per-phase host time is reported from the state's accumulated
-     timings.  As in `interval_reset`, the curve depends on the cores
-     the host actually has -- `host_cores` is recorded next to the
-     numbers so a 1-core CI container's flat curve is not mistaken for
-     a regression;
+   - merge wall time on a dense multi-worker interval (8 workers x
+     3000 overlapping words each + 512 live-in probes per worker),
+     through a carried merge state, with per-phase host time (fill /
+     validate / sweep) from the state's accumulated timings;
    - the early-exit extraction scan: three 16-page footprints with
      identical extraction work per kind -- 8 marked words at each page
      head, the same 8 words at each page tail, and fully-marked pages.
@@ -26,11 +19,10 @@
      through the big phase, `auto` tracks each phase's retirement
      footprint.  Free-list high water, evictions, ready buffers and
      the learned cap are reported per mode;
-   - simulated-cycle identity: dijkstra across merge_shards {1, 4, 7}
-     x host_domains {1, 3} x pool cap {0, auto, unbounded} must report
-     byte-identical output and the same wall cycles and checkpoint
-     count as the (1 domain, cap 0, 1 shard) baseline -- no host knob
-     is allowed to move the cycle model.
+   - simulated-cycle identity: dijkstra at pool cap {auto, unbounded}
+     must report byte-identical output and the same wall cycles and
+     checkpoint count as the cap-0 baseline -- the pool is not allowed
+     to move the cycle model.
 
    Results go to BENCH_merge.json; iteration counts scale down via
    MERGE_ITERS (CI smoke runs use a small value). *)
@@ -52,7 +44,6 @@ let time_ns = Overhead.time_ns
 let n_workers = 8
 let words_per_worker = 3000
 let live_in_per_worker = 512
-let shards = 8
 
 (* Synthetic interval contributions: worker [w] writes words
    [w*1500, w*1500 + 3000), so adjacent workers overlap on half their
@@ -79,28 +70,14 @@ let contribs () =
         reg_partials = [];
         pages_touched = words_per_worker * 8 / Memory.page_size })
 
-(* ns per merge of the dense interval through a carried 8-shard state
-   (the sweep returns the state to empty, so every round runs the same
-   delta).  Returns total ns plus per-call phase-time averages.
-   [kind] selects the pool scheduler (work-stealing vs the legacy
-   single queue) so the curve doubles as the schedulers' comparison. *)
-let bench_merge ?(kind = Domain_pool.Work_stealing) domains =
+(* ns per merge of the dense interval through a carried state (the
+   sweep returns the state to empty, so every round runs the same
+   delta).  Returns total ns plus per-call phase-time averages. *)
+let bench_merge () =
   let cs = contribs () in
-  let state = Checkpoint.create_merge_state ~shards () in
+  let state = Checkpoint.create_merge_state () in
   let rounds = iters () in
-  let run pool =
-    time_ns ~rounds ~reps:1 (fun () ->
-        ignore (Checkpoint.merge ~state ?pool cs))
-  in
-  let ns =
-    if domains = 1 then run None
-    else begin
-      let pool = Domain_pool.create ~kind ~domains () in
-      let ns = run (Some pool) in
-      Domain_pool.shutdown pool;
-      ns
-    end
-  in
+  let ns = time_ns ~rounds ~reps:1 (fun () -> ignore (Checkpoint.merge ~state cs)) in
   (* time_ns runs one untimed warmup call plus [rounds] timed calls,
      all through the same state. *)
   let calls = float_of_int (rounds + 1) in
@@ -182,79 +159,31 @@ let cap_label cap =
 let identity_matrix () =
   let c = Harness.compiled Privateer_workloads.Dijkstra.workload in
   let open Privateer.Pipeline in
-  let base = Harness.run_parallel ~host_domains:1 ~pool_cap:0 ~merge_shards:1 c in
+  let base = Harness.run_parallel ~pool_cap:0 c in
   let cells =
-    List.concat_map
-      (fun merge_shards ->
-        List.concat_map
-          (fun domains ->
-            List.map
-              (fun cap ->
-                let par =
-                  Harness.run_parallel ~host_domains:domains ~pool_cap:cap
-                    ~merge_shards c
-                in
-                let identical =
-                  base.par_cycles = par.par_cycles
-                  && base.stats.wall_cycles = par.stats.wall_cycles
-                  && base.stats.checkpoints = par.stats.checkpoints
-                  && String.equal base.par_output par.par_output
-                in
-                (merge_shards, domains, cap, par, identical))
-              [ 0; Page_pool.auto; Page_pool.unbounded ])
-          [ 1; 3 ])
-      [ 1; 4; 7 ]
+    List.map
+      (fun cap ->
+        let par = Harness.run_parallel ~pool_cap:cap c in
+        let identical =
+          base.par_cycles = par.par_cycles
+          && base.stats.wall_cycles = par.stats.wall_cycles
+          && base.stats.checkpoints = par.stats.checkpoints
+          && String.equal base.par_output par.par_output
+        in
+        (cap, par, identical))
+      [ Page_pool.auto; Page_pool.unbounded ]
   in
   (base, cells)
 
 (* ---- driver ------------------------------------------------------------- *)
 
 let run () =
-  let cores = Domain.recommended_domain_count () in
+  Printf.printf "\n================ merge: phase-2 merge, extraction scan, pool cap ================\n\n";
+  let ns, fill, validate, sweep = bench_merge () in
   Printf.printf
-    "\n================ merge: sharded phase-2 merge over OCaml domains ================\n\n";
-  Printf.printf
-    "footprint: %d workers x %d words (half-overlapping) + %d live-in probes each, %d shards; host cores: %d\n\n"
-    n_workers words_per_worker live_in_per_worker shards cores;
-  let domain_counts = [ 1; 2; 4; 8 ] in
-  (* Both pool schedulers over the same domain counts; domains = 1 is
-     the poolless sequential baseline in either kind, so it runs once
-     (under the work-stealing label). *)
-  let curve =
-    List.concat_map
-      (fun kind ->
-        List.filter_map
-          (fun d ->
-            if d = 1 && kind <> Domain_pool.Work_stealing then None
-            else Some (kind, d, bench_merge ~kind d))
-          domain_counts)
-      [ Domain_pool.Work_stealing; Domain_pool.Single_queue ]
-  in
-  let t_seq =
-    match curve with (_, _, (ns, _, _, _)) :: _ -> ns | [] -> assert false
-  in
-  let t =
-    Table.create
-      ~aligns:
-        [ Table.Left; Table.Right; Table.Right; Table.Right; Table.Right;
-          Table.Right; Table.Right ]
-      [ "pool kind"; "host domains"; "merge us"; "fill us"; "validate us";
-        "sweep us"; "speedup vs 1" ]
-  in
-  List.iter
-    (fun (kind, d, (ns, fill, validate, sweep)) ->
-      Table.add_row t
-        [ Domain_pool.kind_to_string kind; string_of_int d;
-          Printf.sprintf "%.1f" (ns /. 1e3);
-          Printf.sprintf "%.1f" (fill /. 1e3);
-          Printf.sprintf "%.1f" (validate /. 1e3);
-          Printf.sprintf "%.1f" (sweep /. 1e3);
-          Printf.sprintf "%.2fx" (t_seq /. ns) ])
-    curve;
-  Table.print t;
-  if cores <= 1 then
-    print_endline
-      "\n(single host core: the domain curve is flat here by construction)";
+    "merge of %d workers x %d words (half-overlapping) + %d live-in probes each: %.1f us (fill %.1f, validate %.1f, sweep %.1f)\n"
+    n_workers words_per_worker live_in_per_worker (ns /. 1e3) (fill /. 1e3)
+    (validate /. 1e3) (sweep /. 1e3);
 
   let head_ns = bench_scan Head in
   let tail_ns = bench_scan Tail in
@@ -292,43 +221,30 @@ let run () =
   let base, cells = identity_matrix () in
   let open Privateer.Pipeline in
   Printf.printf
-    "\nsimulated identity (dijkstra, 24 workers): 1 domain / cap 0 / 1 shard -> %d wall cycles\n"
+    "\nsimulated identity (dijkstra, 24 workers): cap 0 -> %d wall cycles\n"
     base.stats.wall_cycles;
-  let all_identical =
-    List.for_all (fun (_, _, _, _, identical) -> identical) cells
-  in
+  let all_identical = List.for_all (fun (_, _, identical) -> identical) cells in
   List.iter
-    (fun (merge_shards, domains, cap, (par : Privateer.Pipeline.par_run),
-          identical) ->
-      Printf.printf "  %d shards / %d domains / cap %-9s -> %d wall cycles; %s\n"
-        merge_shards domains (cap_label cap) par.stats.wall_cycles
+    (fun (cap, (par : Privateer.Pipeline.par_run), identical) ->
+      Printf.printf "  cap %-9s -> %d wall cycles; %s\n" (cap_label cap)
+        par.stats.wall_cycles
         (if identical then "identical" else "DIFFERS (BUG)"))
     cells;
-  Printf.printf "identity matrix: %s\n"
-    (if all_identical then "all cells identical" else "MISMATCH (BUG)");
 
   let json =
     let open Json in
     Obj
-      [ ("experiment", String "merge"); ("host_cores", Int cores);
+      [ ("experiment", String "merge");
         ("iters", Int (iters ()));
         ( "footprint",
           Obj
             [ ("workers", Int n_workers);
               ("words_per_worker", Int words_per_worker);
-              ("live_in_per_worker", Int live_in_per_worker);
-              ("shards", Int shards) ] );
+              ("live_in_per_worker", Int live_in_per_worker) ] );
         ( "merge_ns",
-          List
-            (List.map
-               (fun (kind, d, (ns, fill, validate, sweep)) ->
-                 Obj
-                   [ ("pool_kind", String (Domain_pool.kind_to_string kind));
-                     ("host_domains", Int d); ("merge_ns", Float ns);
-                     ("fill_ns", Float fill); ("validate_ns", Float validate);
-                     ("sweep_ns", Float sweep);
-                     ("speedup_vs_1", Float (t_seq /. ns)) ])
-               curve) );
+          Obj
+            [ ("merge_ns", Float ns); ("fill_ns", Float fill);
+              ("validate_ns", Float validate); ("sweep_ns", Float sweep) ] );
         ( "scan_ns",
           Obj
             [ ("pages", Int scan_pages); ("sparse_marks", Int sparse_marks);
@@ -356,12 +272,9 @@ let run () =
               ( "cells",
                 List
                   (List.map
-                     (fun (merge_shards, domains, cap,
-                           (par : Privateer.Pipeline.par_run), identical) ->
+                     (fun (cap, (par : Privateer.Pipeline.par_run), identical) ->
                        Obj
-                         [ ("merge_shards", Int merge_shards);
-                           ("host_domains", Int domains);
-                           ("pool_cap", String (cap_label cap));
+                         [ ("pool_cap", String (cap_label cap));
                            ("wall_cycles", Int par.stats.wall_cycles);
                            ("identical_to_baseline", Bool identical) ])
                      cells) ) ] ) ]
@@ -370,4 +283,5 @@ let run () =
   output_string oc (Json.to_string json);
   output_char oc '\n';
   close_out oc;
-  print_endline "\nwrote BENCH_merge.json"
+  print_endline "\nwrote BENCH_merge.json";
+  Harness.require [ ("simulated_identity.all_identical", all_identical) ]

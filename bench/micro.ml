@@ -7,6 +7,7 @@ open Toolkit
 open Privateer_ir
 open Privateer_machine
 open Privateer_runtime
+open Privateer_oracle
 
 let test_heap_check =
   let addr = Heap.base Heap.Private + 0x1234 in

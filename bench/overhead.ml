@@ -17,6 +17,7 @@
 open Privateer_ir
 open Privateer_machine
 open Privateer_runtime
+open Privateer_oracle
 open Privateer_support
 
 let iters () =

@@ -4,8 +4,9 @@
    Measures, per (port, scale) and over a seeded scenario corpus:
 
    - *overhead*: wall time of the instrumented training run (fast
-     frontend with all five profilers, and the retained monolithic
-     Profiler_reference oracle) against plain uninstrumented
+     frontend with all five profilers, and the monolithic
+     Profiler_reference oracle from the test library) against plain
+     uninstrumented
      interpretation of the same program + input;
    - *reference-vs-fast*: what the rebuild buys.  The interpreter
      dominates wall time on every program (hooks fire either way), so
@@ -17,23 +18,24 @@
    - *per-profiler breakdown*: each profiler enabled alone over the
      scale-1 ports + corpus, so the cost of ptr/lifetime/flow/value/
      exec is attributable;
-   - *plan identity* (hard gate): for every measured program, the fast
-     and reference profilers must induce byte-identical selection,
-     classification and transformed IR — the differential-oracle
-     restatement of "same answers, faster".
+   - *query identity* (hard gate): for every measured program, the
+     fast and reference profilers must answer every query family
+     identically — the differential-oracle restatement of "same
+     answers, faster".  Selection and transform read a profile only
+     through these queries, so identical answers mean identical plans.
 
    PROFILE_SCALE_MAX caps the port scale sweep (default 4, clamped per
    port), PROFILE_ITERS the timing rounds (best-of, default 3),
    PROFILE_CORPUS / PROFILE_SEED size and seed the scenario corpus.
-   Results go to BENCH_profile.json. *)
+   Results go to BENCH_profile.json; the binary exits non-zero when
+   query identity fails. *)
 
 open Privateer_support
 open Privateer_workloads
 module Pipeline = Privateer.Pipeline
 module Profiler = Privateer_profile.Profiler
 module RC = Privateer_parallel.Runtime_config
-module Selection = Privateer_analysis.Selection
-module Classify = Privateer_analysis.Classify
+module Answers = Privateer_oracle.Profile_answers
 
 let env_int name default =
   match Sys.getenv_opt name with
@@ -78,35 +80,6 @@ let time_interleaved fs =
 
 let config_for profilers = { RC.default with RC.profilers }
 
-(* One canonical string for everything the profiler feeds the
-   compiler: selection (plans, weights, extras, rejections), the
-   classification of every selected loop, the per-site heap map, and
-   the transformed program itself.  Fast and reference must agree on
-   every byte. *)
-let plan_str (tr : Privateer_transform.Transform.result) =
-  let buf = Buffer.create 1024 in
-  List.iter
-    (fun (p : Selection.plan) ->
-      Buffer.add_string buf
-        (Printf.sprintf "loop %d in %s weight %d extras [%s]\n" p.loop p.func p.weight
-           (String.concat "," (Selection.extras p)));
-      Buffer.add_string buf (Classify.to_string p.assignment);
-      List.iter
-        (fun (s, h) ->
-          Buffer.add_string buf
-            (Printf.sprintf "  %s -> %s\n"
-               (Privateer_profile.Objname.site_to_string s)
-               (Privateer_ir.Heap.name h)))
-        p.site_heap)
-    tr.selection.plans;
-  List.iter
-    (fun (r : Selection.rejection) ->
-      Buffer.add_string buf
-        (Printf.sprintf "rejected loop %d in %s: %s\n" r.rloop r.rfunc r.reason))
-    tr.selection.rejections;
-  Buffer.add_string buf (Privateer_ir.Pp.program_str tr.program);
-  Buffer.contents buf
-
 type row = {
   r_name : string;
   r_kind : string; (* "port" | "scenario" *)
@@ -117,21 +90,22 @@ type row = {
   r_identical : bool;
 }
 
+(* The oracle's training run: layout, instrumented run, no queries. *)
+let profile_reference setup program () = ignore (Answers.run_reference ~setup program)
+
 let measure ~kind ~scale ~name program setup =
-  let profile profilers () =
-    ignore (Pipeline.profile ~setup ~config:(config_for profilers) program)
-  in
   let best =
     time_interleaved
       [| (fun () -> ignore (Pipeline.run_sequential ~setup program));
-         profile [ "all" ]; profile [ "reference" ] |]
+         (fun () -> ignore (Pipeline.profile ~setup ~config:(config_for [ "all" ]) program));
+         profile_reference setup program |]
   in
   let plain_ns = best.(0) and fast_ns = best.(1) and ref_ns = best.(2) in
-  let compile profilers =
-    let tr, _ = Pipeline.compile ~setup ~config:(config_for profilers) program in
-    plan_str tr
+  let identical =
+    Answers.diff program (fst (Answers.run_fast ~setup program))
+      (fst (Answers.run_reference ~setup program))
+    = None
   in
-  let identical = String.equal (compile [ "all" ]) (compile [ "reference" ]) in
   { r_name = name; r_kind = kind; r_scale = scale; r_plain_ns = plain_ns;
     r_fast_ns = fast_ns; r_ref_ns = ref_ns; r_identical = identical }
 
@@ -141,6 +115,9 @@ let run_set profilers set () =
     (fun (program, setup) ->
       ignore (Pipeline.profile ~setup ~config:(config_for profilers) program))
     set
+
+let run_set_reference set () =
+  List.iter (fun (program, setup) -> profile_reference setup program ()) set
 
 let ratio num den = if den > 0.0 then num /. den else 0.0
 
@@ -236,7 +213,7 @@ let run () =
       (Array.of_list
          ((fun () -> List.iter (fun (p, setup) -> ignore (Pipeline.run_sequential ~setup p)) set)
           :: run_set [ "all" ] set
-          :: run_set [ "reference" ] set
+          :: run_set_reference set
           :: List.map (fun p -> run_set [ p ] set) singles))
   in
   let set_plain = best.(0) and set_fast = best.(1) and set_ref = best.(2) in
@@ -275,7 +252,7 @@ let run () =
   let speedup_max = snd best_row in
   let speedup_ok = speedup_max >= 2.0 in
   Printf.printf
-    "\nfast and reference induce identical plans on every program: %s\n"
+    "\nfast and reference answer every query identically on every program: %s\n"
     (if identical_all then "yes" else "NO (BUG)");
   Printf.printf
     "best reference/fast profiling-overhead ratio: %.2fx at %s (gate >= 2.0x: %s)\n"
@@ -303,7 +280,7 @@ let run () =
                        Float
                          (overhead_ratio ~plain:r.r_plain_ns ~fast:r.r_fast_ns
                             ~rf:r.r_ref_ns) );
-                     ("plans_identical", Bool r.r_identical) ])
+                     ("queries_identical", Bool r.r_identical) ])
                rows) );
         ( "breakdown",
           Obj
@@ -321,7 +298,7 @@ let run () =
         ("corpus_reference_ns", Float corpus_ref);
         ("corpus_speedup", Float corpus_speedup);
         ("corpus_overhead_ratio", Float corpus_ratio);
-        ("plans_identical_all", Bool identical_all);
+        ("queries_identical_all", Bool identical_all);
         ("gate_metric", String "(reference_ns - plain_ns) / (fast_ns - plain_ns)");
         ("fast_speedup_max", Float speedup_max);
         ("fast_speedup_at", String (fst best_row));
@@ -331,4 +308,5 @@ let run () =
   output_string oc (Json.to_string json);
   output_char oc '\n';
   close_out oc;
-  print_endline "\nwrote BENCH_profile.json"
+  print_endline "\nwrote BENCH_profile.json";
+  Harness.require [ ("queries_identical_all", identical_all) ]

@@ -13,17 +13,16 @@
    - *fidelity*: the parallel output matches the sequential output at
      every scale;
    - *host identity at scale*: the paper's determinism contract holds
-     on the enlarged inputs — a run with host domains, the sharded
-     merge and the pooled interval reset is cycle- and byte-identical
-     to the sequential-host reference cell, and the pooled/sharded
-     paths are actually exercised (resets and merges counted).  This
-     is the scaled re-statement of the merge short-circuit and pooled
-     reset guarantees: host-side wins must never move simulated state.
+     on the enlarged inputs — a run with the pooled interval reset is
+     cycle- and byte-identical to the pool-less reference cell, and
+     the reset and merge paths are actually exercised (checkpoints
+     committed).  This is the scaled re-statement of the pooled reset
+     guarantee: host-side wins must never move simulated state.
 
    SCALE_MAX caps the scale sweep (default 3, clamped per port;
    the ports themselves go to 4), SCALE_WORKERS the worker count.
-   Results go to BENCH_scale.json.  Simulated state only: no timing
-   rounds, no ITERS. *)
+   Results go to BENCH_scale.json and the binary exits non-zero when
+   a gate fails.  Simulated state only: no timing rounds, no ITERS. *)
 
 open Privateer_support
 open Privateer_workloads
@@ -42,8 +41,8 @@ type cell = {
   c_scale : int;
   c_params : (string * int) list; (* ref-input parameters at this scale *)
   c_seq : Pipeline.seq_run;
-  c_par : Pipeline.par_run; (* reference host cell: 1 domain, no pool *)
-  c_host : Pipeline.par_run; (* 3 domains, pooled reset, sharded merge *)
+  c_par : Pipeline.par_run; (* reference host cell: no page pool *)
+  c_host : Pipeline.par_run; (* pooled reset *)
 }
 
 let run_port wl =
@@ -58,17 +57,15 @@ let run_port wl =
       in
       let setup = Workload.setup ~scale:s wl Workload.Ref in
       let seq = Pipeline.run_sequential ~setup program in
-      let par ~host_domains ~pool_cap =
+      let par ~pool_cap =
         Pipeline.run_parallel ~setup
           ~config:
-            { Privateer_parallel.Executor.default_config with
-              workers = workers (); adaptive_period = false; host_domains;
-              pool_cap; merge_shards = 8 }
+            { Privateer_parallel.Runtime_config.default with
+              workers = workers (); adaptive_period = false; pool_cap }
           tr
       in
       { c_scale = s; c_params = Workload.params ~scale:s wl Workload.Ref;
-        c_seq = seq; c_par = par ~host_domains:1 ~pool_cap:0;
-        c_host = par ~host_domains:3 ~pool_cap:Page_pool.unbounded })
+        c_seq = seq; c_par = par ~pool_cap:0; c_host = par ~pool_cap:Page_pool.unbounded })
     scales
 
 let strictly_increasing = function
@@ -125,13 +122,12 @@ let run () =
             cells
         in
         let identity_ok = List.for_all host_identical cells in
-        (* The pooled reset and (sharded) merge must actually run at
-           the top scale for the identity above to certify anything. *)
+        (* The pooled reset and the merge must actually run at the top
+           scale for the identity above to certify anything: every
+           committed checkpoint runs both. *)
         let exercised =
           match List.rev cells with
-          | top :: _ ->
-            top.c_host.stats.par_resets + top.c_host.stats.seq_resets > 0
-            && top.c_host.stats.par_merges + top.c_host.stats.seq_merges > 0
+          | top :: _ -> top.c_host.stats.checkpoints > 0
           | [] -> false
         in
         (wl, cells, strictly_increasing cycles, strictly_increasing footprint,
@@ -151,7 +147,7 @@ let run () =
   Printf.printf "parallel output matches sequential at every scale: %s\n"
     (if outputs_ok then "yes" else "NO (BUG)");
   Printf.printf
-    "host cell (3 domains, pooled reset, 8 merge shards) identical at every scale: %s\n"
+    "host cell (pooled reset) identical at every scale: %s\n"
     (if identity_ok then "yes" else "NO (BUG)");
   Printf.printf "pooled reset and merge paths exercised at top scale: %s\n"
     (if exercised then "yes" else "NO (BUG)");
@@ -204,4 +200,8 @@ let run () =
   output_string oc (Json.to_string json);
   output_char oc '\n';
   close_out oc;
-  print_endline "\nwrote BENCH_scale.json"
+  print_endline "\nwrote BENCH_scale.json";
+  Harness.require
+    [ ("cycles_monotonic", cycles_grow); ("footprint_monotonic", footprint_grows);
+      ("outputs_match_sequential", outputs_ok); ("host_identity", identity_ok);
+      ("pooled_paths_exercised", exercised) ]

@@ -8,21 +8,20 @@
    footprints, reduction mixes and planted misspeculation rates all
    varying per job, worker counts varying per slot, every job parsing
    its own AST (concurrent jobs never share programs) — runs through
-   four server cells:
+   three server cells:
 
    - `serial`: 1 host core, max_inflight 1 — the reference;
-   - `ws-4` / `legacy-4`: the real host, max_inflight 4, each pool
-     scheduler.  On a multi-core host ws-4 throughput must beat
-     serial; on 1 core the clamp keeps jobs effectively sequential and
-     throughput must not regress;
+   - `concurrent-4`: the real host, max_inflight 4.  On a multi-core
+     host its throughput must beat serial; on 1 core the clamp keeps
+     jobs effectively sequential and throughput must not regress;
    - `forced-4`: 4 "cores" forced, so the genuinely concurrent path
-     (jobs as pool futures, nested stage fan-outs interleaving on the
-     shared deques) is exercised even on a 1-core host — for the
-     determinism check, not the throughput claim.
+     (jobs as pool futures) is exercised even on a 1-core host — for
+     the determinism check, not the throughput claim.
 
    Every cell's per-job fingerprints (cycles, output, result, non-host
    stats, per-loop table) must equal the serial cell's.  Results go to
-   BENCH_server.json; CI smoke runs scale down via SERVER_JOBS. *)
+   BENCH_server.json and the binary exits non-zero when a gate fails;
+   CI smoke runs scale down via SERVER_JOBS. *)
 
 open Privateer_support
 module Job_server = Privateer_server.Job_server
@@ -41,13 +40,11 @@ let corpus_seed = 0xC0FFEE
    scenario sequence; each spec still parses its own AST. *)
 let corpus = lazy (Scenario_gen.corpus ~seed:corpus_seed ~count:(jobs_n ()))
 
-let specs ~kind ~max_inflight =
+let specs ~max_inflight =
   List.mapi
     (fun i (t : Scenario_gen.t) ->
       let config =
-        { RC.default with
-          RC.pool_kind = kind; max_inflight; queue_cap = 0;
-          workers = 4 + (4 * (i mod 3)); host_domains = 1 }
+        { RC.default with max_inflight; queue_cap = 0; workers = 4 + (4 * (i mod 3)) }
       in
       let wl = t.Scenario_gen.sc_workload in
       Job_server.job_spec ~config
@@ -59,7 +56,6 @@ let specs ~kind ~max_inflight =
 
 type cell = {
   label : string;
-  kind : Domain_pool.kind;
   inflight : int;
   forced_cores : int option;
   wall_s : float;
@@ -80,12 +76,10 @@ let percentile sorted p =
   if n = 0 then 0.0
   else sorted.(min (n - 1) (int_of_float (ceil (p *. float_of_int n)) - 1))
 
-let run_cell ~label ?host_cores ~kind ~inflight n =
-  let config =
-    { RC.default with RC.pool_kind = kind; max_inflight = inflight }
-  in
+let run_cell ~label ?host_cores ~inflight n =
+  let config = { RC.default with max_inflight = inflight } in
   let t0 = Clock.now_ns () in
-  let sv = Job_server.run_jobs ?host_cores ~config (specs ~kind ~max_inflight:inflight) in
+  let sv = Job_server.run_jobs ?host_cores ~config (specs ~max_inflight:inflight) in
   let wall_s = (Clock.now_ns () -. t0) /. 1e9 in
   let results =
     List.map (fun j -> Job_server.state sv j) (Job_server.jobs sv)
@@ -103,7 +97,7 @@ let run_cell ~label ?host_cores ~kind ~inflight n =
     Array.sort compare a;
     percentile a f
   in
-  { label; kind; inflight; forced_cores = host_cores; wall_s;
+  { label; inflight; forced_cores = host_cores; wall_s;
     throughput = float_of_int n /. wall_s;
     effective = Job_server.effective_inflight sv;
     cores = Job_server.host_cores sv;
@@ -121,13 +115,10 @@ let run () =
   let multicore = real_cores > 1 in
   Printf.printf "server: %d jobs, %d host cores%s\n%!" n real_cores
     (if multicore then "" else " (1-core host: inflight clamps to sequential)");
-  let serial = run_cell ~label:"serial" ~host_cores:1 ~kind:Domain_pool.Work_stealing ~inflight:1 n in
-  let ws4 = run_cell ~label:"ws-4" ~kind:Domain_pool.Work_stealing ~inflight:4 n in
-  let legacy4 = run_cell ~label:"legacy-4" ~kind:Domain_pool.Single_queue ~inflight:4 n in
-  let forced4 =
-    run_cell ~label:"forced-4" ~host_cores:4 ~kind:Domain_pool.Work_stealing ~inflight:4 n
-  in
-  let cells = [ serial; ws4; legacy4; forced4 ] in
+  let serial = run_cell ~label:"serial" ~host_cores:1 ~inflight:1 n in
+  let concurrent4 = run_cell ~label:"concurrent-4" ~inflight:4 n in
+  let forced4 = run_cell ~label:"forced-4" ~host_cores:4 ~inflight:4 n in
+  let cells = [ serial; concurrent4; forced4 ] in
   let identical c = c.fingerprints = serial.fingerprints in
   let all_identical = List.for_all identical cells in
   let t =
@@ -146,7 +137,7 @@ let run () =
           (if identical c then "yes" else "NO (BUG)") ])
     cells;
   Table.print t;
-  let speedup = ws4.throughput /. serial.throughput in
+  let speedup = concurrent4.throughput /. serial.throughput in
   (* The acceptance gate: concurrency must pay on a multi-core host
      and must cost (at most noise) nothing on a 1-core one, where the
      clamp keeps execution sequential. *)
@@ -174,7 +165,6 @@ let run () =
                (fun c ->
                  Obj
                    [ ("label", String c.label);
-                     ("pool_kind", String (Domain_pool.kind_to_string c.kind));
                      ("max_inflight", Int c.inflight);
                      ("effective_inflight", Int c.effective);
                      ("host_cores", Int c.cores);
@@ -190,7 +180,7 @@ let run () =
                      ("identical_to_serial", Bool (identical c)) ])
                cells) );
         ("serial_throughput_jobs_per_s", Float serial.throughput);
-        ("concurrent_throughput_jobs_per_s", Float ws4.throughput);
+        ("concurrent_throughput_jobs_per_s", Float concurrent4.throughput);
         ("speedup_vs_serial", Float speedup);
         ("throughput_ok", Bool throughput_ok);
         ("all_identical", Bool all_identical) ]
@@ -199,4 +189,5 @@ let run () =
   output_string oc (Json.to_string json);
   output_char oc '\n';
   close_out oc;
-  print_endline "\nwrote BENCH_server.json"
+  print_endline "\nwrote BENCH_server.json";
+  Harness.require [ ("all_identical", all_identical); ("throughput_ok", throughput_ok) ]

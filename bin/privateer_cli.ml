@@ -63,8 +63,8 @@ let json_arg =
 
 module RC = Privateer_parallel.Runtime_config
 
-(* Every engine-tuning flag (--workers, --host-domains, --checkpoint,
-   --schedule, --adaptive, --throttle, --shadow-pool-cap, ...) comes
+(* Every engine-tuning flag (--workers, --checkpoint, --schedule,
+   --adaptive, --throttle, --shadow-pool-cap, ...) comes
    from [Runtime_config.cli_bindings]: one optional string argument
    per table entry, folded over a base config.  Adding a knob to the
    table adds the flag here with no CLI change. *)
@@ -157,13 +157,7 @@ let dump_cmd =
 let config_json (cfg : RC.t) =
   let open Privateer_support.Json in
   Obj
-    [ ("workers", Int cfg.workers); ("host_domains", Int cfg.host_domains);
-      ("merge_shards", Int cfg.merge_shards);
-      ( "pool_kind",
-        String (Privateer_support.Domain_pool.kind_to_string cfg.pool_kind) );
-      ( "host_controller",
-        String (Privateer_parallel.Host_controller.mode_to_string cfg.host_controller)
-      );
+    [ ("workers", Int cfg.workers);
       ("schedule", String (Privateer_parallel.Schedule.to_string cfg.schedule));
       ("validation", String (RC.validation_to_string cfg.validation));
       ("pool_cap", Int cfg.pool_cap);
@@ -220,23 +214,13 @@ let json_report ~config:cfg ~profile_ns ~seq ~(par : Pipeline.par_run) ~fallback
           [ ("index_fill", Float stats.ns_merge_fill);
             ("validate", Float stats.ns_merge_validate);
             ("sweep", Float stats.ns_merge_sweep) ] );
-      (* Host-parallelism controller: wall time per interval stage and
-         how often each stage ran parallel vs sequential — host-side
-         instrumentation like merge_phase_ns (ns vary run to run; the
-         decision counters depend only on config and workload). *)
+      (* Host wall time of the other interval stages — instrumentation
+         like merge_phase_ns (varies run to run). *)
       ( "host_stages",
         Obj
           [ ("ns_reset", Float stats.ns_reset);
             ("ns_extract", Float stats.ns_extract);
-            ("ns_spawn", Float stats.ns_spawn);
-            ("par_resets", Int stats.par_resets);
-            ("seq_resets", Int stats.seq_resets);
-            ("par_extracts", Int stats.par_extracts);
-            ("seq_extracts", Int stats.seq_extracts);
-            ("par_merges", Int stats.par_merges);
-            ("seq_merges", Int stats.seq_merges);
-            ("par_spawns", Int stats.par_spawns);
-            ("seq_spawns", Int stats.seq_spawns) ] );
+            ("ns_spawn", Float stats.ns_spawn) ] );
       (* Eager in-flight validation counters: deterministic for a given
          validation mode, but exempt from the cross-MODE identity
          contract (commit mode reports zeros for kills/checks/hits; the
@@ -416,8 +400,8 @@ let gen_cmd =
     Term.(const run $ spec_arg $ meta_arg)
 
 (* privateer serve <manifest>: run every job in the manifest through
-   the job server — many concurrent speculative pipelines multiplexed
-   over one shared domain pool — and emit the aggregate JSON report
+   the job server — many concurrent speculative pipelines over one
+   domain pool — and emit the aggregate JSON report
    (throughput, latency percentiles, per-job results).  Exits 3 when
    any job failed, so smoke tests can assert success without parsing. *)
 let serve_cmd =

@@ -48,7 +48,7 @@ let () =
 
   print_endline "\n=== 4. speculative parallel execution (ref input) ===";
   let seq = Pipeline.run_sequential ~setup:(Workload.setup wl Ref) program in
-  let config = { Privateer_parallel.Executor.default_config with workers = 24 } in
+  let config = { Privateer_parallel.Runtime_config.default with workers = 24 } in
   let par = Pipeline.run_parallel ~setup:(Workload.setup wl Ref) ~config tr in
   Printf.printf "speedup %.2fx on %d workers; outputs identical: %b\n"
     (float_of_int seq.seq_cycles /. float_of_int par.par_cycles)

@@ -31,7 +31,7 @@ let () =
   let seq = Pipeline.run_sequential ~setup:(Workload.setup wl Ref) program in
   let run ~rate ~adaptive =
     let config =
-      { Privateer_parallel.Executor.default_config with workers = 24;
+      { Privateer_parallel.Runtime_config.default with workers = 24;
         inject = spaced rate; adaptive_period = adaptive }
     in
     Pipeline.run_parallel ~setup:(Workload.setup wl Ref) ~config tr

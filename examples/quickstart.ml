@@ -56,7 +56,7 @@ let () =
   (* 2. Run the original sequentially and the privatized program on 16
         simulated worker processes. *)
   let seq = Pipeline.run_sequential ~setup program in
-  let config = { Privateer_parallel.Executor.default_config with workers = 16 } in
+  let config = { Privateer_parallel.Runtime_config.default with workers = 16 } in
   let par = Pipeline.run_parallel ~setup ~config tr in
   Printf.printf "sequential: %d cycles -> parallel: %d cycles (%.2fx)\n"
     seq.seq_cycles par.par_cycles

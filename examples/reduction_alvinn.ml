@@ -32,7 +32,7 @@ let () =
       | Induction | Private_reg | Live_in -> ())
     spec.scalars;
   let seq = Pipeline.run_sequential ~setup:(Workload.setup wl Ref) program in
-  let config = { Privateer_parallel.Executor.default_config with workers = 16 } in
+  let config = { Privateer_parallel.Runtime_config.default with workers = 16 } in
   let par = Pipeline.run_parallel ~setup:(Workload.setup wl Ref) ~config tr in
   Printf.printf "\nspeedup %.2fx over %d epochs (%d parallel invocations)\n"
     (float_of_int seq.seq_cycles /. float_of_int par.par_cycles)

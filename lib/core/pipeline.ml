@@ -30,24 +30,21 @@ let set_global (st : Interp.t) name v =
 let parse = Privateer_lang.Parser.parse_program_exn
 
 (* Profile a training run.  [config.profilers] selects the profiler
-   set (or the reference oracle); [pool] lets the fast frontend drain
-   event batches on pool domains.  The profiling wall time (run +
-   consumer sync) is stamped on the profiler — reporting only, exempt
-   from the determinism contract. *)
-let profile ?(setup = no_setup) ?(config = Runtime_config.default) ?pool program =
+   set.  The profiling wall time is stamped on the profiler —
+   reporting only, exempt from the determinism contract. *)
+let profile ?(setup = no_setup) ?(config = Runtime_config.default) program =
   let st = Interp.create ~cost:Cost.default program in
-  let p = Profiler.create ~profilers:config.Runtime_config.profilers ?pool () in
+  let p = Profiler.create ~profilers:config.Runtime_config.profilers () in
   Profiler.attach p st;
   setup st;
   let t0 = Privateer_support.Clock.now_ns () in
   ignore (Interp.run_entry st);
-  Profiler.sync p;
   Profiler.set_wall_ns p (Privateer_support.Clock.now_ns () -. t0);
   (p, st)
 
 (* Profile, select, transform. *)
-let compile ?(setup = no_setup) ?config ?pool program =
-  let profiler, _ = profile ~setup ?config ?pool program in
+let compile ?(setup = no_setup) ?config program =
+  let profiler, _ = profile ~setup ?config program in
   let selection = Selection.select program profiler in
   let result = Transform.apply program profiler selection in
   (result, profiler)
@@ -70,10 +67,10 @@ type par_run = {
   fallbacks : int;
 }
 
-let run_parallel ?(setup = no_setup) ?(config = Executor.default_config) ?pool
+let run_parallel ?(setup = no_setup) ?(config = Runtime_config.default)
     (tr : Transform.result) =
-  let st = Interp.create ~cost:config.Executor.costs.base tr.program in
-  let ex = Executor.create ?pool tr.manifest config in
+  let st = Interp.create ~cost:config.Runtime_config.costs.base tr.program in
+  let ex = Executor.create tr.manifest config in
   ex.stats.separation_checks_elided <- Manifest.elided_check_count tr.manifest;
   Executor.install ex st;
   setup st;
@@ -97,7 +94,7 @@ type experiment = {
 (* Profile on [train], evaluate on [run] — the paper's methodology
    (train vs ref inputs). *)
 let experiment ?(train = no_setup) ?(run = no_setup)
-    ?(config = Executor.default_config) program =
+    ?(config = Runtime_config.default) program =
   let tr, _profiler = compile ~setup:train ~config program in
   let sequential = run_sequential ~setup:run program in
   let parallel = run_parallel ~setup:run ~config tr in

@@ -27,25 +27,20 @@ val set_global : Privateer_interp.Interp.t -> string -> int -> unit
 val parse : ?entry:string -> string -> Privateer_ir.Ast.program
 
 (** Instrumented training run.  [config.profilers] selects which
-    profilers run (default: all five; ["reference"] selects the
-    monolithic oracle — answers are identical either way); [pool]
-    lets the fast frontend drain event batches on pool domains.  The
-    profiling wall time is stamped on the returned profiler
-    ([Profiler.wall_ns]) — reporting only, exempt from the determinism
-    contract. *)
+    profilers run (default: all five).  The profiling wall time is
+    stamped on the returned profiler ([Profiler.wall_ns]) — reporting
+    only, exempt from the determinism contract. *)
 val profile :
   ?setup:setup ->
   ?config:Privateer_parallel.Runtime_config.t ->
-  ?pool:Privateer_support.Domain_pool.t ->
   Privateer_ir.Ast.program ->
   Privateer_profile.Profiler.t * Privateer_interp.Interp.t
 
 (** Profile, classify, select and transform: the whole compiler.
-    [config]/[pool] are {!profile}'s. *)
+    [config] is {!profile}'s. *)
 val compile :
   ?setup:setup ->
   ?config:Privateer_parallel.Runtime_config.t ->
-  ?pool:Privateer_support.Domain_pool.t ->
   Privateer_ir.Ast.program ->
   Privateer_transform.Transform.result * Privateer_profile.Profiler.t
 
@@ -77,26 +72,17 @@ type par_run = {
 (** Speculative parallel execution of a transformed program under the
     DOALL executor.
 
-    [config] is a {!Privateer_parallel.Runtime_config.t} (of which
-    [Executor.config] is a re-export) — build one with
-    [Runtime_config.make].  Its [host_domains] field selects how many
-    host OCaml domains the engine's host work (checkpoint extraction,
-    interval reset, spawn setup) fans out over, and [pool_cap] sizes
-    the shadow-page recycling pool.  Both are invisible to the
-    simulation: for any setting, [par_output], [par_result],
-    [par_cycles] and every [stats] counter are byte-identical to the
-    sequential ([host_domains = 1], [pool_cap = 0]) run — only the
-    host wall-clock changes.
-
-    [pool] supplies the host domain pool explicitly, bypassing the
-    process-wide {!Privateer_support.Domain_pool.shared} registry; the
-    job server uses this so concurrent pipelines share one pool
-    without one run's [shared] call shutting down a pool in use by
-    another. *)
+    [config] is a {!Privateer_parallel.Runtime_config.t} — build one
+    with [Runtime_config.make].  Its [pool_cap] sizes the shadow-page
+    recycling pool, which is invisible to the simulation: for any
+    setting, [par_output], [par_result], [par_cycles] and every
+    [stats] counter are byte-identical to the [pool_cap = 0] run —
+    only the host wall-clock changes.  The run is single-domain; host
+    parallelism comes from running several pipelines at once in the
+    job server. *)
 val run_parallel :
   ?setup:setup ->
   ?config:Privateer_parallel.Runtime_config.t ->
-  ?pool:Privateer_support.Domain_pool.t ->
   Privateer_transform.Transform.result ->
   par_run
 

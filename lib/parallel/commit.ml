@@ -41,12 +41,6 @@ type ctx = {
   io : Deferred_io.t;
   emit_main : string -> unit;
   serial_commit : bool;
-  pool : Privateer_support.Domain_pool.t option;
-      (* host-domain pool for checkpoint extraction, interval reset
-         and spawn setup; None = sequential *)
-  controller : Host_controller.t option;
-      (* per-stage host-parallelism policy; None = pre-controller
-         behavior (parallel whenever the pool exists) *)
   page_pool : Page_pool.t option;
       (* shadow-page buffer pool for swap-retirement at interval
          reset; None = in-place rewrite *)
@@ -55,14 +49,14 @@ type ctx = {
 }
 
 let make_ctx (env : Worker.env) (st : Interp.t) fr spec ~io ~emit_main ~serial_commit
-    ~pool ?controller ~page_pool ~merge_shards () =
+    ~page_pool =
   let ranges = Worker.redux_ranges st spec in
   let reg_ops = Worker.reduction_regs spec in
   { env; ranges; reg_ops; redux_base = Worker.read_redux_base st ranges;
     reg_base =
       List.map (fun (name, _) -> (name, Hashtbl.find fr.Interp.locals name)) reg_ops;
-    io; emit_main; serial_commit; pool; controller; page_pool;
-    merge_state = Checkpoint.create_merge_state ~shards:merge_shards () }
+    io; emit_main; serial_commit; page_pool;
+    merge_state = Checkpoint.create_merge_state () }
 
 (* Index work performed by this cohort's carried merge index — a
    per-ctx counter, so concurrent pipelines in one process cannot
@@ -74,10 +68,7 @@ let write_value_word machine addr (v : Value.t) =
   Machine.write_word machine addr bits is_float
 
 (* Contribution collection: each worker's interval state plus the
-   page-granular copy cost on its clock.  The extraction scans fan out
-   over the ctx's domain pool (per worker and per page chunk) when one
-   is configured; the simulated copy cost is charged identically
-   either way — host parallelism never moves the cycle model. *)
+   page-granular copy cost on its clock. *)
 let collect ctx workers ~interval_start =
   let cm = ctx.env.Worker.cm in
   let stats = ctx.env.Worker.stats in
@@ -92,33 +83,9 @@ let collect ctx workers ~interval_start =
               ctx.reg_ops })
       workers
   in
-  (* The controller sees the stage's exact job size — the marked-byte
-     total extract computes anyway — through the [plan] hook, so it can
-     record units for the EWMA even when it decides sequential. *)
-  let chosen = ref None in
-  let plan =
-    match ctx.controller with
-    | None -> None
-    | Some hc ->
-      Some
-        (fun ~pages:_ ~marked ->
-          let d = Host_controller.decide hc Host_controller.Extract ~units:marked in
-          chosen := Some (d, marked);
-          if d.Host_controller.par then d.Host_controller.width else 1)
-  in
   let t0 = Privateer_support.Clock.now_ns () in
-  let contribs = Checkpoint.extract ?pool:ctx.pool ?plan ~interval_start reqs in
-  let ns = Privateer_support.Clock.now_ns () -. t0 in
-  stats.ns_extract <- stats.ns_extract +. ns;
-  (match (ctx.controller, !chosen) with
-  | Some hc, Some (d, marked) ->
-    let par = d.Host_controller.par && ctx.pool <> None in
-    if par then stats.par_extracts <- stats.par_extracts + 1
-    else stats.seq_extracts <- stats.seq_extracts + 1;
-    Host_controller.note hc Host_controller.Extract ~units:marked ~par ~ns
-  | _ ->
-    if ctx.pool <> None then stats.par_extracts <- stats.par_extracts + 1
-    else stats.seq_extracts <- stats.seq_extracts + 1);
+  let contribs = Checkpoint.extract ~interval_start reqs in
+  stats.ns_extract <- stats.ns_extract +. (Privateer_support.Clock.now_ns () -. t0);
   List.iter2
     (fun (w : Worker.t) (c : Checkpoint.contribution) ->
       let copy_cost =
@@ -130,57 +97,13 @@ let collect ctx workers ~interval_start =
   contribs
 
 (* Phase-2 validation + last-writer-wins merge through the cohort's
-   carried, address-sharded index; the per-shard fill / validate /
-   sweep jobs run on the ctx's domain pool when one is configured.
-   The per-phase host time is folded into the run's Stats so the CLI
-   and bench can attribute merge cost (host-side instrumentation only
-   — never simulated state). *)
+   carried index.  The per-phase host time is folded into the run's
+   Stats so the CLI and bench can attribute merge cost (host-side
+   instrumentation only — never simulated state). *)
 let merge ctx contribs =
   let stats = ctx.env.Worker.stats in
-  (* Units for the controller: this interval's index entries — every
-     contributed write plus every live-in probe.  Write-free merges
-     short-circuit inside [Checkpoint.merge]; deciding (or noting) on
-     them would poison the sequential EWMA with near-zero costs, so
-     they bypass the controller entirely. *)
-  let units =
-    List.fold_left
-      (fun acc (c : Checkpoint.contribution) ->
-        acc + Hashtbl.length c.Checkpoint.writes
-        + Hashtbl.length c.Checkpoint.live_in_reads)
-      0 contribs
-  in
-  let have_writes =
-    List.exists
-      (fun (c : Checkpoint.contribution) -> Hashtbl.length c.Checkpoint.writes > 0)
-      contribs
-  in
-  let d =
-    match ctx.controller with
-    | Some hc when have_writes ->
-      Some (Host_controller.decide hc Host_controller.Merge ~units)
-    | Some _ | None -> None
-  in
   let before = Checkpoint.phase_timings ctx.merge_state in
-  let t0 = Privateer_support.Clock.now_ns () in
-  let m =
-    match d with
-    | Some dec ->
-      Checkpoint.merge ~state:ctx.merge_state
-        ?pool:(if dec.Host_controller.par then ctx.pool else None)
-        ~jobs:dec.Host_controller.width contribs
-    | None -> Checkpoint.merge ~state:ctx.merge_state ?pool:ctx.pool contribs
-  in
-  let ns = Privateer_support.Clock.now_ns () -. t0 in
-  (match (ctx.controller, d) with
-  | Some hc, Some dec ->
-    let par = dec.Host_controller.par && ctx.pool <> None in
-    if par then stats.par_merges <- stats.par_merges + 1
-    else stats.seq_merges <- stats.seq_merges + 1;
-    Host_controller.note hc Host_controller.Merge ~units ~par ~ns
-  | _, _ ->
-    if have_writes then
-      if ctx.pool <> None then stats.par_merges <- stats.par_merges + 1
-      else stats.seq_merges <- stats.seq_merges + 1);
+  let m = Checkpoint.merge ~state:ctx.merge_state contribs in
   let after = Checkpoint.phase_timings ctx.merge_state in
   stats.ns_merge_fill <-
     stats.ns_merge_fill +. (after.Checkpoint.fill_ns -. before.Checkpoint.fill_ns);
@@ -209,39 +132,14 @@ let commit_interval ctx (st : Interp.t) fr workers (m : Checkpoint.merged) ~lo ~
        m.Checkpoint.contributions);
   Deferred_io.commit_range ctx.io ~lo ~hi ~sink:ctx.emit_main;
   stats.checkpoints <- stats.checkpoints + 1;
-  (* Metadata reset + dirty clear per worker.  The reset's host work
-     fans out over the ctx's domain pool and retires fully-timestamped
-     pages through the shadow-page pool; the simulated per-page charge
-     is identical either way. *)
+  (* Metadata reset + dirty clear per worker.  The reset retires
+     fully-timestamped pages through the shadow-page pool; the
+     simulated per-page charge is identical either way. *)
   List.iter
     (fun (w : Worker.t) ->
-      let chosen = ref None in
-      let plan =
-        match ctx.controller with
-        | None -> None
-        | Some hc ->
-          Some
-            (fun ~jobs ->
-              let d = Host_controller.decide hc Host_controller.Reset ~units:jobs in
-              chosen := Some (d, jobs);
-              if d.Host_controller.par then d.Host_controller.width else 1)
-      in
       let t0 = Privateer_support.Clock.now_ns () in
-      let pages =
-        Shadow.reset_interval ?pool:ctx.pool ?page_pool:ctx.page_pool ?plan
-          w.w_st.machine
-      in
-      let ns = Privateer_support.Clock.now_ns () -. t0 in
-      stats.ns_reset <- stats.ns_reset +. ns;
-      (match (ctx.controller, !chosen) with
-      | Some hc, Some (d, jobs) ->
-        let par = d.Host_controller.par && ctx.pool <> None in
-        if par then stats.par_resets <- stats.par_resets + 1
-        else stats.seq_resets <- stats.seq_resets + 1;
-        Host_controller.note hc Host_controller.Reset ~units:jobs ~par ~ns
-      | _ ->
-        if ctx.pool <> None then stats.par_resets <- stats.par_resets + 1
-        else stats.seq_resets <- stats.seq_resets + 1);
+      let pages = Shadow.reset_interval ?page_pool:ctx.page_pool w.w_st.machine in
+      stats.ns_reset <- stats.ns_reset +. (Privateer_support.Clock.now_ns () -. t0);
       let cost = pages * cm.c_reset_page in
       w.w_clock <- w.w_clock + cost;
       stats.cyc_checkpoint <- stats.cyc_checkpoint + cost;

@@ -20,45 +20,10 @@ open Privateer_interp
 open Privateer_transform
 open Privateer_runtime
 
-(* The engine's tuning record is [Runtime_config.t]; the re-export
-   keeps the historical [{ Executor.default_config with ... }] call
-   sites compiling unchanged.  New code should build configurations
-   with [Runtime_config.make]. *)
-type config = Runtime_config.t = {
-  workers : int;
-  host_domains : int;
-  merge_shards : int;
-  pool_kind : Privateer_support.Domain_pool.kind;
-  host_controller : Host_controller.mode;
-  schedule : Schedule.t;
-  checkpoint_period : int option;
-  adaptive_period : bool;
-  throttle : int option;
-  pool_cap : int;
-  costs : Cost_model.t;
-  inject : (int -> bool) option;
-  validate : bool;
-  validation : Runtime_config.validation;
-  serial_commit : bool;
-  max_inflight : int;
-  queue_cap : int;
-  profilers : string list;
-}
-
-(* Deprecated shims — use [Runtime_config] directly. *)
-let default_host_domains = Runtime_config.default_host_domains
-let default_config = Runtime_config.default
-let validate_config = Runtime_config.validate
-
 type t = {
   manifest : Manifest.t;
-  config : config;
+  config : Runtime_config.t;
   stats : Stats.t;
-  pool : Privateer_support.Domain_pool.t option;
-      (* host-domain pool when host_domains > 1 (shared process-wide) *)
-  controller : Host_controller.t;
-      (* per-stage host-parallelism policy (one per executor: its EWMAs
-         are this engine's observed stage costs) *)
   page_pool : Page_pool.t option;
       (* shadow-page buffer pool when pool_cap > 0 (per executor:
          retired buffers recycle across this engine's intervals) *)
@@ -67,31 +32,10 @@ type t = {
       (* loops whose speculation the throttle has suspended *)
 }
 
-let create ?pool manifest config =
+let create manifest (config : Runtime_config.t) =
   Runtime_config.validate config;
   let stats = Stats.create () in
   stats.workers <- config.workers;
-  let controller =
-    Host_controller.create ~mode:config.host_controller
-      ~pool_size:(max 1 config.host_domains) ()
-  in
-  (* Spawn the pool only when the controller could ever use it: idle
-     domains tax every minor collection, so [Never] (and single-core
-     [Auto]) run poolless — host-only, the simulation cannot tell.
-     A caller-provided [?pool] (the job server) bypasses the shared
-     registry entirely: concurrent executors must never replace — and
-     thereby shut down — a pool their neighbours are running on. *)
-  let pool =
-    match pool with
-    | Some _ -> pool
-    | None ->
-      if config.host_domains > 1 && Host_controller.may_parallelize controller
-      then
-        Some
-          (Privateer_support.Domain_pool.shared ~kind:config.pool_kind
-             ~domains:config.host_domains ())
-      else None
-  in
   let page_pool =
     (* pool_cap 0 disables pooling; any other value (fixed or
        Page_pool.auto) creates a pool with that cap. *)
@@ -100,8 +44,7 @@ let create ?pool manifest config =
         (Page_pool.create ~cap:config.pool_cap ~fill:(Char.chr Shadow.old_write) ())
     else None
   in
-  { manifest; config; stats; pool; controller; page_pool; fallbacks = 0;
-    suspended = Hashtbl.create 4 }
+  { manifest; config; stats; page_pool; fallbacks = 0; suspended = Hashtbl.create 4 }
 
 let env t =
   { Worker.cm = t.config.costs; stats = t.stats; manifest = t.manifest;
@@ -196,14 +139,9 @@ let run_invocation t (st : Interp.t) fr (spec : Manifest.loop_spec) ~var ~init_v
       end
       else begin
         let ctx = Commit.make_ctx env st fr spec ~io ~emit_main
-            ~serial_commit:t.config.serial_commit ~pool:t.pool
-            ~controller:t.controller ~page_pool:t.page_pool
-            ~merge_shards:t.config.merge_shards ()
+            ~serial_commit:t.config.serial_commit ~page_pool:t.page_pool
         in
-        let workers =
-          Worker.spawn ?pool:t.pool ~controller:t.controller env st fr spec
-            ctx.Commit.ranges nw ~now:!timeline
-        in
+        let workers = Worker.spawn env st fr spec ctx.Commit.ranges nw ~now:!timeline in
         (match board with
         | Some b ->
           Conflict_board.new_cohort b
@@ -364,8 +302,8 @@ let install t (st : Interp.t) =
         | _ -> false)
 
 (* One-shot: run a transformed program under the speculative runtime. *)
-let run ?(config = default_config) (tr : Transform.result) =
-  let st = Interp.create ~cost:config.costs.base tr.program in
+let run ?(config = Runtime_config.default) (tr : Transform.result) =
+  let st = Interp.create ~cost:config.Runtime_config.costs.base tr.program in
   let t = create tr.manifest config in
   t.stats.separation_checks_elided <- Manifest.elided_check_count tr.manifest;
   install t st;

@@ -1,190 +1,5 @@
-(* The per-stage host-parallelism controller.
+(* What remains of the per-stage host-parallelism controller: its mode
+   type, kept so [Runtime_config.t] keeps its [host_controller] field.
+   No engine stage fans out any more, so there is nothing to decide. *)
 
-   The four host-parallel stages of one checkpoint interval — shadow
-   interval reset, checkpoint extraction, the sharded merge passes,
-   and spawn-time snapshot setup — used to fan out unconditionally
-   whenever a domain pool was configured.  On hosts where that loses
-   (few cores, tiny job sizes: dispatch and wake-up cost more than
-   the work), the controller picks sequential execution instead, per
-   stage and per interval, from three inputs:
-
-   - the pool's requested size and the host's core count (a pool on a
-     single core can never win — the domains time-share it);
-   - the stage's job size this interval (reset jobs, marked bytes,
-     index entries, workers) against a per-stage floor below which
-     dispatch cost dominates;
-   - observed wall time: an EWMA of ns-per-unit for each (stage, mode)
-     pair, fed back by the call sites via [note].  Parallel must beat
-     sequential by a hysteresis margin to win, and the losing mode is
-     re-probed periodically so the controller tracks phase shifts.
-
-   Every decision is host-side only: the chosen mode changes wall
-   time, never a simulated cycle, verdict, or committed byte — the
-   identity matrix in test/test_host_parallel.ml and bench/controller.ml
-   pins that across modes, pool kinds, domain counts, and shard
-   counts.  [Always] reproduces the pre-controller fan-out (parallel
-   whenever a pool exists, legacy widths); [Never] forces the
-   sequential reference path; both exist for differential testing and
-   CI, not tuning — [Auto]'s sequential fallback is automatic, never a
-   flag. *)
-
-type mode = Auto | Always | Never
-
-let mode_to_string = function
-  | Auto -> "auto"
-  | Always -> "always"
-  | Never -> "never"
-
-let mode_of_string s =
-  match String.lowercase_ascii (String.trim s) with
-  | "auto" -> Some Auto
-  | "always" -> Some Always
-  | "never" -> Some Never
-  | _ -> None
-
-type stage = Reset | Extract | Merge | Spawn
-
-let stage_name = function
-  | Reset -> "reset"
-  | Extract -> "extract"
-  | Merge -> "merge"
-  | Spawn -> "spawn"
-
-let stage_index = function Reset -> 0 | Extract -> 1 | Merge -> 2 | Spawn -> 3
-
-(* Per-(stage, mode) EWMA of observed ns per work unit; [nan] means
-   the mode has not been sampled yet. *)
-type stage_state = {
-  mutable ss_seq_ns : float;
-  mutable ss_par_ns : float;
-  mutable ss_decisions : int; (* auto-mode decisions taken past the gates *)
-}
-
-type t = {
-  hc_mode : mode;
-  hc_pool : int; (* requested pool size; 1 = no pool *)
-  hc_cores : int;
-  hc_stages : stage_state array;
-}
-
-type decision = { par : bool; width : int }
-
-let seq = { par = false; width = 1 }
-
-let create ?host_cores ~mode ~pool_size () =
-  let cores =
-    match host_cores with
-    | Some c -> max 1 c
-    | None -> Domain.recommended_domain_count ()
-  in
-  { hc_mode = mode; hc_pool = max 1 pool_size; hc_cores = cores;
-    hc_stages =
-      Array.init 4 (fun _ ->
-          { ss_seq_ns = Float.nan; ss_par_ns = Float.nan; ss_decisions = 0 }) }
-
-let mode t = t.hc_mode
-let pool_size t = t.hc_pool
-let host_cores t = t.hc_cores
-
-(* Whether any [decide] call could ever answer parallel.  Consulted
-   before the pool is spawned: idle domains are not free — every
-   stop-the-world minor collection must synchronize them, which on a
-   single-core host taxes allocation-heavy sequential work by double-
-   digit percentages.  [Never] and a single-core [Auto] therefore skip
-   domain spawning entirely; [Always] keeps the pre-controller
-   behavior. *)
-let may_parallelize t =
-  match t.hc_mode with
-  | Never -> false
-  | Always -> t.hc_pool > 1
-  | Auto -> t.hc_pool > 1 && t.hc_cores > 1
-
-(* The pre-controller fan-out widths, reproduced verbatim by [Always]:
-   reset chunked the job list [2 * pool] ways, extraction chunked each
-   worker's pages [pool] ways, the merge ran one job per shard
-   (callers clamp [max_int] down to the shard count), and spawn ran
-   one task per worker. *)
-let legacy_width t = function
-  | Reset -> t.hc_pool * 2
-  | Extract -> t.hc_pool
-  | Merge -> max_int
-  | Spawn -> max_int
-
-(* Effective parallelism for [Auto]: no point fanning wider than the
-   cores that can actually run concurrently. *)
-let auto_width t stage =
-  let e = min t.hc_pool t.hc_cores in
-  match stage with
-  | Reset -> e * 2
-  | Extract -> e
-  | Merge -> e
-  | Spawn -> max_int
-
-(* Below these job sizes, dispatch + wake-up cost dominates any
-   conceivable win; chosen well under the crossover measured by
-   bench/controller.ml so the floor only filters obvious losers.
-   Units per stage: reset jobs (page rewrites/refills), marked shadow
-   bytes, index entries (writes + live-in probes), workers. *)
-let min_units = function
-  | Reset -> 4
-  | Extract -> 1024
-  | Merge -> 512
-  | Spawn -> 4
-
-let ewma_alpha = 0.3
-let hysteresis = 0.9 (* parallel must be >= 10% faster to win *)
-let reprobe_every = 32
-
-let decide t stage ~units =
-  match t.hc_mode with
-  | Never -> seq
-  | Always ->
-    if t.hc_pool > 1 then { par = true; width = legacy_width t stage } else seq
-  | Auto ->
-    if t.hc_pool <= 1 || t.hc_cores <= 1 || units < min_units stage then seq
-    else begin
-      let ss = t.hc_stages.(stage_index stage) in
-      ss.ss_decisions <- ss.ss_decisions + 1;
-      let width = auto_width t stage in
-      let have v = not (Float.is_nan v) in
-      if not (have ss.ss_par_ns) then { par = true; width }
-      else if not (have ss.ss_seq_ns) then seq
-      else begin
-        let par_wins = ss.ss_par_ns < ss.ss_seq_ns *. hysteresis in
-        (* Periodically run the losing mode once so a phase shift in
-           the workload is observed rather than assumed away. *)
-        let par =
-          if ss.ss_decisions mod reprobe_every = 0 then not par_wins else par_wins
-        in
-        if par then { par = true; width } else seq
-      end
-    end
-
-let note t stage ~units ~par ~ns =
-  if units > 0 && ns > 0.0 then begin
-    let ss = t.hc_stages.(stage_index stage) in
-    let per_unit = ns /. float_of_int units in
-    let blend prev =
-      if Float.is_nan prev then per_unit
-      else (ewma_alpha *. per_unit) +. ((1.0 -. ewma_alpha) *. prev)
-    in
-    if par then ss.ss_par_ns <- blend ss.ss_par_ns
-    else ss.ss_seq_ns <- blend ss.ss_seq_ns
-  end
-
-(* Learned state, for benches and the CLI report. *)
-type stage_snapshot = {
-  sn_stage : stage;
-  sn_seq_ns_per_unit : float option;
-  sn_par_ns_per_unit : float option;
-  sn_decisions : int;
-}
-
-let snapshot t =
-  List.map
-    (fun stage ->
-      let ss = t.hc_stages.(stage_index stage) in
-      let opt v = if Float.is_nan v then None else Some v in
-      { sn_stage = stage; sn_seq_ns_per_unit = opt ss.ss_seq_ns;
-        sn_par_ns_per_unit = opt ss.ss_par_ns; sn_decisions = ss.ss_decisions })
-    [ Reset; Extract; Merge; Spawn ]
+type mode = Auto

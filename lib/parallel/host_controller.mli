@@ -1,75 +1,10 @@
-(** The adaptive per-stage host-parallelism controller.
+(** The former per-stage host-parallelism controller, reduced to its
+    mode type.
 
-    Decides, per checkpoint-interval stage, whether the host-parallel
-    fan-out (over the {!Privateer_support.Domain_pool}) is worth its
-    dispatch cost, and at what chunk width.  Inputs: the pool's
-    requested size, the host's core count, the stage's job size this
-    interval, and an EWMA of observed ns-per-unit for each
-    (stage, mode) pair fed back via {!note}.  Decisions are host-side
-    only — they change wall time, never a simulated cycle, verdict, or
-    committed byte. *)
+    Engine stages (interval reset, checkpoint extraction, merge, spawn
+    setup) always run sequentially on the domain that runs their job;
+    host parallelism lives only in the job server.  The type survives
+    because [Runtime_config.t] still carries an inert
+    [host_controller] field. *)
 
-(** [Auto] measures and decides (the default; sequential fallback is
-    automatic, never a flag).  [Always] reproduces the pre-controller
-    behavior — parallel whenever a pool exists, at the legacy widths.
-    [Never] forces the sequential reference path.  The forced modes
-    exist for differential testing and CI. *)
-type mode = Auto | Always | Never
-
-val mode_to_string : mode -> string
-val mode_of_string : string -> mode option
-
-(** The four host-parallel stages of one checkpoint interval.  Job-size
-    units per stage: reset jobs (page rewrites + buffer refills),
-    marked shadow bytes, merge index entries (writes + live-in
-    probes), spawned workers. *)
-type stage = Reset | Extract | Merge | Spawn
-
-val stage_name : stage -> string
-
-type t
-
-(** [create ?host_cores ~mode ~pool_size ()] — [pool_size] is the
-    requested {!Privateer_support.Domain_pool.size} (1 when no pool is
-    configured); [host_cores] defaults to
-    [Domain.recommended_domain_count ()]. *)
-val create : ?host_cores:int -> mode:mode -> pool_size:int -> unit -> t
-
-val mode : t -> mode
-val pool_size : t -> int
-val host_cores : t -> int
-
-(** Whether any {!decide} call could ever answer parallel — [false]
-    for [Never], for a pool of one, and for [Auto] on a single-core
-    host.  Consult this {e before} spawning the pool: idle domains tax
-    every stop-the-world minor collection, so a pool that will never
-    be used should never be created. *)
-val may_parallelize : t -> bool
-
-(** One decision: fan out ([par = true], chunk [width] ways — callers
-    clamp to their own maximum, e.g. the shard count) or run the
-    sequential reference path. *)
-type decision = { par : bool; width : int }
-
-(** [decide t stage ~units] — [units] is this interval's job size in
-    the stage's units.  [Auto] goes sequential when the pool or host
-    has a single core, when [units] is under the stage's dispatch
-    floor, or when the observed parallel ns-per-unit does not beat
-    sequential by the hysteresis margin; unknown modes are probed
-    first, and the losing mode is re-probed periodically. *)
-val decide : t -> stage -> units:int -> decision
-
-(** Feed back an observation: the stage ran over [units] work units in
-    [ns] host-nanoseconds under the given mode.  Ignored when [units]
-    or [ns] is non-positive. *)
-val note : t -> stage -> units:int -> par:bool -> ns:float -> unit
-
-(** Learned per-stage state, for benches and reports. *)
-type stage_snapshot = {
-  sn_stage : stage;
-  sn_seq_ns_per_unit : float option;
-  sn_par_ns_per_unit : float option;
-  sn_decisions : int;  (** auto decisions taken past the static gates *)
-}
-
-val snapshot : t -> stage_snapshot list
+type mode = Auto

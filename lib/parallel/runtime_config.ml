@@ -1,12 +1,10 @@
 (* The unified runtime-tuning surface.
 
    Every knob of the speculation engine lives in this one validated
-   record: [Executor] consumes it directly ([Executor.config] is a
-   re-export of [t], so `{ Executor.default_config with ... }` call
-   sites keep compiling), [Pipeline] threads it through, and the CLI
-   builds its flags from [cli_bindings] instead of hand-rolling one
-   argument per field.  This module is also the only place that reads
-   the PRIVATEER_* environment defaults. *)
+   record: [Executor] consumes it directly, [Pipeline] threads it
+   through, and the CLI builds its flags from [cli_bindings] instead
+   of hand-rolling one argument per field.  This module is also the
+   only place that reads the PRIVATEER_* environment defaults. *)
 
 module Page_pool = Privateer_runtime.Page_pool
 
@@ -28,27 +26,13 @@ let validation_to_string = function Commit -> "commit" | Eager -> "eager"
 
 type t = {
   workers : int; (* simulated worker processes *)
+  (* Inert: engine stages no longer fan out over host domains, so
+     nothing reads these four fields.  They stay so record literals
+     naming all fields keep compiling. *)
   host_domains : int;
-      (* host-side parallelism: checkpoint extraction, interval reset,
-         and spawn-time snapshot setup fan out over a pool of this
-         many OCaml domains.  1 keeps the fully sequential reference
-         path.  Host-only: simulated cycles and all committed state
-         are byte-identical at any setting. *)
   merge_shards : int;
-      (* address-shard count of the checkpoint merge's writer index:
-         the merge's fill / validate / sweep passes run as one job per
-         shard on the host pool.  Host-only, like host_domains —
-         verdicts and overlays are byte-identical at any setting. *)
   pool_kind : Privateer_support.Domain_pool.kind;
-      (* scheduler behind the host-domain pool: the work-stealing
-         per-domain deques (default) or the legacy single mutex
-         queue, kept as the differential-testing oracle.  Host-only. *)
   host_controller : Host_controller.mode;
-      (* per-stage host-parallelism policy: auto (measure, and fan
-         out only where it wins), always (pre-controller behavior:
-         parallel whenever a pool exists), never (the sequential
-         reference path).  Host-only: simulated cycles and verdicts
-         are byte-identical at any setting. *)
   schedule : Schedule.t; (* iteration-assignment policy *)
   checkpoint_period : int option; (* None: auto (aim ~6 per invocation) *)
   adaptive_period : bool;
@@ -63,8 +47,8 @@ type t = {
          pages are retired by buffer swap at interval reset and up to
          this many refilled buffers are kept for recycling.  0
          disables pooling (in-place rewrite everywhere);
-         [Page_pool.unbounded] never evicts.  Host-only, like
-         host_domains. *)
+         [Page_pool.unbounded] never evicts.  Host-only: simulated
+         cycles and metadata are byte-identical at any setting. *)
   costs : Cost_model.t;
   inject : (int -> bool) option; (* injected misspeculation, by iteration *)
   validate : bool; (* false: disable all validation work (ablation) *)
@@ -81,8 +65,8 @@ type t = {
          notes STMLite's central commit "can quickly become an
          execution bottleneck"). *)
   max_inflight : int;
-      (* job server: maximum number of jobs running concurrently over
-         the shared domain pool.  The server additionally clamps this
+      (* job server: maximum number of jobs running concurrently, and
+         the size of the server's domain pool.  The server clamps this
          to the host core count (1 core -> sequential jobs).
          Host-only: per-job results are byte-identical at any
          setting. *)
@@ -92,8 +76,8 @@ type t = {
          try_submit) further submissions.  0 means unbounded. *)
   profilers : string list;
       (* profilers to run on the training pass: a subset of
-         Profiler.available (), ["all"] for every registered one, or
-         ["reference"] for the monolithic oracle.  Queries of a
+         Profiler.available (), or ["all"] for every registered one.
+         Queries of a
          disabled profiler answer empty, so restrict only when the
          downstream passes don't need them. *)
 }
@@ -106,17 +90,6 @@ let env_int ~lo ~hi ~default name =
     try max lo (min hi (int_of_string (String.trim s))) with Failure _ -> default)
   | None -> default
 
-(* PRIVATEER_HOST_DOMAINS sets the default host parallelism,
-   PRIVATEER_MERGE_SHARDS the default merge shard count, and
-   PRIVATEER_SHADOW_POOL_CAP the default pool cap, so an unmodified
-   test or bench run can exercise the domain-parallel, sharded-merge
-   and pool-disabled paths (CI forces all three). *)
-let default_host_domains = env_int ~lo:1 ~hi:64 ~default:1 "PRIVATEER_HOST_DOMAINS"
-
-let default_merge_shards =
-  env_int ~lo:1 ~hi:64 ~default:Privateer_runtime.Checkpoint.default_shards
-    "PRIVATEER_MERGE_SHARDS"
-
 (* "auto" selects the adaptive pool cap (Page_pool.auto). *)
 let parse_pool_cap s =
   match String.lowercase_ascii (String.trim s) with
@@ -126,6 +99,9 @@ let parse_pool_cap s =
     | Some v when v >= 0 -> Some v
     | Some _ | None -> None)
 
+(* PRIVATEER_SHADOW_POOL_CAP sets the default pool cap, so an
+   unmodified test or bench run can exercise the pool-disabled and
+   adaptive-cap paths (CI forces both). *)
 let default_pool_cap =
   match Sys.getenv_opt "PRIVATEER_SHADOW_POOL_CAP" with
   | Some s -> (
@@ -133,26 +109,6 @@ let default_pool_cap =
     | Some cap -> cap
     | None -> Page_pool.unbounded)
   | None -> Page_pool.unbounded
-
-(* PRIVATEER_POOL_KIND ("work-stealing" | "legacy") selects the
-   domain-pool scheduler, PRIVATEER_HOST_CONTROLLER ("auto" | "always"
-   | "never") the host-parallelism policy — so CI can force every
-   (kind x policy) cell through the unmodified suites. *)
-let default_pool_kind =
-  match Sys.getenv_opt "PRIVATEER_POOL_KIND" with
-  | Some s -> (
-    match Privateer_support.Domain_pool.kind_of_string s with
-    | Some k -> k
-    | None -> Privateer_support.Domain_pool.Work_stealing)
-  | None -> Privateer_support.Domain_pool.Work_stealing
-
-let default_host_controller =
-  match Sys.getenv_opt "PRIVATEER_HOST_CONTROLLER" with
-  | Some s -> (
-    match Host_controller.mode_of_string s with
-    | Some m -> m
-    | None -> Host_controller.Auto)
-  | None -> Host_controller.Auto
 
 (* PRIVATEER_VALIDATION ("commit" | "eager") selects the default
    validation mode, so CI can push the whole unmodified suite through
@@ -164,14 +120,14 @@ let default_validation =
   | None -> Commit
 
 (* Comma-separated profiler names; "all" enables every registered
-   profiler, "reference" (alone) the monolithic oracle. *)
+   profiler. *)
 let parse_profilers s =
   let names =
     String.split_on_char ',' s
     |> List.map (fun x -> String.lowercase_ascii (String.trim x))
     |> List.filter (fun x -> x <> "")
   in
-  let known = "all" :: "reference" :: Privateer_profile.Profiler.available () in
+  let known = "all" :: Privateer_profile.Profiler.available () in
   if names = [] then
     Error
       (Printf.sprintf "profilers: expected a comma-separated subset of %s"
@@ -182,10 +138,7 @@ let parse_profilers s =
       Error
         (Printf.sprintf "profilers: unknown profiler %S (expected %s)" bad
            (String.concat ", " known))
-    | None ->
-      if List.mem "reference" names && List.length names > 1 then
-        Error "profilers: 'reference' selects the whole oracle and cannot be combined"
-      else Ok names
+    | None -> Ok names
 
 (* PRIVATEER_PROFILERS restricts the default profiler set, so CI can
    push suites through the registration path with only some consumers
@@ -196,9 +149,9 @@ let default_profilers =
   | None -> [ "all" ]
 
 let default =
-  { workers = 4; host_domains = default_host_domains;
-    merge_shards = default_merge_shards; pool_kind = default_pool_kind;
-    host_controller = default_host_controller; schedule = Schedule.Cyclic;
+  { workers = 4; host_domains = 1; merge_shards = 1;
+    pool_kind = Privateer_support.Domain_pool.Work_stealing;
+    host_controller = Host_controller.Auto; schedule = Schedule.Cyclic;
     checkpoint_period = None; adaptive_period = false; throttle = None;
     pool_cap = default_pool_cap; costs = Cost_model.default; inject = None;
     validate = true; validation = default_validation; serial_commit = false;
@@ -212,10 +165,6 @@ let validate config =
   if config.workers <= 0 then
     invalid_arg
       (Printf.sprintf "Runtime_config: workers must be > 0 (got %d)" config.workers);
-  if config.host_domains < 1 || config.host_domains > 64 then
-    invalid_arg
-      (Printf.sprintf "Runtime_config: host_domains must be in [1, 64] (got %d)"
-         config.host_domains);
   (match config.checkpoint_period with
   | Some k when k <= 0 ->
     invalid_arg
@@ -225,10 +174,6 @@ let validate config =
   | Some n when n <= 0 ->
     invalid_arg (Printf.sprintf "Runtime_config: throttle must be > 0 (got %d)" n)
   | Some _ | None -> ());
-  if config.merge_shards < 1 || config.merge_shards > 64 then
-    invalid_arg
-      (Printf.sprintf "Runtime_config: merge_shards must be in [1, 64] (got %d)"
-         config.merge_shards);
   if config.pool_cap < 0 && config.pool_cap <> Page_pool.auto then
     invalid_arg
       (Printf.sprintf
@@ -249,17 +194,13 @@ let validate config =
 
 (* ---- builder ---------------------------------------------------------- *)
 
-let make ?workers ?host_domains ?merge_shards ?pool_kind ?host_controller
-    ?schedule ?checkpoint_period ?adaptive_period ?throttle ?pool_cap ?costs
-    ?inject ?validate:validate_opt ?validation ?serial_commit ?max_inflight
-    ?queue_cap ?profilers () =
+let make ?workers ?schedule ?checkpoint_period ?adaptive_period ?throttle
+    ?pool_cap ?costs ?inject ?validate:validate_opt ?validation ?serial_commit
+    ?max_inflight ?queue_cap ?profilers () =
   let opt v d = Option.value v ~default:d in
   let config =
-    { workers = opt workers default.workers;
-      host_domains = opt host_domains default.host_domains;
-      merge_shards = opt merge_shards default.merge_shards;
-      pool_kind = opt pool_kind default.pool_kind;
-      host_controller = opt host_controller default.host_controller;
+    { default with
+      workers = opt workers default.workers;
       schedule = opt schedule default.schedule;
       checkpoint_period = opt checkpoint_period default.checkpoint_period;
       adaptive_period = opt adaptive_period default.adaptive_period;
@@ -312,53 +253,6 @@ let cli_bindings =
   [ { b_flags = [ "w"; "workers" ]; b_docv = "N"; b_doc = "Worker processes.";
       b_flag_like = false;
       b_apply = int_field "workers" (fun t workers -> { t with workers }) };
-    { b_flags = [ "host-domains" ]; b_docv = "N";
-      b_doc =
-        "Run host-parallel work (checkpoint extraction, interval reset, spawn \
-         setup) on N OCaml domains (default \\$(b,PRIVATEER_HOST_DOMAINS) or 1).  \
-         Host-only: simulated cycles and outputs are identical at any setting.";
-      b_flag_like = false;
-      b_apply =
-        int_field "host-domains" (fun t host_domains -> { t with host_domains }) };
-    { b_flags = [ "merge-shards" ]; b_docv = "N";
-      b_doc =
-        "Shard the checkpoint merge's writer index N ways; the merge's fill / \
-         validate / sweep passes run as one job per shard on the host pool \
-         (default \\$(b,PRIVATEER_MERGE_SHARDS) or 8).  Host-only: verdicts and \
-         overlays are identical at any setting.";
-      b_flag_like = false;
-      b_apply =
-        int_field "merge-shards" (fun t merge_shards -> { t with merge_shards }) };
-    { b_flags = [ "pool-kind" ]; b_docv = "KIND";
-      b_doc =
-        "Domain-pool scheduler: 'work-stealing' (per-domain deques, the default) \
-         or 'legacy' (single mutex queue, the differential-testing oracle; \
-         default \\$(b,PRIVATEER_POOL_KIND)).  Host-only.";
-      b_flag_like = false;
-      b_apply =
-        (fun t s ->
-          match Privateer_support.Domain_pool.kind_of_string s with
-          | Some pool_kind -> Ok { t with pool_kind }
-          | None ->
-            Error
-              (Printf.sprintf "pool-kind: expected 'work-stealing' or 'legacy', got %S"
-                 s)) };
-    { b_flags = [ "host-controller" ]; b_docv = "MODE";
-      b_doc =
-        "Per-stage host-parallelism policy: 'auto' (measure per stage and fan \
-         out only where it wins — the default), 'always' (parallel whenever a \
-         pool exists), 'never' (sequential reference path; default \
-         \\$(b,PRIVATEER_HOST_CONTROLLER)).  Host-only: simulated cycles and \
-         verdicts are identical at any setting.";
-      b_flag_like = false;
-      b_apply =
-        (fun t s ->
-          match Host_controller.mode_of_string s with
-          | Some host_controller -> Ok { t with host_controller }
-          | None ->
-            Error
-              (Printf.sprintf "host-controller: expected auto, always or never, got %S"
-                 s)) };
     { b_flags = [ "validation" ]; b_docv = "MODE";
       b_doc =
         "Misspeculation detection: 'commit' (only at the checkpoint merge — the \
@@ -406,7 +300,7 @@ let cli_bindings =
         "Keep up to N retired shadow-page buffers for swap-recycling at interval \
          reset (0 disables pooling; 'auto' learns a cap from recent retirement \
          footprints; default \\$(b,PRIVATEER_SHADOW_POOL_CAP) or unbounded).  \
-         Host-only, like --host-domains.";
+         Host-only: simulated cycles are identical at any setting.";
       b_flag_like = false;
       b_apply =
         (fun t s ->
@@ -419,8 +313,8 @@ let cli_bindings =
                  s)) };
     { b_flags = [ "max-inflight" ]; b_docv = "N";
       b_doc =
-        "Job server: run at most N jobs concurrently over the shared domain \
-         pool (clamped to the host core count; default \
+        "Job server: run at most N jobs concurrently on a pool of N domains \
+         (clamped to the host core count; default \
          \\$(b,PRIVATEER_MAX_INFLIGHT) or 4).  Host-only: per-job results are \
          identical at any setting.";
       b_flag_like = false;
@@ -437,9 +331,9 @@ let cli_bindings =
       b_doc =
         "Profilers to run on the training pass: a comma-separated subset of \
          'ptr', 'lifetime', 'flow', 'value', 'exec'; 'all' (the default) runs \
-         every registered profiler, 'reference' the monolithic oracle (default \
-         \\$(b,PRIVATEER_PROFILERS)).  Queries of a disabled profiler answer \
-         empty, so restrict only when the downstream passes don't need them.";
+         every registered profiler (default \\$(b,PRIVATEER_PROFILERS)).  Queries \
+         of a disabled profiler answer empty, so restrict only when the \
+         downstream passes don't need them.";
       b_flag_like = false;
       b_apply =
         (fun t s ->

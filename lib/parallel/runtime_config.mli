@@ -1,14 +1,13 @@
 (** The unified runtime-tuning surface of the speculation engine.
 
     One validated record holds every knob: simulated worker count,
-    host-domain parallelism, checkpoint period (fixed or adaptive),
-    misspeculation throttle, iteration schedule, shadow-page pool cap,
-    cost model, and the ablation switches.  {!Executor.config} is a
-    re-export of {!t} (so existing [{ Executor.default_config with
-    ... }] call sites keep compiling), {!make} is the validating
-    builder, this module is the only reader of the [PRIVATEER_*]
-    environment defaults, and {!cli_bindings} is the single table the
-    CLI derives its tuning flags from. *)
+    checkpoint period (fixed or adaptive), misspeculation throttle,
+    iteration schedule, shadow-page pool cap, validation mode,
+    profiler set, job-server admission, cost model, and the ablation
+    switches.  {!make} is the validating builder, this module is the
+    only reader of the [PRIVATEER_*] environment defaults, and
+    {!cli_bindings} is the single table the CLI derives its tuning
+    flags from. *)
 
 (** When misspeculation is detected.  [Commit]: only at the checkpoint
     merge (the paper's two-phase validation).  [Eager]: additionally
@@ -28,34 +27,14 @@ val validation_to_string : validation -> string
 type t = {
   workers : int;  (** simulated worker processes (> 0) *)
   host_domains : int;
-      (** host-side parallelism in [\[1, 64\]]: checkpoint extraction,
-          interval reset, and spawn-time snapshot setup fan out over a
-          pool of this many OCaml domains; [1] keeps the fully
-          sequential reference path.  Host-only — simulated cycles and
-          all committed state are byte-identical at any setting.
-          Default: [PRIVATEER_HOST_DOMAINS] or 1. *)
-  merge_shards : int;
-      (** address-shard count of the checkpoint merge's writer index
-          in [\[1, 64\]]: the merge's fill / phase-2 validate / sweep
-          passes run as one job per shard on the host pool.  Host-only
-          — verdicts and overlays are byte-identical at any setting.
-          Default: [PRIVATEER_MERGE_SHARDS] or
-          [Checkpoint.default_shards] (8). *)
-  pool_kind : Privateer_support.Domain_pool.kind;
-      (** scheduler behind the host-domain pool: [Work_stealing]
-          (per-domain deques; the default) or [Single_queue] (the
-          legacy single mutex queue, kept as the differential-testing
-          oracle).  Host-only, like [host_domains].  Default:
-          [PRIVATEER_POOL_KIND] (["work-stealing"] or ["legacy"]) or
-          work-stealing. *)
-  host_controller : Host_controller.mode;
-      (** per-stage host-parallelism policy: [Auto] measures each
-          stage's sequential and parallel cost and fans out only where
-          parallelism wins; [Always] reproduces the pre-controller
-          behavior (parallel whenever a pool exists); [Never] forces
-          the sequential reference path.  Host-only — simulated cycles
-          and verdicts are byte-identical at any setting.  Default:
-          [PRIVATEER_HOST_CONTROLLER] or [Auto]. *)
+      (** Inert, like the next three fields: engine stages no longer
+          fan out over host domains (host parallelism lives only in the
+          job server, sized by [max_inflight]), so nothing reads them.
+          They remain so record literals naming every field keep
+          compiling; {!default} sets [1]. *)
+  merge_shards : int;  (** Inert; {!default} sets [1]. *)
+  pool_kind : Privateer_support.Domain_pool.kind;  (** Inert. *)
+  host_controller : Host_controller.mode;  (** Inert. *)
   schedule : Schedule.t;  (** iteration-assignment policy *)
   checkpoint_period : int option;
       (** [None]: auto (aim ~6 checkpoints per invocation) *)
@@ -71,8 +50,9 @@ type t = {
           interval reset and up to this many refilled buffers are kept
           for recycling.  [0] disables pooling; [Page_pool.unbounded]
           never evicts; [Page_pool.auto] learns a cap from an EWMA of
-          recent retirement footprints.  Host-only, like
-          [host_domains].  Default: [PRIVATEER_SHADOW_POOL_CAP]
+          recent retirement footprints.  Host-only: simulated cycles
+          and metadata are byte-identical at any setting.  Default:
+          [PRIVATEER_SHADOW_POOL_CAP]
           (integer or ["auto"]) or unbounded. *)
   costs : Cost_model.t;
   inject : (int -> bool) option;
@@ -88,7 +68,8 @@ type t = {
   max_inflight : int;
       (** job server: maximum concurrently-running jobs in [\[1, 64\]],
           further clamped to the host core count at serve time (on a
-          1-core host jobs run effectively sequentially).  Host-only —
+          1-core host jobs run effectively sequentially); the clamped
+          value also sizes the server's domain pool.  Host-only —
           per-job results are byte-identical at any setting.  Default:
           [PRIVATEER_MAX_INFLIGHT] or 4. *)
   queue_cap : int;
@@ -99,31 +80,16 @@ type t = {
   profilers : string list;
       (** profilers to run on the training pass: a subset of
           [Profiler.available ()] (["ptr"], ["lifetime"], ["flow"],
-          ["value"], ["exec"]), [["all"]] for every registered one, or
-          [["reference"]] for the monolithic oracle.  Queries of a
+          ["value"], ["exec"]) or [["all"]] for every registered one.
+          Queries of a
           disabled profiler answer empty, so restrict only when the
           downstream passes don't need them.  Default:
           [PRIVATEER_PROFILERS] (comma-separated) or [["all"]]. *)
 }
 
-val default_host_domains : int
-(** The [PRIVATEER_HOST_DOMAINS] environment default (1 when unset). *)
-
-val default_merge_shards : int
-(** The [PRIVATEER_MERGE_SHARDS] environment default
-    ([Checkpoint.default_shards] when unset). *)
-
 val default_pool_cap : int
 (** The [PRIVATEER_SHADOW_POOL_CAP] environment default (unbounded
     when unset; the string ["auto"] selects [Page_pool.auto]). *)
-
-val default_pool_kind : Privateer_support.Domain_pool.kind
-(** The [PRIVATEER_POOL_KIND] environment default (work-stealing when
-    unset or unparseable). *)
-
-val default_host_controller : Host_controller.mode
-(** The [PRIVATEER_HOST_CONTROLLER] environment default ([Auto] when
-    unset or unparseable). *)
 
 val default_validation : validation
 (** The [PRIVATEER_VALIDATION] environment default ([Commit] when
@@ -139,12 +105,12 @@ val default_profilers : string list
 
 val parse_profilers : string -> (string list, string) result
 (** Parse a comma-separated profiler list against
-    [Profiler.available ()] plus ["all"] and ["reference"]
-    (["reference"] only alone). *)
+    [Profiler.available ()] plus ["all"]. *)
 
 val default : t
 (** Every field at its documented default (environment-sensitive for
-    [host_domains] and [pool_cap]). *)
+    [pool_cap], [validation], [max_inflight], [queue_cap] and
+    [profilers]). *)
 
 (** Reject configurations that would fail deep inside an invocation.
     @raise Invalid_argument naming the offending field. *)
@@ -154,10 +120,6 @@ val validate : t -> unit
     @raise Invalid_argument on an invalid combination. *)
 val make :
   ?workers:int ->
-  ?host_domains:int ->
-  ?merge_shards:int ->
-  ?pool_kind:Privateer_support.Domain_pool.kind ->
-  ?host_controller:Host_controller.mode ->
   ?schedule:Schedule.t ->
   ?checkpoint_period:int option ->
   ?adaptive_period:bool ->
@@ -183,7 +145,7 @@ val make :
     whole CLI change. *)
 
 type binding = {
-  b_flags : string list;  (** Cmdliner-style names, e.g. ["host-domains"] *)
+  b_flags : string list;  (** Cmdliner-style names, e.g. ["max-inflight"] *)
   b_docv : string;
   b_doc : string;
   b_flag_like : bool;

@@ -226,15 +226,7 @@ let read_redux_base (st : Interp.t) ranges =
 (* ---- spawn and iteration execution ----------------------------------- *)
 
 (* Spawn-time snapshot setup for one worker: fork (copy-on-write page
-   share), frame copy, reduction re-initialization.  Everything here
-   is a function of the read-only parent state and the worker index,
-   so [spawn] may run these on pool domains concurrently: the only
-   writes that touch shared structures are the idempotent
-   [page.shared <- true] stores inside [Machine.snapshot] (every fork
-   writes the same value, and each task orders its own stores before
-   its own reads), plus each task's own fresh page tables.  No
-   simulated state moves: clocks are a function of the index and the
-   result list is in index order. *)
+   share), frame copy, reduction re-initialization. *)
 let setup_worker (env : env) (st : Interp.t) fr spec ranges ~now i =
   let cm = env.cm in
   let wst = Interp.fork st in
@@ -260,42 +252,12 @@ let setup_worker (env : env) (st : Interp.t) fr spec ranges ~now i =
   wst.hooks <- hooks env w;
   w
 
-let spawn ?pool ?controller (env : env) (st : Interp.t) fr spec ranges n_workers
-    ~now =
+let spawn (env : env) (st : Interp.t) fr spec ranges n_workers ~now =
   let cm = env.cm in
-  (* The controller (when threaded down) picks sequential vs parallel
-     setup from observed per-stage cost; without one a configured pool
-     always fans out — the pre-controller behavior. *)
-  let d =
-    match controller with
-    | Some hc -> Host_controller.decide hc Host_controller.Spawn ~units:n_workers
-    | None -> { Host_controller.par = pool <> None; width = max_int }
-  in
   let t0 = Privateer_support.Clock.now_ns () in
-  let workers =
-    match pool with
-    | Some dp
-      when d.Host_controller.par
-           && Privateer_support.Domain_pool.size dp > 1
-           && n_workers > 1 ->
-      env.stats.par_spawns <- env.stats.par_spawns + 1;
-      Privateer_support.Domain_pool.run dp
-        (List.init n_workers (fun i ->
-             fun () -> setup_worker env st fr spec ranges ~now i))
-    | Some _ | None ->
-      env.stats.seq_spawns <- env.stats.seq_spawns + 1;
-      List.init n_workers (setup_worker env st fr spec ranges ~now)
-  in
-  let ns = Privateer_support.Clock.now_ns () -. t0 in
-  env.stats.ns_spawn <- env.stats.ns_spawn +. ns;
-  (match controller with
-  | Some hc ->
-    Host_controller.note hc Host_controller.Spawn ~units:n_workers
-      ~par:(d.Host_controller.par && pool <> None && n_workers > 1)
-      ~ns
-  | None -> ());
-  (* Stats stay off the parallel tasks: one aggregate charge, equal to
-     the per-worker sum the sequential path accumulated. *)
+  let workers = List.init n_workers (setup_worker env st fr spec ranges ~now) in
+  env.stats.ns_spawn <- env.stats.ns_spawn +. (Privateer_support.Clock.now_ns () -. t0);
+  (* One aggregate charge: the sum of every worker's fork cost. *)
   env.stats.cyc_spawn <-
     env.stats.cyc_spawn + (n_workers * (n_workers + 1) / 2 * cm.c_fork);
   workers

@@ -1,19 +1,15 @@
-(* Flat event batches: the wire format between the shared profiling
-   frontend and the per-profiler consumers.  One batch is a struct of
-   arrays — a kind byte plus four int operands and a value slot per
-   event — so producing an event is a handful of unchecked array
-   writes and consuming one touches contiguous memory.
+(* Event kinds: the vocabulary between the shared profiling frontend
+   and the per-profiler consumers.  Operand layout per kind, as passed
+   to the consumers' handlers:
 
-   Operand layout per kind:
-
-     Load    a=site  b=addr   c=size   d=object name id   v=value read
-     Store   a=site  b=addr   c=size   d=object name id
-     Alloc   a=site  b=addr   c=size   d=object name id
-     Free    b=addr  c=size   d=removed name id (-1 if unknown)
-     Enter   a=loop  b=cycles at entry
-     Iter    a=loop  b=iteration counter
-     Exit    a=loop  b=trips  c=cycles at exit
-     Branch  a=branch id      b=1 if taken else 0
+     Load    site  addr   size   object name id   value read
+     Store   site  addr   size   object name id
+     Alloc   site  addr   size   object name id
+     Free    addr  size   removed name id (-1 if unknown)
+     Enter   loop  cycles at entry
+     Iter    loop  iteration counter
+     Exit    loop  trips  cycles at exit
+     Branch  branch id    1 if taken else 0
 
    Name ids intern [Objname.t] in the frontend; id 0 is always
    [Objname.Unknown]. *)
@@ -28,54 +24,6 @@ let exit' = '\006'
 let branch = '\007'
 
 (* Kind masks: each consumer declares the kinds it consumes, and the
-   frontend only generates events some enabled consumer wants. *)
+   frontend only dispatches kinds some enabled consumer wants. *)
 let bit k = 1 lsl Char.code k
 let mask_of ks = List.fold_left (fun m k -> m lor bit k) 0 ks
-
-type t = {
-  mutable n : int;
-  kind : Bytes.t;
-  a : int array;
-  b : int array;
-  c : int array;
-  d : int array;
-  v : Privateer_interp.Value.t array;
-}
-
-let dummy_value = Privateer_interp.Value.VInt 0
-
-let create size =
-  { n = 0; kind = Bytes.create size;
-    a = Array.make size 0; b = Array.make size 0; c = Array.make size 0;
-    d = Array.make size 0; v = Array.make size dummy_value }
-
-let capacity t = Bytes.length t.kind
-let is_full t = t.n >= capacity t
-
-let clear t =
-  (* Drop value pointers so a retired batch does not keep boxed floats
-     alive across runs; ints and bytes can stay stale. *)
-  Array.fill t.v 0 t.n dummy_value;
-  t.n <- 0
-
-let[@inline] push t k ~a ~b ~c ~d ~v =
-  let i = t.n in
-  Bytes.unsafe_set t.kind i k;
-  Array.unsafe_set t.a i a;
-  Array.unsafe_set t.b i b;
-  Array.unsafe_set t.c i c;
-  Array.unsafe_set t.d i d;
-  Array.unsafe_set t.v i v;
-  t.n <- i + 1
-
-(* Value-less push: every kind but Load leaves the value slot alone
-   (it is [dummy_value] from {!clear}), skipping the write barrier a
-   boxed-array store would pay. *)
-let[@inline] push_nv t k ~a ~b ~c ~d =
-  let i = t.n in
-  Bytes.unsafe_set t.kind i k;
-  Array.unsafe_set t.a i a;
-  Array.unsafe_set t.b i b;
-  Array.unsafe_set t.c i c;
-  Array.unsafe_set t.d i d;
-  t.n <- i + 1

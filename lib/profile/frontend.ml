@@ -11,20 +11,10 @@
    - loop context — one flat mutable (loop, invocation, iteration)
      stack ({!Loop_ctx}) updated once per loop transition, shared by
      every consumer that declares [d_needs_ctx] (the reference
-     rebuilds an immutable list per iteration; the old fan-out kept
-     one stack per consumer);
-   - event dispatch — consumers are per-kind handler tables.  Without
-     a pool, hooks call the handlers directly: no event is ever
-     materialized, and kinds no enabled consumer handles are never
-     even dispatched.  With a {!Domain_pool} of size > 1 attached,
-     hooks append to flat {!Event.t} batches instead and each
-     consumer replays each batch as one pool task under double
-     buffering: the frontend keeps exactly two batches, and before
-     reusing one it awaits every consumer's previous task — so
-     consumer state needs no locking.  In batched mode each
-     ctx-needing consumer replays loop transitions into its own
-     private {!Loop_ctx}, which is why answers are identical at every
-     pool size. *)
+     rebuilds an immutable list per iteration);
+   - event dispatch — consumers are per-kind handler tables, and hooks
+     call the handlers directly: no event is ever materialized, and
+     kinds no enabled consumer handles are never even dispatched. *)
 
 open Privateer_support
 
@@ -79,14 +69,7 @@ let register d =
 let registered () = List.map (fun d -> d.d_name) !registry
 let find name = List.find_opt (fun d -> d.d_name = name) !registry
 
-type instance = {
-  i_name : string;
-  i_consumer : consumer;
-  i_mask : int;
-  i_needs_ctx : bool;
-  i_ctx : Loop_ctx.t; (* private replay stack (batched mode only) *)
-  mutable i_pending : unit Domain_pool.future option;
-}
+type instance = { i_name : string; i_consumer : consumer; i_mask : int }
 
 (* Page cache geometry: 4 KiB pages, 4096 direct-mapped slots. *)
 let page_bits = 12
@@ -115,10 +98,9 @@ type t = {
   pc_id : int array;
   resolve_names : bool; (* any enabled consumer needs per-access names *)
   needs_ctx : bool; (* any enabled consumer needs the loop context *)
-  ctx : Loop_ctx.t; (* the shared stack (inline mode) *)
-  wanted : int; (* kinds to dispatch (inline) / materialize (batched) *)
-  batched : bool; (* pool of size > 1 attached *)
-  (* Inline dispatch tables: the consumers handling each kind. *)
+  ctx : Loop_ctx.t; (* the shared stack *)
+  wanted : int; (* kinds to dispatch *)
+  (* Dispatch tables: the consumers handling each kind. *)
   h_load : (int -> int -> int -> int -> Privateer_interp.Value.t -> unit) array;
   h_store : (int -> int -> int -> int -> unit) array;
   h_alloc : (int -> int -> int -> int -> unit) array;
@@ -127,19 +109,14 @@ type t = {
   h_iter : (int -> int -> unit) array;
   h_exit : (int -> int -> int -> unit) array;
   h_branch : (int -> int -> unit) array;
-  mutable cur : Event.t; (* batch being filled (batched mode) *)
-  mutable spare : Event.t; (* batch possibly still in flight *)
   consumers : instance array;
-  pool : Domain_pool.t option;
   mutable get_cycles : unit -> int;
 }
-
-let default_batch = 4096
 
 let dedup names =
   List.fold_left (fun acc n -> if List.mem n acc then acc else acc @ [ n ]) [] names
 
-let create ?(profilers = [ "all" ]) ?pool ?(batch = default_batch) () =
+let create ?(profilers = [ "all" ]) () =
   let descriptors =
     if List.mem "all" profilers then !registry
     else
@@ -153,22 +130,11 @@ let create ?(profilers = [ "all" ]) ?pool ?(batch = default_batch) () =
                  (String.concat ", " (registered ()))))
         (dedup profilers)
   in
-  let batched =
-    match pool with Some p when Domain_pool.size p > 1 -> true | Some _ | None -> false
-  in
   let ctx = Loop_ctx.create () in
   let consumers =
     Array.of_list
       (List.map
-         (fun d ->
-           (* Inline mode: every ctx consumer shares the frontend's
-              stack.  Batched mode: each replays into its own. *)
-           let i_ctx =
-             if batched && d.d_needs_ctx then Loop_ctx.create () else ctx
-           in
-           { i_name = d.d_name; i_consumer = d.d_create ~ctx:i_ctx;
-             i_mask = d.d_kinds; i_needs_ctx = d.d_needs_ctx; i_ctx;
-             i_pending = None })
+         (fun d -> { i_name = d.d_name; i_consumer = d.d_create ~ctx; i_mask = d.d_kinds })
          descriptors)
   in
   let handler_mask = List.fold_left (fun m d -> m lor d.d_kinds) 0 descriptors in
@@ -188,12 +154,7 @@ let create ?(profilers = [ "all" ]) ?pool ?(batch = default_batch) () =
       pc_page = Array.make pc_slots 0; pc_lo = Array.make pc_slots 0;
       pc_hi = Array.make pc_slots 0; pc_id = Array.make pc_slots 0;
       resolve_names = List.exists (fun d -> d.d_needs_objects) descriptors;
-      needs_ctx; ctx;
-      (* Batched mode must also materialize loop transitions for the
-         consumers' private replay stacks. *)
-      wanted =
-        (if batched && needs_ctx then handler_mask lor loop_kinds else handler_mask);
-      batched;
+      needs_ctx; ctx; wanted = handler_mask;
       h_load = handlers (Event.bit Event.load) (fun c -> c.c_load);
       h_store = handlers (Event.bit Event.store) (fun c -> c.c_store);
       h_alloc = handlers (Event.bit Event.alloc) (fun c -> c.c_alloc);
@@ -202,9 +163,7 @@ let create ?(profilers = [ "all" ]) ?pool ?(batch = default_batch) () =
       h_iter = handlers (Event.bit Event.iter) (fun c -> c.c_iter);
       h_exit = handlers (Event.bit Event.exit') (fun c -> c.c_exit);
       h_branch = handlers (Event.bit Event.branch) (fun c -> c.c_branch);
-      cur = Event.create (if batched then batch else 0);
-      spare = Event.create (if batched then batch else 0);
-      consumers; pool; get_cycles = (fun () -> 0) }
+      consumers; get_cycles = (fun () -> 0) }
   in
   (* Name id 0 is reserved for [Objname.Unknown]. *)
   Hashtbl.replace t.name_ids Objname.Unknown 0;
@@ -277,88 +236,18 @@ let resolve t addr =
       | None -> 0
   end
 
-(* ---- batched hand-off (pool mode) ------------------------------------- *)
-
-(* One consumer replays one batch: loop transitions feed its private
-   context stack (in event order, before the handler that observes
-   them), handled kinds go to its handler table. *)
-let replay inst (e : Event.t) =
-  let c = inst.i_consumer in
-  let ctx = inst.i_ctx in
-  let mask = inst.i_mask in
-  let needs_ctx = inst.i_needs_ctx in
-  let a = e.Event.a and b = e.Event.b and cc = e.Event.c and d = e.Event.d in
-  for i = 0 to e.Event.n - 1 do
-    let code = Char.code (Bytes.unsafe_get e.Event.kind i) in
-    if needs_ctx then
-      if code = Char.code Event.enter then Loop_ctx.enter ctx a.(i)
-      else if code = Char.code Event.iter then Loop_ctx.iter ctx a.(i) b.(i)
-      else if code = Char.code Event.exit' then Loop_ctx.exit ctx a.(i);
-    if mask land (1 lsl code) <> 0 then
-      match code with
-      | 0 -> c.c_load a.(i) b.(i) cc.(i) d.(i) e.Event.v.(i)
-      | 1 -> c.c_store a.(i) b.(i) cc.(i) d.(i)
-      | 2 -> c.c_alloc a.(i) b.(i) cc.(i) d.(i)
-      | 3 -> c.c_free b.(i) cc.(i) d.(i)
-      | 4 -> c.c_enter a.(i) b.(i)
-      | 5 -> c.c_iter a.(i) b.(i)
-      | 6 -> c.c_exit a.(i) b.(i) cc.(i)
-      | 7 -> c.c_branch a.(i) b.(i)
-      | _ -> ()
-  done
-
-let dispatch t inst batch =
-  match t.pool with
-  | Some pool -> inst.i_pending <- Some (Domain_pool.submit pool (fun () -> replay inst batch))
-  | None -> replay inst batch
-
-let await_pending inst =
-  match inst.i_pending with
-  | None -> ()
-  | Some fut ->
-    Domain_pool.await fut;
-    inst.i_pending <- None
-
-let flush t =
-  if t.cur.Event.n > 0 then begin
-    (* The previously submitted batch is [spare]; once every consumer
-       has drained it, it becomes the new fill buffer. *)
-    Array.iter await_pending t.consumers;
-    let batch = t.cur in
-    Event.clear t.spare;
-    t.cur <- t.spare;
-    t.spare <- batch;
-    Array.iter (fun inst -> dispatch t inst batch) t.consumers
-  end
-
-(* Drain everything: all produced events consumed by all consumers.
-   Must run before any query.  Inline mode has nothing in flight. *)
-let sync t =
-  if t.batched then begin
-    flush t;
-    Array.iter await_pending t.consumers
-  end
-
-let push t k ~a ~b ~c ~d ~v =
-  if Event.is_full t.cur then flush t;
-  Event.push t.cur k ~a ~b ~c ~d ~v
-
-let[@inline] push_nv t k ~a ~b ~c ~d =
-  if Event.is_full t.cur then flush t;
-  Event.push_nv t.cur k ~a ~b ~c ~d
-
 (* ---- hook bodies ------------------------------------------------------ *)
 
 (* Every hook first checks the event kind against [wanted]: kinds no
-   enabled consumer consumes are never materialized or dispatched (an
-   exec-only run does nothing at all on an access).  Naming (interval
+   enabled consumer consumes are never dispatched (an exec-only run
+   does nothing at all on an access).  Naming (interval
    map, interning) is frontend state and is maintained regardless. *)
 
 let[@inline] wants t k = t.wanted land (1 lsl Char.code k) <> 0
 
 (* Kinds whose hooks must actually be invoked: wanted kinds, alloc and
    free unconditionally (they maintain object naming), and the loop
-   kinds whenever the shared context stack is maintained inline.
+   kinds whenever the shared context stack is maintained.
    Callers can install no-op interpreter hooks for everything else. *)
 let hook_mask t =
   t.wanted
@@ -368,23 +257,19 @@ let hook_mask t =
 let on_load t site ~addr ~size ~value =
   if wants t Event.load then begin
     let d = if t.resolve_names then resolve t addr else 0 in
-    if t.batched then push t Event.load ~a:site ~b:addr ~c:size ~d ~v:value
-    else
-      let hs = t.h_load in
-      for i = 0 to Array.length hs - 1 do
-        (Array.unsafe_get hs i) site addr size d value
-      done
+    let hs = t.h_load in
+    for i = 0 to Array.length hs - 1 do
+      (Array.unsafe_get hs i) site addr size d value
+    done
   end
 
 let on_store t site ~addr ~size =
   if wants t Event.store then begin
     let d = if t.resolve_names then resolve t addr else 0 in
-    if t.batched then push_nv t Event.store ~a:site ~b:addr ~c:size ~d
-    else
-      let hs = t.h_store in
-      for i = 0 to Array.length hs - 1 do
-        (Array.unsafe_get hs i) site addr size d
-      done
+    let hs = t.h_store in
+    for i = 0 to Array.length hs - 1 do
+      (Array.unsafe_get hs i) site addr size d
+    done
   end
 
 let on_alloc t site ~ctx ~addr ~size =
@@ -392,13 +277,12 @@ let on_alloc t site ~ctx ~addr ~size =
   note_object t id size;
   t.gen <- t.gen + 1;
   Interval_map.insert t.live addr (addr + size) id;
-  if wants t Event.alloc then
-    if t.batched then push_nv t Event.alloc ~a:site ~b:addr ~c:size ~d:id
-    else
-      let hs = t.h_alloc in
-      for i = 0 to Array.length hs - 1 do
-        (Array.unsafe_get hs i) site addr size id
-      done
+  if wants t Event.alloc then begin
+    let hs = t.h_alloc in
+    for i = 0 to Array.length hs - 1 do
+      (Array.unsafe_get hs i) site addr size id
+    done
+  end
 
 let on_free t ~addr ~size =
   t.gen <- t.gen + 1;
@@ -407,67 +291,47 @@ let on_free t ~addr ~size =
     | Some (_, id) -> id
     | None -> -1
   in
-  if wants t Event.free then
-    if t.batched then push_nv t Event.free ~a:0 ~b:addr ~c:size ~d
-    else
-      let hs = t.h_free in
-      for i = 0 to Array.length hs - 1 do
-        (Array.unsafe_get hs i) addr size d
-      done
-
-let on_loop_enter t loop =
-  if t.batched then begin
-    if wants t Event.enter then
-      push_nv t Event.enter ~a:loop ~b:(t.get_cycles ()) ~c:0 ~d:0
-  end
-  else begin
-    if t.needs_ctx then Loop_ctx.enter t.ctx loop;
-    let hs = t.h_enter in
-    if Array.length hs > 0 then begin
-      let cy = t.get_cycles () in
-      for i = 0 to Array.length hs - 1 do
-        (Array.unsafe_get hs i) loop cy
-      done
-    end
-  end
-
-let on_loop_iter t loop ~iter =
-  if t.batched then begin
-    if wants t Event.iter then push_nv t Event.iter ~a:loop ~b:iter ~c:0 ~d:0
-  end
-  else begin
-    if t.needs_ctx then Loop_ctx.iter t.ctx loop iter;
-    let hs = t.h_iter in
+  if wants t Event.free then begin
+    let hs = t.h_free in
     for i = 0 to Array.length hs - 1 do
-      (Array.unsafe_get hs i) loop iter
+      (Array.unsafe_get hs i) addr size d
     done
   end
 
-let on_loop_exit t loop ~trips =
-  if t.batched then begin
-    if wants t Event.exit' then
-      push_nv t Event.exit' ~a:loop ~b:trips ~c:(t.get_cycles ()) ~d:0
+let on_loop_enter t loop =
+  if t.needs_ctx then Loop_ctx.enter t.ctx loop;
+  let hs = t.h_enter in
+  if Array.length hs > 0 then begin
+    let cy = t.get_cycles () in
+    for i = 0 to Array.length hs - 1 do
+      (Array.unsafe_get hs i) loop cy
+    done
   end
-  else begin
-    if t.needs_ctx then Loop_ctx.exit t.ctx loop;
-    let hs = t.h_exit in
-    if Array.length hs > 0 then begin
-      let cy = t.get_cycles () in
-      for i = 0 to Array.length hs - 1 do
-        (Array.unsafe_get hs i) loop trips cy
-      done
-    end
+
+let on_loop_iter t loop ~iter =
+  if t.needs_ctx then Loop_ctx.iter t.ctx loop iter;
+  let hs = t.h_iter in
+  for i = 0 to Array.length hs - 1 do
+    (Array.unsafe_get hs i) loop iter
+  done
+
+let on_loop_exit t loop ~trips =
+  if t.needs_ctx then Loop_ctx.exit t.ctx loop;
+  let hs = t.h_exit in
+  if Array.length hs > 0 then begin
+    let cy = t.get_cycles () in
+    for i = 0 to Array.length hs - 1 do
+      (Array.unsafe_get hs i) loop trips cy
+    done
   end
 
 let on_branch t id ~taken =
   if wants t Event.branch then begin
     let tk = if taken then 1 else 0 in
-    if t.batched then push_nv t Event.branch ~a:id ~b:tk ~c:0 ~d:0
-    else
-      let hs = t.h_branch in
-      for i = 0 to Array.length hs - 1 do
-        (Array.unsafe_get hs i) id tk
-      done
+    let hs = t.h_branch in
+    for i = 0 to Array.length hs - 1 do
+      (Array.unsafe_get hs i) id tk
+    done
   end
 
 (* Globals are allocated by [Interp.create] before hooks can observe
@@ -482,7 +346,6 @@ let register_global t gname ~addr ~bytes =
 (* ---- queries ---------------------------------------------------------- *)
 
 let consumer_state t name =
-  sync t;
   let found = ref None in
   Array.iter
     (fun inst ->

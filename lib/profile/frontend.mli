@@ -5,13 +5,8 @@
     The frontend owns the work every profiler shares — object naming
     (live-range interval map behind a last-object cache and a
     direct-mapped page cache) and one shared {!Loop_ctx} loop-context
-    stack — and dispatches events to per-kind consumer handlers.
-    Without a pool, handlers are called inline and no event is ever
-    materialized.  With a {!Privateer_support.Domain_pool} of size > 1
-    attached, events append to flat {!Event.t} batches and every
-    consumer replays each batch as one pool task under double
-    buffering (each ctx-needing consumer replaying loop transitions
-    into its own private stack); answers are identical either way. *)
+    stack — and calls per-kind consumer handlers directly from the
+    hooks; no event is ever materialized. *)
 
 (** Extended by each profiler module with its own state constructor,
     so callers can recover typed state from {!consumer_state}. *)
@@ -49,9 +44,8 @@ type descriptor = {
       (** {!Event.mask_of} of the kinds it handles; the frontend never
           generates kinds no enabled consumer wants *)
   d_create : ctx:Loop_ctx.t -> consumer;
-      (** [ctx] is the context stack this consumer must read: the
-          frontend's shared stack inline, a private replay stack in
-          batched mode *)
+      (** [ctx] is the frontend's shared context stack, for consumers
+          that read it *)
 }
 
 (** Register a profiler.  Called by each profiler module at init.
@@ -68,9 +62,7 @@ type t
 (** [create ~profilers ()] instantiates the named profilers (["all"]
     anywhere in the list enables every registered one; duplicates are
     dropped).  @raise Invalid_argument on an unknown name. *)
-val create :
-  ?profilers:string list -> ?pool:Privateer_support.Domain_pool.t ->
-  ?batch:int -> unit -> t
+val create : ?profilers:string list -> unit -> t
 
 (** Instantiated profiler names. *)
 val enabled : t -> string list
@@ -102,15 +94,10 @@ val on_branch : t -> int -> taken:bool -> unit
     globals are allocated before hooks can observe them). *)
 val register_global : t -> string -> addr:int -> bytes:int -> unit
 
-(** Drain every produced batch through every consumer; returns when
-    all consumer work has finished (inline mode has nothing in
-    flight).  Queries sync implicitly. *)
-val sync : t -> unit
-
 (** {1 Queries} *)
 
-(** [consumer_state t name] syncs, then returns the named consumer's
-    state ([None] if that profiler is not enabled). *)
+(** [consumer_state t name] is the named consumer's state ([None] if
+    that profiler is not enabled). *)
 val consumer_state : t -> string -> state option
 
 (** Interned object name for an event's name id (id 0 = [Unknown]). *)

@@ -1,5 +1,6 @@
 (* Query-result types shared by the fast profiling frontend, the
-   per-profiler consumer modules and the [Profiler_reference] oracle.
+   per-profiler consumer modules and the monolithic reference oracle
+   kept in the test library.
    The [Profiler] facade re-exports them with type equations, so
    downstream pattern matches compile against either implementation. *)
 

@@ -1,15 +1,8 @@
-(* Facade over the two profiling implementations:
-
-   - the fast path: the shared event {!Frontend} with the registered
-     per-profiler consumers ({!Prof_ptr}, {!Prof_lifetime},
-     {!Prof_flow}, {!Prof_value}, {!Prof_exec});
-   - the monolithic {!Profiler_reference} oracle, selected with the
-     pseudo-profiler name ["reference"].
-
-   Every query answers identically across the two, so downstream
-   classification and transform decisions never depend on which one
-   produced the profile.  Queries belonging to a profiler that was not
-   enabled answer as if the profiler observed nothing. *)
+(* Facade over the shared event {!Frontend} and the registered
+   per-profiler consumers ({!Prof_ptr}, {!Prof_lifetime}, {!Prof_flow},
+   {!Prof_value}, {!Prof_exec}): typed queries over their state.
+   Queries belonging to a profiler that was not enabled answer as if
+   the profiler observed nothing. *)
 
 open Privateer_ir
 open Privateer_interp
@@ -28,9 +21,7 @@ type loop_summary = Profile_types.loop_summary = {
   loop_cycles : int;
 }
 
-type impl = Fast of Frontend.t | Reference of Profiler_reference.t
-
-type t = { impl : impl; mutable wall_ns : float }
+type t = { f : Frontend.t; mutable wall_ns : float }
 
 (* Referencing one value from each consumer module forces them to
    link (and so to self-register) even though dispatch below only
@@ -40,22 +31,11 @@ let all_profilers = [ Prof_ptr.name; Prof_lifetime.name; Prof_flow.name;
 
 let available () = Frontend.registered ()
 
-let reference_name = "reference"
-
-let create ?(profilers = [ "all" ]) ?pool ?batch () =
+let create ?(profilers = [ "all" ]) () =
   ignore all_profilers;
-  if profilers = [ reference_name ] then
-    { impl = Reference (Profiler_reference.create ()); wall_ns = 0. }
-  else
-    { impl = Fast (Frontend.create ~profilers ?pool ?batch ()); wall_ns = 0. }
+  { f = Frontend.create ~profilers (); wall_ns = 0. }
 
-let create_reference () =
-  { impl = Reference (Profiler_reference.create ()); wall_ns = 0. }
-
-let enabled p =
-  match p.impl with
-  | Fast f -> Frontend.enabled f
-  | Reference _ -> [ reference_name ]
+let enabled p = Frontend.enabled p.f
 
 let wall_ns p = p.wall_ns
 let set_wall_ns p ns = p.wall_ns <- ns
@@ -93,28 +73,20 @@ let fast_hooks f : Hooks.t =
       on Event.branch (fun id ~taken -> Frontend.on_branch f id ~taken) d.on_branch }
 
 let attach p (st : Interp.t) =
-  match p.impl with
-  | Reference r -> Profiler_reference.attach r st
-  | Fast f ->
-    List.iter
-      (fun (g : Ast.global) ->
-        let addr = Hashtbl.find st.globals g.gname in
-        Frontend.register_global f g.gname ~addr ~bytes:g.gbytes)
-      st.program.globals;
-    Frontend.set_get_cycles f (fun () -> st.cycles);
-    st.hooks <- fast_hooks f
+  let f = p.f in
+  List.iter
+    (fun (g : Ast.global) ->
+      let addr = Hashtbl.find st.globals g.gname in
+      Frontend.register_global f g.gname ~addr ~bytes:g.gbytes)
+    st.program.globals;
+  Frontend.set_get_cycles f (fun () -> st.cycles);
+  st.hooks <- fast_hooks f
 
-(* Drain all in-flight event batches; queries do this implicitly, but
-   callers that time the profile want the consumers' work on the
-   profiling side of the clock. *)
-let sync p = match p.impl with Fast f -> Frontend.sync f | Reference _ -> ()
-
-let profile_run ?profilers ?pool program =
+let profile_run ?profilers program =
   let st = Interp.create program in
-  let p = create ?profilers ?pool () in
+  let p = create ?profilers () in
   attach p st;
   ignore (Interp.run_entry st);
-  sync p;
   (p, st)
 
 (* ---- post-run queries ------------------------------------------------ *)
@@ -127,91 +99,53 @@ let ids_to_set f ids =
     Objname.Set.empty ids
 
 let objects_at_site p site =
-  match p.impl with
-  | Reference r -> Profiler_reference.objects_at_site r site
-  | Fast f -> (
-    match consumer f Prof_ptr.name with
-    | Some (Prof_ptr.State st) -> ids_to_set f (Prof_ptr.objects_at_site st site)
-    | _ -> Objname.Set.empty)
+  match consumer p.f Prof_ptr.name with
+  | Some (Prof_ptr.State st) -> ids_to_set p.f (Prof_ptr.objects_at_site st site)
+  | _ -> Objname.Set.empty
 
 let alloc_names p site =
-  match p.impl with
-  | Reference r -> Profiler_reference.alloc_names r site
-  | Fast f -> (
-    match consumer f Prof_ptr.name with
-    | Some (Prof_ptr.State st) -> ids_to_set f (Prof_ptr.alloc_names st site)
-    | _ -> Objname.Set.empty)
+  match consumer p.f Prof_ptr.name with
+  | Some (Prof_ptr.State st) -> ids_to_set p.f (Prof_ptr.alloc_names st site)
+  | _ -> Objname.Set.empty
 
 let is_short_lived p name ~loop =
-  match p.impl with
-  | Reference r -> Profiler_reference.is_short_lived r name ~loop
-  | Fast f -> (
-    match consumer f Prof_lifetime.name with
-    | Some (Prof_lifetime.State st) -> (
-      match Frontend.id_of_name f name with
-      | Some id -> Prof_lifetime.is_short_lived st id loop
-      | None -> false)
-    | _ -> false)
+  match consumer p.f Prof_lifetime.name with
+  | Some (Prof_lifetime.State st) -> (
+    match Frontend.id_of_name p.f name with
+    | Some id -> Prof_lifetime.is_short_lived st id loop
+    | None -> false)
+  | _ -> false
 
 let flow_deps p ~loop =
-  match p.impl with
-  | Reference r -> Profiler_reference.flow_deps r ~loop
-  | Fast f -> (
-    match consumer f Prof_flow.name with
-    | Some (Prof_flow.State st) -> Prof_flow.flow_deps st loop
-    | _ -> [])
+  match consumer p.f Prof_flow.name with
+  | Some (Prof_flow.State st) -> Prof_flow.flow_deps st loop
+  | _ -> []
 
 let const_load_value p site =
-  match p.impl with
-  | Reference r -> Profiler_reference.const_load_value r site
-  | Fast f -> (
-    match consumer f Prof_value.name with
-    | Some (Prof_value.State st) -> Prof_value.const_load_value st site
-    | _ -> None)
+  match consumer p.f Prof_value.name with
+  | Some (Prof_value.State st) -> Prof_value.const_load_value st site
+  | _ -> None
 
 let branch_bias p branch =
-  match p.impl with
-  | Reference r -> Profiler_reference.branch_bias r branch
-  | Fast f -> (
-    match consumer f Prof_value.name with
-    | Some (Prof_value.State st) -> Prof_value.branch_bias st branch
-    | _ -> None)
+  match consumer p.f Prof_value.name with
+  | Some (Prof_value.State st) -> Prof_value.branch_bias st branch
+  | _ -> None
 
 let branch_counts p branch =
-  match p.impl with
-  | Reference r -> Profiler_reference.branch_counts r branch
-  | Fast f -> (
-    match consumer f Prof_value.name with
-    | Some (Prof_value.State st) -> Prof_value.branch_counts st branch
-    | _ -> (0, 0))
+  match consumer p.f Prof_value.name with
+  | Some (Prof_value.State st) -> Prof_value.branch_counts st branch
+  | _ -> (0, 0)
 
 let loop_summary p loop =
-  match p.impl with
-  | Reference r -> Profiler_reference.loop_summary r loop
-  | Fast f -> (
-    match consumer f Prof_exec.name with
-    | Some (Prof_exec.State st) -> Prof_exec.loop_summary st loop
-    | _ -> None)
+  match consumer p.f Prof_exec.name with
+  | Some (Prof_exec.State st) -> Prof_exec.loop_summary st loop
+  | _ -> None
 
 let loops_by_weight p =
-  match p.impl with
-  | Reference r -> Profiler_reference.loops_by_weight r
-  | Fast f -> (
-    match consumer f Prof_exec.name with
-    | Some (Prof_exec.State st) -> Prof_exec.loops_by_weight st
-    | _ -> [])
+  match consumer p.f Prof_exec.name with
+  | Some (Prof_exec.State st) -> Prof_exec.loops_by_weight st
+  | _ -> []
 
-let all_objects p =
-  match p.impl with
-  | Reference r -> Profiler_reference.all_objects r
-  | Fast f -> Frontend.all_objects f
-
-let object_size p name =
-  match p.impl with
-  | Reference r -> Profiler_reference.object_size r name
-  | Fast f -> Frontend.object_size f name
-
-let object_at_addr p addr =
-  match p.impl with
-  | Reference r -> Profiler_reference.object_at_addr r addr
-  | Fast f -> Frontend.object_at_addr f addr
+let all_objects p = Frontend.all_objects p.f
+let object_size p name = Frontend.object_size p.f name
+let object_at_addr p addr = Frontend.object_at_addr p.f addr

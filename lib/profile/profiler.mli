@@ -2,12 +2,10 @@
     object lifetime, cross-iteration memory flow dependence,
     value-prediction, branch-bias, and per-loop execution time.
 
-    This is a facade over two implementations with identical query
-    answers: the fast event-batch frontend with independently
-    registered per-profiler consumers ({!Frontend}), and the original
-    monolithic profiler kept as the differential-testing oracle
-    ({!Profiler_reference}, selected with the pseudo-profiler name
-    ["reference"]). *)
+    This is a typed query facade over the shared event frontend
+    ({!Frontend}) and its independently registered per-profiler
+    consumers.  The original monolithic profiler survives in the test
+    library as the differential-testing oracle for these queries. *)
 
 type const_status = Profile_types.const_status =
   | Const of Privateer_interp.Value.t
@@ -27,40 +25,24 @@ type t
 
 (** [create ~profilers ()] builds a profiler running only the named
     profilers (see {!available}); ["all"] (the default) enables every
-    registered one, ["reference"] selects the monolithic oracle.
-    [pool] lets the fast frontend drain event batches on pool domains;
-    answers are identical at every pool size.  [batch] overrides the
-    event-batch capacity (testing only).
+    registered one.
     @raise Invalid_argument on an unknown profiler name. *)
-val create :
-  ?profilers:string list -> ?pool:Privateer_support.Domain_pool.t ->
-  ?batch:int -> unit -> t
-
-(** The monolithic oracle, directly. *)
-val create_reference : unit -> t
+val create : ?profilers:string list -> unit -> t
 
 (** Registered profiler names, in registration order
     (["ptr"; "lifetime"; "flow"; "value"; "exec"]). *)
 val available : unit -> string list
 
-(** The profiler names this instance runs (["reference"] for the
-    oracle). *)
+(** The profiler names this instance runs. *)
 val enabled : t -> string list
 
 (** Register the program's globals and install the profiling hooks on
     an interpreter (call before [Interp.run_entry]). *)
 val attach : t -> Privateer_interp.Interp.t -> unit
 
-(** Drain in-flight event batches.  Queries sync implicitly; callers
-    timing the profile call it so consumer work lands on the profiling
-    side of the clock. *)
-val sync : t -> unit
-
-(** Convenience: create an interpreter, attach, run the program,
-    sync. *)
+(** Convenience: create an interpreter, attach, run the program. *)
 val profile_run :
-  ?profilers:string list -> ?pool:Privateer_support.Domain_pool.t ->
-  Privateer_ir.Ast.program -> t * Privateer_interp.Interp.t
+  ?profilers:string list -> Privateer_ir.Ast.program -> t * Privateer_interp.Interp.t
 
 (** Wall-clock nanoseconds the training run spent profiling, stamped
     by [Pipeline.profile]; 0 until set.  Reporting only — exempt from

@@ -12,20 +12,11 @@
      any earlier point);
    - last-writer-wins combination of private bytes across workers by
      iteration number, yielding the overlay to commit onto the main
-     process's heaps.
-
-   Host parallelism: the per-page extraction scans are independent —
-   every shadow page covers a disjoint range of private words — so
-   [extract] can fan them out over a [Domain_pool], per worker and per
-   page chunk.  Tasks only read the (quiescent) worker memories and
-   fill task-local tables; chunk results merge over disjoint key sets,
-   so the assembled contributions are byte-identical to the sequential
-   scan at any pool size. *)
+     process's heaps. *)
 
 open Privateer_ir
 open Privateer_machine
 open Privateer_interp
-module Domain_pool = Privateer_support.Domain_pool
 module Clock = Privateer_support.Clock
 
 type word_write = { iter : int; bits : int64; is_float : bool }
@@ -61,9 +52,10 @@ type contribution = {
    [timestamp_bytes + live_in_bytes] marked bytes have been found, the
    rest of the page is provably unmarked (live-in or old-write) and
    the scan stops — O(marked bytes) on sparse pages instead of
-   O(page).  Machines driven through [Shadow_reference] never reach
-   this loop: reference pages carry no summary flags, so the [any_*]
-   guard filters them out before the counts matter. *)
+   O(page).  Machines driven through the per-byte reference oracle
+   (test code) never reach this loop: its pages carry no summary
+   flags, so the [any_*] guard filters them out before the counts
+   matter. *)
 let scan_page ~interval_start mem key writes live_in_reads =
   match Memory.find_page mem (Memory.base_of_page key) with
   | None -> ()
@@ -108,28 +100,6 @@ let scan_page ~interval_start mem key writes live_in_reads =
       done
     end
 
-(* Split [keys] into at most [n] contiguous chunks, preserving order
-   (so each chunk replays the sequential scan order of its pages). *)
-let chunk_keys n keys =
-  let len = List.length keys in
-  if len = 0 then []
-  else begin
-    let n = max 1 (min n len) in
-    let per = (len + n - 1) / n in
-    let rec take k acc = function
-      | [] -> (List.rev acc, [])
-      | l when k = 0 -> (List.rev acc, l)
-      | x :: tl -> take (k - 1) (x :: acc) tl
-    in
-    let rec split = function
-      | [] -> []
-      | l ->
-        let chunk, rest = take per [] l in
-        chunk :: split rest
-    in
-    split keys
-  end
-
 type extract_request = {
   req_worker : int;
   req_machine : Machine.t;
@@ -137,116 +107,36 @@ type extract_request = {
   req_reg_partials : (string * Value.t) list;
 }
 
-(* The sequential-or-parallel page scans of one request, as (writes,
-   live-in) tables.  Word addresses from distinct shadow pages are
-   disjoint, so merging per-chunk tables key-by-key reproduces the
-   sequential tables exactly. *)
-let finish_request req (writes, live_in_reads) =
-  let mem = req.req_machine.Machine.mem in
-  let redux_words =
-    List.concat_map
-      (fun (base, size, _op) ->
-        let words = (size + 7) / 8 in
-        List.init words (fun w ->
-            let addr = base + (8 * w) in
-            let bits, is_float = Memory.read_word mem addr in
-            (addr, bits, is_float)))
-      req.req_redux_ranges
-  in
-  { worker = req.req_worker; writes; live_in_reads; redux_words;
-    reg_partials = req.req_reg_partials; pages_touched = Memory.dirty_count mem }
-
-let scan_sequential ~interval_start mem keys =
-  let writes = Hashtbl.create 256 in
-  let live_in_reads = Hashtbl.create 16 in
-  List.iter (fun key -> scan_page ~interval_start mem key writes live_in_reads) keys;
-  (writes, live_in_reads)
-
-(* Extract every worker's interval contribution.  With a pool of size
-   > 1 the page scans fan out as one flat task list over (worker, page
-   chunk); without one (or when there is nothing to scan in parallel)
-   the scan runs sequentially — the reference path.
-
-   [plan] is the host controller's hook: it receives the dirty page
-   count and the exact marked-byte total (the per-page timestamp +
-   live-in mark counts the shadow fast path maintains — the same
-   counts that bound the early-exit scan) and returns the per-worker
-   chunk count; <= 1 selects the sequential path even with a pool.
-   Without [plan], a configured pool fans out unconditionally at its
-   size (the pre-controller behavior). *)
-let extract ?pool ?plan ~interval_start (reqs : extract_request list) =
-  let keyed =
-    List.map
-      (fun req ->
-        (req, Memory.dirty_pages ~heap:Heap.Shadow req.req_machine.Machine.mem))
-      reqs
-  in
-  let pool_size = match pool with Some p -> Domain_pool.size p | None -> 1 in
-  let total_pages = List.fold_left (fun acc (_, ks) -> acc + List.length ks) 0 keyed in
-  let chunks =
-    match plan with
-    | None -> pool_size
-    | Some f ->
-      let marked =
-        List.fold_left
-          (fun acc (req, keys) ->
-            let mem = req.req_machine.Machine.mem in
-            List.fold_left
-              (fun acc key ->
-                match Memory.find_page mem (Memory.base_of_page key) with
-                | Some p -> acc + Memory.timestamp_bytes p + Memory.live_in_bytes p
-                | None -> acc)
-              acc keys)
-          0 keyed
+(* Extract every worker's interval contribution: one scan per worker
+   over the shadow pages it dirtied this interval, plus a snapshot of
+   its reduction words. *)
+let extract ~interval_start (reqs : extract_request list) =
+  List.map
+    (fun req ->
+      let mem = req.req_machine.Machine.mem in
+      let writes = Hashtbl.create 256 in
+      let live_in_reads = Hashtbl.create 16 in
+      List.iter
+        (fun key -> scan_page ~interval_start mem key writes live_in_reads)
+        (Memory.dirty_pages ~heap:Heap.Shadow mem);
+      let redux_words =
+        List.concat_map
+          (fun (base, size, _op) ->
+            List.init ((size + 7) / 8) (fun w ->
+                let addr = base + (8 * w) in
+                let bits, is_float = Memory.read_word mem addr in
+                (addr, bits, is_float)))
+          req.req_redux_ranges
       in
-      f ~pages:total_pages ~marked
-  in
-  match pool with
-  | Some pool when pool_size > 1 && chunks > 1 && total_pages > 1 ->
-    (* One flat task list: each task scans one chunk of one worker's
-       dirty pages into task-local tables. *)
-    let jobs =
-      List.concat_map
-        (fun (req, keys) ->
-          let mem = req.req_machine.Machine.mem in
-          List.map
-            (fun chunk -> (req.req_worker, fun () ->
-                 let writes = Hashtbl.create 64 in
-                 let live_in_reads = Hashtbl.create 16 in
-                 List.iter
-                   (fun key -> scan_page ~interval_start mem key writes live_in_reads)
-                   chunk;
-                 (writes, live_in_reads)))
-            (chunk_keys chunks keys))
-        keyed
-    in
-    let parts = List.combine (List.map fst jobs) (Domain_pool.run pool (List.map snd jobs)) in
-    List.map
-      (fun (req, _) ->
-        let writes = Hashtbl.create 256 in
-        let live_in_reads = Hashtbl.create 16 in
-        List.iter
-          (fun (w, (pw, pl)) ->
-            if w = req.req_worker then begin
-              Hashtbl.iter (Hashtbl.replace writes) pw;
-              Hashtbl.iter (Hashtbl.replace live_in_reads) pl
-            end)
-          parts;
-        finish_request req (writes, live_in_reads))
-      keyed
-  | Some _ | None ->
-    List.map
-      (fun (req, keys) ->
-        finish_request req
-          (scan_sequential ~interval_start req.req_machine.Machine.mem keys))
-      keyed
+      { worker = req.req_worker; writes; live_in_reads; redux_words;
+        reg_partials = req.req_reg_partials; pages_touched = Memory.dirty_count mem })
+    reqs
 
-(* Extract a single worker's contribution (the historical entry point;
-   [extract] is the batched, poolable form). *)
-let contribution_of_worker ?pool ~worker ~interval_start (machine : Machine.t)
+(* Extract a single worker's contribution. *)
+let contribution_of_worker ~worker ~interval_start (machine : Machine.t)
     ~redux_ranges ~reg_partials =
   match
-    extract ?pool ~interval_start
+    extract ~interval_start
       [ { req_worker = worker; req_machine = machine;
           req_redux_ranges = redux_ranges; req_reg_partials = reg_partials } ]
   with
@@ -254,11 +144,8 @@ let contribution_of_worker ?pool ~worker ~interval_start (machine : Machine.t)
   | _ -> assert false
 
 type merged = {
-  (* winning (latest-iteration) write per word, sharded by word
-     address exactly like the writer index ([shard_of]); every word
-     lives in exactly one slice.  Use [find_overlay] / [iter_overlay] /
-     [overlay_size] rather than indexing by hand. *)
-  overlay : (int, word_write) Hashtbl.t array;
+  (* winning (latest-iteration) write per word *)
+  overlay : (int, word_write) Hashtbl.t;
   (* per-worker redux snapshots and register partials, kept for
      recovery and final commit *)
   contributions : contribution list;
@@ -266,47 +153,29 @@ type merged = {
   total_pages : int;
 }
 
-(* Which shard owns a word address.  [addr] is 8-byte aligned, so the
-   low bits are dropped before the mod: consecutive words land on
-   consecutive shards, spreading dense runs evenly. *)
-let shard_of ~shards addr = (addr lsr 3) mod shards
-
-let overlay_size m =
-  Array.fold_left (fun acc t -> acc + Hashtbl.length t) 0 m.overlay
-
-let find_overlay m addr =
-  Hashtbl.find_opt m.overlay.(shard_of ~shards:(Array.length m.overlay) addr) addr
-
-let iter_overlay m ~f = Array.iter (Hashtbl.iter f) m.overlay
-
-(* The word -> writer index carried across a worker cohort's intervals,
-   split into [shards] address-sharded slices so the fill / validate /
-   sweep passes can run as disjoint per-shard jobs.  Contributions are
-   per-interval deltas (extraction visits only pages dirtied since the
-   last checkpoint), so each slice holds exactly one interval's entries
-   while a merge is validating and is swept back to empty before the
-   merge returns: the tables (and their grown bucket arrays) persist,
-   the content is per-interval.  [ms_index_ops] counts every
-   insert/update/remove so tests can assert that clean intervals do no
-   index work at all; the [ms_*_ns] accumulators attribute host wall
-   time per merge phase (instrumentation only — host time never feeds
-   back into simulated state). *)
+(* The word -> writer index carried across a worker cohort's
+   intervals.  Contributions are per-interval deltas (extraction visits
+   only pages dirtied since the last checkpoint), so the index holds
+   exactly one interval's entries while a merge is validating and is
+   swept back to empty before the merge returns: the table (and its
+   grown bucket array) persists, the content is per-interval.
+   [ms_index_ops] counts every insert/update/remove so tests can assert
+   that clean intervals do no index work at all; the [ms_*_ns]
+   accumulators attribute host wall time per merge phase
+   (instrumentation only — host time never feeds back into simulated
+   state). *)
 type merge_state = {
-  ms_shards : (int, int) Hashtbl.t array; (* word -> sole writer, or -1 *)
+  ms_writers : (int, int) Hashtbl.t; (* word -> sole writer, or -1 *)
   mutable ms_index_ops : int;
   mutable ms_fill_ns : float;
   mutable ms_validate_ns : float;
   mutable ms_sweep_ns : float;
 }
 
-let default_shards = 8
+let create_merge_state () =
+  { ms_writers = Hashtbl.create 256; ms_index_ops = 0; ms_fill_ns = 0.0;
+    ms_validate_ns = 0.0; ms_sweep_ns = 0.0 }
 
-let create_merge_state ?(shards = default_shards) () =
-  if shards < 1 then invalid_arg "Checkpoint.create_merge_state: shards < 1";
-  { ms_shards = Array.init shards (fun _ -> Hashtbl.create 256);
-    ms_index_ops = 0; ms_fill_ns = 0.0; ms_validate_ns = 0.0; ms_sweep_ns = 0.0 }
-
-let shard_count state = Array.length state.ms_shards
 let index_ops state = state.ms_index_ops
 
 type phase_ns = { fill_ns : float; validate_ns : float; sweep_ns : float }
@@ -315,205 +184,76 @@ let phase_timings state =
   { fill_ns = state.ms_fill_ns; validate_ns = state.ms_validate_ns;
     sweep_ns = state.ms_sweep_ns }
 
-(* Phase-2 validation + last-writer-wins merge, in three passes over
-   address-disjoint shards:
+(* Phase-2 validation + last-writer-wins merge, in three passes:
 
-   1. index fill: route every contributed word write to its shard —
-      build that shard's overlay slice last-writer-wins by iteration
-      and record the word's sole writer ([-1] = more than one distinct
-      worker) in the shard's writer index;
-   2. validate: for every live-in byte, one O(1) probe of the owning
-      shard's index — a write by a different worker is a phase-2
-      privacy violation (conservative: regardless of iteration order,
-      as in the paper's one-byte-metadata design);
-   3. sweep: remove this interval's inserted delta so every shard's
-      carried index is empty again.
+   1. index fill: build the overlay last-writer-wins by iteration and
+      record every written word's sole writer ([-1] = more than one
+      distinct worker) in the writer index;
+   2. validate: for every live-in byte, one O(1) probe of the index —
+      a write by a different worker is a phase-2 privacy violation
+      (conservative: regardless of iteration order, as in the paper's
+      one-byte-metadata design).  The verdict is pinned to the
+      smallest conflicting byte address, so it cannot depend on hash
+      iteration order;
+   3. sweep: remove this interval's inserted delta so the carried
+      index is empty again.
 
-   With [?pool] (size > 1), each pass runs as parallel jobs over
-   contiguous shard groups on the pool's domains — [jobs] groups
-   (clamped to [1, shards]; default one job per shard, the
-   pre-controller granularity; <= 1 selects the sequential path).
-   Jobs read the quiescent contributions and touch only their own
-   shards' tables, so no two jobs share mutable state; the per-shard
-   entry streams are the same subsequences in either mode and at any
-   grouping, making tables, op counts and overlay slices identical to
-   the sequential path at any domain count.  The violation verdict is
-   the minimum over per-group minima of per-shard minima — i.e. still
-   the globally smallest conflicting byte address, so the verdict
-   cannot depend on shard count, job count, domain count, or hash
-   iteration order.  Without a pool, a single pass routes each
-   address to its shard directly (no per-shard re-walk of the
-   contributions).
-
-   With [?state], the shard tables are the carried ones: merge cost is
+   With [?state], the index is the carried one: merge cost is
    proportional to this interval's entries (insert the delta, sweep it
    out again), and an interval with no new writes short-circuits all
    three passes outright — no allocation, no hashing, no read
-   iteration, no pool dispatch. *)
-let merge ?state ?pool ?jobs (contribs : contribution list) =
+   iteration. *)
+let merge ?state (contribs : contribution list) =
   let st = match state with Some s -> s | None -> create_merge_state () in
-  let shards = Array.length st.ms_shards in
   let have_writes =
     List.exists (fun c -> Hashtbl.length c.writes > 0) contribs
   in
-  let overlay =
-    Array.init shards (fun _ -> Hashtbl.create (if have_writes then 64 else 1))
-  in
+  let overlay = Hashtbl.create (if have_writes then 64 else 1) in
   let violation = ref None in
   if have_writes then begin
-    let jobs = match jobs with Some j -> max 0 (min j shards) | None -> shards in
-    let par =
-      match pool with
-      | Some p when Domain_pool.size p > 1 && jobs > 1 -> Some p
-      | _ -> None
-    in
-    (* Contiguous shard groups, one parallel job each.  [jobs >=
-       shards] degenerates to one group per shard. *)
-    let groups =
-      let per = (shards + max 1 jobs - 1) / max 1 jobs in
-      List.init ((shards + per - 1) / per) (fun j ->
-          (j * per, min shards ((j + 1) * per)))
-    in
-    let inserted = Array.make shards [] in
-    (* Route one word write into shard tables [writers]/[ov];
-       [ins]/[ops] are the shard-local accumulation cells. *)
-    let fill_word writers ov ins ops addr (w : word_write) worker =
-      (match Hashtbl.find_opt writers addr with
-      | None ->
-        Hashtbl.replace writers addr worker;
-        ins := addr :: !ins;
-        incr ops
-      | Some id when id = worker || id = -1 -> ()
-      | Some _ ->
-        Hashtbl.replace writers addr (-1);
-        incr ops);
-      match Hashtbl.find_opt ov addr with
-      | Some prev when prev.iter >= w.iter -> ()
-      | Some _ | None -> Hashtbl.replace ov addr w
-    in
+    let writers = st.ms_writers in
+    let inserted = ref [] in
     let t0 = Clock.now_ns () in
     (* Pass 1: index fill. *)
-    (match par with
-    | None ->
-      let ops = ref 0 in
-      let ins = Array.init shards (fun _ -> ref []) in
-      List.iter
-        (fun c ->
-          Hashtbl.iter
-            (fun addr w ->
-              let s = shard_of ~shards addr in
-              fill_word st.ms_shards.(s) overlay.(s) ins.(s) ops addr w c.worker)
-            c.writes)
-        contribs;
-      Array.iteri (fun s r -> inserted.(s) <- !r) ins;
-      st.ms_index_ops <- st.ms_index_ops + !ops
-    | Some p ->
-      let results =
-        Domain_pool.run p
-          (List.map
-             (fun (lo, hi) () ->
-               (* One walk per group, routing to the group's shards —
-                  each shard's entry stream is the same subsequence
-                  the per-shard job saw, so tables and op counts are
-                  grouping-invariant. *)
-               let ins = Array.init shards (fun _ -> ref []) in
-               let ops = ref 0 in
-               List.iter
-                 (fun c ->
-                   Hashtbl.iter
-                     (fun addr w ->
-                       let s = shard_of ~shards addr in
-                       if s >= lo && s < hi then
-                         fill_word st.ms_shards.(s) overlay.(s) ins.(s) ops addr w
-                           c.worker)
-                     c.writes)
-                 contribs;
-               (lo, hi, Array.map ( ! ) ins, !ops))
-             groups)
-      in
-      List.iter
-        (fun (lo, hi, ins, ops) ->
-          for s = lo to hi - 1 do
-            inserted.(s) <- ins.(s)
-          done;
-          st.ms_index_ops <- st.ms_index_ops + ops)
-        results);
+    List.iter
+      (fun c ->
+        Hashtbl.iter
+          (fun addr (w : word_write) ->
+            (match Hashtbl.find_opt writers addr with
+            | None ->
+              Hashtbl.replace writers addr c.worker;
+              inserted := addr :: !inserted;
+              st.ms_index_ops <- st.ms_index_ops + 1
+            | Some id when id = c.worker || id = -1 -> ()
+            | Some _ ->
+              Hashtbl.replace writers addr (-1);
+              st.ms_index_ops <- st.ms_index_ops + 1);
+            match Hashtbl.find_opt overlay addr with
+            | Some prev when prev.iter >= w.iter -> ()
+            | Some _ | None -> Hashtbl.replace overlay addr w)
+          c.writes)
+      contribs;
     let t1 = Clock.now_ns () in
-    (* Pass 2: validate.  [probe] is one lookup in the shard owning
-       the byte's word. *)
-    let probe reader_worker addr =
-      let wb = word_base addr in
-      match Hashtbl.find_opt st.ms_shards.(shard_of ~shards wb) wb with
-      | Some id when id <> reader_worker -> true
-      | Some _ | None -> false
-    in
-    (match par with
-    | None ->
-      List.iter
-        (fun reader ->
-          Hashtbl.iter
-            (fun addr () ->
-              if probe reader.worker addr then
-                match !violation with
-                | Some a when a <= addr -> ()
-                | Some _ | None -> violation := Some addr)
-            reader.live_in_reads)
-        contribs
-    | Some p ->
-      let minima =
-        Domain_pool.run p
-          (List.map
-             (fun (lo, hi) () ->
-               let best = ref None in
-               List.iter
-                 (fun reader ->
-                   Hashtbl.iter
-                     (fun addr () ->
-                       let s = shard_of ~shards (word_base addr) in
-                       if s >= lo && s < hi && probe reader.worker addr then
-                         match !best with
-                         | Some a when a <= addr -> ()
-                         | Some _ | None -> best := Some addr)
-                     reader.live_in_reads)
-                 contribs;
-               !best)
-             groups)
-      in
-      violation :=
-        List.fold_left
-          (fun acc m ->
-            match (acc, m) with
-            | None, m -> m
-            | acc, None -> acc
-            | Some a, Some b -> Some (min a b))
-          None minima);
+    (* Pass 2: validate — one probe of the word owning each live-in
+       byte. *)
+    List.iter
+      (fun reader ->
+        Hashtbl.iter
+          (fun addr () ->
+            match Hashtbl.find_opt writers (word_base addr) with
+            | Some id when id <> reader.worker -> (
+              match !violation with
+              | Some a when a <= addr -> ()
+              | Some _ | None -> violation := Some addr)
+            | Some _ | None -> ())
+          reader.live_in_reads)
+      contribs;
     let t2 = Clock.now_ns () in
     (* Pass 3: sweep this interval's delta back out so the carried
        index is empty again (content is per-interval; only the
-       allocations are carried). *)
-    (match par with
-    | None ->
-      Array.iteri
-        (fun s ins ->
-          let writers = st.ms_shards.(s) in
-          List.iter (fun addr -> Hashtbl.remove writers addr) ins;
-          st.ms_index_ops <- st.ms_index_ops + List.length ins)
-        inserted
-    | Some p ->
-      let swept =
-        Domain_pool.run p
-          (List.map
-             (fun (lo, hi) () ->
-               let k = ref 0 in
-               for s = lo to hi - 1 do
-                 let writers = st.ms_shards.(s) in
-                 List.iter (fun addr -> Hashtbl.remove writers addr) inserted.(s);
-                 k := !k + List.length inserted.(s)
-               done;
-               !k)
-             groups)
-      in
-      List.iter (fun k -> st.ms_index_ops <- st.ms_index_ops + k) swept);
+       allocation is carried). *)
+    List.iter (Hashtbl.remove writers) !inserted;
+    st.ms_index_ops <- st.ms_index_ops + List.length !inserted;
     let t3 = Clock.now_ns () in
     st.ms_fill_ns <- st.ms_fill_ns +. (t1 -. t0);
     st.ms_validate_ns <- st.ms_validate_ns +. (t2 -. t1);
@@ -526,12 +266,13 @@ let merge ?state ?pool ?jobs (contribs : contribution list) =
 
 (* Install a merged overlay into the main process's memory (the
    paper's "replaces its heaps with those from the last valid
-   checkpoint" uses mmap; we write the bytes).  Every word lives in
-   exactly one shard slice, so the write order across slices cannot
-   matter. *)
+   checkpoint" uses mmap; we write the bytes).  Overlay words are
+   disjoint, so the write order cannot matter. *)
 let apply_overlay (machine : Machine.t) merged =
-  iter_overlay merged ~f:(fun addr (w : word_write) ->
+  Hashtbl.iter
+    (fun addr (w : word_write) ->
       Memory.write_word machine.Machine.mem addr w.bits w.is_float)
+    merged.overlay
 
 (* Combine worker reduction partials over the base (pre-interval)
    values: final = base op partial_1 op ... op partial_n. *)

@@ -4,19 +4,11 @@
     Per interval, each worker contributes its speculative state; the
     merge validates cross-worker live-in reads (phase 2), combines
     private writes last-writer-wins by iteration, and folds reduction
-    partials over pre-spawn base values.
-
-    Both halves of the checkpoint path are host-parallel: every shadow
-    page covers a disjoint range of private words, so the per-page
-    extraction scans fan out over a {!Privateer_support.Domain_pool}
-    (per worker and per page chunk) and reassemble into contributions
-    that are byte-identical to the sequential scan; and the merge's
-    writer index is address-sharded, so its fill / phase-2 validate /
-    sweep passes run as disjoint per-shard jobs on the same pool.  The
-    merge state is carried across intervals ({!merge_state}) so
-    per-interval merge cost is proportional to that interval's new
-    entries — zero for a clean interval — instead of re-allocating and
-    re-filling the index each time. *)
+    partials over pre-spawn base values.  The merge state is carried
+    across intervals ({!merge_state}) so per-interval merge cost is
+    proportional to that interval's new entries — zero for a clean
+    interval — instead of re-allocating and re-filling the index each
+    time. *)
 
 open Privateer_interp
 
@@ -60,30 +52,11 @@ type extract_request = {
     (straight off the shadow bank's dirty index; pages without
     timestamp/read-live-in summary flags are skipped).  Shadow
     timestamps decode into iteration numbers relative to
-    [interval_start].
+    [interval_start]. *)
+val extract : interval_start:int -> extract_request list -> contribution list
 
-    With [?pool] (of size > 1), the page scans run as one flat task
-    list over (worker, page-chunk) pairs on the pool's domains; the
-    result is byte-identical to the sequential path, which remains the
-    default and the correctness oracle.
-
-    [?plan] is the host controller's hook: it receives the dirty page
-    total and the exact marked-byte total (the per-page timestamp and
-    live-in counts the shadow fast path maintains) and returns the
-    per-worker chunk count — [<= 1] selects the sequential path even
-    with a pool.  Without it, a configured pool fans out at its size.
-    Host-only either way: the extracted contributions are identical. *)
-val extract :
-  ?pool:Privateer_support.Domain_pool.t ->
-  ?plan:(pages:int -> marked:int -> int) ->
-  interval_start:int ->
-  extract_request list ->
-  contribution list
-
-(** Single-worker [extract] — the historical entry point, kept for
-    benches and tests. *)
+(** Single-worker {!extract}, for benches and tests. *)
 val contribution_of_worker :
-  ?pool:Privateer_support.Domain_pool.t ->
   worker:int ->
   interval_start:int ->
   Privateer_machine.Machine.t ->
@@ -93,56 +66,33 @@ val contribution_of_worker :
 
 (** A validated, merged checkpoint interval. *)
 type merged = {
-  overlay : (int, word_write) Hashtbl.t array;
-      (** winning (latest-iteration) write per word, sharded by word
-          address like the writer index; access through
-          {!find_overlay} / {!iter_overlay} / {!overlay_size} *)
+  overlay : (int, word_write) Hashtbl.t;
+      (** winning (latest-iteration) write per word address *)
   contributions : contribution list;
       (** kept for recovery and the final commit *)
   violation : Misspec.reason option;
       (** phase-2 conflict, if any — pinned to the smallest
-          conflicting byte address, so it is deterministic across pool
-          sizes and shard counts *)
+          conflicting byte address, so it never depends on hash
+          iteration order *)
   total_pages : int;  (** summed page-copy charge across workers *)
 }
 
-val overlay_size : merged -> int
-(** Total words in the overlay, across all shard slices. *)
-
-val find_overlay : merged -> int -> word_write option
-(** The winning write for a word address, probing only its shard. *)
-
-val iter_overlay : merged -> f:(int -> word_write -> unit) -> unit
-(** Iterate the whole overlay.  Every word lives in exactly one shard
-    slice, so callers writing disjoint words need no order
-    guarantees. *)
-
 (** The word→writer index carried across one worker cohort's
-    intervals, split into address-sharded slices
-    ([shard = (addr lsr 3) mod shards]) so the merge passes can run as
-    disjoint per-shard jobs.  Because contributions are per-interval
-    deltas, the slices hold one interval's entries during a merge and
-    are swept back to empty before the merge returns: the allocations
-    persist, the content is per-interval, and a clean interval (no new
-    writes) does no index work at all. *)
+    intervals.  Because contributions are per-interval deltas, the
+    index holds one interval's entries during a merge and is swept
+    back to empty before the merge returns: the allocation persists,
+    the content is per-interval, and a clean interval (no new writes)
+    does no index work at all. *)
 type merge_state
 
-val default_shards : int
-(** Default shard count (8). *)
-
-(** A fresh carried index (one per worker cohort / spawn) with
-    [shards] slices (default {!default_shards}).
-    @raise Invalid_argument if [shards < 1]. *)
-val create_merge_state : ?shards:int -> unit -> merge_state
-
-val shard_count : merge_state -> int
+(** A fresh carried index (one per worker cohort / spawn). *)
+val create_merge_state : unit -> merge_state
 
 (** Total index mutations (inserts, multi-writer updates, removals)
     performed through this state — the observable for the
-    no-work-on-clean-intervals regression test.  Deterministic across
-    shard counts and pool sizes: each contributed word costs an
-    insert, at most one multi-writer update, and a sweep removal,
-    regardless of which shard or domain processes it. *)
+    no-work-on-clean-intervals regression test.  Each contributed word
+    costs an insert, at most one multi-writer update, and a sweep
+    removal. *)
 val index_ops : merge_state -> int
 
 (** Cumulative host wall time this state has spent per merge phase.
@@ -153,28 +103,14 @@ type phase_ns = { fill_ns : float; validate_ns : float; sweep_ns : float }
 val phase_timings : merge_state -> phase_ns
 
 (** Phase-2 validation plus last-writer-wins merge, as three passes
-    over the address-sharded writer index: index fill, phase-2
-    validation (one O(1) probe per live-in byte, not a scan over every
-    writer's contribution), and delta sweep.
-
-    With [?pool] (size > 1) each pass runs as parallel jobs over
-    contiguous shard groups on the pool's domains — [?jobs] groups,
-    clamped to [1, shards] (default: one job per shard; [<= 1]
-    selects the sequential path even with a pool, the host
-    controller's lever).  Jobs touch only their own shards' tables,
-    and the violation verdict is the minimum over per-group minima,
-    so overlays, op counts and verdicts are byte-identical to the
-    sequential path at any domain count, shard count, and job count.
-    Passing [?state] reuses the carried index (cost proportional to
-    this interval's entries; an interval with no new writes
-    short-circuits all three passes entirely); omitting it builds a
-    fresh ephemeral index with identical semantics. *)
-val merge :
-  ?state:merge_state ->
-  ?pool:Privateer_support.Domain_pool.t ->
-  ?jobs:int ->
-  contribution list ->
-  merged
+    over the writer index: index fill, phase-2 validation (one O(1)
+    probe per live-in byte, not a scan over every writer's
+    contribution), and delta sweep.  Passing [?state] reuses the
+    carried index (cost proportional to this interval's entries; an
+    interval with no new writes short-circuits all three passes
+    entirely); omitting it builds a fresh ephemeral index with
+    identical semantics. *)
+val merge : ?state:merge_state -> contribution list -> merged
 
 (** Install a merged overlay into the main process's memory. *)
 val apply_overlay : Privateer_machine.Machine.t -> merged -> unit

@@ -16,7 +16,6 @@
 
 open Privateer_ir
 open Privateer_machine
-module Domain_pool = Privateer_support.Domain_pool
 
 let live_in = 0
 let old_write = 1
@@ -49,7 +48,7 @@ let probe machine ~addr =
     ( Char.code (Bytes.get (Memory.page_bytes p) (Memory.offset_of_addr addr)),
       Memory.written_this_interval p )
 
-type op = Shadow_sig.op = Read | Write
+type op = Read | Write
 
 type verdict = Keep | Update of int | Fail of (addr:int -> Misspec.reason)
 
@@ -88,9 +87,10 @@ let transition op ~current ~beta : verdict =
    checkpoint extraction stop a page scan once every mark is found);
    both counts are flushed to the page before any raise so partial
    updates stay consistent.
-   Byte-for-byte equivalent to [Shadow_reference.access] (asserted by
-   a qcheck property): same final metadata, same verdict at the same
-   byte, same partial updates before a failing byte. *)
+   Byte-for-byte equivalent to the per-byte reference oracle in the
+   test library (asserted by a qcheck property): same final metadata,
+   same verdict at the same byte, same partial updates before a
+   failing byte. *)
 let access machine op ~addr ~size ~beta =
   let mem = machine.Machine.mem in
   let pos = ref addr in
@@ -157,8 +157,7 @@ let access machine op ~addr ~size ~beta =
   done
 
 (* In-place rewrite of one page's buffer: timestamps become old-write,
-   everything else is preserved.  Pure [Bytes] mutation — safe to run
-   on any domain as long as no other task touches this buffer. *)
+   everything else is preserved. *)
 let scan_rewrite bytes =
   let off = ref 0 in
   while !off < Memory.page_size do
@@ -174,31 +173,6 @@ let scan_rewrite bytes =
     end
   done
 
-(* Split [jobs] into at most [n] round-robin-sized chunks, preserving
-   nothing about order (the jobs are independent byte mutations). *)
-let chunk_jobs n jobs =
-  let total = List.length jobs in
-  if total = 0 then []
-  else begin
-    let n = max 1 (min n total) in
-    let per = (total + n - 1) / n in
-    let rec take k acc rest =
-      if k = 0 then (List.rev acc, rest)
-      else
-        match rest with
-        | [] -> (List.rev acc, [])
-        | x :: tl -> take (k - 1) (x :: acc) tl
-    in
-    let rec split rest acc =
-      match rest with
-      | [] -> List.rev acc
-      | _ ->
-        let chunk, rest = take per [] rest in
-        split rest (chunk :: acc)
-    in
-    split jobs []
-  end
-
 (* Checkpoint-time metadata reset: all timestamps become old-write.
    Returns the number of shadow pages in the cost model's sense — every
    mapped shadow page, exactly as before the page-index refactor, so
@@ -206,24 +180,12 @@ let chunk_jobs n jobs =
    only to pages whose [any_timestamp] summary flag is set: the rest
    provably hold no timestamps and are skipped without a scan.
 
-   Host structure (invisible to the simulation — same final metadata,
-   same return value at every pool size and cap):
-
-   1. sequential: copy-on-write promotion of every flagged page,
-      flag/count clears, and the swap decision — a page whose exact
-      timestamp count equals the page size resets to a constant, so
-      when the page pool can supply a pre-filled buffer the reset is a
-      pointer exchange and the old buffer is retired;
-   2. parallel (over [pool] when given): the disjoint [Bytes] work —
-      word-wise scan-rewrites of surviving buffers and constant refills
-      of retired ones.  Nothing here touches the page table, the dirty
-      set, or the pool's free list.  [plan] is the host controller's
-      hook: it receives the job count and returns the chunk width
-      ([<= 1] selects the sequential path even with a pool); without
-      it, a configured pool fans out [2 * size] ways as before;
-   3. sequential: deposit the refilled buffers for recycling at the
-      next interval. *)
-let reset_interval ?pool ?page_pool ?plan machine =
+   A page whose exact timestamp count equals the page size resets to
+   a constant, so when the page pool can supply a pre-filled buffer
+   the reset is a pointer exchange: the old buffer is retired, refilled
+   and deposited for recycling at the next interval.  Invisible to the
+   simulation — same final metadata, same return value at every cap. *)
+let reset_interval ?page_pool machine =
   let mem = machine.Machine.mem in
   let mapped = Memory.mapped_page_count mem ~heap:Heap.Shadow in
   (match page_pool with
@@ -236,7 +198,6 @@ let reset_interval ?pool ?page_pool ?plan machine =
     Memory.fold_pages mem ~heap:Heap.Shadow ~init:[] ~f:(fun ~key page acc ->
         if Memory.any_timestamp page then key :: acc else acc)
   in
-  let jobs = ref [] in
   let retired = ref [] in
   List.iter
     (fun key ->
@@ -254,35 +215,16 @@ let reset_interval ?pool ?page_pool ?plan machine =
                retired := Memory.swap_bytes p fresh :: !retired;
                true))
       in
-      if not swapped then begin
-        let bytes = Memory.page_bytes p in
-        jobs := (fun () -> scan_rewrite bytes) :: !jobs
-      end)
+      if not swapped then scan_rewrite (Memory.page_bytes p))
     flagged;
   (match page_pool with
   | Some pp ->
     let fill = Page_pool.fill pp in
     List.iter
       (fun b ->
-        jobs := (fun () -> Bytes.fill b 0 Memory.page_size fill) :: !jobs)
-      !retired
-  | None -> ());
-  let width =
-    match plan with
-    | Some f -> f ~jobs:(List.length !jobs)
-    | None -> (
-      match pool with Some dp -> Domain_pool.size dp * 2 | None -> 1)
-  in
-  (match pool with
-  | Some dp when Domain_pool.size dp > 1 && width > 1 ->
-    let chunks = chunk_jobs width !jobs in
-    ignore
-      (Domain_pool.run dp
-         (List.map (fun fs () -> List.iter (fun f -> f ()) fs) chunks))
-  | Some _ | None -> List.iter (fun f -> f ()) !jobs);
-  (match page_pool with
-  | Some pp ->
-    List.iter (Page_pool.deposit pp) !retired;
+        Bytes.fill b 0 Memory.page_size fill;
+        Page_pool.deposit pp b)
+      !retired;
     (* Feed the adaptive cap: this reset's retirement footprint.
        No-op on fixed-cap pools. *)
     Page_pool.note_interval pp ~retired:(List.length !retired)

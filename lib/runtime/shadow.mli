@@ -47,10 +47,8 @@ val iteration_of_timestamp : interval_start:int -> int -> int
     promotes a page or moves a simulated cycle. *)
 val probe : Privateer_machine.Machine.t -> addr:int -> int * bool
 
-(** The two private-access kinds Table 2 distinguishes (re-export of
-    {!Shadow_sig.op} so this module satisfies
-    {!Shadow_sig.module-type-S} alongside {!Shadow_reference}). *)
-type op = Shadow_sig.op = Read | Write
+(** The two private-access kinds Table 2 distinguishes. *)
+type op = Read | Write
 
 type verdict =
   | Keep  (** metadata unchanged *)
@@ -67,7 +65,8 @@ val transition : op -> current:int -> beta:int -> verdict
     the page bytes, page summary flags raised for the checkpoint and
     reset scans, and the exact per-page timestamp-byte count
     maintained for the reset's swap-retirement path.  Byte-for-byte
-    equivalent to [Shadow_reference.access] (property-tested).
+    equivalent to the per-byte reference oracle kept in the test
+    library (property-tested).
     @raise Misspec.Misspeculation on a violation. *)
 val access :
   Privateer_machine.Machine.t -> op -> addr:int -> size:int -> beta:int -> unit
@@ -77,21 +76,11 @@ val access :
     shadow pages — the unchanged simulated cost charge — while host
     work visits only pages whose [any_timestamp] summary flag is set.
 
-    Host accelerations, neither of which moves a simulated cycle or a
-    metadata byte: [pool] fans the per-page byte work (disjoint by
-    construction of the per-heap page banks) over a domain pool, and
     [page_pool] retires fully-timestamped pages (exact count equal to
     [Memory.page_size]) by swapping in a pre-filled buffer instead of
-    rewriting 4096 bytes, with retired buffers refilled off the
-    sequential path and recycled across intervals.  [plan] is the
-    host controller's hook: given the byte-work job count it returns
-    the chunk width ([<= 1]: sequential even with a pool); without it
-    a configured pool fans out [2 * size] ways.
+    rewriting 4096 bytes, with retired buffers refilled and recycled
+    across intervals — a host acceleration that moves no simulated
+    cycle and no metadata byte.
     @raise Invalid_argument if [page_pool]'s fill byte is not
     [old_write]. *)
-val reset_interval :
-  ?pool:Privateer_support.Domain_pool.t ->
-  ?page_pool:Page_pool.t ->
-  ?plan:(jobs:int -> int) ->
-  Privateer_machine.Machine.t ->
-  int
+val reset_interval : ?page_pool:Page_pool.t -> Privateer_machine.Machine.t -> int

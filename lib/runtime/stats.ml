@@ -58,16 +58,14 @@ type t = {
   mutable ns_merge_fill : float;
   mutable ns_merge_validate : float;
   mutable ns_merge_sweep : float;
-  (* Host wall time of the other three host-parallel stages (interval
+  (* Host wall time of the other three interval stages (interval
      reset, checkpoint extraction, spawn setup) — instrumentation like
-     ns_merge_*, feeding the host controller and the CLI report. *)
+     ns_merge_*, feeding the CLI report. *)
   mutable ns_reset : float;
   mutable ns_extract : float;
   mutable ns_spawn : float;
-  (* How often the host controller ran each stage parallel vs
-     sequentially.  Host-side like the ns_* fields: in auto mode the
-     split follows observed host timings, so it may vary run to run
-     and must never feed a simulated decision. *)
+  (* Inert: no stage fans out any more, so these read 0.  They stay
+     until the benchmark stops reading them. *)
   mutable par_resets : int;
   mutable seq_resets : int;
   mutable par_extracts : int;

@@ -16,11 +16,10 @@ type loop_stats = {
 }
 
 (** Whole-run counters.  Every field is part of the deterministic
-    simulation — none may vary with host parallelism
-    ([Executor.config.host_domains]), a property the host-parallel
-    test suite asserts — except the [ns_*] host-time accumulators and
-    the [par_*]/[seq_*] host-controller decision counters, which are
-    explicitly host-side instrumentation.  The [eager_*] /
+    simulation — none may vary with host settings such as the
+    shadow-page pool cap or concurrent server jobs — except the [ns_*]
+    host-time accumulators, which are explicitly host-side
+    instrumentation.  The [eager_*] /
     [squashed_iterations] / [avoided_iterations] fields are simulated
     and host-deterministic, but differ between the two validation
     modes by design; the authoritative table of every
@@ -72,9 +71,10 @@ type t = {
   mutable ns_extract : float;  (** host ns in checkpoint extraction *)
   mutable ns_spawn : float;  (** host ns in spawn-time snapshot setup *)
   mutable par_resets : int;
-      (** interval resets the host controller fanned out (vs
-          [seq_resets] run sequentially).  Host-side: in auto mode the
-          split follows observed host timings. *)
+      (** Inert, like the other seven [par_*]/[seq_*] counters: no
+          engine stage fans out over host domains any more, so they
+          always read 0.  They remain for readers that still name
+          them. *)
   mutable seq_resets : int;
   mutable par_extracts : int;
   mutable seq_extracts : int;

@@ -3,16 +3,15 @@
 
    Each job is a whole pipeline — profile (train input), classify,
    transform, speculative parallel run (run input) — and jobs run
-   concurrently as tasks on the process's work-stealing `Domain_pool`:
-   a job body is one submitted future, and the stage fan-outs it
-   performs (checkpoint extraction, merge shards, interval reset) are
-   nested `Domain_pool.run` calls whose tasks interleave with other
-   jobs' on the same deques.
+   concurrently as tasks on the server's work-stealing `Domain_pool`:
+   a job body is one submitted future, and everything inside it runs
+   on the domain that took it.  This is the program's only host
+   parallelism.
 
    Determinism contract: a job's simulated cycles, output, result and
    every non-host stats counter (everything but the `ns_*` wall-time
-   accumulators and the `par_*`/`seq_*` controller decision counters)
-   depend only on the job itself, never on what else is in flight —
+   accumulators) depend only on the job itself, never on what else is
+   in flight —
    N jobs at any `max_inflight` are byte-identical to the same jobs
    run serially.  [fingerprint] digests exactly that deterministic
    surface, so the bench and tests can assert the contract cheaply.
@@ -92,8 +91,7 @@ type job = {
 (* Everything here must be independent of host parallelism and of
    concurrent neighbours: simulated cycles and outputs, the
    non-instrumentation stats counters, and the per-loop table.  The
-   ns_* accumulators and the controller's par_*/seq_* decision splits
-   are host-side and deliberately excluded. *)
+   ns_* accumulators are host-side and deliberately excluded. *)
 let deterministic_stats (s : Stats.t) =
   let loops =
     List.map
@@ -122,16 +120,12 @@ let fingerprint_of_run ~output ~result ~cycles ~fallbacks stats =
 
 (* ---- job execution ----------------------------------------------------- *)
 
-(* The whole pipeline, on the caller's domain (possibly a pool worker).
-   [pool] is the server's pool, passed straight to the executor so a
-   concurrent job can never replace — and shut down — the shared pool
-   through the `Domain_pool.shared` registry. *)
-let execute_spec ?pool spec =
+(* The whole pipeline, on the caller's domain (possibly a pool worker). *)
+let execute_spec spec =
   let tr, profiler =
-    Pipeline.compile ~setup:spec.js_train ~config:spec.js_config ?pool
-      spec.js_program
+    Pipeline.compile ~setup:spec.js_train ~config:spec.js_config spec.js_program
   in
-  let par = Pipeline.run_parallel ~setup:spec.js_run ~config:spec.js_config ?pool tr in
+  let par = Pipeline.run_parallel ~setup:spec.js_run ~config:spec.js_config tr in
   let baseline =
     if spec.js_baseline then
       Some (Pipeline.run_sequential ~setup:spec.js_run spec.js_program)
@@ -164,9 +158,7 @@ type t = {
   sv_inflight_cap : int; (* effective: clamped to host cores *)
   mutable sv_inflight : int;
   sv_pool : Domain_pool.t option; (* None: jobs run inline, one at a time *)
-  sv_kind : Domain_pool.kind;
   sv_host_cores : int;
-  sv_config : RC.t; (* server base config (host knobs of record) *)
   mutable sv_jobs : job list; (* every accepted job, reverse order *)
   mutable sv_next_id : int;
   mutable sv_started_ns : float;
@@ -188,21 +180,13 @@ let create ?host_cores ~config () =
     | None -> Domain.recommended_domain_count ()
   in
   let inflight = effective_inflight_for ~host_cores ~max_inflight:config.RC.max_inflight in
-  (* The pool serves both levels of parallelism: job bodies and the
-     stage fan-outs inside them.  Size it to the larger of the two
-     demands; per-job configs are normalized to this size below. *)
-  let pool_domains = max inflight config.RC.host_domains in
-  let pool =
-    if inflight > 1 || (pool_domains > 1 && host_cores > 1) then
-      Some (Domain_pool.create ~kind:config.RC.pool_kind ~domains:pool_domains ())
-    else None
-  in
+  (* One domain per in-flight job. *)
+  let pool = if inflight > 1 then Some (Domain_pool.create ~domains:inflight ()) else None in
   { sv_mutex = Mutex.create (); sv_not_full = Condition.create ();
     sv_changed = Condition.create (); sv_queue = Queue.create ();
     sv_queue_cap = config.RC.queue_cap;
     sv_requested_inflight = config.RC.max_inflight; sv_inflight_cap = inflight;
-    sv_inflight = 0; sv_pool = pool; sv_kind = config.RC.pool_kind;
-    sv_host_cores = host_cores; sv_config = config; sv_jobs = [];
+    sv_inflight = 0; sv_pool = pool; sv_host_cores = host_cores; sv_jobs = [];
     sv_next_id = 0; sv_started_ns = Clock.now_ns (); sv_shut = false }
 
 let effective_inflight t = t.sv_inflight_cap
@@ -215,15 +199,6 @@ let state t job =
   Mutex.unlock t.sv_mutex;
   s
 
-(* Per-job host knobs must agree with the server's pool: the executor
-   is handed the shared pool directly, so its chunking heuristics and
-   controller must be sized to it, and a poolless server pins jobs to
-   the sequential reference path. *)
-let normalize_config t (c : RC.t) =
-  match t.sv_pool with
-  | Some p -> { c with RC.host_domains = Domain_pool.size p; pool_kind = t.sv_kind }
-  | None -> { c with RC.host_domains = 1; pool_kind = t.sv_kind }
-
 (* Run [job] to completion on the calling domain and settle its state.
    Never raises: a failed pipeline is a Failed job, not a dead pool
    task.  Completion frees an in-flight slot, so it pumps the queue —
@@ -232,9 +207,7 @@ let normalize_config t (c : RC.t) =
 let rec run_job_body t job () =
   let outcome =
     try
-      let r = execute_spec ?pool:t.sv_pool
-          { job.j_spec with js_config = normalize_config t job.j_spec.js_config }
-      in
+      let r = execute_spec job.j_spec in
       let now = Clock.now_ns () in
       Done
         { r with
@@ -442,7 +415,6 @@ let report t =
       ("max_inflight_effective", Json.Int t.sv_inflight_cap);
       ("queue_cap", Json.Int t.sv_queue_cap);
       ("host_cores", Json.Int t.sv_host_cores);
-      ("pool_kind", Json.String (Domain_pool.kind_to_string t.sv_kind));
       ("wall_s", Json.Float wall_s);
       ( "throughput_jobs_per_s",
         Json.Float

@@ -3,10 +3,9 @@
 
     Each job is a whole pipeline — profile on the train input,
     classify, transform, speculative parallel run on the run input —
-    submitted as one pool future; the stage fan-outs inside it
-    (checkpoint extraction, merge shards, interval reset) are nested
-    [Domain_pool.run] calls whose tasks interleave with other jobs' on
-    the same deques.
+    submitted as one pool future and run to completion on the domain
+    that takes it.  Concurrent jobs are the program's only host
+    parallelism.
 
     {b Admission control.} At most [max_inflight] jobs run at once —
     clamped to the host core count, so a 1-core host degrades to
@@ -16,9 +15,8 @@
 
     {b Determinism contract.} A job's simulated cycles, output, result
     and every non-host stats counter (all but the [ns_*] wall-time
-    accumulators and the [par_*]/[seq_*] controller decision counters)
-    depend only on the job itself: N jobs at any [max_inflight], on
-    either pool kind, are byte-identical to the same jobs run
+    accumulators) depend only on the job itself: N jobs at any
+    [max_inflight] are byte-identical to the same jobs run
     serially.  {!job_result}.[jr_fingerprint] digests exactly that
     surface. *)
 
@@ -82,13 +80,13 @@ type job
 
 type t
 
-(** [create ~config ()] builds a server from [config]'s [max_inflight],
-    [queue_cap], [pool_kind] and [host_domains] knobs, spawning its own
-    domain pool (never the [Domain_pool.shared] registry — concurrent
-    servers must not shut each other's pools down).  [host_cores]
-    overrides the detected core count, for tests: the effective
-    in-flight bound is [max_inflight] clamped to it, and a 1-core host
-    runs jobs sequentially with no pool at all. *)
+(** [create ~config ()] builds a server from [config]'s [max_inflight]
+    and [queue_cap] knobs, spawning its own domain pool of one domain
+    per in-flight job (never the [Domain_pool.shared] registry —
+    concurrent servers must not shut each other's pools down).
+    [host_cores] overrides the detected core count, for tests: the
+    effective in-flight bound is [max_inflight] clamped to it, and an
+    effective bound of 1 runs jobs sequentially with no pool at all. *)
 val create : ?host_cores:int -> config:RC.t -> unit -> t
 
 val effective_inflight : t -> int

@@ -15,7 +15,7 @@
    generated on first use and registered as a first-class workload;
    `scale=N` picks the workload's large-input scale factor.  <knob> is
    any Runtime_config CLI binding name (workers, checkpoint, schedule,
-   pool-kind, ...), applied over the server's base config — the same
+   validation, ...), applied over the server's base config — the same
    single table that feeds the CLI flags, so every engine knob is
    expressible per job with no manifest change.  `repeat=N` expands
    the line into N independent jobs named <name>#1 .. <name>#N (each

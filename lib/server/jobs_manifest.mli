@@ -9,7 +9,7 @@
 
     [#] starts a comment; blank lines are skipped.  [<knob>] is any
     {!Privateer_parallel.Runtime_config.cli_bindings} flag name
-    ([workers], [checkpoint], [schedule], [pool-kind], ...), applied
+    ([workers], [checkpoint], [schedule], [validation], ...), applied
     over the base config — the same table that feeds the CLI flags.
     [repeat=N] expands a line into N independent jobs named
     [<name>#1 .. <name>#N], each with its own parsed AST.  [file:]

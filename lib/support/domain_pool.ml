@@ -1,61 +1,31 @@
 (* A small fixed pool of OCaml 5 domains.
 
-   The pool is a process-wide scheduler, not a per-run helper: any
-   number of client domains may submit work concurrently — barrier
-   fan-outs via [run], fire-and-forget futures via [submit]/[await] —
-   and tasks from all of them interleave on the same worker domains.
-   The job server multiplexes whole speculative pipelines this way:
-   each job body is one future, and the stage fan-outs it performs
-   ([run] called from inside a pool task) push their tasks onto the
-   same deques, so one job's merge shards interleave with another's
-   extraction scans instead of monopolizing the pool.
+   The pool is a process-wide scheduler for fire-and-forget futures
+   ([submit]/[await]): any number of client domains may submit work
+   concurrently, and tasks from all of them interleave on the same
+   worker domains.  The job server multiplexes whole speculative
+   pipelines this way — each job body is one future.
 
-   Two scheduler kinds share one [run] contract:
-
-   - [Work_stealing] (the default): one chunked circular deque per
-     domain, guarded by a per-deque mutex.  [run] submits its tasks in
-     contiguous batches — one lock acquisition per deque, not per
-     task — and every domain pops its own deque LIFO (hot cache) while
-     idle domains steal FIFO from the other end, so a straggler's
-     oldest work migrates first.  A global mutex/condition pair exists
-     only for sleeping: an atomic count of enqueued tasks is the
-     wake-up predicate, and submitters broadcast while holding the
-     mutex, so a worker that re-checks the count under the lock cannot
-     miss a wake-up.
-
-   - [Single_queue]: the original single mutex/condition work queue,
-     kept verbatim behind the kind flag as the differential-testing
-     oracle for the work-stealing scheduler.
-
-   Either way [run] wraps each task to capture its result or
-   exception, the calling domain helps drain the work, and results are
-   re-assembled in task order with the first (task-order) exception
-   re-raised — so the two kinds are observably identical on correct
-   task sets, and differential tests can compare them on incorrect
-   ones too.
+   Scheduling is work-stealing: one circular deque per domain, guarded
+   by a per-deque mutex.  Submissions are placed round-robin; every
+   domain pops its own deque LIFO (hot cache) while idle domains steal
+   FIFO from the other end, so a straggler's oldest work migrates
+   first.  A global mutex/condition pair exists only for sleeping: an
+   atomic count of enqueued tasks is the wake-up predicate, and
+   submitters broadcast while holding the mutex, so a worker that
+   re-checks the count under the lock cannot miss a wake-up.
 
    Determinism contract: tasks receive no ordering or placement
    guarantees, so callers must make task results independent of
-   execution order; [run] re-assembles them in task order. *)
+   execution order. *)
 
-type kind = Work_stealing | Single_queue
-
-let kind_to_string = function
-  | Work_stealing -> "work-stealing"
-  | Single_queue -> "legacy"
-
-let kind_of_string s =
-  match String.lowercase_ascii (String.trim s) with
-  | "work-stealing" | "ws" -> Some Work_stealing
-  | "legacy" | "single-queue" -> Some Single_queue
-  | _ -> None
+type kind = Work_stealing
 
 (* ---- per-domain deque -------------------------------------------------- *)
 
-(* A growable circular buffer: the owner pushes and pops at the tail
-   (LIFO), thieves take from the head (FIFO).  One mutex per deque —
-   contention is per-victim, not global, and the batched submission
-   touches each deque once. *)
+(* A growable circular buffer: the owner pops at the tail (LIFO),
+   thieves take from the head (FIFO).  One mutex per deque —
+   contention is per-victim, not global. *)
 type deque = {
   dq_mutex : Mutex.t;
   mutable dq_buf : (unit -> unit) option array;
@@ -67,28 +37,19 @@ let deque_create () =
   { dq_mutex = Mutex.create (); dq_buf = Array.make 16 None; dq_head = 0;
     dq_len = 0 }
 
-(* Callers hold [dq_mutex]. *)
-let deque_grow dq needed =
+let deque_push dq task =
+  Mutex.lock dq.dq_mutex;
   let cap = Array.length dq.dq_buf in
-  if dq.dq_len + needed > cap then begin
-    let cap' = max (cap * 2) (dq.dq_len + needed) in
-    let buf = Array.make cap' None in
+  if dq.dq_len = cap then begin
+    let buf = Array.make (cap * 2) None in
     for i = 0 to dq.dq_len - 1 do
       buf.(i) <- dq.dq_buf.((dq.dq_head + i) mod cap)
     done;
     dq.dq_buf <- buf;
     dq.dq_head <- 0
-  end
-
-let deque_push_batch dq tasks =
-  Mutex.lock dq.dq_mutex;
-  deque_grow dq (List.length tasks);
-  let cap = Array.length dq.dq_buf in
-  List.iter
-    (fun task ->
-      dq.dq_buf.((dq.dq_head + dq.dq_len) mod cap) <- Some task;
-      dq.dq_len <- dq.dq_len + 1)
-    tasks;
+  end;
+  dq.dq_buf.((dq.dq_head + dq.dq_len) mod Array.length dq.dq_buf) <- Some task;
+  dq.dq_len <- dq.dq_len + 1;
   Mutex.unlock dq.dq_mutex
 
 (* Owner side: newest task first (LIFO). *)
@@ -129,44 +90,18 @@ type t = {
   mutable visible : int;
       (* the size callers asked for — what [size] reports and what the
          sequential-fallback check consults.  [shared] may hand out a
-         pool whose spawned domains outnumber the current request; its
-         chunking heuristics must see the requested parallelism. *)
+         pool whose spawned domains outnumber the current request. *)
   actual : int; (* spawned parallelism: worker domains + the caller *)
-  kind : kind;
-  mutex : Mutex.t; (* guards sleep/wake and every run's completion count *)
+  mutex : Mutex.t; (* guards sleep/wake and every future's state *)
   work_ready : Condition.t;
-  queue : (unit -> unit) Queue.t; (* Single_queue work *)
-  deques : deque array; (* Work_stealing work, one per domain *)
-  enqueued : int Atomic.t; (* Work_stealing wake-up predicate *)
-  submit_rr : int Atomic.t; (* Work_stealing [submit] placement cursor *)
+  deques : deque array; (* one per domain *)
+  enqueued : int Atomic.t; (* wake-up predicate *)
+  submit_rr : int Atomic.t; (* [submit] placement cursor *)
   mutable stopping : bool;
   mutable workers : unit Domain.t list;
 }
 
 let size t = t.visible
-let pool_kind t = t.kind
-
-(* ---- Single_queue worker ----------------------------------------------- *)
-
-let rec sq_worker_loop t =
-  Mutex.lock t.mutex;
-  let rec next () =
-    if t.stopping then None
-    else
-      match Queue.take_opt t.queue with
-      | Some task -> Some task
-      | None ->
-        Condition.wait t.work_ready t.mutex;
-        next ()
-  in
-  match next () with
-  | None -> Mutex.unlock t.mutex
-  | Some task ->
-    Mutex.unlock t.mutex;
-    task ();
-    sq_worker_loop t
-
-(* ---- Work_stealing worker ---------------------------------------------- *)
 
 (* Take one task as domain [me]: own deque LIFO first, then steal FIFO
    round-robin from the victims.  The [enqueued] decrement happens
@@ -191,8 +126,8 @@ let try_run_one t me =
     in
     scan 1
 
-let rec ws_worker_loop t me =
-  if try_run_one t me then ws_worker_loop t me
+let rec worker_loop t me =
+  if try_run_one t me then worker_loop t me
   else begin
     Mutex.lock t.mutex;
     (* Submitters broadcast while holding the mutex after raising
@@ -202,30 +137,24 @@ let rec ws_worker_loop t me =
       Condition.wait t.work_ready t.mutex;
     let stop = t.stopping in
     Mutex.unlock t.mutex;
-    if not stop then ws_worker_loop t me
+    if not stop then worker_loop t me
   end
 
 (* ---- lifecycle --------------------------------------------------------- *)
 
-let create ?(kind = Work_stealing) ~domains () =
+let create ~domains () =
   if domains < 1 || domains > 64 then
     invalid_arg
       (Printf.sprintf "Domain_pool.create: domains must be in [1, 64] (got %d)" domains);
   let t =
-    { visible = domains; actual = domains; kind; mutex = Mutex.create ();
-      work_ready = Condition.create (); queue = Queue.create ();
-      deques =
-        (match kind with
-        | Work_stealing -> Array.init domains (fun _ -> deque_create ())
-        | Single_queue -> [||]);
+    { visible = domains; actual = domains; mutex = Mutex.create ();
+      work_ready = Condition.create ();
+      deques = Array.init domains (fun _ -> deque_create ());
       enqueued = Atomic.make 0; submit_rr = Atomic.make 0; stopping = false;
       workers = [] }
   in
   t.workers <-
-    List.init (domains - 1) (fun i ->
-        match kind with
-        | Work_stealing -> Domain.spawn (fun () -> ws_worker_loop t (i + 1))
-        | Single_queue -> Domain.spawn (fun () -> sq_worker_loop t));
+    List.init (domains - 1) (fun i -> Domain.spawn (fun () -> worker_loop t (i + 1)));
   t
 
 let shutdown t =
@@ -236,83 +165,6 @@ let shutdown t =
   Condition.broadcast t.work_ready;
   Mutex.unlock t.mutex;
   List.iter Domain.join ws
-
-(* ---- run --------------------------------------------------------------- *)
-
-(* One result slot per task; exceptions are captured and the first (in
-   task order) re-raised by the caller once everything settled. *)
-let run t tasks =
-  match tasks with
-  | [] -> []
-  | [ f ] -> [ f () ]
-  | tasks when t.visible <= 1 || t.stopping -> List.map (fun f -> f ()) tasks
-  | tasks ->
-    let tasks = Array.of_list tasks in
-    let n = Array.length tasks in
-    let results = Array.make n None in
-    let pending = ref n in
-    let all_done = Condition.create () in
-    let wrap i f () =
-      let r = try Ok (f ()) with e -> Error e in
-      Mutex.lock t.mutex;
-      results.(i) <- Some r;
-      decr pending;
-      if !pending = 0 then Condition.broadcast all_done;
-      Mutex.unlock t.mutex
-    in
-    (match t.kind with
-    | Single_queue ->
-      Mutex.lock t.mutex;
-      Array.iteri (fun i f -> Queue.push (wrap i f) t.queue) tasks;
-      Condition.broadcast t.work_ready;
-      (* The calling domain helps drain the queue, then waits for the
-         tasks other domains still have in flight. *)
-      let rec help () =
-        match Queue.take_opt t.queue with
-        | Some task ->
-          Mutex.unlock t.mutex;
-          task ();
-          Mutex.lock t.mutex;
-          help ()
-        | None -> ()
-      in
-      help ();
-      while !pending > 0 do
-        Condition.wait all_done t.mutex
-      done;
-      Mutex.unlock t.mutex
-    | Work_stealing ->
-      (* Batched submission: contiguous task slices, one deque lock
-         each.  The caller (domain 0) gets the first slice and drains
-         it LIFO before stealing from the workers' slices. *)
-      let d = Array.length t.deques in
-      let per = (n + d - 1) / d in
-      for j = 0 to d - 1 do
-        let lo = j * per in
-        let hi = min n (lo + per) in
-        if lo < hi then
-          deque_push_batch t.deques.(j)
-            (List.init (hi - lo) (fun k -> wrap (lo + k) tasks.(lo + k)))
-      done;
-      Atomic.fetch_and_add t.enqueued n |> ignore;
-      Mutex.lock t.mutex;
-      Condition.broadcast t.work_ready;
-      Mutex.unlock t.mutex;
-      (* Help: run everything still enqueued, then wait for tasks in
-         flight on other domains. *)
-      while try_run_one t 0 do () done;
-      Mutex.lock t.mutex;
-      while !pending > 0 do
-        Condition.wait all_done t.mutex
-      done;
-      Mutex.unlock t.mutex);
-    Array.to_list
-      (Array.map
-         (function
-           | Some (Ok v) -> v
-           | Some (Error e) -> raise e
-           | None -> assert false)
-         results)
 
 (* ---- futures ----------------------------------------------------------- *)
 
@@ -326,8 +178,8 @@ type 'a future = { fu_pool : t; mutable fu_st : 'a state }
 
 let submit t f =
   if t.visible <= 1 || t.stopping then
-    (* Sequential fallback, mirroring [run]: execute on the submitting
-       domain and hand back an already-settled future. *)
+    (* Sequential fallback: execute on the submitting domain and hand
+       back an already-settled future. *)
     { fu_pool = t;
       fu_st = (match f () with v -> Settled v | exception e -> Failed e) }
   else begin
@@ -341,23 +193,16 @@ let submit t f =
       Condition.broadcast t.work_ready;
       Mutex.unlock t.mutex
     in
-    (match t.kind with
-    | Single_queue ->
-      Mutex.lock t.mutex;
-      Queue.push task t.queue;
-      Condition.broadcast t.work_ready;
-      Mutex.unlock t.mutex
-    | Work_stealing ->
-      (* Round-robin placement spreads independent submissions across
-         the deques; steals rebalance whatever this gets wrong. *)
-      let d = Array.length t.deques in
-      let j = Atomic.fetch_and_add t.submit_rr 1 mod d in
-      let j = if j < 0 then j + d else j in
-      deque_push_batch t.deques.(j) [ task ];
-      Atomic.incr t.enqueued;
-      Mutex.lock t.mutex;
-      Condition.broadcast t.work_ready;
-      Mutex.unlock t.mutex);
+    (* Round-robin placement spreads independent submissions across
+       the deques; steals rebalance whatever this gets wrong. *)
+    let d = Array.length t.deques in
+    let j = Atomic.fetch_and_add t.submit_rr 1 mod d in
+    let j = if j < 0 then j + d else j in
+    deque_push t.deques.(j) task;
+    Atomic.incr t.enqueued;
+    Mutex.lock t.mutex;
+    Condition.broadcast t.work_ready;
+    Mutex.unlock t.mutex;
     fu
   end
 
@@ -370,22 +215,6 @@ let poll fu =
   | Pending -> None
   | Settled v -> Some (Ok v)
   | Failed e -> Some (Error e)
-
-(* Take one task destined for anyone — [await]'s way of helping while
-   its future is pending.  Work_stealing scans every deque starting at
-   slot 0; Single_queue takes from the shared queue. *)
-let help_one t =
-  match t.kind with
-  | Work_stealing -> try_run_one t 0
-  | Single_queue ->
-    Mutex.lock t.mutex;
-    let task = Queue.take_opt t.queue in
-    Mutex.unlock t.mutex;
-    (match task with
-    | Some task ->
-      task ();
-      true
-    | None -> false)
 
 let await fu =
   let t = fu.fu_pool in
@@ -400,7 +229,9 @@ let await fu =
       raise e
     | Pending ->
       Mutex.unlock t.mutex;
-      if help_one t then loop ()
+      (* Help: take one task destined for anyone, scanning every deque
+         from slot 0. *)
+      if try_run_one t 0 then loop ()
       else begin
         (* Nothing takeable: the future's task (or work it spawned) is
            in flight on another domain.  Every settle and every
@@ -408,9 +239,7 @@ let await fu =
            and queues under the lock closes the lost wake-up window. *)
         Mutex.lock t.mutex;
         (match fu.fu_st with
-        | Pending
-          when Atomic.get t.enqueued = 0 && Queue.is_empty t.queue
-               && not t.stopping ->
+        | Pending when Atomic.get t.enqueued = 0 && not t.stopping ->
           Condition.wait t.work_ready t.mutex
         | _ -> ());
         Mutex.unlock t.mutex;
@@ -424,20 +253,20 @@ let await fu =
 let shared_mutex = Mutex.create ()
 let shared_pool : t option ref = ref None
 
-let shared ?(kind = Work_stealing) ~domains () =
+let shared ?kind:(_ = Work_stealing) ~domains () =
   let domains = max 1 domains in
   Mutex.lock shared_mutex;
   let p =
     match !shared_pool with
-    | Some p when p.actual >= domains && p.kind = kind && not p.stopping ->
-      (* Reuse the spawned domains, but report (and chunk for) the
-         parallelism this caller asked for — a smaller request must not
-         silently inherit the larger pool's size. *)
+    | Some p when p.actual >= domains && not p.stopping ->
+      (* Reuse the spawned domains, but report the parallelism this
+         caller asked for — a smaller request must not silently
+         inherit the larger pool's size. *)
       p.visible <- domains;
       p
     | prev ->
       Option.iter shutdown prev;
-      let p = create ~kind ~domains () in
+      let p = create ~domains () in
       shared_pool := Some p;
       p
   in

@@ -1,71 +1,35 @@
 (** A small fixed pool of OCaml 5 domains for host-side parallelism.
 
     The simulated runtime is deterministic and single-threaded; the
-    pool exists so that {e host} work whose result is order-independent
-    — checkpoint extraction scans over disjoint shadow pages, above
-    all — can fan out over the machine's cores without perturbing any
-    simulated state.  Consumers must uphold one rule: tasks touching
-    the same mutable structure synchronize it themselves (or write
-    task-local state) — the pool adds no locking around user data.
+    pool's one client is the job server, which runs whole speculative
+    pipelines concurrently as futures ({!submit}/{!await}).  Nothing
+    below the job server fans out: every engine stage runs on the
+    domain that runs its job.
 
-    The pool is a process-wide scheduler, safe for concurrent clients:
-    any number of domains may call {!run} and {!submit} at once, and
-    a pool task may itself call back into the pool.  A nested {!run}
-    pushes its tasks onto the same queues and the calling task helps
-    drain them before waiting, so the waits-for graph stays acyclic
-    (every blocked domain first exhausts all takeable work, and
-    in-flight tasks are by definition executing on some domain).  The
-    job server leans on this: each job body is one {!submit}ted task,
-    and the stage fan-outs it performs are nested {!run}s whose tasks
-    interleave with other jobs' on the same deques.
+    The pool is safe for concurrent clients: any number of domains may
+    call {!submit} at once, and a pool task may itself submit and
+    await — an awaiter helps drain the pool before it sleeps, so the
+    waits-for graph stays acyclic.
 
-    A pool of size 1 (or an empty/singleton task list) degrades to
-    plain sequential execution in the calling domain, with no domains
-    spawned and no synchronization — the sequential path stays the
-    reference semantics.  Results are always returned in task order,
-    so a correct task set produces byte-identical results at every
-    pool size, every {!kind}, and every schedule. *)
+    A pool of size 1 degrades to plain sequential execution in the
+    calling domain, with no domains spawned and no synchronization. *)
 
 type t
 
-(** The scheduler behind [run].  {!Work_stealing} (the default) keeps
-    one chunked deque per domain: submission batches contiguous task
-    slices onto the deques (one lock per deque), owners pop LIFO,
-    idle domains steal FIFO from the others.  {!Single_queue} is the
-    original single mutex/condition work queue, retained as the
-    differential-testing oracle.  Both kinds present the identical
-    [run] contract. *)
-type kind = Work_stealing | Single_queue
+(** The scheduler: one deque per domain, owners pop LIFO, idle domains
+    steal FIFO from the others.  The single constructor remains so
+    existing callers of {!shared} that name it keep compiling. *)
+type kind = Work_stealing
 
-val kind_to_string : kind -> string
-(** ["work-stealing"] / ["legacy"]. *)
-
-val kind_of_string : string -> kind option
-(** Accepts ["work-stealing"], ["ws"], ["legacy"], ["single-queue"]
-    (case-insensitive). *)
-
-(** [create ?kind ~domains ()] makes a pool of total parallelism
-    [domains]: the calling domain participates in [run], so
-    [domains - 1] worker domains are spawned.  [domains <= 1] spawns
-    nothing.
+(** [create ~domains ()] makes a pool of total parallelism
+    [domains]: the awaiting domain helps run tasks, so [domains - 1]
+    worker domains are spawned.  [domains <= 1] spawns nothing.
     @raise Invalid_argument if [domains < 1] or [domains > 64]. *)
-val create : ?kind:kind -> domains:int -> unit -> t
+val create : domains:int -> unit -> t
 
 (** Parallelism of the pool as requested by its creator (or the last
-    {!shared} caller) — the number [run] fans out to and the number
-    callers should size their chunking heuristics by. *)
+    {!shared} caller). *)
 val size : t -> int
-
-val pool_kind : t -> kind
-(** The scheduler kind this pool was created with. *)
-
-(** [run t tasks] executes every task, using the pool's worker domains
-    and the calling domain, and returns the results in task order.
-    Blocks until all tasks finish.  If a task raises, all tasks still
-    run and settle, and the first raised exception {e in task order}
-    (not completion order) is re-raised.  After [shutdown] the tasks
-    still run, sequentially in the calling domain. *)
-val run : t -> (unit -> 'a) list -> 'a list
 
 (** A one-shot handle to a task submitted with {!submit}. *)
 type 'a future
@@ -73,9 +37,8 @@ type 'a future
 (** [submit t f] schedules [f] to run on the pool and returns a future
     for its result, without blocking.  On a pool of size 1 (or after
     [shutdown]) [f] runs inline on the calling domain and the returned
-    future is already settled — the sequential path stays the
-    reference semantics, mirroring {!run}.  [f]'s exception, if any,
-    is captured and re-raised by {!await}. *)
+    future is already settled.  [f]'s exception, if any, is captured
+    and re-raised by {!await}. *)
 val submit : t -> (unit -> 'a) -> 'a future
 
 (** [await fu] blocks until [fu] settles, returning the task's result
@@ -90,18 +53,14 @@ val await : 'a future -> 'a
     re-raises. *)
 val poll : 'a future -> ('a, exn) result option
 
-(** Stop and join the worker domains.  Idempotent.  Subsequent [run]s
-    fall back to sequential execution. *)
+(** Stop and join the worker domains.  Idempotent.  Subsequent
+    {!submit}s run inline. *)
 val shutdown : t -> unit
 
 (** [shared ?kind ~domains ()] returns a process-wide pool of at least
-    [domains] total parallelism and the given kind, creating or
-    replacing it on demand (a previous smaller or differently-kinded
-    pool is shut down).  Repeated executors share this pool instead of
-    spawning domains per run — OCaml caps live domains at a small
-    fixed number, so per-invocation pools would exhaust it.  The
+    [domains] total parallelism, creating or replacing it on demand (a
+    previous smaller pool is shut down) — OCaml caps live domains at a
+    small fixed number, so per-client pools would exhaust it.  The
     returned pool {e reports} the requested [domains] through {!size}
-    even when the underlying pool has more spawned domains, so
-    callers' chunking heuristics and sequential-fallback checks see
-    the parallelism they asked for. *)
+    even when the underlying pool has more spawned domains. *)
 val shared : ?kind:kind -> domains:int -> unit -> t

@@ -1,8 +1,7 @@
 (* The original monolithic Privateer profiler (paper section 4.1),
    kept verbatim as the differential-testing oracle for the fast
-   event-batch frontend — the same pattern as [Shadow_reference] and
-   the legacy single-queue domain pool.  All five profilers run over
-   one set of interpreter hooks:
+   event frontend — the same pattern as [Shadow_reference].  All five
+   profilers run over one set of interpreter hooks:
 
    - pointer-to-object profiler: an interval map from live address
      ranges to object names records, for every load/store site, the
@@ -19,6 +18,7 @@
 open Privateer_support
 open Privateer_ir
 open Privateer_interp
+open Privateer_profile
 
 type instance = {
   name : Objname.t;

@@ -19,6 +19,7 @@
 
 open Privateer_ir
 open Privateer_machine
+open Privateer_runtime
 
 let access machine op ~addr ~size ~beta =
   for b = addr to addr + size - 1 do
@@ -30,11 +31,11 @@ let access machine op ~addr ~size ~beta =
     | Shadow.Fail mk -> raise (Misspec.Misspeculation (mk ~addr:b))
   done
 
-(* The oracle ignores both host accelerations: it always resets
-   sequentially, in place, per byte.  The optional arguments exist so
-   it satisfies [Shadow_sig.S] and the property tests can drive either
-   implementation through one functor. *)
-let reset_interval ?pool:_ ?page_pool:_ ?plan:_ machine =
+(* The oracle ignores the page pool: it always resets in place, per
+   byte.  The optional argument exists so it satisfies [Shadow_sig.S]
+   and the property tests can drive either implementation through one
+   functor. *)
+let reset_interval ?page_pool:_ machine =
   let mem = machine.Machine.mem in
   let pages =
     List.filter

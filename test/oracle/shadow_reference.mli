@@ -2,7 +2,7 @@
     metadata operations — the pre-page-index code, kept as an oracle.
 
     It satisfies the same {!Shadow_sig.module-type-S} signature as the
-    optimized {!Shadow}, so property tests functorize over the two and
+    optimized [Privateer_runtime.Shadow], so property tests functorize over the two and
     compare their observable effects byte for byte; the [overhead]
     bench experiment reports the host-time ratio between them.
 
@@ -11,7 +11,7 @@
     timestamp-byte counts, so a machine driven through this module
     must not be handed to the flag-driven fast paths
     ([Shadow.reset_interval], checkpoint extraction).  Its
-    [reset_interval] ignores the host-acceleration arguments and
-    always rewrites sequentially in place. *)
+    [reset_interval] ignores the page pool and always rewrites in
+    place. *)
 
 include Shadow_sig.S

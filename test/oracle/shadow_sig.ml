@@ -1,13 +1,13 @@
 (** The signature shared by the shadow-metadata implementations.
 
     Two modules implement it: the range-granular, flag-driven
-    {!Shadow} (the production path) and the per-byte
+    [Privateer_runtime.Shadow] (the production path) and the per-byte
     {!Shadow_reference} oracle.  Property tests functorize over
     {!module-type-S} so the same workload drives both and their
     observable effects can be compared byte for byte. *)
 
 (** The two private-access kinds the paper's Table 2 distinguishes. *)
-type op = Read | Write
+type op = Privateer_runtime.Shadow.op = Read | Write
 
 module type S = sig
   (** Apply the Table-2 transition to every metadata byte covering a
@@ -19,15 +19,10 @@ module type S = sig
   (** Checkpoint-time reset: every timestamp becomes old-write;
       read-live-in marks are preserved.  Returns the number of mapped
       shadow pages (the simulated cost charge — identical in every
-      implementation).  [pool] fans the host work over domains,
-      [page_pool] enables swap-retirement of fully-timestamped pages,
-      and [plan] lets a host controller pick the fan-out width; all
-      three are host-side accelerations an implementation may ignore,
-      and none moves a single simulated cycle or metadata byte. *)
+      implementation).  [page_pool] enables swap-retirement of
+      fully-timestamped pages, a host-side acceleration an
+      implementation may ignore; it moves no simulated cycle or
+      metadata byte. *)
   val reset_interval :
-    ?pool:Privateer_support.Domain_pool.t ->
-    ?page_pool:Page_pool.t ->
-    ?plan:(jobs:int -> int) ->
-    Privateer_machine.Machine.t ->
-    int
+    ?page_pool:Privateer_runtime.Page_pool.t -> Privateer_machine.Machine.t -> int
 end

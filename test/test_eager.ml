@@ -115,7 +115,7 @@ let run_mode ?inject validation =
   let program = Pipeline.parse clean_src in
   let tr, _ = Pipeline.compile ~config:full_profile program in
   let config =
-    { Privateer_parallel.Executor.default_config with
+    { Privateer_parallel.Runtime_config.default with
       workers = 4; checkpoint_period = Some 20; inject; validation }
   in
   (Pipeline.run_sequential program, Pipeline.run_parallel ~config tr)
@@ -169,7 +169,7 @@ let test_no_false_kill_on_clean_intervals () =
 (* ---- qcheck: eager = commit across the identity matrix ----------------- *)
 
 (* Generated programs (Test_props templates) through both validation
-   modes at several (host_domains, merge_shards) cells.  Output and
+   modes at each shadow-page pool cap (the host knob left).  Output and
    result must always match; on violation-free runs (the generator's
    selected loops are clean — dependence-carrying bodies are rejected
    at selection) cycles and checkpoints must match too, and eager must
@@ -179,11 +179,9 @@ let prop_eager_equals_commit tmpls =
   let program = Pipeline.parse src in
   let tr, _ = Pipeline.compile ~config:full_profile program in
   List.for_all
-    (fun (host_domains, merge_shards) ->
+    (fun pool_cap ->
       let run validation =
-        let config =
-          Runtime_config.make ~workers:5 ~host_domains ~merge_shards ~validation ()
-        in
+        let config = Runtime_config.make ~workers:5 ~pool_cap ~validation () in
         Pipeline.run_parallel ~config tr
       in
       let commit = run Runtime_config.Commit in
@@ -198,7 +196,7 @@ let prop_eager_equals_commit tmpls =
             && commit.Pipeline.stats.Stats.checkpoints
                = eager.Pipeline.stats.Stats.checkpoints
             && eager.Pipeline.stats.Stats.eager_kills = 0))
-    [ (1, 1); (3, 4) ]
+    [ 0; Privateer_runtime.Page_pool.unbounded ]
 
 (* Under injected misspeculation cycles legitimately diverge, but the
    observable behaviour (and the sequential oracle) must not. *)

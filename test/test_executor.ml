@@ -17,7 +17,7 @@ let compile src = Pipeline.compile ~config:full_profile (Pipeline.parse src)
 
 let config ?(workers = 4) ?checkpoint_period ?inject ?(schedule = Privateer_parallel.Schedule.Cyclic)
     ?(adaptive = false) ?throttle ?(serial_commit = false) () =
-  { Privateer_parallel.Executor.default_config with
+  { Privateer_parallel.Runtime_config.default with
     workers; checkpoint_period; inject; schedule; adaptive_period = adaptive;
     throttle; serial_commit }
 

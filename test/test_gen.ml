@@ -5,8 +5,8 @@
    The fuzz property is the generator's reason to exist: for random
    knobs, the generated program's parallel run must reproduce the
    sequential output byte-for-byte — at one worker (where the planted
-   misspeculation count is exact), at several workers over >= 4 host
-   cells, and under both validation modes (eager = commit on clean
+   misspeculation count is exact), at four workers at two pool caps,
+   and under both validation modes (eager = commit on clean
    scenarios; both = sequential on conflicted ones).  GEN_FUZZ_COUNT
    scales the case count (default 25). *)
 
@@ -130,7 +130,8 @@ let test_expected_classification () =
 
 (* ---- planted-conflict oracle -------------------------------------------- *)
 
-let run_scenario ?(workers = 1) ?(host_domains = 1) ?(merge_shards = 8)
+let run_scenario ?(workers = 1)
+    ?(pool_cap = Privateer_parallel.Runtime_config.default_pool_cap)
     ?(validation = Privateer_parallel.Runtime_config.Commit) (t : Scenario_gen.t) input =
   let wl, program, tr = compile_scenario t in
   let setup = Workload.setup wl input in
@@ -138,8 +139,8 @@ let run_scenario ?(workers = 1) ?(host_domains = 1) ?(merge_shards = 8)
   let par =
     Pipeline.run_parallel ~setup
       ~config:
-        { Privateer_parallel.Executor.default_config with
-          workers; host_domains; merge_shards; validation }
+        { Privateer_parallel.Runtime_config.default with
+          workers; pool_cap; validation }
       tr
   in
   (seq, par)
@@ -202,17 +203,15 @@ let fuzz_identity =
         && par1.par_result = seq.seq_result
         && par1.stats.Privateer_runtime.Stats.misspeculations = expected
       in
-      (* >= 4 host cells at 4 workers, both validation modes. *)
+      (* Pool cap {0, unbounded} at 4 workers, both validation modes. *)
       let cells =
         List.map
-          (fun (domains, shards, validation) ->
-            snd
-              (run_scenario ~workers:4 ~host_domains:domains ~merge_shards:shards
-                 ~validation t Workload.Ref))
-          [ (1, 1, Privateer_parallel.Runtime_config.Commit);
-            (4, 8, Privateer_parallel.Runtime_config.Commit);
-            (1, 1, Privateer_parallel.Runtime_config.Eager);
-            (4, 8, Privateer_parallel.Runtime_config.Eager) ]
+          (fun (pool_cap, validation) ->
+            snd (run_scenario ~workers:4 ~pool_cap ~validation t Workload.Ref))
+          [ (0, Privateer_parallel.Runtime_config.Commit);
+            (Privateer_runtime.Page_pool.unbounded, Privateer_parallel.Runtime_config.Commit);
+            (0, Privateer_parallel.Runtime_config.Eager);
+            (Privateer_runtime.Page_pool.unbounded, Privateer_parallel.Runtime_config.Eager) ]
       in
       let outputs_ok =
         List.for_all

@@ -1,41 +1,40 @@
-(* Host-parallel checkpoint extraction and the sharded phase-2 merge:
-   the sequential path is the correctness oracle.
+(* The checkpoint path's host fast paths and the job server's domain
+   pool, each against a simpler oracle:
 
-   - qcheck: extraction over a domain pool is byte-identical to the
-     sequential scan, on random multi-page shadow states — and both
-     equal a byte-wise oracle that ignores the mark counts, so the
-     early-exit page scan can never under-read;
-   - qcheck: the sharded merge equals the sequential merge equals a
-     pre-shard nested-scan oracle, over shard counts {1, 4, 7} x host
-     pools {sequential, 3 domains}, with identical index-op counts in
-     every cell;
+   - qcheck: cohort extraction equals the single-worker path run
+     worker by worker;
+   - qcheck: the early-exit page scan equals a byte-wise oracle that
+     ignores the mark counts, so it can never under-read;
+   - qcheck: the merge equals a nested-scan oracle with no writer
+     index at all, and re-merging through the carried [merge_state]
+     is idempotent;
    - qcheck: merging through a carried [merge_state] gives the same
      overlay/violation/pages as rebuilding the index per interval,
      over random multi-interval sequences;
    - regression: a clean interval (no new writes) does zero index
      work; a writing interval sweeps its delta back out; a violation
-     is pinned to the smallest conflicting byte at every shard count;
+     is pinned to the smallest conflicting byte;
    - unit: [Memory.live_in_bytes] stays exact under overlapping
      [Shadow.access] ranges and across the interval reset;
-   - qcheck: the full pipeline is byte-identical across host_domains x
-     pool cap x merge shards (output, result, simulated cycles);
-   - unit tests for the Domain_pool itself (ordering, exceptions,
-     sequential fallback after shutdown). *)
+   - qcheck: the pooled interval reset equals the plain and per-byte
+     reference resets;
+   - qcheck: the full pipeline is byte-identical across pool cap,
+     within each validation mode (output, result, simulated cycles);
+   - unit: the inert host fields of [Runtime_config] change no
+     simulated figure, and the removed host knobs are not bound;
+   - unit and qcheck tests for the Domain_pool futures (ordering,
+     completion order, exceptions, nested submit, concurrent awaiters,
+     inline fallback, shutdown, concurrent submitters, [shared]). *)
 
 open Privateer_ir
 open Privateer_machine
 open Privateer_runtime
 module Domain_pool = Privateer_support.Domain_pool
-module Host_controller = Privateer_parallel.Host_controller
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-(* The pool under test.  [shared] so a PRIVATEER_HOST_DOMAINS >= 3 run
-   reuses the executor's pool rather than replacing it; resolved per
-   use (not once) because the pipeline-identity cells below
-   deliberately swap the shared pool's scheduler kind, which replaces
-   the shared instance. *)
+(* The pool under test: the process-wide shared one. *)
 let pool () = Domain_pool.shared ~domains:3 ()
 
 (* ---- random shadow states ---------------------------------------------- *)
@@ -99,11 +98,20 @@ let contribution_equal (a : Checkpoint.contribution) (b : Checkpoint.contributio
   && a.reg_partials = b.reg_partials
   && a.pages_touched = b.pages_touched
 
-let prop_parallel_extraction_equals_sequential workerses =
-  let reqs = reqs_of ~interval_start:0 workerses in
-  let seq = Checkpoint.extract ~interval_start:0 reqs in
-  let par = Checkpoint.extract ~pool:(pool ()) ~interval_start:0 reqs in
-  List.length seq = List.length par && List.for_all2 contribution_equal seq par
+(* A worker's contribution depends only on its own machine: extracting
+   the whole cohort equals the single-worker path run worker by worker
+   on identically built machines. *)
+let prop_extraction_equals_per_worker workerses =
+  let cohort = Checkpoint.extract ~interval_start:0 (reqs_of ~interval_start:0 workerses) in
+  let alone =
+    List.mapi
+      (fun i ops ->
+        Checkpoint.contribution_of_worker ~worker:i ~interval_start:0
+          (build_machine ~interval_start:0 ops)
+          ~redux_ranges:[] ~reg_partials:[])
+      workerses
+  in
+  List.length cohort = List.length alone && List.for_all2 contribution_equal cohort alone
 
 (* ---- early-exit scan vs byte-wise oracle -------------------------------- *)
 
@@ -152,16 +160,8 @@ let prop_early_exit_scan_matches_bytewise workerses =
 
 (* ---- incremental merge equality ----------------------------------------- *)
 
-let overlay_equal (a : Checkpoint.merged) (b : Checkpoint.merged) =
-  Checkpoint.overlay_size a = Checkpoint.overlay_size b
-  &&
-  let ok = ref true in
-  Checkpoint.iter_overlay a ~f:(fun k v ->
-      if Checkpoint.find_overlay b k <> Some v then ok := false);
-  !ok
-
 let merged_equal (a : Checkpoint.merged) (b : Checkpoint.merged) =
-  overlay_equal a b
+  tbl_equal a.overlay b.overlay
   && a.violation = b.violation
   && a.total_pages = b.total_pages
 
@@ -185,9 +185,9 @@ let prop_incremental_merge_equals_rebuilt intervals =
       merged_equal incremental rebuilt)
     intervals
 
-(* ---- sharded merge vs pre-shard oracle ---------------------------------- *)
+(* ---- merge vs nested-scan oracle -------------------------------------- *)
 
-(* The pre-shard oracle: nested-scan semantics with no writer index at
+(* The nested-scan oracle: merge semantics with no writer index at
    all.  Overlay is last-writer-wins by iteration; the violation is
    the smallest live-in byte whose containing word any other worker
    wrote. *)
@@ -222,47 +222,22 @@ let oracle_merge (contribs : Checkpoint.contribution list) =
     contribs;
   (overlay, Option.map (fun addr -> Misspec.Phase2 { addr }) !violation)
 
-let overlay_matches_oracle (m : Checkpoint.merged) oracle =
-  Checkpoint.overlay_size m = Hashtbl.length oracle
-  && Hashtbl.fold
-       (fun k v acc -> acc && Checkpoint.find_overlay m k = Some v)
-       oracle true
-
-(* The tentpole matrix: for every shard count in {1, 4, 7} and both
-   host modes (sequential, 3-domain pool), the sharded merge must
-   reproduce the oracle's overlay and verdict, do the same number of
-   index ops, and — because the sweep must leave every shard empty —
-   re-merge the same contributions identically through the carried
-   state. *)
-let prop_sharded_merge_matches_oracle workerses =
+(* The merge must reproduce the oracle's overlay and verdict and —
+   because the sweep must leave the carried index empty — re-merge the
+   same contributions identically, at the same index-op cost. *)
+let prop_merge_matches_oracle workerses =
   let contribs =
     Checkpoint.extract ~interval_start:0 (reqs_of ~interval_start:0 workerses)
   in
   let oracle_ov, oracle_v = oracle_merge contribs in
-  let cells =
-    List.concat_map
-      (fun shards -> [ (shards, None); (shards, Some (pool ())) ])
-      [ 1; 4; 7 ]
-  in
-  let ops = ref None in
-  List.for_all
-    (fun (shards, p) ->
-      let state = Checkpoint.create_merge_state ~shards () in
-      let m = Checkpoint.merge ~state ?pool:p contribs in
-      let cell_ops = Checkpoint.index_ops state in
-      let ops_ok =
-        match !ops with
-        | None ->
-          ops := Some cell_ops;
-          true
-        | Some o -> o = cell_ops
-      in
-      let m2 = Checkpoint.merge ~state ?pool:p contribs in
-      ops_ok
-      && overlay_matches_oracle m oracle_ov
-      && m.violation = oracle_v
-      && merged_equal m m2)
-    cells
+  let state = Checkpoint.create_merge_state () in
+  let m = Checkpoint.merge ~state contribs in
+  let ops = Checkpoint.index_ops state in
+  let m2 = Checkpoint.merge ~state contribs in
+  tbl_equal m.overlay oracle_ov
+  && m.violation = oracle_v
+  && merged_equal m m2
+  && Checkpoint.index_ops state = 2 * ops
 
 (* ---- clean-interval short-circuit (regression) -------------------------- *)
 
@@ -289,7 +264,7 @@ let test_clean_interval_no_index_work () =
   let m = Checkpoint.merge ~state [ reader_only 0 (base + 8); reader_only 1 (base + 64) ] in
   check "clean interval: no violation" true (m.violation = None);
   check_int "clean interval: zero index ops" 0 (Checkpoint.index_ops state);
-  check_int "clean interval: empty overlay" 0 (Checkpoint.overlay_size m)
+  check_int "clean interval: empty overlay" 0 (Hashtbl.length m.overlay)
 
 let test_writing_interval_sweeps_delta () =
   let base = Heap.base Heap.Private in
@@ -318,10 +293,9 @@ let test_writing_interval_sweeps_delta () =
 
 let test_violation_reports_smallest_addr () =
   let base = Heap.base Heap.Private in
-  (* Two distinct conflicts on different pages (and so, at most shard
-     counts, in different shards); the reported address must be the
-     smaller one at every shard count and in both host modes — the
-     parallel verdict is the min over per-shard minima. *)
+  (* Two distinct conflicts on different pages; the reported address
+     must be the smaller one whatever order the hash tables yield the
+     live-in bytes in. *)
   let w =
     let m = Machine.create () in
     Memory.clear_dirty m.Machine.mem;
@@ -343,17 +317,12 @@ let test_violation_reports_smallest_addr () =
       ~reg_partials:[]
   in
   List.iter
-    (fun (shards, p, label) ->
-      let state = Checkpoint.create_merge_state ~shards () in
-      match (Checkpoint.merge ~state ?pool:p [ r; w ]).violation with
+    (fun (contribs, label) ->
+      match (Checkpoint.merge contribs).violation with
       | Some (Misspec.Phase2 { addr }) ->
         check_int (Printf.sprintf "smallest conflict (%s)" label) (base + 8) addr
       | _ -> Alcotest.fail (Printf.sprintf "expected a phase-2 violation (%s)" label))
-    [ (1, None, "1 shard, seq"); (4, None, "4 shards, seq");
-      (7, None, "7 shards, seq");
-      (1, Some (pool ()), "1 shard, pool");
-      (4, Some (pool ()), "4 shards, pool");
-      (7, Some (pool ()), "7 shards, pool") ]
+    [ ([ r; w ], "reader first"); ([ w; r ], "writer first") ]
 
 (* ---- exact live-in counts ------------------------------------------------ *)
 
@@ -402,14 +371,14 @@ let test_live_in_count_exact () =
   Shadow.access m Shadow.Read ~addr:(base + 100) ~size:200 ~beta:3;
   check_all "after partially-overlapping re-read"
 
-(* ---- pooled / domain-parallel interval reset ---------------------------- *)
+(* ---- pooled interval reset ---------------------------------------------- *)
 
 (* Page-scale accesses so fully-timestamped shadow pages (the
    swap-retirement path) actually occur: writes cover up to two whole
    pages, and resets recycle retired buffers through a shared
-   [Page_pool] across intervals.  The plain sequential reset is the
-   oracle; the pooled + domain-parallel reset must leave byte-identical
-   metadata and verdicts. *)
+   [Page_pool] across intervals.  The plain reset and the per-byte
+   reference are the oracles; the pooled reset must leave
+   byte-identical metadata and verdicts. *)
 let big_op_gen =
   QCheck.Gen.(
     let page = Memory.page_size in
@@ -433,9 +402,7 @@ let fresh_page_pool ?cap () =
 let prop_pooled_reset_matches_plain ops =
   let plain_m, plain_f = Test_props.Run_shadow.run ops in
   let page_pool = fresh_page_pool () in
-  let pooled_m, pooled_f =
-    Test_props.Run_shadow.run ~pool:(pool ()) ~page_pool ops
-  in
+  let pooled_m, pooled_f = Test_props.Run_shadow.run ~page_pool ops in
   (* Pool-recycled pages must be indistinguishable from rewritten
      ones; a disabled pool (cap 0) must behave like no pool at all. *)
   let disabled_m, disabled_f =
@@ -521,106 +488,81 @@ let test_merge_state_isolation () =
 
 (* ---- full-pipeline equality --------------------------------------------- *)
 
-(* The whole host-tuning matrix — host_domains {1, 3} x pool cap
-   {0, auto, unbounded} x merge shards {1, 4, 7} x pool kind
-   {work-stealing, legacy} x controller mode {auto, always, never}
-   (sampled; every mode x kind pair appears) — must be byte-identical:
-   output, result, simulated cycles, every stats counter. *)
-let prop_pipeline_identical_across_host_domains tmpls =
+(* The host-tuning matrix that still selects code — pool cap {0, auto,
+   unbounded} — must be byte-identical within each validation mode
+   (output, result, simulated cycles, stats counters); across the two
+   modes output and result must agree (cycles may not: an eager kill
+   saves work). *)
+let prop_pipeline_identical_across_pool_cap tmpls =
   let src = Test_props.program_of_templates tmpls in
   let program = Privateer.Pipeline.parse src in
   let tr, _ = Privateer.Pipeline.compile program in
-  let run (host_domains, pool_cap, merge_shards, pool_kind, host_controller) =
+  let run validation pool_cap =
     let config =
-      { Privateer_parallel.Executor.default_config with workers = 5; host_domains;
-        pool_cap; merge_shards; pool_kind; host_controller }
+      { Privateer_parallel.Runtime_config.default with workers = 5; pool_cap; validation }
     in
     Privateer.Pipeline.run_parallel ~config tr
   in
-  let ws = Domain_pool.Work_stealing and sq = Domain_pool.Single_queue in
-  let a = run (1, 0, 1, ws, Host_controller.Never) in
+  let same_surface (a : Privateer.Pipeline.par_run) (b : Privateer.Pipeline.par_run) =
+    String.equal a.par_output b.par_output
+    && Privateer_interp.Value.equal a.par_result b.par_result
+  in
   List.for_all
-    (fun cell ->
-      let b = run cell in
-      String.equal a.par_output b.par_output
-      && Privateer_interp.Value.equal a.par_result b.par_result
-      && a.par_cycles = b.par_cycles
-      && a.stats.checkpoints = b.stats.checkpoints
-      && a.stats.wall_cycles = b.stats.wall_cycles
-      && a.stats.private_bytes_read = b.stats.private_bytes_read
-      && a.stats.private_bytes_written = b.stats.private_bytes_written)
-    [ (1, Privateer_runtime.Page_pool.unbounded, 8, ws, Host_controller.Auto);
-      (3, 0, 1, ws, Host_controller.Auto);
-      (3, 0, 1, sq, Host_controller.Auto);
-      (3, Privateer_runtime.Page_pool.unbounded, 4, ws, Host_controller.Always);
-      (3, Privateer_runtime.Page_pool.unbounded, 4, sq, Host_controller.Always);
-      (3, Privateer_runtime.Page_pool.auto, 7, ws, Host_controller.Never);
-      (3, Privateer_runtime.Page_pool.auto, 7, sq, Host_controller.Never) ]
+    (fun validation ->
+      let a = run validation 0 in
+      same_surface a (run Privateer_parallel.Runtime_config.Commit 0)
+      && List.for_all
+           (fun cap ->
+             let b = run validation cap in
+             same_surface a b
+             && a.par_cycles = b.par_cycles
+             && a.stats.checkpoints = b.stats.checkpoints
+             && a.stats.wall_cycles = b.stats.wall_cycles
+             && a.stats.private_bytes_read = b.stats.private_bytes_read
+             && a.stats.private_bytes_written = b.stats.private_bytes_written)
+           [ Privateer_runtime.Page_pool.auto; Privateer_runtime.Page_pool.unbounded ])
+    [ Privateer_parallel.Runtime_config.Commit; Privateer_parallel.Runtime_config.Eager ]
+
+(* ---- inert host fields ---------------------------------------------------- *)
+
+module RC = Privateer_parallel.Runtime_config
+
+(* [host_domains] and [merge_shards] are documented as inert: setting
+   them must not change a single simulated figure, nor must the
+   engine reject values it no longer reads. *)
+let test_inert_host_fields () =
+  let src =
+    {|global a[64];
+global acc;
+fn main() {
+  acc = 0;
+  for (i = 0; i < 64) { a[i] = i * 3; acc = acc + a[i]; }
+  return acc;
+}|}
+  in
+  let tr, _ = Privateer.Pipeline.compile (Privateer.Pipeline.parse src) in
+  let run config = Privateer.Pipeline.run_parallel ~config:{ config with RC.workers = 4 } tr in
+  let base = run RC.default in
+  let tuned = run { RC.default with host_domains = 7; merge_shards = 13 } in
+  check "same output" true (String.equal base.par_output tuned.par_output);
+  check "same result" true (Privateer_interp.Value.equal base.par_result tuned.par_result);
+  check_int "same cycles" base.par_cycles tuned.par_cycles;
+  check_int "same checkpoints" base.stats.checkpoints tuned.stats.checkpoints;
+  check_int "same wall cycles" base.stats.wall_cycles tuned.stats.wall_cycles
+
+(* The host-parallelism knobs are gone from the flag table, so the CLI
+   (derived from it) no longer offers them. *)
+let test_removed_host_knobs () =
+  let flags = List.concat_map (fun (b : RC.binding) -> b.b_flags) RC.cli_bindings in
+  List.iter
+    (fun flag -> check (flag ^ " is not a binding") false (List.mem flag flags))
+    [ "host-domains"; "merge-shards"; "pool-kind"; "host-controller" ];
+  check "surviving knobs still bound" true
+    (List.for_all (fun f -> List.mem f flags) [ "workers"; "shadow-pool-cap"; "validation"; "max-inflight" ])
 
 (* ---- the pool itself ---------------------------------------------------- *)
 
-(* Run [f] against both scheduler kinds: the suite's shared
-   work-stealing pool, and a private legacy (single-queue) pool that is
-   shut down afterwards.  Both kinds share [run]'s result/exception
-   contract, so every pool test must pass unchanged on each. *)
-let with_both_kinds f =
-  f (pool ()) "work-stealing";
-  let legacy = Domain_pool.create ~kind:Domain_pool.Single_queue ~domains:3 () in
-  Fun.protect ~finally:(fun () -> Domain_pool.shutdown legacy)
-    (fun () -> f legacy "legacy")
-
-let test_pool_ordering () =
-  with_both_kinds (fun p label ->
-      let results = Domain_pool.run p (List.init 40 (fun i () -> i * i)) in
-      check
-        (Printf.sprintf "results in task order (%s)" label)
-        true
-        (results = List.init 40 (fun i -> i * i)))
-
-let test_pool_exception () =
-  with_both_kinds (fun p label ->
-      check
-        (Printf.sprintf "task exception re-raised (%s)" label)
-        true
-        (try
-           ignore (Domain_pool.run p [ (fun () -> 1); (fun () -> failwith "boom") ]);
-           false
-         with Failure msg -> msg = "boom");
-      (* The pool survives a failing run. *)
-      check
-        (Printf.sprintf "pool reusable after failure (%s)" label)
-        true
-        (Domain_pool.run p [ (fun () -> 7); (fun () -> 8) ] = [ 7; 8 ]))
-
 exception Boom of int
-
-(* Regression for the exception contract: a task raising mid-run must
-   not stop the remaining tasks, and the caller must see the first
-   exception in TASK order (not completion order — under work
-   stealing a later task's exception can settle first). *)
-let test_pool_exception_order () =
-  with_both_kinds (fun p label ->
-      let ran = Atomic.make 0 in
-      let task i () =
-        Atomic.incr ran;
-        if i = 1 || i = 3 then raise (Boom i) else i
-      in
-      (match Domain_pool.run p (List.init 5 task) with
-      | _ -> Alcotest.fail (label ^ ": expected Boom")
-      | exception Boom i ->
-        check_int (Printf.sprintf "first task-order exception (%s)" label) 1 i);
-      check_int (Printf.sprintf "all five tasks still ran (%s)" label) 5
-        (Atomic.get ran);
-      check
-        (Printf.sprintf "pool reusable after mixed failures (%s)" label)
-        true
-        (Domain_pool.run p [ (fun () -> 7); (fun () -> 8) ] = [ 7; 8 ]))
-
-let test_pool_shutdown_fallback () =
-  let p = Domain_pool.create ~domains:2 () in
-  Domain_pool.shutdown p;
-  check "sequential fallback after shutdown" true
-    (Domain_pool.run p (List.init 5 (fun i () -> i + 1)) = [ 1; 2; 3; 4; 5 ])
 
 let test_pool_size_validation () =
   check "rejects 0 domains" true
@@ -644,33 +586,25 @@ let test_shared_reports_requested_size () =
 (* ---- futures: submit / await -------------------------------------------- *)
 
 let test_submit_await_basic () =
-  with_both_kinds (fun p label ->
-      let fus = List.init 50 (fun i -> Domain_pool.submit p (fun () -> i * 3)) in
-      let results = List.map Domain_pool.await fus in
-      check
-        (Printf.sprintf "awaited results in submission order (%s)" label)
-        true
-        (results = List.init 50 (fun i -> i * 3));
-      (* A settled future stays settled: poll and re-await agree. *)
-      let fu = Domain_pool.submit p (fun () -> 41) in
-      check_int (Printf.sprintf "await (%s)" label) 41 (Domain_pool.await fu);
-      check
-        (Printf.sprintf "poll after settle (%s)" label)
-        true
-        (Domain_pool.poll fu = Some (Ok 41));
-      check_int (Printf.sprintf "re-await (%s)" label) 41 (Domain_pool.await fu))
+  let p = pool () in
+  let fus = List.init 50 (fun i -> Domain_pool.submit p (fun () -> i * 3)) in
+  let results = List.map Domain_pool.await fus in
+  check "awaited results in submission order" true (results = List.init 50 (fun i -> i * 3));
+  (* A settled future stays settled: poll and re-await agree. *)
+  let fu = Domain_pool.submit p (fun () -> 41) in
+  check_int "await" 41 (Domain_pool.await fu);
+  check "poll after settle" true (Domain_pool.poll fu = Some (Ok 41));
+  check_int "re-await" 41 (Domain_pool.await fu)
 
 let test_submit_exception () =
-  with_both_kinds (fun p label ->
-      let fu = Domain_pool.submit p (fun () -> raise (Boom 9)) in
-      (match Domain_pool.await fu with
-      | _ -> Alcotest.fail (label ^ ": expected Boom")
-      | exception Boom 9 -> ());
-      (* The failure is confined to its future: the pool survives. *)
-      check_int
-        (Printf.sprintf "pool usable after failed future (%s)" label)
-        5
-        (Domain_pool.await (Domain_pool.submit p (fun () -> 5))))
+  let p = pool () in
+  let fu = Domain_pool.submit p (fun () -> raise (Boom 9)) in
+  (match Domain_pool.await fu with
+  | _ -> Alcotest.fail "expected Boom"
+  | exception Boom 9 -> ());
+  (* The failure is confined to its future: the pool survives. *)
+  check_int "pool usable after failed future" 5
+    (Domain_pool.await (Domain_pool.submit p (fun () -> 5)))
 
 let test_submit_inline_fallback () =
   (* A pool of size 1 runs the task inline on the submitting domain:
@@ -686,52 +620,100 @@ let test_submit_inline_fallback () =
   let fu = Domain_pool.submit p (fun () -> 14) in
   check_int "inline await after shutdown" 14 (Domain_pool.await fu)
 
-(* The job-server pattern: a submitted task performs a nested barrier
-   [run] on the same pool (stage fan-outs inside a job body), and the
-   awaiting caller helps instead of deadlocking. *)
-let test_nested_run_inside_future () =
-  with_both_kinds (fun p label ->
-      let fus =
-        List.init 6 (fun j ->
-            Domain_pool.submit p (fun () ->
-                let parts = Domain_pool.run p (List.init 8 (fun i () -> (j * 8) + i)) in
-                List.fold_left ( + ) 0 parts))
-      in
-      let expected j = List.init 8 (fun i -> (j * 8) + i) |> List.fold_left ( + ) 0 in
-      List.iteri
-        (fun j fu ->
-          check_int
-            (Printf.sprintf "nested run result %d (%s)" j label)
-            (expected j) (Domain_pool.await fu))
-        fus)
+(* Spin until [flag] is set; loop back-edges are safepoints, so a
+   spinning domain never stalls a collection. *)
+let spin_until flag = while not (Atomic.get flag) do Domain.cpu_relax () done
 
-(* Concurrent barrier [run]s from independent client domains share one
-   pool: each caller must get its own results in its own task order. *)
-let test_concurrent_barrier_runs () =
-  with_both_kinds (fun p label ->
-      let client c =
-        Domain.spawn (fun () ->
-            List.init 20 (fun round ->
-                Domain_pool.run p (List.init 10 (fun i () -> (c * 1000) + (round * 10) + i)))
-            |> List.concat)
-      in
-      let clients = List.init 3 client in
-      List.iteri
-        (fun c d ->
-          let got = Domain.join d in
-          let want =
-            List.concat
-              (List.init 20 (fun round ->
-                   List.init 10 (fun i -> (c * 1000) + (round * 10) + i)))
-          in
-          check
-            (Printf.sprintf "client %d results in task order (%s)" c label)
-            true (got = want))
-        clients)
+(* [poll] never blocks and never helps: a gated task stays pending
+   until its gate opens. *)
+let test_poll_pending_then_settled () =
+  let p = pool () in
+  let gate = Atomic.make false in
+  let fu = Domain_pool.submit p (fun () -> spin_until gate; 21) in
+  check "pending while gated" true (Domain_pool.poll fu = None);
+  Atomic.set gate true;
+  check_int "await after the gate opens" 21 (Domain_pool.await fu);
+  check "settled after await" true (Domain_pool.poll fu = Some (Ok 21))
+
+(* Each future carries its own result even when the futures settle in
+   the reverse of submission order: the first task waits until every
+   later one has finished. *)
+let test_results_independent_of_completion_order () =
+  let p = pool () in
+  let n = 12 in
+  let later_done = Atomic.make 0 and all_later = Atomic.make false in
+  let fus =
+    List.init n (fun i ->
+        Domain_pool.submit p (fun () ->
+            if i = 0 then spin_until all_later
+            else if Atomic.fetch_and_add later_done 1 = n - 2 then Atomic.set all_later true;
+            i * 7))
+  in
+  check "results by future, not by completion" true
+    (List.map Domain_pool.await fus = List.init n (fun i -> i * 7))
+
+(* Regression for the exception contract: failing futures do not stop
+   their neighbours, and each await re-raises exactly its own task's
+   exception. *)
+let test_mixed_failures_settle_per_future () =
+  let p = pool () in
+  let ran = Atomic.make 0 in
+  let fus =
+    List.init 10 (fun i ->
+        Domain_pool.submit p (fun () ->
+            Atomic.incr ran;
+            if i mod 3 = 1 then raise (Boom i) else i))
+  in
+  List.iteri
+    (fun i fu ->
+      match Domain_pool.await fu with
+      | v -> check (Printf.sprintf "future %d succeeds" i) true (i mod 3 <> 1 && v = i)
+      | exception Boom b -> check (Printf.sprintf "future %d raises its own" i) true (b = i))
+    fus;
+  check_int "every task ran" 10 (Atomic.get ran);
+  check_int "pool reusable after mixed failures" 8
+    (Domain_pool.await (Domain_pool.submit p (fun () -> 8)))
+
+(* A pool task may submit and await on its own pool: the awaiting task
+   helps drain the deques instead of deadlocking. *)
+let test_nested_submit_inside_future () =
+  let p = pool () in
+  let fus =
+    List.init 6 (fun j ->
+        Domain_pool.submit p (fun () ->
+            List.init 8 (fun i -> Domain_pool.submit p (fun () -> (j * 8) + i))
+            |> List.map Domain_pool.await
+            |> List.fold_left ( + ) 0))
+  in
+  List.iteri
+    (fun j fu ->
+      let expected = List.init 8 (fun i -> (j * 8) + i) |> List.fold_left ( + ) 0 in
+      check_int (Printf.sprintf "nested sum %d" j) expected (Domain_pool.await fu))
+    fus
+
+(* Several client domains awaiting one future all see its result. *)
+let test_concurrent_awaiters () =
+  let p = pool () in
+  let gate = Atomic.make false in
+  let fu = Domain_pool.submit p (fun () -> spin_until gate; 99) in
+  let awaiters = List.init 3 (fun _ -> Domain.spawn (fun () -> Domain_pool.await fu)) in
+  Atomic.set gate true;
+  List.iteri
+    (fun k d -> check_int (Printf.sprintf "awaiter %d" k) 99 (Domain.join d))
+    awaiters
+
+(* Futures still queued at [shutdown] are not lost: their awaiter
+   helps, running them on its own domain. *)
+let test_shutdown_with_queued_futures () =
+  let p = Domain_pool.create ~domains:2 () in
+  let fus = List.init 20 (fun i -> Domain_pool.submit p (fun () -> i + 1)) in
+  Domain_pool.shutdown p;
+  check "queued futures settle after shutdown" true
+    (List.map Domain_pool.await fus = List.init 20 (fun i -> i + 1))
 
 (* qcheck: interleaved submit/await from several client domains
    preserves per-client result order, and a failing task's exception
-   surfaces at exactly its position — on both pool kinds. *)
+   surfaces at exactly its position. *)
 let submitters_arb =
   QCheck.make
     ~print:(fun (clients, per, fail_mod) ->
@@ -739,8 +721,7 @@ let submitters_arb =
     QCheck.Gen.(triple (int_range 2 4) (int_range 1 25) (int_range 0 7))
 
 let prop_concurrent_submitters (clients, per, fail_mod) =
-  let check_kind kind =
-    let p = Domain_pool.create ~kind ~domains:3 () in
+  let p = Domain_pool.create ~domains:3 () in
     Fun.protect ~finally:(fun () -> Domain_pool.shutdown p)
       (fun () ->
         let fails c i = fail_mod > 0 && (i + c) mod fail_mod = 1 in
@@ -763,71 +744,23 @@ let prop_concurrent_submitters (clients, per, fail_mod) =
         in
         let domains = List.init clients client in
         List.for_all (fun d -> List.for_all Fun.id (Domain.join d)) domains)
-  in
-  check_kind Domain_pool.Work_stealing && check_kind Domain_pool.Single_queue
-
-(* ---- the host controller ------------------------------------------------- *)
-
-let test_controller_modes () =
-  let open Host_controller in
-  let units = 1_000_000 in
-  let never = create ~host_cores:8 ~mode:Never ~pool_size:4 () in
-  check "never: sequential" false (decide never Merge ~units).par;
-  check "never: no pool wanted" false (may_parallelize never);
-  let always = create ~host_cores:1 ~mode:Always ~pool_size:4 () in
-  check "always: parallel whenever a pool exists" true (decide always Merge ~units:1).par;
-  check "always: pool wanted" true (may_parallelize always);
-  let always1 = create ~host_cores:8 ~mode:Always ~pool_size:1 () in
-  check "always: sequential without a pool" false (decide always1 Merge ~units).par;
-  let auto1core = create ~host_cores:1 ~mode:Auto ~pool_size:4 () in
-  check "auto: sequential on a single core" false (decide auto1core Merge ~units).par;
-  check "auto on one core: no pool wanted" false (may_parallelize auto1core);
-  let auto = create ~host_cores:8 ~mode:Auto ~pool_size:4 () in
-  check "auto: tiny jobs stay sequential" false (decide auto Merge ~units:10).par;
-  check "auto multicore: pool wanted" true (may_parallelize auto)
-
-let test_controller_learning () =
-  let open Host_controller in
-  let units = 1_000_000 in
-  let hc = create ~host_cores:8 ~mode:Auto ~pool_size:4 () in
-  (* Unknown modes are probed before any comparison: parallel first,
-     then sequential. *)
-  check "probe parallel first" true (decide hc Merge ~units).par;
-  note hc Merge ~units ~par:true ~ns:1e7;
-  check "probe sequential second" false (decide hc Merge ~units).par;
-  note hc Merge ~units ~par:false ~ns:1e6;
-  (* Sequential measured 10x cheaper per unit -> stays sequential. *)
-  check "learned: sequential wins" false (decide hc Merge ~units).par;
-  (* The winner is per stage: an unrelated stage still probes. *)
-  check "stages learn independently" true (decide hc Reset ~units).par;
-  (* A controller that observed parallel winning decides parallel. *)
-  let hc2 = create ~host_cores:8 ~mode:Auto ~pool_size:4 () in
-  note hc2 Merge ~units ~par:true ~ns:1e6;
-  note hc2 Merge ~units ~par:false ~ns:1e7;
-  check "learned: parallel wins" true (decide hc2 Merge ~units).par;
-  (* Within the hysteresis margin (parallel < 10% faster), sequential
-     keeps the tie. *)
-  let hc3 = create ~host_cores:8 ~mode:Auto ~pool_size:4 () in
-  note hc3 Merge ~units ~par:true ~ns:9.5e6;
-  note hc3 Merge ~units ~par:false ~ns:1e7;
-  check "hysteresis keeps near-ties sequential" false (decide hc3 Merge ~units).par
 
 let suite =
   List.map QCheck_alcotest.to_alcotest
-    [ QCheck.Test.make ~count:60 ~name:"parallel extraction = sequential scan"
-        worker_ops_arb prop_parallel_extraction_equals_sequential;
+    [ QCheck.Test.make ~count:60 ~name:"extraction = single-worker path"
+        worker_ops_arb prop_extraction_equals_per_worker;
       QCheck.Test.make ~count:60 ~name:"early-exit scan = byte-wise oracle"
         worker_ops_arb prop_early_exit_scan_matches_bytewise;
-      QCheck.Test.make ~count:60 ~name:"sharded merge = sequential = oracle"
-        worker_ops_arb prop_sharded_merge_matches_oracle;
+      QCheck.Test.make ~count:60 ~name:"merge = nested-scan oracle"
+        worker_ops_arb prop_merge_matches_oracle;
       QCheck.Test.make ~count:60 ~name:"incremental merge = rebuilt index"
         intervals_arb prop_incremental_merge_equals_rebuilt;
-      QCheck.Test.make ~count:120 ~name:"pooled parallel reset = plain reset"
+      QCheck.Test.make ~count:120 ~name:"pooled reset = plain reset"
         big_ops_arb prop_pooled_reset_matches_plain;
       QCheck.Test.make ~count:30 ~name:"concurrent submitters: order + exceptions"
         submitters_arb prop_concurrent_submitters;
-      QCheck.Test.make ~count:15 ~name:"pipeline identical across domains x pool cap"
-        Test_props.body_arb prop_pipeline_identical_across_host_domains ]
+      QCheck.Test.make ~count:15 ~name:"pipeline identical across pool cap x validation"
+        Test_props.body_arb prop_pipeline_identical_across_pool_cap ]
   @ [ Alcotest.test_case "clean interval: zero index ops" `Quick
         test_clean_interval_no_index_work;
       Alcotest.test_case "merge states are isolated" `Quick
@@ -845,24 +778,26 @@ let suite =
         test_violation_reports_smallest_addr;
       Alcotest.test_case "live-in byte count stays exact" `Quick
         test_live_in_count_exact;
-      Alcotest.test_case "pool: task ordering" `Quick test_pool_ordering;
-      Alcotest.test_case "pool: exception propagation" `Quick test_pool_exception;
-      Alcotest.test_case "pool: first task-order exception wins" `Quick
-        test_pool_exception_order;
-      Alcotest.test_case "pool: shutdown fallback" `Quick test_pool_shutdown_fallback;
       Alcotest.test_case "pool: submit/await basics" `Quick test_submit_await_basic;
       Alcotest.test_case "pool: future exception confined" `Quick
         test_submit_exception;
       Alcotest.test_case "pool: submit inline fallback" `Quick
         test_submit_inline_fallback;
-      Alcotest.test_case "pool: nested run inside future" `Quick
-        test_nested_run_inside_future;
-      Alcotest.test_case "pool: concurrent barrier runs" `Quick
-        test_concurrent_barrier_runs;
+      Alcotest.test_case "pool: poll pending then settled" `Quick
+        test_poll_pending_then_settled;
+      Alcotest.test_case "pool: results independent of completion order" `Quick
+        test_results_independent_of_completion_order;
+      Alcotest.test_case "pool: mixed failures settle per future" `Quick
+        test_mixed_failures_settle_per_future;
+      Alcotest.test_case "pool: nested submit inside future" `Quick
+        test_nested_submit_inside_future;
+      Alcotest.test_case "pool: concurrent awaiters" `Quick test_concurrent_awaiters;
+      Alcotest.test_case "pool: shutdown with queued futures" `Quick
+        test_shutdown_with_queued_futures;
       Alcotest.test_case "pool: size validation" `Quick test_pool_size_validation;
       Alcotest.test_case "pool: shared reports requested size" `Quick
         test_shared_reports_requested_size;
-      Alcotest.test_case "controller: forced modes and static gates" `Quick
-        test_controller_modes;
-      Alcotest.test_case "controller: probes, learns, hysteresis" `Quick
-        test_controller_learning ]
+      Alcotest.test_case "runtime config: inert host fields" `Quick
+        test_inert_host_fields;
+      Alcotest.test_case "runtime config: removed host knobs" `Quick
+        test_removed_host_knobs ]

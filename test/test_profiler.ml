@@ -1,43 +1,56 @@
 (* Unit and differential tests for the profilers (paper section 4.1).
 
-   Every unit test runs under three implementations — the fast
-   frontend inline, the monolithic reference oracle, and the fast
-   frontend in batched mode (2-domain pool, tiny batches so flushes
-   land inside loop bodies) — all of which must answer identically.
-   A qcheck property then checks the full query surface of the fast
-   frontend against the reference over generated scenarios. *)
+   Every unit test runs under three variants — the production
+   frontend, the monolithic reference oracle from the test library,
+   and two frontend instances profiling at once in pool futures (as
+   the job server runs them) — which must answer identically.
+   Targeted sources then check the frontend's fast paths against the
+   oracle, and a qcheck property checks the full query surface over
+   generated scenarios. *)
 
 open Privateer_ir
 open Privateer_interp
 open Privateer_profile
 module RC = Privateer_parallel.Runtime_config
+module Answers = Privateer_oracle.Profile_answers
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-let run_with ?(profilers = [ "all" ]) ?pool ?batch src =
-  let program = Privateer_lang.Parser.parse_program_exn src in
-  let st = Interp.create program in
-  let p = Profiler.create ~profilers ?pool ?batch () in
-  Profiler.attach p st;
-  ignore (Interp.run_entry st);
-  Profiler.sync p;
-  (program, p, st)
+let parse = Privateer_lang.Parser.parse_program_exn
 
-(* Batched runs keep the pool alive for the instrumented run and the
-   sync; queries after shutdown fall back to inline task execution. *)
-let run_batched ?(batch = 3) src =
-  let pool = Privateer_support.Domain_pool.create ~domains:2 () in
-  Fun.protect
-    ~finally:(fun () -> Privateer_support.Domain_pool.shutdown pool)
-    (fun () -> run_with ~pool ~batch src)
+type runner = string -> Ast.program * Answers.t * Interp.t
 
-type runner = string -> Ast.program * Profiler.t * Interp.t
+let run_fast : runner =
+ fun src ->
+  let program = parse src in
+  let q, st = Answers.run_fast program in
+  (program, q, st)
+
+let run_reference : runner =
+ fun src ->
+  let program = parse src in
+  let q, st = Answers.run_reference program in
+  (program, q, st)
+
+(* The job server's pattern: two frontend instances profile the same
+   source at once, each inside its own pool future with its own parse.
+   Neither may observe the other — their answers must agree — and the
+   first one answers the test. *)
+let run_concurrent : runner =
+ fun src ->
+  let pool = Privateer_support.Domain_pool.shared ~domains:2 () in
+  let profile_in_future () = Privateer_support.Domain_pool.submit pool (fun () -> run_fast src) in
+  let fa = profile_in_future () and fb = profile_in_future () in
+  let ((program, qa, _) as first) = Privateer_support.Domain_pool.await fa in
+  let _, qb, _ = Privateer_support.Domain_pool.await fb in
+  (match Answers.diff program qa qb with
+  | None -> ()
+  | Some what -> Alcotest.fail ("concurrent profiles differ on " ^ what));
+  first
 
 let variants : (string * runner) list =
-  [ ("fast", fun src -> run_with src);
-    ("reference", fun src -> run_with ~profilers:[ "reference" ] src);
-    ("batched", fun src -> run_batched src) ]
+  [ ("fast", run_fast); ("reference", run_reference); ("concurrent", run_concurrent) ]
 
 (* The node id of the single For loop in [fname]. *)
 let loop_in program fname =
@@ -53,8 +66,8 @@ let loop_in program fname =
 
 let test_global_objects_registered (profile : runner) () =
   let _, p, _ = profile "global g[4]; fn main() { g[0] = 1; return g[0]; }" in
-  check "global named" true (Objname.Set.mem (Objname.Global "g") (Profiler.all_objects p));
-  match Profiler.object_size p (Objname.Global "g") with
+  check "global named" true (Objname.Set.mem (Objname.Global "g") (p.all_objects ()));
+  match p.object_size (Objname.Global "g") with
   | Some 32 -> ()
   | other -> Alcotest.fail (Printf.sprintf "size %s" (match other with Some n -> string_of_int n | None -> "?"))
 
@@ -78,11 +91,11 @@ let test_site_object_mapping (profile : runner) () =
     List.partition
       (fun site ->
         let id = match site with `L id | `S id -> id in
-        Objname.Set.mem (Objname.Global "a") (Profiler.objects_at_site p id))
+        Objname.Set.mem (Objname.Global "a") (p.objects_at_site id))
       (List.filter
          (fun site ->
            let id = match site with `L id | `S id -> id in
-           not (Objname.Set.is_empty (Profiler.objects_at_site p id)))
+           not (Objname.Set.is_empty (p.objects_at_site id)))
          !sites)
   in
   check_int "one site touches a" 1 (List.length a_sites);
@@ -101,7 +114,7 @@ fn main() { var x = a(); var y = b(); free(x); free(y); return 0; }|}
   let sites =
     Objname.Set.filter
       (fun o -> match o with Objname.Site _ -> true | _ -> false)
-      (Profiler.all_objects p)
+      (p.all_objects ())
   in
   check_int "two context-distinguished names" 2 (Objname.Set.cardinal sites)
 
@@ -114,11 +127,11 @@ let test_short_lived_positive (profile : runner) () =
   let site_names =
     Objname.Set.filter
       (fun o -> match o with Objname.Site _ -> true | _ -> false)
-      (Profiler.all_objects p)
+      (p.all_objects ())
   in
   check_int "one dynamic name" 1 (Objname.Set.cardinal site_names);
   Objname.Set.iter
-    (fun o -> check "short-lived" true (Profiler.is_short_lived p o ~loop))
+    (fun o -> check "short-lived" true (p.is_short_lived o ~loop))
     site_names
 
 let test_short_lived_negative_escape (profile : runner) () =
@@ -141,9 +154,9 @@ fn main() {
   Objname.Set.iter
     (fun o ->
       match o with
-      | Objname.Site _ -> check "escaping object not short-lived" false (Profiler.is_short_lived p o ~loop)
+      | Objname.Site _ -> check "escaping object not short-lived" false (p.is_short_lived o ~loop)
       | _ -> ())
-    (Profiler.all_objects p)
+    (p.all_objects ())
 
 let test_short_lived_negative_born_outside (profile : runner) () =
   (* Allocated before the loop, freed inside it. *)
@@ -155,16 +168,16 @@ let test_short_lived_negative_born_outside (profile : runner) () =
   Objname.Set.iter
     (fun o ->
       match o with
-      | Objname.Site _ -> check "born outside loop" false (Profiler.is_short_lived p o ~loop)
+      | Objname.Site _ -> check "born outside loop" false (p.is_short_lived o ~loop)
       | _ -> ())
-    (Profiler.all_objects p)
+    (p.all_objects ())
 
 let test_flow_deps_cross_iteration (profile : runner) () =
   let program, p, _ =
     profile "global acc; fn main() { acc = 0; for (i = 0; i < 4) { acc = acc + i; } return acc; }"
   in
   let loop = loop_in program "main" in
-  check "cross-iteration flow dep on acc" true (Profiler.flow_deps p ~loop <> [])
+  check "cross-iteration flow dep on acc" true (p.flow_deps ~loop <> [])
 
 let test_flow_deps_intra_iteration_only (profile : runner) () =
   (* Written then read within each iteration: no loop-carried flow. *)
@@ -172,7 +185,7 @@ let test_flow_deps_intra_iteration_only (profile : runner) () =
     profile "global t; fn main() { var s = 0; for (i = 0; i < 4) { t = i; s = s + t; } return s; }"
   in
   let loop = loop_in program "main" in
-  check_int "no cross-iteration deps" 0 (List.length (Profiler.flow_deps p ~loop))
+  check_int "no cross-iteration deps" 0 (List.length (p.flow_deps ~loop))
 
 let test_flow_deps_recycled_address (profile : runner) () =
   (* A freed-and-reallocated address must not produce a phantom dep:
@@ -183,7 +196,7 @@ let test_flow_deps_recycled_address (profile : runner) () =
   in
   let loop = loop_in program "main" in
   check_int "no phantom dep through recycled storage" 0
-    (List.length (Profiler.flow_deps p ~loop))
+    (List.length (p.flow_deps ~loop))
 
 let test_flow_deps_unaligned (profile : runner) () =
   (* An 8-byte store at buf+4 straddles words 0 and 1; the aligned
@@ -205,7 +218,7 @@ fn main() {
   in
   let loop = loop_in program "main" in
   check "unaligned store's high word carries the dep" true
-    (Profiler.flow_deps p ~loop <> [])
+    (p.flow_deps ~loop <> [])
 
 let test_flow_deps_unaligned_load (profile : runner) () =
   (* Mirror case: aligned store, straddling load. *)
@@ -224,7 +237,7 @@ fn main() {
   in
   let loop = loop_in program "main" in
   check "unaligned load's high word sees the dep" true
-    (Profiler.flow_deps p ~loop <> [])
+    (p.flow_deps ~loop <> [])
 
 let test_dep_value_constancy (profile : runner) () =
   (* The flowing value is always 0: a value-prediction candidate. *)
@@ -242,7 +255,7 @@ fn main() {
 }|}
   in
   let loop = loop_in program "main" in
-  let deps = Profiler.flow_deps p ~loop in
+  let deps = p.flow_deps ~loop in
   check "has deps" true (deps <> []);
   List.iter
     (fun (_, _, (info : Profiler.dep_info)) ->
@@ -274,7 +287,7 @@ fn main() {
         (fun s -> match s with Ast.If (id, _, _, _) -> branches := id :: !branches | _ -> ())
         f.body)
     program.funcs;
-  let biases = List.map (fun id -> Profiler.branch_bias p id) (List.rev !branches) in
+  let biases = List.map (fun id -> p.branch_bias id) (List.rev !branches) in
   check "always / never / mixed" true (biases = [ Some true; Some false; None ])
 
 let test_loop_stats (profile : runner) () =
@@ -287,16 +300,16 @@ let test_loop_stats (profile : runner) () =
     | [ (_, (o, _)); (_, (i, _)) ] -> (o, i)
     | _ -> Alcotest.fail "expected two loops"
   in
-  (match Profiler.loop_summary p inner with
+  (match p.loop_summary inner with
   | Some s ->
     check_int "inner invocations" 3 s.loop_invocations;
     check_int "inner trips" 15 s.loop_trips
   | None -> Alcotest.fail "inner stats missing");
-  match (Profiler.loop_summary p outer, Profiler.loop_summary p inner) with
+  match (p.loop_summary outer, p.loop_summary inner) with
   | Some o, Some i ->
     check "outer at least as heavy as inner" true (o.loop_cycles >= i.loop_cycles);
     check "weight ordering" true
-      (match Profiler.loops_by_weight p with
+      (match p.loops_by_weight () with
       | (first, _) :: _ -> first = outer
       | [] -> false)
   | _ -> Alcotest.fail "stats missing"
@@ -326,205 +339,111 @@ fn main() {
     program.funcs;
   (match !konst with
   | Some id -> (
-    match Profiler.const_load_value p id with
+    match p.const_load_value id with
     | Some (Value.VInt 7) -> ()
     | _ -> Alcotest.fail "k should profile as constant 7")
   | None -> Alcotest.fail "no k load site");
   match !varying with
-  | Some id -> check "v load varies" true (Profiler.const_load_value p id = None)
+  | Some id -> check "v load varies" true (p.const_load_value id = None)
   | None -> Alcotest.fail "no v load site"
 
 let test_object_at_addr (profile : runner) () =
   let _, p, st = profile "global g[8]; fn main() { g[0] = 1; return 0; }" in
   let base = Hashtbl.find st.globals "g" in
-  (match Profiler.object_at_addr p (base + 40) with
+  (match p.object_at_addr (base + 40) with
   | Some (Objname.Global "g", b) -> check_int "base" base b
   | _ -> Alcotest.fail "interior address should map to g");
-  check "address outside any object" true (Profiler.object_at_addr p 0x9999 = None)
+  check "address outside any object" true (p.object_at_addr 0x9999 = None)
 
 (* ---- deterministic loops_by_weight order ------------------------------ *)
 
 let test_loops_by_weight_tiebreak () =
   (* Two byte-identical loops tie on weight; the order must be the
      same deterministic one (descending weight, loop id ascending on
-     ties) from every implementation. *)
+     ties) from both implementations. *)
   let src =
     "fn main() { var s = 0; for (a = 0; a < 3) { s = s + 1; } for (b = 0; b < 3) { s = s + 1; } return s; }"
   in
-  let ranked (_, p, _) = Profiler.loops_by_weight p in
-  let fast = ranked (run_with src) in
-  let rf = ranked (run_with ~profilers:[ "reference" ] src) in
-  let batched = ranked (run_batched src) in
+  let ranked (_, (p : Answers.t), _) = p.loops_by_weight () in
+  let fast = ranked (run_fast src) in
+  let rf = ranked (run_reference src) in
   check "two ranked loops" true (List.length fast = 2);
   (match fast with
   | (l1, w1) :: (l2, w2) :: _ ->
     check "tie on weight" true (w1 = w2);
     check "ties break by loop id" true (l1 < l2)
   | _ -> Alcotest.fail "expected two loops");
-  check "fast = reference" true (fast = rf);
-  check "fast = batched" true (fast = batched)
+  check "fast = reference" true (fast = rf)
 
 (* ---- full query surface differential ---------------------------------- *)
 
-let dep_info_eq (a : Profiler.dep_info) (b : Profiler.dep_info) =
-  a.dep_count = b.dep_count
-  && (match (a.dep_value, b.dep_value) with
-     | Profiler.Const x, Profiler.Const y -> Value.equal x y
-     | Profiler.Varying, Profiler.Varying -> true
-     | _ -> false)
-  && a.dep_addr = b.dep_addr
-
-let deps_eq a b =
-  List.length a = List.length b
-  && List.for_all2
-       (fun (w1, r1, i1) (w2, r2, i2) -> w1 = w2 && r1 = r2 && dep_info_eq i1 i2)
-       a b
-
-(* First query family on which [pa] and [pb] disagree, if any.  Covers
-   all six families: pointer-to-object, lifetime, flow, constant
-   loads, branch bias, and loop execution weight. *)
-let diff_answers (program : Ast.program) pa pb =
-  let fail = ref None in
-  let expect what ok = if !fail = None && not ok then fail := Some what in
-  let objs_a = Profiler.all_objects pa in
-  expect "all_objects" (Objname.Set.equal objs_a (Profiler.all_objects pb));
-  Objname.Set.iter
-    (fun o -> expect "object_size" (Profiler.object_size pa o = Profiler.object_size pb o))
-    objs_a;
-  let loads = ref [] and stores = ref [] and branches = ref [] and allocs = ref [] in
-  List.iter
-    (fun (f : Ast.func) ->
-      Ast.iter_exprs
-        (fun e ->
-          match e with
-          | Ast.Load (id, _, _) -> loads := id :: !loads
-          | Ast.Alloc (id, _, _, _) -> allocs := id :: !allocs
-          | _ -> ())
-        f.body;
-      Ast.iter_stmts
-        (fun s ->
-          match s with
-          | Ast.Store (id, _, _, _) -> stores := id :: !stores
-          | Ast.If (id, _, _, _) -> branches := id :: !branches
-          | _ -> ())
-        f.body)
-    program.funcs;
-  List.iter
-    (fun site ->
-      expect "objects_at_site"
-        (Objname.Set.equal (Profiler.objects_at_site pa site) (Profiler.objects_at_site pb site)))
-    (!loads @ !stores);
-  List.iter
-    (fun site ->
-      expect "alloc_names"
-        (Objname.Set.equal (Profiler.alloc_names pa site) (Profiler.alloc_names pb site)))
-    !allocs;
-  List.iter
-    (fun site ->
-      expect "const_load_value"
-        (match (Profiler.const_load_value pa site, Profiler.const_load_value pb site) with
-        | Some x, Some y -> Value.equal x y
-        | None, None -> true
-        | _ -> false))
-    !loads;
-  List.iter
-    (fun b ->
-      expect "branch_counts" (Profiler.branch_counts pa b = Profiler.branch_counts pb b);
-      expect "branch_bias" (Profiler.branch_bias pa b = Profiler.branch_bias pb b))
-    !branches;
-  let loops = List.map (fun (_, (id, _)) -> id) (Ast.loops_of_program program) in
-  List.iter
-    (fun loop ->
-      expect "flow_deps" (deps_eq (Profiler.flow_deps pa ~loop) (Profiler.flow_deps pb ~loop));
-      expect "loop_summary" (Profiler.loop_summary pa loop = Profiler.loop_summary pb loop);
-      Objname.Set.iter
-        (fun o ->
-          expect "is_short_lived"
-            (Profiler.is_short_lived pa o ~loop = Profiler.is_short_lived pb o ~loop))
-        objs_a)
-    loops;
-  expect "loops_by_weight" (Profiler.loops_by_weight pa = Profiler.loops_by_weight pb);
-  !fail
-
 let scenario_corpus =
   lazy (Privateer_gen.Scenario_gen.corpus ~seed:11 ~count:6)
-
-let run_scenario ?profilers ?pool ?batch (sc : Privateer_gen.Scenario_gen.t) =
-  let wl = sc.sc_workload in
-  let program = Privateer_workloads.Workload.program wl in
-  let setup = Privateer_workloads.Workload.setup ~scale:1 wl Privateer_workloads.Workload.Train in
-  let st = Interp.create program in
-  let p = Profiler.create ?profilers ?pool ?batch () in
-  Profiler.attach p st;
-  setup st;
-  ignore (Interp.run_entry st);
-  Profiler.sync p;
-  (program, p)
 
 let prop_fast_matches_reference =
   QCheck.Test.make ~count:12 ~name:"fast frontend = reference on generated scenarios"
     (QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 5))
     (fun i ->
       let sc = List.nth (Lazy.force scenario_corpus) i in
-      let program, pf = run_scenario sc in
-      let _, pr = run_scenario ~profilers:[ "reference" ] sc in
-      match diff_answers program pf pr with
+      let wl = sc.sc_workload in
+      let program = Privateer_workloads.Workload.program wl in
+      let setup =
+        Privateer_workloads.Workload.setup ~scale:1 wl Privateer_workloads.Workload.Train
+      in
+      let pf, _ = Answers.run_fast ~setup program in
+      let pr, _ = Answers.run_reference ~setup program in
+      match Answers.diff program pf pr with
       | None -> true
       | Some what -> QCheck.Test.fail_reportf "%s differs on %s" what sc.sc_name)
 
-(* ---- batched mode ------------------------------------------------------ *)
+(* ---- frontend fast paths vs the oracle -------------------------------- *)
 
-(* Every query must be invariant in the batch size: a batch of 1
-   flushes at every event, so batch boundaries land on loop enters,
-   iterations and exits. *)
-let test_batch_boundaries () =
-  let src =
-    {|global acc;
+(* Targeted sources for the frontend's fast paths, each checked over
+   the whole query surface against the oracle. *)
+let fast_and_reference src =
+  let program, pf, _ = run_fast src in
+  let _, pr, _ = run_reference src in
+  (match Answers.diff program pf pr with
+  | None -> ()
+  | Some what -> Alcotest.fail ("fast frontend differs from the oracle on " ^ what));
+  (program, pf, pr)
+
+let test_nested_loop_transitions () =
+  (* Inner-loop enters, iterations and exits inside an outer iteration
+     exercise the memoized loop-context snapshots and the positional
+     prefix walk over live writer stacks. *)
+  ignore
+    (fast_and_reference
+       {|global acc;
 fn main() {
   acc = 0;
   for (o = 0; o < 3) {
     for (i = 0; i < 4) { acc = acc + i; }
   }
   return acc;
-}|}
-  in
-  let program, pr, _ = run_with ~profilers:[ "reference" ] src in
-  List.iter
-    (fun batch ->
-      let _, pb, _ = run_batched ~batch src in
-      match diff_answers program pb pr with
-      | None -> ()
-      | Some what -> Alcotest.fail (Printf.sprintf "batch=%d differs on %s" batch what))
-    [ 1; 2; 7 ]
+}|})
 
-let test_batch_free_then_realloc () =
-  (* The allocator recycles the freed base address, so the name id of
-     an in-flight event must be resolved at hook time, not replay
-     time: with a tiny batch the free and the next alloc land in
-     different batches than the accesses they govern. *)
-  let src =
-    "fn main() { var s = 0; for (i = 0; i < 6) { var n = malloc(1); n[0] = i; s = s + n[0]; free(n); } return s; }"
+let test_free_then_realloc () =
+  (* The allocator recycles the freed base address every iteration:
+     the epoch'd flow records and the page-indexed object table must
+     drop the dead object's writer and name. *)
+  let program, pf, _ =
+    fast_and_reference
+      "fn main() { var s = 0; for (i = 0; i < 6) { var n = malloc(1); n[0] = i; s = s + n[0]; free(n); } return s; }"
   in
-  let program, pr, _ = run_with ~profilers:[ "reference" ] src in
-  let _, pb, _ = run_batched ~batch:1 src in
-  (match diff_answers program pb pr with
-  | None -> ()
-  | Some what -> Alcotest.fail ("free/realloc differs on " ^ what));
-  let loop = loop_in program "main" in
-  check_int "still no phantom dep" 0 (List.length (Profiler.flow_deps pb ~loop))
+  check_int "no phantom dep through the recycled address" 0
+    (List.length (pf.flow_deps ~loop:(loop_in program "main")))
 
-let test_batch_nested_invocation_cycles () =
-  (* Cycle accounting across nested invocations: enter/exit cycle
-     stamps ride inside the event stream, so per-loop cycles must
-     survive batching exactly. *)
-  let src =
-    "fn main() { var s = 0; for (o = 0; o < 3) { for (i = 0; i < 5) { s = s + 1; } } return s; }"
+let test_nested_invocation_cycles () =
+  (* Per-loop cycle accounting across repeated invocations of a nested
+     loop: invocations, trips and cycles must match the oracle exactly. *)
+  let program, pf, pr =
+    fast_and_reference
+      "fn main() { var s = 0; for (o = 0; o < 3) { for (i = 0; i < 5) { s = s + 1; } } return s; }"
   in
-  let program, pr, _ = run_with ~profilers:[ "reference" ] src in
-  let _, pb, _ = run_batched ~batch:2 src in
   List.iter
     (fun (_, (loop, _)) ->
-      match (Profiler.loop_summary pb loop, Profiler.loop_summary pr loop) with
+      match (pf.loop_summary loop, pr.loop_summary loop) with
       | Some a, Some b ->
         check_int "invocations" b.loop_invocations a.loop_invocations;
         check_int "trips" b.loop_trips a.loop_trips;
@@ -546,12 +465,17 @@ fn main() {
   return acc;
 }|}
   in
-  let program, p, _ = run_with ~profilers:[ "exec"; "flow" ] src in
-  check "enabled set" true (Profiler.enabled p = [ "exec"; "flow" ]);
+  let program = parse src in
+  let st = Interp.create program in
+  let prof = Profiler.create ~profilers:[ "exec"; "flow" ] () in
+  Profiler.attach prof st;
+  ignore (Interp.run_entry st);
+  check "enabled set" true (Profiler.enabled prof = [ "exec"; "flow" ]);
+  let p = Answers.of_profiler prof in
   let loop = loop_in program "main" in
   (* Enabled profilers answer... *)
-  check "flow deps observed" true (Profiler.flow_deps p ~loop <> []);
-  check "loop summary present" true (Profiler.loop_summary p loop <> None);
+  check "flow deps observed" true (p.flow_deps ~loop <> []);
+  check "loop summary present" true (p.loop_summary loop <> None);
   (* ...disabled ones answer as if they observed nothing. *)
   let sites = ref [] in
   List.iter
@@ -565,13 +489,13 @@ fn main() {
     program.funcs;
   List.iter
     (fun id ->
-      check "no objects at site" true (Objname.Set.is_empty (Profiler.objects_at_site p id));
-      check "no const load" true (Profiler.const_load_value p id = None);
-      check "no branch bias" true (Profiler.branch_bias p id = None))
+      check "no objects at site" true (Objname.Set.is_empty (p.objects_at_site id));
+      check "no const load" true (p.const_load_value id = None);
+      check "no branch bias" true (p.branch_bias id = None))
     !sites;
   Objname.Set.iter
-    (fun o -> check "nothing short-lived" false (Profiler.is_short_lived p o ~loop))
-    (Profiler.all_objects p)
+    (fun o -> check "nothing short-lived" false (p.is_short_lived o ~loop))
+    (p.all_objects ())
 
 let test_parse_profilers () =
   let ok = function Ok names -> names | Error e -> Alcotest.fail e in
@@ -582,12 +506,9 @@ let test_parse_profilers () =
     "normalized" [ "exec"; "flow" ]
     (ok (RC.parse_profilers " Exec , FLOW "));
   Alcotest.(check (list string)) "all" [ "all" ] (ok (RC.parse_profilers "all"));
-  Alcotest.(check (list string))
-    "reference alone" [ "reference" ]
-    (ok (RC.parse_profilers "reference"));
   let is_err = function Error _ -> true | Ok _ -> false in
   check "unknown name rejected" true (is_err (RC.parse_profilers "bogus"));
-  check "reference cannot combine" true (is_err (RC.parse_profilers "reference,exec"));
+  check "the removed oracle name is rejected" true (is_err (RC.parse_profilers "reference"));
   check "empty rejected" true (is_err (RC.parse_profilers ""));
   check "unknown profiler in create" true
     (try
@@ -623,12 +544,12 @@ let suite =
   parameterized
   @ [ Alcotest.test_case "loops_by_weight tie-break is deterministic" `Quick
         test_loops_by_weight_tiebreak;
-      Alcotest.test_case "batched: boundaries at loop transitions" `Quick
-        test_batch_boundaries;
-      Alcotest.test_case "batched: free then realloc same address" `Quick
-        test_batch_free_then_realloc;
-      Alcotest.test_case "batched: nested-invocation cycle accounting" `Quick
-        test_batch_nested_invocation_cycles;
+      Alcotest.test_case "frontend: nested loop transitions = oracle" `Quick
+        test_nested_loop_transitions;
+      Alcotest.test_case "frontend: free then realloc same address" `Quick
+        test_free_then_realloc;
+      Alcotest.test_case "frontend: nested-invocation cycle accounting" `Quick
+        test_nested_invocation_cycles;
       Alcotest.test_case "restricted profiler set" `Quick test_restricted_set;
       Alcotest.test_case "parse_profilers" `Quick test_parse_profilers;
       QCheck_alcotest.to_alcotest prop_fast_matches_reference ]

@@ -204,16 +204,16 @@ let prop_shadow_vs_oracle history =
    Both implementations satisfy [Shadow_sig.S], so the op-list driver
    is a functor over the signature: the same workload replays against
    any implementation, and [test_host_parallel] reuses the instances
-   to pin the pooled/domain-parallel reset against the plain one. *)
+   to pin the pooled reset against the plain one. *)
 type sh_op = Access of { write : bool; off : int; size : int; beta : int } | Reset
 
-module Shadow_equiv (S : Privateer_runtime.Shadow_sig.S) = struct
+module Shadow_equiv (S : Privateer_oracle.Shadow_sig.S) = struct
   (* Replay [ops] on a fresh machine through [S]; returns the machine
      and the first failure (op index + structural misspec reason).
-     [pool]/[page_pool] thread through to [S.reset_interval] — host
-     accelerations the oracle ignores and the optimized path must not
+     [page_pool] threads through to [S.reset_interval] — a host
+     acceleration the oracle ignores and the optimized path must not
      let show. *)
-  let run ?pool ?page_pool ops =
+  let run ?page_pool ops =
     let open Privateer_machine in
     let open Privateer_runtime in
     let base = Privateer_ir.Heap.base Privateer_ir.Heap.Private in
@@ -223,11 +223,11 @@ module Shadow_equiv (S : Privateer_runtime.Shadow_sig.S) = struct
       (fun idx op ->
         if !fail = None then
           match op with
-          | Reset -> ignore (S.reset_interval ?pool ?page_pool m)
+          | Reset -> ignore (S.reset_interval ?page_pool m)
           | Access a -> (
             try
               S.access m
-                (if a.write then Shadow_sig.Write else Shadow_sig.Read)
+                (if a.write then Shadow.Write else Shadow.Read)
                 ~addr:(base + a.off) ~size:a.size ~beta:a.beta
             with Misspec.Misspeculation r -> fail := Some (idx, r)))
       ops;
@@ -235,7 +235,7 @@ module Shadow_equiv (S : Privateer_runtime.Shadow_sig.S) = struct
 end
 
 module Run_shadow = Shadow_equiv (Privateer_runtime.Shadow)
-module Run_reference = Shadow_equiv (Privateer_runtime.Shadow_reference)
+module Run_reference = Shadow_equiv (Privateer_oracle.Shadow_reference)
 
 let sh_op_gen =
   QCheck.Gen.(
@@ -328,7 +328,7 @@ let prop_random_privatizable_equivalence tmpls =
   let program = Privateer.Pipeline.parse src in
   let tr, _ = Privateer.Pipeline.compile program in
   let seq = Privateer.Pipeline.run_sequential program in
-  let config = { Privateer_parallel.Executor.default_config with workers = 5 } in
+  let config = { Privateer_parallel.Runtime_config.default with workers = 5 } in
   let par = Privateer.Pipeline.run_parallel ~config tr in
   String.equal seq.seq_output par.par_output
   && Privateer_interp.Value.equal seq.seq_result par.par_result
@@ -341,7 +341,7 @@ let prop_random_equivalence_with_misspec tmpls =
   let tr, _ = Privateer.Pipeline.compile program in
   let seq = Privateer.Pipeline.run_sequential program in
   let config =
-    { Privateer_parallel.Executor.default_config with workers = 3;
+    { Privateer_parallel.Runtime_config.default with workers = 3;
       inject = Some (fun iter -> iter mod 11 = 7) }
   in
   let par = Privateer.Pipeline.run_parallel ~config tr in

@@ -182,7 +182,7 @@ let test_checkpoint_last_writer_wins () =
   in
   let merged = Checkpoint.merge [ c0; c1 ] in
   check "no violation" true (merged.violation = None);
-  (match Checkpoint.find_overlay merged (base + 8) with
+  (match Hashtbl.find_opt merged.overlay (base + 8) with
   | Some { iter = 3; bits; _ } -> check_int "iteration 3 wins" 300 (Int64.to_int bits)
   | _ -> Alcotest.fail "missing merged word");
   (* Applying the overlay installs the winner. *)

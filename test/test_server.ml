@@ -1,8 +1,8 @@
 (* The job server: concurrent speculative pipelines over one shared
    pool.
 
-   - qcheck: N generated jobs run concurrently (max_inflight 2-4, both
-     pool kinds, forced 4 "cores") produce per-job fingerprints —
+   - qcheck: N generated jobs run concurrently (max_inflight 2-4,
+     forced 4 "cores") produce per-job fingerprints —
      simulated cycles, outputs, results, non-host stats, per-loop
      tables — byte-identical to the same jobs run serially (1 core,
      effectively sequential);
@@ -19,7 +19,6 @@
 
 module Job_server = Privateer_server.Job_server
 module Jobs_manifest = Privateer_server.Jobs_manifest
-module Domain_pool = Privateer_support.Domain_pool
 module RC = Privateer_parallel.Runtime_config
 
 let check = Alcotest.(check bool)
@@ -48,7 +47,7 @@ let fingerprint_of t job =
   | Job_server.Failed msg -> "failed: " ^ msg
   | s -> "unsettled: " ^ Job_server.state_name s
 
-(* ---- qcheck: concurrent = serial, both kinds --------------------------- *)
+(* ---- qcheck: concurrent = serial ---------------------------------------- *)
 
 (* Job sources come from the same template generator as the pipeline
    equivalence properties; per-job configs vary workers so the jobs
@@ -63,11 +62,8 @@ let jobs_arb =
            (list_size (int_range 1 5) Test_props.tmpl_gen))
       (int_range 2 4))
 
-let run_fingerprints ~host_cores ~kind ~max_inflight sources =
-  let config =
-    { RC.default with
-      RC.pool_kind = kind; max_inflight; queue_cap = 0; host_domains = 1 }
-  in
+let run_fingerprints ~host_cores ~max_inflight sources =
+  let config = { RC.default with max_inflight; queue_cap = 0 } in
   let specs =
     List.mapi
       (fun i src ->
@@ -83,20 +79,10 @@ let prop_concurrent_identical_to_serial (template_lists, max_inflight) =
   let sources = List.map Test_props.program_of_templates template_lists in
   (* Serial reference: 1 host core clamps the server to sequential,
      poolless execution. *)
-  let serial =
-    run_fingerprints ~host_cores:1 ~kind:Domain_pool.Work_stealing ~max_inflight
-      sources
-  in
-  let ws =
-    run_fingerprints ~host_cores:4 ~kind:Domain_pool.Work_stealing ~max_inflight
-      sources
-  in
-  let legacy =
-    run_fingerprints ~host_cores:4 ~kind:Domain_pool.Single_queue ~max_inflight
-      sources
-  in
+  let serial = run_fingerprints ~host_cores:1 ~max_inflight sources in
+  let concurrent = run_fingerprints ~host_cores:4 ~max_inflight sources in
   List.for_all (fun fp -> not (String.length fp >= 6 && String.sub fp 0 6 = "failed")) serial
-  && serial = ws && serial = legacy
+  && serial = concurrent
 
 (* ---- regression: interleaved pipelines in one process ------------------- *)
 
@@ -110,7 +96,7 @@ let test_interleaved_pipelines () =
   let run_pipeline () =
     let program = Privateer.Pipeline.parse src in
     let tr, _ = Privateer.Pipeline.compile program in
-    let config = { RC.default with RC.workers = 5; host_domains = 1 } in
+    let config = { RC.default with RC.workers = 5 } in
     let par = Privateer.Pipeline.run_parallel ~config tr in
     ( par.par_output,
       par.par_cycles,
@@ -304,6 +290,15 @@ let test_manifest_scenarios () =
   bad "x workload:dijkstra scale=9\n" "supports scale 1..";
   bad "x zap:foo\n" "unknown job source kind";
   bad "x dijkstra input=ref\n" "job source must be";
+  (* The host-parallelism knobs are gone: each is an unknown option. *)
+  List.iter
+    (fun opt ->
+      match Jobs_manifest.parse ~base:RC.default ("# ok\nx workload:dijkstra " ^ opt ^ "\n") with
+      | _ -> Alcotest.fail (Printf.sprintf "removed knob %S accepted" opt)
+      | exception Failure m ->
+        check (opt ^ " is an unknown job option on line 2") true
+          (contains m "line 2:" && contains m "unknown job option"))
+    [ "host-domains=2"; "merge-shards=4"; "pool-kind=legacy"; "host-controller=never" ];
   (* Errors carry the 1-based manifest line number. *)
   (match Jobs_manifest.parse ~base:RC.default "# fine\nx scenario:zap=1\n" with
   | _ -> Alcotest.fail "bad second line accepted"
@@ -339,7 +334,7 @@ let test_example_manifest_loads () =
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [ QCheck.Test.make ~count:10
-        ~name:"concurrent jobs byte-identical to serial (both kinds)" jobs_arb
+        ~name:"concurrent jobs byte-identical to serial" jobs_arb
         prop_concurrent_identical_to_serial ]
   @ [ Alcotest.test_case "interleaved pipelines = serial reference" `Quick
         test_interleaved_pipelines;

@@ -14,7 +14,7 @@ let full_profile =
   { Privateer_parallel.Runtime_config.default with profilers = [ "all" ] }
 
 let config ?(workers = 4) () =
-  { Privateer_parallel.Executor.default_config with workers }
+  { Privateer_parallel.Runtime_config.default with workers }
 
 (* Train with mode=0, run with mode=1; compare against sequential. *)
 let train_ref_divergence ?workers src =

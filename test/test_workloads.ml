@@ -43,7 +43,7 @@ let outputs_equivalent a b =
 let run_both ?(workers = 8) ?(input = Workload.Alt) wl =
   let program, tr, _ = compile wl in
   let seq = Pipeline.run_sequential ~setup:(Workload.setup wl input) program in
-  let config = { Privateer_parallel.Executor.default_config with workers } in
+  let config = { Privateer_parallel.Runtime_config.default with workers } in
   let par = Pipeline.run_parallel ~setup:(Workload.setup wl input) ~config tr in
   (seq, par)
 
