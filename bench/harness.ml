@@ -33,19 +33,18 @@ let compiled wl =
 
 let config ?(workers = 24) ?checkpoint_period ?inject ?(serial_commit = false)
     ?(schedule = Privateer_parallel.Schedule.Cyclic) ?(adaptive = false) ?throttle
-    ?(pool_cap = Privateer_parallel.Runtime_config.default_pool_cap)
     ?(validation = Privateer_parallel.Runtime_config.default_validation) () =
   { Privateer_parallel.Runtime_config.default with
     workers; checkpoint_period; inject; serial_commit; schedule;
-    adaptive_period = adaptive; throttle; pool_cap; validation }
+    adaptive_period = adaptive; throttle; validation }
 
 let run_parallel ?workers ?checkpoint_period ?inject ?serial_commit ?schedule
-    ?adaptive ?throttle ?pool_cap ?validation c =
+    ?adaptive ?throttle ?validation c =
   Pipeline.run_parallel
     ~setup:(Workload.setup c.wl Workload.Ref)
     ~config:
       (config ?workers ?checkpoint_period ?inject ?serial_commit ?schedule ?adaptive
-         ?throttle ?pool_cap ?validation ())
+         ?throttle ?validation ())
     c.tr
 
 (* A bench's pass/fail gates: exit 2 naming every failed gate.  Call it

@@ -432,7 +432,7 @@ let () =
     List.iter (fun (_, f) -> f ()) experiments;
     print_newline ();
     print_endline
-      "(wall-clock experiments: dune exec bench/main.exe -- micro | overhead | interval_reset | merge | server | eager | scale | profile)"
+      "(wall-clock experiments: dune exec bench/main.exe -- micro | overhead | merge | server | eager | scale | profile)"
   | _ :: [ "micro" ] -> Micro.run ()
   | _ :: names ->
     List.iter
@@ -441,7 +441,6 @@ let () =
         | Some f -> f ()
         | None when name = "micro" -> Micro.run ()
         | None when name = "overhead" -> Overhead.run ()
-        | None when name = "interval_reset" -> Interval_reset.run ()
         | None when name = "merge" -> Merge.run ()
         | None when name = "server" -> Server.run ()
         | None when name = "eager" -> Eager.run ()
@@ -449,7 +448,7 @@ let () =
         | None when name = "profile" -> Profile.run ()
         | None ->
           Printf.eprintf
-            "unknown experiment %s (have: %s, micro, overhead, interval_reset, merge, server, eager, scale, profile)\n"
+            "unknown experiment %s (have: %s, micro, overhead, merge, server, eager, scale, profile)\n"
             name
             (String.concat ", " (List.map fst experiments));
           exit 1)

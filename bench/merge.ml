@@ -1,7 +1,7 @@
-(* The `merge` experiment: host time of the phase-2 merge, the
-   early-exit extraction scan, and the adaptive shadow-pool cap.
+(* The `merge` experiment: host time of the phase-2 merge and the
+   early-exit extraction scan.
 
-   Four measurements:
+   Two measurements:
 
    - merge wall time on a dense multi-worker interval (8 workers x
      3000 overlapping words each + 512 live-in probes per worker),
@@ -12,17 +12,7 @@
      head, the same 8 words at each page tail, and fully-marked pages.
      Head vs tail isolates the early exit itself (same marks, the tail
      variant must walk the whole page to find them), dense shows the
-     cost scan distance no longer dominates;
-   - fixed vs adaptive pool cap on a phase-shifting reset footprint
-     (32 -> 4 -> 16 fully-timestamped pages): the unbounded pool keeps
-     its high-water buffer count forever, a small fixed cap evicts
-     through the big phase, `auto` tracks each phase's retirement
-     footprint.  Free-list high water, evictions, ready buffers and
-     the learned cap are reported per mode;
-   - simulated-cycle identity: dijkstra at pool cap {auto, unbounded}
-     must report byte-identical output and the same wall cycles and
-     checkpoint count as the cap-0 baseline -- the pool is not allowed
-     to move the cycle model.
+     cost scan distance no longer dominates.
 
    Results go to BENCH_merge.json; iteration counts scale down via
    MERGE_ITERS (CI smoke runs use a small value). *)
@@ -120,65 +110,10 @@ let bench_scan kind =
         (Checkpoint.contribution_of_worker ~worker:0 ~interval_start:0 m
            ~redux_ranges:[] ~reg_partials:[]))
 
-(* ---- fixed vs adaptive pool cap ----------------------------------------- *)
-
-(* Reset-footprint phases: (intervals, fully-timestamped pages). *)
-let pool_phases = [ (10, 32); (20, 4); (10, 16) ]
-
-let phase_footprint pages =
-  let m = Machine.create () in
-  Memory.clear_dirty m.Machine.mem;
-  for p = 0 to pages - 1 do
-    let base = Heap.base Heap.Private + (p * Memory.page_size) in
-    for i = 0 to (Memory.page_size / 8) - 1 do
-      Shadow.access m Shadow.Write ~addr:(base + (i * 8)) ~size:8 ~beta:5
-    done
-  done;
-  m
-
-(* Run the phase-shifting reset sequence against one pool; the reset's
-   sequential tail reports each interval's retirement footprint, which
-   is what the auto cap learns from. *)
-let run_pool_scenario cap =
-  let pool = Page_pool.create ~cap ~fill:(Char.chr Shadow.old_write) () in
-  List.iter
-    (fun (intervals, pages) ->
-      for _ = 1 to intervals do
-        ignore (Shadow.reset_interval ~page_pool:pool (phase_footprint pages))
-      done)
-    pool_phases;
-  (Page_pool.stats pool, Page_pool.ready pool, Page_pool.current_cap pool)
-
-let cap_label cap =
-  if cap = Page_pool.auto then "auto"
-  else if cap = Page_pool.unbounded then "unbounded"
-  else string_of_int cap
-
-(* ---- simulated-cycle identity ------------------------------------------- *)
-
-let identity_matrix () =
-  let c = Harness.compiled Privateer_workloads.Dijkstra.workload in
-  let open Privateer.Pipeline in
-  let base = Harness.run_parallel ~pool_cap:0 c in
-  let cells =
-    List.map
-      (fun cap ->
-        let par = Harness.run_parallel ~pool_cap:cap c in
-        let identical =
-          base.par_cycles = par.par_cycles
-          && base.stats.wall_cycles = par.stats.wall_cycles
-          && base.stats.checkpoints = par.stats.checkpoints
-          && String.equal base.par_output par.par_output
-        in
-        (cap, par, identical))
-      [ Page_pool.auto; Page_pool.unbounded ]
-  in
-  (base, cells)
-
 (* ---- driver ------------------------------------------------------------- *)
 
 let run () =
-  Printf.printf "\n================ merge: phase-2 merge, extraction scan, pool cap ================\n\n";
+  Printf.printf "\n================ merge: phase-2 merge, extraction scan ================\n\n";
   let ns, fill, validate, sweep = bench_merge () in
   Printf.printf
     "merge of %d workers x %d words (half-overlapping) + %d live-in probes each: %.1f us (fill %.1f, validate %.1f, sweep %.1f)\n"
@@ -192,44 +127,6 @@ let run () =
     "\nextraction scan (%d pages): %d head marks %.1f us, same marks at tail %.1f us (early-exit win %.2fx), dense %.1f us\n"
     scan_pages sparse_marks (head_ns /. 1e3) (tail_ns /. 1e3)
     (tail_ns /. head_ns) (dense_ns /. 1e3);
-
-  let pool_results =
-    List.map
-      (fun cap -> (cap, run_pool_scenario cap))
-      [ Page_pool.unbounded; 8; Page_pool.auto ]
-  in
-  Printf.printf "\npool cap on a %s-page reset sequence:\n"
-    (String.concat " -> "
-       (List.map (fun (_, pages) -> string_of_int pages) pool_phases));
-  let t =
-    Table.create
-      ~aligns:
-        [ Table.Right; Table.Right; Table.Right; Table.Right; Table.Right;
-          Table.Right ]
-      [ "cap"; "swaps"; "recycled"; "evictions"; "high water"; "learned cap" ]
-  in
-  List.iter
-    (fun (cap, ((ps : Page_pool.stats), _ready, current)) ->
-      Table.add_row t
-        [ cap_label cap; string_of_int ps.Page_pool.swaps;
-          string_of_int ps.Page_pool.recycled;
-          string_of_int ps.Page_pool.evictions;
-          string_of_int ps.Page_pool.high_water; cap_label current ])
-    pool_results;
-  Table.print t;
-
-  let base, cells = identity_matrix () in
-  let open Privateer.Pipeline in
-  Printf.printf
-    "\nsimulated identity (dijkstra, 24 workers): cap 0 -> %d wall cycles\n"
-    base.stats.wall_cycles;
-  let all_identical = List.for_all (fun (_, _, identical) -> identical) cells in
-  List.iter
-    (fun (cap, (par : Privateer.Pipeline.par_run), identical) ->
-      Printf.printf "  cap %-9s -> %d wall cycles; %s\n" (cap_label cap)
-        par.stats.wall_cycles
-        (if identical then "identical" else "DIFFERS (BUG)"))
-    cells;
 
   let json =
     let open Json in
@@ -250,38 +147,10 @@ let run () =
             [ ("pages", Int scan_pages); ("sparse_marks", Int sparse_marks);
               ("head_ns", Float head_ns); ("tail_ns", Float tail_ns);
               ("dense_ns", Float dense_ns);
-              ("early_exit_win", Float (tail_ns /. head_ns)) ] );
-        ( "pool_cap",
-          List
-            (List.map
-               (fun (cap, ((ps : Page_pool.stats), ready, current)) ->
-                 Obj
-                   [ ("cap", String (cap_label cap));
-                     ("swaps", Int ps.Page_pool.swaps);
-                     ("recycled", Int ps.Page_pool.recycled);
-                     ("evictions", Int ps.Page_pool.evictions);
-                     ("high_water", Int ps.Page_pool.high_water);
-                     ("ready", Int ready);
-                     ("current_cap", String (cap_label current)) ])
-               pool_results) );
-        ( "simulated_identity",
-          Obj
-            [ ("workload", String "dijkstra");
-              ("baseline_wall_cycles", Int base.stats.wall_cycles);
-              ("all_identical", Bool all_identical);
-              ( "cells",
-                List
-                  (List.map
-                     (fun (cap, (par : Privateer.Pipeline.par_run), identical) ->
-                       Obj
-                         [ ("pool_cap", String (cap_label cap));
-                           ("wall_cycles", Int par.stats.wall_cycles);
-                           ("identical_to_baseline", Bool identical) ])
-                     cells) ) ] ) ]
+              ("early_exit_win", Float (tail_ns /. head_ns)) ] ) ]
   in
   let oc = open_out "BENCH_merge.json" in
   output_string oc (Json.to_string json);
   output_char oc '\n';
   close_out oc;
-  print_endline "\nwrote BENCH_merge.json";
-  Harness.require [ ("simulated_identity.all_identical", all_identical) ]
+  print_endline "\nwrote BENCH_merge.json"

@@ -12,12 +12,8 @@
      enlarges the input, deterministically;
    - *fidelity*: the parallel output matches the sequential output at
      every scale;
-   - *host identity at scale*: the paper's determinism contract holds
-     on the enlarged inputs — a run with the pooled interval reset is
-     cycle- and byte-identical to the pool-less reference cell, and
-     the reset and merge paths are actually exercised (checkpoints
-     committed).  This is the scaled re-statement of the pooled reset
-     guarantee: host-side wins must never move simulated state.
+   - *checkpoints committed*: the interval reset and the merge
+     actually run at the top scale of every port.
 
    SCALE_MAX caps the scale sweep (default 3, clamped per port;
    the ports themselves go to 4), SCALE_WORKERS the worker count.
@@ -27,7 +23,6 @@
 open Privateer_support
 open Privateer_workloads
 module Pipeline = Privateer.Pipeline
-module Page_pool = Privateer_runtime.Page_pool
 
 let env_int name default =
   match Sys.getenv_opt name with
@@ -41,8 +36,7 @@ type cell = {
   c_scale : int;
   c_params : (string * int) list; (* ref-input parameters at this scale *)
   c_seq : Pipeline.seq_run;
-  c_par : Pipeline.par_run; (* reference host cell: no page pool *)
-  c_host : Pipeline.par_run; (* pooled reset *)
+  c_par : Pipeline.par_run;
 }
 
 let run_port wl =
@@ -57,28 +51,20 @@ let run_port wl =
       in
       let setup = Workload.setup ~scale:s wl Workload.Ref in
       let seq = Pipeline.run_sequential ~setup program in
-      let par ~pool_cap =
+      let par =
         Pipeline.run_parallel ~setup
           ~config:
             { Privateer_parallel.Runtime_config.default with
-              workers = workers (); adaptive_period = false; pool_cap }
+              workers = workers (); adaptive_period = false }
           tr
       in
       { c_scale = s; c_params = Workload.params ~scale:s wl Workload.Ref;
-        c_seq = seq; c_par = par ~pool_cap:0; c_host = par ~pool_cap:Page_pool.unbounded })
+        c_seq = seq; c_par = par })
     scales
 
 let strictly_increasing = function
   | [] | [ _ ] -> true
   | x :: rest -> fst (List.fold_left (fun (ok, prev) v -> (ok && v > prev, v)) (true, x) rest)
-
-let host_identical (c : cell) =
-  let open Pipeline in
-  c.c_par.par_cycles = c.c_host.par_cycles
-  && c.c_par.stats.wall_cycles = c.c_host.stats.wall_cycles
-  && c.c_par.stats.checkpoints = c.c_host.stats.checkpoints
-  && String.equal c.c_par.par_output c.c_host.par_output
-  && c.c_par.par_result = c.c_host.par_result
 
 let run () =
   Printf.printf "\n================ scale: large-input mode of the five ports ================\n\n";
@@ -91,9 +77,8 @@ let run () =
     Table.create
       ~aligns:
         [ Table.Left; Table.Right; Table.Right; Table.Right; Table.Right;
-          Table.Right; Table.Left ]
-      [ "port"; "scale"; "seq cycles"; "par cycles"; "speedup"; "priv KB written";
-        "host cell" ]
+          Table.Right ]
+      [ "port"; "scale"; "seq cycles"; "par cycles"; "speedup"; "priv KB written" ]
   in
   List.iter
     (fun (wl, cells) ->
@@ -104,8 +89,7 @@ let run () =
               string_of_int c.c_seq.seq_cycles; string_of_int c.c_par.par_cycles;
               Printf.sprintf "%.2f"
                 (float_of_int c.c_seq.seq_cycles /. float_of_int c.c_par.par_cycles);
-              string_of_int (c.c_par.stats.private_bytes_written / 1024);
-              (if host_identical c then "identical" else "DIFFERS (BUG)") ])
+              string_of_int (c.c_par.stats.private_bytes_written / 1024) ])
         cells)
     results;
   Table.print t;
@@ -121,36 +105,30 @@ let run () =
               && c.c_par.par_result = c.c_seq.seq_result)
             cells
         in
-        let identity_ok = List.for_all host_identical cells in
-        (* The pooled reset and the merge must actually run at the top
-           scale for the identity above to certify anything: every
-           committed checkpoint runs both. *)
-        let exercised =
+        (* Every committed checkpoint runs the interval reset and the
+           merge, so the top scale must commit at least one. *)
+        let committed =
           match List.rev cells with
-          | top :: _ -> top.c_host.stats.checkpoints > 0
+          | top :: _ -> top.c_par.stats.checkpoints > 0
           | [] -> false
         in
         (wl, cells, strictly_increasing cycles, strictly_increasing footprint,
-         outputs_ok, identity_ok, exercised))
+         outputs_ok, committed))
       results
   in
   let all b = List.for_all b per_port in
-  let cycles_grow = all (fun (_, _, g, _, _, _, _) -> g) in
-  let footprint_grows = all (fun (_, _, _, g, _, _, _) -> g) in
-  let outputs_ok = all (fun (_, _, _, _, o, _, _) -> o) in
-  let identity_ok = all (fun (_, _, _, _, _, i, _) -> i) in
-  let exercised = all (fun (_, _, _, _, _, _, e) -> e) in
+  let cycles_grow = all (fun (_, _, g, _, _, _) -> g) in
+  let footprint_grows = all (fun (_, _, _, g, _, _) -> g) in
+  let outputs_ok = all (fun (_, _, _, _, o, _) -> o) in
+  let committed = all (fun (_, _, _, _, _, c) -> c) in
   Printf.printf "\nsequential cycles grow strictly with scale on every port: %s\n"
     (if cycles_grow then "yes" else "NO (BUG)");
   Printf.printf "private write footprint grows strictly with scale: %s\n"
     (if footprint_grows then "yes" else "NO (BUG)");
   Printf.printf "parallel output matches sequential at every scale: %s\n"
     (if outputs_ok then "yes" else "NO (BUG)");
-  Printf.printf
-    "host cell (pooled reset) identical at every scale: %s\n"
-    (if identity_ok then "yes" else "NO (BUG)");
-  Printf.printf "pooled reset and merge paths exercised at top scale: %s\n"
-    (if exercised then "yes" else "NO (BUG)");
+  Printf.printf "checkpoints committed at top scale: %s\n"
+    (if committed then "yes" else "NO (BUG)");
   let json =
     let open Json in
     Obj
@@ -159,7 +137,7 @@ let run () =
         ( "ports",
           List
             (List.map
-               (fun (wl, cells, cyc, fp, out, ident, ex) ->
+               (fun (wl, cells, cyc, fp, out, ckpt) ->
                  Obj
                    [ ("workload", String wl.Workload.name);
                      ("max_scale", Int wl.Workload.max_scale);
@@ -181,20 +159,17 @@ let run () =
                                     Int c.c_par.stats.private_bytes_written );
                                   ("checkpoints", Int c.c_par.stats.checkpoints);
                                   ( "misspeculations",
-                                    Int c.c_par.stats.misspeculations );
-                                  ("host_identical", Bool (host_identical c)) ])
+                                    Int c.c_par.stats.misspeculations ) ])
                             cells) );
                      ("cycles_monotonic", Bool cyc);
                      ("footprint_monotonic", Bool fp);
                      ("outputs_match_sequential", Bool out);
-                     ("host_identity", Bool ident);
-                     ("pooled_paths_exercised", Bool ex) ])
+                     ("checkpoints_committed", Bool ckpt) ])
                per_port) );
         ("cycles_monotonic", Bool cycles_grow);
         ("footprint_monotonic", Bool footprint_grows);
         ("outputs_match_sequential", Bool outputs_ok);
-        ("host_identity", Bool identity_ok);
-        ("pooled_paths_exercised", Bool exercised) ]
+        ("checkpoints_committed", Bool committed) ]
   in
   let oc = open_out "BENCH_scale.json" in
   output_string oc (Json.to_string json);
@@ -203,5 +178,4 @@ let run () =
   print_endline "\nwrote BENCH_scale.json";
   Harness.require
     [ ("cycles_monotonic", cycles_grow); ("footprint_monotonic", footprint_grows);
-      ("outputs_match_sequential", outputs_ok); ("host_identity", identity_ok);
-      ("pooled_paths_exercised", exercised) ]
+      ("outputs_match_sequential", outputs_ok); ("checkpoints_committed", committed) ]

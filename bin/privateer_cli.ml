@@ -64,7 +64,7 @@ let json_arg =
 module RC = Privateer_parallel.Runtime_config
 
 (* Every engine-tuning flag (--workers, --checkpoint, --schedule,
-   --adaptive, --throttle, --shadow-pool-cap, ...) comes
+   --adaptive, --throttle, --validation, ...) comes
    from [Runtime_config.cli_bindings]: one optional string argument
    per table entry, folded over a base config.  Adding a knob to the
    table adds the flag here with no CLI change. *)
@@ -160,7 +160,6 @@ let config_json (cfg : RC.t) =
     [ ("workers", Int cfg.workers);
       ("schedule", String (Privateer_parallel.Schedule.to_string cfg.schedule));
       ("validation", String (RC.validation_to_string cfg.validation));
-      ("pool_cap", Int cfg.pool_cap);
       ("profilers", List (List.map (fun p -> String p) cfg.profilers)) ]
 
 (* Machine-readable report: the configuration, whole-run numbers,

@@ -73,13 +73,9 @@ type par_run = {
     DOALL executor.
 
     [config] is a {!Privateer_parallel.Runtime_config.t} — build one
-    with [Runtime_config.make].  Its [pool_cap] sizes the shadow-page
-    recycling pool, which is invisible to the simulation: for any
-    setting, [par_output], [par_result], [par_cycles] and every
-    [stats] counter are byte-identical to the [pool_cap = 0] run —
-    only the host wall-clock changes.  The run is single-domain; host
+    with [Runtime_config.make].  The run is single-domain; host
     parallelism comes from running several pipelines at once in the
-    job server. *)
+    job server, which moves no simulated figure. *)
 val run_parallel :
   ?setup:setup ->
   ?config:Privateer_parallel.Runtime_config.t ->

@@ -38,10 +38,7 @@ let n_heaps = 1 lsl Heap.tag_bits
 let tag_of_key key = (key lsr heap_shift) land (n_heaps - 1)
 
 type page = {
-  mutable bytes : Bytes.t;
-      (* mutable only for [swap_bytes]: the interval-reset fast path
-         retires a fully-timestamped shadow page by exchanging its
-         backing store with a pooled pre-filled buffer *)
+  bytes : Bytes.t;
   ftags : Bytes.t;
   mutable shared : bool;
       (* true when this page object may be referenced by another page
@@ -53,7 +50,7 @@ type page = {
       (* exact count of shadow timestamp bytes (metadata >= 3) on this
          page, maintained by the shadow layer (Shadow.access adds,
          reset zeroes).  [timestamp_bytes = page_size] proves the page
-         is fully timestamped, enabling the swap-and-fill retirement;
+         is fully timestamped, so the reset can fill it in one memset;
          unlike the [any_*] flags this is a count, not a hint, so only
          the shadow layer may write metadata on counted pages. *)
   mutable live_in_bytes : int;
@@ -124,15 +121,6 @@ let timestamp_bytes p = p.timestamp_bytes
 let add_timestamp_bytes p n = p.timestamp_bytes <- p.timestamp_bytes + n
 let live_in_bytes p = p.live_in_bytes
 let add_live_in_bytes p n = p.live_in_bytes <- p.live_in_bytes + n
-
-(* Exchange the page's backing store for [replacement], returning the
-   old buffer.  Only legal on an unshared page (from [touch_page]): a
-   shared page's buffer is still referenced by another page table. *)
-let swap_bytes p replacement =
-  assert (not p.shared && Bytes.length replacement = page_size);
-  let old = p.bytes in
-  p.bytes <- replacement;
-  old
 
 (* Page for reading: never allocates; None means all-zero. *)
 let find_page t addr =

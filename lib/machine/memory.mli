@@ -65,8 +65,8 @@ val timestamp_bytes : page -> int
     maintained solely by the shadow layer ([Shadow.access] adds,
     interval reset zeroes via {!clear_timestamp_flag}) and survives
     copy-on-write cloning.  [timestamp_bytes p = page_size] proves the
-    page is fully timestamped, enabling the pooled swap-and-fill
-    retirement on the interval-reset path. *)
+    page is fully timestamped, so the interval reset fills it in one
+    memset instead of scanning it. *)
 
 val add_timestamp_bytes : page -> int -> unit
 (** Add a (possibly negative) delta to {!timestamp_bytes}.  Shadow
@@ -86,15 +86,6 @@ val live_in_bytes : page -> int
 val add_live_in_bytes : page -> int -> unit
 (** Add a (possibly negative) delta to {!live_in_bytes}.  Shadow layer
     only. *)
-
-val swap_bytes : page -> Bytes.t -> Bytes.t
-(** [swap_bytes p replacement] installs [replacement] as the page's
-    backing store and returns the old buffer.  Only legal on an
-    unshared page (one obtained from {!touch_page} this interval);
-    [replacement] must be exactly {!page_size} bytes.  This is the
-    interval-reset fast path: a fully-timestamped shadow page is
-    retired wholesale by exchanging its buffer with a pooled,
-    pre-filled one instead of rewriting 4096 bytes in place. *)
 
 val create : unit -> t
 (** An empty memory (every read sees zero). *)

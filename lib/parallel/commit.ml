@@ -41,21 +41,17 @@ type ctx = {
   io : Deferred_io.t;
   emit_main : string -> unit;
   serial_commit : bool;
-  page_pool : Page_pool.t option;
-      (* shadow-page buffer pool for swap-retirement at interval
-         reset; None = in-place rewrite *)
   merge_state : Checkpoint.merge_state;
       (* word -> writer index carried across this cohort's intervals *)
 }
 
-let make_ctx (env : Worker.env) (st : Interp.t) fr spec ~io ~emit_main ~serial_commit
-    ~page_pool =
+let make_ctx (env : Worker.env) (st : Interp.t) fr spec ~io ~emit_main ~serial_commit =
   let ranges = Worker.redux_ranges st spec in
   let reg_ops = Worker.reduction_regs spec in
   { env; ranges; reg_ops; redux_base = Worker.read_redux_base st ranges;
     reg_base =
       List.map (fun (name, _) -> (name, Hashtbl.find fr.Interp.locals name)) reg_ops;
-    io; emit_main; serial_commit; page_pool;
+    io; emit_main; serial_commit;
     merge_state = Checkpoint.create_merge_state () }
 
 (* Index work performed by this cohort's carried merge index — a
@@ -132,13 +128,12 @@ let commit_interval ctx (st : Interp.t) fr workers (m : Checkpoint.merged) ~lo ~
        m.Checkpoint.contributions);
   Deferred_io.commit_range ctx.io ~lo ~hi ~sink:ctx.emit_main;
   stats.checkpoints <- stats.checkpoints + 1;
-  (* Metadata reset + dirty clear per worker.  The reset retires
-     fully-timestamped pages through the shadow-page pool; the
-     simulated per-page charge is identical either way. *)
+  (* Metadata reset + dirty clear per worker, charged per mapped
+     shadow page. *)
   List.iter
     (fun (w : Worker.t) ->
       let t0 = Privateer_support.Clock.now_ns () in
-      let pages = Shadow.reset_interval ?page_pool:ctx.page_pool w.w_st.machine in
+      let pages = Shadow.reset_interval w.w_st.machine in
       stats.ns_reset <- stats.ns_reset +. (Privateer_support.Clock.now_ns () -. t0);
       let cost = pages * cm.c_reset_page in
       w.w_clock <- w.w_clock + cost;

@@ -24,9 +24,6 @@ type t = {
   manifest : Manifest.t;
   config : Runtime_config.t;
   stats : Stats.t;
-  page_pool : Page_pool.t option;
-      (* shadow-page buffer pool when pool_cap > 0 (per executor:
-         retired buffers recycle across this engine's intervals) *)
   mutable fallbacks : int; (* invocations run sequentially (failed preheader) *)
   suspended : (Ast.node_id, unit) Hashtbl.t;
       (* loops whose speculation the throttle has suspended *)
@@ -36,15 +33,7 @@ let create manifest (config : Runtime_config.t) =
   Runtime_config.validate config;
   let stats = Stats.create () in
   stats.workers <- config.workers;
-  let page_pool =
-    (* pool_cap 0 disables pooling; any other value (fixed or
-       Page_pool.auto) creates a pool with that cap. *)
-    if config.pool_cap <> 0 then
-      Some
-        (Page_pool.create ~cap:config.pool_cap ~fill:(Char.chr Shadow.old_write) ())
-    else None
-  in
-  { manifest; config; stats; page_pool; fallbacks = 0; suspended = Hashtbl.create 4 }
+  { manifest; config; stats; fallbacks = 0; suspended = Hashtbl.create 4 }
 
 let env t =
   { Worker.cm = t.config.costs; stats = t.stats; manifest = t.manifest;
@@ -138,8 +127,9 @@ let run_invocation t (st : Interp.t) fr (spec : Manifest.loop_spec) ~var ~init_v
         parallel_from (start_iter + 1)
       end
       else begin
-        let ctx = Commit.make_ctx env st fr spec ~io ~emit_main
-            ~serial_commit:t.config.serial_commit ~page_pool:t.page_pool
+        let ctx =
+          Commit.make_ctx env st fr spec ~io ~emit_main
+            ~serial_commit:t.config.serial_commit
         in
         let workers = Worker.spawn env st fr spec ctx.Commit.ranges nw ~now:!timeline in
         (match board with

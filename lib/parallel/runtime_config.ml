@@ -6,8 +6,6 @@
    of hand-rolling one argument per field.  This module is also the
    only place that reads the PRIVATEER_* environment defaults. *)
 
-module Page_pool = Privateer_runtime.Page_pool
-
 (* When misspeculation is detected.  [Commit]: only at the checkpoint
    merge (the paper's two-phase validation).  [Eager]: additionally
    in-flight, through the conflict board — the first observed
@@ -43,12 +41,8 @@ type t = {
          loop to sequential execution and suspend speculation on it
          for later invocations.  None: never demote. *)
   pool_cap : int;
-      (* shadow-page pool free-list cap: fully-timestamped shadow
-         pages are retired by buffer swap at interval reset and up to
-         this many refilled buffers are kept for recycling.  0
-         disables pooling (in-place rewrite everywhere);
-         [Page_pool.unbounded] never evicts.  Host-only: simulated
-         cycles and metadata are byte-identical at any setting. *)
+      (* Inert, and kept like the four above: the shadow-page pool it
+         sized is gone (the interval reset fills full pages in place). *)
   costs : Cost_model.t;
   inject : (int -> bool) option; (* injected misspeculation, by iteration *)
   validate : bool; (* false: disable all validation work (ablation) *)
@@ -89,26 +83,6 @@ let env_int ~lo ~hi ~default name =
   | Some s -> (
     try max lo (min hi (int_of_string (String.trim s))) with Failure _ -> default)
   | None -> default
-
-(* "auto" selects the adaptive pool cap (Page_pool.auto). *)
-let parse_pool_cap s =
-  match String.lowercase_ascii (String.trim s) with
-  | "auto" -> Some Page_pool.auto
-  | s -> (
-    match int_of_string_opt s with
-    | Some v when v >= 0 -> Some v
-    | Some _ | None -> None)
-
-(* PRIVATEER_SHADOW_POOL_CAP sets the default pool cap, so an
-   unmodified test or bench run can exercise the pool-disabled and
-   adaptive-cap paths (CI forces both). *)
-let default_pool_cap =
-  match Sys.getenv_opt "PRIVATEER_SHADOW_POOL_CAP" with
-  | Some s -> (
-    match parse_pool_cap s with
-    | Some cap -> cap
-    | None -> Page_pool.unbounded)
-  | None -> Page_pool.unbounded
 
 (* PRIVATEER_VALIDATION ("commit" | "eager") selects the default
    validation mode, so CI can push the whole unmodified suite through
@@ -153,50 +127,49 @@ let default =
     pool_kind = Privateer_support.Domain_pool.Work_stealing;
     host_controller = Host_controller.Auto; schedule = Schedule.Cyclic;
     checkpoint_period = None; adaptive_period = false; throttle = None;
-    pool_cap = default_pool_cap; costs = Cost_model.default; inject = None;
-    validate = true; validation = default_validation; serial_commit = false;
+    pool_cap = Privateer_runtime.Page_pool.unbounded; costs = Cost_model.default;
+    inject = None; validate = true; validation = default_validation;
+    serial_commit = false;
     max_inflight = env_int ~lo:1 ~hi:64 ~default:4 "PRIVATEER_MAX_INFLIGHT";
     queue_cap = env_int ~lo:0 ~hi:max_int ~default:0 "PRIVATEER_QUEUE_CAP";
     profilers = default_profilers }
 
 (* ---- validation ------------------------------------------------------- *)
 
+(* The first offending field's message, so user-facing callers (the
+   CLI flags, the jobs manifest) can fail closed with it. *)
+let check config =
+  let bad cond fmt = Printf.ksprintf (fun msg -> if cond then Some msg else None) fmt in
+  let positive name = function
+    | Some k -> bad (k <= 0) "%s must be > 0 (got %d)" name k
+    | None -> None
+  in
+  let problems =
+    [ bad (config.workers <= 0) "workers must be > 0 (got %d)" config.workers;
+      positive "checkpoint_period" config.checkpoint_period;
+      positive "throttle" config.throttle;
+      bad
+        (config.max_inflight < 1 || config.max_inflight > 64)
+        "max_inflight must be in [1, 64] (got %d)" config.max_inflight;
+      bad (config.queue_cap < 0) "queue_cap must be >= 0 (got %d)" config.queue_cap;
+      Result.fold ~ok:(fun _ -> None) ~error:Option.some
+        (parse_profilers (String.concat "," config.profilers));
+      (match Schedule.validate config.schedule with
+      | () -> None
+      | exception Invalid_argument msg -> Some msg) ]
+  in
+  match List.find_map Fun.id problems with Some msg -> Error msg | None -> Ok ()
+
 let validate config =
-  if config.workers <= 0 then
-    invalid_arg
-      (Printf.sprintf "Runtime_config: workers must be > 0 (got %d)" config.workers);
-  (match config.checkpoint_period with
-  | Some k when k <= 0 ->
-    invalid_arg
-      (Printf.sprintf "Runtime_config: checkpoint_period must be > 0 (got %d)" k)
-  | Some _ | None -> ());
-  (match config.throttle with
-  | Some n when n <= 0 ->
-    invalid_arg (Printf.sprintf "Runtime_config: throttle must be > 0 (got %d)" n)
-  | Some _ | None -> ());
-  if config.pool_cap < 0 && config.pool_cap <> Page_pool.auto then
-    invalid_arg
-      (Printf.sprintf
-         "Runtime_config: pool_cap must be >= 0 or Page_pool.auto (got %d)"
-         config.pool_cap);
-  if config.max_inflight < 1 || config.max_inflight > 64 then
-    invalid_arg
-      (Printf.sprintf "Runtime_config: max_inflight must be in [1, 64] (got %d)"
-         config.max_inflight);
-  if config.queue_cap < 0 then
-    invalid_arg
-      (Printf.sprintf "Runtime_config: queue_cap must be >= 0 (got %d)"
-         config.queue_cap);
-  (match parse_profilers (String.concat "," config.profilers) with
-  | Ok _ -> ()
-  | Error msg -> invalid_arg ("Runtime_config: " ^ msg));
-  Schedule.validate config.schedule
+  match check config with
+  | Ok () -> ()
+  | Error msg -> invalid_arg ("Runtime_config: " ^ msg)
 
 (* ---- builder ---------------------------------------------------------- *)
 
-let make ?workers ?schedule ?checkpoint_period ?adaptive_period ?throttle
-    ?pool_cap ?costs ?inject ?validate:validate_opt ?validation ?serial_commit
-    ?max_inflight ?queue_cap ?profilers () =
+let make ?workers ?schedule ?checkpoint_period ?adaptive_period ?throttle ?costs
+    ?inject ?validate:validate_opt ?validation ?serial_commit ?max_inflight
+    ?queue_cap ?profilers () =
   let opt v d = Option.value v ~default:d in
   let config =
     { default with
@@ -205,7 +178,7 @@ let make ?workers ?schedule ?checkpoint_period ?adaptive_period ?throttle
       checkpoint_period = opt checkpoint_period default.checkpoint_period;
       adaptive_period = opt adaptive_period default.adaptive_period;
       throttle = opt throttle default.throttle;
-      pool_cap = opt pool_cap default.pool_cap; costs = opt costs default.costs;
+      costs = opt costs default.costs;
       inject = opt inject default.inject;
       validate = opt validate_opt default.validate;
       validation = opt validation default.validation;
@@ -295,22 +268,6 @@ let cli_bindings =
          invocation and suspend speculation on it ('none': never).";
       b_flag_like = false;
       b_apply = opt_int_field "throttle" (fun t throttle -> { t with throttle }) };
-    { b_flags = [ "shadow-pool-cap" ]; b_docv = "N";
-      b_doc =
-        "Keep up to N retired shadow-page buffers for swap-recycling at interval \
-         reset (0 disables pooling; 'auto' learns a cap from recent retirement \
-         footprints; default \\$(b,PRIVATEER_SHADOW_POOL_CAP) or unbounded).  \
-         Host-only: simulated cycles are identical at any setting.";
-      b_flag_like = false;
-      b_apply =
-        (fun t s ->
-          match parse_pool_cap s with
-          | Some pool_cap -> Ok { t with pool_cap }
-          | None ->
-            Error
-              (Printf.sprintf
-                 "shadow-pool-cap: expected a non-negative integer or 'auto', got %S"
-                 s)) };
     { b_flags = [ "max-inflight" ]; b_docv = "N";
       b_doc =
         "Job server: run at most N jobs concurrently on a pool of N domains \
@@ -343,11 +300,15 @@ let cli_bindings =
   ]
 
 (* Fold a list of (binding, passed value) pairs over [base]; unpassed
-   flags leave their field untouched.  The first parse error wins. *)
+   flags leave their field untouched.  The first parse error wins; a
+   parsed but out-of-range result fails [check]. *)
 let apply_bindings base passed =
-  List.fold_left
-    (fun acc (b, v) ->
-      match (acc, v) with
-      | Error _, _ | _, None -> acc
-      | Ok t, Some s -> b.b_apply t s)
-    (Ok base) passed
+  let folded =
+    List.fold_left
+      (fun acc (b, v) ->
+        match (acc, v) with
+        | Error _, _ | _, None -> acc
+        | Ok t, Some s -> b.b_apply t s)
+      (Ok base) passed
+  in
+  Result.bind folded (fun t -> Result.map (fun () -> t) (check t))

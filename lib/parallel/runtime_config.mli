@@ -2,7 +2,7 @@
 
     One validated record holds every knob: simulated worker count,
     checkpoint period (fixed or adaptive), misspeculation throttle,
-    iteration schedule, shadow-page pool cap, validation mode,
+    iteration schedule, validation mode,
     profiler set, job-server admission, cost model, and the ablation
     switches.  {!make} is the validating builder, this module is the
     only reader of the [PRIVATEER_*] environment defaults, and
@@ -45,15 +45,10 @@ type t = {
       (** [Some n]: demote a loop to sequential execution after [n]
           misspeculations in one invocation *)
   pool_cap : int;
-      (** shadow-page pool free-list cap ([>= 0] or [Page_pool.auto]):
-          fully-timestamped shadow pages are retired by buffer swap at
-          interval reset and up to this many refilled buffers are kept
-          for recycling.  [0] disables pooling; [Page_pool.unbounded]
-          never evicts; [Page_pool.auto] learns a cap from an EWMA of
-          recent retirement footprints.  Host-only: simulated cycles
-          and metadata are byte-identical at any setting.  Default:
-          [PRIVATEER_SHADOW_POOL_CAP]
-          (integer or ["auto"]) or unbounded. *)
+      (** Inert, and kept like [host_domains] so record literals
+          compile: the shadow-page pool it sized is gone, because the
+          interval reset fills fully-timestamped pages in place.
+          {!default} sets [Page_pool.unbounded]. *)
   costs : Cost_model.t;
   inject : (int -> bool) option;
       (** injected misspeculation, by iteration *)
@@ -87,17 +82,9 @@ type t = {
           [PRIVATEER_PROFILERS] (comma-separated) or [["all"]]. *)
 }
 
-val default_pool_cap : int
-(** The [PRIVATEER_SHADOW_POOL_CAP] environment default (unbounded
-    when unset; the string ["auto"] selects [Page_pool.auto]). *)
-
 val default_validation : validation
 (** The [PRIVATEER_VALIDATION] environment default ([Commit] when
     unset or unparseable). *)
-
-val parse_pool_cap : string -> int option
-(** Parse a pool-cap string: a non-negative integer, or ["auto"] for
-    [Page_pool.auto].  [None] on anything else. *)
 
 val default_profilers : string list
 (** The [PRIVATEER_PROFILERS] environment default ([["all"]] when
@@ -109,10 +96,15 @@ val parse_profilers : string -> (string list, string) result
 
 val default : t
 (** Every field at its documented default (environment-sensitive for
-    [pool_cap], [validation], [max_inflight], [queue_cap] and
-    [profilers]). *)
+    [validation], [max_inflight], [queue_cap] and [profilers]). *)
 
-(** Reject configurations that would fail deep inside an invocation.
+(** [Error msg] names the first field that would fail deep inside an
+    invocation (a non-positive worker count, checkpoint period,
+    throttle or chunk size, an out-of-range server bound, an unknown
+    profiler). *)
+val check : t -> (unit, string) result
+
+(** {!check}, raising.
     @raise Invalid_argument naming the offending field. *)
 val validate : t -> unit
 
@@ -124,7 +116,6 @@ val make :
   ?checkpoint_period:int option ->
   ?adaptive_period:bool ->
   ?throttle:int option ->
-  ?pool_cap:int ->
   ?costs:Cost_model.t ->
   ?inject:(int -> bool) option ->
   ?validate:bool ->
@@ -155,6 +146,8 @@ type binding = {
 val cli_bindings : binding list
 
 (** Fold (binding, passed value) pairs over [base]; [None] values
-    leave their field untouched; the first parse error wins. *)
+    leave their field untouched; the first parse error wins, and a
+    folded config that fails {!check} is an [Error] with its
+    message. *)
 val apply_bindings :
   t -> (binding * string option) list -> (t, string) result

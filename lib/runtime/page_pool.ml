@@ -1,109 +1,7 @@
-(* Free-list pool of pre-filled shadow page buffers.
-
-   The interval-reset fast path retires a fully-timestamped shadow
-   page by swapping its backing store with a buffer from this pool
-   (every byte already holds the reset value), then refills the
-   retired buffer off the sequential path and recycles it at the next
-   interval.  The fill byte is a construction parameter rather than a
-   [Shadow] reference so this module sits below the shadow layer in
-   the dependency order; [Shadow.reset_interval] checks at run time
-   that the byte is the one its state machine resets to.
-
-   The free-list cap comes in three flavours: a fixed positive bound,
-   0 (pool disabled), or [auto] — an adaptive bound learned from an
-   EWMA of recent retirement footprints (how many pages each reset
-   retired).  Auto mode keeps the steady-state free list close to what
-   the workload actually recycles per interval, so a phase shift from
-   wide to narrow footprints sheds the now-idle buffers instead of
-   holding the old high water forever.
-
-   The pool is single-domain by design: [acquire], [deposit] and
-   [note_interval] are only ever called from the sequential phases of
-   the reset (the parallel phase touches the buffers' bytes, never the
-   free list), so there is no locking. *)
-
-type stats = {
-  swaps : int;  (** buffers handed out for swap-retirement *)
-  recycled : int;  (** hand-outs served from the free list *)
-  evictions : int;  (** refilled buffers dropped at the cap *)
-  high_water : int;  (** max free-list length ever observed *)
-}
-
-type t = {
-  cap : int; (* as configured: fixed >= 0, or [auto] *)
-  fill : char;
-  mutable eff_cap : int; (* the bound deposits actually check *)
-  mutable ewma : float; (* smoothed retirement footprint; < 0 = no sample *)
-  mutable free : Bytes.t list;
-  mutable free_len : int;
-  mutable swaps : int;
-  mutable recycled : int;
-  mutable evictions : int;
-  mutable high_water : int;
-}
+(* The shadow-page pool is gone: the interval reset fills a
+   fully-timestamped page in place ([Shadow.reset_interval]).  This
+   one value stays only because the end-to-end benchmark (perfbench/)
+   names it as the value of [Runtime_config.t]'s inert [pool_cap]
+   field; delete the two together. *)
 
 let unbounded = max_int
-let auto = -1
-
-(* EWMA smoothing: weight on the newest interval's footprint.  High
-   enough to track a phase shift within a few intervals, low enough
-   that one outlier interval doesn't flush the list. *)
-let ewma_alpha = 0.3
-
-let create ?(cap = unbounded) ~fill () =
-  if cap < 0 && cap <> auto then
-    invalid_arg "Page_pool.create: negative cap (use Page_pool.auto)";
-  { cap; fill;
-    (* Auto starts unbounded: until the first footprint sample there
-       is nothing to bound against, and dropping early deposits would
-       just force fresh mints. *)
-    eff_cap = (if cap = auto then unbounded else cap);
-    ewma = -1.0; free = []; free_len = 0; swaps = 0; recycled = 0;
-    evictions = 0; high_water = 0 }
-
-let cap t = t.cap
-let fill t = t.fill
-let enabled t = t.cap = auto || t.cap > 0
-let ready t = t.free_len
-let current_cap t = t.eff_cap
-
-let acquire t =
-  if not (enabled t) then None
-  else begin
-    t.swaps <- t.swaps + 1;
-    match t.free with
-    | b :: rest ->
-      t.free <- rest;
-      t.free_len <- t.free_len - 1;
-      t.recycled <- t.recycled + 1;
-      Some b
-    | [] ->
-      (* Growing the pool: mint a pre-filled buffer.  The high-water
-         cap bounds the free list, not the mint — outstanding buffers
-         are owned by live pages. *)
-      Some (Bytes.make Privateer_machine.Memory.page_size t.fill)
-  end
-
-let deposit t b =
-  if t.free_len >= t.eff_cap then t.evictions <- t.evictions + 1
-  else begin
-    t.free <- b :: t.free;
-    t.free_len <- t.free_len + 1;
-    if t.free_len > t.high_water then t.high_water <- t.free_len
-  end
-
-(* One reset's retirement footprint.  Only auto pools learn from it;
-   the first sample seeds the EWMA directly so the cap doesn't spend
-   its first intervals converging from an arbitrary start.  The
-   effective cap floors at 1: a pool that observed a quiet stretch
-   should still keep one warm buffer rather than flap to disabled. *)
-let note_interval t ~retired =
-  if t.cap = auto then begin
-    let r = float_of_int retired in
-    t.ewma <- (if t.ewma < 0.0 then r else ((1.0 -. ewma_alpha) *. t.ewma) +. (ewma_alpha *. r));
-    t.eff_cap <- max 1 (int_of_float (ceil t.ewma))
-  end
-
-let stats t =
-  { swaps = t.swaps; recycled = t.recycled; evictions = t.evictions;
-    high_water = t.high_water }

@@ -81,8 +81,8 @@ let transition op ~current ~beta : verdict =
    and metadata reset can skip unflagged pages wholesale.  Promotions
    additionally maintain the page's exact mark counts — timestamp
    bytes on writes (a byte entering the >= first_timestamp range from
-   below, which is what lets the reset retire fully-timestamped pages
-   by buffer swap instead of rewrite) and read-live-in bytes on reads
+   below, which is what lets the reset fill fully-timestamped pages
+   instead of scanning them) and read-live-in bytes on reads
    (the live-in -> read-live-in transition, which is what lets
    checkpoint extraction stop a page scan once every mark is found);
    both counts are flushed to the page before any raise so partial
@@ -181,52 +181,25 @@ let scan_rewrite bytes =
    provably hold no timestamps and are skipped without a scan.
 
    A page whose exact timestamp count equals the page size resets to
-   a constant, so when the page pool can supply a pre-filled buffer
-   the reset is a pointer exchange: the old buffer is retired, refilled
-   and deposited for recycling at the next interval.  Invisible to the
-   simulation — same final metadata, same return value at every cap. *)
-let reset_interval ?page_pool machine =
+   a constant, so it takes one memset instead of the read-check-write
+   scan.  [touch_page] has already cloned a copy-on-write shared page,
+   so the fill never writes through a buffer another machine sees. *)
+let reset_interval machine =
   let mem = machine.Machine.mem in
   let mapped = Memory.mapped_page_count mem ~heap:Heap.Shadow in
-  (match page_pool with
-  | Some pp when Char.code (Page_pool.fill pp) <> old_write ->
-    invalid_arg "Shadow.reset_interval: page pool fill byte is not old_write"
-  | Some _ | None -> ());
   (* Collect first: resetting clones shared pages, which mutates the
      bank being folded over. *)
   let flagged =
     Memory.fold_pages mem ~heap:Heap.Shadow ~init:[] ~f:(fun ~key page acc ->
         if Memory.any_timestamp page then key :: acc else acc)
   in
-  let retired = ref [] in
   List.iter
     (fun key ->
       let p = Memory.touch_page mem (Memory.base_of_page key) in
-      let fully = Memory.timestamp_bytes p = Memory.page_size in
-      Memory.clear_timestamp_flag p;
-      let swapped =
-        fully
-        && (match page_pool with
-           | None -> false
-           | Some pp -> (
-             match Page_pool.acquire pp with
-             | None -> false
-             | Some fresh ->
-               retired := Memory.swap_bytes p fresh :: !retired;
-               true))
-      in
-      if not swapped then scan_rewrite (Memory.page_bytes p))
+      let bytes = Memory.page_bytes p in
+      if Memory.timestamp_bytes p = Memory.page_size then
+        Bytes.fill bytes 0 Memory.page_size (Char.unsafe_chr old_write)
+      else scan_rewrite bytes;
+      Memory.clear_timestamp_flag p)
     flagged;
-  (match page_pool with
-  | Some pp ->
-    let fill = Page_pool.fill pp in
-    List.iter
-      (fun b ->
-        Bytes.fill b 0 Memory.page_size fill;
-        Page_pool.deposit pp b)
-      !retired;
-    (* Feed the adaptive cap: this reset's retirement footprint.
-       No-op on fixed-cap pools. *)
-    Page_pool.note_interval pp ~retired:(List.length !retired)
-  | None -> ());
   mapped

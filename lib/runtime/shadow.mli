@@ -64,7 +64,7 @@ val transition : op -> current:int -> beta:int -> verdict
     resolution per contiguous run, metadata transitioned directly on
     the page bytes, page summary flags raised for the checkpoint and
     reset scans, and the exact per-page timestamp-byte count
-    maintained for the reset's swap-retirement path.  Byte-for-byte
+    maintained for the reset's full-page fill.  Byte-for-byte
     equivalent to the per-byte reference oracle kept in the test
     library (property-tested).
     @raise Misspec.Misspeculation on a violation. *)
@@ -75,12 +75,8 @@ val access :
     read-live-in marks are preserved.  Returns the number of mapped
     shadow pages — the unchanged simulated cost charge — while host
     work visits only pages whose [any_timestamp] summary flag is set.
-
-    [page_pool] retires fully-timestamped pages (exact count equal to
-    [Memory.page_size]) by swapping in a pre-filled buffer instead of
-    rewriting 4096 bytes, with retired buffers refilled and recycled
-    across intervals — a host acceleration that moves no simulated
-    cycle and no metadata byte.
-    @raise Invalid_argument if [page_pool]'s fill byte is not
-    [old_write]. *)
-val reset_interval : ?page_pool:Page_pool.t -> Privateer_machine.Machine.t -> int
+    A fully-timestamped page (exact count equal to [Memory.page_size])
+    takes one in-place fill of [old_write]; a partial page takes the
+    word-wise scan-rewrite.  Shared copy-on-write pages are cloned
+    before either, so a snapshot's parent never sees the reset. *)
+val reset_interval : Privateer_machine.Machine.t -> int

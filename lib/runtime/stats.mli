@@ -16,8 +16,8 @@ type loop_stats = {
 }
 
 (** Whole-run counters.  Every field is part of the deterministic
-    simulation — none may vary with host settings such as the
-    shadow-page pool cap or concurrent server jobs — except the [ns_*]
+    simulation — none may vary with host settings such as
+    concurrent server jobs — except the [ns_*]
     host-time accumulators, which are explicitly host-side
     instrumentation.  The [eager_*] /
     [squashed_iterations] / [avoided_iterations] fields are simulated

@@ -116,6 +116,9 @@ let parse_job_line ~base ~dir ~lineno line =
             (Some (String.sub opt (i + 1) (String.length opt - i - 1)))
         | None -> apply_option ~lineno p opt None)
       options;
+    (match RC.check p.p_config with
+    | Ok () -> ()
+    | Error msg -> fail ~lineno "%s" msg);
     let train, run =
       match p.p_source.Sources.src_workload with
       | Some wl ->

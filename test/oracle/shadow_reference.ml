@@ -31,11 +31,8 @@ let access machine op ~addr ~size ~beta =
     | Shadow.Fail mk -> raise (Misspec.Misspeculation (mk ~addr:b))
   done
 
-(* The oracle ignores the page pool: it always resets in place, per
-   byte.  The optional argument exists so it satisfies [Shadow_sig.S]
-   and the property tests can drive either implementation through one
-   functor. *)
-let reset_interval ?page_pool:_ machine =
+(* Per byte, in place: no summary flags, no full-page fill. *)
+let reset_interval machine =
   let mem = machine.Machine.mem in
   let pages =
     List.filter

@@ -11,7 +11,6 @@
     timestamp-byte counts, so a machine driven through this module
     must not be handed to the flag-driven fast paths
     ([Shadow.reset_interval], checkpoint extraction).  Its
-    [reset_interval] ignores the page pool and always rewrites in
-    place. *)
+    [reset_interval] rewrites every shadow byte in place. *)
 
 include Shadow_sig.S

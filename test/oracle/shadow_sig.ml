@@ -19,10 +19,6 @@ module type S = sig
   (** Checkpoint-time reset: every timestamp becomes old-write;
       read-live-in marks are preserved.  Returns the number of mapped
       shadow pages (the simulated cost charge — identical in every
-      implementation).  [page_pool] enables swap-retirement of
-      fully-timestamped pages, a host-side acceleration an
-      implementation may ignore; it moves no simulated cycle or
-      metadata byte. *)
-  val reset_interval :
-    ?page_pool:Privateer_runtime.Page_pool.t -> Privateer_machine.Machine.t -> int
+      implementation). *)
+  val reset_interval : Privateer_machine.Machine.t -> int
 end

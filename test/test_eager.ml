@@ -169,34 +169,29 @@ let test_no_false_kill_on_clean_intervals () =
 (* ---- qcheck: eager = commit across the identity matrix ----------------- *)
 
 (* Generated programs (Test_props templates) through both validation
-   modes at each shadow-page pool cap (the host knob left).  Output and
-   result must always match; on violation-free runs (the generator's
-   selected loops are clean — dependence-carrying bodies are rejected
-   at selection) cycles and checkpoints must match too, and eager must
-   report zero kills. *)
+   modes.  Output and result must always match; on violation-free runs
+   (the generator's selected loops are clean — dependence-carrying
+   bodies are rejected at selection) cycles and checkpoints must match
+   too, and eager must report zero kills. *)
 let prop_eager_equals_commit tmpls =
   let src = Test_props.program_of_templates tmpls in
   let program = Pipeline.parse src in
   let tr, _ = Pipeline.compile ~config:full_profile program in
-  List.for_all
-    (fun pool_cap ->
-      let run validation =
-        let config = Runtime_config.make ~workers:5 ~pool_cap ~validation () in
-        Pipeline.run_parallel ~config tr
-      in
-      let commit = run Runtime_config.Commit in
-      let eager = run Runtime_config.Eager in
-      String.equal commit.Pipeline.par_output eager.Pipeline.par_output
-      && Privateer_interp.Value.equal commit.Pipeline.par_result
-           eager.Pipeline.par_result
-      && commit.Pipeline.stats.Stats.misspeculations
-         = eager.Pipeline.stats.Stats.misspeculations
-      && (commit.Pipeline.stats.Stats.misspeculations > 0
-         || commit.Pipeline.par_cycles = eager.Pipeline.par_cycles
-            && commit.Pipeline.stats.Stats.checkpoints
-               = eager.Pipeline.stats.Stats.checkpoints
-            && eager.Pipeline.stats.Stats.eager_kills = 0))
-    [ 0; Privateer_runtime.Page_pool.unbounded ]
+  let run validation =
+    let config = Runtime_config.make ~workers:5 ~validation () in
+    Pipeline.run_parallel ~config tr
+  in
+  let commit = run Runtime_config.Commit in
+  let eager = run Runtime_config.Eager in
+  String.equal commit.Pipeline.par_output eager.Pipeline.par_output
+  && Privateer_interp.Value.equal commit.Pipeline.par_result eager.Pipeline.par_result
+  && commit.Pipeline.stats.Stats.misspeculations
+     = eager.Pipeline.stats.Stats.misspeculations
+  && (commit.Pipeline.stats.Stats.misspeculations > 0
+     || commit.Pipeline.par_cycles = eager.Pipeline.par_cycles
+        && commit.Pipeline.stats.Stats.checkpoints
+           = eager.Pipeline.stats.Stats.checkpoints
+        && eager.Pipeline.stats.Stats.eager_kills = 0)
 
 (* Under injected misspeculation cycles legitimately diverge, but the
    observable behaviour (and the sequential oracle) must not. *)
@@ -238,7 +233,7 @@ let suite =
     Alcotest.test_case "no false kill on clean intervals" `Quick
       test_no_false_kill_on_clean_intervals ]
   @ List.map QCheck_alcotest.to_alcotest
-      [ QCheck.Test.make ~count:40 ~name:"eager = commit across host cells"
+      [ QCheck.Test.make ~count:40 ~name:"eager = commit"
           Test_props.body_arb prop_eager_equals_commit;
         QCheck.Test.make ~count:25 ~name:"eager = commit + oracle under misspec"
           Test_props.body_arb prop_eager_equals_commit_with_misspec ]

@@ -408,6 +408,59 @@ let test_config_validation () =
     (raises (config ~schedule:(Privateer_parallel.Schedule.Chunked 0) ()));
   check "valid config accepted" false (raises (config ()))
 
+(* [check] is the one range check behind [validate], [make],
+   [apply_bindings] and the manifest loader: each out-of-range field
+   comes back as [Error] naming it, [validate] raises the same text,
+   and the inert host fields are never checked. *)
+let test_config_check () =
+  let module RC = Privateer_parallel.Runtime_config in
+  let error c = match RC.check c with Ok () -> "" | Error msg -> msg in
+  let raised c =
+    match RC.validate c with () -> "" | exception Invalid_argument msg -> msg
+  in
+  Alcotest.(check string) "default passes" "" (error RC.default);
+  List.iter
+    (fun (c, expected) ->
+      Alcotest.(check string) expected expected (error c);
+      Alcotest.(check string) ("validate: " ^ expected) ("Runtime_config: " ^ expected)
+        (raised c))
+    [ ({ RC.default with workers = -2 }, "workers must be > 0 (got -2)");
+      ({ RC.default with throttle = Some 0 }, "throttle must be > 0 (got 0)");
+      ({ RC.default with max_inflight = 65 }, "max_inflight must be in [1, 64] (got 65)");
+      ({ RC.default with queue_cap = -1 }, "queue_cap must be >= 0 (got -1)") ];
+  check "unknown profiler rejected" true
+    (Result.is_error (RC.check { RC.default with profilers = [ "no-such-profiler" ] }));
+  check "inert host fields unchecked" true
+    (RC.check { RC.default with pool_cap = -1; host_domains = -1; merge_shards = -1 } = Ok ())
+
+(* The flag fold fails closed: a value that parses but is out of range
+   comes back as [Error] with the field's message, not as an exception
+   at [Executor.create]. *)
+let test_apply_bindings () =
+  let module RC = Privateer_parallel.Runtime_config in
+  let binding flag =
+    List.find (fun (b : RC.binding) -> List.mem flag b.b_flags) RC.cli_bindings
+  in
+  let apply passed =
+    RC.apply_bindings RC.default (List.map (fun (f, v) -> (binding f, Some v)) passed)
+  in
+  (match apply [ ("workers", "6"); ("checkpoint", "8") ] with
+  | Ok c ->
+    check_int "workers applied" 6 c.RC.workers;
+    check "checkpoint applied" true (c.RC.checkpoint_period = Some 8)
+  | Error msg -> Alcotest.fail msg);
+  let error passed =
+    match apply passed with Ok _ -> "" | Error msg -> msg
+  in
+  Alcotest.(check string) "workers 0" "workers must be > 0 (got 0)"
+    (error [ ("workers", "0") ]);
+  Alcotest.(check string) "checkpoint 0" "checkpoint_period must be > 0 (got 0)"
+    (error [ ("checkpoint", "0") ]);
+  Alcotest.(check string) "max-inflight 0" "max_inflight must be in [1, 64] (got 0)"
+    (error [ ("max-inflight", "0") ]);
+  Alcotest.(check string) "parse errors still win"
+    "workers: expected an integer, got \"x\"" (error [ ("workers", "x"); ("checkpoint", "0") ])
+
 (* ---- recovery edge cases ---------------------------------------------- *)
 
 let test_misspec_on_iteration_zero () =
@@ -634,6 +687,8 @@ let suite =
     Alcotest.test_case "schedule-independent I/O order" `Quick test_schedule_io_order;
     Alcotest.test_case "schedule parsing" `Quick test_schedule_of_string;
     Alcotest.test_case "config validation" `Quick test_config_validation;
+    Alcotest.test_case "config check names the field" `Quick test_config_check;
+    Alcotest.test_case "flag fold fails closed" `Quick test_apply_bindings;
     Alcotest.test_case "misspec on iteration 0" `Quick test_misspec_on_iteration_zero;
     Alcotest.test_case "misspec on interval's last iteration" `Quick
       test_misspec_on_interval_last_iteration;

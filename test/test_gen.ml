@@ -5,8 +5,8 @@
    The fuzz property is the generator's reason to exist: for random
    knobs, the generated program's parallel run must reproduce the
    sequential output byte-for-byte — at one worker (where the planted
-   misspeculation count is exact), at four workers at two pool caps,
-   and under both validation modes (eager = commit on clean
+   misspeculation count is exact), at four workers, and under both
+   validation modes (eager = commit on clean
    scenarios; both = sequential on conflicted ones).  GEN_FUZZ_COUNT
    scales the case count (default 25). *)
 
@@ -130,17 +130,15 @@ let test_expected_classification () =
 
 (* ---- planted-conflict oracle -------------------------------------------- *)
 
-let run_scenario ?(workers = 1)
-    ?(pool_cap = Privateer_parallel.Runtime_config.default_pool_cap)
-    ?(validation = Privateer_parallel.Runtime_config.Commit) (t : Scenario_gen.t) input =
+let run_scenario ?(workers = 1) ?(validation = Privateer_parallel.Runtime_config.Commit)
+    (t : Scenario_gen.t) input =
   let wl, program, tr = compile_scenario t in
   let setup = Workload.setup wl input in
   let seq = Pipeline.run_sequential ~setup program in
   let par =
     Pipeline.run_parallel ~setup
       ~config:
-        { Privateer_parallel.Runtime_config.default with
-          workers; pool_cap; validation }
+        { Privateer_parallel.Runtime_config.default with workers; validation }
       tr
   in
   (seq, par)
@@ -203,15 +201,11 @@ let fuzz_identity =
         && par1.par_result = seq.seq_result
         && par1.stats.Privateer_runtime.Stats.misspeculations = expected
       in
-      (* Pool cap {0, unbounded} at 4 workers, both validation modes. *)
+      (* Both validation modes at 4 workers. *)
       let cells =
         List.map
-          (fun (pool_cap, validation) ->
-            snd (run_scenario ~workers:4 ~pool_cap ~validation t Workload.Ref))
-          [ (0, Privateer_parallel.Runtime_config.Commit);
-            (Privateer_runtime.Page_pool.unbounded, Privateer_parallel.Runtime_config.Commit);
-            (0, Privateer_parallel.Runtime_config.Eager);
-            (Privateer_runtime.Page_pool.unbounded, Privateer_parallel.Runtime_config.Eager) ]
+          (fun validation -> snd (run_scenario ~workers:4 ~validation t Workload.Ref))
+          [ Privateer_parallel.Runtime_config.Commit; Privateer_parallel.Runtime_config.Eager ]
       in
       let outputs_ok =
         List.for_all
@@ -221,8 +215,8 @@ let fuzz_identity =
             && par.stats.Privateer_runtime.Stats.misspeculations <= expected)
           cells
       in
-      (* Clean scenarios: eager is indistinguishable from commit and
-         host cells are cycle-identical. *)
+      (* Clean scenarios: eager is indistinguishable from commit,
+         cycles included. *)
       let clean_ok =
         knobs.Scenario_gen.k_misspec > 0.0
         ||

@@ -16,10 +16,10 @@
      is pinned to the smallest conflicting byte;
    - unit: [Memory.live_in_bytes] stays exact under overlapping
      [Shadow.access] ranges and across the interval reset;
-   - qcheck: the pooled interval reset equals the plain and per-byte
-     reference resets;
-   - qcheck: the full pipeline is byte-identical across pool cap,
-     within each validation mode (output, result, simulated cycles);
+   - qcheck: the interval reset, full-page fill included, equals the
+     per-byte reference reset; units: the fill never writes through a
+     copy-on-write shared page, takes only exactly-full pages, and the
+     reset charges every mapped shadow page as the oracle does;
    - unit: the inert host fields of [Runtime_config] change no
      simulated figure, and the removed host knobs are not bound;
    - unit and qcheck tests for the Domain_pool futures (ordering,
@@ -371,14 +371,13 @@ let test_live_in_count_exact () =
   Shadow.access m Shadow.Read ~addr:(base + 100) ~size:200 ~beta:3;
   check_all "after partially-overlapping re-read"
 
-(* ---- pooled interval reset ---------------------------------------------- *)
+(* ---- interval reset vs the per-byte oracle ------------------------------- *)
 
 (* Page-scale accesses so fully-timestamped shadow pages (the
-   swap-retirement path) actually occur: writes cover up to two whole
-   pages, and resets recycle retired buffers through a shared
-   [Page_pool] across intervals.  The plain reset and the per-byte
-   reference are the oracles; the pooled reset must leave
-   byte-identical metadata and verdicts. *)
+   full-page fill path) actually occur: writes cover up to two whole
+   pages, interleaved with resets.  The per-byte reference is the
+   oracle: the reset must leave byte-identical metadata and
+   verdicts. *)
 let big_op_gen =
   QCheck.Gen.(
     let page = Memory.page_size in
@@ -396,76 +395,109 @@ let big_ops_arb =
     ~print:(fun ops -> string_of_int (List.length ops) ^ " page-scale ops")
     QCheck.Gen.(list_size (int_range 2 24) big_op_gen)
 
-let fresh_page_pool ?cap () =
-  Page_pool.create ?cap ~fill:(Char.chr Shadow.old_write) ()
-
-let prop_pooled_reset_matches_plain ops =
-  let plain_m, plain_f = Test_props.Run_shadow.run ops in
-  let page_pool = fresh_page_pool () in
-  let pooled_m, pooled_f = Test_props.Run_shadow.run ~page_pool ops in
-  (* Pool-recycled pages must be indistinguishable from rewritten
-     ones; a disabled pool (cap 0) must behave like no pool at all. *)
-  let disabled_m, disabled_f =
-    Test_props.Run_shadow.run ~page_pool:(fresh_page_pool ~cap:0 ()) ops
-  in
+let prop_reset_matches_oracle ops =
+  let m, f = Test_props.Run_shadow.run ops in
   let ref_m, ref_f = Test_props.Run_reference.run ops in
-  plain_f = pooled_f && plain_f = disabled_f && plain_f = ref_f
-  && Memory.equal_footprint plain_m.Machine.mem pooled_m.Machine.mem
-  && Memory.equal_footprint plain_m.Machine.mem disabled_m.Machine.mem
-  && Memory.equal_footprint plain_m.Machine.mem ref_m.Machine.mem
+  f = ref_f && Memory.equal_footprint m.Machine.mem ref_m.Machine.mem
 
-(* ---- the page pool itself ----------------------------------------------- *)
-
-let test_page_pool_eviction () =
-  let pp = fresh_page_pool ~cap:2 () in
-  let take () =
-    match Page_pool.acquire pp with
-    | Some b ->
-      check_int "pre-filled page-sized buffer" Memory.page_size (Bytes.length b);
-      check "every byte is the fill" true
-        (Bytes.for_all (fun c -> c = Page_pool.fill pp) b);
-      b
-    | None -> Alcotest.fail "acquire returned None on an enabled pool"
+(* The full-page fill writes the page's buffer in place, so it must
+   run on the child's private clone: after a snapshot the parent still
+   shares that buffer and must keep its timestamps. *)
+let test_full_page_reset_spares_snapshot_parent () =
+  let parent = Machine.create () in
+  Memory.clear_dirty parent.Machine.mem;
+  let base = Heap.base Heap.Private in
+  Shadow.access parent Shadow.Write ~addr:base ~size:Memory.page_size ~beta:5;
+  let shadow = Heap.shadow_of_private base in
+  let page_of m =
+    match Memory.find_page m.Machine.mem shadow with
+    | Some p -> p
+    | None -> Alcotest.fail "shadow page not mapped"
   in
-  let b1 = take () and b2 = take () and b3 = take () in
-  List.iter (Page_pool.deposit pp) [ b1; b2; b3 ];
-  let s = Page_pool.stats pp in
-  check_int "high-water stops at the cap" 2 s.Page_pool.high_water;
-  check_int "third deposit evicted" 1 s.Page_pool.evictions;
-  check_int "free list at cap" 2 (Page_pool.ready pp);
-  (* The next interval recycles instead of minting. *)
-  ignore (take ());
-  check_int "recycled from the free list" 1 (Page_pool.stats pp).Page_pool.recycled
+  check_int "page fully timestamped" Memory.page_size
+    (Memory.timestamp_bytes (page_of parent));
+  let before = Bytes.copy (Memory.page_bytes (page_of parent)) in
+  let child = Machine.snapshot parent in
+  ignore (Shadow.reset_interval child);
+  let p = page_of child in
+  check "child reads all old-write" true
+    (Bytes.for_all (fun c -> Char.code c = Shadow.old_write) (Memory.page_bytes p));
+  check "child timestamp flag cleared" false (Memory.any_timestamp p);
+  check_int "child timestamp count cleared" 0 (Memory.timestamp_bytes p);
+  check "parent bytes unchanged" true
+    (Bytes.equal before (Memory.page_bytes (page_of parent)));
+  check_int "parent count unchanged" Memory.page_size
+    (Memory.timestamp_bytes (page_of parent))
 
-let test_page_pool_disabled () =
-  let pp = fresh_page_pool ~cap:0 () in
-  check "cap 0 disables acquire" true (Page_pool.acquire pp = None);
-  check "cap 0 reports disabled" false (Page_pool.enabled pp);
-  check_int "no swaps counted" 0 (Page_pool.stats pp).Page_pool.swaps
-
-let test_page_pool_swap_stats () =
-  (* A full-page write then a pooled reset must take the swap path. *)
+(* The fill is gated on the exact timestamp count.  A page one byte
+   short of full takes the scan and keeps its read-live-in mark; a page
+   covered by overlapping writes counts each byte once, so it is full
+   and reads all old-write. *)
+let test_reset_fills_only_full_pages () =
   let m = Machine.create () in
   Memory.clear_dirty m.Machine.mem;
-  let base = Heap.base Heap.Private in
-  Shadow.access m Shadow.Write ~addr:base ~size:Memory.page_size ~beta:3;
-  let pp = fresh_page_pool () in
-  ignore (Shadow.reset_interval ~page_pool:pp m);
-  check_int "fully-timestamped page swapped" 1 (Page_pool.stats pp).Page_pool.swaps;
-  check_int "retired buffer deposited" 1 (Page_pool.ready pp);
-  (* A partially-timestamped page must not be swapped. *)
-  Shadow.access m Shadow.Write ~addr:base ~size:24 ~beta:3;
-  ignore (Shadow.reset_interval ~page_pool:pp m);
-  check_int "partial page rewritten in place" 1 (Page_pool.stats pp).Page_pool.swaps
+  let page = Memory.page_size in
+  let near = Heap.base Heap.Private in
+  let full = near + page in
+  Shadow.access m Shadow.Read ~addr:near ~size:1 ~beta:3;
+  Shadow.access m Shadow.Write ~addr:(near + 1) ~size:(page - 1) ~beta:3;
+  Shadow.access m Shadow.Write ~addr:full ~size:((page / 2) + 64) ~beta:3;
+  Shadow.access m Shadow.Write ~addr:(full + (page / 2)) ~size:(page / 2) ~beta:4;
+  let page_of addr =
+    match Memory.find_page m.Machine.mem (Heap.shadow_of_private addr) with
+    | Some p -> p
+    | None -> Alcotest.fail "shadow page not mapped"
+  in
+  check_int "one byte short of full" (page - 1) (Memory.timestamp_bytes (page_of near));
+  check_int "overlapping writes counted once" page (Memory.timestamp_bytes (page_of full));
+  ignore (Shadow.reset_interval m);
+  let near_bytes = Memory.page_bytes (page_of near) in
+  check_int "read-live-in mark kept" Shadow.read_live_in
+    (Char.code (Bytes.get near_bytes 0));
+  check "rest of the near-full page old-write" true
+    (Bytes.for_all
+       (fun c -> Char.code c = Shadow.old_write)
+       (Bytes.sub near_bytes 1 (page - 1)));
+  check_int "live-in count kept" 1 (Memory.live_in_bytes (page_of near));
+  check "full page all old-write" true
+    (Bytes.for_all
+       (fun c -> Char.code c = Shadow.old_write)
+       (Memory.page_bytes (page_of full)));
+  List.iter
+    (fun addr ->
+      check "timestamp flag cleared" false (Memory.any_timestamp (page_of addr));
+      check_int "timestamp count cleared" 0 (Memory.timestamp_bytes (page_of addr)))
+    [ near; full ]
 
-let test_page_pool_fill_validation () =
-  let m = Machine.create () in
-  check "wrong fill byte rejected" true
-    (try
-       ignore
-         (Shadow.reset_interval ~page_pool:(Page_pool.create ~fill:'\000' ()) m);
-       false
-     with Invalid_argument _ -> true)
+(* The reset's return value is the simulated charge: one [c_reset_page]
+   per mapped shadow page.  Filled, scanned and skipped pages all
+   count, as in the per-byte oracle, and a second reset with no access
+   in between charges the same and leaves the metadata as it was. *)
+let test_reset_charge_matches_oracle () =
+  let module R = Privateer_oracle.Shadow_reference in
+  let page = Memory.page_size in
+  let drive access reset =
+    let m = Machine.create () in
+    let base = Heap.base Heap.Private in
+    access m Shadow.Write ~addr:base ~size:page ~beta:3;
+    access m Shadow.Write ~addr:(base + page) ~size:24 ~beta:3;
+    access m Shadow.Read ~addr:(base + (2 * page)) ~size:8 ~beta:3;
+    let first = reset m in
+    let after_first = Machine.snapshot m in
+    let second = reset m in
+    check "second reset changes no byte" true
+      (Memory.equal_footprint after_first.Machine.mem m.Machine.mem);
+    (m, first, second)
+  in
+  let m, first, second = drive Shadow.access Shadow.reset_interval in
+  let ref_m, ref_first, ref_second = drive R.access R.reset_interval in
+  let mapped = Memory.mapped_page_count m.Machine.mem ~heap:Heap.Shadow in
+  check "three shadow pages mapped" true (mapped >= 3);
+  check_int "charge = mapped shadow pages" mapped first;
+  check_int "idle reset charges the same" first second;
+  check_int "charge = oracle's" ref_first first;
+  check_int "idle charge = oracle's" ref_second second;
+  check "metadata = oracle's" true (Memory.equal_footprint m.Machine.mem ref_m.Machine.mem)
 
 (* ---- merge-state isolation (regression) ---------------------------------- *)
 
@@ -486,50 +518,13 @@ let test_merge_state_isolation () =
   check_int "s2 unaffected by s1's work" 0 (Checkpoint.index_ops s2);
   check_int "s1 unaffected by s2's merge" ops1 (Checkpoint.index_ops s1)
 
-(* ---- full-pipeline equality --------------------------------------------- *)
-
-(* The host-tuning matrix that still selects code — pool cap {0, auto,
-   unbounded} — must be byte-identical within each validation mode
-   (output, result, simulated cycles, stats counters); across the two
-   modes output and result must agree (cycles may not: an eager kill
-   saves work). *)
-let prop_pipeline_identical_across_pool_cap tmpls =
-  let src = Test_props.program_of_templates tmpls in
-  let program = Privateer.Pipeline.parse src in
-  let tr, _ = Privateer.Pipeline.compile program in
-  let run validation pool_cap =
-    let config =
-      { Privateer_parallel.Runtime_config.default with workers = 5; pool_cap; validation }
-    in
-    Privateer.Pipeline.run_parallel ~config tr
-  in
-  let same_surface (a : Privateer.Pipeline.par_run) (b : Privateer.Pipeline.par_run) =
-    String.equal a.par_output b.par_output
-    && Privateer_interp.Value.equal a.par_result b.par_result
-  in
-  List.for_all
-    (fun validation ->
-      let a = run validation 0 in
-      same_surface a (run Privateer_parallel.Runtime_config.Commit 0)
-      && List.for_all
-           (fun cap ->
-             let b = run validation cap in
-             same_surface a b
-             && a.par_cycles = b.par_cycles
-             && a.stats.checkpoints = b.stats.checkpoints
-             && a.stats.wall_cycles = b.stats.wall_cycles
-             && a.stats.private_bytes_read = b.stats.private_bytes_read
-             && a.stats.private_bytes_written = b.stats.private_bytes_written)
-           [ Privateer_runtime.Page_pool.auto; Privateer_runtime.Page_pool.unbounded ])
-    [ Privateer_parallel.Runtime_config.Commit; Privateer_parallel.Runtime_config.Eager ]
-
 (* ---- inert host fields ---------------------------------------------------- *)
 
 module RC = Privateer_parallel.Runtime_config
 
-(* [host_domains] and [merge_shards] are documented as inert: setting
-   them must not change a single simulated figure, nor must the
-   engine reject values it no longer reads. *)
+(* [host_domains], [merge_shards] and [pool_cap] are documented as
+   inert: setting them must not change a single simulated figure, nor
+   must the engine reject values it no longer reads. *)
 let test_inert_host_fields () =
   let src =
     {|global a[64];
@@ -543,22 +538,23 @@ fn main() {
   let tr, _ = Privateer.Pipeline.compile (Privateer.Pipeline.parse src) in
   let run config = Privateer.Pipeline.run_parallel ~config:{ config with RC.workers = 4 } tr in
   let base = run RC.default in
-  let tuned = run { RC.default with host_domains = 7; merge_shards = 13 } in
+  let tuned = run { RC.default with host_domains = 7; merge_shards = 13; pool_cap = -5 } in
   check "same output" true (String.equal base.par_output tuned.par_output);
   check "same result" true (Privateer_interp.Value.equal base.par_result tuned.par_result);
   check_int "same cycles" base.par_cycles tuned.par_cycles;
   check_int "same checkpoints" base.stats.checkpoints tuned.stats.checkpoints;
   check_int "same wall cycles" base.stats.wall_cycles tuned.stats.wall_cycles
 
-(* The host-parallelism knobs are gone from the flag table, so the CLI
-   (derived from it) no longer offers them. *)
+(* The host-parallelism knobs and the shadow-page pool cap are gone
+   from the flag table, so the CLI (derived from it) no longer offers
+   them. *)
 let test_removed_host_knobs () =
   let flags = List.concat_map (fun (b : RC.binding) -> b.b_flags) RC.cli_bindings in
   List.iter
     (fun flag -> check (flag ^ " is not a binding") false (List.mem flag flags))
-    [ "host-domains"; "merge-shards"; "pool-kind"; "host-controller" ];
+    [ "host-domains"; "merge-shards"; "pool-kind"; "host-controller"; "shadow-pool-cap" ];
   check "surviving knobs still bound" true
-    (List.for_all (fun f -> List.mem f flags) [ "workers"; "shadow-pool-cap"; "validation"; "max-inflight" ])
+    (List.for_all (fun f -> List.mem f flags) [ "workers"; "validation"; "max-inflight" ])
 
 (* ---- the pool itself ---------------------------------------------------- *)
 
@@ -755,23 +751,20 @@ let suite =
         worker_ops_arb prop_merge_matches_oracle;
       QCheck.Test.make ~count:60 ~name:"incremental merge = rebuilt index"
         intervals_arb prop_incremental_merge_equals_rebuilt;
-      QCheck.Test.make ~count:120 ~name:"pooled reset = plain reset"
-        big_ops_arb prop_pooled_reset_matches_plain;
+      QCheck.Test.make ~count:120 ~name:"reset = per-byte oracle"
+        big_ops_arb prop_reset_matches_oracle;
       QCheck.Test.make ~count:30 ~name:"concurrent submitters: order + exceptions"
-        submitters_arb prop_concurrent_submitters;
-      QCheck.Test.make ~count:15 ~name:"pipeline identical across pool cap x validation"
-        Test_props.body_arb prop_pipeline_identical_across_pool_cap ]
+        submitters_arb prop_concurrent_submitters ]
   @ [ Alcotest.test_case "clean interval: zero index ops" `Quick
         test_clean_interval_no_index_work;
       Alcotest.test_case "merge states are isolated" `Quick
         test_merge_state_isolation;
-      Alcotest.test_case "page pool: high-water eviction" `Quick
-        test_page_pool_eviction;
-      Alcotest.test_case "page pool: cap 0 disables" `Quick test_page_pool_disabled;
-      Alcotest.test_case "page pool: swap only full pages" `Quick
-        test_page_pool_swap_stats;
-      Alcotest.test_case "page pool: fill byte validated" `Quick
-        test_page_pool_fill_validation;
+      Alcotest.test_case "full-page reset spares the snapshot parent" `Quick
+        test_full_page_reset_spares_snapshot_parent;
+      Alcotest.test_case "reset fills only exactly-full pages" `Quick
+        test_reset_fills_only_full_pages;
+      Alcotest.test_case "reset charge = oracle's, every mapped page" `Quick
+        test_reset_charge_matches_oracle;
       Alcotest.test_case "writing interval sweeps its delta" `Quick
         test_writing_interval_sweeps_delta;
       Alcotest.test_case "violation pinned to smallest address" `Quick

@@ -204,16 +204,13 @@ let prop_shadow_vs_oracle history =
    Both implementations satisfy [Shadow_sig.S], so the op-list driver
    is a functor over the signature: the same workload replays against
    any implementation, and [test_host_parallel] reuses the instances
-   to pin the pooled reset against the plain one. *)
+   to pin the full-page reset against the oracle. *)
 type sh_op = Access of { write : bool; off : int; size : int; beta : int } | Reset
 
 module Shadow_equiv (S : Privateer_oracle.Shadow_sig.S) = struct
   (* Replay [ops] on a fresh machine through [S]; returns the machine
-     and the first failure (op index + structural misspec reason).
-     [page_pool] threads through to [S.reset_interval] — a host
-     acceleration the oracle ignores and the optimized path must not
-     let show. *)
-  let run ?page_pool ops =
+     and the first failure (op index + structural misspec reason). *)
+  let run ops =
     let open Privateer_machine in
     let open Privateer_runtime in
     let base = Privateer_ir.Heap.base Privateer_ir.Heap.Private in
@@ -223,7 +220,7 @@ module Shadow_equiv (S : Privateer_oracle.Shadow_sig.S) = struct
       (fun idx op ->
         if !fail = None then
           match op with
-          | Reset -> ignore (S.reset_interval ?page_pool m)
+          | Reset -> ignore (S.reset_interval m)
           | Access a -> (
             try
               S.access m

@@ -290,7 +290,8 @@ let test_manifest_scenarios () =
   bad "x workload:dijkstra scale=9\n" "supports scale 1..";
   bad "x zap:foo\n" "unknown job source kind";
   bad "x dijkstra input=ref\n" "job source must be";
-  (* The host-parallelism knobs are gone: each is an unknown option. *)
+  (* The host-parallelism knobs and the shadow-page pool cap are gone:
+     each is an unknown option. *)
   List.iter
     (fun opt ->
       match Jobs_manifest.parse ~base:RC.default ("# ok\nx workload:dijkstra " ^ opt ^ "\n") with
@@ -298,7 +299,18 @@ let test_manifest_scenarios () =
       | exception Failure m ->
         check (opt ^ " is an unknown job option on line 2") true
           (contains m "line 2:" && contains m "unknown job option"))
-    [ "host-domains=2"; "merge-shards=4"; "pool-kind=legacy"; "host-controller=never" ];
+    [ "host-domains=2"; "merge-shards=4"; "pool-kind=legacy"; "host-controller=never";
+      "shadow-pool-cap=0" ];
+  (* A knob that parses but is out of range fails the load on its own
+     line, not the job at run time. *)
+  List.iter
+    (fun (opt, frag) ->
+      match Jobs_manifest.parse ~base:RC.default ("# ok\nx workload:dijkstra " ^ opt ^ "\n") with
+      | _ -> Alcotest.fail (Printf.sprintf "out-of-range %S accepted" opt)
+      | exception Failure m ->
+        check (opt ^ " rejected on line 2") true (contains m "line 2:" && contains m frag))
+    [ ("workers=0", "workers must be > 0");
+      ("checkpoint=0", "checkpoint_period must be > 0") ];
   (* Errors carry the 1-based manifest line number. *)
   (match Jobs_manifest.parse ~base:RC.default "# fine\nx scenario:zap=1\n" with
   | _ -> Alcotest.fail "bad second line accepted"
