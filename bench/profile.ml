@@ -1,12 +1,10 @@
-(* The `profile` experiment: overhead and fidelity of the rebuilt
-   profiling framework.
+(* The `profile` experiment: overhead and fidelity of the profiler.
 
    Measures, per (port, scale) and over a seeded scenario corpus:
 
-   - *overhead*: wall time of the instrumented training run (fast
-     frontend with all five profilers, and the monolithic
-     Profiler_reference oracle from the test library) against plain
-     uninstrumented
+   - *overhead*: wall time of the instrumented training run (the
+     production profiler, and the monolithic Profiler_reference
+     oracle from the test library) against plain uninstrumented
      interpretation of the same program + input;
    - *reference-vs-fast*: what the rebuild buys.  The interpreter
      dominates wall time on every program (hooks fire either way), so
@@ -15,9 +13,8 @@
      least one top-scale port or on the corpus aggregate.  The three
      configurations are timed in interleaved rounds (best-of each) so
      machine-load drift hits all three alike;
-   - *per-profiler breakdown*: each profiler enabled alone over the
-     scale-1 ports + corpus, so the cost of ptr/lifetime/flow/value/
-     exec is attributable;
+   - *set totals*: plain, fast and reference passes over the
+     top-scale ports + corpus as one set;
    - *query identity* (hard gate): for every measured program, the
      fast and reference profilers must answer every query family
      identically — the differential-oracle restatement of "same
@@ -33,8 +30,6 @@
 open Privateer_support
 open Privateer_workloads
 module Pipeline = Privateer.Pipeline
-module Profiler = Privateer_profile.Profiler
-module RC = Privateer_parallel.Runtime_config
 module Answers = Privateer_oracle.Profile_answers
 
 let env_int name default =
@@ -78,8 +73,6 @@ let time_interleaved fs =
   done;
   best
 
-let config_for profilers = { RC.default with RC.profilers }
-
 type row = {
   r_name : string;
   r_kind : string; (* "port" | "scenario" *)
@@ -97,7 +90,7 @@ let measure ~kind ~scale ~name program setup =
   let best =
     time_interleaved
       [| (fun () -> ignore (Pipeline.run_sequential ~setup program));
-         (fun () -> ignore (Pipeline.profile ~setup ~config:(config_for [ "all" ]) program));
+         (fun () -> ignore (Pipeline.profile ~setup program));
          profile_reference setup program |]
   in
   let plain_ns = best.(0) and fast_ns = best.(1) and ref_ns = best.(2) in
@@ -109,12 +102,9 @@ let measure ~kind ~scale ~name program setup =
   { r_name = name; r_kind = kind; r_scale = scale; r_plain_ns = plain_ns;
     r_fast_ns = fast_ns; r_ref_ns = ref_ns; r_identical = identical }
 
-(* Whole-set pass under one profiler selection, for the breakdown. *)
-let run_set profilers set () =
-  List.iter
-    (fun (program, setup) ->
-      ignore (Pipeline.profile ~setup ~config:(config_for profilers) program))
-    set
+(* Whole-set passes, for the set totals. *)
+let run_set set () =
+  List.iter (fun (program, setup) -> ignore (Pipeline.profile ~setup program)) set
 
 let run_set_reference set () =
   List.iter (fun (program, setup) -> profile_reference setup program ()) set
@@ -122,7 +112,7 @@ let run_set_reference set () =
 let ratio num den = if den > 0.0 then num /. den else 0.0
 
 (* The gate statistic: profiling overhead (instrumented minus plain)
-   of the reference over the fast frontend.  0.0 when noise leaves
+   of the reference over the fast profiler.  0.0 when noise leaves
    either overhead non-positive — a near-zero denominator must not
    award the gate to noise. *)
 let overhead_ratio ~plain ~fast ~rf =
@@ -131,11 +121,10 @@ let overhead_ratio ~plain ~fast ~rf =
 
 let run () =
   Printf.printf
-    "\n================ profile: frontend overhead vs reference oracle ================\n\n";
+    "\n================ profile: profiler overhead vs reference oracle ================\n\n";
   Printf.printf
     "scales 1..%d (per-port cap), best of %d rounds, corpus %d scenarios (seed %d)\n"
     (scale_cap ()) (iters ()) (corpus_count ()) (corpus_seed ());
-  Printf.printf "profilers: %s\n\n" (String.concat ", " (Profiler.available ()));
   let port_rows =
     List.concat_map
       (fun wl ->
@@ -191,10 +180,9 @@ let run () =
     "-" corpus_plain corpus_fast corpus_ref
     (List.for_all (fun r -> r.r_identical) scenario_rows);
   Table.print t;
-  (* Per-profiler breakdown: each profiler alone over the top-scale
-     ports + the corpus, against the all-five and plain passes over
-     the same set.  All configurations run in interleaved rounds, the
-     same discipline as the per-program rows. *)
+  (* Set totals: the plain, fast and reference passes over the
+     top-scale ports + the corpus, in interleaved rounds, the same
+     discipline as the per-program rows. *)
   let set =
     List.map
       (fun wl ->
@@ -207,27 +195,15 @@ let run () =
             Workload.setup ~scale:1 sc.sc_workload Workload.Train ))
         corpus
   in
-  let singles = Profiler.available () in
   let best =
     time_interleaved
-      (Array.of_list
-         ((fun () -> List.iter (fun (p, setup) -> ignore (Pipeline.run_sequential ~setup p)) set)
-          :: run_set [ "all" ] set
-          :: run_set_reference set
-          :: List.map (fun p -> run_set [ p ] set) singles))
+      [| (fun () -> List.iter (fun (p, setup) -> ignore (Pipeline.run_sequential ~setup p)) set);
+         run_set set; run_set_reference set |]
   in
   let set_plain = best.(0) and set_fast = best.(1) and set_ref = best.(2) in
-  let breakdown = List.mapi (fun i p -> (p, best.(i + 3))) singles in
   Printf.printf
-    "\nper-profiler cost over top-scale ports + corpus (plain %.2f ms):\n"
-    (set_plain /. 1e6);
-  List.iter
-    (fun (p, ns) ->
-      Printf.printf "  %-10s %8.2f ms  (%.2fx plain)\n" p (ns /. 1e6)
-        (ratio ns set_plain))
-    breakdown;
-  Printf.printf "  %-10s %8.2f ms  (%.2fx plain)   reference %8.2f ms  (%.2fx plain)\n"
-    "all five" (set_fast /. 1e6) (ratio set_fast set_plain) (set_ref /. 1e6)
+    "\ntop-scale ports + corpus: plain %.2f ms, fast %.2f ms (%.2fx plain), reference %.2f ms (%.2fx plain)\n"
+    (set_plain /. 1e6) (set_fast /. 1e6) (ratio set_fast set_plain) (set_ref /. 1e6)
     (ratio set_ref set_plain);
   let identical_all = List.for_all (fun r -> r.r_identical) rows in
   (* The gate sweeps the top measured scale of every port plus the
@@ -285,15 +261,7 @@ let run () =
         ( "breakdown",
           Obj
             [ ("set", String "ports@top-scale+corpus"); ("plain_ns", Float set_plain);
-              ("fast_ns", Float set_fast); ("reference_ns", Float set_ref);
-              ( "profilers",
-                List
-                  (List.map
-                     (fun (p, ns) ->
-                       Obj
-                         [ ("name", String p); ("ns", Float ns);
-                           ("overhead", Float (ratio ns set_plain)) ])
-                     breakdown) ) ] );
+              ("fast_ns", Float set_fast); ("reference_ns", Float set_ref) ] );
         ("corpus_plain_ns", Float corpus_plain); ("corpus_fast_ns", Float corpus_fast);
         ("corpus_reference_ns", Float corpus_ref);
         ("corpus_speedup", Float corpus_speedup);

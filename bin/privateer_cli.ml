@@ -159,8 +159,7 @@ let config_json (cfg : RC.t) =
   Obj
     [ ("workers", Int cfg.workers);
       ("schedule", String (Privateer_parallel.Schedule.to_string cfg.schedule));
-      ("validation", String (RC.validation_to_string cfg.validation));
-      ("profilers", List (List.map (fun p -> String p) cfg.profilers)) ]
+      ("validation", String (RC.validation_to_string cfg.validation)) ]
 
 (* Machine-readable report: the configuration, whole-run numbers,
    every stats counter, the Figure 8 breakdown, and the per-loop
@@ -257,9 +256,7 @@ let run_cmd =
     let scale = checked_scale wl scale in
     let program = Workload.program wl in
     let cfg = config ~inject bindings in
-    let tr, profiler =
-      Pipeline.compile ~setup:(Workload.setup ~scale wl Train) ~config:cfg program
-    in
+    let tr, profiler = Pipeline.compile ~setup:(Workload.setup ~scale wl Train) program in
     let seq =
       Pipeline.run_sequential ~setup:(Workload.setup ~scale wl input) program
     in
@@ -283,12 +280,7 @@ let compare_cmd =
     let scale = checked_scale wl scale in
     let program = Workload.program wl in
     let cfg = config bindings in
-    let profiler, _ =
-      Pipeline.profile ~setup:(Workload.setup ~scale wl Train) ~config:cfg program
-    in
-    let tr, _ =
-      Pipeline.compile ~setup:(Workload.setup ~scale wl Train) ~config:cfg program
-    in
+    let tr, profiler = Pipeline.compile ~setup:(Workload.setup ~scale wl Train) program in
     let seq =
       Pipeline.run_sequential ~setup:(Workload.setup ~scale wl Ref) program
     in
@@ -315,7 +307,8 @@ let compare_cmd =
 (* privateer file <src>: the full pipeline on any loader source — a
    bare path, file:<path>, workload:<name> or scenario:<spec> — via
    the same Sources interface the jobs manifest uses, so both report
-   identical errors. *)
+   identical errors.  A malformed source exits 124; a program fault
+   exits 3, the code serve uses for a failed job. *)
 let file_cmd =
   let src_arg = Arg.(required & pos 0 (some string) None & info [] ~docv:"SOURCE") in
   let run src bindings =
@@ -334,11 +327,17 @@ let file_cmd =
       | None -> (Pipeline.no_setup, Pipeline.no_setup)
     in
     let cfg = config bindings in
-    let tr, _ = Pipeline.compile ~setup:train ~config:cfg program in
-    let seq = Pipeline.run_sequential ~setup:runset program in
-    let par = Pipeline.run_parallel ~setup:runset ~config:cfg tr in
-    print_string par.par_output;
-    report_run ~seq ~par ~fallbacks:par.fallbacks
+    match
+      let tr, _ = Pipeline.compile ~setup:train program in
+      let seq = Pipeline.run_sequential ~setup:runset program in
+      (seq, Pipeline.run_parallel ~setup:runset ~config:cfg tr)
+    with
+    | seq, par ->
+      print_string par.par_output;
+      report_run ~seq ~par ~fallbacks:par.fallbacks
+    | exception Privateer_interp.Interp.Runtime_error msg ->
+      Printf.eprintf "privateer: runtime error: %s\n" msg;
+      exit 3
   in
   Cmd.v
     (Cmd.info "file"

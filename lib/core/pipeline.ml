@@ -29,12 +29,12 @@ let set_global (st : Interp.t) name v =
 
 let parse = Privateer_lang.Parser.parse_program_exn
 
-(* Profile a training run.  [config.profilers] selects the profiler
-   set.  The profiling wall time is stamped on the profiler —
+(* Profile a training run with all five profilers.  [config] is
+   unused.  The profiling wall time is stamped on the profiler —
    reporting only, exempt from the determinism contract. *)
-let profile ?(setup = no_setup) ?(config = Runtime_config.default) program =
+let profile ?(setup = no_setup) ?config:_ program =
   let st = Interp.create ~cost:Cost.default program in
-  let p = Profiler.create ~profilers:config.Runtime_config.profilers () in
+  let p = Profiler.create () in
   Profiler.attach p st;
   setup st;
   let t0 = Privateer_support.Clock.now_ns () in
@@ -42,9 +42,9 @@ let profile ?(setup = no_setup) ?(config = Runtime_config.default) program =
   Profiler.set_wall_ns p (Privateer_support.Clock.now_ns () -. t0);
   (p, st)
 
-(* Profile, select, transform. *)
-let compile ?(setup = no_setup) ?config program =
-  let profiler, _ = profile ~setup ?config program in
+(* Profile, select, transform.  [config] is unused. *)
+let compile ?(setup = no_setup) ?config:_ program =
+  let profiler, _ = profile ~setup program in
   let selection = Selection.select program profiler in
   let result = Transform.apply program profiler selection in
   (result, profiler)
@@ -95,7 +95,7 @@ type experiment = {
    (train vs ref inputs). *)
 let experiment ?(train = no_setup) ?(run = no_setup)
     ?(config = Runtime_config.default) program =
-  let tr, _profiler = compile ~setup:train ~config program in
+  let tr, _profiler = compile ~setup:train program in
   let sequential = run_sequential ~setup:run program in
   let parallel = run_parallel ~setup:run ~config tr in
   let speedup = float_of_int sequential.seq_cycles /. float_of_int parallel.par_cycles in

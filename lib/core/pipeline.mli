@@ -26,10 +26,11 @@ val set_global : Privateer_interp.Interp.t -> string -> int -> unit
     @raise Failure with positions on lexical/syntax errors. *)
 val parse : ?entry:string -> string -> Privateer_ir.Ast.program
 
-(** Instrumented training run.  [config.profilers] selects which
-    profilers run (default: all five).  The profiling wall time is
-    stamped on the returned profiler ([Profiler.wall_ns]) — reporting
-    only, exempt from the determinism contract. *)
+(** Instrumented training run with all five profilers.  [config] is
+    unused; it stays so existing callers keep compiling.  The
+    profiling wall time is stamped on the returned profiler
+    ([Profiler.wall_ns]) — reporting only, exempt from the determinism
+    contract. *)
 val profile :
   ?setup:setup ->
   ?config:Privateer_parallel.Runtime_config.t ->
@@ -37,7 +38,7 @@ val profile :
   Privateer_profile.Profiler.t * Privateer_interp.Interp.t
 
 (** Profile, classify, select and transform: the whole compiler.
-    [config] is {!profile}'s. *)
+    [config] is unused, as in {!profile}. *)
 val compile :
   ?setup:setup ->
   ?config:Privateer_parallel.Runtime_config.t ->

@@ -30,12 +30,17 @@ let parse ?(dir = ".") src =
     | "workload" -> Result.map (of_workload "workload") (Workloads.lookup arg)
     | "scenario" ->
       Result.map (of_workload "scenario") (Scenario_gen.workload_of_spec arg)
-    | "file" ->
+    | "file" -> (
       let path = if Filename.is_relative arg then Filename.concat dir arg else arg in
       if not (Sys.file_exists path) then Error (Printf.sprintf "no such file %S" path)
       else
         let source = In_channel.with_open_text path In_channel.input_all in
-        Ok
-          { src_kind = "file"; src_workload = None;
-            src_fresh = (fun () -> Privateer.Pipeline.parse source) }
+        (* Lex, parse and validate now, so a malformed file fails the
+           load with its positioned message instead of a job later. *)
+        match Privateer.Pipeline.parse source with
+        | exception Failure msg -> Error msg
+        | _ ->
+          Ok
+            { src_kind = "file"; src_workload = None;
+              src_fresh = (fun () -> Privateer.Pipeline.parse source) })
     | k -> Error (Printf.sprintf "unknown job source kind %S (want %s)" k kinds))

@@ -24,6 +24,7 @@ val lookup_workload :
 
 val parse : ?dir:string -> string -> (t, string) result
 (** Parse a [kind:arg] source.  [file:] paths resolve relative to
-    [dir] (default ["."]) and are read eagerly, so a missing file is
-    an immediate error.  A string without a kind prefix is an error
-    naming the accepted kinds. *)
+    [dir] (default ["."]) and are read, lexed, parsed and
+    IR-validated eagerly, so a missing or malformed file is an
+    immediate error carrying the positioned Cmini message.  A string
+    without a kind prefix is an error naming the accepted kinds. *)

@@ -137,7 +137,10 @@ let tokenize src =
         done
       end;
       let text = String.sub src !i (!j - !i) in
-      (if !is_float then emit (FLOAT (float_of_string text))
+      (if !is_float then (
+         match float_of_string_opt text with
+         | Some v -> emit (FLOAT v)
+         | None -> err ("bad float literal " ^ text))
        else
          match int_of_string_opt text with
          | Some v -> emit (INT v)

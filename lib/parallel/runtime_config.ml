@@ -69,11 +69,9 @@ type t = {
          running backlog; a full queue blocks (or rejects, for
          try_submit) further submissions.  0 means unbounded. *)
   profilers : string list;
-      (* profilers to run on the training pass: a subset of
-         Profiler.available (), or ["all"] for every registered one.
-         Queries of a
-         disabled profiler answer empty, so restrict only when the
-         downstream passes don't need them. *)
+      (* Inert, like [host_domains] and [pool_cap]: every training
+         run profiles with all five profilers, because classification
+         needs every profiler's facts. *)
 }
 
 (* ---- environment defaults -------------------------------------------- *)
@@ -93,35 +91,6 @@ let default_validation =
     match validation_of_string s with Some v -> v | None -> Commit)
   | None -> Commit
 
-(* Comma-separated profiler names; "all" enables every registered
-   profiler. *)
-let parse_profilers s =
-  let names =
-    String.split_on_char ',' s
-    |> List.map (fun x -> String.lowercase_ascii (String.trim x))
-    |> List.filter (fun x -> x <> "")
-  in
-  let known = "all" :: Privateer_profile.Profiler.available () in
-  if names = [] then
-    Error
-      (Printf.sprintf "profilers: expected a comma-separated subset of %s"
-         (String.concat ", " known))
-  else
-    match List.find_opt (fun n -> not (List.mem n known)) names with
-    | Some bad ->
-      Error
-        (Printf.sprintf "profilers: unknown profiler %S (expected %s)" bad
-           (String.concat ", " known))
-    | None -> Ok names
-
-(* PRIVATEER_PROFILERS restricts the default profiler set, so CI can
-   push suites through the registration path with only some consumers
-   enabled. *)
-let default_profilers =
-  match Sys.getenv_opt "PRIVATEER_PROFILERS" with
-  | Some s -> ( match parse_profilers s with Ok names -> names | Error _ -> [ "all" ])
-  | None -> [ "all" ]
-
 let default =
   { workers = 4; host_domains = 1; merge_shards = 1;
     pool_kind = Privateer_support.Domain_pool.Work_stealing;
@@ -132,7 +101,7 @@ let default =
     serial_commit = false;
     max_inflight = env_int ~lo:1 ~hi:64 ~default:4 "PRIVATEER_MAX_INFLIGHT";
     queue_cap = env_int ~lo:0 ~hi:max_int ~default:0 "PRIVATEER_QUEUE_CAP";
-    profilers = default_profilers }
+    profilers = [ "all" ] }
 
 (* ---- validation ------------------------------------------------------- *)
 
@@ -152,8 +121,6 @@ let check config =
         (config.max_inflight < 1 || config.max_inflight > 64)
         "max_inflight must be in [1, 64] (got %d)" config.max_inflight;
       bad (config.queue_cap < 0) "queue_cap must be >= 0 (got %d)" config.queue_cap;
-      Result.fold ~ok:(fun _ -> None) ~error:Option.some
-        (parse_profilers (String.concat "," config.profilers));
       (match Schedule.validate config.schedule with
       | () -> None
       | exception Invalid_argument msg -> Some msg) ]
@@ -169,7 +136,7 @@ let validate config =
 
 let make ?workers ?schedule ?checkpoint_period ?adaptive_period ?throttle ?costs
     ?inject ?validate:validate_opt ?validation ?serial_commit ?max_inflight
-    ?queue_cap ?profilers () =
+    ?queue_cap () =
   let opt v d = Option.value v ~default:d in
   let config =
     { default with
@@ -184,8 +151,7 @@ let make ?workers ?schedule ?checkpoint_period ?adaptive_period ?throttle ?costs
       validation = opt validation default.validation;
       serial_commit = opt serial_commit default.serial_commit;
       max_inflight = opt max_inflight default.max_inflight;
-      queue_cap = opt queue_cap default.queue_cap;
-      profilers = opt profilers default.profilers }
+      queue_cap = opt queue_cap default.queue_cap }
   in
   validate config;
   config
@@ -283,21 +249,7 @@ let cli_bindings =
          queue applies backpressure to submitters (0: unbounded; default \
          \\$(b,PRIVATEER_QUEUE_CAP) or 0).";
       b_flag_like = false;
-      b_apply = int_field "queue-cap" (fun t queue_cap -> { t with queue_cap }) };
-    { b_flags = [ "profilers" ]; b_docv = "LIST";
-      b_doc =
-        "Profilers to run on the training pass: a comma-separated subset of \
-         'ptr', 'lifetime', 'flow', 'value', 'exec'; 'all' (the default) runs \
-         every registered profiler (default \\$(b,PRIVATEER_PROFILERS)).  Queries \
-         of a disabled profiler answer empty, so restrict only when the \
-         downstream passes don't need them.";
-      b_flag_like = false;
-      b_apply =
-        (fun t s ->
-          match parse_profilers s with
-          | Ok profilers -> Ok { t with profilers }
-          | Error e -> Error e) }
-  ]
+      b_apply = int_field "queue-cap" (fun t queue_cap -> { t with queue_cap }) } ]
 
 (* Fold a list of (binding, passed value) pairs over [base]; unpassed
    flags leave their field untouched.  The first parse error wins; a

@@ -2,9 +2,8 @@
 
     One validated record holds every knob: simulated worker count,
     checkpoint period (fixed or adaptive), misspeculation throttle,
-    iteration schedule, validation mode,
-    profiler set, job-server admission, cost model, and the ablation
-    switches.  {!make} is the validating builder, this module is the
+    iteration schedule, validation mode, job-server admission, cost
+    model, and the ablation switches.  {!make} is the validating builder, this module is the
     only reader of the [PRIVATEER_*] environment defaults, and
     {!cli_bindings} is the single table the CLI derives its tuning
     flags from. *)
@@ -73,35 +72,23 @@ type t = {
           and rejects [try_submit].  [0] means unbounded.  Default:
           [PRIVATEER_QUEUE_CAP] or 0. *)
   profilers : string list;
-      (** profilers to run on the training pass: a subset of
-          [Profiler.available ()] (["ptr"], ["lifetime"], ["flow"],
-          ["value"], ["exec"]) or [["all"]] for every registered one.
-          Queries of a
-          disabled profiler answer empty, so restrict only when the
-          downstream passes don't need them.  Default:
-          [PRIVATEER_PROFILERS] (comma-separated) or [["all"]]. *)
+      (** Inert, and kept like [host_domains] so record literals
+          compile: every training run profiles with all five
+          profilers, because classification needs every profiler's
+          facts.  {!default} sets [["all"]]. *)
 }
 
 val default_validation : validation
 (** The [PRIVATEER_VALIDATION] environment default ([Commit] when
     unset or unparseable). *)
 
-val default_profilers : string list
-(** The [PRIVATEER_PROFILERS] environment default ([["all"]] when
-    unset or unparseable). *)
-
-val parse_profilers : string -> (string list, string) result
-(** Parse a comma-separated profiler list against
-    [Profiler.available ()] plus ["all"]. *)
-
 val default : t
 (** Every field at its documented default (environment-sensitive for
-    [validation], [max_inflight], [queue_cap] and [profilers]). *)
+    [validation], [max_inflight] and [queue_cap]). *)
 
 (** [Error msg] names the first field that would fail deep inside an
     invocation (a non-positive worker count, checkpoint period,
-    throttle or chunk size, an out-of-range server bound, an unknown
-    profiler). *)
+    throttle or chunk size, an out-of-range server bound). *)
 val check : t -> (unit, string) result
 
 (** {!check}, raising.
@@ -123,7 +110,6 @@ val make :
   ?serial_commit:bool ->
   ?max_inflight:int ->
   ?queue_cap:int ->
-  ?profilers:string list ->
   unit ->
   t
 

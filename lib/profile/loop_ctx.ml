@@ -19,11 +19,11 @@
    currently-active loops whose iteration has advanced past this
    context is a function of (snapshot, epoch) alone — not of which
    word is being read — so one walk per (snapshot, epoch) serves every
-   shadow word written under that snapshot.  The memo is only ever
-   touched by the single consumer owning the context that minted the
-   snapshot (contexts are never shared across consumers in batched
-   mode), except [empty_snapshot], whose matched set is empty at every
-   epoch of every context, making sharing harmless. *)
+   shadow word written under that snapshot.  Only the flow profiler
+   reads or writes the memo, and each profiler instance owns its
+   context, so a memo never mixes epochs of two contexts — except
+   [empty_snapshot], whose matched set is empty at every epoch of
+   every context, making sharing harmless. *)
 type snap = {
   triples : int array; (* packed (loop, invocation, iter), innermost first *)
   s_dups : bool; (* some loop id appears twice (recursion) *)

@@ -1,9 +1,8 @@
 (* Execution-time profiler: per-loop invocation, trip and cycle
    totals, with a per-loop stack of entry cycle counts for nested
-   (recursive) invocations.  Cycle stamps ride on the Enter/Exit
-   events, so this consumer never reads interpreter state. *)
-
-let name = "exec"
+   (recursive) invocations.  {!Profiler} passes the cycle count at
+   loop entry and exit, so this consumer never reads interpreter
+   state. *)
 
 type stat = {
   mutable invocations : int;
@@ -14,7 +13,7 @@ type stat = {
 
 type t = { stats : (int, stat) Hashtbl.t }
 
-type Frontend.state += State of t
+let create () = { stats = Hashtbl.create 16 }
 
 let stat_of p loop =
   match Hashtbl.find_opt p.stats loop with
@@ -50,16 +49,3 @@ let loops_by_weight p =
   Hashtbl.fold (fun l s acc -> (l, s.cycles) :: acc) p.stats []
   |> List.sort (fun (la, a) (lb, b) ->
          match compare b a with 0 -> compare la lb | c -> c)
-
-let () =
-  Frontend.register
-    { Frontend.d_name = name;
-      d_doc = "execution time: loop invocation/trip/cycle totals";
-      d_needs_objects = false;
-      d_needs_ctx = false;
-      d_kinds = Event.(mask_of [ enter; exit' ]);
-      d_create =
-        (fun ~ctx:_ ->
-          let p = { stats = Hashtbl.create 16 } in
-          { (Frontend.null_consumer (State p)) with
-            c_enter = on_enter p; c_exit = on_exit p }) }

@@ -11,8 +11,6 @@
 
 open Privateer_ir
 
-let name = "flow"
-
 type shadow = {
   mutable w_site : int array; (* word -> writer site, -1 = none *)
   mutable w_vec : Loop_ctx.snap array; (* word -> writer context snapshot *)
@@ -34,7 +32,16 @@ type t = {
   mutable singles : int array array; (* loop -> interned [| loop |] *)
 }
 
-type Frontend.state += State of t
+let create ctx =
+  { ctx;
+    shadows =
+      Array.init
+        (1 lsl Heap.tag_bits)
+        (fun _ -> { w_site = [||]; w_vec = [||]; w_epoch = [||] });
+    deps = Hashtbl.create 8; last_loop = -1; last_wsite = -1; last_rsite = -1;
+    last_info =
+      { Profile_types.dep_count = 0; dep_value = Profile_types.Varying; dep_addr = `Many };
+    scratch = Array.make 8 0; singles = Array.make 64 Loop_ctx.no_loops }
 
 let heap_of addr = (addr lsr Heap.tag_shift) land ((1 lsl Heap.tag_bits) - 1)
 let word_of addr = (addr land (Heap.capacity - 1)) lsr 3
@@ -236,7 +243,7 @@ let matched_loops p (wvec : Loop_ctx.snap) ep =
     end
   end
 
-let on_load p site addr size _id value =
+let on_load p site addr size value =
   let ctx = p.ctx in
   if ctx.Loop_ctx.depth > 0 then begin
     let sh = Array.unsafe_get p.shadows (heap_of addr) in
@@ -267,7 +274,7 @@ let on_load p site addr size _id value =
     done
   end
 
-let on_store p site addr size _id =
+let on_store p site addr size =
   let sh = p.shadows.(heap_of addr) in
   let hi = word_of (addr + imax 1 size - 1) in
   ensure sh hi;
@@ -279,7 +286,7 @@ let on_store p site addr size _id =
     sh.w_epoch.(w) <- ep
   done
 
-let on_free p addr size _id =
+let on_free p addr size =
   let sh = p.shadows.(heap_of addr) in
   let extent = Array.length sh.w_site in
   let hi = imin (word_of (addr + imax 8 size - 1)) (extent - 1) in
@@ -296,28 +303,3 @@ let flow_deps p loop =
   | Some tbl ->
     Hashtbl.fold (fun (w, r) info acc -> (w, r, info) :: acc) tbl []
     |> List.sort (fun (w1, r1, _) (w2, r2, _) -> compare (w1, r1) (w2, r2))
-
-let () =
-  Frontend.register
-    { Frontend.d_name = name;
-      d_doc = "flow dependences: cross-iteration read-after-write per loop";
-      d_needs_objects = false;
-      d_needs_ctx = true;
-      d_kinds = Event.(mask_of [ load; store; free ]);
-      d_create =
-        (fun ~ctx ->
-          let p =
-            { ctx;
-              shadows =
-                Array.init
-                  (1 lsl Heap.tag_bits)
-                  (fun _ -> { w_site = [||]; w_vec = [||]; w_epoch = [||] });
-              deps = Hashtbl.create 8; last_loop = -1; last_wsite = -1;
-              last_rsite = -1;
-              last_info =
-                { Profile_types.dep_count = 0;
-                  dep_value = Profile_types.Varying; dep_addr = `Many };
-              scratch = Array.make 8 0; singles = Array.make 64 Loop_ctx.no_loops }
-          in
-          { (Frontend.null_consumer (State p)) with
-            c_load = on_load p; c_store = on_store p; c_free = on_free p }) }

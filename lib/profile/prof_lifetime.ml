@@ -10,8 +10,6 @@
    map bookkeeping.  Birth contexts are shared {!Loop_ctx.snapshot}
    arrays. *)
 
-let name = "lifetime"
-
 type t = {
   ctx : Loop_ctx.t;
   instances : (int, int * int array) Hashtbl.t; (* addr -> name id, birth *)
@@ -20,11 +18,13 @@ type t = {
   born_in : (int, (int, int) Hashtbl.t) Hashtbl.t; (* loop -> addr -> name *)
 }
 
-type Frontend.state += State of t
+let create ctx =
+  { ctx; instances = Hashtbl.create 64; sl_seen = Hashtbl.create 32;
+    sl_bad = Hashtbl.create 32; born_in = Hashtbl.create 8 }
 
 let mark_bad p id loop = Hashtbl.replace p.sl_bad (id, loop) ()
 
-let on_alloc p _site addr _size id =
+let on_alloc p addr id =
   Hashtbl.replace p.instances addr (id, (Loop_ctx.snapshot p.ctx).Loop_ctx.triples);
   Loop_ctx.iter_current p.ctx (fun l _inv _it ->
       Hashtbl.replace p.sl_seen (id, l) ();
@@ -35,7 +35,7 @@ let on_alloc p _site addr _size id =
         Hashtbl.replace p.born_in l tbl;
         Hashtbl.replace tbl addr id)
 
-let on_free p addr _size id =
+let on_free p addr id =
   if id >= 0 then begin
     match Hashtbl.find_opt p.instances addr with
     | Some (born_id, birth) ->
@@ -65,14 +65,14 @@ let on_free p addr _size id =
       Loop_ctx.iter_current p.ctx (fun l _inv _it -> mark_bad p id l)
   end
 
-(* The frontend has already pushed/popped the context stack when these
+(* {!Profiler} has already pushed/popped the context stack when these
    run; only the born-in bookkeeping is this consumer's. *)
-let on_enter p loop _cycles =
+let on_enter p loop =
   match Hashtbl.find_opt p.born_in loop with
   | Some tbl -> Hashtbl.reset tbl
   | None -> Hashtbl.replace p.born_in loop (Hashtbl.create 16)
 
-let on_exit p loop _trips _cycles =
+let on_exit p loop =
   (* Objects born in this invocation and still live are not
      short-lived with respect to this loop. *)
   match Hashtbl.find_opt p.born_in loop with
@@ -83,20 +83,3 @@ let on_exit p loop _trips _cycles =
 
 let is_short_lived p id loop =
   Hashtbl.mem p.sl_seen (id, loop) && not (Hashtbl.mem p.sl_bad (id, loop))
-
-let () =
-  Frontend.register
-    { Frontend.d_name = name;
-      d_doc = "object lifetime: per-loop short-lived allocation sites";
-      d_needs_objects = false;
-      d_needs_ctx = true;
-      d_kinds = Event.(mask_of [ alloc; free; enter; exit' ]);
-      d_create =
-        (fun ~ctx ->
-          let p =
-            { ctx; instances = Hashtbl.create 64; sl_seen = Hashtbl.create 32;
-              sl_bad = Hashtbl.create 32; born_in = Hashtbl.create 8 }
-          in
-          { (Frontend.null_consumer (State p)) with
-            c_alloc = on_alloc p; c_free = on_free p; c_enter = on_enter p;
-            c_exit = on_exit p }) }

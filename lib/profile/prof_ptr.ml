@@ -1,8 +1,7 @@
 (* Pointer-to-object profiler: for every load/store site, the set of
    object name ids the site was observed to touch, plus the names
-   minted by each allocation site.  The only consumer that asks the
-   frontend to resolve an object name per access
-   ([d_needs_objects = true]).
+   minted by each allocation site.  It is the only consumer of the
+   object name that {!Profiler} resolves on every access.
 
    Site-indexed flat arrays with a last-id filter: the common case —
    a site touching the same object as on its previous access — is one
@@ -10,15 +9,15 @@
 
 module Iset = Set.Make (Int)
 
-let name = "ptr"
-
 type t = {
   mutable last : int array; (* site -> name id last added, min_int = none *)
   mutable sets : Iset.t array; (* site -> accessed name ids *)
   alloc_names : (int, Iset.t ref) Hashtbl.t; (* alloc site -> minted ids *)
 }
 
-type Frontend.state += State of t
+let create () =
+  { last = Array.make 256 min_int; sets = Array.make 256 Iset.empty;
+    alloc_names = Hashtbl.create 16 }
 
 let ensure p site =
   let n = Array.length p.last in
@@ -39,9 +38,7 @@ let access p site id =
     p.sets.(site) <- Iset.add id p.sets.(site)
   end
 
-let on_access p site _addr _size id = access p site id
-
-let on_alloc p site _addr _size id =
+let on_alloc p site id =
   match Hashtbl.find_opt p.alloc_names site with
   | Some cell -> cell := Iset.add id !cell
   | None -> Hashtbl.replace p.alloc_names site (ref (Iset.singleton id))
@@ -54,20 +51,3 @@ let alloc_names p site =
   match Hashtbl.find_opt p.alloc_names site with
   | Some cell -> Iset.elements !cell
   | None -> []
-
-let () =
-  Frontend.register
-    { Frontend.d_name = name;
-      d_doc = "pointer-to-object: objects touched per access site";
-      d_needs_objects = true;
-      d_needs_ctx = false;
-      d_kinds = Event.(mask_of [ load; store; alloc ]);
-      d_create =
-        (fun ~ctx:_ ->
-          let p =
-            { last = Array.make 256 min_int; sets = Array.make 256 Iset.empty;
-              alloc_names = Hashtbl.create 16 }
-          in
-          { (Frontend.null_consumer (State p)) with
-            c_load = (fun site _addr _size id _v -> access p site id);
-            c_store = on_access p; c_alloc = on_alloc p }) }

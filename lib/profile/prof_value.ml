@@ -5,15 +5,14 @@
 
 open Privateer_interp
 
-let name = "value"
-
 type t = {
   mutable const : Profile_types.const_status option array; (* load site *)
   mutable taken : int array; (* branch id -> taken count *)
   mutable not_taken : int array;
 }
 
-type Frontend.state += State of t
+let create () =
+  { const = Array.make 256 None; taken = Array.make 256 0; not_taken = Array.make 256 0 }
 
 let ensure_const p site =
   let n = Array.length p.const in
@@ -34,7 +33,7 @@ let ensure_branch p id =
     p.not_taken <- f
   end
 
-let on_load p site _addr _size _id value =
+let on_load p site value =
   ensure_const p site;
   match p.const.(site) with
   | None -> p.const.(site) <- Some (Profile_types.Const value)
@@ -44,7 +43,7 @@ let on_load p site _addr _size _id value =
 
 let on_branch p id taken =
   ensure_branch p id;
-  if taken = 1 then p.taken.(id) <- p.taken.(id) + 1
+  if taken then p.taken.(id) <- p.taken.(id) + 1
   else p.not_taken.(id) <- p.not_taken.(id) + 1
 
 let const_load_value p site =
@@ -63,19 +62,3 @@ let branch_bias p id =
   | t, 0 when t > 0 -> Some true
   | 0, f when f > 0 -> Some false
   | _ -> None
-
-let () =
-  Frontend.register
-    { Frontend.d_name = name;
-      d_doc = "value prediction: constant loads and branch bias";
-      d_needs_objects = false;
-      d_needs_ctx = false;
-      d_kinds = Event.(mask_of [ load; branch ]);
-      d_create =
-        (fun ~ctx:_ ->
-          let p =
-            { const = Array.make 256 None; taken = Array.make 256 0;
-              not_taken = Array.make 256 0 }
-          in
-          { (Frontend.null_consumer (State p)) with
-            c_load = on_load p; c_branch = on_branch p }) }

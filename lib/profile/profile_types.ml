@@ -1,7 +1,6 @@
-(* Query-result types shared by the fast profiling frontend, the
-   per-profiler consumer modules and the monolithic reference oracle
-   kept in the test library.
-   The [Profiler] facade re-exports them with type equations, so
+(* Query-result types shared by {!Profiler}, the per-profiler
+   consumer modules and the monolithic reference oracle kept in the
+   test library.  [Profiler] re-exports them with type equations, so
    downstream pattern matches compile against either implementation. *)
 
 type const_status = Const of Privateer_interp.Value.t | Varying

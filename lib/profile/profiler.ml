@@ -1,9 +1,21 @@
-(* Facade over the shared event {!Frontend} and the registered
-   per-profiler consumers ({!Prof_ptr}, {!Prof_lifetime}, {!Prof_flow},
-   {!Prof_value}, {!Prof_exec}): typed queries over their state.
-   Queries belonging to a profiler that was not enabled answer as if
-   the profiler observed nothing. *)
+(* The Privateer profilers (paper section 4.1) behind one module.
 
+   [Profiler] owns the work every profiler shares and calls the five
+   consumers ({!Prof_ptr}, {!Prof_lifetime}, {!Prof_flow},
+   {!Prof_value}, {!Prof_exec}) directly from the interpreter hooks —
+   no event is ever materialized:
+
+   - object naming — a live-range interval map from addresses to
+     interned object-name ids, fronted by a last-object cache and a
+     direct-mapped page cache so the common strided/repeated access
+     patterns never reach the tree;
+   - loop context — one flat mutable (loop, invocation, iteration)
+     stack ({!Loop_ctx}) updated once per loop transition and read by
+     the lifetime and flow profilers (the reference rebuilds an
+     immutable list per iteration);
+   - typed queries over the five consumers' state. *)
+
+open Privateer_support
 open Privateer_ir
 open Privateer_interp
 
@@ -21,131 +33,208 @@ type loop_summary = Profile_types.loop_summary = {
   loop_cycles : int;
 }
 
-type t = { f : Frontend.t; mutable wall_ns : float }
+(* Page cache geometry: 4 KiB pages, 4096 direct-mapped slots. *)
+let page_bits = 12
+let pc_slots = 4096
 
-(* Referencing one value from each consumer module forces them to
-   link (and so to self-register) even though dispatch below only
-   mentions their [State] constructors. *)
-let all_profilers = [ Prof_ptr.name; Prof_lifetime.name; Prof_flow.name;
-                      Prof_value.name; Prof_exec.name ]
+type t = {
+  live : int Interval_map.t; (* address range -> name id *)
+  mutable names : Objname.t array; (* id -> name; id 0 = Unknown *)
+  mutable n_names : int;
+  name_ids : (Objname.t, int) Hashtbl.t;
+  obj_size : (int, int) Hashtbl.t; (* name id -> max observed size *)
+  mutable objects : Objname.Set.t;
+  (* Caches are valid only while [gen] is unchanged; every allocation,
+     free and global registration bumps it. *)
+  mutable gen : int;
+  mutable last_gen : int;
+  mutable last_lo : int;
+  mutable last_hi : int;
+  mutable last_id : int;
+  pc_gen : int array;
+  pc_page : int array;
+  pc_lo : int array;
+  pc_hi : int array;
+  pc_id : int array;
+  ctx : Loop_ctx.t; (* shared by the lifetime and flow profilers *)
+  ptr : Prof_ptr.t;
+  lifetime : Prof_lifetime.t;
+  flow : Prof_flow.t;
+  value : Prof_value.t;
+  exec : Prof_exec.t;
+  mutable wall_ns : float;
+}
 
-let available () = Frontend.registered ()
-
-let create ?(profilers = [ "all" ]) () =
-  ignore all_profilers;
-  { f = Frontend.create ~profilers (); wall_ns = 0. }
-
-let enabled p = Frontend.enabled p.f
+let create () =
+  let ctx = Loop_ctx.create () in
+  let t =
+    { live = Interval_map.create (); names = Array.make 64 Objname.Unknown;
+      n_names = 1; name_ids = Hashtbl.create 64; obj_size = Hashtbl.create 32;
+      objects = Objname.Set.empty; gen = 1; last_gen = 0; last_lo = 0;
+      last_hi = 0; last_id = 0; pc_gen = Array.make pc_slots 0;
+      pc_page = Array.make pc_slots 0; pc_lo = Array.make pc_slots 0;
+      pc_hi = Array.make pc_slots 0; pc_id = Array.make pc_slots 0; ctx;
+      ptr = Prof_ptr.create (); lifetime = Prof_lifetime.create ctx;
+      flow = Prof_flow.create ctx; value = Prof_value.create ();
+      exec = Prof_exec.create (); wall_ns = 0. }
+  in
+  (* Name id 0 is reserved for [Objname.Unknown]. *)
+  Hashtbl.replace t.name_ids Objname.Unknown 0;
+  t
 
 let wall_ns p = p.wall_ns
 let set_wall_ns p ns = p.wall_ns <- ns
 
-(* ---- attaching to an interpreter ------------------------------------ *)
+(* ---- object naming --------------------------------------------------- *)
 
-(* Only kinds in the frontend's [hook_mask] get real hooks; the rest
-   keep the no-op defaults, so a restricted profiler set (say exec
-   alone) pays nothing per load, store or branch — the interpreter
-   calls straight into the same no-ops a plain run does. *)
-let fast_hooks f : Hooks.t =
-  let m = Frontend.hook_mask f in
-  let on k real dflt = if m land Event.bit k <> 0 then real else dflt in
-  let d = Hooks.default in
-  { Hooks.default with
-    on_load =
-      on Event.load
-        (fun id ~addr ~size ~value -> Frontend.on_load f id ~addr ~size ~value)
-        d.on_load;
-    on_store =
-      on Event.store
-        (fun id ~addr ~size ~value:_ -> Frontend.on_store f id ~addr ~size)
-        d.on_store;
-    on_alloc =
-      (fun id ~ctx _kind _heap ~addr ~size -> Frontend.on_alloc f id ~ctx ~addr ~size);
-    on_free = (fun _id ~addr ~size _heap -> Frontend.on_free f ~addr ~size);
-    on_loop_enter = on Event.enter (fun id -> Frontend.on_loop_enter f id) d.on_loop_enter;
-    on_loop_iter =
-      on Event.iter (fun id ~iter -> Frontend.on_loop_iter f id ~iter) d.on_loop_iter;
-    on_loop_exit =
-      on Event.exit'
-        (fun id ~trips -> Frontend.on_loop_exit f id ~trips)
-        d.on_loop_exit;
-    on_branch =
-      on Event.branch (fun id ~taken -> Frontend.on_branch f id ~taken) d.on_branch }
+let intern t name =
+  match Hashtbl.find_opt t.name_ids name with
+  | Some id -> id
+  | None ->
+    let id = t.n_names in
+    if id = Array.length t.names then begin
+      let a = Array.make (2 * id) Objname.Unknown in
+      Array.blit t.names 0 a 0 id;
+      t.names <- a
+    end;
+    t.names.(id) <- name;
+    t.n_names <- id + 1;
+    Hashtbl.replace t.name_ids name id;
+    id
 
+(* Name a newly live object: intern [name], keep its largest size, and
+   map [lo, hi) to it.  Bumping [gen] invalidates both caches. *)
+let add_live t name ~size ~lo ~hi =
+  let id = intern t name in
+  t.objects <- Objname.Set.add name t.objects;
+  (match Hashtbl.find_opt t.obj_size id with
+  | Some s when s >= size -> ()
+  | Some _ | None -> Hashtbl.replace t.obj_size id size);
+  t.gen <- t.gen + 1;
+  Interval_map.insert t.live lo hi id;
+  id
+
+(* Name id of the object containing [addr]: last-object cache, then
+   the page cache, then the interval map (filling both caches on the
+   way out).  Misses resolve to id 0 = Unknown and are not cached —
+   in practice almost every access hits a registered object. *)
+let resolve t addr =
+  if t.last_gen = t.gen && addr >= t.last_lo && addr < t.last_hi then t.last_id
+  else begin
+    let page = addr lsr page_bits in
+    let slot = page land (pc_slots - 1) in
+    if
+      t.pc_gen.(slot) = t.gen && t.pc_page.(slot) = page
+      && addr >= t.pc_lo.(slot)
+      && addr < t.pc_hi.(slot)
+    then begin
+      t.last_gen <- t.gen;
+      t.last_lo <- t.pc_lo.(slot);
+      t.last_hi <- t.pc_hi.(slot);
+      t.last_id <- t.pc_id.(slot);
+      t.last_id
+    end
+    else
+      match Interval_map.find_opt t.live addr with
+      | Some (lo, hi, id) ->
+        t.last_gen <- t.gen;
+        t.last_lo <- lo;
+        t.last_hi <- hi;
+        t.last_id <- id;
+        t.pc_gen.(slot) <- t.gen;
+        t.pc_page.(slot) <- page;
+        t.pc_lo.(slot) <- lo;
+        t.pc_hi.(slot) <- hi;
+        t.pc_id.(slot) <- id;
+        id
+      | None -> 0
+  end
+
+(* ---- the hooks ------------------------------------------------------- *)
+
+(* Globals are allocated by [Interp.create] before hooks can observe
+   them, so [attach] names them directly; every hook then calls the
+   consumers that need its event. *)
 let attach p (st : Interp.t) =
-  let f = p.f in
   List.iter
     (fun (g : Ast.global) ->
-      let addr = Hashtbl.find st.globals g.gname in
-      Frontend.register_global f g.gname ~addr ~bytes:g.gbytes)
+      let lo = Hashtbl.find st.globals g.gname in
+      ignore
+        (add_live p (Objname.Global g.gname) ~size:g.gbytes ~lo ~hi:(lo + max 8 g.gbytes)))
     st.program.globals;
-  Frontend.set_get_cycles f (fun () -> st.cycles);
-  st.hooks <- fast_hooks f
+  st.hooks <-
+    { Hooks.default with
+      on_load =
+        (fun site ~addr ~size ~value ->
+          Prof_ptr.access p.ptr site (resolve p addr);
+          Prof_flow.on_load p.flow site addr size value;
+          Prof_value.on_load p.value site value);
+      on_store =
+        (fun site ~addr ~size ~value:_ ->
+          Prof_ptr.access p.ptr site (resolve p addr);
+          Prof_flow.on_store p.flow site addr size);
+      on_alloc =
+        (fun site ~ctx _kind _heap ~addr ~size ->
+          let id = add_live p (Objname.Site (site, ctx)) ~size ~lo:addr ~hi:(addr + size) in
+          Prof_ptr.on_alloc p.ptr site id;
+          Prof_lifetime.on_alloc p.lifetime addr id);
+      on_free =
+        (fun _site ~addr ~size _heap ->
+          p.gen <- p.gen + 1;
+          let id =
+            match Interval_map.remove_start p.live addr with
+            | Some (_, id) -> id
+            | None -> -1
+          in
+          Prof_lifetime.on_free p.lifetime addr id;
+          Prof_flow.on_free p.flow addr size);
+      on_loop_enter =
+        (fun loop ->
+          Loop_ctx.enter p.ctx loop;
+          Prof_lifetime.on_enter p.lifetime loop;
+          Prof_exec.on_enter p.exec loop st.cycles);
+      on_loop_iter = (fun loop ~iter -> Loop_ctx.iter p.ctx loop iter);
+      on_loop_exit =
+        (fun loop ~trips ->
+          Loop_ctx.exit p.ctx loop;
+          Prof_lifetime.on_exit p.lifetime loop;
+          Prof_exec.on_exit p.exec loop trips st.cycles);
+      on_branch = (fun id ~taken -> Prof_value.on_branch p.value id taken) }
 
-let profile_run ?profilers program =
+let profile_run program =
   let st = Interp.create program in
-  let p = create ?profilers () in
+  let p = create () in
   attach p st;
   ignore (Interp.run_entry st);
   (p, st)
 
 (* ---- post-run queries ------------------------------------------------ *)
 
-let consumer f name = Frontend.consumer_state f name
+let ids_to_set p ids =
+  List.fold_left (fun acc id -> Objname.Set.add p.names.(id) acc) Objname.Set.empty ids
 
-let ids_to_set f ids =
-  List.fold_left
-    (fun acc id -> Objname.Set.add (Frontend.name_of f id) acc)
-    Objname.Set.empty ids
-
-let objects_at_site p site =
-  match consumer p.f Prof_ptr.name with
-  | Some (Prof_ptr.State st) -> ids_to_set p.f (Prof_ptr.objects_at_site st site)
-  | _ -> Objname.Set.empty
-
-let alloc_names p site =
-  match consumer p.f Prof_ptr.name with
-  | Some (Prof_ptr.State st) -> ids_to_set p.f (Prof_ptr.alloc_names st site)
-  | _ -> Objname.Set.empty
+let objects_at_site p site = ids_to_set p (Prof_ptr.objects_at_site p.ptr site)
+let alloc_names p site = ids_to_set p (Prof_ptr.alloc_names p.ptr site)
 
 let is_short_lived p name ~loop =
-  match consumer p.f Prof_lifetime.name with
-  | Some (Prof_lifetime.State st) -> (
-    match Frontend.id_of_name p.f name with
-    | Some id -> Prof_lifetime.is_short_lived st id loop
-    | None -> false)
-  | _ -> false
+  match Hashtbl.find_opt p.name_ids name with
+  | Some id -> Prof_lifetime.is_short_lived p.lifetime id loop
+  | None -> false
 
-let flow_deps p ~loop =
-  match consumer p.f Prof_flow.name with
-  | Some (Prof_flow.State st) -> Prof_flow.flow_deps st loop
-  | _ -> []
+let flow_deps p ~loop = Prof_flow.flow_deps p.flow loop
+let const_load_value p site = Prof_value.const_load_value p.value site
+let branch_bias p branch = Prof_value.branch_bias p.value branch
+let branch_counts p branch = Prof_value.branch_counts p.value branch
+let loop_summary p loop = Prof_exec.loop_summary p.exec loop
+let loops_by_weight p = Prof_exec.loops_by_weight p.exec
+let all_objects p = p.objects
 
-let const_load_value p site =
-  match consumer p.f Prof_value.name with
-  | Some (Prof_value.State st) -> Prof_value.const_load_value st site
-  | _ -> None
+let object_size p name =
+  match Hashtbl.find_opt p.name_ids name with
+  | None -> None
+  | Some id -> Hashtbl.find_opt p.obj_size id
 
-let branch_bias p branch =
-  match consumer p.f Prof_value.name with
-  | Some (Prof_value.State st) -> Prof_value.branch_bias st branch
-  | _ -> None
-
-let branch_counts p branch =
-  match consumer p.f Prof_value.name with
-  | Some (Prof_value.State st) -> Prof_value.branch_counts st branch
-  | _ -> (0, 0)
-
-let loop_summary p loop =
-  match consumer p.f Prof_exec.name with
-  | Some (Prof_exec.State st) -> Prof_exec.loop_summary st loop
-  | _ -> None
-
-let loops_by_weight p =
-  match consumer p.f Prof_exec.name with
-  | Some (Prof_exec.State st) -> Prof_exec.loops_by_weight st
-  | _ -> []
-
-let all_objects p = Frontend.all_objects p.f
-let object_size p name = Frontend.object_size p.f name
-let object_at_addr p addr = Frontend.object_at_addr p.f addr
+let object_at_addr p addr =
+  match Interval_map.find_opt p.live addr with
+  | Some (lo, _, id) -> Some (p.names.(id), lo)
+  | None -> None

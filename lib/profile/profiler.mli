@@ -2,10 +2,13 @@
     object lifetime, cross-iteration memory flow dependence,
     value-prediction, branch-bias, and per-loop execution time.
 
-    This is a typed query facade over the shared event frontend
-    ({!Frontend}) and its independently registered per-profiler
-    consumers.  The original monolithic profiler survives in the test
-    library as the differential-testing oracle for these queries. *)
+    One module owns object naming, the loop-context stack and the
+    five per-profiler consumers, calls the consumers directly from the
+    interpreter hooks, and answers typed queries over their state.
+    Classification needs every profiler's facts, so every instance
+    runs all five.  The original monolithic profiler survives in the
+    test library as the differential-testing oracle for these
+    queries. *)
 
 type const_status = Profile_types.const_status =
   | Const of Privateer_interp.Value.t
@@ -23,26 +26,14 @@ type dep_info = Profile_types.dep_info = {
 
 type t
 
-(** [create ~profilers ()] builds a profiler running only the named
-    profilers (see {!available}); ["all"] (the default) enables every
-    registered one.
-    @raise Invalid_argument on an unknown profiler name. *)
-val create : ?profilers:string list -> unit -> t
-
-(** Registered profiler names, in registration order
-    (["ptr"; "lifetime"; "flow"; "value"; "exec"]). *)
-val available : unit -> string list
-
-(** The profiler names this instance runs. *)
-val enabled : t -> string list
+val create : unit -> t
 
 (** Register the program's globals and install the profiling hooks on
     an interpreter (call before [Interp.run_entry]). *)
 val attach : t -> Privateer_interp.Interp.t -> unit
 
 (** Convenience: create an interpreter, attach, run the program. *)
-val profile_run :
-  ?profilers:string list -> Privateer_ir.Ast.program -> t * Privateer_interp.Interp.t
+val profile_run : Privateer_ir.Ast.program -> t * Privateer_interp.Interp.t
 
 (** Wall-clock nanoseconds the training run spent profiling, stamped
     by [Pipeline.profile]; 0 until set.  Reporting only — exempt from
@@ -51,11 +42,7 @@ val wall_ns : t -> float
 
 val set_wall_ns : t -> float -> unit
 
-(** {1 Post-run queries}
-
-    Queries owned by a profiler that was not enabled return the
-    empty answer ([Objname.Set.empty], [false], [[]], [None],
-    [(0, 0)]). *)
+(** {1 Post-run queries} *)
 
 (** Objects a load/store site was observed to touch
     (the paper's [mapPointerToObjects]). *)

@@ -122,9 +122,7 @@ let fingerprint_of_run ~output ~result ~cycles ~fallbacks stats =
 
 (* The whole pipeline, on the caller's domain (possibly a pool worker). *)
 let execute_spec spec =
-  let tr, profiler =
-    Pipeline.compile ~setup:spec.js_train ~config:spec.js_config spec.js_program
-  in
+  let tr, profiler = Pipeline.compile ~setup:spec.js_train spec.js_program in
   let par = Pipeline.run_parallel ~setup:spec.js_run ~config:spec.js_config tr in
   let baseline =
     if spec.js_baseline then
@@ -213,7 +211,9 @@ let rec run_job_body t job () =
         { r with
           jr_queue_ns = job.j_start_ns -. job.j_submit_ns;
           jr_service_ns = now -. job.j_start_ns }
-    with e -> Failed (Printexc.to_string e)
+    with
+    | Privateer_interp.Interp.Runtime_error msg -> Failed ("runtime error: " ^ msg)
+    | e -> Failed (Printexc.to_string e)
   in
   Mutex.lock t.sv_mutex;
   job.j_state <- outcome;

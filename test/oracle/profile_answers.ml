@@ -54,9 +54,9 @@ let of_reference r =
 (* Profile one run of [program] with the production profiler or the
    oracle: [setup] runs after layout and before the entry, as in
    [Pipeline.profile]. *)
-let run_fast ?(profilers = [ "all" ]) ?(setup = fun _ -> ()) program =
+let run_fast ?(setup = fun _ -> ()) program =
   let st = Interp.create program in
-  let p = Profiler.create ~profilers () in
+  let p = Profiler.create () in
   Profiler.attach p st;
   setup st;
   ignore (Interp.run_entry st);

@@ -1,6 +1,7 @@
 (* The original monolithic Privateer profiler (paper section 4.1),
-   kept verbatim as the differential-testing oracle for the fast
-   event frontend — the same pattern as [Shadow_reference].  All five
+   kept verbatim as the differential-testing oracle for
+   [Privateer_profile.Profiler] — the same pattern as
+   [Shadow_reference].  All five
    profilers run over one set of interpreter hooks:
 
    - pointer-to-object profiler: an interval map from live address

@@ -10,10 +10,6 @@ open Privateer_machine
 open Privateer_runtime
 module Runtime_config = Privateer_parallel.Runtime_config
 
-(* Plan-content assertions need the full profile, regardless of the
-   PRIVATEER_PROFILERS environment the suite runs under. *)
-let full_profile = { Runtime_config.default with profilers = [ "all" ] }
-
 let check = Alcotest.(check bool)
 let base = Privateer_ir.Heap.base Privateer_ir.Heap.Private
 
@@ -113,7 +109,7 @@ fn main() {
 
 let run_mode ?inject validation =
   let program = Pipeline.parse clean_src in
-  let tr, _ = Pipeline.compile ~config:full_profile program in
+  let tr, _ = Pipeline.compile program in
   let config =
     { Privateer_parallel.Runtime_config.default with
       workers = 4; checkpoint_period = Some 20; inject; validation }
@@ -176,7 +172,7 @@ let test_no_false_kill_on_clean_intervals () =
 let prop_eager_equals_commit tmpls =
   let src = Test_props.program_of_templates tmpls in
   let program = Pipeline.parse src in
-  let tr, _ = Pipeline.compile ~config:full_profile program in
+  let tr, _ = Pipeline.compile program in
   let run validation =
     let config = Runtime_config.make ~workers:5 ~validation () in
     Pipeline.run_parallel ~config tr
@@ -198,7 +194,7 @@ let prop_eager_equals_commit tmpls =
 let prop_eager_equals_commit_with_misspec tmpls =
   let src = Test_props.program_of_templates tmpls in
   let program = Pipeline.parse src in
-  let tr, _ = Pipeline.compile ~config:full_profile program in
+  let tr, _ = Pipeline.compile program in
   let seq = Pipeline.run_sequential program in
   let run validation =
     let config =

@@ -8,12 +8,7 @@ open Privateer
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-(* Plan-content assertions need the full profile, regardless of the
-   PRIVATEER_PROFILERS environment the suite runs under. *)
-let full_profile =
-  { Privateer_parallel.Runtime_config.default with profilers = [ "all" ] }
-
-let compile src = Pipeline.compile ~config:full_profile (Pipeline.parse src)
+let compile src = Pipeline.compile (Pipeline.parse src)
 
 let config ?(workers = 4) ?checkpoint_period ?inject ?(schedule = Privateer_parallel.Schedule.Cyclic)
     ?(adaptive = false) ?throttle ?(serial_commit = false) () =
@@ -25,7 +20,7 @@ let config ?(workers = 4) ?checkpoint_period ?inject ?(schedule = Privateer_para
 let assert_equivalent ?workers ?checkpoint_period ?inject ?schedule ?adaptive
     ?throttle ?serial_commit src =
   let program = Pipeline.parse src in
-  let tr, _ = Pipeline.compile ~config:full_profile program in
+  let tr, _ = Pipeline.compile program in
   check "a loop was planned" true (tr.selection.plans <> []);
   let seq = Pipeline.run_sequential program in
   let par =
@@ -194,9 +189,7 @@ fn main() {
   let program = Pipeline.parse src in
   (* Train with mode=0 so the profiler predicts flag==0. *)
   let tr, _ =
-    Pipeline.compile ~config:full_profile
-      ~setup:(fun st -> Pipeline.set_global st "mode" 0)
-      program
+    Pipeline.compile ~setup:(fun st -> Pipeline.set_global st "mode" 0) program
   in
   check "prediction exists" true
     (List.exists
@@ -323,7 +316,7 @@ fn main() {
      accept either outcome: if a plan exists, execution must still be
      equivalent. *)
   let program = Pipeline.parse src in
-  let tr, _ = Pipeline.compile ~config:full_profile program in
+  let tr, _ = Pipeline.compile program in
   match tr.selection.plans with
   | [] -> () (* classified unrestricted: also acceptable (dep value varies) *)
   | _ ->
@@ -411,7 +404,7 @@ let test_config_validation () =
 (* [check] is the one range check behind [validate], [make],
    [apply_bindings] and the manifest loader: each out-of-range field
    comes back as [Error] naming it, [validate] raises the same text,
-   and the inert host fields are never checked. *)
+   and the inert fields are never checked. *)
 let test_config_check () =
   let module RC = Privateer_parallel.Runtime_config in
   let error c = match RC.check c with Ok () -> "" | Error msg -> msg in
@@ -428,10 +421,10 @@ let test_config_check () =
       ({ RC.default with throttle = Some 0 }, "throttle must be > 0 (got 0)");
       ({ RC.default with max_inflight = 65 }, "max_inflight must be in [1, 64] (got 65)");
       ({ RC.default with queue_cap = -1 }, "queue_cap must be >= 0 (got -1)") ];
-  check "unknown profiler rejected" true
-    (Result.is_error (RC.check { RC.default with profilers = [ "no-such-profiler" ] }));
   check "inert host fields unchecked" true
-    (RC.check { RC.default with pool_cap = -1; host_domains = -1; merge_shards = -1 } = Ok ())
+    (RC.check { RC.default with pool_cap = -1; host_domains = -1; merge_shards = -1 } = Ok ());
+  check "inert profilers field unchecked" true
+    (RC.check { RC.default with profilers = [ "no-such-profiler" ] } = Ok ())
 
 (* The flag fold fails closed: a value that parses but is out of range
    comes back as [Error] with the field's message, not as an exception
@@ -601,7 +594,7 @@ let test_throttle_off_keeps_speculating () =
 let test_reenable_loop () =
   (* After re-enabling, the loop speculates again. *)
   let program = Pipeline.parse throttle_src in
-  let tr, _ = Pipeline.compile ~config:full_profile program in
+  let tr, _ = Pipeline.compile program in
   let inject iter = iter mod 5 = 4 in
   let cfg = config ~throttle:2 ~inject () in
   let st = Privateer_interp.Interp.create ~cost:cfg.costs.base tr.program in
@@ -651,9 +644,7 @@ fn main() {
   in
   let program = Pipeline.parse src in
   let tr, _ =
-    Pipeline.compile ~config:full_profile
-      ~setup:(fun st -> Pipeline.set_global st "mode" 0)
-      program
+    Pipeline.compile ~setup:(fun st -> Pipeline.set_global st "mode" 0) program
   in
   let setup st = Pipeline.set_global st "mode" 9 in
   let seq = Pipeline.run_sequential ~setup program in

@@ -82,19 +82,39 @@ let test_workload_of_spec () =
   | Ok _ -> Alcotest.fail "bad scenario spec accepted by source loader"
   | Error m -> check "loader surfaces the knob error" true (contains m "expected an integer")
 
-(* ---- classification oracle ---------------------------------------------- *)
+(* A file: source is lexed, parsed and validated at load: a malformed
+   one is an [Error] with the positioned message, never a stray
+   exception from the job that would have run it. *)
+let test_sources_file_fails_closed () =
+  let parse_file src =
+    let path = Filename.temp_file "source" ".cm" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        Out_channel.with_open_text path (fun oc -> output_string oc src);
+        Sources.parse ("file:" ^ path))
+  in
+  let rejected src frag =
+    match parse_file src with
+    | Ok _ -> Alcotest.fail (Printf.sprintf "malformed source %S accepted" src)
+    | Error m -> check (Printf.sprintf "%S -> %s" src frag) true (contains m frag)
+  in
+  rejected "fn main() { return 99999999999999999999999; }" "Cmini lex error at 1:20";
+  rejected "fn main() { return 1e; }" "Cmini lex error at 1:20: bad float literal";
+  rejected "fn main() { return 1 +; }" "Cmini parse error at 1:";
+  rejected "fn main() { return foo(1); }" "call to unknown function foo";
+  rejected "fn main() { return 1; }\nfn main() { return 2; }" "duplicate function main";
+  match parse_file "fn main() { return 1; }" with
+  | Error m -> Alcotest.fail m
+  | Ok s -> check "fresh AST per call" true (s.Sources.src_fresh () != s.Sources.src_fresh ())
 
-(* Plan-content assertions need the full profile, regardless of the
-   PRIVATEER_PROFILERS environment the suite runs under. *)
-let full_profile =
-  { Privateer_parallel.Runtime_config.default with profilers = [ "all" ] }
+(* ---- classification oracle ---------------------------------------------- *)
 
 let compile_scenario (t : Scenario_gen.t) =
   let wl = t.Scenario_gen.sc_workload in
   let program = Workload.program wl in
   let tr, _ =
-    Pipeline.compile ~config:full_profile ~setup:(Workload.setup wl Workload.Train)
-      program
+    Pipeline.compile ~setup:(Workload.setup wl Workload.Train) program
   in
   (wl, program, tr)
 
@@ -245,6 +265,8 @@ let suite =
   @ [ Alcotest.test_case "spec round-trip" `Quick test_spec_roundtrip;
       Alcotest.test_case "spec errors" `Quick test_spec_errors;
       Alcotest.test_case "generation is deterministic" `Quick test_deterministic;
+      Alcotest.test_case "source loader: malformed file fails closed" `Quick
+        test_sources_file_fails_closed;
       Alcotest.test_case "workload_of_spec registers and caches" `Quick
         test_workload_of_spec;
       Alcotest.test_case "expected classification holds" `Quick

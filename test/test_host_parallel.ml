@@ -20,8 +20,9 @@
      per-byte reference reset; units: the fill never writes through a
      copy-on-write shared page, takes only exactly-full pages, and the
      reset charges every mapped shadow page as the oracle does;
-   - unit: the inert host fields of [Runtime_config] change no
-     simulated figure, and the removed host knobs are not bound;
+   - unit: the inert fields of [Runtime_config] change neither the
+     plan nor any simulated figure, and the removed knobs are not
+     bound;
    - unit and qcheck tests for the Domain_pool futures (ordering,
      completion order, exceptions, nested submit, concurrent awaiters,
      inline fallback, shutdown, concurrent submitters, [shared]). *)
@@ -518,13 +519,14 @@ let test_merge_state_isolation () =
   check_int "s2 unaffected by s1's work" 0 (Checkpoint.index_ops s2);
   check_int "s1 unaffected by s2's merge" ops1 (Checkpoint.index_ops s1)
 
-(* ---- inert host fields ---------------------------------------------------- *)
+(* ---- inert fields --------------------------------------------------------- *)
 
 module RC = Privateer_parallel.Runtime_config
 
-(* [host_domains], [merge_shards] and [pool_cap] are documented as
-   inert: setting them must not change a single simulated figure, nor
-   must the engine reject values it no longer reads. *)
+(* [host_domains], [merge_shards], [pool_cap] and [profilers] are
+   documented as inert: setting them must change neither the plan nor
+   a single simulated figure, nor must the engine reject values it no
+   longer reads. *)
 let test_inert_host_fields () =
   let src =
     {|global a[64];
@@ -535,24 +537,35 @@ fn main() {
   return acc;
 }|}
   in
-  let tr, _ = Privateer.Pipeline.compile (Privateer.Pipeline.parse src) in
-  let run config = Privateer.Pipeline.run_parallel ~config:{ config with RC.workers = 4 } tr in
-  let base = run RC.default in
-  let tuned = run { RC.default with host_domains = 7; merge_shards = 13; pool_cap = -5 } in
+  let program = Privateer.Pipeline.parse src in
+  let tr, _ = Privateer.Pipeline.compile program in
+  let inert =
+    { RC.default with host_domains = 7; merge_shards = 13; pool_cap = -5;
+      profilers = [ "exec" ] }
+  in
+  let tr', _ = Privateer.Pipeline.compile ~config:inert program in
+  check "same plan" true
+    (String.equal (Pp.program_str tr.program) (Pp.program_str tr'.program));
+  let run config tr =
+    Privateer.Pipeline.run_parallel ~config:{ config with RC.workers = 4 } tr
+  in
+  let base = run RC.default tr in
+  let tuned = run inert tr' in
   check "same output" true (String.equal base.par_output tuned.par_output);
   check "same result" true (Privateer_interp.Value.equal base.par_result tuned.par_result);
   check_int "same cycles" base.par_cycles tuned.par_cycles;
   check_int "same checkpoints" base.stats.checkpoints tuned.stats.checkpoints;
   check_int "same wall cycles" base.stats.wall_cycles tuned.stats.wall_cycles
 
-(* The host-parallelism knobs and the shadow-page pool cap are gone
-   from the flag table, so the CLI (derived from it) no longer offers
-   them. *)
+(* The host-parallelism knobs, the shadow-page pool cap and the
+   profiler set are gone from the flag table, so the CLI (derived from
+   it) no longer offers them. *)
 let test_removed_host_knobs () =
   let flags = List.concat_map (fun (b : RC.binding) -> b.b_flags) RC.cli_bindings in
   List.iter
     (fun flag -> check (flag ^ " is not a binding") false (List.mem flag flags))
-    [ "host-domains"; "merge-shards"; "pool-kind"; "host-controller"; "shadow-pool-cap" ];
+    [ "host-domains"; "merge-shards"; "pool-kind"; "host-controller"; "shadow-pool-cap";
+      "profilers" ];
   check "surviving knobs still bound" true
     (List.for_all (fun f -> List.mem f flags) [ "workers"; "validation"; "max-inflight" ])
 

@@ -1,17 +1,16 @@
 (* Unit and differential tests for the profilers (paper section 4.1).
 
    Every unit test runs under three variants — the production
-   frontend, the monolithic reference oracle from the test library,
-   and two frontend instances profiling at once in pool futures (as
+   profiler, the monolithic reference oracle from the test library,
+   and two profiler instances profiling at once in pool futures (as
    the job server runs them) — which must answer identically.
-   Targeted sources then check the frontend's fast paths against the
+   Targeted sources then check the profiler's fast paths against the
    oracle, and a qcheck property checks the full query surface over
    generated scenarios. *)
 
 open Privateer_ir
 open Privateer_interp
 open Privateer_profile
-module RC = Privateer_parallel.Runtime_config
 module Answers = Privateer_oracle.Profile_answers
 
 let check = Alcotest.(check bool)
@@ -33,7 +32,7 @@ let run_reference : runner =
   let q, st = Answers.run_reference program in
   (program, q, st)
 
-(* The job server's pattern: two frontend instances profile the same
+(* The job server's pattern: two profiler instances profile the same
    source at once, each inside its own pool future with its own parse.
    Neither may observe the other — their answers must agree — and the
    first one answers the test. *)
@@ -396,16 +395,16 @@ let prop_fast_matches_reference =
       | None -> true
       | Some what -> QCheck.Test.fail_reportf "%s differs on %s" what sc.sc_name)
 
-(* ---- frontend fast paths vs the oracle -------------------------------- *)
+(* ---- profiler fast paths vs the oracle -------------------------------- *)
 
-(* Targeted sources for the frontend's fast paths, each checked over
+(* Targeted sources for the profiler's fast paths, each checked over
    the whole query surface against the oracle. *)
 let fast_and_reference src =
   let program, pf, _ = run_fast src in
   let _, pr, _ = run_reference src in
   (match Answers.diff program pf pr with
   | None -> ()
-  | Some what -> Alcotest.fail ("fast frontend differs from the oracle on " ^ what));
+  | Some what -> Alcotest.fail ("fast profiler differs from the oracle on " ^ what));
   (program, pf, pr)
 
 let test_nested_loop_transitions () =
@@ -451,71 +450,6 @@ let test_nested_invocation_cycles () =
       | _ -> Alcotest.fail "summary missing")
     (Ast.loops_of_program program)
 
-(* ---- restricted profiler sets ----------------------------------------- *)
-
-let test_restricted_set () =
-  let src =
-    {|global acc;
-fn main() {
-  acc = 0;
-  for (i = 0; i < 4) {
-    if (i % 2 == 0) { acc = acc + i; }
-    var n = malloc(1); n[0] = acc; free(n);
-  }
-  return acc;
-}|}
-  in
-  let program = parse src in
-  let st = Interp.create program in
-  let prof = Profiler.create ~profilers:[ "exec"; "flow" ] () in
-  Profiler.attach prof st;
-  ignore (Interp.run_entry st);
-  check "enabled set" true (Profiler.enabled prof = [ "exec"; "flow" ]);
-  let p = Answers.of_profiler prof in
-  let loop = loop_in program "main" in
-  (* Enabled profilers answer... *)
-  check "flow deps observed" true (p.flow_deps ~loop <> []);
-  check "loop summary present" true (p.loop_summary loop <> None);
-  (* ...disabled ones answer as if they observed nothing. *)
-  let sites = ref [] in
-  List.iter
-    (fun (f : Ast.func) ->
-      Ast.iter_exprs
-        (fun e -> match e with Ast.Load (id, _, _) -> sites := id :: !sites | _ -> ())
-        f.body;
-      Ast.iter_stmts
-        (fun s -> match s with Ast.If (id, _, _, _) -> sites := id :: !sites | _ -> ())
-        f.body)
-    program.funcs;
-  List.iter
-    (fun id ->
-      check "no objects at site" true (Objname.Set.is_empty (p.objects_at_site id));
-      check "no const load" true (p.const_load_value id = None);
-      check "no branch bias" true (p.branch_bias id = None))
-    !sites;
-  Objname.Set.iter
-    (fun o -> check "nothing short-lived" false (p.is_short_lived o ~loop))
-    (p.all_objects ())
-
-let test_parse_profilers () =
-  let ok = function Ok names -> names | Error e -> Alcotest.fail e in
-  Alcotest.(check (list string))
-    "plain list" [ "exec"; "flow" ]
-    (ok (RC.parse_profilers "exec,flow"));
-  Alcotest.(check (list string))
-    "normalized" [ "exec"; "flow" ]
-    (ok (RC.parse_profilers " Exec , FLOW "));
-  Alcotest.(check (list string)) "all" [ "all" ] (ok (RC.parse_profilers "all"));
-  let is_err = function Error _ -> true | Ok _ -> false in
-  check "unknown name rejected" true (is_err (RC.parse_profilers "bogus"));
-  check "the removed oracle name is rejected" true (is_err (RC.parse_profilers "reference"));
-  check "empty rejected" true (is_err (RC.parse_profilers ""));
-  check "unknown profiler in create" true
-    (try
-       ignore (Profiler.create ~profilers:[ "nope" ] ());
-       false
-     with Invalid_argument _ -> true)
-
 let suite =
   let parameterized =
     List.concat_map
@@ -550,6 +484,4 @@ let suite =
         test_free_then_realloc;
       Alcotest.test_case "frontend: nested-invocation cycle accounting" `Quick
         test_nested_invocation_cycles;
-      Alcotest.test_case "restricted profiler set" `Quick test_restricted_set;
-      Alcotest.test_case "parse_profilers" `Quick test_parse_profilers;
       QCheck_alcotest.to_alcotest prop_fast_matches_reference ]

@@ -41,6 +41,15 @@ let program_src salt =
 let spec_of_src ?(config = RC.default) name src =
   Job_server.job_spec ~name ~config (Privateer.Pipeline.parse src)
 
+(* [f path] with [src] written to a temporary Cmini file. *)
+let with_source src f =
+  let path = Filename.temp_file "job_source" ".cm" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_text path (fun oc -> output_string oc src);
+      f path)
+
 let fingerprint_of t job =
   match Job_server.state t job with
   | Job_server.Done r -> r.jr_fingerprint
@@ -290,8 +299,8 @@ let test_manifest_scenarios () =
   bad "x workload:dijkstra scale=9\n" "supports scale 1..";
   bad "x zap:foo\n" "unknown job source kind";
   bad "x dijkstra input=ref\n" "job source must be";
-  (* The host-parallelism knobs and the shadow-page pool cap are gone:
-     each is an unknown option. *)
+  (* The host-parallelism knobs, the shadow-page pool cap and the
+     profiler set are gone: each is an unknown option. *)
   List.iter
     (fun opt ->
       match Jobs_manifest.parse ~base:RC.default ("# ok\nx workload:dijkstra " ^ opt ^ "\n") with
@@ -300,7 +309,7 @@ let test_manifest_scenarios () =
         check (opt ^ " is an unknown job option on line 2") true
           (contains m "line 2:" && contains m "unknown job option"))
     [ "host-domains=2"; "merge-shards=4"; "pool-kind=legacy"; "host-controller=never";
-      "shadow-pool-cap=0" ];
+      "shadow-pool-cap=0"; "profilers=exec" ];
   (* A knob that parses but is out of range fails the load on its own
      line, not the job at run time. *)
   List.iter
@@ -315,16 +324,25 @@ let test_manifest_scenarios () =
   (match Jobs_manifest.parse ~base:RC.default "# fine\nx scenario:zap=1\n" with
   | _ -> Alcotest.fail "bad second line accepted"
   | exception Failure m -> check "line number prefix" true (contains m "line 2:"));
-  (* scale= is a workload/scenario option; file: jobs reject it. *)
-  let path = Filename.temp_file "manifest_scale" ".cm" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Out_channel.with_open_text path (fun oc ->
-          output_string oc "fn main() { print 1; }\n");
-      bad
-        (Printf.sprintf "x file:%s scale=2\n" path)
-        "scale= only applies")
+  (* scale= is a workload/scenario option; file: jobs reject it.  A
+     malformed file: source fails the load on its line, with the
+     lexer's position. *)
+  with_source "fn main() { return 1; }\n" (fun path ->
+      bad (Printf.sprintf "x file:%s scale=2\n" path) "scale= only applies");
+  with_source "fn main() { var x = 1 $ 2; return x; }\n" (fun path ->
+      bad (Printf.sprintf "x file:%s\n" path) "line 1: Cmini lex error at 1:23")
+
+(* A program fault is a failed job whose error names the fault, not an
+   escaped interpreter exception. *)
+let test_faulting_file_job () =
+  with_source "fn main() { return 1 / 0; }\n" (fun path ->
+      let specs = Jobs_manifest.parse ~base:RC.default (Printf.sprintf "div file:%s\n" path) in
+      let t = Job_server.run_jobs ~host_cores:1 ~config:RC.default specs in
+      match Job_server.jobs t with
+      | [ j ] ->
+        Alcotest.(check string) "failed with the fault" "failed: runtime error: division by zero"
+          (fingerprint_of t j)
+      | _ -> Alcotest.fail "expected 1 job")
 
 (* The example manifest stays loadable: `privateer serve
    examples/jobs.manifest` must work out of the box. *)
@@ -365,5 +383,7 @@ let suite =
         test_manifest_parse;
       Alcotest.test_case "manifest: scenario jobs, scale, line errors" `Quick
         test_manifest_scenarios;
+      Alcotest.test_case "faulting file: job fails with its runtime error" `Quick
+        test_faulting_file_job;
       Alcotest.test_case "example manifest loads" `Quick
         test_example_manifest_loads ]

@@ -8,11 +8,6 @@ open Privateer
 
 let check = Alcotest.(check bool)
 
-(* Plan-content assertions need the full profile, regardless of the
-   PRIVATEER_PROFILERS environment the suite runs under. *)
-let full_profile =
-  { Privateer_parallel.Runtime_config.default with profilers = [ "all" ] }
-
 let config ?(workers = 4) () =
   { Privateer_parallel.Runtime_config.default with workers }
 
@@ -20,9 +15,7 @@ let config ?(workers = 4) () =
 let train_ref_divergence ?workers src =
   let program = Pipeline.parse src in
   let tr, _ =
-    Pipeline.compile ~config:full_profile
-      ~setup:(fun st -> Pipeline.set_global st "mode" 0)
-      program
+    Pipeline.compile ~setup:(fun st -> Pipeline.set_global st "mode" 0) program
   in
   check "trained program planned a loop" true (tr.selection.plans <> []);
   let setup st = Pipeline.set_global st "mode" 1 in
@@ -154,7 +147,7 @@ fn main() {
 }|}
   in
   let program = Pipeline.parse src in
-  let tr, _ = Pipeline.compile ~config:full_profile program in
+  let tr, _ = Pipeline.compile program in
   Alcotest.(check int) "two plans" 2 (List.length tr.selection.plans);
   let seq = Pipeline.run_sequential program in
   let par = Pipeline.run_parallel ~config:(config ()) tr in
@@ -181,7 +174,7 @@ fn main() {
 }|}
   in
   let program = Pipeline.parse src in
-  let tr, _ = Pipeline.compile ~config:full_profile program in
+  let tr, _ = Pipeline.compile program in
   let seq = Pipeline.run_sequential program in
   let par = Pipeline.run_parallel ~config:(config ()) tr in
   check "results equal" true (Privateer_interp.Value.equal seq.seq_result par.par_result);
@@ -212,9 +205,7 @@ fn main() {
   in
   let program = Pipeline.parse src in
   let tr, _ =
-    Pipeline.compile ~config:full_profile
-      ~setup:(fun st -> Pipeline.set_global st "mode" 0)
-      program
+    Pipeline.compile ~setup:(fun st -> Pipeline.set_global st "mode" 0) program
   in
   let setup st = Pipeline.set_global st "mode" 1 in
   let seq = Pipeline.run_sequential ~setup program in

@@ -11,16 +11,10 @@ open Privateer_profile
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-(* Plan-content assertions need the full profile, regardless of the
-   PRIVATEER_PROFILERS environment the suite runs under. *)
-let full_profile =
-  { Privateer_parallel.Runtime_config.default with profilers = [ "all" ] }
-
 let compile wl =
   let program = Workload.program wl in
   let tr, profiler =
-    Pipeline.compile ~config:full_profile ~setup:(Workload.setup wl Workload.Train)
-      program
+    Pipeline.compile ~setup:(Workload.setup wl Workload.Train) program
   in
   (program, tr, profiler)
 
@@ -172,12 +166,10 @@ let test_profile_stability_alt () =
     (fun wl ->
       let program = Workload.program wl in
       let tr1, _ =
-        Pipeline.compile ~config:full_profile
-          ~setup:(Workload.setup wl Workload.Train) program
+        Pipeline.compile ~setup:(Workload.setup wl Workload.Train) program
       in
       let tr2, _ =
-        Pipeline.compile ~config:full_profile
-          ~setup:(Workload.setup wl Workload.Alt) program
+        Pipeline.compile ~setup:(Workload.setup wl Workload.Alt) program
       in
       let loops1 = List.map (fun (p : Privateer_analysis.Selection.plan) -> p.loop) tr1.selection.plans in
       let loops2 = List.map (fun (p : Privateer_analysis.Selection.plan) -> p.loop) tr2.selection.plans in
