@@ -18,7 +18,11 @@
    SCALE_MAX caps the scale sweep (default 3, clamped per port;
    the ports themselves go to 4), SCALE_WORKERS the worker count.
    Results go to BENCH_scale.json and the binary exits non-zero when
-   a gate fails.  Simulated state only: no timing rounds, no ITERS. *)
+   a gate fails.  Each cell also reports the host wall time of its
+   sequential and parallel runs ([seq_ms], [par_ms]) and the
+   sequential interpreter's simulated-cycle rate
+   ([seq_mcycles_per_s]); those columns are one unrepeated sample on
+   a host that drifts, so they are reported and never gated. *)
 
 open Privateer_support
 open Privateer_workloads
@@ -37,7 +41,14 @@ type cell = {
   c_params : (string * int) list; (* ref-input parameters at this scale *)
   c_seq : Pipeline.seq_run;
   c_par : Pipeline.par_run;
+  c_seq_ms : float; (* host wall time of the sequential run *)
+  c_par_ms : float; (* host wall time of the parallel run *)
 }
+
+let timed f =
+  let t0 = Clock.now_ns () in
+  let r = f () in
+  (r, (Clock.now_ns () -. t0) /. 1e6)
 
 let run_port wl =
   let program = Workload.program wl in
@@ -50,17 +61,21 @@ let run_port wl =
         Pipeline.compile ~setup:(Workload.setup ~scale:s wl Workload.Train) program
       in
       let setup = Workload.setup ~scale:s wl Workload.Ref in
-      let seq = Pipeline.run_sequential ~setup program in
-      let par =
-        Pipeline.run_parallel ~setup
-          ~config:
-            { Privateer_parallel.Runtime_config.default with
-              workers = workers (); adaptive_period = false }
-          tr
+      let seq, seq_ms = timed (fun () -> Pipeline.run_sequential ~setup program) in
+      let par, par_ms =
+        timed (fun () ->
+            Pipeline.run_parallel ~setup
+              ~config:
+                { Privateer_parallel.Runtime_config.default with
+                  workers = workers (); adaptive_period = false }
+              tr)
       in
       { c_scale = s; c_params = Workload.params ~scale:s wl Workload.Ref;
-        c_seq = seq; c_par = par })
+        c_seq = seq; c_par = par; c_seq_ms = seq_ms; c_par_ms = par_ms })
     scales
+
+(* Simulated Mcycles the sequential run retired per host second. *)
+let seq_mcycles_per_s c = float_of_int c.c_seq.seq_cycles /. 1e3 /. c.c_seq_ms
 
 let strictly_increasing = function
   | [] | [ _ ] -> true
@@ -77,8 +92,9 @@ let run () =
     Table.create
       ~aligns:
         [ Table.Left; Table.Right; Table.Right; Table.Right; Table.Right;
-          Table.Right ]
-      [ "port"; "scale"; "seq cycles"; "par cycles"; "speedup"; "priv KB written" ]
+          Table.Right; Table.Right; Table.Right; Table.Right ]
+      [ "port"; "scale"; "seq cycles"; "par cycles"; "speedup"; "priv KB written";
+        "seq ms"; "par ms"; "seq Mcyc/s" ]
   in
   List.iter
     (fun (wl, cells) ->
@@ -89,7 +105,9 @@ let run () =
               string_of_int c.c_seq.seq_cycles; string_of_int c.c_par.par_cycles;
               Printf.sprintf "%.2f"
                 (float_of_int c.c_seq.seq_cycles /. float_of_int c.c_par.par_cycles);
-              string_of_int (c.c_par.stats.private_bytes_written / 1024) ])
+              string_of_int (c.c_par.stats.private_bytes_written / 1024);
+              Printf.sprintf "%.1f" c.c_seq_ms; Printf.sprintf "%.1f" c.c_par_ms;
+              Printf.sprintf "%.1f" (seq_mcycles_per_s c) ])
         cells)
     results;
   Table.print t;
@@ -159,7 +177,10 @@ let run () =
                                     Int c.c_par.stats.private_bytes_written );
                                   ("checkpoints", Int c.c_par.stats.checkpoints);
                                   ( "misspeculations",
-                                    Int c.c_par.stats.misspeculations ) ])
+                                    Int c.c_par.stats.misspeculations );
+                                  ("seq_ms", Float c.c_seq_ms);
+                                  ("par_ms", Float c.c_par_ms);
+                                  ("seq_mcycles_per_s", Float (seq_mcycles_per_s c)) ])
                             cells) );
                      ("cycles_monotonic", Bool cyc);
                      ("footprint_monotonic", Bool fp);

@@ -241,28 +241,21 @@ let run ?(workers = 24) ?(costs = Privateer_parallel.Cost_model.default) program
   let chosen_ids = List.map (fun c -> c.d_loop) report.chosen in
   st.parallel_for <-
     Some
-      (fun st fr stmt ->
-        match stmt with
-        | Ast.For (loop, var, init_e, limit_e, body) when List.mem loop chosen_ids ->
-          let init_value = Value.as_int (Interp.eval st fr init_e) in
-          let limit = Value.as_int (Interp.eval st fr limit_e) in
-          let n = limit - init_value in
-          if n <= 0 then begin
-            Hashtbl.replace fr.Interp.locals var (Value.VInt init_value);
-            true
-          end
+      (fun st fr loop ~init ~limit ->
+        if not (List.mem (Interp.loop_id loop) chosen_ids) then false
+        else begin
+          let n = limit - init in
+          if n <= 0 then Interp.set_induction fr loop init
           else begin
             stats.invocations <- stats.invocations + 1;
             let c0 = st.cycles in
             let per_worker = Array.make workers 0 in
             for iter = 0 to n - 1 do
-              Hashtbl.replace fr.Interp.locals var (Value.VInt (init_value + iter));
               let before = st.cycles in
-              Interp.exec_block st fr body;
+              Interp.run_iteration st fr loop (init + iter);
               per_worker.(iter mod workers) <-
                 per_worker.(iter mod workers) + (st.cycles - before)
             done;
-            Hashtbl.replace fr.Interp.locals var (Value.VInt limit);
             let seq_cycles = st.cycles - c0 in
             let c_spawn = costs.c_fork / thread_spawn_divisor in
             let wall = ref 0 in
@@ -272,9 +265,10 @@ let run ?(workers = 24) ?(costs = Privateer_parallel.Cost_model.default) program
             let wall = !wall + (costs.c_join / thread_spawn_divisor) in
             stats.par_cycles_saved <- stats.par_cycles_saved + (seq_cycles - wall);
             st.cycles <- c0 + wall;
-            true
-          end
-        | _ -> false);
+            Interp.set_induction fr loop limit
+          end;
+          true
+        end);
   setup st;
   let result = Interp.run_entry st in
   (st, result, stats)

@@ -5,31 +5,37 @@
    charging cycle costs from a cost table.  The DOALL executor
    intercepts a chosen For loop through [parallel_for]; everything
    else (profiling runs, sequential baselines, worker-iteration
-   execution, sequential recovery) is this same evaluator. *)
+   execution, sequential recovery) is this same evaluator.
+
+   [create] lowers every function once into OCaml closures: names are
+   resolved at lowering time, so a local is an int slot in the frame's
+   value array, a global is its laid-out address boxed as a constant,
+   a callee is its lowered function, and each literal is boxed once.
+   The closures take the interpreter and the frame as arguments, so
+   [fork] shares them.  The observables are fixed (test_interp pins
+   them): one step per expression node and per statement, cycle
+   charges and hooks in evaluation order, and the error texts. *)
 
 open Privateer_ir
 open Privateer_machine
 
-exception Runtime_error of string
+exception Runtime_error = Value.Runtime_error
 
 let error fmt = Printf.ksprintf (fun s -> raise (Runtime_error s)) fmt
 
 type frame = {
-  locals : (string, Value.t) Hashtbl.t;
+  slots : Value.t array; (* one per local name of the function *)
+  names : (string, int) Hashtbl.t; (* the function's local name -> slot *)
   (* Stack slots to auto-free at function exit: (alloc site, address). *)
   mutable frame_allocs : (Ast.node_id * int) list;
 }
-
-let new_frame () = { locals = Hashtbl.create 16; frame_allocs = [] }
-
-let copy_frame fr =
-  { locals = Hashtbl.copy fr.locals; frame_allocs = fr.frame_allocs }
 
 type t = {
   program : Ast.program;
   machine : Machine.t;
   globals : (string, int) Hashtbl.t; (* name -> base address *)
   cost : Cost.t;
+  code : code;
   mutable hooks : Hooks.t;
   mutable cycles : int;
   mutable ctx : int list; (* enclosing call/loop node ids, innermost first *)
@@ -37,142 +43,72 @@ type t = {
   output : Buffer.t;
   mutable steps : int;
   max_steps : int;
-  (* Set by the DOALL executor: called on For loops; returns true when
-     the loop was executed in parallel (skip sequential execution). *)
-  mutable parallel_for : (t -> frame -> Ast.stmt -> bool) option;
+  (* Set by the DOALL executor: called on For loops once their bounds
+     are evaluated; returns true when the loop was executed in
+     parallel (skip sequential execution). *)
+  mutable parallel_for : (t -> frame -> loop -> init:int -> limit:int -> bool) option;
 }
 
-(* Build an interpreter over a fresh machine, laying out the program's
-   globals.  Global storage is allocated from each global's assigned
-   heap during "an initializer which runs before main" (paper 4.4). *)
-let create ?(cost = Cost.default) ?(max_steps = 4_000_000_000) ?machine program =
-  let machine = match machine with Some m -> m | None -> Machine.create () in
-  let st =
-    { program; machine; globals = Hashtbl.create 16; cost; hooks = Hooks.default;
-      cycles = 0; ctx = []; emit = (fun _ -> ()); output = Buffer.create 256;
-      steps = 0; max_steps; parallel_for = None }
-  in
-  st.emit <- (fun s -> Buffer.add_string st.output s);
-  List.iter
-    (fun (g : Ast.global) ->
-      let heap = Option.value g.gheap ~default:Heap.Default in
-      let addr = Machine.alloc machine heap (max 8 g.gbytes) in
-      Hashtbl.replace st.globals g.gname addr)
-    program.globals;
-  st
+(* A For loop as the executor sees it. *)
+and loop = { loop_id : Ast.node_id; induction : int; body : t -> frame -> unit }
 
-let global_addr st name =
-  match Hashtbl.find_opt st.globals name with
-  | Some a -> a
-  | None -> error "unknown global %s" name
+and fn = {
+  arity : int;
+  param_slots : int array;
+  slot_names : (string, int) Hashtbl.t;
+  nslots : int;
+  mutable fbody : t -> frame -> unit; (* set once every function is lowered *)
+}
 
-(* A worker-process view of [st]: copy-on-write machine snapshot, same
-   program and global layout, independent cycle counter and output. *)
-let fork st =
-  let child =
-    { program = st.program; machine = Machine.snapshot st.machine;
-      globals = st.globals; cost = st.cost; hooks = Hooks.default; cycles = 0;
-      ctx = st.ctx; emit = (fun _ -> ()); output = Buffer.create 64; steps = 0;
-      max_steps = st.max_steps; parallel_for = None }
-  in
-  child.emit <- (fun s -> Buffer.add_string child.output s);
-  child
+(* The entry function; every function it can call hangs off it. *)
+and code = fn option
 
-let step st =
+(* An unbound slot holds this value; it is compared physically and
+   never escapes to the program. *)
+let unbound = Value.VFloat (Sys.opaque_identity Float.nan)
+
+let new_frame (fn : fn) =
+  { slots = Array.make fn.nslots unbound; names = fn.slot_names; frame_allocs = [] }
+
+let copy_frame fr = { fr with slots = Array.copy fr.slots }
+
+let find_local fr name =
+  match Hashtbl.find_opt fr.names name with
+  | Some slot when fr.slots.(slot) != unbound -> Some fr.slots.(slot)
+  | Some _ | None -> None
+
+let set_local fr name v =
+  match Hashtbl.find_opt fr.names name with
+  | Some slot -> fr.slots.(slot) <- v
+  | None -> invalid_arg ("Interp.set_local: no local " ^ name)
+
+let loop_id l = l.loop_id
+
+let set_induction fr l v = fr.slots.(l.induction) <- Value.VInt v
+
+let step_budget_exhausted () = error "step budget exhausted (infinite loop?)"
+
+let[@inline] step st =
   st.steps <- st.steps + 1;
-  if st.steps > st.max_steps then error "step budget exhausted (infinite loop?)"
+  if st.steps > st.max_steps then step_budget_exhausted ()
 
-let charge st c = st.cycles <- st.cycles + c
+let[@inline] charge st c = st.cycles <- st.cycles + c
 
 exception Break_exc
 exception Continue_exc
 exception Return_exc of Value.t
 
-let read_value st size addr =
-  match (size : Ast.size) with
-  | S1 -> Value.VInt (Machine.read_byte st.machine addr)
-  | S8 ->
-    let bits, is_float = Machine.read_word st.machine addr in
-    Value.of_bits bits is_float
+(* Allocator failures (a double free, an exhausted heap) are program
+   faults too. *)
+let alloc st heap size =
+  try Machine.alloc st.machine heap size with Failure msg -> raise (Runtime_error msg)
 
-let write_value st size addr v =
-  match (size : Ast.size) with
-  | S1 -> Machine.write_byte st.machine addr (Value.as_int v)
-  | S8 ->
-    let bits, is_float = Value.to_bits v in
-    Machine.write_word st.machine addr bits is_float
+let free st addr =
+  try Machine.free st.machine addr with Failure msg -> raise (Runtime_error msg)
 
-let eval_unop op v =
-  let open Value in
-  match (op : Ast.unop) with
-  | Neg -> VInt (-as_int v)
-  | Not -> of_bool (not (to_bool v))
-  | Bnot -> VInt (lnot (as_int v))
-  | Fneg -> VFloat (-.as_float v)
-  | Ftoi -> VInt (int_of_float (as_float v))
-  | Itof -> VFloat (as_float v)
-
-let eval_binop op a b =
-  let open Value in
-  let i () = (as_int a, as_int b) in
-  let f () = (as_float a, as_float b) in
-  match (op : Ast.binop) with
-  | Add -> let x, y = i () in VInt (x + y)
-  | Sub -> let x, y = i () in VInt (x - y)
-  | Mul -> let x, y = i () in VInt (x * y)
-  | Div -> let x, y = i () in if y = 0 then error "division by zero" else VInt (x / y)
-  | Rem -> let x, y = i () in if y = 0 then error "modulo by zero" else VInt (x mod y)
-  | Band -> let x, y = i () in VInt (x land y)
-  | Bor -> let x, y = i () in VInt (x lor y)
-  | Bxor -> let x, y = i () in VInt (x lxor y)
-  | Shl -> let x, y = i () in VInt (x lsl y)
-  | Shr -> let x, y = i () in VInt (x lsr y)
-  | Lt -> let x, y = i () in of_bool (x < y)
-  | Le -> let x, y = i () in of_bool (x <= y)
-  | Gt -> let x, y = i () in of_bool (x > y)
-  | Ge -> let x, y = i () in of_bool (x >= y)
-  | Eq -> of_bool (equal a b)
-  | Ne -> of_bool (not (equal a b))
-  | Fadd -> let x, y = f () in VFloat (x +. y)
-  | Fsub -> let x, y = f () in VFloat (x -. y)
-  | Fmul -> let x, y = f () in VFloat (x *. y)
-  | Fdiv -> let x, y = f () in VFloat (x /. y)
-  | Flt -> let x, y = f () in of_bool (x < y)
-  | Fle -> let x, y = f () in of_bool (x <= y)
-  | Fgt -> let x, y = f () in of_bool (x > y)
-  | Fge -> let x, y = f () in of_bool (x >= y)
-  | Feq -> let x, y = f () in of_bool (x = y)
-  | Fne -> let x, y = f () in of_bool (x <> y)
-
-let eval_builtin st name args =
-  charge st st.cost.c_builtin;
-  let open Value in
-  let f1 f = match args with [ a ] -> VFloat (f (as_float a)) | _ -> error "%s: arity" name in
-  let f2 f =
-    match args with
-    | [ a; b ] -> VFloat (f (as_float a) (as_float b))
-    | _ -> error "%s: arity" name
-  in
-  let i2 f =
-    match args with
-    | [ a; b ] -> VInt (f (as_int a) (as_int b))
-    | _ -> error "%s: arity" name
-  in
-  match name with
-  | "sqrt" -> f1 sqrt
-  | "exp" -> f1 exp
-  | "log" -> f1 log
-  | "sin" -> f1 sin
-  | "cos" -> f1 cos
-  | "fabs" -> f1 abs_float
-  | "floor" -> f1 floor
-  | "pow" -> f2 ( ** )
-  | "fmin" -> f2 min
-  | "fmax" -> f2 max
-  | "min" -> i2 min
-  | "max" -> i2 max
-  | "abs" -> (match args with [ a ] -> VInt (abs (as_int a)) | _ -> error "abs: arity")
-  | _ -> error "unknown builtin %s" name
+let v_false = Value.VInt 0
+let v_true = Value.VInt 1
+let[@inline] of_bool b = if b then v_true else v_false
 
 (* printf-style rendering: %d, %f, %x, %%. *)
 let render_format fmt args =
@@ -205,194 +141,753 @@ let render_format fmt args =
   if !args <> [] then error "print: too many arguments for %S" fmt;
   Buffer.contents buf
 
-let rec eval st fr (e : Ast.expr) : Value.t =
-  step st;
+(* ---- lowering ---------------------------------------------------------- *)
+
+type expr_code = t -> frame -> Value.t
+type stmt_code = t -> frame -> unit
+
+(* Evaluate argument closures left to right. *)
+let eval_args (args : expr_code array) st fr =
+  Array.to_list (Array.map (fun a -> a st fr) args)
+
+(* The slot table of one function: parameters first, then every other
+   name it assigns or reads, in order of appearance. *)
+let slot_table (f : Ast.func) =
+  let names = Hashtbl.create 16 in
+  let add name =
+    if not (Hashtbl.mem names name) then Hashtbl.add names name (Hashtbl.length names)
+  in
+  List.iter add f.params;
+  Ast.iter_stmts
+    (function Ast.Assign (x, _) | Ast.For (_, x, _, _, _) -> add x | _ -> ())
+    f.body;
+  Ast.iter_exprs (function Ast.Local x -> add x | _ -> ()) f.body;
+  names
+
+(* Binary operators, one closure each.  Integer operands convert right
+   to left: when both are floats, the error names the right one. *)
+let lower_binop (op : Ast.binop) c (a : expr_code) (b : expr_code) : expr_code =
+  let open Value in
+  match op with
+  | Add ->
+    fun st fr ->
+      step st;
+      let va = a st fr in
+      let vb = b st fr in
+      charge st c;
+      let y = as_int vb in
+      let x = as_int va in
+      VInt (x + y)
+  | Sub ->
+    fun st fr ->
+      step st;
+      let va = a st fr in
+      let vb = b st fr in
+      charge st c;
+      let y = as_int vb in
+      let x = as_int va in
+      VInt (x - y)
+  | Mul ->
+    fun st fr ->
+      step st;
+      let va = a st fr in
+      let vb = b st fr in
+      charge st c;
+      let y = as_int vb in
+      let x = as_int va in
+      VInt (x * y)
+  | Div ->
+    fun st fr ->
+      step st;
+      let va = a st fr in
+      let vb = b st fr in
+      charge st c;
+      let y = as_int vb in
+      let x = as_int va in
+      if y = 0 then error "division by zero" else VInt (x / y)
+  | Rem ->
+    fun st fr ->
+      step st;
+      let va = a st fr in
+      let vb = b st fr in
+      charge st c;
+      let y = as_int vb in
+      let x = as_int va in
+      if y = 0 then error "modulo by zero" else VInt (x mod y)
+  | Band ->
+    fun st fr ->
+      step st;
+      let va = a st fr in
+      let vb = b st fr in
+      charge st c;
+      let y = as_int vb in
+      let x = as_int va in
+      VInt (x land y)
+  | Bor ->
+    fun st fr ->
+      step st;
+      let va = a st fr in
+      let vb = b st fr in
+      charge st c;
+      let y = as_int vb in
+      let x = as_int va in
+      VInt (x lor y)
+  | Bxor ->
+    fun st fr ->
+      step st;
+      let va = a st fr in
+      let vb = b st fr in
+      charge st c;
+      let y = as_int vb in
+      let x = as_int va in
+      VInt (x lxor y)
+  | Shl ->
+    fun st fr ->
+      step st;
+      let va = a st fr in
+      let vb = b st fr in
+      charge st c;
+      let y = as_int vb in
+      let x = as_int va in
+      VInt (x lsl y)
+  | Shr ->
+    fun st fr ->
+      step st;
+      let va = a st fr in
+      let vb = b st fr in
+      charge st c;
+      let y = as_int vb in
+      let x = as_int va in
+      VInt (x lsr y)
+  | Lt ->
+    fun st fr ->
+      step st;
+      let va = a st fr in
+      let vb = b st fr in
+      charge st c;
+      let y = as_int vb in
+      let x = as_int va in
+      of_bool (x < y)
+  | Le ->
+    fun st fr ->
+      step st;
+      let va = a st fr in
+      let vb = b st fr in
+      charge st c;
+      let y = as_int vb in
+      let x = as_int va in
+      of_bool (x <= y)
+  | Gt ->
+    fun st fr ->
+      step st;
+      let va = a st fr in
+      let vb = b st fr in
+      charge st c;
+      let y = as_int vb in
+      let x = as_int va in
+      of_bool (x > y)
+  | Ge ->
+    fun st fr ->
+      step st;
+      let va = a st fr in
+      let vb = b st fr in
+      charge st c;
+      let y = as_int vb in
+      let x = as_int va in
+      of_bool (x >= y)
+  | Eq ->
+    fun st fr ->
+      step st;
+      let va = a st fr in
+      let vb = b st fr in
+      charge st c;
+      of_bool (equal va vb)
+  | Ne ->
+    fun st fr ->
+      step st;
+      let va = a st fr in
+      let vb = b st fr in
+      charge st c;
+      of_bool (not (equal va vb))
+  | Fadd ->
+    fun st fr ->
+      step st;
+      let va = a st fr in
+      let vb = b st fr in
+      charge st c;
+      let x = as_float va and y = as_float vb in
+      VFloat (x +. y)
+  | Fsub ->
+    fun st fr ->
+      step st;
+      let va = a st fr in
+      let vb = b st fr in
+      charge st c;
+      let x = as_float va and y = as_float vb in
+      VFloat (x -. y)
+  | Fmul ->
+    fun st fr ->
+      step st;
+      let va = a st fr in
+      let vb = b st fr in
+      charge st c;
+      let x = as_float va and y = as_float vb in
+      VFloat (x *. y)
+  | Fdiv ->
+    fun st fr ->
+      step st;
+      let va = a st fr in
+      let vb = b st fr in
+      charge st c;
+      let x = as_float va and y = as_float vb in
+      VFloat (x /. y)
+  | Flt ->
+    fun st fr ->
+      step st;
+      let va = a st fr in
+      let vb = b st fr in
+      charge st c;
+      let x = as_float va and y = as_float vb in
+      of_bool (x < y)
+  | Fle ->
+    fun st fr ->
+      step st;
+      let va = a st fr in
+      let vb = b st fr in
+      charge st c;
+      let x = as_float va and y = as_float vb in
+      of_bool (x <= y)
+  | Fgt ->
+    fun st fr ->
+      step st;
+      let va = a st fr in
+      let vb = b st fr in
+      charge st c;
+      let x = as_float va and y = as_float vb in
+      of_bool (x > y)
+  | Fge ->
+    fun st fr ->
+      step st;
+      let va = a st fr in
+      let vb = b st fr in
+      charge st c;
+      let x = as_float va and y = as_float vb in
+      of_bool (x >= y)
+  | Feq ->
+    fun st fr ->
+      step st;
+      let va = a st fr in
+      let vb = b st fr in
+      charge st c;
+      let x = as_float va and y = as_float vb in
+      of_bool (x = y)
+  | Fne ->
+    fun st fr ->
+      step st;
+      let va = a st fr in
+      let vb = b st fr in
+      charge st c;
+      let x = as_float va and y = as_float vb in
+      of_bool (x <> y)
+
+let lower_unop (op : Ast.unop) c (a : expr_code) : expr_code =
+  let open Value in
+  match op with
+  | Neg ->
+    fun st fr ->
+      step st;
+      let v = a st fr in
+      charge st c;
+      VInt (-as_int v)
+  | Not ->
+    fun st fr ->
+      step st;
+      let v = a st fr in
+      charge st c;
+      of_bool (not (to_bool v))
+  | Bnot ->
+    fun st fr ->
+      step st;
+      let v = a st fr in
+      charge st c;
+      VInt (lnot (as_int v))
+  | Fneg ->
+    fun st fr ->
+      step st;
+      let v = a st fr in
+      charge st c;
+      VFloat (-.as_float v)
+  | Ftoi ->
+    fun st fr ->
+      step st;
+      let v = a st fr in
+      charge st c;
+      VInt (int_of_float (as_float v))
+  | Itof ->
+    fun st fr ->
+      step st;
+      let v = a st fr in
+      charge st c;
+      VFloat (as_float v)
+
+(* A builtin call: arguments, then the builtin charge, then the arity
+   check and the operation. *)
+let lower_builtin (cost : Cost.t) name (args : expr_code array) : expr_code =
+  let open Value in
+  let c = cost.c_builtin in
+  let arity_error st fr =
+    step st;
+    ignore (eval_args args st fr);
+    charge st c;
+    error "%s: arity" name
+  in
+  let f1 f =
+    match args with
+    | [| a |] ->
+      fun st fr ->
+        step st;
+        let v = a st fr in
+        charge st c;
+        VFloat (f (as_float v))
+    | _ -> arity_error
+  in
+  let f2 f =
+    match args with
+    | [| a; b |] ->
+      fun st fr ->
+        step st;
+        let va = a st fr in
+        let vb = b st fr in
+        charge st c;
+        VFloat (f (as_float va) (as_float vb))
+    | _ -> arity_error
+  in
+  let i2 f =
+    match args with
+    | [| a; b |] ->
+      fun st fr ->
+        step st;
+        let va = a st fr in
+        let vb = b st fr in
+        charge st c;
+        let y = as_int vb in
+        VInt (f (as_int va) y)
+    | _ -> arity_error
+  in
+  match name with
+  | "sqrt" -> f1 sqrt
+  | "exp" -> f1 exp
+  | "log" -> f1 log
+  | "sin" -> f1 sin
+  | "cos" -> f1 cos
+  | "fabs" -> f1 abs_float
+  | "floor" -> f1 floor
+  | "pow" -> f2 ( ** )
+  | "fmin" -> f2 min
+  | "fmax" -> f2 max
+  | "min" -> i2 min
+  | "max" -> i2 max
+  | "abs" -> (
+    match args with
+    | [| a |] ->
+      fun st fr ->
+        step st;
+        let v = a st fr in
+        charge st c;
+        VInt (abs (as_int v))
+    | _ -> arity_error)
+  | _ -> invalid_arg ("Interp: no implementation for builtin " ^ name)
+
+(* Call a lowered function on a frame whose parameters are bound. *)
+let invoke (cost : Cost.t) st id fn callee =
+  charge st cost.c_call;
+  let saved_ctx = st.ctx in
+  st.ctx <- id :: saved_ctx;
+  let result =
+    try
+      fn.fbody st callee;
+      v_false
+    with Return_exc v -> v
+  in
+  (* Auto-free stack slots on every function exit (paper 4.4). *)
+  List.iter
+    (fun (alloc_id, addr) ->
+      charge st cost.c_free;
+      let heap, size = free st addr in
+      st.hooks.on_free alloc_id ~addr ~size heap)
+    callee.frame_allocs;
+  st.ctx <- saved_ctx;
+  result
+
+(* Everything one [create] lowers against. *)
+type env = {
+  e_cost : Cost.t;
+  e_globals : (string, int) Hashtbl.t;
+  e_fns : (string, fn) Hashtbl.t;
+}
+
+let rec lower_expr env names (e : Ast.expr) : expr_code =
+  let cost = env.e_cost in
   match e with
-  | Int n -> VInt n
-  | Float f -> VFloat f
-  | Local name -> (
-    match Hashtbl.find_opt fr.locals name with
-    | Some v -> v
-    | None -> error "unbound local %s" name)
-  | Global_addr g -> VInt (global_addr st g)
-  | Load (id, size, ea) ->
-    let addr = Value.as_int (eval st fr ea) in
-    charge st st.cost.c_load;
-    let v = read_value st size addr in
-    st.hooks.on_load id ~addr ~size:(Ast.bytes_of_size size) ~value:v;
-    v
-  | Unop (op, a) ->
-    let v = eval st fr a in
-    charge st st.cost.c_arith;
-    eval_unop op v
+  | Int n ->
+    let v = Value.VInt n in
+    fun st _ ->
+      step st;
+      v
+  | Float f ->
+    let v = Value.VFloat f in
+    fun st _ ->
+      step st;
+      v
+  | Local name ->
+    let slot = Hashtbl.find names name in
+    fun st fr ->
+      step st;
+      let v = fr.slots.(slot) in
+      if v == unbound then error "unbound local %s" name else v
+  | Global_addr g -> (
+    match Hashtbl.find_opt env.e_globals g with
+    | Some addr ->
+      let v = Value.VInt addr in
+      fun st _ ->
+        step st;
+        v
+    | None ->
+      fun st _ ->
+        step st;
+        error "unknown global %s" g)
+  | Load (id, size, ea) -> (
+    let ea = lower_expr env names ea in
+    let c = cost.c_load in
+    match size with
+    | S8 ->
+      fun st fr ->
+        step st;
+        let addr = Value.as_int (ea st fr) in
+        charge st c;
+        let bits, is_float = Machine.read_word st.machine addr in
+        let v = Value.of_bits bits is_float in
+        st.hooks.on_load id ~addr ~size:8 ~value:v;
+        v
+    | S1 ->
+      fun st fr ->
+        step st;
+        let addr = Value.as_int (ea st fr) in
+        charge st c;
+        let v = Value.VInt (Machine.read_byte st.machine addr) in
+        st.hooks.on_load id ~addr ~size:1 ~value:v;
+        v)
+  | Unop (op, a) -> lower_unop op cost.c_arith (lower_expr env names a)
   | Binop (op, a, b) ->
-    let va = eval st fr a in
-    let vb = eval st fr b in
-    charge st st.cost.c_arith;
-    eval_binop op va vb
+    lower_binop op cost.c_arith (lower_expr env names a) (lower_expr env names b)
   | And (a, b) ->
-    charge st st.cost.c_branch;
-    if Value.to_bool (eval st fr a) then Value.of_bool (Value.to_bool (eval st fr b))
-    else Value.VInt 0
+    let a = lower_expr env names a and b = lower_expr env names b in
+    let c = cost.c_branch in
+    fun st fr ->
+      step st;
+      charge st c;
+      if Value.to_bool (a st fr) then of_bool (Value.to_bool (b st fr)) else v_false
   | Or (a, b) ->
-    charge st st.cost.c_branch;
-    if Value.to_bool (eval st fr a) then Value.VInt 1
-    else Value.of_bool (Value.to_bool (eval st fr b))
-  | Call (id, fname, arg_exprs) ->
-    let args = List.map (eval st fr) arg_exprs in
-    if Validate.is_builtin fname then eval_builtin st fname args
-    else call_function st id fname args
+    let a = lower_expr env names a and b = lower_expr env names b in
+    let c = cost.c_branch in
+    fun st fr ->
+      step st;
+      charge st c;
+      if Value.to_bool (a st fr) then v_true else of_bool (Value.to_bool (b st fr))
+  | Call (id, fname, args) -> (
+    let args = Array.of_list (List.map (lower_expr env names) args) in
+    let nargs = Array.length args in
+    if Validate.is_builtin fname then lower_builtin cost fname args
+    else
+      match Hashtbl.find_opt env.e_fns fname with
+      | None ->
+        fun st fr ->
+          step st;
+          ignore (eval_args args st fr);
+          error "call to undefined function %s" fname
+      | Some fn when fn.arity <> nargs ->
+        fun st fr ->
+          step st;
+          ignore (eval_args args st fr);
+          error "%s: expected %d arguments, got %d" fname fn.arity nargs
+      | Some fn ->
+        let params = fn.param_slots in
+        fun st fr ->
+          step st;
+          let callee = new_frame fn in
+          for i = 0 to nargs - 1 do
+            callee.slots.(params.(i)) <- args.(i) st fr
+          done;
+          invoke cost st id fn callee)
   | Alloc (id, kind, heap, size_e) ->
-    let size = Value.as_int (eval st fr size_e) in
-    if size < 0 then error "negative allocation size %d" size;
-    charge st st.cost.c_alloc;
+    let size_e = lower_expr env names size_e in
+    let c = cost.c_alloc in
     let heap =
       match (heap, kind) with
       | Some h, _ -> h
       | None, Ast.Malloc -> Heap.Default
       | None, Ast.Salloc -> Heap.Stack
     in
-    let addr = Machine.alloc st.machine heap size in
-    st.hooks.on_alloc id ~ctx:st.ctx kind heap ~addr ~size;
-    (match kind with
-    | Salloc -> fr.frame_allocs <- (id, addr) :: fr.frame_allocs
-    | Malloc -> ());
-    VInt addr
+    fun st fr ->
+      step st;
+      let size = Value.as_int (size_e st fr) in
+      if size < 0 then error "negative allocation size %d" size;
+      charge st c;
+      let addr = alloc st heap size in
+      st.hooks.on_alloc id ~ctx:st.ctx kind heap ~addr ~size;
+      (match kind with
+      | Salloc -> fr.frame_allocs <- (id, addr) :: fr.frame_allocs
+      | Malloc -> ());
+      Value.VInt addr
 
-and call_function st id fname args =
-  match Ast.find_func st.program fname with
-  | None -> error "call to undefined function %s" fname
-  | Some f ->
-    if List.length f.params <> List.length args then
-      error "%s: expected %d arguments, got %d" fname (List.length f.params)
-        (List.length args);
-    charge st st.cost.c_call;
-    let fr = new_frame () in
-    List.iter2 (fun p v -> Hashtbl.replace fr.locals p v) f.params args;
-    let saved_ctx = st.ctx in
-    st.ctx <- id :: st.ctx;
-    let result =
-      try
-        exec_block st fr f.body;
-        Value.VInt 0
-      with Return_exc v -> v
-    in
-    (* Auto-free stack slots on every function exit (paper 4.4). *)
-    List.iter
-      (fun (alloc_id, addr) ->
-        charge st st.cost.c_free;
-        let heap, size = Machine.free st.machine addr in
-        st.hooks.on_free alloc_id ~addr ~size heap)
-      fr.frame_allocs;
-    st.ctx <- saved_ctx;
-    result
+and lower_block env names blk : stmt_code =
+  match Array.of_list (List.map (lower_stmt env names) blk) with
+  | [||] -> fun _ _ -> ()
+  | [| s |] -> s
+  | [| s1; s2 |] ->
+    fun st fr ->
+      s1 st fr;
+      s2 st fr
+  | [| s1; s2; s3 |] ->
+    fun st fr ->
+      s1 st fr;
+      s2 st fr;
+      s3 st fr
+  | stmts ->
+    fun st fr ->
+      for i = 0 to Array.length stmts - 1 do
+        stmts.(i) st fr
+      done
 
-and exec_block st fr blk = List.iter (exec_stmt st fr) blk
-
-and exec_stmt st fr (s : Ast.stmt) =
-  step st;
+and lower_stmt env names (s : Ast.stmt) : stmt_code =
+  let cost = env.e_cost in
+  let expr = lower_expr env names in
   match s with
-  | Assign (name, e) -> Hashtbl.replace fr.locals name (eval st fr e)
-  | Store (id, size, ea, ev) ->
-    let addr = Value.as_int (eval st fr ea) in
-    let v = eval st fr ev in
-    charge st st.cost.c_store;
-    st.hooks.on_store id ~addr ~size:(Ast.bytes_of_size size) ~value:v;
-    write_value st size addr v
+  | Assign (name, e) ->
+    let slot = Hashtbl.find names name and e = expr e in
+    fun st fr ->
+      step st;
+      fr.slots.(slot) <- e st fr
+  | Store (id, size, ea, ev) -> (
+    let ea = expr ea and ev = expr ev in
+    let c = cost.c_store in
+    match size with
+    | S8 ->
+      fun st fr ->
+        step st;
+        let addr = Value.as_int (ea st fr) in
+        let v = ev st fr in
+        charge st c;
+        st.hooks.on_store id ~addr ~size:8 ~value:v;
+        let bits, is_float = Value.to_bits v in
+        Machine.write_word st.machine addr bits is_float
+    | S1 ->
+      fun st fr ->
+        step st;
+        let addr = Value.as_int (ea st fr) in
+        let v = ev st fr in
+        charge st c;
+        st.hooks.on_store id ~addr ~size:1 ~value:v;
+        Machine.write_byte st.machine addr (Value.as_int v))
   | If (id, c, b1, b2) ->
-    charge st st.cost.c_branch;
-    let taken = Value.to_bool (eval st fr c) in
-    st.hooks.on_branch id ~taken;
-    if taken then exec_block st fr b1 else exec_block st fr b2
+    let cond = expr c and b1 = lower_block env names b1 and b2 = lower_block env names b2 in
+    let c = cost.c_branch in
+    fun st fr ->
+      step st;
+      charge st c;
+      let taken = Value.to_bool (cond st fr) in
+      st.hooks.on_branch id ~taken;
+      if taken then b1 st fr else b2 st fr
   | While (id, cond, body) ->
-    st.hooks.on_loop_enter id;
-    let saved_ctx = st.ctx in
-    st.ctx <- id :: st.ctx;
-    let iter = ref 0 in
-    (try
-       let continue_loop = ref true in
-       while !continue_loop do
-         charge st st.cost.c_branch;
-         if Value.to_bool (eval st fr cond) then begin
-           st.hooks.on_loop_iter id ~iter:!iter;
-           (try exec_block st fr body with Continue_exc -> ());
-           incr iter
-         end
-         else continue_loop := false
-       done
-     with Break_exc -> ());
-    st.ctx <- saved_ctx;
-    st.hooks.on_loop_exit id ~trips:!iter
-  | For (_, var, init_e, limit_e, _) as loop -> (
-    match st.parallel_for with
-    | Some handler when handler st fr loop -> ()
-    | Some _ | None ->
-      let id, body =
-        match loop with
-        | For (id, _, _, _, body) -> (id, body)
-        | _ -> assert false
-      in
-      let init = Value.as_int (eval st fr init_e) in
-      let limit = Value.as_int (eval st fr limit_e) in
+    let cond = expr cond and body = lower_block env names body in
+    let c = cost.c_branch in
+    fun st fr ->
+      step st;
       st.hooks.on_loop_enter id;
       let saved_ctx = st.ctx in
-      st.ctx <- id :: st.ctx;
-      Hashtbl.replace fr.locals var (Value.VInt init);
+      st.ctx <- id :: saved_ctx;
       let iter = ref 0 in
       (try
          let continue_loop = ref true in
          while !continue_loop do
-           charge st st.cost.c_branch;
-           let v = Value.as_int (Hashtbl.find fr.locals var) in
-           if v < limit then begin
+           charge st c;
+           if Value.to_bool (cond st fr) then begin
              st.hooks.on_loop_iter id ~iter:!iter;
-             (try exec_block st fr body with Continue_exc -> ());
-             incr iter;
-             let v' = Value.as_int (Hashtbl.find fr.locals var) in
-             Hashtbl.replace fr.locals var (Value.VInt (v' + 1))
+             (try body st fr with Continue_exc -> ());
+             incr iter
            end
            else continue_loop := false
          done
        with Break_exc -> ());
       st.ctx <- saved_ctx;
-      st.hooks.on_loop_exit id ~trips:!iter)
-  | Expr e -> ignore (eval st fr e)
+      st.hooks.on_loop_exit id ~trips:!iter
+  | For (id, var, init_e, limit_e, body) ->
+    let slot = Hashtbl.find names var in
+    let init_e = expr init_e and limit_e = expr limit_e in
+    let body = lower_block env names body in
+    let loop = { loop_id = id; induction = slot; body } in
+    let c = cost.c_branch in
+    fun st fr ->
+      step st;
+      let init = Value.as_int (init_e st fr) in
+      let limit = Value.as_int (limit_e st fr) in
+      (match st.parallel_for with
+      | Some handler when handler st fr loop ~init ~limit -> ()
+      | Some _ | None ->
+        st.hooks.on_loop_enter id;
+        let saved_ctx = st.ctx in
+        st.ctx <- id :: saved_ctx;
+        fr.slots.(slot) <- Value.VInt init;
+        let iter = ref 0 in
+        (try
+           let continue_loop = ref true in
+           while !continue_loop do
+             charge st c;
+             if Value.as_int fr.slots.(slot) < limit then begin
+               st.hooks.on_loop_iter id ~iter:!iter;
+               (try body st fr with Continue_exc -> ());
+               incr iter;
+               fr.slots.(slot) <- Value.VInt (Value.as_int fr.slots.(slot) + 1)
+             end
+             else continue_loop := false
+           done
+         with Break_exc -> ());
+        st.ctx <- saved_ctx;
+        st.hooks.on_loop_exit id ~trips:!iter)
+  | Expr e ->
+    let e = expr e in
+    fun st fr ->
+      step st;
+      ignore (e st fr)
   | Free (id, _, pe) ->
-    let addr = Value.as_int (eval st fr pe) in
-    charge st st.cost.c_free;
-    let heap, size = Machine.free st.machine addr in
-    st.hooks.on_free id ~addr ~size heap
-  | Return (Some e) -> raise (Return_exc (eval st fr e))
-  | Return None -> raise (Return_exc (Value.VInt 0))
-  | Break -> raise Break_exc
-  | Continue -> raise Continue_exc
-  | Print (_, fmt, arg_exprs) ->
-    let args = List.map (eval st fr) arg_exprs in
-    charge st st.cost.c_print;
-    st.emit (render_format fmt args)
+    let pe = expr pe in
+    let c = cost.c_free in
+    fun st fr ->
+      step st;
+      let addr = Value.as_int (pe st fr) in
+      charge st c;
+      let heap, size = free st addr in
+      st.hooks.on_free id ~addr ~size heap
+  | Return (Some e) ->
+    let e = expr e in
+    fun st fr ->
+      step st;
+      raise (Return_exc (e st fr))
+  | Return None ->
+    fun st _ ->
+      step st;
+      raise (Return_exc v_false)
+  | Break ->
+    fun st _ ->
+      step st;
+      raise Break_exc
+  | Continue ->
+    fun st _ ->
+      step st;
+      raise Continue_exc
+  | Print (_, fmt, args) ->
+    let args = Array.of_list (List.map expr args) in
+    let c = cost.c_print in
+    fun st fr ->
+      step st;
+      let args = eval_args args st fr in
+      charge st c;
+      st.emit (render_format fmt args)
   | Check_heap (id, pe, heap) ->
-    let addr = Value.as_int (eval st fr pe) in
-    charge st st.cost.c_check_heap;
-    st.hooks.on_check_heap id ~addr heap ~ok:(Heap.check addr heap)
+    let pe = expr pe in
+    let c = cost.c_check_heap in
+    fun st fr ->
+      step st;
+      let addr = Value.as_int (pe st fr) in
+      charge st c;
+      st.hooks.on_check_heap id ~addr heap ~ok:(Heap.check addr heap)
   | Assert_value (id, e, expected) ->
-    let v = eval st fr e in
-    charge st st.cost.c_assert_value;
-    st.hooks.on_assert_value id ~observed:v ~expected
-      ~ok:(Value.equal v (Value.VInt expected))
-  | Misspec (id, reason) -> st.hooks.on_misspec id ~reason
+    let e = expr e in
+    let c = cost.c_assert_value in
+    let expected_v = Value.VInt expected in
+    fun st fr ->
+      step st;
+      let v = e st fr in
+      charge st c;
+      st.hooks.on_assert_value id ~observed:v ~expected ~ok:(Value.equal v expected_v)
+  | Misspec (id, reason) ->
+    fun st _ ->
+      step st;
+      st.hooks.on_misspec id ~reason
+
+(* Lower every function of [program]; the first definition of a name
+   wins, as a lookup by name did. *)
+let lower cost globals (program : Ast.program) =
+  let fns = Hashtbl.create 16 in
+  let tables =
+    List.filter_map
+      (fun (f : Ast.func) ->
+        if Hashtbl.mem fns f.fname then None
+        else begin
+          let names = slot_table f in
+          let fn =
+            { arity = List.length f.params;
+              param_slots = Array.of_list (List.map (Hashtbl.find names) f.params);
+              slot_names = names; nslots = Hashtbl.length names;
+              fbody = (fun _ _ -> ()) }
+          in
+          Hashtbl.add fns f.fname fn;
+          Some (f, fn)
+        end)
+      program.funcs
+  in
+  let env = { e_cost = cost; e_globals = globals; e_fns = fns } in
+  List.iter (fun ((f : Ast.func), fn) -> fn.fbody <- lower_block env fn.slot_names f.body) tables;
+  Hashtbl.find_opt fns program.entry
+
+(* ---- interpreter states ------------------------------------------------ *)
+
+(* Build an interpreter over a fresh machine, laying out the program's
+   globals and lowering its functions.  Global storage is allocated
+   from each global's assigned heap during "an initializer which runs
+   before main" (paper 4.4). *)
+let create ?(cost = Cost.default) ?(max_steps = 4_000_000_000) program =
+  let machine = Machine.create () in
+  let globals = Hashtbl.create 16 in
+  List.iter
+    (fun (g : Ast.global) ->
+      let heap = Option.value g.gheap ~default:Heap.Default in
+      let addr = Machine.alloc machine heap (max 8 g.gbytes) in
+      Hashtbl.replace globals g.gname addr)
+    program.Ast.globals;
+  let st =
+    { program; machine; globals; cost; code = lower cost globals program;
+      hooks = Hooks.default; cycles = 0; ctx = []; emit = (fun _ -> ());
+      output = Buffer.create 256; steps = 0; max_steps; parallel_for = None }
+  in
+  st.emit <- (fun s -> Buffer.add_string st.output s);
+  st
+
+(* A worker-process view of [st]: copy-on-write machine snapshot, same
+   program, global layout and lowered code, independent cycle counter
+   and output. *)
+let fork st =
+  let child =
+    { st with machine = Machine.snapshot st.machine; hooks = Hooks.default; cycles = 0;
+              output = Buffer.create 64; steps = 0; parallel_for = None }
+  in
+  child.emit <- (fun s -> Buffer.add_string child.output s);
+  child
+
+(* One iteration of a loop the executor took over: the induction
+   variable set to [v], then the body. *)
+let run_iteration st fr l v =
+  set_induction fr l v;
+  l.body st fr
 
 (* Run the program's entry function.  Returns the entry's return value. *)
 let run_entry st =
-  match Ast.find_func st.program st.program.entry with
+  match st.code with
   | None -> error "entry function %s not found" st.program.entry
-  | Some _ ->
-    let id = 0 (* synthetic call-site id for the entry invocation *) in
-    call_function st id st.program.entry []
+  | Some fn ->
+    if fn.arity <> 0 then
+      error "%s: expected %d arguments, got 0" st.program.entry fn.arity;
+    (* 0 is the synthetic call-site id of the entry invocation. *)
+    invoke st.cost st 0 fn (new_frame fn)
 
 let output st = Buffer.contents st.output
-
-(* One-shot convenience: build, run, return (state, result). *)
-let run ?cost ?max_steps program =
-  let st = create ?cost ?max_steps program in
-  let result = run_entry st in
-  (st, result)

@@ -1,0 +1,85 @@
+(** The IR interpreter: a deterministic simulated machine.
+
+    [create] lays out the program's globals and lowers every function
+    once into closures over a slot-indexed frame; profiling runs,
+    sequential baselines, worker iterations and recovery all run that
+    lowered code.  Observables are fixed: one step per expression node
+    and per statement, cycle charges and hook events in evaluation
+    order, and the error texts of {!Runtime_error}. *)
+
+open Privateer_ir
+open Privateer_machine
+
+(** Every program fault (the same constructor as
+    {!Value.Runtime_error}). *)
+exception Runtime_error of string
+
+(** A function activation's locals. *)
+type frame
+
+(** A [For] loop handed to [parallel_for]: its id, induction slot
+    and lowered body. *)
+type loop
+
+(** The lowered functions of one {!create}, shared by its forks. *)
+type code
+
+type t = {
+  program : Ast.program;
+  machine : Machine.t;
+  globals : (string, int) Hashtbl.t;  (** name -> base address *)
+  cost : Cost.t;
+  code : code;
+  mutable hooks : Hooks.t;
+  mutable cycles : int;
+  mutable ctx : int list;  (** enclosing call/loop node ids, innermost first *)
+  mutable emit : string -> unit;
+  output : Buffer.t;
+  mutable steps : int;
+  max_steps : int;
+  mutable parallel_for : (t -> frame -> loop -> init:int -> limit:int -> bool) option;
+      (** Called on every [For] loop once its bounds are evaluated (and
+          before any loop hook); [true] means the handler executed the
+          loop, so the interpreter skips it. *)
+}
+
+(** Lay out the globals (before [main], paper 4.4) and lower the
+    program.  [max_steps] bounds the steps of the run. *)
+val create : ?cost:Cost.t -> ?max_steps:int -> Ast.program -> t
+
+(** A worker-process view: copy-on-write machine snapshot, the same
+    program, layout and lowered code, fresh cycles, steps, hooks and
+    output. *)
+val fork : t -> t
+
+(** Add simulated cycles to the run. *)
+val charge : t -> int -> unit
+
+(** Run the entry function; returns its result. *)
+val run_entry : t -> Value.t
+
+(** Everything [print] emitted so far. *)
+val output : t -> string
+
+(** {2 Loops taken over by an executor} *)
+
+val loop_id : loop -> Ast.node_id
+
+(** Set the loop's induction variable. *)
+val set_induction : frame -> loop -> int -> unit
+
+(** One iteration: the induction variable set to the value, then the
+    body.  No loop hook fires. *)
+val run_iteration : t -> frame -> loop -> int -> unit
+
+(** {2 Frames by name}
+
+    For spawn and commit only: the hot path never looks a name up. *)
+
+val copy_frame : frame -> frame
+
+(** [None] when the name is unbound. *)
+val find_local : frame -> string -> Value.t option
+
+(** @raise Invalid_argument when the function has no such local. *)
+val set_local : frame -> string -> Value.t -> unit

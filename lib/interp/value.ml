@@ -10,15 +10,13 @@ let float f = VFloat f
 
 let to_bool = function VInt 0 -> false | VInt _ -> true | VFloat f -> f <> 0.0
 
-let of_bool b = VInt (if b then 1 else 0)
+exception Runtime_error of string
 
-exception Type_error of string
+let not_an_int f = raise (Runtime_error (Printf.sprintf "expected int, got float %g" f))
 
-let as_int = function
-  | VInt n -> n
-  | VFloat f -> raise (Type_error (Printf.sprintf "expected int, got float %g" f))
+let[@inline] as_int = function VInt n -> n | VFloat f -> not_an_int f
 
-let as_float = function VFloat f -> f | VInt n -> float_of_int n
+let[@inline] as_float = function VFloat f -> f | VInt n -> float_of_int n
 
 (* Word encoding for memory. *)
 let to_bits = function

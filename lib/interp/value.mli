@@ -9,11 +9,12 @@ val float : float -> t
 (** C-style truthiness: zero (of either kind) is false. *)
 val to_bool : t -> bool
 
-val of_bool : bool -> t
+(** Every program fault: a float where an int is expected here, and
+    division by zero, an unbound local or a bad arity in the
+    interpreter, which re-exports it as [Interp.Runtime_error]. *)
+exception Runtime_error of string
 
-exception Type_error of string
-
-(** @raise Type_error on floats. *)
+(** @raise Runtime_error on floats. *)
 val as_int : t -> int
 
 (** Integers coerce to floats. *)

@@ -45,12 +45,18 @@ type ctx = {
       (* word -> writer index carried across this cohort's intervals *)
 }
 
+(* A reduction register's value; reading one the program never bound
+   is the sequential run's fault too. *)
+let local_exn fr name =
+  match Interp.find_local fr name with
+  | Some v -> v
+  | None -> raise (Interp.Runtime_error ("unbound local " ^ name))
+
 let make_ctx (env : Worker.env) (st : Interp.t) fr spec ~io ~emit_main ~serial_commit =
   let ranges = Worker.redux_ranges st spec in
   let reg_ops = Worker.reduction_regs spec in
   { env; ranges; reg_ops; redux_base = Worker.read_redux_base st ranges;
-    reg_base =
-      List.map (fun (name, _) -> (name, Hashtbl.find fr.Interp.locals name)) reg_ops;
+    reg_base = List.map (fun (name, _) -> (name, local_exn fr name)) reg_ops;
     io; emit_main; serial_commit;
     merge_state = Checkpoint.create_merge_state () }
 
@@ -74,9 +80,7 @@ let collect ctx workers ~interval_start =
         { Checkpoint.req_worker = w.w_id; req_machine = w.w_st.machine;
           req_redux_ranges = ctx.ranges;
           req_reg_partials =
-            List.map
-              (fun (name, _) -> (name, Hashtbl.find w.w_frame.Interp.locals name))
-              ctx.reg_ops })
+            List.map (fun (name, _) -> (name, local_exn w.w_frame name)) ctx.reg_ops })
       workers
   in
   let t0 = Privateer_support.Clock.now_ns () in
@@ -123,7 +127,7 @@ let commit_interval ctx (st : Interp.t) fr workers (m : Checkpoint.merged) ~lo ~
     (Checkpoint.merge_redux ~redux_ranges:ctx.ranges ~base:ctx.redux_base
        m.Checkpoint.contributions);
   List.iter
-    (fun (name, v) -> Hashtbl.replace fr.Interp.locals name v)
+    (fun (name, v) -> Interp.set_local fr name v)
     (Checkpoint.merge_reg_partials ~ops:ctx.reg_ops ~base:ctx.reg_base
        m.Checkpoint.contributions);
   Deferred_io.commit_range ctx.io ~lo ~hi ~sink:ctx.emit_main;
@@ -172,8 +176,8 @@ let commit_final ctx (st : Interp.t) fr (spec : Manifest.loop_spec) workers
     (fun (name, cls) ->
       match (cls : Scalars.scalar_class) with
       | Private_reg -> (
-        match Hashtbl.find_opt last.w_frame.Interp.locals name with
-        | Some v -> Hashtbl.replace fr.Interp.locals name v
+        match Interp.find_local last.w_frame name with
+        | Some v -> Interp.set_local fr name v
         | None -> ())
       | Induction | Live_in | Reduction_reg _ -> ())
     spec.scalars;

@@ -54,8 +54,8 @@ let reenable_loop t loop = Hashtbl.remove t.suspended loop
 
 let auto_period n = max 1 (min Shadow.max_interval ((n + 5) / 6))
 
-let run_invocation t (st : Interp.t) fr (spec : Manifest.loop_spec) ~var ~init_value
-    ~n ~body =
+let run_invocation t (st : Interp.t) fr (spec : Manifest.loop_spec) loop ~init_value
+    ~n =
   (* Eager validation: one conflict board per invocation, threaded to
      the workers through the environment.  Without validation there is
      nothing to publish, so --no-validate ablations stay board-free in
@@ -67,28 +67,28 @@ let run_invocation t (st : Interp.t) fr (spec : Manifest.loop_spec) ~var ~init_v
   let ls = Stats.loop_stats stats spec.loop in
   stats.invocations <- stats.invocations + 1;
   ls.l_invocations <- ls.l_invocations + 1;
-  let predictions = spec.predictions in
+  let predictions = Worker.resolve_predictions st spec.predictions in
   let finish_induction () =
     (* Induction variable's final value, as after a sequential For. *)
-    Hashtbl.replace fr.Interp.locals var (Value.VInt (init_value + n))
+    Interp.set_induction fr loop (init_value + n)
   in
   let preheader_ok () =
     List.for_all
-      (fun (p : Privateer_analysis.Classify.prediction) ->
-        Machine.get_int st.machine (Worker.prediction_addr st p) = p.pred_value)
+      (fun (addr, (p : Privateer_analysis.Classify.prediction)) ->
+        Machine.get_int st.machine addr = p.pred_value)
       predictions
   in
   if loop_suspended t spec.loop then begin
     (* The throttle suspended this loop: non-speculative execution. *)
     ls.l_suspended_invocations <- ls.l_suspended_invocations + 1;
-    ignore (Recovery.run_sequentially st fr ~var ~init_value ~body ~lo:0 ~hi:(n - 1));
+    ignore (Recovery.run_sequentially st fr loop ~init_value ~lo:0 ~hi:(n - 1));
     finish_induction ()
   end
   else if not (preheader_ok ()) then begin
     (* Preheader: live-in values must match the predictions, otherwise
        fall back to sequential, non-speculative execution. *)
     t.fallbacks <- t.fallbacks + 1;
-    ignore (Recovery.run_sequentially st fr ~var ~init_value ~body ~lo:0 ~hi:(n - 1));
+    ignore (Recovery.run_sequentially st fr loop ~init_value ~lo:0 ~hi:(n - 1));
     finish_induction ()
   end
   else begin
@@ -110,8 +110,7 @@ let run_invocation t (st : Interp.t) fr (spec : Manifest.loop_spec) ~var ~init_v
         ls.l_demotions <- ls.l_demotions + 1;
         suspend_loop t spec.loop;
         let cycles =
-          Recovery.run_sequentially st fr ~var ~init_value ~body ~lo:start_iter
-            ~hi:(n - 1)
+          Recovery.run_sequentially st fr loop ~init_value ~lo:start_iter ~hi:(n - 1)
         in
         timeline := !timeline + cycles
       end
@@ -122,8 +121,7 @@ let run_invocation t (st : Interp.t) fr (spec : Manifest.loop_spec) ~var ~init_v
            typically re-establishes itself (e.g. the queue drains). *)
         timeline :=
           !timeline
-          + Recovery.reestablish_step env st fr ~var ~init_value ~body
-              ~iter:start_iter;
+          + Recovery.reestablish_step env st fr loop ~init_value ~iter:start_iter;
         parallel_from (start_iter + 1)
       end
       else begin
@@ -166,8 +164,8 @@ let run_invocation t (st : Interp.t) fr (spec : Manifest.loop_spec) ~var ~init_v
                    for iter = i0 to hi - 1 do
                      if owner iter = w.Worker.w_id then begin
                        incr executed;
-                       Worker.exec_iteration env w ~var ~init_value ~iter
-                         ~interval_start:i0 ~body ~predictions ~io
+                       Worker.exec_iteration env w loop ~init_value ~iter
+                         ~interval_start:i0 ~predictions ~io
                      end
                    done
                  with Worker.Worker_misspec (iter, reason) ->
@@ -228,7 +226,7 @@ let run_invocation t (st : Interp.t) fr (spec : Manifest.loop_spec) ~var ~init_v
                 !timeline workers;
             timeline :=
               !timeline
-              + Recovery.recover env st fr ~var ~init_value ~body ~io ~emit_main
+              + Recovery.recover env st fr loop ~init_value ~io ~emit_main
                   ~interval_start:i0 ~miss_iter;
             parallel_from (miss_iter + 1)
           | None ->
@@ -272,24 +270,16 @@ let run_invocation t (st : Interp.t) fr (spec : Manifest.loop_spec) ~var ~init_v
 let install t (st : Interp.t) =
   st.parallel_for <-
     Some
-      (fun st fr stmt ->
-        match stmt with
-        | Ast.For (loop, var, init_e, limit_e, body) -> (
-          match Manifest.loop_spec t.manifest loop with
-          | None -> false
-          | Some spec ->
-            let init_value = Value.as_int (Interp.eval st fr init_e) in
-            let limit = Value.as_int (Interp.eval st fr limit_e) in
-            let n = limit - init_value in
-            if n <= 0 then begin
-              Hashtbl.replace fr.Interp.locals var (Value.VInt init_value);
-              true
-            end
-            else begin
-              run_invocation t st fr spec ~var ~init_value ~n ~body;
-              true
-            end)
-        | _ -> false)
+      (fun st fr loop ~init ~limit ->
+        match Manifest.loop_spec t.manifest (Interp.loop_id loop) with
+        | None -> false
+        | Some spec ->
+          let n = limit - init in
+          (* An empty invocation only sets the induction variable: no
+             loop hook fires. *)
+          if n <= 0 then Interp.set_induction fr loop init
+          else run_invocation t st fr spec loop ~init_value:init ~n;
+          true)
 
 (* One-shot: run a transformed program under the speculative runtime. *)
 let run ?(config = Runtime_config.default) (tr : Transform.result) =

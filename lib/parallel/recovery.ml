@@ -26,13 +26,12 @@ open Privateer_runtime
 (* Sequential (non-speculative) execution of iterations [lo, hi] on
    the main process: recovery, demotion, and preheader fallback.
    Returns the cycles consumed. *)
-let run_sequentially (st : Interp.t) fr ~var ~init_value ~body ~lo ~hi =
+let run_sequentially (st : Interp.t) fr loop ~init_value ~lo ~hi =
   let saved_hooks = st.hooks in
   st.hooks <- Hooks.default;
   let c0 = st.cycles in
   for iter = lo to hi do
-    Hashtbl.replace fr.Interp.locals var (Value.VInt (init_value + iter));
-    Interp.exec_block st fr body
+    Interp.run_iteration st fr loop (init_value + iter)
   done;
   st.hooks <- saved_hooks;
   st.cycles - c0
@@ -114,14 +113,14 @@ let should_demote t =
    through [miss_iter] (paper 5.3).  The caller resumes speculation at
    [miss_iter + 1].  Returns the recovery's sequential cycles, already
    added to [stats]. *)
-let recover (env : Worker.env) (st : Interp.t) fr ~var ~init_value ~body ~io
-    ~emit_main ~interval_start ~miss_iter =
+let recover (env : Worker.env) (st : Interp.t) fr loop ~init_value ~io ~emit_main
+    ~interval_start ~miss_iter =
   let stats = env.Worker.stats in
   stats.misspeculations <- stats.misspeculations + 1;
   Deferred_io.discard_from io ~from:interval_start;
   st.emit <- emit_main;
   let rec_cycles =
-    run_sequentially st fr ~var ~init_value ~body ~lo:interval_start ~hi:miss_iter
+    run_sequentially st fr loop ~init_value ~lo:interval_start ~hi:miss_iter
   in
   stats.recovered_iterations <-
     stats.recovered_iterations + (miss_iter - interval_start + 1);
@@ -132,10 +131,9 @@ let recover (env : Worker.env) (st : Interp.t) fr ~var ~init_value ~body ~io
    entry) state contradicts the value predictions: speculation cannot
    resume until they re-establish themselves (e.g. the queue
    drains). *)
-let reestablish_step (env : Worker.env) (st : Interp.t) fr ~var ~init_value ~body
-    ~iter =
+let reestablish_step (env : Worker.env) (st : Interp.t) fr loop ~init_value ~iter =
   let stats = env.Worker.stats in
-  let rec_cycles = run_sequentially st fr ~var ~init_value ~body ~lo:iter ~hi:iter in
+  let rec_cycles = run_sequentially st fr loop ~init_value ~lo:iter ~hi:iter in
   stats.recovered_iterations <- stats.recovered_iterations + 1;
   stats.cyc_recovery <- stats.cyc_recovery + rec_cycles;
   rec_cycles

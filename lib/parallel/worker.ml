@@ -147,16 +147,20 @@ let hooks (env : env) w : Hooks.t =
 
 (* ---- value predictions ----------------------------------------------- *)
 
-let prediction_addr (st : Interp.t) (p : Classify.prediction) =
-  Hashtbl.find st.globals p.pred_global + p.pred_offset
+(* Each prediction with its predicted word's address, resolved once per
+   invocation (workers share the main process's global layout). *)
+let resolve_predictions (st : Interp.t) predictions =
+  List.map
+    (fun (p : Classify.prediction) ->
+      (Hashtbl.find st.globals p.pred_global + p.pred_offset, p))
+    predictions
 
 (* Runtime-performed re-initialization of a predicted location at
    iteration start (a sanctioned private write). *)
 let apply_predictions (env : env) w predictions =
   let cm = env.cm in
   List.iter
-    (fun (p : Classify.prediction) ->
-      let addr = prediction_addr w.w_st p in
+    (fun (addr, (p : Classify.prediction)) ->
       charge_instr w (cm.c_prediction + cm.base.c_store + cm.c_private_write);
       env.stats.private_bytes_written <- env.stats.private_bytes_written + 8;
       env.stats.cyc_private_write <- env.stats.cyc_private_write + cm.c_private_write;
@@ -171,8 +175,7 @@ let apply_predictions (env : env) w predictions =
 let validate_predictions (env : env) w predictions =
   let cm = env.cm in
   List.iter
-    (fun (p : Classify.prediction) ->
-      let addr = prediction_addr w.w_st p in
+    (fun (addr, (p : Classify.prediction)) ->
       charge_instr w (cm.c_prediction + cm.base.c_load + cm.c_private_read);
       env.stats.private_bytes_read <- env.stats.private_bytes_read + 8;
       env.stats.cyc_private_read <- env.stats.cyc_private_read + cm.c_private_read;
@@ -233,8 +236,7 @@ let setup_worker (env : env) (st : Interp.t) fr spec ranges ~now i =
   let frame = Interp.copy_frame fr in
   (* Reduction registers restart from the operator's identity. *)
   List.iter
-    (fun (name, op) ->
-      Hashtbl.replace frame.Interp.locals name (Reduction.identity_value op))
+    (fun (name, op) -> Interp.set_local frame name (Reduction.identity_value op))
     (reduction_regs spec);
   (* The reduction heap is replaced by identity-initialized pages
      (paper 3.2) — bulk word fill, one page resolution per page. *)
@@ -263,8 +265,8 @@ let spawn (env : env) (st : Interp.t) fr spec ranges n_workers ~now =
   workers
 
 (* Execute one iteration on a worker.  Raises Worker_misspec. *)
-let exec_iteration (env : env) w ~var ~init_value ~iter ~interval_start ~body
-    ~predictions ~io =
+let exec_iteration (env : env) w loop ~init_value ~iter ~interval_start ~predictions
+    ~io =
   w.w_iter <- iter;
   w.w_beta <- Shadow.timestamp ~iter ~interval_start;
   w.w_sl_balance <- 0;
@@ -273,8 +275,7 @@ let exec_iteration (env : env) w ~var ~init_value ~iter ~interval_start ~body
   w.w_st.emit <- (fun s -> Deferred_io.emit io ~iter s);
   (try
      apply_predictions env w predictions;
-     Hashtbl.replace w.w_frame.Interp.locals var (Value.VInt (init_value + iter));
-     Interp.exec_block w.w_st w.w_frame body;
+     Interp.run_iteration w.w_st w.w_frame loop (init_value + iter);
      validate_predictions env w predictions;
      if env.validate && w.w_sl_balance <> 0 then
        raise

@@ -34,25 +34,28 @@ type loop_spec = {
 }
 
 type t = {
-  checks : (Ast.node_id, site_check) Hashtbl.t;
+  checks : site_check option array;
+      (* indexed by site id, below the transformed program's [next_id];
+         the worker hooks read it on every validated access *)
   loops : loop_spec list;
   site_heap : (Objname.site * Heap.kind) list;
 }
 
-let find_check t id = Hashtbl.find_opt t.checks id
+let find_check t id = if id < Array.length t.checks then t.checks.(id) else None
 
 let loop_spec t loop = List.find_opt (fun l -> l.loop = loop) t.loops
 
 let is_parallel_loop t loop = Option.is_some (loop_spec t loop)
 
-(* Count of non-elided separation checks (ablation metric). *)
-let live_check_count t =
-  Hashtbl.fold
-    (fun _ c acc -> if c.expected <> None && not c.elided then acc + 1 else acc)
-    t.checks 0
+let count_checks t f =
+  Array.fold_left
+    (fun acc c -> match c with Some c when f c -> acc + 1 | _ -> acc)
+    0 t.checks
 
-let elided_check_count t =
-  Hashtbl.fold (fun _ c acc -> if c.elided then acc + 1 else acc) t.checks 0
+(* Count of non-elided separation checks (ablation metric). *)
+let live_check_count t = count_checks t (fun c -> c.expected <> None && not c.elided)
+
+let elided_check_count t = count_checks t (fun c -> c.elided)
 
 (* Static allocation sites (globals included) per heap — the paper's
    Table 3 "Replaced Static Allocation Sites" columns. *)

@@ -163,7 +163,7 @@ let apply (program : Ast.program) (profiler : Profiler.t) (selection : Selection
   (* Build the manifest against the rewritten program (same site ids). *)
   let pta = Static_pta.analyze program' in
   let access_index = index_access_sites program' in
-  let checks = Hashtbl.create 256 in
+  let checks = Array.make program'.next_id None in
   List.iter
     (fun (p : Selection.plan) ->
       let fp = p.assignment.footprint in
@@ -174,7 +174,7 @@ let apply (program : Ast.program) (profiler : Profiler.t) (selection : Selection
           | Some h, Some (fname, addr) -> provable pta site_heap ~fname addr h
           | _ -> false
         in
-        Hashtbl.replace checks site { Manifest.expected; elided; redux_op }
+        checks.(site) <- Some { Manifest.expected; elided; redux_op }
       in
       Hashtbl.iter (fun site () -> add_site site) fp.load_sites;
       Hashtbl.iter (fun site () -> add_site site) fp.store_sites;
@@ -188,7 +188,7 @@ let apply (program : Ast.program) (profiler : Profiler.t) (selection : Selection
       let fp = p.assignment.footprint in
       Hashtbl.iter
         (fun site () ->
-          match Hashtbl.find_opt checks site with
+          match checks.(site) with
           | Some c when c.Manifest.redux_op = None ->
             (* Find the operator from the object assignment. *)
             let objs = Profiler.objects_at_site profiler site in
@@ -200,7 +200,7 @@ let apply (program : Ast.program) (profiler : Profiler.t) (selection : Selection
                   | None -> acc)
                 objs None
             in
-            Hashtbl.replace checks site { c with redux_op = op }
+            checks.(site) <- Some { c with redux_op = op }
           | _ -> ())
         fp.redux_load_sites)
     selection.plans;

@@ -202,6 +202,35 @@ fn main() {
   check "fell back to sequential" true (par.fallbacks = 1);
   check "still correct" true (Privateer_interp.Value.equal seq.seq_result par.par_result)
 
+(* A type error inside a speculative iteration squashes the interval
+   as a worker fault; the sequential re-execution then reports the
+   program's own fault, never an escaped exception. *)
+let test_type_error_in_worker () =
+  let src =
+    {|global mode; global a[40]; global out[40];
+fn main() {
+  for (i = 0; i < 40) { a[i] = i; }
+  if (mode) { a[25] = 0.5; }
+  for (j = 0; j < 40) { out[j] = a[j] + 1; }
+  return out[39];
+}|}
+  in
+  let program = Pipeline.parse src in
+  let tr, _ =
+    Pipeline.compile ~setup:(fun st -> Pipeline.set_global st "mode" 0) program
+  in
+  check "a loop was planned" true (tr.selection.plans <> []);
+  let setup st = Pipeline.set_global st "mode" 1 in
+  let fault f =
+    match f () with
+    | _ -> "no fault"
+    | exception Privateer_interp.Interp.Runtime_error msg -> msg
+  in
+  Alcotest.(check string) "sequential fault" "expected int, got float 0.5"
+    (fault (fun () -> ignore (Pipeline.run_sequential ~setup program)));
+  Alcotest.(check string) "parallel fault" "expected int, got float 0.5"
+    (fault (fun () -> ignore (Pipeline.run_parallel ~setup ~config:(config ()) tr)))
+
 let test_induction_var_final_value () =
   let _, _ =
     assert_equivalent
@@ -664,6 +693,7 @@ let suite =
     Alcotest.test_case "deferred I/O ordering" `Quick test_deferred_io_order;
     Alcotest.test_case "value prediction end-to-end" `Quick test_value_prediction_end_to_end;
     Alcotest.test_case "preheader prediction fallback" `Quick test_preheader_fallback;
+    Alcotest.test_case "type error in a worker iteration" `Quick test_type_error_in_worker;
     Alcotest.test_case "induction variable final value" `Quick test_induction_var_final_value;
     Alcotest.test_case "live-out private register" `Quick test_live_out_private_register;
     Alcotest.test_case "zero-iteration loop" `Quick test_zero_iteration_loop;

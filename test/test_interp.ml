@@ -41,6 +41,26 @@ let test_division_by_zero () =
        false
      with Interp.Runtime_error _ -> true)
 
+(* Every program fault is one exception with its message: type errors
+   from [Value] and allocator failures included. *)
+let test_faults_are_runtime_errors () =
+  let fault src =
+    match result_of src with
+    | _ -> "no fault"
+    | exception Interp.Runtime_error msg -> msg
+  in
+  let check_msg = Alcotest.(check string) in
+  check_msg "float operand" "expected int, got float 1.5"
+    (fault "fn main() { var x = 1.5; return x + 2; }");
+  check_msg "float address" "expected int, got float 2.5"
+    (fault "fn main() { var p = 2.5; return p[0]; }");
+  check_msg "float loop bound" "expected int, got float 0.5"
+    (fault "fn main() { for (i = 0; i < 0.5) { } return 0; }");
+  check_msg "float print %d" "expected int, got float 0.25"
+    (fault {|fn main() { print("%d", 0.25); return 0; }|});
+  check_msg "double free" "Allocator.free: 0x10 not live in default heap"
+    (fault "fn main() { var p = malloc(2); free(p); free(p); return 0; }")
+
 let test_short_circuit () =
   (* The right operand must not be evaluated when the left decides:
      1/0 would raise. *)
@@ -226,10 +246,213 @@ let test_check_heap_stmt () =
   ignore (Interp.run_entry st);
   check "default heap passes, private fails" true (!outcomes = [ false; true ])
 
+(* ---- the event sequence ------------------------------------------------ *)
+
+(* The interpreter's observable surface, pinned event by event: every
+   hook event folds its kind, site id, arguments, [st.cycles] and
+   [st.steps] into a running 63-bit digest, and the run's final cycles,
+   steps, result (or error text) and output close the record.  Any
+   change to step counting, cycle-charge order, hook order or
+   arguments, dynamic context or error texts moves a record, so the
+   records are regenerated only by a change meant to move the
+   simulated surface. *)
+
+let mix h x = (h lxor x) * 0x100000001b3
+
+let value_bits = function
+  | Value.VInt n -> n
+  | Value.VFloat f -> Int64.to_int (Int64.bits_of_float f)
+
+let recording_hooks (st : Interp.t) digest events : Hooks.t =
+  let ev kind id args =
+    incr events;
+    let h = List.fold_left mix (mix (mix !digest kind) id) args in
+    digest := mix (mix h st.cycles) st.steps
+  in
+  { on_load = (fun id ~addr ~size ~value -> ev 1 id [ addr; size; value_bits value ]);
+    on_store = (fun id ~addr ~size ~value -> ev 2 id [ addr; size; value_bits value ]);
+    on_alloc =
+      (fun id ~ctx kind heap ~addr ~size ->
+        let k = match kind with Ast.Malloc -> 0 | Ast.Salloc -> 1 in
+        ev 3 id ([ k; Heap.tag heap; addr; size; List.length ctx ] @ ctx));
+    on_free = (fun id ~addr ~size heap -> ev 4 id [ addr; size; Heap.tag heap ]);
+    on_loop_enter = (fun id -> ev 5 id []);
+    on_loop_iter = (fun id ~iter -> ev 6 id [ iter ]);
+    on_loop_exit = (fun id ~trips -> ev 7 id [ trips ]);
+    on_check_heap =
+      (fun id ~addr heap ~ok -> ev 8 id [ addr; Heap.tag heap; Bool.to_int ok ]);
+    on_assert_value =
+      (fun id ~observed ~expected ~ok ->
+        ev 9 id [ value_bits observed; expected; Bool.to_int ok ]);
+    on_branch = (fun id ~taken -> ev 10 id [ Bool.to_int taken ]);
+    on_misspec = (fun id ~reason -> ev 11 id [ Hashtbl.hash reason ]) }
+
+let event_record ?(setup = fun _ -> ()) program =
+  let st = Interp.create program in
+  setup st;
+  let digest = ref 0 and events = ref 0 in
+  st.hooks <- recording_hooks st digest events;
+  let result =
+    match Interp.run_entry st with
+    | v -> Value.to_string v
+    | exception Interp.Runtime_error msg -> "error: " ^ msg
+  in
+  Printf.sprintf "%x events=%d cycles=%d steps=%d result=%s output=%s" !digest !events
+    st.cycles st.steps result
+    (Digest.to_hex (Digest.string (Interp.output st)))
+
+let hand_written =
+  [ ( "while-break-continue",
+      {|fn main() {
+  var s = 0; var i = 0;
+  while (1) {
+    i = i + 1;
+    if (i % 3 == 0) { continue; }
+    if (i > 20) { break; }
+    s = s + i;
+  }
+  for (j = 0; j < 10) { if (j == 7) { break; } if (j % 2) { continue; } s = s * 3 % 1000; }
+  return s + j;
+}|} );
+    ( "salloc-auto-free",
+      {|global g[4];
+fn f(n) { var buf[8]; var tmp[2]; buf[n % 8] = n; tmp[0] = buf[n % 8] + 1; g[n % 4] = tmp[0]; return tmp[0]; }
+fn main() { var s = 0; for (i = 0; i < 12) { s = s + f(i); } var p = malloc(3); p[2] = s; free(p); return s; }|} );
+    ( "print-builtins",
+      {|fn main() {
+  var x = sqrt(2.0) +. exp(1.0) -. log(3.0) +. pow(1.5, 2.5) +. fabs(-. 0.25);
+  var y = floor(sin(1.0) *. 100.0) +. cos(0.5) +. fmin(1.0, 2.0) +. fmax(1.0, 2.0);
+  print("x=%f y=%f m=%d M=%d a=%d h=%x %%\n", x, y, min(3, -4), max(3, -4), abs(-9), 48879);
+  print("itof=%f ftoi=%d\n", itof(7) /. 2.0, ftoi(-. 3.75));
+  return ftoi(x *. 1000.0) + (1 && 0) + (0 || 2) + (~5) + (!0);
+}|} );
+    ( "return-inside-loop",
+      {|fn find(p, n, k) { for (i = 0; i < n) { while (1) { if (p[i] == k) { return i; } break; } } return -1; }
+fn main() { var p = malloc(16); for (i = 0; i < 16) { p[i] = i * i; } var a = find(p, 16, 49); var b = find(p, 16, 50); store1(p, 255); return a * 100 + b + load1(p); }|} );
+    ("division-by-zero", {|fn main() { var s = 0; for (i = 0; i < 5) { s = s + 10 / (3 - i); } return s; }|});
+    ("unbound-local", {|fn main() { var s = 1; if (s) { s = s + q; } return s; }|});
+    ("arity", {|fn f(a, b) { return a + b; } fn main() { return f(1, 2) + f(3); }|});
+    ("type-error", {|fn main() { var x = 1.5; return x + 2; }|});
+    ("type-error-operands", {|fn main() { var a = 1.5; var b = 2.5; return a - b; }|});
+    ("type-error-store1", {|fn main() { var p = malloc(1); store1(p, 0.5); return 0; }|});
+    ("type-error-bound", {|fn main() { var s = 0; for (i = 0; i < 2.5) { s = s + 1; } return s; }|});
+    ("float-store-load", {|global g[2]; fn main() { g[0] = 2.5; g[1] = g[0] *. 2.0; print("%f\n", g[1]); return ftoi(g[1]); }|}) ]
+
+(* The statements only the transformation inserts. *)
+let inserted_checks () =
+  let b = Builder.create () in
+  let body =
+    [ Ast.Assign ("p", Builder.malloc b (Ast.Int 16));
+      Ast.Check_heap (Builder.fresh b, Ast.Local "p", Heap.Default);
+      Ast.Check_heap (Builder.fresh b, Ast.Local "p", Heap.Private);
+      Ast.Assert_value (Builder.fresh b, Ast.Int 5, 5);
+      Ast.Assert_value (Builder.fresh b, Ast.Float 5.0, 5);
+      Ast.Misspec (Builder.fresh b, "never taken");
+      Ast.Free (Builder.fresh b, None, Ast.Local "p");
+      Ast.Return (Some (Ast.Int 0)) ]
+  in
+  Builder.program b ~globals:[] ~funcs:[ Builder.func "main" [] body ] ~entry:"main"
+
+let scenario_specs =
+  [ "seed=3,loops=2,trip=48,misspec=0.05"; "seed=9,redux=1.0,reuse=8";
+    "seed=17,loops=3,trip=32,heap=16,redux=0.25" ]
+
+let event_programs () =
+  let module Workload = Privateer_workloads.Workload in
+  let ports =
+    List.concat_map
+      (fun (wl : Workload.t) ->
+        let program = Workload.program wl in
+        let setup = Workload.setup wl Workload.Train in
+        let tr, _ = Privateer.Pipeline.compile ~setup program in
+        [ (wl.name, setup, program);
+          (wl.name ^ "/transformed", setup, tr.Privateer_transform.Transform.program) ])
+      Privateer_workloads.Workloads.builtin
+  in
+  let scenarios =
+    List.map
+      (fun spec ->
+        let knobs = Result.get_ok (Privateer_gen.Scenario_gen.knobs_of_spec spec) in
+        let wl = (Privateer_gen.Scenario_gen.generate knobs).sc_workload in
+        (spec, Workload.setup wl Workload.Train, Workload.program wl))
+      scenario_specs
+  in
+  let hand =
+    List.map
+      (fun (name, src) -> (name, (fun _ -> ()), Privateer_lang.Parser.parse_program_exn src))
+      hand_written
+  in
+  ports @ scenarios @ hand @ [ ("inserted-checks", (fun _ -> ()), inserted_checks ()) ]
+
+let expected_events =
+  [ ("052.alvinn",
+      "67096d884f43f898 events=117089 cycles=721200 steps=822333 result=0 output=522158b93af5cc624c54507bb5d712de");
+    ("052.alvinn/transformed",
+      "3752ca6018f2f464 events=117089 cycles=721200 steps=822333 result=0 output=522158b93af5cc624c54507bb5d712de");
+    ("dijkstra",
+      "5e3a1e22e4c933b0 events=40782 cycles=216334 steps=209070 result=0 output=d8d0d249137a1c752ab28d386c6976cd");
+    ("dijkstra/transformed",
+      "4cc5e664f6511bf8 events=40782 cycles=216334 steps=209070 result=0 output=d8d0d249137a1c752ab28d386c6976cd");
+    ("blackscholes",
+      "20502130a21ccd2c events=7548 cycles=125536 steps=121173 result=0 output=9848fe23dd16397d0c9de4b053e86236");
+    ("blackscholes/transformed",
+      "55392b49c66eebd8 events=7548 cycles=125536 steps=121173 result=0 output=9848fe23dd16397d0c9de4b053e86236");
+    ("swaptions",
+      "3c6cee7bbc1fbf4d events=13305 cycles=82283 steps=91707 result=0 output=b7653822aafbb23ebb35756c5870b728");
+    ("swaptions/transformed",
+      "1d073c676359855 events=13305 cycles=82283 steps=91707 result=0 output=b7653822aafbb23ebb35756c5870b728");
+    ("enc-md5",
+      "5b25f349604accba events=24867 cycles=185664 steps=248979 result=0 output=3c9e5698b127aaf0ea7b76e336d2e8c9");
+    ("enc-md5/transformed",
+      "47a0481f379f7b36 events=24867 cycles=185664 steps=248979 result=0 output=3c9e5698b127aaf0ea7b76e336d2e8c9");
+    ("seed=3,loops=2,trip=48,misspec=0.05",
+      "7fdb3095929440fd events=2123 cycles=13214 steps=15910 result=0 output=82e728dccfe6b3adebabef4214ece342");
+    ("seed=9,redux=1.0,reuse=8",
+      "2ada6877d0892c3e events=1294 cycles=8688 steps=10546 result=0 output=22875d5cf2327b8cd769700e6fa84a4f");
+    ("seed=17,loops=3,trip=32,heap=16,redux=0.25",
+      "56e25215a3aa738f events=2342 cycles=14316 steps=17142 result=0 output=e0662c7d0877d219e5dc01468085b817");
+    ("while-break-continue",
+      "4113c0bef806cfc2 events=86 cycles=211 steps=466 result=914 output=d41d8cd98f00b204e9800998ecf8427e");
+    ("salloc-auto-free",
+      "2164269274ea23d2 events=137 cycles=2166 steps=753 result=78 output=d41d8cd98f00b204e9800998ecf8427e");
+    ("print-builtins",
+      "0 events=0 cycles=416 steps=76 result=6035 output=92315e0b60538fcb0244a1403b13b1d9");
+    ("return-inside-loop",
+      "199e7e3fb6944c6e events=183 cycles=453 steps=472 result=954 output=d41d8cd98f00b204e9800998ecf8427e");
+    ("division-by-zero",
+      "79fcb9c05b885b4f events=5 cycles=25 steps=37 result=error: division by zero output=d41d8cd98f00b204e9800998ecf8427e");
+    ("unbound-local",
+      "164b6eb13687a1bb events=1 cycles=11 steps=8 result=error: unbound local q output=d41d8cd98f00b204e9800998ecf8427e");
+    ("arity",
+      "0 events=0 cycles=21 steps=11 result=error: f: expected 2 arguments, got 1 output=d41d8cd98f00b204e9800998ecf8427e");
+    ("type-error",
+      "0 events=0 cycles=11 steps=6 result=error: expected int, got float 1.5 output=d41d8cd98f00b204e9800998ecf8427e");
+    ("type-error-operands",
+      "0 events=0 cycles=11 steps=8 result=error: expected int, got float 2.5 output=d41d8cd98f00b204e9800998ecf8427e");
+    ("type-error-store1",
+      "3b6bf7eec3284305 events=2 cycles=55 steps=8 result=error: expected int, got float 0.5 output=d41d8cd98f00b204e9800998ecf8427e");
+    ("type-error-bound",
+      "0 events=0 cycles=10 steps=5 result=error: expected int, got float 2.5 output=d41d8cd98f00b204e9800998ecf8427e");
+    ("float-store-load",
+      "f0768a4ed157a2d events=5 cycles=102 steps=36 result=5 output=133a92c8f9dbf5fe9f494b6807193604");
+    ("inserted-checks",
+      "7d466188e2836409 events=7 cycles=78 steps=16 result=0 output=d41d8cd98f00b204e9800998ecf8427e") ]
+
+let test_event_sequence () =
+  List.iter
+    (fun (name, setup, program) ->
+      let got = event_record ~setup program in
+      match List.assoc_opt name expected_events with
+      | Some want -> Alcotest.(check string) name want got
+      | None -> Alcotest.failf "no pinned record for %s: %s" name got)
+    (event_programs ())
+
 let suite =
   [ Alcotest.test_case "integer arithmetic" `Quick test_arithmetic;
     Alcotest.test_case "float arithmetic" `Quick test_float_arithmetic;
     Alcotest.test_case "division by zero" `Quick test_division_by_zero;
+    Alcotest.test_case "program faults are runtime errors" `Quick
+      test_faults_are_runtime_errors;
     Alcotest.test_case "short-circuit && ||" `Quick test_short_circuit;
     Alcotest.test_case "control flow" `Quick test_control_flow;
     Alcotest.test_case "for induction final value" `Quick test_for_induction_final_value;
@@ -244,4 +467,5 @@ let suite =
     Alcotest.test_case "alloc/free hooks and context" `Quick test_alloc_free_hooks;
     Alcotest.test_case "fork isolation" `Quick test_fork_isolation;
     Alcotest.test_case "assert-value hook" `Quick test_assert_value_hook;
-    Alcotest.test_case "check-heap statement" `Quick test_check_heap_stmt ]
+    Alcotest.test_case "check-heap statement" `Quick test_check_heap_stmt;
+    Alcotest.test_case "event sequence pinned" `Quick test_event_sequence ]

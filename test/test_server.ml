@@ -335,14 +335,20 @@ let test_manifest_scenarios () =
 (* A program fault is a failed job whose error names the fault, not an
    escaped interpreter exception. *)
 let test_faulting_file_job () =
-  with_source "fn main() { return 1 / 0; }\n" (fun path ->
-      let specs = Jobs_manifest.parse ~base:RC.default (Printf.sprintf "div file:%s\n" path) in
-      let t = Job_server.run_jobs ~host_cores:1 ~config:RC.default specs in
-      match Job_server.jobs t with
-      | [ j ] ->
-        Alcotest.(check string) "failed with the fault" "failed: runtime error: division by zero"
-          (fingerprint_of t j)
-      | _ -> Alcotest.fail "expected 1 job")
+  List.iter
+    (fun (src, fault) ->
+      with_source src (fun path ->
+          let specs =
+            Jobs_manifest.parse ~base:RC.default (Printf.sprintf "bad file:%s\n" path)
+          in
+          let t = Job_server.run_jobs ~host_cores:1 ~config:RC.default specs in
+          match Job_server.jobs t with
+          | [ j ] ->
+            Alcotest.(check string) "failed with the fault" ("failed: runtime error: " ^ fault)
+              (fingerprint_of t j)
+          | _ -> Alcotest.fail "expected 1 job"))
+    [ ("fn main() { return 1 / 0; }\n", "division by zero");
+      ("fn main() { var x = 1.5; return x + 2; }\n", "expected int, got float 1.5") ]
 
 (* The example manifest stays loadable: `privateer serve
    examples/jobs.manifest` must work out of the box. *)

@@ -35,4 +35,6 @@ check 3 division-by-zero 'fn main() { return 1 / 0; }'
 check 3 unbound-local 'fn main() { return x; }'
 check 3 arity-mismatch 'fn f(a) { return a; }
 fn main() { return f(1, 2); }'
+check 3 type-error 'fn main() { var x = 1.5; return x + 2; }'
+check 3 double-free 'fn main() { var p = malloc(2); free(p); free(p); return 0; }'
 exit $status
