@@ -2,12 +2,12 @@
 """Print the sorted set of key paths in a JSON document.
 
 Used by CI to diff a freshly generated bench report (e.g.
-BENCH_merge.json) against its committed schema (BENCH_merge.keys):
+BENCH_eager.json) against its committed schema (BENCH_eager.keys):
 values change run to run, the key structure must not drift silently.
 List elements collapse onto one `[]` segment, so arrays of uniform
 objects contribute each field once.
 
-    python3 bench/json_keys.py BENCH_merge.json | diff -u bench/BENCH_merge.keys -
+    python3 bench/json_keys.py BENCH_eager.json | diff -u bench/BENCH_eager.keys -
 """
 import json
 import sys

@@ -1,11 +1,13 @@
 (* The evaluation harness: regenerates every table and figure of the
-   paper's evaluation (section 6), plus ablations and bechamel
-   microbenchmarks.
+   paper's evaluation (section 6), plus the scheduler comparison and
+   the ablations.
 
-     dune exec bench/main.exe              -- everything (except micro)
+     dune exec bench/main.exe              -- everything but the gated experiments
      dune exec bench/main.exe -- fig6      -- one experiment
-     dune exec bench/main.exe -- micro     -- wall-clock microbenches
+     dune exec bench/main.exe -- eager     -- one gated experiment
 
+   The gated experiments (eager, scale, server) each write
+   BENCH_<name>.json and exit non-zero naming any failed gate.
    EXPERIMENTS.md records the paper-vs-measured comparison. *)
 
 open Privateer
@@ -432,24 +434,17 @@ let () =
     List.iter (fun (_, f) -> f ()) experiments;
     print_newline ();
     print_endline
-      "(wall-clock experiments: dune exec bench/main.exe -- micro | overhead | merge | server | eager | scale | profile)"
-  | _ :: [ "micro" ] -> Micro.run ()
+      "(gated experiments, each writing BENCH_<name>.json: dune exec bench/main.exe -- eager | scale | server)"
   | _ :: names ->
     List.iter
       (fun name ->
         match List.assoc_opt name experiments with
         | Some f -> f ()
-        | None when name = "micro" -> Micro.run ()
-        | None when name = "overhead" -> Overhead.run ()
-        | None when name = "merge" -> Merge.run ()
         | None when name = "server" -> Server.run ()
         | None when name = "eager" -> Eager.run ()
         | None when name = "scale" -> Scale.run ()
-        | None when name = "profile" -> Profile.run ()
         | None ->
-          Printf.eprintf
-            "unknown experiment %s (have: %s, micro, overhead, merge, server, eager, scale, profile)\n"
-            name
+          Printf.eprintf "unknown experiment %s (have: %s, server, eager, scale)\n" name
             (String.concat ", " (List.map fst experiments));
           exit 1)
       names

@@ -197,7 +197,7 @@ let cli_bindings =
         "Misspeculation detection: 'commit' (only at the checkpoint merge — the \
          default) or 'eager' (in-flight conflict board squashes a doomed \
          interval at the first observed violation; the merge stays on as the \
-         backstop; default \\$(b,PRIVATEER_VALIDATION)).  Final outputs and \
+         backstop; default $(b,PRIVATEER_VALIDATION)).  Final outputs and \
          violation verdicts are identical in both modes.";
       b_flag_like = false;
       b_apply =
@@ -238,7 +238,7 @@ let cli_bindings =
       b_doc =
         "Job server: run at most N jobs concurrently on a pool of N domains \
          (clamped to the host core count; default \
-         \\$(b,PRIVATEER_MAX_INFLIGHT) or 4).  Host-only: per-job results are \
+         $(b,PRIVATEER_MAX_INFLIGHT) or 4).  Host-only: per-job results are \
          identical at any setting.";
       b_flag_like = false;
       b_apply =
@@ -247,7 +247,7 @@ let cli_bindings =
       b_doc =
         "Job server: bound the queued-but-not-running backlog at N jobs; a full \
          queue applies backpressure to submitters (0: unbounded; default \
-         \\$(b,PRIVATEER_QUEUE_CAP) or 0).";
+         $(b,PRIVATEER_QUEUE_CAP) or 0).";
       b_flag_like = false;
       b_apply = int_field "queue-cap" (fun t queue_cap -> { t with queue_cap }) } ]
 

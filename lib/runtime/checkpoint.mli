@@ -55,7 +55,7 @@ type extract_request = {
     [interval_start]. *)
 val extract : interval_start:int -> extract_request list -> contribution list
 
-(** Single-worker {!extract}, for benches and tests. *)
+(** Single-worker {!extract}, for tests. *)
 val contribution_of_worker :
   worker:int ->
   interval_start:int ->

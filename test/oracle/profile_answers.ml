@@ -1,6 +1,6 @@
 (* One profile's answers to every query family, as closures, so tests
-   and benches can ask the same questions of the production profiler
-   and of the {!Profiler_reference} oracle and compare the answers.
+   can ask the same questions of the production profiler and of the
+   {!Profiler_reference} oracle and compare the answers.
    Selection and transform read a profile only through these queries,
    so equal answers imply equal plans. *)
 

@@ -1,16 +1,10 @@
 (* The retained per-byte reference implementation of the shadow-heap
    metadata operations — the pre-page-index code, kept verbatim.
 
-   It exists for two consumers:
-
-   - the qcheck property in [test/test_props.ml], which asserts that
-     the range-granular [Shadow.access] is byte-for-byte equivalent
-     (final metadata, verdicts, partial updates before a failure)
-     under randomized op/addr/size/beta sequences;
-
-   - the [overhead] bench experiment, which reports the host-time
-     ratio between the indexed and reference implementations
-     (BENCH_overhead.json).
+   It exists for the qcheck property in [test/test_props.ml], which
+   asserts that the range-granular [Shadow.access] is byte-for-byte
+   equivalent (final metadata, verdicts, partial updates before a
+   failure) under randomized op/addr/size/beta sequences.
 
    It resolves a page per byte through the generic Memory accessors
    and does NOT maintain the per-page summary flags, so a machine

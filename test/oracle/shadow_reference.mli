@@ -2,9 +2,8 @@
     metadata operations — the pre-page-index code, kept as an oracle.
 
     It satisfies the same {!Shadow_sig.module-type-S} signature as the
-    optimized [Privateer_runtime.Shadow], so property tests functorize over the two and
-    compare their observable effects byte for byte; the [overhead]
-    bench experiment reports the host-time ratio between them.
+    optimized [Privateer_runtime.Shadow], so property tests functorize
+    over the two and compare their observable effects byte for byte.
 
     It resolves a page per byte through the generic [Memory] accessors
     and does {b not} maintain the per-page summary flags or the exact

@@ -5,8 +5,8 @@
    and two profiler instances profiling at once in pool futures (as
    the job server runs them) — which must answer identically.
    Targeted sources then check the profiler's fast paths against the
-   oracle, and a qcheck property checks the full query surface over
-   generated scenarios. *)
+   oracle, and the full query surface is checked on the five ports and,
+   by a qcheck property, over generated scenarios. *)
 
 open Privateer_ir
 open Privateer_interp
@@ -376,6 +376,26 @@ let test_loops_by_weight_tiebreak () =
 
 (* ---- full query surface differential ---------------------------------- *)
 
+(* First query family on which the production profiler and the oracle
+   disagree over [wl] at scale 1 on its train input, if any. *)
+let diff_on_train (wl : Privateer_workloads.Workload.t) =
+  let program = Privateer_workloads.Workload.program wl in
+  let setup =
+    Privateer_workloads.Workload.setup ~scale:1 wl Privateer_workloads.Workload.Train
+  in
+  let pf, _ = Answers.run_fast ~setup program in
+  let pr, _ = Answers.run_reference ~setup program in
+  Answers.diff program pf pr
+
+let test_ports_match_reference () =
+  List.iter
+    (fun (wl : Privateer_workloads.Workload.t) ->
+      match diff_on_train wl with
+      | None -> ()
+      | Some what ->
+        Alcotest.failf "%s: fast profiler differs from the oracle on %s" wl.name what)
+    Privateer_workloads.Workloads.builtin
+
 let scenario_corpus =
   lazy (Privateer_gen.Scenario_gen.corpus ~seed:11 ~count:6)
 
@@ -384,14 +404,7 @@ let prop_fast_matches_reference =
     (QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 5))
     (fun i ->
       let sc = List.nth (Lazy.force scenario_corpus) i in
-      let wl = sc.sc_workload in
-      let program = Privateer_workloads.Workload.program wl in
-      let setup =
-        Privateer_workloads.Workload.setup ~scale:1 wl Privateer_workloads.Workload.Train
-      in
-      let pf, _ = Answers.run_fast ~setup program in
-      let pr, _ = Answers.run_reference ~setup program in
-      match Answers.diff program pf pr with
+      match diff_on_train sc.sc_workload with
       | None -> true
       | Some what -> QCheck.Test.fail_reportf "%s differs on %s" what sc.sc_name)
 
@@ -484,4 +497,6 @@ let suite =
         test_free_then_realloc;
       Alcotest.test_case "frontend: nested-invocation cycle accounting" `Quick
         test_nested_invocation_cycles;
+      Alcotest.test_case "fast = reference on the five ports" `Quick
+        test_ports_match_reference;
       QCheck_alcotest.to_alcotest prop_fast_matches_reference ]
