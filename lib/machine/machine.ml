@@ -33,13 +33,9 @@ let write_byte t addr v = Memory.write_byte t.mem addr v
 let read_word t addr = Memory.read_word t.mem addr
 let write_word t addr bits is_float = Memory.write_word t.mem addr bits is_float
 
-(* Bulk accessors: one page resolution per page touched, not per word.
-   [fill_words] backs the reduction-heap identity initialization at
-   worker spawn; [blit] is the generic word-level range copy. *)
+(* Bulk fill: one page resolution per page touched, not per word.  It
+   backs the reduction-heap identity initialization at worker spawn. *)
 let fill_words t addr ~words bits is_float = Memory.fill_words t.mem addr ~words bits is_float
-
-let blit ~src ~src_addr ~dst ~dst_addr ~len =
-  Memory.blit ~src:src.mem ~src_addr ~dst:dst.mem ~dst_addr ~len
 
 (* After a parallel region commits, the main process must not hand out
    addresses that collide with objects workers allocated and published

@@ -198,15 +198,6 @@ let fold_pages t ~heap ~init ~f =
 
 let mapped_page_count t ~heap = Hashtbl.length t.banks.(Heap.tag heap)
 
-let iter_range t ~lo ~hi ~f =
-  let addr = ref lo in
-  while !addr < hi do
-    let off = offset_of_addr !addr in
-    let chunk = min (hi - !addr) (page_size - off) in
-    f ~base:(!addr - off) ~lo:off ~hi:(off + chunk) (find_page t !addr);
-    addr := !addr + chunk
-  done
-
 let fill_words t addr ~words bits is_float =
   if addr land 7 <> 0 then
     for w = 0 to words - 1 do
@@ -228,32 +219,6 @@ let fill_words t addr ~words bits is_float =
       remaining := !remaining - n
     done
   end
-
-let blit ~src ~src_addr ~dst ~dst_addr ~len =
-  if len > 0 then
-    if (src_addr lor dst_addr lor len) land 7 <> 0 then
-      (* Unaligned: byte-wise fallback (loses float tags, as any
-         partial store does). *)
-      for i = 0 to len - 1 do
-        write_byte dst (dst_addr + i) (read_byte src (src_addr + i))
-      done
-    else begin
-      let copied = ref 0 in
-      while !copied < len do
-        let sa = src_addr + !copied and da = dst_addr + !copied in
-        let soff = offset_of_addr sa and doff = offset_of_addr da in
-        let n = min (len - !copied) (min (page_size - soff) (page_size - doff)) in
-        let dp = touch_page dst da in
-        (match find_page src sa with
-        | Some sp ->
-          Bytes.blit sp.bytes soff dp.bytes doff n;
-          Bytes.blit sp.ftags (soff lsr 3) dp.ftags (doff lsr 3) (n lsr 3)
-        | None ->
-          Bytes.fill dp.bytes doff n '\000';
-          Bytes.fill dp.ftags (doff lsr 3) (n lsr 3) '\000');
-        copied := !copied + n
-      done
-    end
 
 (* ---- dirty tracking --------------------------------------------------- *)
 
@@ -281,15 +246,6 @@ let clear_dirty t =
     t.dirty
 
 let dirty_count t = Array.fold_left (fun acc d -> acc + Hashtbl.length d) 0 t.dirty
-
-(* Install [src]'s page [key] into [dst] (used by checkpoint commit and
-   recovery).  The page is copied so later writes don't alias. *)
-let copy_page_into ~dst ~src key =
-  let tag = tag_of_key key in
-  (match Hashtbl.find_opt src.banks.(tag) key with
-  | None -> Hashtbl.remove dst.banks.(tag) key
-  | Some p -> Hashtbl.replace dst.banks.(tag) key (clone_page p));
-  Hashtbl.replace dst.dirty.(tag) key ()
 
 (* All page numbers mapped in [t] (zero pages excluded). *)
 let mapped_pages t =

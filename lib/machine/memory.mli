@@ -142,22 +142,10 @@ val fold_pages :
 (** Number of mapped pages in one heap's bank (O(1)). *)
 val mapped_page_count : t -> heap:Privateer_ir.Heap.kind -> int
 
-(** Call [f] once per page-sized chunk of [\[lo, hi)]: [f ~base ~lo ~hi
-    page] where [base] is the chunk's page base address and [lo]/[hi]
-    are in-page offsets.  The page is resolved once per chunk. *)
-val iter_range :
-  t -> lo:int -> hi:int -> f:(base:int -> lo:int -> hi:int -> page option -> unit) -> unit
-
 (** Fill [words] 8-byte words starting at [addr] with [bits], setting
     the float tags to [is_float] — one page resolution per page
     touched.  Falls back to word stores if [addr] is unaligned. *)
 val fill_words : t -> int -> words:int -> int64 -> bool -> unit
-
-(** Word-level bulk copy of [len] bytes between memories, preserving
-    float tags when [src_addr], [dst_addr] and [len] are all 8-byte
-    aligned (byte-wise fallback otherwise).  Unmapped source ranges
-    copy as zeros. *)
-val blit : src:t -> src_addr:int -> dst:t -> dst_addr:int -> len:int -> unit
 
 (** Pages written since the last [clear_dirty] (page numbers), across
     all heaps or restricted to one heap's bank. *)
@@ -168,9 +156,6 @@ val clear_dirty : t -> unit
 
 val dirty_count : t -> int
 (** Size of the dirty set — the checkpoint copy-cost charge. *)
-
-(** Deep-copy [src]'s page [key] into [dst] (checkpoint restore). *)
-val copy_page_into : dst:t -> src:t -> int -> unit
 
 (** All mapped page numbers, across every heap bank. *)
 val mapped_pages : t -> int list

@@ -36,7 +36,8 @@ type ctx = {
   env : Worker.env;
   ranges : (int * int * Privateer_ir.Ast.binop) list; (* redux heap ranges *)
   reg_ops : (string * Privateer_ir.Ast.binop) list; (* register reductions *)
-  redux_base : (int * Value.t) list; (* absolute redux words at spawn *)
+  redux_base : (int * Value.t) list;
+      (* absolute redux words at spawn, in [ranges] word order *)
   reg_base : (string * Value.t) list; (* redux register values at spawn *)
   io : Deferred_io.t;
   emit_main : string -> unit;

@@ -132,10 +132,10 @@ let run_invocation t (st : Interp.t) fr (spec : Manifest.loop_spec) loop ~init_v
         let workers = Worker.spawn env st fr spec ctx.Commit.ranges nw ~now:!timeline in
         (match board with
         | Some b ->
+          (* [Worker.spawn] numbers workers 0 .. nw - 1 in list order. *)
           Conflict_board.new_cohort b
-            (List.map
-               (fun (w : Worker.t) -> (w.Worker.w_id, w.Worker.w_st.Interp.machine))
-               workers)
+            (Array.of_list
+               (List.map (fun (w : Worker.t) -> w.Worker.w_st.Interp.machine) workers))
         | None -> ());
         let rec interval_loop i0 =
           let hi = min n (i0 + Recovery.current_period period) in

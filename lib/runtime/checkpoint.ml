@@ -35,8 +35,9 @@ type contribution = {
   writes : (int, word_write) Hashtbl.t;
   (* byte addresses this worker read as live-in (metadata 2) *)
   live_in_reads : (int, unit) Hashtbl.t;
-  (* snapshot of the worker's reduction-heap partials *)
-  redux_words : (int * int64 * bool) list;
+  (* snapshot of the worker's reduction-heap partials, one entry per
+     word of the reduction ranges, in range order *)
+  redux_words : (int * int64 * bool) array;
   (* register-reduction partials *)
   reg_partials : (string * Value.t) list;
   pages_touched : int; (* for checkpoint copy cost accounting *)
@@ -120,13 +121,14 @@ let extract ~interval_start (reqs : extract_request list) =
         (fun key -> scan_page ~interval_start mem key writes live_in_reads)
         (Memory.dirty_pages ~heap:Heap.Shadow mem);
       let redux_words =
-        List.concat_map
-          (fun (base, size, _op) ->
-            List.init ((size + 7) / 8) (fun w ->
-                let addr = base + (8 * w) in
-                let bits, is_float = Memory.read_word mem addr in
-                (addr, bits, is_float)))
-          req.req_redux_ranges
+        Array.concat
+          (List.map
+             (fun (base, size, _op) ->
+               Array.init ((size + 7) / 8) (fun w ->
+                   let addr = base + (8 * w) in
+                   let bits, is_float = Memory.read_word mem addr in
+                   (addr, bits, is_float)))
+             req.req_redux_ranges)
       in
       { worker = req.req_worker; writes; live_in_reads; redux_words;
         reg_partials = req.req_reg_partials; pages_touched = Memory.dirty_count mem })
@@ -275,29 +277,28 @@ let apply_overlay (machine : Machine.t) merged =
     merged.overlay
 
 (* Combine worker reduction partials over the base (pre-interval)
-   values: final = base op partial_1 op ... op partial_n. *)
+   values: final = base op partial_1 op ... op partial_n.  [base] and
+   every contribution's [redux_words] list the words of [redux_ranges]
+   in range order, so one pass over the contributions folds each
+   word's partials into its accumulator in contribution order: the
+   per-word left fold, floats included, in O(words x workers). *)
 let merge_redux ~(redux_ranges : (int * int * Privateer_ir.Ast.binop) list)
     ~(base : (int * Value.t) list) (contribs : contribution list) =
-  let op_of addr =
-    List.find_map
-      (fun (b, s, op) -> if addr >= b && addr < b + s then Some op else None)
-      redux_ranges
+  let ops =
+    Array.concat
+      (List.map (fun (_, size, op) -> Array.make ((size + 7) / 8) op) redux_ranges)
   in
-  List.map
-    (fun (addr, base_v) ->
-      let op = match op_of addr with Some op -> op | None -> assert false in
-      let v =
-        List.fold_left
-          (fun acc c ->
-            match List.find_opt (fun (a, _, _) -> a = addr) c.redux_words with
-            | Some (_, bits, is_float) ->
-              Privateer_analysis.Reduction.merge_values op acc
-                (Value.of_bits bits is_float)
-            | None -> acc)
-          base_v contribs
-      in
-      (addr, v))
-    base
+  let acc = Array.of_list (List.map snd base) in
+  List.iter
+    (fun c ->
+      Array.iteri
+        (fun i (_, bits, is_float) ->
+          acc.(i) <-
+            Privateer_analysis.Reduction.merge_values ops.(i) acc.(i)
+              (Value.of_bits bits is_float))
+        c.redux_words)
+    contribs;
+  List.mapi (fun i (addr, _) -> (addr, acc.(i))) base
 
 (* Combine register-reduction partials similarly. *)
 let merge_reg_partials ~(ops : (string * Privateer_ir.Ast.binop) list)

@@ -30,8 +30,9 @@ type contribution = {
       (** private word address → last write this interval *)
   live_in_reads : (int, unit) Hashtbl.t;
       (** byte addresses read as live-in (metadata 2) *)
-  redux_words : (int * int64 * bool) list;
-      (** reduction partial snapshot: (address, bits, float tag) *)
+  redux_words : (int * int64 * bool) array;
+      (** reduction partial snapshot: (address, bits, float tag) for
+          each word of the requested reduction ranges, in range order *)
   reg_partials : (string * Value.t) list;
       (** register-reduction partials *)
   pages_touched : int;  (** for simulated copy-cost accounting *)
@@ -116,7 +117,11 @@ val merge : ?state:merge_state -> contribution list -> merged
 val apply_overlay : Privateer_machine.Machine.t -> merged -> unit
 
 (** Absolute reduction values: [base op partial_1 op ... op partial_n]
-    per word of the given ranges. *)
+    per word of the given ranges.  [base] and every contribution's
+    [redux_words] list the ranges' words in range order, so the fold is
+    one pass over the contributions, O(words x contributions), that
+    folds each word left in contribution order: every value, floats
+    included, equals the per-word left fold bit for bit. *)
 val merge_redux :
   redux_ranges:(int * int * Privateer_ir.Ast.binop) list ->
   base:(int * Value.t) list ->

@@ -12,10 +12,16 @@
 
    Two-level check, cheap by construction:
 
-   - *coarse*: one hash lookup per touched page.  Each of the two
-     tables (pages written, pages read) maps a page number to the sole
-     worker that touched it, or to [multi] once a second worker has.
-     No cross-worker sharing on a page -> no conflict possible -> done.
+   - *coarse*: per touched page, one shadow-page lookup on the
+     publishing worker's own machine and at most two hash lookups.  The
+     [wrote] table maps a page to the sole worker that wrote it this
+     interval, or to [multi] once a second worker has.  The [read]
+     table does the same for the workers whose shadow page holds
+     read-live-in marks ([Memory.live_in_bytes] > 0), noted on every
+     publication, writes included.  Only a marked byte can convict
+     (paper Table 2), so a read coarse-hits only when the reader's own
+     page is marked and another worker wrote the page, and a write
+     only when another worker's page is marked.
 
    - *precise*: only on a coarse hit, re-read the actual shadow
      metadata (through [Shadow.probe]) and confirm the conflict at the
@@ -26,27 +32,36 @@
      ascending address order and the first confirmed byte wins, so
      verdicts are deterministic.
 
+   Why the coarse filter hides nothing the precise rules would find:
+   both rules need a read-live-in byte on a shadow page dirtied this
+   interval.  Marks only come from reads, a shadow page only becomes
+   dirty through a [Shadow.access], and every [Shadow.access] is
+   published, so the owner of such a mark is in [read] before the mark
+   can matter — including a mark carried over an interval boundary on
+   a page its owner only writes this interval.
+
    The board is sound but incomplete: it never confirms a conflict the
    merge would not also flag for this interval (no false kills — on a
    violation-free run eager mode is cycle-identical to commit mode),
    but it can miss conflicts whose evidence is not in current-interval
    metadata — a write that committed in an earlier interval (carried
-   only by the merge's word->writer index) or a reader whose live-in
-   mark sits on a page not dirtied this interval.  The commit-time
-   merge stays on as the backstop that catches those. *)
+   only by the merge's word->writer index), or a reader whose live-in
+   mark sits on a page not (yet) dirtied this interval when the
+   conflicting write is published.  The commit-time merge stays on as
+   the backstop that catches those. *)
 
 open Privateer_machine
 
-(* A page-table entry: the sole worker id that touched the page, or
-   [multi] once at least two distinct workers have.  With >= 2 distinct
-   touchers, at least one always differs from any given worker, so
-   [multi] unconditionally coarse-hits. *)
+(* A page-table entry: the sole worker id noted on the page, or
+   [multi] once at least two distinct workers have been.  With >= 2
+   distinct workers, at least one always differs from any given worker,
+   so [multi] unconditionally coarse-hits. *)
 let multi = -1
 
 type t = {
-  mutable machines : (int * Machine.t) list; (* cohort, by worker id *)
+  mutable machines : Machine.t array; (* cohort, indexed by worker id *)
   wrote : (int, int) Hashtbl.t; (* page -> sole writer | multi *)
-  read : (int, int) Hashtbl.t; (* page -> sole reader | multi *)
+  read : (int, int) Hashtbl.t; (* page -> sole marked worker | multi *)
   mutable interval_start : int;
   mutable checks : int; (* publications *)
   mutable hits : int; (* coarse hits that ran the precise confirm *)
@@ -58,7 +73,7 @@ type conflict = {
 }
 
 let create () =
-  { machines = []; wrote = Hashtbl.create 64; read = Hashtbl.create 64;
+  { machines = [||]; wrote = Hashtbl.create 64; read = Hashtbl.create 64;
     interval_start = 0; checks = 0; hits = 0 }
 
 let checks t = t.checks
@@ -67,7 +82,7 @@ let hits t = t.hits
 (* A fresh cohort of workers (after spawn or respawn): summaries of the
    squashed cohort are meaningless against the new machines. *)
 let new_cohort t machines =
-  t.machines <- List.sort (fun (a, _) (b, _) -> compare a b) machines;
+  t.machines <- machines;
   Hashtbl.reset t.wrote;
   Hashtbl.reset t.read
 
@@ -98,19 +113,18 @@ let word_base addr = addr land lnot 7
 (* Does any worker other than [self] hold a current-interval timestamp
    in the word at [base]?  Returns the smallest such iteration. *)
 let other_write_iter t ~self ~base =
-  List.fold_left
-    (fun acc (id, m) ->
-      if id = self then acc
-      else
-        let best = ref acc in
+  let best = ref None in
+  Array.iteri
+    (fun id m ->
+      if id <> self then
         for b = base to base + 7 do
           let md, dirty = Shadow.probe m ~addr:b in
           if dirty && Shadow.is_timestamp md then
             let it = Shadow.iteration_of_timestamp ~interval_start:t.interval_start md in
             if !best = None || Some it < !best then best := Some it
-        done;
-        !best)
-    None t.machines
+        done)
+    t.machines;
+  !best
 
 (* A read by [worker]: for each byte it just marked read-live-in (on a
    dirty page), any other worker's timestamp in the same word is the
@@ -118,7 +132,7 @@ let other_write_iter t ~self ~base =
    the smaller of the reading iteration and the writer's decoded
    timestamp. *)
 let confirm_read t ~worker ~iter ~addr ~size =
-  let self_machine = List.assoc worker t.machines in
+  let self_machine = t.machines.(worker) in
   let rec scan b =
     if b >= addr + size then None
     else
@@ -141,23 +155,16 @@ let confirm_write t ~worker ~iter ~addr ~size =
   let rec words base =
     if base >= addr + size then None
     else
-      let found =
-        List.fold_left
-          (fun acc (id, m) ->
-            match acc with
-            | Some _ -> acc
-            | None ->
-              if id = worker then None
-              else
-                let best = ref None in
-                for b = base + 7 downto base do
-                  let md, dirty = Shadow.probe m ~addr:b in
-                  if dirty && md = Shadow.read_live_in then best := Some b
-                done;
-                !best)
-          None t.machines
-      in
-      match found with
+      let found = ref None in
+      Array.iteri
+        (fun id m ->
+          if !found = None && id <> worker then
+            for b = base + 7 downto base do
+              let md, dirty = Shadow.probe m ~addr:b in
+              if dirty && md = Shadow.read_live_in then found := Some b
+            done)
+        t.machines;
+      match !found with
       | Some b -> Some { c_addr = b; c_earliest_iter = iter }
       | None -> words (base + 8)
   in
@@ -171,17 +178,18 @@ let confirm_write t ~worker ~iter ~addr ~size =
    path.  Returns the first confirmed conflict, if any. *)
 let publish t ~worker ~op ~addr ~size ~iter =
   t.checks <- t.checks + 1;
+  let self = t.machines.(worker) in
   let p0 = Memory.page_of_addr addr in
   let p1 = Memory.page_of_addr (addr + size - 1) in
-  let own, others =
-    match (op : Shadow.op) with
-    | Read -> (t.read, t.wrote)
-    | Write -> (t.wrote, t.read)
-  in
   let coarse_hit = ref false in
   for p = p0 to p1 do
-    note own ~worker p;
-    if shared_with_other others ~worker p then coarse_hit := true
+    let marked = Shadow.live_in_marks self ~addr:(Memory.base_of_page p) > 0 in
+    if marked then note t.read ~worker p;
+    match (op : Shadow.op) with
+    | Read -> if marked && shared_with_other t.wrote ~worker p then coarse_hit := true
+    | Write ->
+      note t.wrote ~worker p;
+      if shared_with_other t.read ~worker p then coarse_hit := true
   done;
   if not !coarse_hit then None
   else begin

@@ -2,15 +2,21 @@
 
     As workers execute, every private access publishes a coarse
     per-page summary here and is cross-checked against the other
-    workers' summaries; on a coarse page hit the conflict is confirmed
-    precisely against the shadow metadata ({!Shadow.probe}) under the
-    checkpoint merge's own rules, so a confirmed conflict is always
-    one phase 2 would also flag this interval.  Sound but incomplete:
-    no false kills ever, but conflicts whose evidence lives outside
-    current-interval metadata (earlier-interval writes carried only by
-    the merge's word->writer index, live-in marks on pages not dirtied
-    this interval) are left to the commit-time backstop.  See
-    [docs/SPECULATION.md] for the full lifecycle. *)
+    workers' summaries: the pages each worker wrote this interval, and
+    the pages on which each worker's shadow page holds read-live-in
+    marks ({!Shadow.live_in_marks}), noted on reads and writes alike.
+    A read coarse-hits only on a marked page another worker wrote; a
+    write only on a page another worker has marked.  On a coarse hit
+    the conflict is confirmed precisely against the shadow metadata
+    ({!Shadow.probe}) under the checkpoint merge's own rules, so a
+    confirmed conflict is always one phase 2 would also flag this
+    interval, and the coarse filter never hides one the precise rules
+    would confirm.  Sound but incomplete: no false kills ever, but
+    conflicts whose evidence lives outside current-interval metadata
+    (earlier-interval writes carried only by the merge's word->writer
+    index, live-in marks on pages not dirtied this interval) are left
+    to the commit-time backstop.  See [docs/SPECULATION.md] for the
+    full lifecycle. *)
 
 type t
 
@@ -24,9 +30,9 @@ type conflict = {
 val create : unit -> t
 (** An empty board: one per parallel invocation. *)
 
-val new_cohort : t -> (int * Privateer_machine.Machine.t) list -> unit
-(** Register a fresh worker cohort (worker id, worker machine) after
-    (re)spawn, discarding all summaries. *)
+val new_cohort : t -> Privateer_machine.Machine.t array -> unit
+(** Register a fresh worker cohort after (re)spawn, worker [i]'s
+    machine at index [i], discarding all summaries. *)
 
 val new_interval : t -> interval_start:int -> unit
 (** Start a checkpoint interval: summaries reset (committed intervals

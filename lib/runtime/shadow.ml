@@ -48,6 +48,15 @@ let probe machine ~addr =
     ( Char.code (Bytes.get (Memory.page_bytes p) (Memory.offset_of_addr addr)),
       Memory.written_this_interval p )
 
+(* Read-live-in marks on the shadow page covering private [addr] on
+   one worker machine: the board's coarse filter, since only a marked
+   byte can convict.  Counts the whole cohort's marks, dirty page or
+   not. *)
+let live_in_marks machine ~addr =
+  match Memory.find_page machine.Machine.mem (Heap.shadow_of_private addr) with
+  | None -> 0
+  | Some p -> Memory.live_in_bytes p
+
 type op = Read | Write
 
 type verdict = Keep | Update of int | Fail of (addr:int -> Misspec.reason)

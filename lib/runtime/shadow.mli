@@ -47,6 +47,14 @@ val iteration_of_timestamp : interval_start:int -> int -> int
     promotes a page or moves a simulated cycle. *)
 val probe : Privateer_machine.Machine.t -> addr:int -> int * bool
 
+(** The exact count of read-live-in marks ({!Privateer_machine.Memory.live_in_bytes})
+    on the shadow page covering private [addr] on one worker machine, 0
+    when that page is unmapped.  Marks accumulate over the cohort, so
+    the count includes marks carried over interval boundaries.  The
+    conflict board's coarse filter: a page without marks cannot
+    convict. *)
+val live_in_marks : Privateer_machine.Machine.t -> addr:int -> int
+
 (** The two private-access kinds Table 2 distinguishes. *)
 type op = Read | Write
 

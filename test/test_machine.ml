@@ -157,7 +157,7 @@ let test_memory_equal_range_large_stack_safe () =
   Memory.write_byte b (hi - 1) 1;
   check "last byte differs" false (Memory.equal_range a b 0 hi)
 
-let test_memory_fill_words_and_blit () =
+let test_memory_fill_words () =
   let a = Memory.create () in
   Memory.fill_words a 0x1000 ~words:(Memory.words_per_page + 4)
     (Int64.bits_of_float 1.5) true;
@@ -166,17 +166,12 @@ let test_memory_fill_words_and_blit () =
   let bits, isf = Memory.read_word a (0x1000 + (8 * (Memory.words_per_page + 3))) in
   check "fill end bits" true (bits = Int64.bits_of_float 1.5);
   check "fill end float tag" true isf;
-  (* Word blit into a second memory preserves data and float tags. *)
+  (* Word stores of the same image make a second memory equal. *)
   let b = Memory.create () in
-  Memory.blit ~src:a ~src_addr:0x1000 ~dst:b ~dst_addr:0x3000 ~len:64;
-  let bits, isf = Memory.read_word b 0x3038 in
-  check "blit bits" true (bits = Int64.bits_of_float 1.5);
-  check "blit float tag" true isf;
-  (* Unmapped source blits as zeros (over previously nonzero bytes). *)
-  Memory.write_word b 0x5000 77L false;
-  Memory.blit ~src:a ~src_addr:0x100000 ~dst:b ~dst_addr:0x5000 ~len:16;
-  check_int "unmapped source zeros the destination" 0
-    (Int64.to_int (fst (Memory.read_word b 0x5000)))
+  for w = 0 to Memory.words_per_page + 3 do
+    Memory.write_word b (0x1000 + (8 * w)) (Int64.bits_of_float 1.5) true
+  done;
+  check "fill = word stores" true (Memory.equal_footprint a b)
 
 let test_memory_heap_banks () =
   let m = Memory.create () in
@@ -196,16 +191,18 @@ let test_memory_heap_banks () =
   check_int "per-heap dirty cleared" 0
     (List.length (Memory.dirty_pages ~heap:Heap.Shadow m))
 
-let test_memory_copy_page_equal_footprint () =
+let test_memory_equal_footprint () =
   let a = Memory.create () in
   let b = Memory.create () in
   Memory.write_word a 0x42 99L false;
   check "differ" false (Memory.equal_footprint a b);
-  Memory.copy_page_into ~dst:b ~src:a (Memory.page_of_addr 0x42);
-  check "equal after copy" true (Memory.equal_footprint a b);
-  (* The copy is deep: mutating b must not affect a. *)
+  Memory.write_word b 0x42 99L false;
+  check "equal after the same store" true (Memory.equal_footprint a b);
+  (* A page mapped on one side only compares as zeros. *)
+  Memory.write_word b 0x9000 0L false;
+  check "mapped zeros = unmapped" true (Memory.equal_footprint a b);
   Memory.write_word b 0x42 1L false;
-  check_int "a intact" 99 (Int64.to_int (fst (Memory.read_word a 0x42)))
+  check "differ again" false (Memory.equal_footprint a b)
 
 (* ---- allocator --------------------------------------------------------- *)
 
@@ -293,9 +290,9 @@ let suite =
     Alcotest.test_case "equal_range across a page boundary" `Quick test_memory_equal_range_page_boundary;
     Alcotest.test_case "equal_range: unmapped vs mapped zeros" `Quick test_memory_equal_range_unmapped_vs_zero;
     Alcotest.test_case "equal_range is stack-safe on 1 MiB" `Quick test_memory_equal_range_large_stack_safe;
-    Alcotest.test_case "fill_words and blit" `Quick test_memory_fill_words_and_blit;
+    Alcotest.test_case "fill_words" `Quick test_memory_fill_words;
     Alcotest.test_case "heap-banked page index" `Quick test_memory_heap_banks;
-    Alcotest.test_case "page copy + footprint equality" `Quick test_memory_copy_page_equal_footprint;
+    Alcotest.test_case "footprint equality" `Quick test_memory_equal_footprint;
     Alcotest.test_case "allocator basics" `Quick test_allocator_basic;
     Alcotest.test_case "allocator recycles freed ranges" `Quick test_allocator_recycles;
     Alcotest.test_case "allocator rejects double free" `Quick test_allocator_double_free;

@@ -245,10 +245,100 @@ let test_checkpoint_redux_merge () =
   | [ (_, Privateer_interp.Value.VInt 142) ] -> ()
   | _ -> Alcotest.fail "expected 100 + 10 + 32 = 142"
 
+(* ---- reduction fold, property ------------------------------------------ *)
+
+(* [merge_redux] against the per-word left fold: each word's partials
+   folded over its base in contribution order.  One to three disjoint
+   ranges in the reduction heap (at most 300 words, byte sizes not
+   always a multiple of 8), any reduction operator, 1-24 workers whose
+   partials are written to real machines and extracted.  Floats
+   compare by their bits, so a fold in any other order fails. *)
+type redux_case = {
+  rc_ranges : (int * int * Ast.binop) list;
+  rc_base : Privateer_interp.Value.t array; (* per word, range order *)
+  rc_partials : Privateer_interp.Value.t array list; (* per worker *)
+}
+
+let range_words ranges =
+  List.concat_map
+    (fun (base, size, op) -> List.init ((size + 7) / 8) (fun w -> (base + (8 * w), op)))
+    ranges
+
+let redux_case_gen =
+  let open QCheck.Gen in
+  let value (op : Ast.binop) =
+    match op with
+    | Fadd | Fmul -> map (fun f -> Privateer_interp.Value.VFloat f) (float_range (-1e3) 1e3)
+    | _ -> map (fun i -> Privateer_interp.Value.VInt i) int
+  in
+  let* shapes =
+    list_size (int_range 1 3)
+      (triple (int_range 1 100) (int_range 0 7)
+         (oneofl Ast.[ Add; Mul; Band; Bor; Bxor; Fadd; Fmul ]))
+  in
+  let* gaps = list_repeat (List.length shapes) (int_range 0 64) in
+  let ranges, _ =
+    List.fold_left2
+      (fun (acc, next) (words, slack, op) gap ->
+        let base = next + (8 * gap) in
+        ((base, (8 * words) - slack, op) :: acc, base + (8 * words)))
+      ([], Heap.base Heap.Redux) shapes gaps
+  in
+  let ranges = List.rev ranges in
+  let per_word =
+    map Array.of_list (flatten_l (List.map (fun (_, op) -> value op) (range_words ranges)))
+  in
+  let* base = per_word in
+  let* partials = list_size (int_range 1 24) per_word in
+  return { rc_ranges = ranges; rc_base = base; rc_partials = partials }
+
+let redux_case_arb =
+  QCheck.make
+    ~print:(fun rc ->
+      Printf.sprintf "%d ranges (%s), %d workers" (List.length rc.rc_ranges)
+        (String.concat "; "
+           (List.map (fun (b, size, _) -> Printf.sprintf "0x%x+%d" b size) rc.rc_ranges))
+        (List.length rc.rc_partials))
+    redux_case_gen
+
+let prop_merge_redux_left_fold rc =
+  let words = range_words rc.rc_ranges in
+  let contribs =
+    List.mapi
+      (fun id partial ->
+        let m = Machine.create () in
+        List.iteri
+          (fun i (addr, _) ->
+            let bits, is_float = Privateer_interp.Value.to_bits partial.(i) in
+            Machine.write_word m addr bits is_float)
+          words;
+        Checkpoint.contribution_of_worker ~worker:id ~interval_start:0 m
+          ~redux_ranges:rc.rc_ranges ~reg_partials:[])
+      rc.rc_partials
+  in
+  let expected =
+    List.mapi
+      (fun i (addr, op) ->
+        ( addr,
+          List.fold_left
+            (fun acc partial -> Privateer_analysis.Reduction.merge_values op acc partial.(i))
+            rc.rc_base.(i) rc.rc_partials ))
+      words
+  in
+  let got =
+    Checkpoint.merge_redux ~redux_ranges:rc.rc_ranges
+      ~base:(List.mapi (fun i (addr, _) -> (addr, rc.rc_base.(i))) words)
+      contribs
+  in
+  List.equal
+    (fun (a, v) (b, w) ->
+      a = b && Privateer_interp.Value.to_bits v = Privateer_interp.Value.to_bits w)
+    expected got
+
 let test_checkpoint_reg_partials () =
   let mk p =
     { Checkpoint.worker = 0; writes = Hashtbl.create 1; live_in_reads = Hashtbl.create 1;
-      redux_words = []; reg_partials = [ ("terr", Privateer_interp.Value.VFloat p) ];
+      redux_words = [||]; reg_partials = [ ("terr", Privateer_interp.Value.VFloat p) ];
       pages_touched = 0 }
   in
   match
@@ -272,4 +362,7 @@ let suite =
     Alcotest.test_case "checkpoint phase-2 violation" `Quick test_checkpoint_phase2_violation;
     Alcotest.test_case "checkpoint preserves floats" `Quick test_checkpoint_float_preserved;
     Alcotest.test_case "checkpoint reduction merge" `Quick test_checkpoint_redux_merge;
-    Alcotest.test_case "checkpoint register partials" `Quick test_checkpoint_reg_partials ]
+    Alcotest.test_case "checkpoint register partials" `Quick test_checkpoint_reg_partials;
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:100 ~name:"merge_redux = per-word left fold" redux_case_arb
+         prop_merge_redux_left_fold) ]
