@@ -17,20 +17,19 @@ type t = {
   free_lists : (int, int list ref) Hashtbl.t; (* size -> addresses *)
   live : (int, int) Hashtbl.t; (* address -> size *)
   mutable live_count : int;
-  mutable total_allocs : int;
 }
 
 let alignment = 16
 
 let create heap =
   { heap; bump = Heap.base heap + alignment; free_lists = Hashtbl.create 16;
-    live = Hashtbl.create 64; live_count = 0; total_allocs = 0 }
+    live = Hashtbl.create 64; live_count = 0 }
 
 let copy t =
   let free_lists = Hashtbl.create 16 in
   Hashtbl.iter (fun k v -> Hashtbl.replace free_lists k (ref !v)) t.free_lists;
   { heap = t.heap; bump = t.bump; free_lists; live = Hashtbl.copy t.live;
-    live_count = t.live_count; total_allocs = t.total_allocs }
+    live_count = t.live_count }
 
 let round_up n = (n + alignment - 1) / alignment * alignment
 
@@ -51,7 +50,6 @@ let alloc t size =
   in
   Hashtbl.replace t.live addr size;
   t.live_count <- t.live_count + 1;
-  t.total_allocs <- t.total_allocs + 1;
   addr
 
 (* Returns the freed object's size; raises if [addr] is not live
@@ -68,9 +66,7 @@ let free t addr =
     size
 
 let live_count t = t.live_count
-let total_allocs t = t.total_allocs
 let is_live t addr = Hashtbl.mem t.live addr
-let live_size t addr = Hashtbl.find_opt t.live addr
 
 let bump t = t.bump
 let raise_bump t b = if b > t.bump then t.bump <- b

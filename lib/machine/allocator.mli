@@ -22,9 +22,7 @@ val alloc : t -> int -> int
 val free : t -> int -> int
 
 val live_count : t -> int
-val total_allocs : t -> int
 val is_live : t -> int -> bool
-val live_size : t -> int -> int option
 
 (** Highest bump offset reached (allocator commit support). *)
 val bump : t -> int

@@ -20,6 +20,30 @@
    at code 0 (live-in) with no explicit initialization, as in the
    paper.
 
+   In front of the banks sits a 64-slot direct-mapped page cache (a
+   software TLB): each slot holds one (page number, page) pair, so a
+   load, store or shadow access whose page is cached costs one array
+   probe instead of a hashtable lookup.  An unmapped page is cached
+   as [absent], a shared all-zero page that nothing writes and no
+   function returns.  Coherence rests on three facts:
+   - only [touch_page] maps or replaces a page in a memory's own
+     banks (a fresh page or a copy-on-write clone), and it refills
+     the page's slot when it does;
+   - nothing removes a page from a bank;
+   - [snapshot] gives the child an empty cache, and the parent's
+     cached entries stay valid because copy-on-write state lives on
+     the page ([shared]), so the parent's next write still clones.
+   A read therefore writes the memory's own cache.  That is safe
+   because a memory is used only by the domain running its job.
+
+   [written_this_interval] mirrors dirty-set membership: an unshared
+   page is flagged only by its own memory's [touch_page], which adds
+   it to the dirty set, and unflagged only by that memory's
+   [clear_dirty], which empties the set.  So [touch_page] returns an
+   unshared, flagged page as it is, with no dirty-set insert.  A
+   shared page always takes the slow path: its flag may have been set
+   by another memory.
+
    Because the interpreter is dynamically typed, each 8-byte-aligned
    word carries a one-byte "float tag" recording whether the last full
    word store was a float; partial (byte) stores clear the tag. *)
@@ -63,19 +87,34 @@ type page = {
          [timestamp_bytes] this count is never bulk-zeroed. *)
 }
 
-type t = {
-  banks : (int, page) Hashtbl.t array; (* heap tag -> page number -> page *)
-  dirty : (int, unit) Hashtbl.t array; (* heap tag -> dirty page numbers *)
-}
-
-let create () =
-  { banks = Array.init n_heaps (fun _ -> Hashtbl.create 16);
-    dirty = Array.init n_heaps (fun _ -> Hashtbl.create 8) }
-
 let fresh_page () =
   { bytes = Bytes.make page_size '\000'; ftags = Bytes.make words_per_page '\000';
     shared = false; any_timestamp = false; any_live_in_read = false;
     written_this_interval = false; timestamp_bytes = 0; live_in_bytes = 0 }
+
+(* What the page cache holds for an unmapped page: reads of it see
+   zeros, [find_page] maps it to [None] and [touch_page] replaces it. *)
+let absent = fresh_page ()
+
+let cache_slots = 64
+
+(* Mixing in the heap tag keeps a private page and its shadow twin,
+   whose page numbers differ only in the tag, out of each other's
+   slot. *)
+let slot_of_key key = (key + (9 * tag_of_key key)) land (cache_slots - 1)
+
+type t = {
+  banks : (int, page) Hashtbl.t array; (* heap tag -> page number -> page *)
+  dirty : (int, unit) Hashtbl.t array; (* heap tag -> dirty page numbers *)
+  cache_keys : int array; (* slot -> cached page number, -1 when empty *)
+  cache_pages : page array; (* slot -> its page, or [absent] *)
+}
+
+let create () =
+  { banks = Array.init n_heaps (fun _ -> Hashtbl.create 16);
+    dirty = Array.init n_heaps (fun _ -> Hashtbl.create 8);
+    cache_keys = Array.make cache_slots (-1);
+    cache_pages = Array.make cache_slots absent }
 
 (* The clone inherits the summary flags and the exact mark counts:
    they describe page content, which the copy shares at clone time. *)
@@ -122,36 +161,53 @@ let add_timestamp_bytes p n = p.timestamp_bytes <- p.timestamp_bytes + n
 let live_in_bytes p = p.live_in_bytes
 let add_live_in_bytes p n = p.live_in_bytes <- p.live_in_bytes + n
 
-(* Page for reading: never allocates; None means all-zero. *)
-let find_page t addr =
-  let key = page_of_addr addr in
-  Hashtbl.find_opt t.banks.(tag_of_key key) key
+(* The page numbered [key], or [absent]: one probe on a cache hit,
+   one bank lookup and a slot refill on a miss. *)
+let lookup t key =
+  let slot = slot_of_key key in
+  if Array.unsafe_get t.cache_keys slot = key then Array.unsafe_get t.cache_pages slot
+  else begin
+    let p =
+      match Hashtbl.find_opt t.banks.(tag_of_key key) key with
+      | Some p -> p
+      | None -> absent
+    in
+    t.cache_keys.(slot) <- key;
+    t.cache_pages.(slot) <- p;
+    p
+  end
 
-(* Page for writing: allocates or clones as needed, marks dirty. *)
+(* Page for reading: never maps or clones; None means all-zero. *)
+let find_page t addr =
+  let p = lookup t (page_of_addr addr) in
+  if p == absent then None else Some p
+
+(* Page for writing: allocates or clones as needed, marks dirty.  A
+   page already dirty this interval and not shared is returned as is
+   (see the header). *)
 let touch_page t addr =
   let key = page_of_addr addr in
-  let tag = tag_of_key key in
-  Hashtbl.replace t.dirty.(tag) key ();
-  let bank = t.banks.(tag) in
-  match Hashtbl.find_opt bank key with
-  | None ->
-    let p = fresh_page () in
+  let p = lookup t key in
+  if p.written_this_interval && not p.shared then p
+  else begin
+    let tag = tag_of_key key in
+    Hashtbl.replace t.dirty.(tag) key ();
+    let p =
+      if p == absent || p.shared then begin
+        let p' = if p == absent then fresh_page () else clone_page p in
+        Hashtbl.replace t.banks.(tag) key p';
+        (* [lookup] left [key] in its slot. *)
+        t.cache_pages.(slot_of_key key) <- p';
+        p'
+      end
+      else p
+    in
     p.written_this_interval <- true;
-    Hashtbl.replace bank key p;
     p
-  | Some p when p.shared ->
-    let p' = clone_page p in
-    p'.written_this_interval <- true;
-    Hashtbl.replace bank key p';
-    p'
-  | Some p ->
-    p.written_this_interval <- true;
-    p
+  end
 
 let read_byte t addr =
-  match find_page t addr with
-  | None -> 0
-  | Some p -> Char.code (Bytes.get p.bytes (offset_of_addr addr))
+  Char.code (Bytes.get (lookup t (page_of_addr addr)).bytes (offset_of_addr addr))
 
 let write_byte t addr v =
   let p = touch_page t addr in
@@ -165,10 +221,8 @@ let write_byte t addr v =
 let read_word t addr =
   let off = offset_of_addr addr in
   if off land 7 = 0 then
-    match find_page t addr with
-    | None -> (0L, false)
-    | Some p ->
-      (Bytes.get_int64_le p.bytes off, Bytes.get p.ftags (off lsr 3) <> '\000')
+    let p = lookup t (page_of_addr addr) in
+    (Bytes.get_int64_le p.bytes off, Bytes.get p.ftags (off lsr 3) <> '\000')
   else begin
     (* Unaligned (possibly page-crossing): assemble byte by byte. *)
     let v = ref 0L in

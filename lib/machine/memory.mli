@@ -14,7 +14,12 @@
     Unmapped pages read as zero (so shadow metadata starts at code 0,
     live-in, with no initialization).  Each 8-byte-aligned word carries
     a float tag so the dynamically-typed interpreter can round-trip
-    floats; partial (byte) stores clear the tag. *)
+    floats; partial (byte) stores clear the tag.
+
+    Each memory resolves pages through its own small page cache (a
+    software TLB in front of the page tables), so even a read writes
+    the memory it reads.  A memory must therefore be used by one domain
+    at a time: the domain running its job. *)
 
 val page_shift : int
 (** log2 of the page size (12). *)
@@ -91,7 +96,8 @@ val create : unit -> t
 (** An empty memory (every read sees zero). *)
 
 (** Copy-on-write child sharing every current page with the parent;
-    either side's first write to a shared page clones it. *)
+    either side's first write to a shared page clones it.  The child
+    starts with an empty page cache. *)
 val snapshot : t -> t
 
 val page_of_addr : int -> int
@@ -104,13 +110,15 @@ val offset_of_addr : int -> int
 val base_of_page : int -> int
 
 (** The page containing [addr], for reading; [None] means all-zero.
-    Never allocates or clones. *)
+    Never maps a page or clones one; it only refills the memory's page
+    cache on a miss. *)
 val find_page : t -> int -> page option
 
 (** The page containing [addr], for writing: allocates or clones
-    (copy-on-write) as needed and marks the page dirty.  Resolving the
-    page once and then mutating [page_bytes] is the sanctioned bulk
-    write path. *)
+    (copy-on-write) as needed, marks the page dirty and caches it.  A
+    page already written this interval and not shared is returned
+    without touching the dirty set.  Resolving the page once and then
+    mutating [page_bytes] is the sanctioned bulk write path. *)
 val touch_page : t -> int -> page
 
 (** Read one byte (0 for unmapped memory). *)

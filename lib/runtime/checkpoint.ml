@@ -22,9 +22,9 @@ module Clock = Privateer_support.Clock
 type word_write = { iter : int; bits : int64; is_float : bool }
 
 (* The 8-byte word containing a byte address.  Writes are tracked at
-   word granularity (to preserve float tags); this is the one mask
-   that maps a byte-granular shadow mark onto that index, used by both
-   the extraction scan and the phase-2 probe. *)
+   word granularity (to preserve float tags); this is the mask that
+   maps a byte-granular live-in mark onto that index in the phase-2
+   probe. *)
 let word_base addr = addr land lnot 7
 
 type contribution = {
@@ -49,6 +49,14 @@ type contribution = {
    skipped without a scan; flagged pages are scanned word-wise directly
    on the page bytes (an all-zero metadata word is all live-in).
 
+   Each nonzero metadata word is decided once: its read-live-in bytes
+   go into [live_in_reads] one by one, and its largest timestamp makes
+   its one [writes] entry.  That equals keeping, byte by byte, each
+   later iteration than the word's entry so far, because [writes]
+   holds no entry for the word when its scan starts: a word's eight
+   metadata bytes sit on one shadow page, and extraction visits each
+   dirty page once.
+
    The scan is bounded by the page's exact mark counts: once
    [timestamp_bytes + live_in_bytes] marked bytes have been found, the
    rest of the page is provably unmarked (live-in or old-write) and
@@ -69,35 +77,28 @@ let scan_page ~interval_start mem key writes live_in_reads =
       in
       let off = ref 0 in
       while !remaining > 0 && !off < Memory.page_size do
-        if Bytes.get_int64_le bytes !off = 0L then off := !off + 8
-        else begin
-          let fin = !off + 8 in
-          while !off < fin do
-            let m = Char.code (Bytes.unsafe_get bytes !off) in
+        let word = !off in
+        if Bytes.get_int64_le bytes word <> 0L then begin
+          let latest = ref 0 in
+          for i = word to word + 7 do
+            let m = Char.code (Bytes.unsafe_get bytes i) in
             if Shadow.is_timestamp m then begin
               decr remaining;
-              let private_addr = Heap.private_of_shadow (base + !off) in
-              let word_addr = word_base private_addr in
-              let iter = Shadow.iteration_of_timestamp ~interval_start m in
-              let keep =
-                match Hashtbl.find_opt writes word_addr with
-                | Some prev -> iter > prev.iter
-                | None -> true
-              in
-              if keep then begin
-                let bits, is_float = Memory.read_word mem word_addr in
-                Hashtbl.replace writes word_addr { iter; bits; is_float }
-              end
+              if m > !latest then latest := m
             end
             else if m = Shadow.read_live_in then begin
               decr remaining;
-              Hashtbl.replace live_in_reads
-                (Heap.private_of_shadow (base + !off))
-                ()
-            end;
-            incr off
-          done
-        end
+              Hashtbl.replace live_in_reads (Heap.private_of_shadow (base + i)) ()
+            end
+          done;
+          if !latest > 0 then begin
+            let word_addr = Heap.private_of_shadow (base + word) in
+            let iter = Shadow.iteration_of_timestamp ~interval_start !latest in
+            let bits, is_float = Memory.read_word mem word_addr in
+            Hashtbl.replace writes word_addr { iter; bits; is_float }
+          end
+        end;
+        off := word + 8
       done
     end
 

@@ -18,9 +18,8 @@ type word_write = { iter : int; bits : int64; is_float : bool }
 
 val word_base : int -> int
 (** The 8-byte word containing a byte address ([addr land lnot 7]) —
-    the mask mapping byte-granular shadow marks onto the word-granular
-    write tracking, shared by the extraction scan and the phase-2
-    probe. *)
+    the mask mapping byte-granular live-in marks onto the word-granular
+    write tracking in the phase-2 probe. *)
 
 (** One worker's interval state, as extracted from its dirty shadow
     pages. *)

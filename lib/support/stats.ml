@@ -15,11 +15,3 @@ let geomean = function
 let percent part whole = if whole = 0.0 then 0.0 else 100.0 *. part /. whole
 
 let clamp lo hi x = if x < lo then lo else if x > hi then hi else x
-
-let round_to digits x =
-  let f = 10.0 ** float_of_int digits in
-  Float.round (x *. f) /. f
-
-(* Sum of an int list / float list without Fun.flip noise at call sites. *)
-let sum_int = List.fold_left ( + ) 0
-let sum_float = List.fold_left ( +. ) 0.0

@@ -11,9 +11,3 @@ val geomean : float list -> float
 val percent : float -> float -> float
 
 val clamp : float -> float -> float -> float
-
-(** Round to the given number of decimal digits. *)
-val round_to : int -> float -> float
-
-val sum_int : int list -> int
-val sum_float : float list -> float

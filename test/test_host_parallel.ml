@@ -4,7 +4,9 @@
    - qcheck: cohort extraction equals the single-worker path run
      worker by worker;
    - qcheck: the early-exit page scan equals a byte-wise oracle that
-     ignores the mark counts, so it can never under-read;
+     ignores the mark counts, so it can never under-read, on words
+     whose bytes were written at different iterations, in a second
+     interval after a reset;
    - qcheck: the merge equals a nested-scan oracle with no writer
      index at all, and re-merging through the carried [merge_state]
      is idempotent;
@@ -150,12 +152,80 @@ let naive_tables ~interval_start (m : Machine.t) =
     (Memory.dirty_pages ~heap:Heap.Shadow mem);
   (writes, live_in_reads)
 
-let prop_early_exit_scan_matches_bytewise workerses =
-  let reqs = reqs_of ~interval_start:0 workerses in
-  let extracted = Checkpoint.extract ~interval_start:0 reqs in
+(* Ops that let one metadata word hold bytes written at different
+   iterations: (page, offset, kind, iter, value, size).  Kind 0 writes
+   an aligned word, kinds 1-2 write [size] (1-8) bytes at any offset,
+   page-crossing included, kind 3 reads [size] bytes as live-in.
+   Offsets cluster at the head and the tail of a page so that ranges
+   overlap and cross pages; [iter] counts from the interval start. *)
+let mixed_op_gen =
+  QCheck.Gen.(
+    int_bound 7 >>= fun page ->
+    oneof
+      [ int_bound 63;
+        map (fun k -> Memory.page_size - 16 + k) (int_bound 15);
+        int_bound (Memory.page_size - 1) ]
+    >>= fun off ->
+    int_bound 3 >>= fun kind ->
+    int_bound 20 >>= fun iter ->
+    int_range 1 8 >>= fun size ->
+    map (fun value -> (page, off, kind, iter, value, size)) (int_bound 1_000_000))
+
+let apply_mixed_op m ~interval_start (page, off, kind, iter, value, size) =
+  let addr = Heap.base Heap.Private + (page * Memory.page_size) + off in
+  let beta = Shadow.timestamp ~iter:(interval_start + iter) ~interval_start in
+  try
+    if kind = 0 then begin
+      let addr = Checkpoint.word_base addr in
+      Shadow.access m Shadow.Write ~addr ~size:8 ~beta;
+      Machine.set_int m addr value
+    end
+    else if kind < 3 then begin
+      Shadow.access m Shadow.Write ~addr ~size ~beta;
+      for i = 0 to size - 1 do
+        Machine.write_byte m (addr + i) (value lsr (8 * i))
+      done
+    end
+    else Shadow.access m Shadow.Read ~addr ~size ~beta
+  with Misspec.Misspeculation _ -> ()
+
+(* A worker machine in its second interval: the first phase's ops,
+   the commit's interval reset and [clear_dirty], then the second
+   phase's ops, 21 iterations later. *)
+let build_two_phase_machine ~start (phase1, phase2) =
+  let m = Machine.create () in
+  Memory.clear_dirty m.Machine.mem;
+  List.iter (apply_mixed_op m ~interval_start:start) phase1;
+  ignore (Shadow.reset_interval m);
+  Memory.clear_dirty m.Machine.mem;
+  List.iter (apply_mixed_op m ~interval_start:(start + 21)) phase2;
+  m
+
+let two_phase_arb =
+  QCheck.make
+    ~print:(fun (start, ws) ->
+      Printf.sprintf "start %d, %s" start
+        (String.concat "+"
+           (List.map (fun (a, b) -> ops_print a ^ "/" ^ ops_print b) ws)))
+    QCheck.Gen.(
+      pair (int_bound 10_000)
+        (list_size (int_range 1 4)
+           (pair (list_size (int_bound 60) mixed_op_gen)
+              (list_size (int_bound 60) mixed_op_gen))))
+
+let prop_early_exit_scan_matches_bytewise (start, workers) =
+  let interval_start = start + 21 in
+  let reqs =
+    List.mapi
+      (fun i phases ->
+        { Checkpoint.req_worker = i; req_machine = build_two_phase_machine ~start phases;
+          req_redux_ranges = []; req_reg_partials = [] })
+      workers
+  in
+  let extracted = Checkpoint.extract ~interval_start reqs in
   List.for_all2
     (fun (req : Checkpoint.extract_request) (c : Checkpoint.contribution) ->
-      let writes, live_in = naive_tables ~interval_start:0 req.req_machine in
+      let writes, live_in = naive_tables ~interval_start req.req_machine in
       tbl_equal writes c.writes && tbl_equal live_in c.live_in_reads)
     reqs extracted
 
@@ -758,8 +828,8 @@ let suite =
   List.map QCheck_alcotest.to_alcotest
     [ QCheck.Test.make ~count:60 ~name:"extraction = single-worker path"
         worker_ops_arb prop_extraction_equals_per_worker;
-      QCheck.Test.make ~count:60 ~name:"early-exit scan = byte-wise oracle"
-        worker_ops_arb prop_early_exit_scan_matches_bytewise;
+      QCheck.Test.make ~count:100 ~name:"early-exit scan = byte-wise oracle"
+        two_phase_arb prop_early_exit_scan_matches_bytewise;
       QCheck.Test.make ~count:60 ~name:"merge = nested-scan oracle"
         worker_ops_arb prop_merge_matches_oracle;
       QCheck.Test.make ~count:60 ~name:"incremental merge = rebuilt index"

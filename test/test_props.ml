@@ -4,8 +4,9 @@
    - the interval map behaves like a naive model;
    - the allocator never hands out overlapping live ranges and always
      stays within its heap's tagged range;
-   - copy-on-write snapshots are bidirectionally isolated under random
-     write sequences;
+   - copy-on-write snapshots, snapshots of snapshots included, stay
+     isolated and agree with a byte model (reads, float tags, dirty
+     sets) while their page caches share, evict and refill slots;
    - the shadow metadata machine agrees with an oracle that tracks
      the full access history of a byte (the privatization criterion);
    - randomly generated privatizable loop programs execute identically
@@ -97,39 +98,217 @@ let prop_allocator_no_overlap script =
     script;
   !ok && Allocator.live_count a = List.length !live
 
-(* ---- COW isolation ------------------------------------------------------ *)
+(* ---- COW snapshots and the page cache vs a byte model ------------------- *)
 
-let cow_script_arb =
-  QCheck.make
-    ~print:(fun l -> string_of_int (List.length l) ^ " writes")
-    QCheck.Gen.(list_size (int_bound 120) (pair (int_bound 5000) (int_bound 255)))
+(* Scripts over a parent memory and up to three copy-on-write
+   snapshots (snapshots of snapshots included), checked op by op
+   against a plain model per memory: a byte map, the word float tags,
+   and the dirty and mapped page sets.  Addresses span more than 64
+   pages of the Default, Private and Shadow heaps, and an op may reuse
+   a recent address, its private/shadow twin, or the page 64 pages
+   further on in the same heap, so page-cache slots are shared,
+   evicted and refilled while snapshots share and clone pages. *)
 
-let prop_cow_isolation writes =
+type mem_op =
+  | Read_byte of int * int (* memory, address *)
+  | Read_word of int * int
+  | Write_byte of int * int * int
+  | Write_word of int * int * int64 * bool
+  | Fill_words of int * int * int * int64 * bool (* memory, address, words, bits, float *)
+  | Clear_dirty of int
+  | Snapshot of int (* source memory *)
+
+let max_memories = 4
+
+let cow_pages = List.init 8 Fun.id @ List.init 8 (( + ) 36) @ List.init 8 (( + ) 64)
+
+let cow_addr_gen =
+  QCheck.Gen.(
+    map3
+      (fun heap page off ->
+        Privateer_ir.Heap.base heap + (page * Privateer_machine.Memory.page_size) + off)
+      (oneofl Privateer_ir.Heap.[ Default; Private; Shadow ])
+      (oneofl cow_pages)
+      (* the head or the tail of a page, so word ops cross pages *)
+      (oneof
+         [ int_bound 40; map (fun k -> Privateer_machine.Memory.page_size - 24 + k) (int_bound 23) ]))
+
+(* An op's address: a fresh one, or derived from one of the last
+   eight addresses. *)
+let resolve_addr recent fresh pick =
+  let open Privateer_ir in
+  match List.nth_opt recent (pick mod 8) with
+  | Some a when pick < 8 -> a
+  | Some a when pick < 10 && (Heap.check a Heap.Private || Heap.check a Heap.Shadow) ->
+    a lxor Heap.private_shadow_bit
+  | Some a when pick < 12 -> a + (64 * Privateer_machine.Memory.page_size)
+  | _ -> fresh
+
+let mem_ops_gen =
+  QCheck.Gen.(
+    list_size (int_bound 150)
+      (map3
+         (fun (kind, m, pick) (fresh, align, v) (words, bits, is_float) ->
+           (kind, m, pick, fresh, align, v, words, bits, is_float))
+         (triple (int_bound 99) (int_bound (max_memories - 1)) (int_bound 15))
+         (triple cow_addr_gen bool (int_bound 255))
+         (triple (int_range 1 6) (map Int64.of_int int) bool))
+    >|= fun raw ->
+    let recent = ref [] in
+    List.map
+      (fun (kind, m, pick, fresh, align, v, words, bits, is_float) ->
+        let a = resolve_addr !recent fresh pick in
+        let a = if align then a land lnot 7 else a in
+        if kind < 90 then recent := a :: !recent;
+        if kind < 20 then Read_byte (m, a)
+        else if kind < 40 then Read_word (m, a)
+        else if kind < 60 then Write_byte (m, a, v)
+        else if kind < 82 then Write_word (m, a, bits, is_float)
+        else if kind < 90 then Fill_words (m, a, words, bits, is_float)
+        else if kind < 95 then Clear_dirty m
+        else Snapshot m)
+      raw)
+
+let mem_ops_arb =
+  QCheck.make ~print:(fun ops -> string_of_int (List.length ops) ^ " ops") mem_ops_gen
+
+type mem_model = {
+  bytes : (int, int) Hashtbl.t;
+  ftags : (int, bool) Hashtbl.t; (* word address -> float tag *)
+  dirty : (int, unit) Hashtbl.t; (* page numbers *)
+  mapped : (int, unit) Hashtbl.t;
+}
+
+let model_touch md addr =
+  let key = Privateer_machine.Memory.page_of_addr addr in
+  Hashtbl.replace md.dirty key ();
+  Hashtbl.replace md.mapped key ()
+
+let model_write_byte md addr v =
+  model_touch md addr;
+  Hashtbl.replace md.bytes addr (v land 0xff);
+  Hashtbl.replace md.ftags (addr land lnot 7) false
+
+let model_write_word md addr bits is_float =
+  for i = 0 to 7 do
+    model_write_byte md (addr + i)
+      (Int64.to_int (Int64.shift_right_logical bits (8 * i)) land 0xff)
+  done;
+  if addr land 7 = 0 then Hashtbl.replace md.ftags addr is_float
+
+let model_read_byte md addr = Option.value (Hashtbl.find_opt md.bytes addr) ~default:0
+
+let model_read_word md addr =
+  let bits = ref 0L in
+  for i = 7 downto 0 do
+    bits := Int64.logor (Int64.shift_left !bits 8) (Int64.of_int (model_read_byte md (addr + i)))
+  done;
+  ( !bits,
+    addr land 7 = 0 && Option.value (Hashtbl.find_opt md.ftags addr) ~default:false )
+
+let sorted_keys tbl = List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) tbl [])
+
+(* The memory's dirty sets, per heap and in total, equal the model's,
+   and every dirty page shows [written_this_interval]. *)
+let dirty_agrees mem md =
   let open Privateer_machine in
-  let parent = Memory.create () in
-  (* Seed the parent with every other write. *)
-  List.iteri (fun i (a, v) -> if i mod 2 = 0 then Memory.write_byte parent a v) writes;
-  let child = Memory.snapshot parent in
-  (* Divergent writes on both sides. *)
-  List.iteri
-    (fun i (a, v) ->
-      if i mod 3 = 0 then Memory.write_byte child a ((v + 1) land 0xff)
-      else if i mod 3 = 1 then Memory.write_byte parent a ((v + 2) land 0xff))
-    writes;
-  (* Replay both sides against reference hashtables. *)
-  let ref_parent = Hashtbl.create 64 and ref_child = Hashtbl.create 64 in
-  List.iteri (fun i (a, v) -> if i mod 2 = 0 then Hashtbl.replace ref_parent a v) writes;
-  Hashtbl.iter (fun a v -> Hashtbl.replace ref_child a v) ref_parent;
-  List.iteri
-    (fun i (a, v) ->
-      if i mod 3 = 0 then Hashtbl.replace ref_child a ((v + 1) land 0xff)
-      else if i mod 3 = 1 then Hashtbl.replace ref_parent a ((v + 2) land 0xff))
-    writes;
+  let model_dirty = sorted_keys md.dirty in
   List.for_all
-    (fun (a, _) ->
-      Memory.read_byte parent a = Option.value (Hashtbl.find_opt ref_parent a) ~default:0
-      && Memory.read_byte child a = Option.value (Hashtbl.find_opt ref_child a) ~default:0)
-    writes
+    (fun heap ->
+      List.sort compare (Memory.dirty_pages ~heap mem)
+      = List.filter
+          (fun key ->
+            Privateer_ir.Heap.check (Memory.base_of_page key) heap)
+          model_dirty)
+    Privateer_ir.Heap.all
+  && Memory.dirty_count mem = List.length model_dirty
+  && List.for_all
+       (fun key ->
+         match Memory.find_page mem (Memory.base_of_page key) with
+         | Some p -> Memory.written_this_interval p
+         | None -> false)
+       model_dirty
+
+let prop_cow_page_cache ops =
+  let open Privateer_machine in
+  let mems = ref [| Memory.create () |] in
+  let models =
+    ref
+      [| { bytes = Hashtbl.create 64; ftags = Hashtbl.create 16; dirty = Hashtbl.create 8;
+           mapped = Hashtbl.create 8 } |]
+  in
+  let touched = Hashtbl.create 64 in
+  let ok = ref true in
+  let pick m = m mod Array.length !mems in
+  List.iter
+    (fun op ->
+      (match op with
+      | Read_byte (m, a) ->
+        let m = pick m in
+        if Memory.read_byte !mems.(m) a <> model_read_byte !models.(m) a then ok := false
+      | Read_word (m, a) ->
+        let m = pick m in
+        if Memory.read_word !mems.(m) a <> model_read_word !models.(m) a then ok := false
+      | Write_byte (m, a, v) ->
+        let m = pick m in
+        Hashtbl.replace touched a ();
+        Memory.write_byte !mems.(m) a v;
+        model_write_byte !models.(m) a v
+      | Write_word (m, a, bits, is_float) ->
+        let m = pick m in
+        Hashtbl.replace touched a ();
+        Memory.write_word !mems.(m) a bits is_float;
+        model_write_word !models.(m) a bits is_float
+      | Fill_words (m, a, words, bits, is_float) ->
+        let m = pick m in
+        Memory.fill_words !mems.(m) a ~words bits is_float;
+        for w = 0 to words - 1 do
+          Hashtbl.replace touched (a + (8 * w)) ();
+          model_write_word !models.(m) (a + (8 * w)) bits is_float
+        done
+      | Clear_dirty m ->
+        let m = pick m in
+        Memory.clear_dirty !mems.(m);
+        Hashtbl.reset !models.(m).dirty
+      | Snapshot m ->
+        if Array.length !mems < max_memories then begin
+          let m = pick m in
+          let md = !models.(m) in
+          mems := Array.append !mems [| Memory.snapshot !mems.(m) |];
+          models :=
+            Array.append !models
+              [| { bytes = Hashtbl.copy md.bytes; ftags = Hashtbl.copy md.ftags;
+                   dirty = Hashtbl.create 8; mapped = Hashtbl.copy md.mapped } |]
+        end);
+      Array.iteri
+        (fun m mem ->
+          let md = !models.(m) in
+          if not (dirty_agrees mem md) then ok := false;
+          (* An unmapped page is [None] to [find_page], never the
+             cache's stand-in for it. *)
+          List.iter
+            (fun a ->
+              let mapped = Hashtbl.mem md.mapped (Memory.page_of_addr a) in
+              if Option.is_some (Memory.find_page mem a) <> mapped then ok := false)
+            (match op with
+            | Read_byte (_, a) | Read_word (_, a) | Write_byte (_, a, _)
+            | Write_word (_, a, _, _) | Fill_words (_, a, _, _, _) -> [ a; a + 7 ]
+            | Clear_dirty _ | Snapshot _ -> []))
+        !mems)
+    ops;
+  (* Every memory still reads the model at every address written. *)
+  Hashtbl.iter
+    (fun a () ->
+      Array.iteri
+        (fun m mem ->
+          let md = !models.(m) in
+          for i = 0 to 7 do
+            if Memory.read_byte mem (a + i) <> model_read_byte md (a + i) then ok := false
+          done;
+          if Memory.read_word mem a <> model_read_word md a then ok := false)
+        !mems)
+    touched;
+  !ok
 
 (* ---- shadow machine vs history oracle ----------------------------------- *)
 
@@ -362,8 +541,8 @@ let suite =
         prop_interval_map_model;
       QCheck.Test.make ~count ~name:"allocator: live ranges disjoint + tagged"
         alloc_script_arb prop_allocator_no_overlap;
-      QCheck.Test.make ~count ~name:"COW snapshots isolated" cow_script_arb
-        prop_cow_isolation;
+      QCheck.Test.make ~count ~name:"COW snapshots isolated" mem_ops_arb
+        prop_cow_page_cache;
       QCheck.Test.make ~count:500 ~name:"shadow machine = history oracle" history_arb
         prop_shadow_vs_oracle;
       QCheck.Test.make ~count:300 ~name:"range-granular access = per-byte reference"
