@@ -43,31 +43,3 @@ let default =
     on_assert_value = (fun _ ~observed:_ ~expected:_ ~ok:_ -> ());
     on_branch = (fun _ ~taken:_ -> ());
     on_misspec = (fun _ ~reason:_ -> ()) }
-
-(* Compose two hook sets: [a] fires before [b] on every event. *)
-let compose a b =
-  { on_load =
-      (fun id ~addr ~size ~value ->
-        a.on_load id ~addr ~size ~value;
-        b.on_load id ~addr ~size ~value);
-    on_store =
-      (fun id ~addr ~size ~value ->
-        a.on_store id ~addr ~size ~value;
-        b.on_store id ~addr ~size ~value);
-    on_alloc =
-      (fun id ~ctx kind heap ~addr ~size ->
-        a.on_alloc id ~ctx kind heap ~addr ~size;
-        b.on_alloc id ~ctx kind heap ~addr ~size);
-    on_free =
-      (fun id ~addr ~size heap -> a.on_free id ~addr ~size heap; b.on_free id ~addr ~size heap);
-    on_loop_enter = (fun id -> a.on_loop_enter id; b.on_loop_enter id);
-    on_loop_iter = (fun id ~iter -> a.on_loop_iter id ~iter; b.on_loop_iter id ~iter);
-    on_loop_exit = (fun id ~trips -> a.on_loop_exit id ~trips; b.on_loop_exit id ~trips);
-    on_check_heap =
-      (fun id ~addr heap ~ok -> a.on_check_heap id ~addr heap ~ok; b.on_check_heap id ~addr heap ~ok);
-    on_assert_value =
-      (fun id ~observed ~expected ~ok ->
-        a.on_assert_value id ~observed ~expected ~ok;
-        b.on_assert_value id ~observed ~expected ~ok);
-    on_branch = (fun id ~taken -> a.on_branch id ~taken; b.on_branch id ~taken);
-    on_misspec = (fun id ~reason -> a.on_misspec id ~reason; b.on_misspec id ~reason) }

@@ -9,8 +9,18 @@
 
    [create] lowers every function once into OCaml closures: names are
    resolved at lowering time, so a local is an int slot in the frame's
-   value array, a global is its laid-out address boxed as a constant,
-   a callee is its lowered function, and each literal is boxed once.
+   value array, a global is its laid-out address and a callee is its
+   lowered function.  Each expression lowers to a typed code: a
+   constant (a literal or global address, boxed once for value
+   contexts), a slot read, or a closure known to return an [int], a
+   [float], a [bool] or a [Value.t] (8-byte loads and user calls).  Each
+   consumer reads its operands in the context it needs, so arithmetic,
+   addresses and conditions run unboxed, and a value is boxed only
+   where it crosses a dynamic boundary: a slot assignment, call
+   arguments and results, store values (the [on_store] hook's
+   [~value]), print arguments, [==]/[!=] unless both operands are ints,
+   and [assert_value].  The conversions are this module's own: the
+   default build compiles with [-opaque], so [Value]'s would be calls.
    The closures take the interpreter and the frame as arguments, so
    [fork] shares them.  The observables are fixed (test_interp pins
    them): one step per expression node and per statement, cycle
@@ -143,12 +153,93 @@ let render_format fmt args =
 
 (* ---- lowering ---------------------------------------------------------- *)
 
-type expr_code = t -> frame -> Value.t
+(* A lowered expression, by what it is known to produce.  A literal or
+   global address is a constant, boxed once for value contexts, and a
+   local read is its slot, so neither costs a closure call; every other
+   node is a closure whose result type is fixed at lowering. *)
+type expr =
+  | Const of Value.t
+  | Slot of int * string (* the slot, and the name for the unbound error *)
+  | Int_fn of (t -> frame -> int)
+  | Float_fn of (t -> frame -> float)
+  | Bool_fn of (t -> frame -> bool)
+  | Value_fn of (t -> frame -> Value.t)
+
 type stmt_code = t -> frame -> unit
 
-(* Evaluate argument closures left to right. *)
-let eval_args (args : expr_code array) st fr =
-  Array.to_list (Array.map (fun a -> a st fr) args)
+(* The value conversions, with [Value]'s error text.  They live here
+   because the default build compiles with [-opaque], so [Value]'s
+   would be real calls on the hot path. *)
+let[@inline never] not_an_int f = error "expected int, got float %g" f
+let[@inline] to_int : Value.t -> int = function VInt n -> n | VFloat f -> not_an_int f
+let[@inline] to_float : Value.t -> float = function VFloat f -> f | VInt n -> float_of_int n
+
+(* C-style truthiness: zero of either kind is false. *)
+let[@inline] truthy : Value.t -> bool = function VInt n -> n <> 0 | VFloat f -> f <> 0.0
+
+let[@inline never] unbound_local name = error "unbound local %s" name
+
+(* Reading an operand in the context its consumer needs.  A constant or
+   slot read is a node too: it counts its step here, when the consumer
+   reads it. *)
+
+let[@inline] read_slot st fr slot name =
+  step st;
+  let v = fr.slots.(slot) in
+  if v == unbound then unbound_local name else v
+
+let[@inline] read_value e st fr =
+  match e with
+  | Const v ->
+    step st;
+    v
+  | Slot (slot, name) -> read_slot st fr slot name
+  | Int_fn f -> Value.VInt (f st fr)
+  | Float_fn f -> Value.VFloat (f st fr)
+  | Bool_fn f -> of_bool (f st fr)
+  | Value_fn f -> f st fr
+
+let[@inline] read_int e st fr =
+  match e with
+  | Const v ->
+    step st;
+    to_int v
+  | Slot (slot, name) -> to_int (read_slot st fr slot name)
+  | Int_fn f -> f st fr
+  | Float_fn f -> not_an_int (f st fr)
+  | Bool_fn f -> Bool.to_int (f st fr)
+  | Value_fn f -> to_int (f st fr)
+
+let[@inline] read_float e st fr =
+  match e with
+  | Const v ->
+    step st;
+    to_float v
+  | Slot (slot, name) -> to_float (read_slot st fr slot name)
+  | Int_fn f -> float_of_int (f st fr)
+  | Float_fn f -> f st fr
+  | Bool_fn f -> if f st fr then 1.0 else 0.0
+  | Value_fn f -> to_float (f st fr)
+
+let[@inline] read_truth e st fr =
+  match e with
+  | Const v ->
+    step st;
+    truthy v
+  | Slot (slot, name) -> truthy (read_slot st fr slot name)
+  | Int_fn f -> f st fr <> 0
+  | Float_fn f -> f st fr <> 0.0
+  | Bool_fn f -> f st fr
+  | Value_fn f -> truthy (f st fr)
+
+(* Whether an integer consumer must convert the operand (and may fail):
+   everything but an int constant, an int closure or a condition. *)
+let checked = function
+  | Const (VInt _) | Int_fn _ | Bool_fn _ -> false
+  | Const (VFloat _) | Slot _ | Float_fn _ | Value_fn _ -> true
+
+(* Evaluate argument codes left to right, as values. *)
+let eval_args args st fr = Array.to_list (Array.map (fun a -> read_value a st fr) args)
 
 (* The slot table of one function: parameters first, then every other
    name it assigns or reads, in order of appearance. *)
@@ -164,314 +255,219 @@ let slot_table (f : Ast.func) =
   Ast.iter_exprs (function Ast.Local x -> add x | _ -> ()) f.body;
   names
 
-(* Binary operators, one closure each.  Integer operands convert right
-   to left: when both are floats, the error names the right one. *)
-let lower_binop (op : Ast.binop) c (a : expr_code) (b : expr_code) : expr_code =
-  let open Value in
-  match op with
-  | Add ->
-    fun st fr ->
-      step st;
-      let va = a st fr in
-      let vb = b st fr in
-      charge st c;
-      let y = as_int vb in
-      let x = as_int va in
-      VInt (x + y)
-  | Sub ->
-    fun st fr ->
-      step st;
-      let va = a st fr in
-      let vb = b st fr in
-      charge st c;
-      let y = as_int vb in
-      let x = as_int va in
-      VInt (x - y)
-  | Mul ->
-    fun st fr ->
-      step st;
-      let va = a st fr in
-      let vb = b st fr in
-      charge st c;
-      let y = as_int vb in
-      let x = as_int va in
-      VInt (x * y)
-  | Div ->
-    fun st fr ->
-      step st;
-      let va = a st fr in
-      let vb = b st fr in
-      charge st c;
-      let y = as_int vb in
-      let x = as_int va in
-      if y = 0 then error "division by zero" else VInt (x / y)
-  | Rem ->
-    fun st fr ->
-      step st;
-      let va = a st fr in
-      let vb = b st fr in
-      charge st c;
-      let y = as_int vb in
-      let x = as_int va in
-      if y = 0 then error "modulo by zero" else VInt (x mod y)
-  | Band ->
-    fun st fr ->
-      step st;
-      let va = a st fr in
-      let vb = b st fr in
-      charge st c;
-      let y = as_int vb in
-      let x = as_int va in
-      VInt (x land y)
-  | Bor ->
-    fun st fr ->
-      step st;
-      let va = a st fr in
-      let vb = b st fr in
-      charge st c;
-      let y = as_int vb in
-      let x = as_int va in
-      VInt (x lor y)
-  | Bxor ->
-    fun st fr ->
-      step st;
-      let va = a st fr in
-      let vb = b st fr in
-      charge st c;
-      let y = as_int vb in
-      let x = as_int va in
-      VInt (x lxor y)
-  | Shl ->
-    fun st fr ->
-      step st;
-      let va = a st fr in
-      let vb = b st fr in
-      charge st c;
-      let y = as_int vb in
-      let x = as_int va in
-      VInt (x lsl y)
-  | Shr ->
-    fun st fr ->
-      step st;
-      let va = a st fr in
-      let vb = b st fr in
-      charge st c;
-      let y = as_int vb in
-      let x = as_int va in
-      VInt (x lsr y)
-  | Lt ->
-    fun st fr ->
-      step st;
-      let va = a st fr in
-      let vb = b st fr in
-      charge st c;
-      let y = as_int vb in
-      let x = as_int va in
-      of_bool (x < y)
-  | Le ->
-    fun st fr ->
-      step st;
-      let va = a st fr in
-      let vb = b st fr in
-      charge st c;
-      let y = as_int vb in
-      let x = as_int va in
-      of_bool (x <= y)
-  | Gt ->
-    fun st fr ->
-      step st;
-      let va = a st fr in
-      let vb = b st fr in
-      charge st c;
-      let y = as_int vb in
-      let x = as_int va in
-      of_bool (x > y)
-  | Ge ->
-    fun st fr ->
-      step st;
-      let va = a st fr in
-      let vb = b st fr in
-      charge st c;
-      let y = as_int vb in
-      let x = as_int va in
-      of_bool (x >= y)
-  | Eq ->
-    fun st fr ->
-      step st;
-      let va = a st fr in
-      let vb = b st fr in
-      charge st c;
-      of_bool (equal va vb)
-  | Ne ->
-    fun st fr ->
-      step st;
-      let va = a st fr in
-      let vb = b st fr in
-      charge st c;
-      of_bool (not (equal va vb))
-  | Fadd ->
-    fun st fr ->
-      step st;
-      let va = a st fr in
-      let vb = b st fr in
-      charge st c;
-      let x = as_float va and y = as_float vb in
-      VFloat (x +. y)
-  | Fsub ->
-    fun st fr ->
-      step st;
-      let va = a st fr in
-      let vb = b st fr in
-      charge st c;
-      let x = as_float va and y = as_float vb in
-      VFloat (x -. y)
-  | Fmul ->
-    fun st fr ->
-      step st;
-      let va = a st fr in
-      let vb = b st fr in
-      charge st c;
-      let x = as_float va and y = as_float vb in
-      VFloat (x *. y)
-  | Fdiv ->
-    fun st fr ->
-      step st;
-      let va = a st fr in
-      let vb = b st fr in
-      charge st c;
-      let x = as_float va and y = as_float vb in
-      VFloat (x /. y)
-  | Flt ->
-    fun st fr ->
-      step st;
-      let va = a st fr in
-      let vb = b st fr in
-      charge st c;
-      let x = as_float va and y = as_float vb in
-      of_bool (x < y)
-  | Fle ->
-    fun st fr ->
-      step st;
-      let va = a st fr in
-      let vb = b st fr in
-      charge st c;
-      let x = as_float va and y = as_float vb in
-      of_bool (x <= y)
-  | Fgt ->
-    fun st fr ->
-      step st;
-      let va = a st fr in
-      let vb = b st fr in
-      charge st c;
-      let x = as_float va and y = as_float vb in
-      of_bool (x > y)
-  | Fge ->
-    fun st fr ->
-      step st;
-      let va = a st fr in
-      let vb = b st fr in
-      charge st c;
-      let x = as_float va and y = as_float vb in
-      of_bool (x >= y)
-  | Feq ->
-    fun st fr ->
-      step st;
-      let va = a st fr in
-      let vb = b st fr in
-      charge st c;
-      let x = as_float va and y = as_float vb in
-      of_bool (x = y)
-  | Fne ->
-    fun st fr ->
-      step st;
-      let va = a st fr in
-      let vb = b st fr in
-      charge st c;
-      let x = as_float va and y = as_float vb in
-      of_bool (x <> y)
+let[@inline never] division_by_zero () = error "division by zero"
+let[@inline never] modulo_by_zero () = error "modulo by zero"
 
-let lower_unop (op : Ast.unop) c (a : expr_code) : expr_code =
-  let open Value in
+(* An integer operator, typed by its result. *)
+type _ int_op = Arith : Ast.binop -> int int_op | Compare : Ast.binop -> bool int_op
+
+let[@inline] apply_int_op : type r. r int_op -> int -> int -> r =
+ fun op x y ->
   match op with
-  | Neg ->
+  | Arith Add -> x + y
+  | Arith Sub -> x - y
+  | Arith Mul -> x * y
+  | Arith Div -> if y = 0 then division_by_zero () else x / y
+  | Arith Rem -> if y = 0 then modulo_by_zero () else x mod y
+  | Arith Band -> x land y
+  | Arith Bor -> x lor y
+  | Arith Bxor -> x lxor y
+  | Arith Shl -> x lsl y
+  | Arith Shr -> x lsr y
+  | Compare Lt -> x < y
+  | Compare Le -> x <= y
+  | Compare Gt -> x > y
+  | Compare Ge -> x >= y
+  | Arith _ | Compare _ -> invalid_arg "Interp.apply_int_op"
+
+(* An integer operator: one closure shape per (left checked?, right
+   checked?) pair, with the operator's match inlined into each.  A
+   checked operand is read as a value and converted after the charge,
+   right first: when both are floats, the error names the right one. *)
+let int_shapes (type r) (op : r int_op) c a b : t -> frame -> r =
+  match (checked a, checked b) with
+  | false, false ->
     fun st fr ->
       step st;
-      let v = a st fr in
+      let x = read_int a st fr in
+      let y = read_int b st fr in
       charge st c;
-      VInt (-as_int v)
+      apply_int_op op x y
+  | true, false ->
+    fun st fr ->
+      step st;
+      let va = read_value a st fr in
+      let y = read_int b st fr in
+      charge st c;
+      apply_int_op op (to_int va) y
+  | false, true ->
+    fun st fr ->
+      step st;
+      let x = read_int a st fr in
+      let vb = read_value b st fr in
+      charge st c;
+      apply_int_op op x (to_int vb)
+  | true, true ->
+    fun st fr ->
+      step st;
+      let va = read_value a st fr in
+      let vb = read_value b st fr in
+      charge st c;
+      let y = to_int vb in
+      apply_int_op op (to_int va) y
+
+let lower_binop (op : Ast.binop) c a b =
+  match op with
+  | Add | Sub | Mul | Div | Rem | Band | Bor | Bxor | Shl | Shr ->
+    Int_fn (int_shapes (Arith op) c a b)
+  | Lt | Le | Gt | Ge -> Bool_fn (int_shapes (Compare op) c a b)
+  | Fadd | Fsub | Fmul | Fdiv ->
+    (* Float operators read their operands as floats, which never
+       fails. *)
+    Float_fn
+      (fun st fr ->
+        step st;
+        let x = read_float a st fr in
+        let y = read_float b st fr in
+        charge st c;
+        match op with
+        | Fadd -> x +. y
+        | Fsub -> x -. y
+        | Fmul -> x *. y
+        | _ -> x /. y)
+  | Flt | Fle | Fgt | Fge | Feq | Fne ->
+    Bool_fn
+      (fun st fr ->
+        step st;
+        let x = read_float a st fr in
+        let y = read_float b st fr in
+        charge st c;
+        match op with
+        | Flt -> x < y
+        | Fle -> x <= y
+        | Fgt -> x > y
+        | Fge -> x >= y
+        | Feq -> x = y
+        | _ -> x <> y)
+  | Eq | Ne ->
+    (* [Value.equal]'s rules: an int never equals a float, NaN equals
+       NaN.  Two int operands compare unboxed. *)
+    let eq = op = Eq in
+    if checked a || checked b then
+      Bool_fn
+        (fun st fr ->
+          step st;
+          let va = read_value a st fr in
+          let vb = read_value b st fr in
+          charge st c;
+          let equal =
+            match (va, vb) with VInt x, VInt y -> x = y | _ -> Value.equal va vb
+          in
+          equal = eq)
+    else
+      Bool_fn
+        (fun st fr ->
+          step st;
+          let x = read_int a st fr in
+          let y = read_int b st fr in
+          charge st c;
+          (x = y) = eq)
+
+let[@inline] int_unop (op : Ast.unop) x =
+  match op with Neg -> -x | Bnot -> lnot x | _ -> invalid_arg "Interp.int_unop"
+
+let lower_unop (op : Ast.unop) c a =
+  match op with
+  | Neg | Bnot ->
+    if checked a then
+      Int_fn
+        (fun st fr ->
+          step st;
+          let v = read_value a st fr in
+          charge st c;
+          int_unop op (to_int v))
+    else
+      Int_fn
+        (fun st fr ->
+          step st;
+          let x = read_int a st fr in
+          charge st c;
+          int_unop op x)
   | Not ->
-    fun st fr ->
-      step st;
-      let v = a st fr in
-      charge st c;
-      of_bool (not (to_bool v))
-  | Bnot ->
-    fun st fr ->
-      step st;
-      let v = a st fr in
-      charge st c;
-      VInt (lnot (as_int v))
+    Bool_fn
+      (fun st fr ->
+        step st;
+        let b = read_truth a st fr in
+        charge st c;
+        not b)
   | Fneg ->
-    fun st fr ->
-      step st;
-      let v = a st fr in
-      charge st c;
-      VFloat (-.as_float v)
-  | Ftoi ->
-    fun st fr ->
-      step st;
-      let v = a st fr in
-      charge st c;
-      VInt (int_of_float (as_float v))
+    Float_fn
+      (fun st fr ->
+        step st;
+        let x = read_float a st fr in
+        charge st c;
+        -.x)
   | Itof ->
-    fun st fr ->
-      step st;
-      let v = a st fr in
-      charge st c;
-      VFloat (as_float v)
+    Float_fn
+      (fun st fr ->
+        step st;
+        let x = read_float a st fr in
+        charge st c;
+        x)
+  | Ftoi ->
+    Int_fn
+      (fun st fr ->
+        step st;
+        let x = read_float a st fr in
+        charge st c;
+        int_of_float x)
 
 (* A builtin call: arguments, then the builtin charge, then the arity
    check and the operation. *)
-let lower_builtin (cost : Cost.t) name (args : expr_code array) : expr_code =
-  let open Value in
+let lower_builtin (cost : Cost.t) name args =
   let c = cost.c_builtin in
-  let arity_error st fr =
-    step st;
-    ignore (eval_args args st fr);
-    charge st c;
-    error "%s: arity" name
+  let arity_error =
+    Value_fn
+      (fun st fr ->
+        step st;
+        ignore (eval_args args st fr);
+        charge st c;
+        error "%s: arity" name)
   in
   let f1 f =
     match args with
     | [| a |] ->
-      fun st fr ->
-        step st;
-        let v = a st fr in
-        charge st c;
-        VFloat (f (as_float v))
+      Float_fn
+        (fun st fr ->
+          step st;
+          let x = read_float a st fr in
+          charge st c;
+          f x)
     | _ -> arity_error
   in
   let f2 f =
     match args with
     | [| a; b |] ->
-      fun st fr ->
-        step st;
-        let va = a st fr in
-        let vb = b st fr in
-        charge st c;
-        VFloat (f (as_float va) (as_float vb))
+      Float_fn
+        (fun st fr ->
+          step st;
+          let x = read_float a st fr in
+          let y = read_float b st fr in
+          charge st c;
+          f x y)
     | _ -> arity_error
   in
   let i2 f =
     match args with
     | [| a; b |] ->
-      fun st fr ->
-        step st;
-        let va = a st fr in
-        let vb = b st fr in
-        charge st c;
-        let y = as_int vb in
-        VInt (f (as_int va) y)
+      Int_fn
+        (fun st fr ->
+          step st;
+          let va = read_value a st fr in
+          let vb = read_value b st fr in
+          charge st c;
+          let y = to_int vb in
+          f (to_int va) y)
     | _ -> arity_error
   in
   match name with
@@ -490,11 +486,12 @@ let lower_builtin (cost : Cost.t) name (args : expr_code array) : expr_code =
   | "abs" -> (
     match args with
     | [| a |] ->
-      fun st fr ->
-        step st;
-        let v = a st fr in
-        charge st c;
-        VInt (abs (as_int v))
+      Int_fn
+        (fun st fr ->
+          step st;
+          let v = read_value a st fr in
+          charge st c;
+          abs (to_int v))
     | _ -> arity_error)
   | _ -> invalid_arg ("Interp: no implementation for builtin " ^ name)
 
@@ -526,74 +523,62 @@ type env = {
   e_fns : (string, fn) Hashtbl.t;
 }
 
-let rec lower_expr env names (e : Ast.expr) : expr_code =
+let rec lower_expr env names (e : Ast.expr) : expr =
   let cost = env.e_cost in
   match e with
-  | Int n ->
-    let v = Value.VInt n in
-    fun st _ ->
-      step st;
-      v
-  | Float f ->
-    let v = Value.VFloat f in
-    fun st _ ->
-      step st;
-      v
-  | Local name ->
-    let slot = Hashtbl.find names name in
-    fun st fr ->
-      step st;
-      let v = fr.slots.(slot) in
-      if v == unbound then error "unbound local %s" name else v
+  | Int n -> Const (VInt n)
+  | Float f -> Const (VFloat f)
+  | Local name -> Slot (Hashtbl.find names name, name)
   | Global_addr g -> (
     match Hashtbl.find_opt env.e_globals g with
-    | Some addr ->
-      let v = Value.VInt addr in
-      fun st _ ->
-        step st;
-        v
+    | Some addr -> Const (VInt addr)
     | None ->
-      fun st _ ->
-        step st;
-        error "unknown global %s" g)
+      Value_fn
+        (fun st _ ->
+          step st;
+          error "unknown global %s" g))
   | Load (id, size, ea) -> (
     let ea = lower_expr env names ea in
     let c = cost.c_load in
     match size with
     | S8 ->
-      fun st fr ->
-        step st;
-        let addr = Value.as_int (ea st fr) in
-        charge st c;
-        let bits, is_float = Machine.read_word st.machine addr in
-        let v = Value.of_bits bits is_float in
-        st.hooks.on_load id ~addr ~size:8 ~value:v;
-        v
+      Value_fn
+        (fun st fr ->
+          step st;
+          let addr = read_int ea st fr in
+          charge st c;
+          let bits, is_float = Machine.read_word st.machine addr in
+          let v = Value.of_bits bits is_float in
+          st.hooks.on_load id ~addr ~size:8 ~value:v;
+          v)
     | S1 ->
-      fun st fr ->
-        step st;
-        let addr = Value.as_int (ea st fr) in
-        charge st c;
-        let v = Value.VInt (Machine.read_byte st.machine addr) in
-        st.hooks.on_load id ~addr ~size:1 ~value:v;
-        v)
+      Int_fn
+        (fun st fr ->
+          step st;
+          let addr = read_int ea st fr in
+          charge st c;
+          let n = Machine.read_byte st.machine addr in
+          st.hooks.on_load id ~addr ~size:1 ~value:(VInt n);
+          n))
   | Unop (op, a) -> lower_unop op cost.c_arith (lower_expr env names a)
   | Binop (op, a, b) ->
     lower_binop op cost.c_arith (lower_expr env names a) (lower_expr env names b)
   | And (a, b) ->
     let a = lower_expr env names a and b = lower_expr env names b in
     let c = cost.c_branch in
-    fun st fr ->
-      step st;
-      charge st c;
-      if Value.to_bool (a st fr) then of_bool (Value.to_bool (b st fr)) else v_false
+    Bool_fn
+      (fun st fr ->
+        step st;
+        charge st c;
+        read_truth a st fr && read_truth b st fr)
   | Or (a, b) ->
     let a = lower_expr env names a and b = lower_expr env names b in
     let c = cost.c_branch in
-    fun st fr ->
-      step st;
-      charge st c;
-      if Value.to_bool (a st fr) then v_true else of_bool (Value.to_bool (b st fr))
+    Bool_fn
+      (fun st fr ->
+        step st;
+        charge st c;
+        read_truth a st fr || read_truth b st fr)
   | Call (id, fname, args) -> (
     let args = Array.of_list (List.map (lower_expr env names) args) in
     let nargs = Array.length args in
@@ -601,24 +586,27 @@ let rec lower_expr env names (e : Ast.expr) : expr_code =
     else
       match Hashtbl.find_opt env.e_fns fname with
       | None ->
-        fun st fr ->
-          step st;
-          ignore (eval_args args st fr);
-          error "call to undefined function %s" fname
+        Value_fn
+          (fun st fr ->
+            step st;
+            ignore (eval_args args st fr);
+            error "call to undefined function %s" fname)
       | Some fn when fn.arity <> nargs ->
-        fun st fr ->
-          step st;
-          ignore (eval_args args st fr);
-          error "%s: expected %d arguments, got %d" fname fn.arity nargs
+        Value_fn
+          (fun st fr ->
+            step st;
+            ignore (eval_args args st fr);
+            error "%s: expected %d arguments, got %d" fname fn.arity nargs)
       | Some fn ->
         let params = fn.param_slots in
-        fun st fr ->
-          step st;
-          let callee = new_frame fn in
-          for i = 0 to nargs - 1 do
-            callee.slots.(params.(i)) <- args.(i) st fr
-          done;
-          invoke cost st id fn callee)
+        Value_fn
+          (fun st fr ->
+            step st;
+            let callee = new_frame fn in
+            for i = 0 to nargs - 1 do
+              callee.slots.(params.(i)) <- read_value args.(i) st fr
+            done;
+            invoke cost st id fn callee))
   | Alloc (id, kind, heap, size_e) ->
     let size_e = lower_expr env names size_e in
     let c = cost.c_alloc in
@@ -628,17 +616,18 @@ let rec lower_expr env names (e : Ast.expr) : expr_code =
       | None, Ast.Malloc -> Heap.Default
       | None, Ast.Salloc -> Heap.Stack
     in
-    fun st fr ->
-      step st;
-      let size = Value.as_int (size_e st fr) in
-      if size < 0 then error "negative allocation size %d" size;
-      charge st c;
-      let addr = alloc st heap size in
-      st.hooks.on_alloc id ~ctx:st.ctx kind heap ~addr ~size;
-      (match kind with
-      | Salloc -> fr.frame_allocs <- (id, addr) :: fr.frame_allocs
-      | Malloc -> ());
-      Value.VInt addr
+    Int_fn
+      (fun st fr ->
+        step st;
+        let size = read_int size_e st fr in
+        if size < 0 then error "negative allocation size %d" size;
+        charge st c;
+        let addr = alloc st heap size in
+        st.hooks.on_alloc id ~ctx:st.ctx kind heap ~addr ~size;
+        (match kind with
+        | Salloc -> fr.frame_allocs <- (id, addr) :: fr.frame_allocs
+        | Malloc -> ());
+        addr)
 
 and lower_block env names blk : stmt_code =
   match Array.of_list (List.map (lower_stmt env names) blk) with
@@ -667,7 +656,7 @@ and lower_stmt env names (s : Ast.stmt) : stmt_code =
     let slot = Hashtbl.find names name and e = expr e in
     fun st fr ->
       step st;
-      fr.slots.(slot) <- e st fr
+      fr.slots.(slot) <- read_value e st fr
   | Store (id, size, ea, ev) -> (
     let ea = expr ea and ev = expr ev in
     let c = cost.c_store in
@@ -675,8 +664,8 @@ and lower_stmt env names (s : Ast.stmt) : stmt_code =
     | S8 ->
       fun st fr ->
         step st;
-        let addr = Value.as_int (ea st fr) in
-        let v = ev st fr in
+        let addr = read_int ea st fr in
+        let v = read_value ev st fr in
         charge st c;
         st.hooks.on_store id ~addr ~size:8 ~value:v;
         let bits, is_float = Value.to_bits v in
@@ -684,18 +673,18 @@ and lower_stmt env names (s : Ast.stmt) : stmt_code =
     | S1 ->
       fun st fr ->
         step st;
-        let addr = Value.as_int (ea st fr) in
-        let v = ev st fr in
+        let addr = read_int ea st fr in
+        let v = read_value ev st fr in
         charge st c;
         st.hooks.on_store id ~addr ~size:1 ~value:v;
-        Machine.write_byte st.machine addr (Value.as_int v))
+        Machine.write_byte st.machine addr (to_int v))
   | If (id, c, b1, b2) ->
     let cond = expr c and b1 = lower_block env names b1 and b2 = lower_block env names b2 in
     let c = cost.c_branch in
     fun st fr ->
       step st;
       charge st c;
-      let taken = Value.to_bool (cond st fr) in
+      let taken = read_truth cond st fr in
       st.hooks.on_branch id ~taken;
       if taken then b1 st fr else b2 st fr
   | While (id, cond, body) ->
@@ -711,7 +700,7 @@ and lower_stmt env names (s : Ast.stmt) : stmt_code =
          let continue_loop = ref true in
          while !continue_loop do
            charge st c;
-           if Value.to_bool (cond st fr) then begin
+           if read_truth cond st fr then begin
              st.hooks.on_loop_iter id ~iter:!iter;
              (try body st fr with Continue_exc -> ());
              incr iter
@@ -729,25 +718,25 @@ and lower_stmt env names (s : Ast.stmt) : stmt_code =
     let c = cost.c_branch in
     fun st fr ->
       step st;
-      let init = Value.as_int (init_e st fr) in
-      let limit = Value.as_int (limit_e st fr) in
+      let init = read_int init_e st fr in
+      let limit = read_int limit_e st fr in
       (match st.parallel_for with
       | Some handler when handler st fr loop ~init ~limit -> ()
       | Some _ | None ->
         st.hooks.on_loop_enter id;
         let saved_ctx = st.ctx in
         st.ctx <- id :: saved_ctx;
-        fr.slots.(slot) <- Value.VInt init;
+        fr.slots.(slot) <- VInt init;
         let iter = ref 0 in
         (try
            let continue_loop = ref true in
            while !continue_loop do
              charge st c;
-             if Value.as_int fr.slots.(slot) < limit then begin
+             if to_int fr.slots.(slot) < limit then begin
                st.hooks.on_loop_iter id ~iter:!iter;
                (try body st fr with Continue_exc -> ());
                incr iter;
-               fr.slots.(slot) <- Value.VInt (Value.as_int fr.slots.(slot) + 1)
+               fr.slots.(slot) <- VInt (to_int fr.slots.(slot) + 1)
              end
              else continue_loop := false
            done
@@ -758,13 +747,13 @@ and lower_stmt env names (s : Ast.stmt) : stmt_code =
     let e = expr e in
     fun st fr ->
       step st;
-      ignore (e st fr)
+      ignore (read_value e st fr)
   | Free (id, _, pe) ->
     let pe = expr pe in
     let c = cost.c_free in
     fun st fr ->
       step st;
-      let addr = Value.as_int (pe st fr) in
+      let addr = read_int pe st fr in
       charge st c;
       let heap, size = free st addr in
       st.hooks.on_free id ~addr ~size heap
@@ -772,7 +761,7 @@ and lower_stmt env names (s : Ast.stmt) : stmt_code =
     let e = expr e in
     fun st fr ->
       step st;
-      raise (Return_exc (e st fr))
+      raise (Return_exc (read_value e st fr))
   | Return None ->
     fun st _ ->
       step st;
@@ -798,7 +787,7 @@ and lower_stmt env names (s : Ast.stmt) : stmt_code =
     let c = cost.c_check_heap in
     fun st fr ->
       step st;
-      let addr = Value.as_int (pe st fr) in
+      let addr = read_int pe st fr in
       charge st c;
       st.hooks.on_check_heap id ~addr heap ~ok:(Heap.check addr heap)
   | Assert_value (id, e, expected) ->
@@ -807,7 +796,7 @@ and lower_stmt env names (s : Ast.stmt) : stmt_code =
     let expected_v = Value.VInt expected in
     fun st fr ->
       step st;
-      let v = e st fr in
+      let v = read_value e st fr in
       charge st c;
       st.hooks.on_assert_value id ~observed:v ~expected ~ok:(Value.equal v expected_v)
   | Misspec (id, reason) ->

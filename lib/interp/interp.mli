@@ -3,9 +3,19 @@
     [create] lays out the program's globals and lowers every function
     once into closures over a slot-indexed frame; profiling runs,
     sequential baselines, worker iterations and recovery all run that
-    lowered code.  Observables are fixed: one step per expression node
-    and per statement, cycle charges and hook events in evaluation
-    order, and the error texts of {!Runtime_error}. *)
+    lowered code.  Each expression lowers to a typed code: a constant
+    (a literal or global address), a slot read, or a closure known to
+    return an int, a float, a bool or a {!Value.t} (8-byte loads and
+    user calls).  Arithmetic, addresses and conditions therefore run
+    unboxed; a value is boxed only where it crosses a dynamic boundary
+    (a slot assignment, call arguments and results, store values, print
+    arguments, [==]/[!=] unless both operands are ints, and
+    [assert_value]).  The int/float conversions are the interpreter's
+    own, with {!Value}'s error text, because the default build compiles
+    with [-opaque] and cross-module calls do not inline.  Observables
+    are fixed: one step per expression node and per statement, cycle
+    charges and hook events in evaluation order, and the error texts of
+    {!Runtime_error}. *)
 
 open Privateer_ir
 open Privateer_machine
@@ -51,9 +61,6 @@ val create : ?cost:Cost.t -> ?max_steps:int -> Ast.program -> t
     program, layout and lowered code, fresh cycles, steps, hooks and
     output. *)
 val fork : t -> t
-
-(** Add simulated cycles to the run. *)
-val charge : t -> int -> unit
 
 (** Run the entry function; returns its result. *)
 val run_entry : t -> Value.t

@@ -5,11 +5,6 @@
 
 type t = VInt of int | VFloat of float
 
-let int n = VInt n
-let float f = VFloat f
-
-let to_bool = function VInt 0 -> false | VInt _ -> true | VFloat f -> f <> 0.0
-
 exception Runtime_error of string
 
 let not_an_int f = raise (Runtime_error (Printf.sprintf "expected int, got float %g" f))

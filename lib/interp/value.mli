@@ -3,12 +3,6 @@
 
 type t = VInt of int | VFloat of float
 
-val int : int -> t
-val float : float -> t
-
-(** C-style truthiness: zero (of either kind) is false. *)
-val to_bool : t -> bool
-
 (** Every program fault: a float where an int is expected here, and
     division by zero, an unbound local or a bad arity in the
     interpreter, which re-exports it as [Interp.Runtime_error]. *)

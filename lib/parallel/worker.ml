@@ -47,7 +47,7 @@ exception Worker_misspec of int * Misspec.reason (* iteration, reason *)
 (* ---- worker hooks ---------------------------------------------------- *)
 
 let charge_instr w n =
-  Interp.charge w.w_st n;
+  w.w_st.cycles <- w.w_st.cycles + n;
   w.w_instr <- w.w_instr + n
 
 (* Eager validation: publish a private access to the conflict board
@@ -74,23 +74,31 @@ let publish (env : env) w op ~addr ~size =
 let hooks (env : env) w : Hooks.t =
   let cm = env.cm in
   let stats = env.stats in
-  let separation_check id addr =
-    match Manifest.find_check env.manifest id with
+  (* The hot path makes no cross-module call to find the site check or
+     the heap: [checks] is read directly, and [heaps] maps an address
+     tag to its heap, built from [Heap]'s own encoding. *)
+  let checks = env.manifest.Manifest.checks in
+  let find_check id = if id < Array.length checks then checks.(id) else None in
+  let heaps = Array.init 8 Heap.of_tag in
+  let tag_mask = Heap.tag_mask and tag_shift = Heap.tag_shift in
+  let separation_check id addr heap =
+    match find_check id with
     | Some { expected = Some h; elided = false; _ } ->
       charge_instr w cm.c_check_heap;
       stats.separation_checks <- stats.separation_checks + 1;
-      if not (Heap.check addr h) then
+      if heap <> h then
         raise (Misspec.Misspeculation (Misspec.Separation { site = id; addr; expected = h }))
     | Some _ | None -> ()
   in
   let redux_ok id =
-    match Manifest.find_check env.manifest id with
+    match find_check id with
     | Some { redux_op = Some _; _ } -> true
     | Some _ | None -> false
   in
   let on_access ~is_read id ~addr ~size =
-    separation_check id addr;
-    match Heap.heap_of_addr addr with
+    let heap = heaps.((addr land tag_mask) lsr tag_shift) in
+    separation_check id addr heap;
+    match heap with
     | Heap.Private ->
       if is_read then begin
         charge_instr w (cm.c_private_read * ((size + 7) / 8));

@@ -12,7 +12,14 @@
                       the first iteration after the last checkpoint
 
    Checkpoints fire at least every [max_interval] iterations so
-   timestamps cannot overflow one byte. *)
+   timestamps cannot overflow one byte.
+
+   [access] decides an aligned 8-byte access whose eight metadata bytes
+   share one state (all live-in, old-write, read-live-in or the current
+   timestamp) on the metadata word: one 8-byte read and at most one
+   8-byte write, as the paper's few bit operations per private access.
+   Any other access, a mixed word included, runs the range-granular
+   per-byte loop, and the two agree byte for byte, count for count. *)
 
 open Privateer_ir
 open Privateer_machine
@@ -77,6 +84,52 @@ let transition op ~current ~beta : verdict =
       Fail (fun ~addr -> Misspec.Privacy_conservative { addr })
     else Update beta (* overwrite of this interval's earlier/current write *)
 
+(* The word whose eight bytes are all [b]. *)
+let[@inline] splat b = Int64.mul (Int64.of_int b) 0x0101010101010101L
+
+let all_live_in = splat live_in
+let all_old_write = splat old_write
+let all_read_live_in = splat read_live_in
+
+(* Table 2 on the aligned metadata word of an 8-byte access whose eight
+   bytes share one state: one word read and at most one word write.
+   Each case is what [range_access] does to such a word, down to the
+   page promotion, the summary flag and the exact counts; beta >= 3, so
+   the four patterns never overlap.  Returns false, having changed
+   nothing, on any other word. *)
+let word_access mem op ~addr ~beta =
+  let shadow = Heap.shadow_of_private addr in
+  let off = Memory.offset_of_addr shadow in
+  let w =
+    match Memory.find_page mem shadow with
+    | None -> all_live_in
+    | Some p -> Bytes.get_int64_le (Memory.page_bytes p) off
+  in
+  match op with
+  | Read ->
+    if Int64.equal w all_read_live_in || Int64.equal w (splat beta) then true
+    else if Int64.equal w all_live_in then begin
+      let p = Memory.touch_page mem shadow in
+      Memory.flag_live_in_read p;
+      Bytes.set_int64_le (Memory.page_bytes p) off all_read_live_in;
+      Memory.add_live_in_bytes p 8;
+      true
+    end
+    else false
+  | Write ->
+    if Int64.equal w (splat beta) then begin
+      Memory.flag_timestamp (Memory.touch_page mem shadow);
+      true
+    end
+    else if Int64.equal w all_live_in || Int64.equal w all_old_write then begin
+      let p = Memory.touch_page mem shadow in
+      Memory.flag_timestamp p;
+      Bytes.set_int64_le (Memory.page_bytes p) off (splat beta);
+      Memory.add_timestamp_bytes p 8;
+      true
+    end
+    else false
+
 (* Apply the transition to every metadata byte covering a private
    access.  Raises Misspec.Misspeculation on a violation.
 
@@ -100,8 +153,7 @@ let transition op ~current ~beta : verdict =
    test library (asserted by a qcheck property): same final metadata,
    same verdict at the same byte, same partial updates before a
    failing byte. *)
-let access machine op ~addr ~size ~beta =
-  let mem = machine.Machine.mem in
+let range_access mem op ~addr ~size ~beta =
   let pos = ref addr in
   let remaining = ref size in
   while !remaining > 0 do
@@ -164,6 +216,11 @@ let access machine op ~addr ~size ~beta =
     pos := !pos + chunk;
     remaining := !remaining - chunk
   done
+
+let access machine op ~addr ~size ~beta =
+  let mem = machine.Machine.mem in
+  if not (size = 8 && addr land 7 = 0 && word_access mem op ~addr ~beta) then
+    range_access mem op ~addr ~size ~beta
 
 (* In-place rewrite of one page's buffer: timestamps become old-write,
    everything else is preserved. *)

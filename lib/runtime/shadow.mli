@@ -68,11 +68,13 @@ type verdict =
 val transition : op -> current:int -> beta:int -> verdict
 
 (** Apply the transition to every metadata byte covering a private
-    access on the given worker machine.  Range-granular: one page
-    resolution per contiguous run, metadata transitioned directly on
-    the page bytes, page summary flags raised for the checkpoint and
-    reset scans, and the exact per-page timestamp-byte count
-    maintained for the reset's full-page fill.  Byte-for-byte
+    access on the given worker machine.  An aligned 8-byte access whose
+    eight metadata bytes share one state is decided on the metadata
+    word (one read, at most one write); any other is range-granular:
+    one page resolution per contiguous run, metadata transitioned
+    directly on the page bytes.  Both raise the page summary flags for
+    the checkpoint and reset scans and keep the exact per-page
+    timestamp and read-live-in counts.  Byte-for-byte
     equivalent to the per-byte reference oracle kept in the test
     library (property-tested).
     @raise Misspec.Misspeculation on a violation. *)

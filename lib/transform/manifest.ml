@@ -41,8 +41,6 @@ type t = {
   site_heap : (Objname.site * Heap.kind) list;
 }
 
-let find_check t id = if id < Array.length t.checks then t.checks.(id) else None
-
 let loop_spec t loop = List.find_opt (fun l -> l.loop = loop) t.loops
 
 let is_parallel_loop t loop = Option.is_some (loop_spec t loop)

@@ -336,7 +336,92 @@ fn main() { var p = malloc(16); for (i = 0; i < 16) { p[i] = i * i; } var a = fi
     ("type-error-operands", {|fn main() { var a = 1.5; var b = 2.5; return a - b; }|});
     ("type-error-store1", {|fn main() { var p = malloc(1); store1(p, 0.5); return 0; }|});
     ("type-error-bound", {|fn main() { var s = 0; for (i = 0; i < 2.5) { s = s + 1; } return s; }|});
-    ("float-store-load", {|global g[2]; fn main() { g[0] = 2.5; g[1] = g[0] *. 2.0; print("%f\n", g[1]); return ftoi(g[1]); }|}) ]
+    ("float-store-load", {|global g[2]; fn main() { g[0] = 2.5; g[1] = g[0] *. 2.0; print("%f\n", g[1]); return ftoi(g[1]); }|});
+    (* The operand-kind matrix: every operator reading each kind of
+       operand (literal, local, call result, 8-byte load, load1,
+       comparison) on each side, and the faults of the wrong kind. *)
+    ( "int-operand-kinds",
+      {|global g[2];
+fn three() { return 3; }
+fn lt(a, b) { return a < b; }
+fn main() {
+  var i = 7; var c = i < 9;
+  var p = malloc(3);
+  p[0] = 5; p[1] = i > 2; store1(p + 16, 9);
+  var s = (1 + i) * (i - 1) + three() * (three() + i) - (i - three()) + (c + 1) * (i - c);
+  s = s + (p[0] + 1) * (2 - p[0]) + (p[0] * three()) + (three() * p[0]) + (p[1] << p[0]);
+  s = s + (load1(p + 16) << 2) + (i >> 1) + (load1(p + 16) + p[0]) + (p[0] - load1(p + 16));
+  s = s + ((i < 9) + 1) * (2 + (i > 9)) + ((i == 7) - (i != 7)) + ((i <= 7) * load1(p + 16));
+  s = s + ((three() & p[0]) | (load1(p + 16) ^ three())) + ((p[0] >= three()) ^ (three() <= p[0]));
+  s = s + (p[0] / 2) + (17 % p[0]) + (three() / (i < 9)) + (i % three()) + (load1(p + 16) / load1(p + 16));
+  s = s + (p[0] < load1(p + 16)) + (load1(p + 16) > p[0]) + (three() < 4) + (2 >= three()) + lt(i, 8) * 100;
+  s = s + (-i) + (-three()) + (~p[0]) + (~(i < 9)) + (-load1(p + 16)) + ~7 + (i & 6) + (3 | i);
+  s = s + (i / -2) + (-7 % 3) + (1 << 62 >> 60) + (-1 >> 60) + (i * -(1 << 61));
+  s = s + min(i, p[0]) + max(three(), load1(p + 16)) + abs(-i) + abs(p[0] - 9) + min(i < 9, 0) + max(-3, 2);
+  g[0] = s; g[1] = g[0] + i;
+  print("%d %d %x\n", s, g[1] - g[0], lt(2, 1));
+  return s + (i << three()) + (p[0] << (i < 9)) + malloc(i < 9) - malloc(1);
+}|} );
+    ( "float-ops-int-operands",
+      {|fn two() { return 2; }
+fn half() { return 0.5; }
+fn main() {
+  var i = 3; var f = 0.25; var p = malloc(2); p[0] = 4; p[1] = 1.5; store1(p + 8, 6);
+  var x = (i +. 1) *. (two() -. 0.5) +. (p[0] /. 8) -. (load1(p + 8) *. 0.5) +. ((i < 4) +. 1.0);
+  var y = 1 +. 2 +. (f *. i) +. (half() -. two()) +. (p[1] /. p[0]) +. (-. i) +. itof(i) +. itof(f);
+  var z = sqrt(16) +. pow(two(), 3) +. fmin(i, 2.5) +. fmax(p[0], half()) +. fabs(-3) +. floor(i);
+  print("%f %f %f %d %d %d %d\n", x, y, z, i <. 3.5, two() >=. 2, p[0] ==. 4, load1(p + 8) !=. 6.0);
+  print("%f %d %d\n", 3, ftoi(i), ftoi(p[1] *. 3));
+  return ftoi(x *. 100.0) + ftoi(y) + ftoi(z) + (i <=. 3) + (p[0] >. two()) + (f <. i) + (half() >=. f);
+}|} );
+    ( "value-equality",
+      {|fn nan() { return 0.0 /. 0.0; }
+fn two() { return 2; }
+fn main() {
+  var i = 2; var f = 2.0; var n = 0.0 /. 0.0; var p = malloc(2); p[0] = 2.0; p[1] = 2;
+  var s = (i == f) + 2 * (i != f) + 4 * (f == 2.0) + 8 * (n == n) + 16 * (n != n)
+        + 32 * (n ==. n) + 64 * (nan() == n) + 128 * (p[1] == i) + 256 * ((i < 3) == 1) + 512 * (f != 2);
+  s = s + 1024 * (p[0] == p[1]) + 2048 * (p[0] == f) + 4096 * (two() == 2) + 8192 * (two() != p[1])
+        + 16384 * (nan() != nan()) + 32768 * (n == 0.0) + 65536 * ((1 < 2) == (2 > 1)) + 131072 * (2 == 2.0);
+  print("%d\n", s);
+  return s;
+}|} );
+    ( "truthiness",
+      {|fn half() { return 0.5; }
+fn main() {
+  var z = 0.0; var nz = -. 0.0; var h = 0.5; var n = 0.0 /. 0.0; var p = malloc(1); p[0] = 0.25;
+  var s = (!z) + 2 * (!h) + 4 * (!nz) + 8 * (!n) + 16 * (h && 2) + 32 * (z || 0) + 64 * (0 || h)
+        + 128 * (half() && p[0]) + 256 * (!p[0]) + 512 * (!(1 < 2)) + 1024 * (3 && (z || -1));
+  s = s + 2048 * (!0) + 4096 * (!7) + 8192 * (z && (1 / 0)) + 16384 * (h || (1 / 0)) + 32768 * (!half());
+  if (h) { s = s + 1; } if (z) { s = s + 100000; } if (p[0]) { s = s + 200000; } if (nz) { s = s + 400000; }
+  var k = 2.0; while (k) { k = k -. 1.0; s = s + 1000000; }
+  var j = 3; while (j) { j = j - 1; s = s + 10000000; }
+  if (1 < 2 && 2.5 >. 1) { s = s + 3; }
+  return s;
+}|} );
+    ("fault-left-load", {|fn main() { var p = malloc(2); p[1] = 0.25; return p[1] + 1; }|});
+    ("fault-right-call", {|fn fl() { return 1.5; } fn main() { return 2 * fl(); }|});
+    ( "fault-both-load-call",
+      {|fn fl() { return 1.5; } fn main() { var p = malloc(1); p[0] = 0.75; return p[0] << fl(); }|} );
+    ("fault-left-literal-cmp", {|fn main() { var i = 1; return 2.5 < i; }|});
+    ("fault-right-local-band", {|fn main() { var f = 0.125; return load1(8) & f; }|});
+    ("fault-right-float-op", {|fn main() { var i = 4; return (i < 5) - (i *. 2.0); }|});
+    ("fault-neg", {|fn main() { var f = 1.25; return -f; }|});
+    ("fault-bnot-load", {|fn main() { var p = malloc(1); p[0] = 3.5; return ~p[0]; }|});
+    ("div-zero-float-left", {|fn main() { var f = 4.5; return f / 0; }|});
+    ("rem-zero-float-left", {|fn main() { var p = malloc(1); p[0] = 6.5; return p[0] % (1 - 1); }|});
+    ("div-float-zero", {|fn main() { var i = 0; return 7 / 0.0; }|});
+    ("min-float-left", {|fn main() { var f = 1.5; return min(f, 2); }|});
+    ("max-float-right", {|fn fl() { return 2.5; } fn main() { return max(1, fl()); }|});
+    ("min-float-both", {|fn main() { return min(0.5, 0.75); }|});
+    ("abs-float", {|fn main() { var p = malloc(1); p[0] = -. 4.5; return abs(p[0]); }|});
+    ( "store1-float-call",
+      {|fn fl() { return 2.75; } fn main() { var p = malloc(2); store1(p + 8, 65); store1(p, fl()); return 0; }|} );
+    ("float-address", {|fn main() { var p = malloc(1); p[0] = 1.5; return load1(p[0]); }|});
+    ("float-alloc-size", {|fn main() { var n = 2; return malloc(n *. 1.25); }|});
+    ("float-for-init", {|fn main() { var s = 0; for (i = 0.5; i < 3) { s = s + 1; } return s; }|});
+    ("float-free", {|fn main() { var p = malloc(1); free(itof(p)); return 0; }|});
+    ("print-float-d", {|fn main() { print("%f %x", 3, 255); print("%d", 2.5); return 0; }|}) ]
 
 (* The statements only the transformation inserts. *)
 let inserted_checks () =
@@ -435,6 +520,56 @@ let expected_events =
       "0 events=0 cycles=10 steps=5 result=error: expected int, got float 2.5 output=d41d8cd98f00b204e9800998ecf8427e");
     ("float-store-load",
       "f0768a4ed157a2d events=5 cycles=102 steps=36 result=5 output=133a92c8f9dbf5fe9f494b6807193604");
+    ("int-operand-kinds",
+      "eadde86b280e01d events=41 cycles=838 steps=513 result=2305843009213694330 output=f2e19dfe1d0c39287653a47d1941ce13");
+    ("float-ops-int-operands",
+      "7ade592aaa648186 events=13 cycles=490 steps=205 result=1152358554653426242 output=5d12e911fad60471838adf90b4aa2840");
+    ("value-equality",
+      "36441419cea9290 events=8 cycles=262 steps=186 result=72654 output=81cf068b5041aab6f6f10a7c87895d5f");
+    ("truthiness",
+      "30e52a65c0d22d91 events=19 cycles=174 steps=215 result=32219673 output=d41d8cd98f00b204e9800998ecf8427e");
+    ("fault-left-load",
+      "58f37a8d619f8bfd events=3 cycles=64 steps=21 result=error: expected int, got float 0.25 output=d41d8cd98f00b204e9800998ecf8427e");
+    ("fault-right-call",
+      "0 events=0 cycles=21 steps=6 result=error: expected int, got float 1.5 output=d41d8cd98f00b204e9800998ecf8427e");
+    ("fault-both-load-call",
+      "64eb1b8a47314ff5 events=3 cycles=74 steps=23 result=error: expected int, got float 1.5 output=d41d8cd98f00b204e9800998ecf8427e");
+    ("fault-left-literal-cmp",
+      "0 events=0 cycles=11 steps=6 result=error: expected int, got float 2.5 output=d41d8cd98f00b204e9800998ecf8427e");
+    ("fault-right-local-band",
+      "6e4fd2b3a4aff1b3 events=1 cycles=15 steps=7 result=error: expected int, got float 0.125 output=d41d8cd98f00b204e9800998ecf8427e");
+    ("fault-right-float-op",
+      "0 events=0 cycles=13 steps=10 result=error: expected int, got float 8 output=d41d8cd98f00b204e9800998ecf8427e");
+    ("fault-neg",
+      "0 events=0 cycles=11 steps=5 result=error: expected int, got float 1.25 output=d41d8cd98f00b204e9800998ecf8427e");
+    ("fault-bnot-load",
+      "6f31b8a47314ff5 events=3 cycles=64 steps=20 result=error: expected int, got float 3.5 output=d41d8cd98f00b204e9800998ecf8427e");
+    ("div-zero-float-left",
+      "0 events=0 cycles=11 steps=6 result=error: expected int, got float 4.5 output=d41d8cd98f00b204e9800998ecf8427e");
+    ("rem-zero-float-left",
+      "64471b8a47314ff5 events=3 cycles=65 steps=23 result=error: expected int, got float 6.5 output=d41d8cd98f00b204e9800998ecf8427e");
+    ("div-float-zero",
+      "0 events=0 cycles=11 steps=6 result=error: expected int, got float 0 output=d41d8cd98f00b204e9800998ecf8427e");
+    ("min-float-left",
+      "0 events=0 cycles=30 steps=6 result=error: expected int, got float 1.5 output=d41d8cd98f00b204e9800998ecf8427e");
+    ("max-float-right",
+      "0 events=0 cycles=40 steps=6 result=error: expected int, got float 2.5 output=d41d8cd98f00b204e9800998ecf8427e");
+    ("min-float-both",
+      "0 events=0 cycles=30 steps=4 result=error: expected int, got float 0.75 output=d41d8cd98f00b204e9800998ecf8427e");
+    ("abs-float",
+      "4630c064819a3fd5 events=3 cycles=84 steps=21 result=error: expected int, got float -4.5 output=d41d8cd98f00b204e9800998ecf8427e");
+    ("store1-float-call",
+      "339869b02eec99c9 events=3 cycles=70 steps=15 result=error: expected int, got float 2.75 output=d41d8cd98f00b204e9800998ecf8427e");
+    ("float-address",
+      "55ab1b8a47314ff5 events=3 cycles=63 steps=20 result=error: expected int, got float 1.5 output=d41d8cd98f00b204e9800998ecf8427e");
+    ("float-alloc-size",
+      "0 events=0 cycles=12 steps=9 result=error: expected int, got float 2.5 output=d41d8cd98f00b204e9800998ecf8427e");
+    ("float-for-init",
+      "0 events=0 cycles=10 steps=4 result=error: expected int, got float 0.5 output=d41d8cd98f00b204e9800998ecf8427e");
+    ("float-free",
+      "3a3be6904000e951 events=1 cycles=52 steps=8 result=error: expected int, got float 16 output=d41d8cd98f00b204e9800998ecf8427e");
+    ("print-float-d",
+      "0 events=0 cycles=130 steps=5 result=error: expected int, got float 2.5 output=2500986a856613d9388276dd976f9f86");
     ("inserted-checks",
       "7d466188e2836409 events=7 cycles=78 steps=16 result=0 output=d41d8cd98f00b204e9800998ecf8427e") ]
 

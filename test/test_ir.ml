@@ -135,19 +135,6 @@ let test_iter_exprs_depth () =
     prog.funcs;
   check_int "nested loads found" 2 !loads
 
-(* ---- hooks composition ------------------------------------------------------ *)
-
-let test_hooks_compose_order () =
-  let open Privateer_interp in
-  let log = ref [] in
-  let mk tag =
-    { Hooks.default with
-      on_load = (fun _ ~addr:_ ~size:_ ~value:_ -> log := tag :: !log) }
-  in
-  let composed = Hooks.compose (mk "a") (mk "b") in
-  composed.on_load 0 ~addr:0 ~size:8 ~value:(Value.VInt 0);
-  check "a fires before b" true (!log = [ "b"; "a" ])
-
 (* ---- builder ---------------------------------------------------------------- *)
 
 let test_builder_fresh_ids () =
@@ -176,5 +163,4 @@ let suite =
     Alcotest.test_case "validate: missing entry" `Quick test_validate_missing_entry;
     Alcotest.test_case "loops_of_program" `Quick test_loops_of_program;
     Alcotest.test_case "iter_exprs reaches nesting" `Quick test_iter_exprs_depth;
-    Alcotest.test_case "hooks compose in order" `Quick test_hooks_compose_order;
     Alcotest.test_case "builder fresh ids" `Quick test_builder_fresh_ids ]

@@ -8,7 +8,8 @@
      isolated and agree with a byte model (reads, float tags, dirty
      sets) while their page caches share, evict and refill slots;
    - the shadow metadata machine agrees with an oracle that tracks
-     the full access history of a byte (the privatization criterion);
+     the full access history of a byte (the privatization criterion),
+     and its exact per-page mark counts agree with the page bytes;
    - randomly generated privatizable loop programs execute identically
      under the speculative parallel runtime and sequentially. *)
 
@@ -413,6 +414,25 @@ end
 module Run_shadow = Shadow_equiv (Privateer_runtime.Shadow)
 module Run_reference = Shadow_equiv (Privateer_oracle.Shadow_reference)
 
+(* Word-path ops: aligned 8-byte accesses over four words at the head
+   of each of two shadow pages, with beta drawn from {3, 4, 5} so a word
+   revisits each uniform state (all live-in, old-write, read-live-in or
+   beta), and short accesses inside those words to leave them mixed. *)
+let word_op_gen =
+  QCheck.Gen.(
+    let word = map2 (fun page w -> (page * 4096) + (8 * w)) (int_bound 1) (int_bound 3) in
+    let beta = int_range 3 5 in
+    frequency
+      [ ( 3,
+          map3 (fun write off beta -> Access { write; off; size = 8; beta }) bool word beta );
+        ( 1,
+          map3
+            (fun (write, off) (d, len) beta ->
+              Access { write; off = off + d; size = 1 + (len mod (8 - d)); beta })
+            (pair bool word)
+            (pair (int_bound 7) (int_bound 6))
+            beta ) ])
+
 let sh_op_gen =
   QCheck.Gen.(
     let page = 4096 in
@@ -423,11 +443,12 @@ let sh_op_gen =
           map (fun d -> (2 * page) - 20 + d) (int_bound 40) ]
     in
     frequency
-      [ ( 9,
+      [ ( 5,
           map2
             (fun (w, off) (size, beta) -> Access { write = w; off; size; beta })
             (pair bool off_gen)
             (pair (int_range 1 64) (int_range 3 250)) );
+        (4, word_op_gen);
         (1, return Reset) ])
 
 let sh_ops_arb =
@@ -450,6 +471,41 @@ let prop_range_access_matches_reference ops =
   (* Same failing op index and structurally equal verdict (Misspec
      reasons are pure data), and byte-identical memories afterwards. *)
   f_new = f_ref && Memory.equal_footprint m_new.Machine.mem m_ref.Machine.mem
+
+(* The exact per-page counts behind the reset's full-page fill and the
+   extraction scan's early stop: after every op, each mapped shadow
+   page's timestamp and read-live-in counts equal a recount of its
+   bytes.  The reference keeps no counts, so this is checked against
+   the bytes themselves; failing ops leave their partial updates
+   counted too, so the run goes on past them. *)
+let counts_match (m : Privateer_machine.Machine.t) =
+  let open Privateer_machine in
+  Memory.fold_pages m.mem ~heap:Privateer_ir.Heap.Shadow ~init:true ~f:(fun ~key:_ p ok ->
+      let ts = ref 0 and li = ref 0 in
+      Bytes.iter
+        (fun c ->
+          let c = Char.code c in
+          if c >= Privateer_runtime.Shadow.first_timestamp then incr ts
+          else if c = Privateer_runtime.Shadow.read_live_in then incr li)
+        (Memory.page_bytes p);
+      ok && !ts = Memory.timestamp_bytes p && !li = Memory.live_in_bytes p)
+
+let prop_shadow_counts_exact ops =
+  let open Privateer_runtime in
+  let base = Privateer_ir.Heap.base Privateer_ir.Heap.Private in
+  let m = Privateer_machine.Machine.create () in
+  List.for_all
+    (fun op ->
+      (match op with
+      | Reset -> ignore (Shadow.reset_interval m)
+      | Access a -> (
+        try
+          Shadow.access m
+            (if a.write then Shadow.Write else Shadow.Read)
+            ~addr:(base + a.off) ~size:a.size ~beta:a.beta
+        with Misspec.Misspeculation _ -> ()));
+      counts_match m)
+    ops
 
 (* ---- random privatizable programs --------------------------------------- *)
 
@@ -547,6 +603,8 @@ let suite =
         prop_shadow_vs_oracle;
       QCheck.Test.make ~count:300 ~name:"range-granular access = per-byte reference"
         sh_ops_arb prop_range_access_matches_reference;
+      QCheck.Test.make ~count:300 ~name:"shadow page mark counts = recount"
+        sh_ops_arb prop_shadow_counts_exact;
       QCheck.Test.make ~count:60 ~name:"random privatizable loops: par = seq" body_arb
         prop_random_privatizable_equivalence;
       QCheck.Test.make ~count:30 ~name:"random loops + misspec: par = seq" body_arb

@@ -1,0 +1,110 @@
+#!/usr/bin/env python3
+"""Alternating parent/change pairs of perfbench runs, summarised.
+
+    python3 tools/perfbench_pairs.py --parent DIR --change DIR \\
+        --workload paper-ports --seed 1 --pairs 10 --seconds 10
+
+Each pair runs `python3 perfbench/run.py --trace 0` once in each
+checkout, the parent first in even pairs and the change first in odd
+ones, so host drift falls on both sides alike.  For every end-to-end
+metric that BENCHMARK.json declares, it prints the per-pair values,
+each side's median and quartiles, how many pairs the change won, and
+whether the gap between the medians exceeds the parent's interquartile
+range.  Exits 1 if any run fails or reports "correct": false.
+
+Standard library only; it reads perfbench's output and changes nothing.
+"""
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+
+
+def run_once(checkout, args):
+    cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload,
+           "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    result = None
+    for line in proc.stdout.splitlines():
+        try:
+            obj = json.loads(line)
+        except ValueError:
+            continue
+        if isinstance(obj, dict) and "metrics" in obj:
+            result = obj
+    if proc.returncode != 0 or result is None:
+        sys.stderr.write(proc.stdout + proc.stderr)
+        return None
+    return result
+
+
+def quartiles(xs):
+    if len(xs) < 2:
+        return xs[0], xs[0], xs[0]
+    q1, q2, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def end_to_end_metrics(checkout):
+    with open(os.path.join(checkout, "BENCHMARK.json")) as f:
+        return [(m["name"], m["better"]) for m in json.load(f)["end_to_end"]]
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", required=True, help="checkout of the parent commit")
+    ap.add_argument("--change", required=True, help="checkout of the change")
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("--pairs", type=int, required=True)
+    ap.add_argument("--seconds", type=float, required=True)
+    args = ap.parse_args()
+    if args.pairs < 1:
+        ap.error("--pairs must be at least 1")
+
+    sides = {"parent": args.parent, "change": args.change}
+    values = {"parent": [], "change": []}
+    ok = True
+    for i in range(args.pairs):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            result = run_once(sides[side], args)
+            if result is None or result.get("correct") is not True:
+                print("pair %d: %s run failed or reported correct: false" % (i + 1, side))
+                ok = False
+            metrics = result["metrics"] if result else {}
+            values[side].append({k: v["value"] for k, v in metrics.items()})
+        print("pair %d done (%s first)" % (i + 1, order[0]), file=sys.stderr, flush=True)
+
+    print("%s seed %d, %d pairs of %g-s runs; parent %s, change %s"
+          % (args.workload, args.seed, args.pairs, args.seconds, args.parent, args.change))
+    for name, better in end_to_end_metrics(args.change):
+        par = [v[name] for v in values["parent"] if name in v]
+        chg = [v[name] for v in values["change"] if name in v]
+        if len(par) != args.pairs or len(chg) != args.pairs:
+            print("%s: missing from some runs" % name)
+            continue
+        sign = -1.0 if better == "lower" else 1.0
+        wins = sum(1 for p, c in zip(par, chg) if sign * (c - p) > 0)
+        pq1, pmed, pq3 = quartiles(par)
+        cq1, cmed, cq3 = quartiles(chg)
+        gap = cmed - pmed
+        beyond = abs(gap) > pq3 - pq1
+        verdict = "better" if sign * gap > 0 else "worse" if gap != 0 else "equal"
+        print("%s (%s is better)" % (name, better))
+        print("  parent " + " ".join("%.4g" % x for x in par))
+        print("  change " + " ".join("%.4g" % x for x in chg))
+        print("  median %.4g -> %.4g (%+.1f%%), parent IQR %.4g (q1 %.4g, q3 %.4g),"
+              " change q1 %.4g q3 %.4g"
+              % (pmed, cmed, 100.0 * gap / pmed if pmed else 0.0, pq3 - pq1, pq1, pq3,
+                 cq1, cq3))
+        print("  change won %d/%d pairs; median gap %s the parent IQR (%s)"
+              % (wins, args.pairs, "exceeds" if beyond else "within", verdict))
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
