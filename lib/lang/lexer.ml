@@ -1,6 +1,13 @@
 (* Lexer for Cmini, the C-like surface language the workloads are
    written in.  Hand-written (no menhir in the sealed environment);
-   tracks line/column for error reporting. *)
+   tracks line/column for error reporting.
+
+   One [match] on the current byte picks each token, and no probe
+   allocates: operators resolve through nested matches to shared
+   literal tokens, keywords through a [match] on the identifier text.
+   The current line and the index of its first byte change only where
+   a newline can occur (whitespace, comments, strings); a column is
+   derived from them. *)
 
 type token =
   | INT of int
@@ -15,10 +22,6 @@ type located = { tok : token; line : int; col : int }
 
 exception Lex_error of string * int * int
 
-let keywords =
-  [ "global"; "fn"; "var"; "if"; "else"; "while"; "for"; "print"; "free";
-    "return"; "break"; "continue"; "malloc"; "load1"; "store1"; "itof"; "ftoi" ]
-
 let token_to_string = function
   | INT n -> string_of_int n
   | FLOAT f -> Printf.sprintf "%g" f
@@ -28,150 +31,174 @@ let token_to_string = function
   | PUNCT s -> s
   | EOF -> "<eof>"
 
-(* Multi-character operators, longest first so matching is greedy. *)
-let multi_ops =
-  [ "<=."; ">=."; "==."; "!=."; "&&"; "||"; "<<"; ">>"; "<="; ">="; "=="; "!=";
-    "+."; "-."; "*."; "/."; "<."; ">." ]
+let is_digit c = c >= '0' && c <= '9'
 
-let single_ops = "+-*/%<>=!&|^~(){}[];,"
+let is_ident_char = function
+  | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> true
+  | _ -> false
+
+(* A keyword's shared token, else an identifier. *)
+let word = function
+  | "global" -> KW "global"
+  | "fn" -> KW "fn"
+  | "var" -> KW "var"
+  | "if" -> KW "if"
+  | "else" -> KW "else"
+  | "while" -> KW "while"
+  | "for" -> KW "for"
+  | "print" -> KW "print"
+  | "free" -> KW "free"
+  | "return" -> KW "return"
+  | "break" -> KW "break"
+  | "continue" -> KW "continue"
+  | "malloc" -> KW "malloc"
+  | "load1" -> KW "load1"
+  | "store1" -> KW "store1"
+  | "itof" -> KW "itof"
+  | "ftoi" -> KW "ftoi"
+  | text -> IDENT text
 
 let tokenize src =
   let n = String.length src in
   let toks = ref [] in
-  let line = ref 1 and col = ref 1 in
-  let i = ref 0 in
-  let err msg = raise (Lex_error (msg, !line, !col)) in
-  let advance k =
-    for j = !i to min (n - 1) (!i + k - 1) do
-      if src.[j] = '\n' then begin
-        incr line;
-        col := 1
-      end
-      else incr col
-    done;
-    i := !i + k
-  in
-  (* Token positions are captured at the start of each token. *)
+  let line = ref 1 and bol = ref 0 in
+  (* Start of the current token, whitespace byte or comment: where a
+     token is located, and where EOF is once the input runs out. *)
   let tok_line = ref 1 and tok_col = ref 1 in
-  let emit tok = toks := { tok; line = !tok_line; col = !tok_col } :: !toks in
-  let starts_with s =
-    let l = String.length s in
-    !i + l <= n && String.sub src !i l = s
+  let err msg i = raise (Lex_error (msg, !line, i - !bol + 1)) in
+  let newline i =
+    incr line;
+    bol := i + 1
   in
-  while !i < n do
-    tok_line := !line;
-    tok_col := !col;
-    let c = src.[!i] in
-    if c = ' ' || c = '\t' || c = '\r' || c = '\n' then advance 1
-    else if starts_with "//" then begin
-      while !i < n && src.[!i] <> '\n' do
-        advance 1
-      done
-    end
-    else if starts_with "/*" then begin
-      advance 2;
-      let closed = ref false in
-      while (not !closed) && !i < n do
-        if starts_with "*/" then begin
-          advance 2;
-          closed := true
-        end
-        else advance 1
-      done;
-      if not !closed then err "unterminated comment"
-    end
-    else if c = '"' then begin
-      let buf = Buffer.create 16 in
-      let start_i = !i in
-      advance 1;
-      let closed = ref false in
-      while (not !closed) && !i < n do
-        let d = src.[!i] in
-        if d = '"' then begin
-          advance 1;
-          closed := true
-        end
-        else if d = '\\' && !i + 1 < n then begin
-          (match src.[!i + 1] with
+  (* Emit [tok], [len] bytes from [i]; the index after it. *)
+  let emit tok i len =
+    toks := { tok; line = !tok_line; col = !tok_col } :: !toks;
+    i + len
+  in
+  (* The byte at [j], or NUL past the end, where no operator continues. *)
+  let peek j = if j < n then String.unsafe_get src j else '\000' in
+  let rec digits j = if j < n && is_digit (String.unsafe_get src j) then digits (j + 1) else j in
+  let rec ident_end j =
+    if j < n && is_ident_char (String.unsafe_get src j) then ident_end (j + 1) else j
+  in
+  let rec line_comment j =
+    if j < n && String.unsafe_get src j <> '\n' then line_comment (j + 1) else j
+  in
+  let rec block_comment j =
+    if j >= n then err "unterminated comment" n
+    else
+      match String.unsafe_get src j with
+      | '*' when peek (j + 1) = '/' -> j + 2
+      | '\n' ->
+        newline j;
+        block_comment (j + 1)
+      | _ -> block_comment (j + 1)
+  in
+  let string_lit i =
+    let buf = Buffer.create 16 in
+    let rec go j =
+      if j >= n then err "unterminated string" n
+      else
+        match String.unsafe_get src j with
+        | '"' -> emit (STRING (Buffer.contents buf)) i (j + 1 - i)
+        | '\\' when j + 1 < n ->
+          (match String.unsafe_get src (j + 1) with
           | 'n' -> Buffer.add_char buf '\n'
           | 't' -> Buffer.add_char buf '\t'
           | '\\' -> Buffer.add_char buf '\\'
           | '"' -> Buffer.add_char buf '"'
-          | e -> err (Printf.sprintf "bad escape \\%c" e));
-          advance 2
-        end
-        else begin
+          | e -> err (Printf.sprintf "bad escape \\%c" e) j);
+          go (j + 2)
+        | d ->
+          if d = '\n' then newline j;
           Buffer.add_char buf d;
-          advance 1
-        end
-      done;
-      if not !closed then err "unterminated string";
-      ignore start_i;
-      emit (STRING (Buffer.contents buf))
-    end
-    else if (c >= '0' && c <= '9')
-            || (c = '.' && !i + 1 < n && src.[!i + 1] >= '0' && src.[!i + 1] <= '9')
-    then begin
-      let j = ref !i in
-      let is_float = ref false in
-      let digit ch = ch >= '0' && ch <= '9' in
-      while !j < n && digit src.[!j] do
-        incr j
-      done;
-      (* A '.' introduces a float only when followed by a digit, so that
-         the float operators (+., <., ...) never swallow a trailing dot
-         of an integer operand. *)
-      if !j < n && src.[!j] = '.' && !j + 1 < n && digit src.[!j + 1] then begin
-        is_float := true;
-        incr j;
-        while !j < n && digit src.[!j] do
-          incr j
-        done
-      end;
-      if !j < n && (src.[!j] = 'e' || src.[!j] = 'E') then begin
-        is_float := true;
-        incr j;
-        if !j < n && (src.[!j] = '+' || src.[!j] = '-') then incr j;
-        while !j < n && digit src.[!j] do
-          incr j
-        done
-      end;
-      let text = String.sub src !i (!j - !i) in
-      (if !is_float then (
-         match float_of_string_opt text with
-         | Some v -> emit (FLOAT v)
-         | None -> err ("bad float literal " ^ text))
-       else
-         match int_of_string_opt text with
-         | Some v -> emit (INT v)
-         | None -> err ("bad integer literal " ^ text));
-      advance (!j - !i)
-    end
-    else if (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_' then begin
-      let j = ref !i in
-      let ident_char ch =
-        (ch >= 'a' && ch <= 'z') || (ch >= 'A' && ch <= 'Z')
-        || (ch >= '0' && ch <= '9') || ch = '_'
-      in
-      while !j < n && ident_char src.[!j] do
-        incr j
-      done;
-      let text = String.sub src !i (!j - !i) in
-      emit (if List.mem text keywords then KW text else IDENT text);
-      advance (!j - !i)
-    end
-    else begin
-      match List.find_opt starts_with multi_ops with
-      | Some op ->
-        emit (PUNCT op);
-        advance (String.length op)
-      | None ->
-        if String.contains single_ops c then begin
-          emit (PUNCT (String.make 1 c));
-          advance 1
-        end
-        else err (Printf.sprintf "unexpected character %C" c)
-    end
+          go (j + 1)
+    in
+    go (i + 1)
+  in
+  let number i =
+    let j = digits i in
+    (* A '.' introduces a float only when followed by a digit, so that
+       the float operators (+., <., ...) never swallow a trailing dot
+       of an integer operand. *)
+    let frac = peek j = '.' && is_digit (peek (j + 1)) in
+    let j = if frac then digits (j + 1) else j in
+    let exp = match peek j with 'e' | 'E' -> true | _ -> false in
+    let j =
+      if not exp then j
+      else digits (match peek (j + 1) with '+' | '-' -> j + 2 | _ -> j + 1)
+    in
+    let text = String.sub src i (j - i) in
+    if frac || exp then
+      match float_of_string_opt text with
+      | Some v -> emit (FLOAT v) i (j - i)
+      | None -> err ("bad float literal " ^ text) i
+    else
+      match int_of_string_opt text with
+      | Some v -> emit (INT v) i (j - i)
+      | None -> err ("bad integer literal " ^ text) i
+  in
+  let next i =
+    match String.unsafe_get src i with
+    | ' ' | '\t' | '\r' -> i + 1
+    | '\n' ->
+      newline i;
+      i + 1
+    | 'a' .. 'z' | 'A' .. 'Z' | '_' ->
+      let j = ident_end (i + 1) in
+      emit (word (String.sub src i (j - i))) i (j - i)
+    | '0' .. '9' -> number i
+    | '.' when is_digit (peek (i + 1)) -> number i
+    | '"' -> string_lit i
+    | '(' -> emit (PUNCT "(") i 1
+    | ')' -> emit (PUNCT ")") i 1
+    | '{' -> emit (PUNCT "{") i 1
+    | '}' -> emit (PUNCT "}") i 1
+    | '[' -> emit (PUNCT "[") i 1
+    | ']' -> emit (PUNCT "]") i 1
+    | ';' -> emit (PUNCT ";") i 1
+    | ',' -> emit (PUNCT ",") i 1
+    | '%' -> emit (PUNCT "%") i 1
+    | '^' -> emit (PUNCT "^") i 1
+    | '~' -> emit (PUNCT "~") i 1
+    | '+' -> if peek (i + 1) = '.' then emit (PUNCT "+.") i 2 else emit (PUNCT "+") i 1
+    | '-' -> if peek (i + 1) = '.' then emit (PUNCT "-.") i 2 else emit (PUNCT "-") i 1
+    | '*' -> if peek (i + 1) = '.' then emit (PUNCT "*.") i 2 else emit (PUNCT "*") i 1
+    | '/' -> (
+      match peek (i + 1) with
+      | '/' -> line_comment (i + 2)
+      | '*' -> block_comment (i + 2)
+      | '.' -> emit (PUNCT "/.") i 2
+      | _ -> emit (PUNCT "/") i 1)
+    | '<' -> (
+      match peek (i + 1) with
+      | '=' -> if peek (i + 2) = '.' then emit (PUNCT "<=.") i 3 else emit (PUNCT "<=") i 2
+      | '<' -> emit (PUNCT "<<") i 2
+      | '.' -> emit (PUNCT "<.") i 2
+      | _ -> emit (PUNCT "<") i 1)
+    | '>' -> (
+      match peek (i + 1) with
+      | '=' -> if peek (i + 2) = '.' then emit (PUNCT ">=.") i 3 else emit (PUNCT ">=") i 2
+      | '>' -> emit (PUNCT ">>") i 2
+      | '.' -> emit (PUNCT ">.") i 2
+      | _ -> emit (PUNCT ">") i 1)
+    | '=' ->
+      if peek (i + 1) <> '=' then emit (PUNCT "=") i 1
+      else if peek (i + 2) = '.' then emit (PUNCT "==.") i 3
+      else emit (PUNCT "==") i 2
+    | '!' ->
+      if peek (i + 1) <> '=' then emit (PUNCT "!") i 1
+      else if peek (i + 2) = '.' then emit (PUNCT "!=.") i 3
+      else emit (PUNCT "!=") i 2
+    | '&' -> if peek (i + 1) = '&' then emit (PUNCT "&&") i 2 else emit (PUNCT "&") i 1
+    | '|' -> if peek (i + 1) = '|' then emit (PUNCT "||") i 2 else emit (PUNCT "|") i 1
+    | c -> err (Printf.sprintf "unexpected character %C" c) i
+  in
+  let i = ref 0 in
+  while !i < n do
+    tok_line := !line;
+    tok_col := !i - !bol + 1;
+    i := next !i
   done;
-  emit EOF;
+  ignore (emit EOF n 0);
   List.rev !toks

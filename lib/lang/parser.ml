@@ -20,6 +20,10 @@ type st = {
   mutable toks : Lexer.located list;
   builder : Builder.t;
   globals : (string, gkind) Hashtbl.t;
+  funcs : (string, unit) Hashtbl.t; (* functions defined so far *)
+  mutable calls : Lexer.located list; (* callee names, latest first *)
+  mutable fname : string; (* function being parsed *)
+  mutable loops : int; (* loops enclosing the current statement *)
 }
 
 let peek st = match st.toks with [] -> assert false | t :: _ -> t
@@ -27,6 +31,11 @@ let peek st = match st.toks with [] -> assert false | t :: _ -> t
 let err st msg =
   let t = peek st in
   raise (Parse_error (Printf.sprintf "%s (found %s)" msg (Lexer.token_to_string t.tok), t.line, t.col))
+
+(* A program the validator would reject, reported with Validate's own
+   text at the token that causes it. *)
+let invalid_at (t : Lexer.located) e =
+  raise (Parse_error (Validate.error_to_string e, t.line, t.col))
 
 let advance st = match st.toks with [] -> assert false | _ :: rest -> st.toks <- rest
 
@@ -206,9 +215,12 @@ and parse_primary st =
     expect_punct st ")";
     Ast.Load (fresh st, S1, addr)
   | IDENT name -> (
+    let callee = peek st in
     advance st;
     match (peek st).tok with
-    | PUNCT "(" -> Ast.Call (fresh st, name, parse_args st)
+    | PUNCT "(" ->
+      st.calls <- callee :: st.calls;
+      Ast.Call (fresh st, name, parse_args st)
     | _ -> (
       match Hashtbl.find_opt st.globals name with
       | Some Gscalar -> Ast.Load (fresh st, S8, Global_addr name)
@@ -224,6 +236,17 @@ let rec parse_block st =
     if accept_punct st "}" then List.rev acc else loop (parse_stmt st :: acc)
   in
   loop []
+
+and parse_loop_body st =
+  st.loops <- st.loops + 1;
+  let body = parse_block st in
+  st.loops <- st.loops - 1;
+  body
+
+(* Consume a break/continue keyword, which must be inside a loop. *)
+and loop_only st =
+  if st.loops = 0 then invalid_at (peek st) (Stray_break_continue st.fname);
+  advance st
 
 and parse_stmt st : Ast.stmt =
   match (peek st).tok with
@@ -266,7 +289,7 @@ and parse_stmt st : Ast.stmt =
     expect_punct st "(";
     let c = parse_expr st in
     expect_punct st ")";
-    let body = parse_block st in
+    let body = parse_loop_body st in
     Ast.While (fresh st, c, body)
   | KW "for" ->
     advance st;
@@ -280,7 +303,7 @@ and parse_stmt st : Ast.stmt =
     expect_punct st "<";
     let limit = parse_expr st in
     expect_punct st ")";
-    let body = parse_block st in
+    let body = parse_loop_body st in
     Ast.For (fresh st, v, init, limit, body)
   | KW "print" ->
     advance st;
@@ -329,11 +352,11 @@ and parse_stmt st : Ast.stmt =
       Ast.Return (Some e)
     end
   | KW "break" ->
-    advance st;
+    loop_only st;
     expect_punct st ";";
     Ast.Break
   | KW "continue" ->
-    advance st;
+    loop_only st;
     expect_punct st ";";
     Ast.Continue
   | _ ->
@@ -356,7 +379,8 @@ and parse_stmt st : Ast.stmt =
 
 let parse_program ?(entry = "main") src =
   let st =
-    { toks = Lexer.tokenize src; builder = Builder.create (); globals = Hashtbl.create 16 }
+    { toks = Lexer.tokenize src; builder = Builder.create (); globals = Hashtbl.create 16;
+      funcs = Hashtbl.create 16; calls = []; fname = ""; loops = 0 }
   in
   let globals = ref [] in
   let funcs = ref [] in
@@ -387,7 +411,11 @@ let parse_program ?(entry = "main") src =
       loop ()
     | KW "fn" ->
       advance st;
+      let name_tok = peek st in
       let name = expect_ident st in
+      if Hashtbl.mem st.funcs name then invalid_at name_tok (Duplicate_function name);
+      Hashtbl.replace st.funcs name ();
+      st.fname <- name;
       expect_punct st "(";
       let params =
         if accept_punct st ")" then []
@@ -409,12 +437,16 @@ let parse_program ?(entry = "main") src =
     | _ -> err st "expected 'global' or 'fn' at top level"
   in
   loop ();
-  let program =
-    Builder.program st.builder ~globals:(List.rev !globals) ~funcs:(List.rev !funcs)
-      ~entry
-  in
-  Validate.check_exn program;
-  program
+  (* Every function is known now, so calls can be resolved. *)
+  List.iter
+    (fun (t : Lexer.located) ->
+      match t.tok with
+      | IDENT f when not (Hashtbl.mem st.funcs f || Validate.is_builtin f) ->
+        invalid_at t (Unknown_function f)
+      | _ -> ())
+    (List.rev st.calls);
+  if not (Hashtbl.mem st.funcs entry) then invalid_at (peek st) (Missing_entry entry);
+  Builder.program st.builder ~globals:(List.rev !globals) ~funcs:(List.rev !funcs) ~entry
 
 (* Friendly wrapper surfacing positions in the message. *)
 let parse_program_exn ?entry src =

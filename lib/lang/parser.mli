@@ -10,7 +10,13 @@
 exception Parse_error of string * int * int
 (** Message, line, column. *)
 
-(** Parse a whole program (validated before returning).
+(** Parse a whole program.  The result passes
+    {!Privateer_ir.Validate.check}: what the validator would reject is
+    a [Parse_error] with the validator's text at the offending token,
+    namely a call to an unknown non-builtin function (at the callee,
+    once every function is known), [break]/[continue] outside a loop
+    (at the keyword), a duplicate function (at the second definition's
+    name) and a missing entry function (at EOF).
     @param entry entry function name, default ["main"]
     @raise Parse_error / {!Lexer.Lex_error} on malformed input. *)
 val parse_program : ?entry:string -> string -> Privateer_ir.Ast.program

@@ -102,8 +102,10 @@ let test_sources_file_fails_closed () =
   rejected "fn main() { return 99999999999999999999999; }" "Cmini lex error at 1:20";
   rejected "fn main() { return 1e; }" "Cmini lex error at 1:20: bad float literal";
   rejected "fn main() { return 1 +; }" "Cmini parse error at 1:";
-  rejected "fn main() { return foo(1); }" "call to unknown function foo";
-  rejected "fn main() { return 1; }\nfn main() { return 2; }" "duplicate function main";
+  rejected "fn main() { return foo(1); }"
+    "Cmini parse error at 1:20: call to unknown function foo";
+  rejected "fn main() { return 1; }\nfn main() { return 2; }"
+    "Cmini parse error at 2:4: duplicate function main";
   match parse_file "fn main() { return 1; }" with
   | Error m -> Alcotest.fail m
   | Ok s -> check "fresh AST per call" true (s.Sources.src_fresh () != s.Sources.src_fresh ())

@@ -50,6 +50,24 @@ let test_lexer_positions () =
       { tok = EOF; _ } ] -> ()
   | _ -> Alcotest.fail "positions"
 
+(* The lexer allocates tokens, not probes.  The one-dispatch lexer
+   reads about 4.1 minor words per source byte on these sources, the
+   String.sub-per-probe lexer it replaced (Lexer_reference) 12.9. *)
+let test_lexer_allocation () =
+  let sources =
+    List.map (fun (w : Privateer_workloads.Workload.t) -> w.source)
+      Privateer_workloads.Workloads.builtin
+    @ List.map
+        (fun (t : Privateer_gen.Scenario_gen.t) -> t.sc_source)
+        (Privateer_gen.Scenario_gen.corpus ~seed:1 ~count:200)
+  in
+  let bytes = List.fold_left (fun n s -> n + String.length s) 0 sources in
+  let before = Gc.minor_words () in
+  List.iter (fun s -> ignore (Lexer.tokenize s)) sources;
+  let per_byte = (Gc.minor_words () -. before) /. float_of_int bytes in
+  check (Printf.sprintf "%.2f minor words per source byte <= 6" per_byte) true
+    (per_byte <= 6.0)
+
 let parse = Parser.parse_program_exn
 
 let test_parser_accepts_workload_style () =
@@ -109,6 +127,32 @@ let test_parser_error_positions () =
     check "col plausible" true (col >= 9)
   | _ -> Alcotest.fail "expected a lex error with position"
 
+(* What the IR validator would reject is a parse error at the token
+   that causes it, with the validator's text. *)
+let test_parser_validation_positions () =
+  let rejected src want =
+    match parse src with
+    | _ -> Alcotest.failf "accepted %S" src
+    | exception Failure msg -> Alcotest.(check string) src want msg
+  in
+  rejected "fn main() { foo(1); }" "Cmini parse error at 1:13: call to unknown function foo";
+  rejected "fn main() { return f(1) + g(2); }\nfn f(x) { return x; }"
+    "Cmini parse error at 1:27: call to unknown function g";
+  rejected "fn main() { if (1) { break; } return 0; }"
+    "Cmini parse error at 1:22: break/continue outside loop in main";
+  rejected "fn main() { return 0; }\nfn f() { while (1) { } continue; }"
+    "Cmini parse error at 2:24: break/continue outside loop in f";
+  rejected "fn f() { return 1; }\nfn f() { return 2; }\nfn main() { return f(); }"
+    "Cmini parse error at 2:4: duplicate function f";
+  rejected "fn f() { return 1; }" "Cmini parse error at 1:20: entry function main not defined";
+  rejected "fn f() { return 1; }\n" "Cmini parse error at 1:21: entry function main not defined";
+  (* Forward calls, builtins and a break under an if in a loop are fine. *)
+  let program =
+    parse
+      "fn main() { return f(); }\nfn f() { for (i = 0; i < 3) { if (i == 1) { break; } continue; } return abs(0 - 2); }"
+  in
+  check "validates" true (Privateer_ir.Validate.check program = [])
+
 let test_parser_else_if_chain () =
   let program =
     parse
@@ -155,4 +199,8 @@ let suite =
     Alcotest.test_case "parser reports positions" `Quick test_parser_error_positions;
     Alcotest.test_case "parser else-if chains" `Quick test_parser_else_if_chain;
     Alcotest.test_case "parser emits unique node ids" `Quick test_parser_unique_ids;
-    Alcotest.test_case "parser precedence" `Quick test_parser_precedence_vs_eval ]
+    Alcotest.test_case "parser precedence" `Quick test_parser_precedence_vs_eval;
+    Alcotest.test_case "lexer allocates at most 6 words per byte" `Quick
+      test_lexer_allocation;
+    Alcotest.test_case "parser positions validator errors" `Quick
+      test_parser_validation_positions ]

@@ -17,4 +17,5 @@ let () =
       ("properties", Test_props.suite);
       ("eager", Test_eager.suite);
       ("server", Test_server.suite);
-      ("gen", Test_gen.suite) ]
+      ("gen", Test_gen.suite);
+      ("fuzz", Test_fuzz.suite) ]

@@ -1,6 +1,7 @@
 #!/bin/sh
 # Fail-closed smoke for `privateer file`: a malformed Cmini source
-# exits 124 with a positioned message, a program fault exits 3 with
+# exits 124 with a positioned message ("... at L:C: ..."), a program
+# fault exits 3 with
 # "runtime error: ...", and neither ever prints "internal error".
 # Also checks that `run --help=plain` and `serve --help=plain` name the
 # PRIVATEER_* environment defaults as rendered text, with no raw
@@ -23,6 +24,9 @@ check() {
   if [ "$code" -ne "$1" ] || grep -q "internal error" "$dir/err"; then
     echo "FAIL $2: exit $code (want $1): $(cat "$dir/err")"
     status=1
+  elif [ "$code" -eq 124 ] && ! grep -Eq ' at [0-9]+:[0-9]+: ' "$dir/err"; then
+    echo "FAIL $2: exit 124 without a position: $(cat "$dir/err")"
+    status=1
   else
     echo "ok   $2: exit $code: $(cat "$dir/err")"
   fi
@@ -34,6 +38,11 @@ check 124 stray-char 'fn main() { var x = 1 $ 2; return x; }'
 check 124 unknown-function 'fn main() { return foo(1); }'
 check 124 duplicate-main 'fn main() { return 1; }
 fn main() { return 2; }'
+check 124 duplicate-function 'fn f() { return 1; }
+fn f() { return 2; }
+fn main() { return f(); }'
+check 124 stray-break 'fn main() { break; return 0; }'
+check 124 missing-main 'fn f() { return 1; }'
 check 3 division-by-zero 'fn main() { return 1 / 0; }'
 check 3 unbound-local 'fn main() { return x; }'
 check 3 arity-mismatch 'fn f(a) { return a; }
