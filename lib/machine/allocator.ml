@@ -6,8 +6,10 @@
    makes the pointer-to-object profiler's interval-map eviction
    interesting: a recycled address names a different object.
 
-   Workers snapshot allocator state together with memory, so
-   same-address allocations in different workers never interfere. *)
+   Workers share their parent's allocators until they first change
+   them ([Machine] copies a heap's allocator before its first alloc or
+   free there), so same-address allocations in different workers never
+   interfere. *)
 
 open Privateer_ir
 
@@ -25,11 +27,14 @@ let create heap =
   { heap; bump = Heap.base heap + alignment; free_lists = Hashtbl.create 16;
     live = Hashtbl.create 64; live_count = 0 }
 
+(* Sized to the content, not to the source's bucket arrays: a copy of a
+   heap holding a handful of objects costs a handful of inserts. *)
 let copy t =
-  let free_lists = Hashtbl.create 16 in
-  Hashtbl.iter (fun k v -> Hashtbl.replace free_lists k (ref !v)) t.free_lists;
-  { heap = t.heap; bump = t.bump; free_lists; live = Hashtbl.copy t.live;
-    live_count = t.live_count }
+  let free_lists = Hashtbl.create (Hashtbl.length t.free_lists) in
+  Hashtbl.iter (fun k v -> Hashtbl.add free_lists k (ref !v)) t.free_lists;
+  let live = Hashtbl.create (Hashtbl.length t.live) in
+  Hashtbl.iter (Hashtbl.add live) t.live;
+  { heap = t.heap; bump = t.bump; free_lists; live; live_count = t.live_count }
 
 let round_up n = (n + alignment - 1) / alignment * alignment
 
@@ -70,11 +75,3 @@ let is_live t addr = Hashtbl.mem t.live addr
 
 let bump t = t.bump
 let raise_bump t b = if b > t.bump then t.bump <- b
-
-(* Drop all live objects (used when a worker resets its short-lived
-   arena between iterations after validating emptiness). *)
-let reset t =
-  Hashtbl.reset t.live;
-  Hashtbl.reset t.free_lists;
-  t.live_count <- 0;
-  t.bump <- Heap.base t.heap + alignment

@@ -8,7 +8,14 @@ type t
 
 val create : Privateer_ir.Heap.kind -> t
 
-(** Deep copy; the copy evolves independently (worker snapshot). *)
+(** Deep copy; the copy evolves independently.  It costs what [t]
+    holds (its live objects and free-list sizes), not the capacity its
+    tables have grown to.  [Machine] shares allocators copy-on-write:
+    allocator state changes only through [Machine.alloc], [Machine.free]
+    and [Machine.commit_allocators], which copy a shared allocator
+    before they change it, so nothing mutates a shared allocator.  Call
+    [alloc], [free] and [raise_bump] directly only on an allocator no
+    machine holds. *)
 val copy : t -> t
 
 (** Allocate at least [size] bytes (16-byte aligned and rounded);
@@ -29,6 +36,3 @@ val bump : t -> int
 
 (** Raise the bump pointer to at least [b] (never lowers it). *)
 val raise_bump : t -> int -> unit
-
-(** Drop all live objects and free lists. *)
-val reset : t -> unit

@@ -274,6 +274,31 @@ let fill_words t addr ~words bits is_float =
     done
   end
 
+(* The counterpart of [fill_words]: copy [words] words from [addr] into
+   [dst], their bytes at [bits_pos] and their float tags, one byte each,
+   at [tags_pos].  An aligned range costs one page resolution and two
+   blits per page; an unmapped page copies [absent]'s zeros. *)
+let read_words t addr ~words dst ~bits_pos ~tags_pos =
+  if addr land 7 <> 0 then
+    for w = 0 to words - 1 do
+      let bits, is_float = read_word t (addr + (8 * w)) in
+      Bytes.set_int64_le dst (bits_pos + (8 * w)) bits;
+      Bytes.set dst (tags_pos + w) (if is_float then '\001' else '\000')
+    done
+  else begin
+    let pos = ref addr in
+    let copied = ref 0 in
+    while !copied < words do
+      let off = offset_of_addr !pos in
+      let n = min (words - !copied) ((page_size - off) / 8) in
+      let p = lookup t (page_of_addr !pos) in
+      Bytes.blit p.bytes off dst (bits_pos + (8 * !copied)) (8 * n);
+      Bytes.blit p.ftags (off lsr 3) dst (tags_pos + !copied) n;
+      pos := !pos + (8 * n);
+      copied := !copied + n
+    done
+  end
+
 (* ---- dirty tracking --------------------------------------------------- *)
 
 let dirty_pages ?heap t =

@@ -155,6 +155,15 @@ val mapped_page_count : t -> heap:Privateer_ir.Heap.kind -> int
     touched.  Falls back to word stores if [addr] is unaligned. *)
 val fill_words : t -> int -> words:int -> int64 -> bool -> unit
 
+(** Copy [words] 8-byte words starting at [addr] into [dst]: their
+    little-endian bytes at [dst.[bits_pos]] onward and their float tags,
+    one byte each (['\001'] float, ['\000'] not), at [dst.[tags_pos]]
+    onward.  The counterpart of {!fill_words}: one page resolution per
+    page touched, and unmapped memory reads as zero.  Falls back to
+    {!read_word} per word if [addr] is unaligned, so every copied word
+    and tag equals what {!read_word} returns. *)
+val read_words : t -> int -> words:int -> Bytes.t -> bits_pos:int -> tags_pos:int -> unit
+
 (** Pages written since the last [clear_dirty] (page numbers), across
     all heaps or restricted to one heap's bank. *)
 val dirty_pages : ?heap:Privateer_ir.Heap.kind -> t -> int list

@@ -35,9 +35,10 @@ type contribution = {
   writes : (int, word_write) Hashtbl.t;
   (* byte addresses this worker read as live-in (metadata 2) *)
   live_in_reads : (int, unit) Hashtbl.t;
-  (* snapshot of the worker's reduction-heap partials, one entry per
-     word of the reduction ranges, in range order *)
-  redux_words : (int * int64 * bool) array;
+  (* snapshot of the worker's reduction-heap partials, flat: for the
+     n words of the reduction ranges in range order, n 8-byte
+     little-endian words, then n float-tag bytes *)
+  redux_words : Bytes.t;
   (* register-reduction partials *)
   reg_partials : (string * Value.t) list;
   pages_touched : int; (* for checkpoint copy cost accounting *)
@@ -109,29 +110,37 @@ type extract_request = {
   req_reg_partials : (string * Value.t) list;
 }
 
+let range_words (_, size, _) = (size + 7) / 8
+
+(* A worker's reduction words in [redux_words]' flat layout, copied
+   page by page. *)
+let read_redux mem ranges =
+  let n = List.fold_left (fun n r -> n + range_words r) 0 ranges in
+  let buf = Bytes.create (9 * n) in
+  ignore
+    (List.fold_left
+       (fun k ((base, _, _) as r) ->
+         let words = range_words r in
+         Memory.read_words mem base ~words buf ~bits_pos:(8 * k) ~tags_pos:((8 * n) + k);
+         k + words)
+       0 ranges);
+  buf
+
 (* Extract every worker's interval contribution: one scan per worker
-   over the shadow pages it dirtied this interval, plus a snapshot of
-   its reduction words. *)
+   over the shadow pages it dirtied this interval, plus a copy of its
+   reduction words.  The tables start at the smallest size and grow
+   with what the worker wrote and read. *)
 let extract ~interval_start (reqs : extract_request list) =
   List.map
     (fun req ->
       let mem = req.req_machine.Machine.mem in
-      let writes = Hashtbl.create 256 in
+      let writes = Hashtbl.create 16 in
       let live_in_reads = Hashtbl.create 16 in
       List.iter
         (fun key -> scan_page ~interval_start mem key writes live_in_reads)
         (Memory.dirty_pages ~heap:Heap.Shadow mem);
-      let redux_words =
-        Array.concat
-          (List.map
-             (fun (base, size, _op) ->
-               Array.init ((size + 7) / 8) (fun w ->
-                   let addr = base + (8 * w) in
-                   let bits, is_float = Memory.read_word mem addr in
-                   (addr, bits, is_float)))
-             req.req_redux_ranges)
-      in
-      { worker = req.req_worker; writes; live_in_reads; redux_words;
+      { worker = req.req_worker; writes; live_in_reads;
+        redux_words = read_redux mem req.req_redux_ranges;
         reg_partials = req.req_reg_partials; pages_touched = Memory.dirty_count mem })
     reqs
 
@@ -176,7 +185,7 @@ type merge_state = {
 }
 
 let create_merge_state () =
-  { ms_writers = Hashtbl.create 256; ms_index_ops = 0; ms_fill_ns = 0.0;
+  { ms_writers = Hashtbl.create 16; ms_index_ops = 0; ms_fill_ns = 0.0;
     ms_validate_ns = 0.0; ms_sweep_ns = 0.0 }
 
 let index_ops state = state.ms_index_ops
@@ -282,24 +291,84 @@ let apply_overlay (machine : Machine.t) merged =
    every contribution's [redux_words] list the words of [redux_ranges]
    in range order, so one pass over the contributions folds each
    word's partials into its accumulator in contribution order: the
-   per-word left fold, floats included, in O(words x workers). *)
+   per-word left fold, floats included, in O(words x workers).
+
+   The accumulators are unboxed, an int array for the int operators
+   and a float array for [Fadd]/[Fmul], and each step computes what
+   [Reduction.merge_values] computes on the boxed values: a float
+   operator widens an int with [float_of_int].  A step the unboxed
+   lanes cannot take, an int operator meeting a float (the base before
+   the first contribution, or a partial) or a non-reduction operator,
+   calls [merge_values] itself, so it raises what [merge_values]
+   raises, at the same (contribution, word). *)
 let merge_redux ~(redux_ranges : (int * int * Privateer_ir.Ast.binop) list)
     ~(base : (int * Value.t) list) (contribs : contribution list) =
-  let ops =
-    Array.concat
-      (List.map (fun (_, size, op) -> Array.make ((size + 7) / 8) op) redux_ranges)
-  in
-  let acc = Array.of_list (List.map snd base) in
-  List.iter
-    (fun c ->
-      Array.iteri
-        (fun i (_, bits, is_float) ->
-          acc.(i) <-
-            Privateer_analysis.Reduction.merge_values ops.(i) acc.(i)
-              (Value.of_bits bits is_float))
-        c.redux_words)
-    contribs;
-  List.mapi (fun i (addr, _) -> (addr, acc.(i))) base
+  match contribs with
+  | [] -> base
+  | _ :: _ ->
+    let ops =
+      Array.concat (List.map (fun ((_, _, op) as r) -> Array.make (range_words r) op) redux_ranges)
+    in
+    let base_v = Array.of_list (List.map snd base) in
+    let n = Array.length base_v in
+    let ints = Array.make n 0 in
+    let floats = Array.make n 0.0 in
+    Array.iteri
+      (fun i (v : Value.t) ->
+        match v with
+        | VInt x ->
+          ints.(i) <- x;
+          floats.(i) <- float_of_int x
+        | VFloat f -> floats.(i) <- f)
+      base_v;
+    (* Only [Fadd]/[Fmul] accumulate floats, and they never take this
+       path, so an accumulator past the base is an int. *)
+    let boxed ~first i bits is_float =
+      let acc = if first then base_v.(i) else Value.VInt ints.(i) in
+      ints.(i) <-
+        Value.as_int
+          (Privateer_analysis.Reduction.merge_values ops.(i) acc (Value.of_bits bits is_float))
+    in
+    List.iteri
+      (fun c contrib ->
+        let buf = contrib.redux_words in
+        let first = c = 0 in
+        for i = 0 to n - 1 do
+          let bits = Bytes.get_int64_le buf (8 * i) in
+          let is_float = Bytes.get buf ((8 * n) + i) <> '\000' in
+          (* An int step needs an int partial over an int accumulator;
+             only the base, before the first contribution, can be a
+             float. *)
+          let int_ok =
+            (not is_float)
+            && ((not first) || match base_v.(i) with VInt _ -> true | VFloat _ -> false)
+          in
+          match ops.(i) with
+          | Fadd ->
+            floats.(i) <-
+              floats.(i)
+              +. (if is_float then Int64.float_of_bits bits
+                  else float_of_int (Int64.to_int bits))
+          | Fmul ->
+            floats.(i) <-
+              floats.(i)
+              *. (if is_float then Int64.float_of_bits bits
+                  else float_of_int (Int64.to_int bits))
+          | Add when int_ok -> ints.(i) <- ints.(i) + Int64.to_int bits
+          | Mul when int_ok -> ints.(i) <- ints.(i) * Int64.to_int bits
+          | Band when int_ok -> ints.(i) <- ints.(i) land Int64.to_int bits
+          | Bor when int_ok -> ints.(i) <- ints.(i) lor Int64.to_int bits
+          | Bxor when int_ok -> ints.(i) <- ints.(i) lxor Int64.to_int bits
+          | _ -> boxed ~first i bits is_float
+        done)
+      contribs;
+    List.mapi
+      (fun i (addr, _) ->
+        ( addr,
+          match ops.(i) with
+          | Ast.Fadd | Fmul -> Value.VFloat floats.(i)
+          | _ -> Value.VInt ints.(i) ))
+      base
 
 (* Combine register-reduction partials similarly. *)
 let merge_reg_partials ~(ops : (string * Privateer_ir.Ast.binop) list)

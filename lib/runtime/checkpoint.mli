@@ -22,16 +22,21 @@ val word_base : int -> int
     write tracking in the phase-2 probe. *)
 
 (** One worker's interval state, as extracted from its dirty shadow
-    pages. *)
+    pages.  Its cost follows what the worker touched: the tables start
+    at the smallest size and grow with the worker's writes and live-in
+    reads, and the reduction partials are one flat buffer. *)
 type contribution = {
   worker : int;  (** the contributing worker's id *)
   writes : (int, word_write) Hashtbl.t;
       (** private word address → last write this interval *)
   live_in_reads : (int, unit) Hashtbl.t;
       (** byte addresses read as live-in (metadata 2) *)
-  redux_words : (int * int64 * bool) array;
-      (** reduction partial snapshot: (address, bits, float tag) for
-          each word of the requested reduction ranges, in range order *)
+  redux_words : Bytes.t;
+      (** reduction partial snapshot, flat and unboxed: for the [n]
+          words of the requested reduction ranges in range order, [n]
+          8-byte little-endian words, then [n] float-tag bytes
+          (['\000'] int) — copied page by page with
+          [Memory.read_words] *)
   reg_partials : (string * Value.t) list;
       (** register-reduction partials *)
   pages_touched : int;  (** for simulated copy-cost accounting *)
@@ -85,7 +90,9 @@ type merged = {
     does no index work at all. *)
 type merge_state
 
-(** A fresh carried index (one per worker cohort / spawn). *)
+(** A fresh carried index (one per worker cohort / spawn), starting at
+    the smallest table size; it grows with the largest interval's
+    writes and keeps that size for the cohort. *)
 val create_merge_state : unit -> merge_state
 
 (** Total index mutations (inserts, multi-writer updates, removals)
@@ -119,8 +126,13 @@ val apply_overlay : Privateer_machine.Machine.t -> merged -> unit
     per word of the given ranges.  [base] and every contribution's
     [redux_words] list the ranges' words in range order, so the fold is
     one pass over the contributions, O(words x contributions), that
-    folds each word left in contribution order: every value, floats
-    included, equals the per-word left fold bit for bit. *)
+    folds each word left in contribution order into an unboxed
+    accumulator.  Every value, floats included, equals the per-word
+    left fold of [Reduction.merge_values] bit for bit: a float operator
+    widens an int-tagged base or partial, an int operator on a
+    float-tagged one raises the same [Value.Runtime_error] (same text,
+    same first failing contribution and word), and with no
+    contributions the result is [base]. *)
 val merge_redux :
   redux_ranges:(int * int * Privateer_ir.Ast.binop) list ->
   base:(int * Value.t) list ->

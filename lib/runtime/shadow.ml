@@ -223,17 +223,23 @@ let access machine op ~addr ~size ~beta =
     range_access mem op ~addr ~size ~beta
 
 (* In-place rewrite of one page's buffer: timestamps become old-write,
-   everything else is preserved. *)
-let scan_rewrite bytes =
+   everything else is preserved.  [timestamps] is the page's exact
+   count, so the scan stops once it has rewritten that many: the rest
+   of the page provably holds none (the early exit
+   [Checkpoint.scan_page] takes). *)
+let scan_rewrite bytes ~timestamps =
+  let remaining = ref timestamps in
   let off = ref 0 in
-  while !off < Memory.page_size do
+  while !remaining > 0 && !off < Memory.page_size do
     (* Word-wise skip: an all-zero word is all live-in. *)
     if Bytes.get_int64_le bytes !off = 0L then off := !off + 8
     else begin
       let fin = !off + 8 in
       while !off < fin do
-        if Char.code (Bytes.unsafe_get bytes !off) >= first_timestamp then
+        if Char.code (Bytes.unsafe_get bytes !off) >= first_timestamp then begin
           Bytes.unsafe_set bytes !off (Char.unsafe_chr old_write);
+          decr remaining
+        end;
         incr off
       done
     end
@@ -248,8 +254,10 @@ let scan_rewrite bytes =
 
    A page whose exact timestamp count equals the page size resets to
    a constant, so it takes one memset instead of the read-check-write
-   scan.  [touch_page] has already cloned a copy-on-write shared page,
-   so the fill never writes through a buffer another machine sees. *)
+   scan; any other flagged page is scanned only until its counted
+   timestamps are rewritten.  [touch_page] has already cloned a
+   copy-on-write shared page, so the fill never writes through a buffer
+   another machine sees. *)
 let reset_interval machine =
   let mem = machine.Machine.mem in
   let mapped = Memory.mapped_page_count mem ~heap:Heap.Shadow in
@@ -263,9 +271,10 @@ let reset_interval machine =
     (fun key ->
       let p = Memory.touch_page mem (Memory.base_of_page key) in
       let bytes = Memory.page_bytes p in
-      if Memory.timestamp_bytes p = Memory.page_size then
+      let timestamps = Memory.timestamp_bytes p in
+      if timestamps = Memory.page_size then
         Bytes.fill bytes 0 Memory.page_size (Char.unsafe_chr old_write)
-      else scan_rewrite bytes;
+      else scan_rewrite bytes ~timestamps;
       Memory.clear_timestamp_flag p)
     flagged;
   mapped

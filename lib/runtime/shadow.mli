@@ -87,6 +87,7 @@ val access :
     work visits only pages whose [any_timestamp] summary flag is set.
     A fully-timestamped page (exact count equal to [Memory.page_size])
     takes one in-place fill of [old_write]; a partial page takes the
-    word-wise scan-rewrite.  Shared copy-on-write pages are cloned
+    word-wise scan-rewrite, which stops once it has rewritten the
+    page's exact timestamp count.  Shared copy-on-write pages are cloned
     before either, so a snapshot's parent never sees the reset. *)
 val reset_interval : Privateer_machine.Machine.t -> int

@@ -173,6 +173,33 @@ let test_memory_fill_words () =
   done;
   check "fill = word stores" true (Memory.equal_footprint a b)
 
+(* The bulk read returns what [read_word] returns, word by word: across
+   a page boundary, over an unmapped page (zeros, int tags), after a
+   byte store cleared a float tag, and from an unaligned address. *)
+let test_memory_read_words () =
+  let a = Memory.create () in
+  let base = 0x1000 + Memory.page_size - 24 in
+  let words = Memory.words_per_page + 8 in
+  for w = 0 to 5 do
+    Memory.write_word a (base + (8 * w)) (Int64.of_int (w * 1000)) (w mod 2 = 0)
+  done;
+  Memory.write_byte a (base + 16) 7;
+  let agrees start =
+    let dst = Bytes.make ((9 * words) + 3) '\255' in
+    Memory.read_words a start ~words dst ~bits_pos:1 ~tags_pos:((8 * words) + 2);
+    List.for_all
+      (fun w ->
+        let bits, is_float = Memory.read_word a (start + (8 * w)) in
+        Bytes.get_int64_le dst (1 + (8 * w)) = bits
+        && Bytes.get dst ((8 * words) + 2 + w) = if is_float then '\001' else '\000')
+      (List.init words Fun.id)
+    && Bytes.get dst 0 = '\255'
+    && Bytes.get dst ((9 * words) + 2) = '\255'
+  in
+  check "aligned, across three pages" true (agrees base);
+  check "the third page is unmapped" true (Memory.find_page a (base + (8 * (words - 1))) = None);
+  check "unaligned" true (agrees (base + 3))
+
 let test_memory_heap_banks () =
   let m = Memory.create () in
   Memory.write_byte m (Heap.base Heap.Private + 5) 1;
@@ -291,6 +318,7 @@ let suite =
     Alcotest.test_case "equal_range: unmapped vs mapped zeros" `Quick test_memory_equal_range_unmapped_vs_zero;
     Alcotest.test_case "equal_range is stack-safe on 1 MiB" `Quick test_memory_equal_range_large_stack_safe;
     Alcotest.test_case "fill_words" `Quick test_memory_fill_words;
+    Alcotest.test_case "read_words = read_word per word" `Quick test_memory_read_words;
     Alcotest.test_case "heap-banked page index" `Quick test_memory_heap_banks;
     Alcotest.test_case "footprint equality" `Quick test_memory_equal_footprint;
     Alcotest.test_case "allocator basics" `Quick test_allocator_basic;

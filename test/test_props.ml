@@ -7,6 +7,8 @@
    - copy-on-write snapshots, snapshots of snapshots included, stay
      isolated and agree with a byte model (reads, float tags, dirty
      sets) while their page caches share, evict and refill slots;
+   - copy-on-write allocator state agrees with deep-copying every
+     allocator at each snapshot;
    - the shadow metadata machine agrees with an oracle that tracks
      the full access history of a byte (the privatization criterion),
      and its exact per-page mark counts agree with the page bytes;
@@ -311,6 +313,111 @@ let prop_cow_page_cache ops =
     touched;
   !ok
 
+(* ---- copy-on-write allocator state vs deep copies ------------------------ *)
+
+(* Scripts over a parent machine and up to three snapshots; the second
+   snapshot is always of the first, so whenever a script makes two,
+   one is a snapshot of a snapshot.  The model keeps eight allocators
+   per machine and deep-copies all of them at each snapshot.  After
+   every op, each machine must agree with its model on what the op
+   returned (the address, the freed size or the [Failure] text), on
+   [live_count] and [bump] in every heap, and on [is_live] at every
+   address seen so far. *)
+
+type alloc_op =
+  | A_alloc of int * int * int (* machine, heap index, size *)
+  | A_free of int * int (* machine, pick among seen and foreign addresses *)
+  | A_snapshot of int
+  | A_commit of int * int (* target, last; [all] is every machine *)
+
+let alloc_heaps = Privateer_ir.Heap.[ Default; Private; Short_lived; Stack; Redux ]
+
+let alloc_ops_arb =
+  QCheck.make ~print:(fun ops -> string_of_int (List.length ops) ^ " ops")
+    QCheck.Gen.(
+      list_size (int_bound 120)
+        (frequency
+           [ ( 8,
+               map3
+                 (fun m h size -> A_alloc (m, h, size))
+                 (int_bound 3)
+                 (int_bound (List.length alloc_heaps - 1))
+                 (oneofl [ 1; 8; 16; 24; 40; 64 ]) );
+             (6, map2 (fun m k -> A_free (m, k)) (int_bound 3) (int_bound 1000));
+             (2, map (fun m -> A_snapshot m) (int_bound 3));
+             (1, map2 (fun t l -> A_commit (t, l)) (int_bound 3) (int_bound 3)) ]))
+
+(* What an op returned: an address or freed size, or a [Failure]. *)
+let outcome f = match f () with v -> Ok v | exception Failure msg -> Error msg
+
+let prop_cow_allocators ops =
+  let open Privateer_machine in
+  let open Privateer_ir in
+  let machines = ref [| Machine.create () |] in
+  let models = ref [| Array.of_list (List.map Allocator.create Heap.all) |] in
+  (* Addresses any machine returned, plus pointers no allocator ever
+     handed out. *)
+  let seen = ref (List.map (fun h -> Heap.base h + 8) alloc_heaps) in
+  let ok = ref true in
+  let pick m = m mod Array.length !machines in
+  let agree got want = if got <> want then ok := false in
+  List.iter
+    (fun op ->
+      (match op with
+      | A_alloc (m, h, size) ->
+        let m = pick m in
+        let heap = List.nth alloc_heaps h in
+        let got = outcome (fun () -> Machine.alloc !machines.(m) heap size) in
+        let want =
+          outcome (fun () -> Allocator.alloc !models.(m).(Heap.tag heap) size)
+        in
+        agree got want;
+        Result.iter (fun a -> seen := a :: !seen) got
+      | A_free (m, k) ->
+        let m = pick m in
+        let addr = List.nth !seen (k mod List.length !seen) in
+        let got = outcome (fun () -> snd (Machine.free !machines.(m) addr)) in
+        let want =
+          outcome (fun () ->
+              Allocator.free !models.(m).(Heap.tag (Heap.heap_of_addr addr)) addr)
+        in
+        agree got want
+      | A_snapshot m ->
+        let n = Array.length !machines in
+        if n < 4 then begin
+          let m = if n = 2 then 1 else pick m in
+          machines := Array.append !machines [| Machine.snapshot !machines.(m) |];
+          models := Array.append !models [| Array.map Allocator.copy !models.(m) |]
+        end
+      | A_commit (t, l) ->
+        let t = pick t and l = pick l in
+        Machine.commit_allocators !machines.(t) ~last:!machines.(l)
+          ~all:(Array.to_list !machines);
+        List.iter
+          (fun heap ->
+            let tag = Heap.tag heap in
+            let merged = Allocator.copy !models.(l).(tag) in
+            Array.iter (fun md -> Allocator.raise_bump merged (Allocator.bump md.(tag))) !models;
+            !models.(t).(tag) <- merged)
+          [ Heap.Default; Heap.Private; Heap.Short_lived ]);
+      Array.iteri
+        (fun m machine ->
+          let a heap = Machine.allocator machine heap in
+          let md heap = !models.(m).(Heap.tag heap) in
+          List.iter
+            (fun heap ->
+              agree (Allocator.live_count (a heap)) (Allocator.live_count (md heap));
+              agree (Allocator.bump (a heap)) (Allocator.bump (md heap)))
+            Heap.all;
+          List.iter
+            (fun addr ->
+              let heap = Heap.heap_of_addr addr in
+              agree (Allocator.is_live (a heap) addr) (Allocator.is_live (md heap) addr))
+            !seen)
+        !machines)
+    ops;
+  !ok
+
 (* ---- shadow machine vs history oracle ----------------------------------- *)
 
 (* A byte's access history within one checkpoint interval: list of
@@ -599,6 +706,8 @@ let suite =
         alloc_script_arb prop_allocator_no_overlap;
       QCheck.Test.make ~count ~name:"COW snapshots isolated" mem_ops_arb
         prop_cow_page_cache;
+      QCheck.Test.make ~count ~name:"COW allocators = deep copies" alloc_ops_arb
+        prop_cow_allocators;
       QCheck.Test.make ~count:500 ~name:"shadow machine = history oracle" history_arb
         prop_shadow_vs_oracle;
       QCheck.Test.make ~count:300 ~name:"range-granular access = per-byte reference"

@@ -248,11 +248,19 @@ let test_checkpoint_redux_merge () =
 (* ---- reduction fold, property ------------------------------------------ *)
 
 (* [merge_redux] against the per-word left fold: each word's partials
-   folded over its base in contribution order.  One to three disjoint
-   ranges in the reduction heap (at most 300 words, byte sizes not
-   always a multiple of 8), any reduction operator, 1-24 workers whose
-   partials are written to real machines and extracted.  Floats
-   compare by their bits, so a fold in any other order fails. *)
+   folded over its base in contribution order with
+   [Reduction.merge_values], boxed, one contribution at a time (each
+   one's words in range order), which fixes the first failing step.
+   One to three disjoint ranges in the reduction heap (at
+   most 300 words, byte sizes not always a multiple of 8, sometimes
+   crossing a page), any reduction operator, 0-24 workers whose
+   partials are written to real machines and extracted.  Bases and
+   partials of either tag meet every operator: a float operator widens
+   an int, and an int operator on a float raises.  Per case, an int
+   operator's values are floats with probability 0, 1/50 or 1/4, so
+   clean folds and failing ones both occur.  The fold must return the
+   same values, floats compared by their bits (a fold in any other
+   order fails), or raise the same [Runtime_error] text. *)
 type redux_case = {
   rc_ranges : (int * int * Ast.binop) list;
   rc_base : Privateer_interp.Value.t array; (* per word, range order *)
@@ -266,30 +274,42 @@ let range_words ranges =
 
 let redux_case_gen =
   let open QCheck.Gen in
-  let value (op : Ast.binop) =
-    match op with
-    | Fadd | Fmul -> map (fun f -> Privateer_interp.Value.VFloat f) (float_range (-1e3) 1e3)
-    | _ -> map (fun i -> Privateer_interp.Value.VInt i) int
+  let float_v =
+    map
+      (fun f -> Privateer_interp.Value.VFloat f)
+      (frequency
+         [ (20, float_range (-1e3) 1e3); (1, oneofl [ Float.nan; Float.infinity; -0.0 ]) ])
   in
+  let int_v = map (fun i -> Privateer_interp.Value.VInt i) int in
+  let value ~float_per_mille (op : Ast.binop) =
+    match op with
+    | Fadd | Fmul -> oneof [ float_v; int_v ]
+    | _ -> frequency [ (float_per_mille, float_v); (1000 - float_per_mille, int_v) ]
+  in
+  let* float_per_mille = oneofl [ 0; 20; 250 ] in
   let* shapes =
     list_size (int_range 1 3)
       (triple (int_range 1 100) (int_range 0 7)
          (oneofl Ast.[ Add; Mul; Band; Bor; Bxor; Fadd; Fmul ]))
   in
+  let* start = int_bound 600 in
   let* gaps = list_repeat (List.length shapes) (int_range 0 64) in
   let ranges, _ =
     List.fold_left2
       (fun (acc, next) (words, slack, op) gap ->
         let base = next + (8 * gap) in
         ((base, (8 * words) - slack, op) :: acc, base + (8 * words)))
-      ([], Heap.base Heap.Redux) shapes gaps
+      ([], Heap.base Heap.Redux + (8 * start))
+      shapes gaps
   in
   let ranges = List.rev ranges in
   let per_word =
-    map Array.of_list (flatten_l (List.map (fun (_, op) -> value op) (range_words ranges)))
+    map Array.of_list
+      (flatten_l
+         (List.map (fun (_, op) -> value ~float_per_mille op) (range_words ranges)))
   in
   let* base = per_word in
-  let* partials = list_size (int_range 1 24) per_word in
+  let* partials = list_size (int_range 0 24) per_word in
   return { rc_ranges = ranges; rc_base = base; rc_partials = partials }
 
 let redux_case_arb =
@@ -302,12 +322,12 @@ let redux_case_arb =
     redux_case_gen
 
 let prop_merge_redux_left_fold rc =
-  let words = range_words rc.rc_ranges in
+  let words = Array.of_list (range_words rc.rc_ranges) in
   let contribs =
     List.mapi
       (fun id partial ->
         let m = Machine.create () in
-        List.iteri
+        Array.iteri
           (fun i (addr, _) ->
             let bits, is_float = Privateer_interp.Value.to_bits partial.(i) in
             Machine.write_word m addr bits is_float)
@@ -316,29 +336,42 @@ let prop_merge_redux_left_fold rc =
           ~redux_ranges:rc.rc_ranges ~reg_partials:[])
       rc.rc_partials
   in
+  let result f =
+    match f () with
+    | v -> Ok v
+    | exception Privateer_interp.Value.Runtime_error msg -> Error msg
+  in
   let expected =
-    List.mapi
-      (fun i (addr, op) ->
-        ( addr,
-          List.fold_left
-            (fun acc partial -> Privateer_analysis.Reduction.merge_values op acc partial.(i))
-            rc.rc_base.(i) rc.rc_partials ))
-      words
+    result (fun () ->
+        let acc = Array.copy rc.rc_base in
+        List.iter
+          (fun partial ->
+            Array.iteri
+              (fun i (_, op) ->
+                acc.(i) <- Privateer_analysis.Reduction.merge_values op acc.(i) partial.(i))
+              words)
+          rc.rc_partials;
+        Array.to_list (Array.mapi (fun i (addr, _) -> (addr, acc.(i))) words))
   in
   let got =
-    Checkpoint.merge_redux ~redux_ranges:rc.rc_ranges
-      ~base:(List.mapi (fun i (addr, _) -> (addr, rc.rc_base.(i))) words)
-      contribs
+    result (fun () ->
+        Checkpoint.merge_redux ~redux_ranges:rc.rc_ranges
+          ~base:(Array.to_list (Array.mapi (fun i (addr, _) -> (addr, rc.rc_base.(i))) words))
+          contribs)
   in
-  List.equal
-    (fun (a, v) (b, w) ->
-      a = b && Privateer_interp.Value.to_bits v = Privateer_interp.Value.to_bits w)
-    expected got
+  match (expected, got) with
+  | Ok e, Ok g ->
+    List.equal
+      (fun (a, v) (b, w) ->
+        a = b && Privateer_interp.Value.to_bits v = Privateer_interp.Value.to_bits w)
+      e g
+  | Error e, Error g -> String.equal e g
+  | Ok _, Error _ | Error _, Ok _ -> false
 
 let test_checkpoint_reg_partials () =
   let mk p =
     { Checkpoint.worker = 0; writes = Hashtbl.create 1; live_in_reads = Hashtbl.create 1;
-      redux_words = [||]; reg_partials = [ ("terr", Privateer_interp.Value.VFloat p) ];
+      redux_words = Bytes.empty; reg_partials = [ ("terr", Privateer_interp.Value.VFloat p) ];
       pages_touched = 0 }
   in
   match

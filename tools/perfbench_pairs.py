@@ -2,15 +2,17 @@
 """Alternating parent/change pairs of perfbench runs, summarised.
 
     python3 tools/perfbench_pairs.py --parent DIR --change DIR \\
-        --workload paper-ports --seed 1 --pairs 10 --seconds 10
+        --workload paper-ports --seed 1 --pairs 10 --seconds 10 [--trace 0|1]
 
-Each pair runs `python3 perfbench/run.py --trace 0` once in each
+Each pair runs `python3 perfbench/run.py --trace T` once in each
 checkout, the parent first in even pairs and the change first in odd
-ones, so host drift falls on both sides alike.  For every end-to-end
-metric that BENCHMARK.json declares, it prints the per-pair values,
-each side's median and quartiles, how many pairs the change won, and
-whether the gap between the medians exceeds the parent's interquartile
-range.  Exits 1 if any run fails or reports "correct": false.
+ones, so host drift falls on both sides alike.  For every metric that
+BENCHMARK.json declares for that mode (the end-to-end metrics with
+--trace 0, the default; the per-layer metrics with --trace 1), it
+prints the per-pair values, each side's median and quartiles, how many
+pairs the change won, and whether the gap between the medians exceeds
+the parent's interquartile range.  Exits 1 if any run fails or reports
+"correct": false.
 
 Standard library only; it reads perfbench's output and changes nothing.
 """
@@ -25,7 +27,8 @@ import sys
 
 def run_once(checkout, args):
     cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload,
-           "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0"]
+           "--seed", str(args.seed), "--seconds", str(args.seconds),
+           "--trace", str(args.trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     result = None
     for line in proc.stdout.splitlines():
@@ -48,9 +51,10 @@ def quartiles(xs):
     return q1, q2, q3
 
 
-def end_to_end_metrics(checkout):
+def declared_metrics(checkout, trace):
     with open(os.path.join(checkout, "BENCHMARK.json")) as f:
-        return [(m["name"], m["better"]) for m in json.load(f)["end_to_end"]]
+        declared = json.load(f)["per_layer" if trace else "end_to_end"]
+    return [(m["name"], m["better"]) for m in declared]
 
 
 def main():
@@ -61,6 +65,8 @@ def main():
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--pairs", type=int, required=True)
     ap.add_argument("--seconds", type=float, required=True)
+    ap.add_argument("--trace", type=int, choices=(0, 1), default=0,
+                    help="1: traced runs, summarising the per-layer metrics")
     args = ap.parse_args()
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
@@ -79,9 +85,10 @@ def main():
             values[side].append({k: v["value"] for k, v in metrics.items()})
         print("pair %d done (%s first)" % (i + 1, order[0]), file=sys.stderr, flush=True)
 
-    print("%s seed %d, %d pairs of %g-s runs; parent %s, change %s"
-          % (args.workload, args.seed, args.pairs, args.seconds, args.parent, args.change))
-    for name, better in end_to_end_metrics(args.change):
+    print("%s seed %d, %d pairs of %g-s %s runs; parent %s, change %s"
+          % (args.workload, args.seed, args.pairs, args.seconds,
+             "traced" if args.trace else "untraced", args.parent, args.change))
+    for name, better in declared_metrics(args.change, args.trace):
         par = [v[name] for v in values["parent"] if name in v]
         chg = [v[name] for v in values["change"] if name in v]
         if len(par) != args.pairs or len(chg) != args.pairs:
