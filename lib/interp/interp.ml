@@ -19,12 +19,33 @@
    where it crosses a dynamic boundary: a slot assignment, call
    arguments and results, store values (the [on_store] hook's
    [~value]), print arguments, [==]/[!=] unless both operands are ints,
-   and [assert_value].  The conversions are this module's own: the
-   default build compiles with [-opaque], so [Value]'s would be calls.
-   The closures take the interpreter and the frame as arguments, so
-   [fork] shares them.  The observables are fixed (test_interp pins
-   them): one step per expression node and per statement, cycle
-   charges and hooks in evaluation order, and the error texts. *)
+   and [assert_value].  The conversions are this module's own.
+
+   The default build compiles with [-opaque], so every cross-module
+   call is a real call, and a call of an unknown closure with two or
+   more arguments goes through the runtime's arity check
+   ([caml_apply2]).  The hot path follows one rule: a node calls its
+   operands with one argument, and an aligned 8-byte access makes one
+   cross-module call, the page lookup, before its hook.  Hence:
+   - every lowered closure takes the frame alone.  The frame records
+     the interpreter running it: [new_frame] binds a callee's frame to
+     its caller's interpreter, and [run_iteration], which every worker
+     and recovery iteration goes through, binds the frame it runs, so
+     a worker's frame copy runs on its fork.  [fork] shares the
+     closures;
+   - an aligned 8-byte load or store resolves its page with
+     [Memory.page_for_read] (the shared all-zero page when unmapped) or
+     [Memory.touch_page], and reads or writes the word and its float
+     tag here; only an unaligned address goes through
+     [Machine.read_word] and [write_word];
+   - a subscript [a[i]], which the parser builds as
+     [base + 8 * index], is evaluated inside its load or store closure
+     ([subscript]) with the steps, charges and int conversions of the
+     three nodes it replaces, in their order.
+   The observables are fixed (test_interp pins them): one step per
+   expression node and per statement, a subscript's three nodes
+   included, cycle charges and hooks in evaluation order, and the error
+   texts. *)
 
 open Privateer_ir
 open Privateer_machine
@@ -38,9 +59,12 @@ type frame = {
   names : (string, int) Hashtbl.t; (* the function's local name -> slot *)
   (* Stack slots to auto-free at function exit: (alloc site, address). *)
   mutable frame_allocs : (Ast.node_id * int) list;
+  (* The interpreter running this activation: [new_frame] binds it and
+     [run_iteration] rebinds a frame copy to its fork. *)
+  mutable interp : t;
 }
 
-type t = {
+and t = {
   program : Ast.program;
   machine : Machine.t;
   globals : (string, int) Hashtbl.t; (* name -> base address *)
@@ -60,14 +84,14 @@ type t = {
 }
 
 (* A For loop as the executor sees it. *)
-and loop = { loop_id : Ast.node_id; induction : int; body : t -> frame -> unit }
+and loop = { loop_id : Ast.node_id; induction : int; body : frame -> unit }
 
 and fn = {
   arity : int;
   param_slots : int array;
   slot_names : (string, int) Hashtbl.t;
   nslots : int;
-  mutable fbody : t -> frame -> unit; (* set once every function is lowered *)
+  mutable fbody : frame -> unit; (* set once every function is lowered *)
 }
 
 (* The entry function; every function it can call hangs off it. *)
@@ -77,8 +101,9 @@ and code = fn option
    never escapes to the program. *)
 let unbound = Value.VFloat (Sys.opaque_identity Float.nan)
 
-let new_frame (fn : fn) =
-  { slots = Array.make fn.nslots unbound; names = fn.slot_names; frame_allocs = [] }
+let new_frame (fn : fn) st =
+  { slots = Array.make fn.nslots unbound; names = fn.slot_names; frame_allocs = [];
+    interp = st }
 
 let copy_frame fr = { fr with slots = Array.copy fr.slots }
 
@@ -156,16 +181,18 @@ let render_format fmt args =
 (* A lowered expression, by what it is known to produce.  A literal or
    global address is a constant, boxed once for value contexts, and a
    local read is its slot, so neither costs a closure call; every other
-   node is a closure whose result type is fixed at lowering. *)
+   node is a closure whose result type is fixed at lowering.  A closure
+   takes the frame alone and finds its interpreter there, so calling it
+   is a direct call. *)
 type expr =
   | Const of Value.t
   | Slot of int * string (* the slot, and the name for the unbound error *)
-  | Int_fn of (t -> frame -> int)
-  | Float_fn of (t -> frame -> float)
-  | Bool_fn of (t -> frame -> bool)
-  | Value_fn of (t -> frame -> Value.t)
+  | Int_fn of (frame -> int)
+  | Float_fn of (frame -> float)
+  | Bool_fn of (frame -> bool)
+  | Value_fn of (frame -> Value.t)
 
-type stmt_code = t -> frame -> unit
+type stmt_code = frame -> unit
 
 (* The value conversions, with [Value]'s error text.  They live here
    because the default build compiles with [-opaque], so [Value]'s
@@ -181,7 +208,7 @@ let[@inline never] unbound_local name = error "unbound local %s" name
 
 (* Reading an operand in the context its consumer needs.  A constant or
    slot read is a node too: it counts its step here, when the consumer
-   reads it. *)
+   reads it.  [st] is [fr.interp], which the consumer has read once. *)
 
 let[@inline] read_slot st fr slot name =
   step st;
@@ -194,10 +221,10 @@ let[@inline] read_value e st fr =
     step st;
     v
   | Slot (slot, name) -> read_slot st fr slot name
-  | Int_fn f -> Value.VInt (f st fr)
-  | Float_fn f -> Value.VFloat (f st fr)
-  | Bool_fn f -> of_bool (f st fr)
-  | Value_fn f -> f st fr
+  | Int_fn f -> Value.VInt (f fr)
+  | Float_fn f -> Value.VFloat (f fr)
+  | Bool_fn f -> of_bool (f fr)
+  | Value_fn f -> f fr
 
 let[@inline] read_int e st fr =
   match e with
@@ -205,10 +232,10 @@ let[@inline] read_int e st fr =
     step st;
     to_int v
   | Slot (slot, name) -> to_int (read_slot st fr slot name)
-  | Int_fn f -> f st fr
-  | Float_fn f -> not_an_int (f st fr)
-  | Bool_fn f -> Bool.to_int (f st fr)
-  | Value_fn f -> to_int (f st fr)
+  | Int_fn f -> f fr
+  | Float_fn f -> not_an_int (f fr)
+  | Bool_fn f -> Bool.to_int (f fr)
+  | Value_fn f -> to_int (f fr)
 
 let[@inline] read_float e st fr =
   match e with
@@ -216,10 +243,10 @@ let[@inline] read_float e st fr =
     step st;
     to_float v
   | Slot (slot, name) -> to_float (read_slot st fr slot name)
-  | Int_fn f -> float_of_int (f st fr)
-  | Float_fn f -> f st fr
-  | Bool_fn f -> if f st fr then 1.0 else 0.0
-  | Value_fn f -> to_float (f st fr)
+  | Int_fn f -> float_of_int (f fr)
+  | Float_fn f -> f fr
+  | Bool_fn f -> if f fr then 1.0 else 0.0
+  | Value_fn f -> to_float (f fr)
 
 let[@inline] read_truth e st fr =
   match e with
@@ -227,10 +254,10 @@ let[@inline] read_truth e st fr =
     step st;
     truthy v
   | Slot (slot, name) -> truthy (read_slot st fr slot name)
-  | Int_fn f -> f st fr <> 0
-  | Float_fn f -> f st fr <> 0.0
-  | Bool_fn f -> f st fr
-  | Value_fn f -> truthy (f st fr)
+  | Int_fn f -> f fr <> 0
+  | Float_fn f -> f fr <> 0.0
+  | Bool_fn f -> f fr
+  | Value_fn f -> truthy (f fr)
 
 (* Whether an integer consumer must convert the operand (and may fail):
    everything but an int constant, an int closure or a condition. *)
@@ -284,31 +311,35 @@ let[@inline] apply_int_op : type r. r int_op -> int -> int -> r =
    checked?) pair, with the operator's match inlined into each.  A
    checked operand is read as a value and converted after the charge,
    right first: when both are floats, the error names the right one. *)
-let int_shapes (type r) (op : r int_op) c a b : t -> frame -> r =
+let int_shapes (type r) (op : r int_op) c a b : frame -> r =
   match (checked a, checked b) with
   | false, false ->
-    fun st fr ->
+    fun fr ->
+      let st = fr.interp in
       step st;
       let x = read_int a st fr in
       let y = read_int b st fr in
       charge st c;
       apply_int_op op x y
   | true, false ->
-    fun st fr ->
+    fun fr ->
+      let st = fr.interp in
       step st;
       let va = read_value a st fr in
       let y = read_int b st fr in
       charge st c;
       apply_int_op op (to_int va) y
   | false, true ->
-    fun st fr ->
+    fun fr ->
+      let st = fr.interp in
       step st;
       let x = read_int a st fr in
       let vb = read_value b st fr in
       charge st c;
       apply_int_op op x (to_int vb)
   | true, true ->
-    fun st fr ->
+    fun fr ->
+      let st = fr.interp in
       step st;
       let va = read_value a st fr in
       let vb = read_value b st fr in
@@ -325,7 +356,8 @@ let lower_binop (op : Ast.binop) c a b =
     (* Float operators read their operands as floats, which never
        fails. *)
     Float_fn
-      (fun st fr ->
+      (fun fr ->
+        let st = fr.interp in
         step st;
         let x = read_float a st fr in
         let y = read_float b st fr in
@@ -337,7 +369,8 @@ let lower_binop (op : Ast.binop) c a b =
         | _ -> x /. y)
   | Flt | Fle | Fgt | Fge | Feq | Fne ->
     Bool_fn
-      (fun st fr ->
+      (fun fr ->
+        let st = fr.interp in
         step st;
         let x = read_float a st fr in
         let y = read_float b st fr in
@@ -355,7 +388,8 @@ let lower_binop (op : Ast.binop) c a b =
     let eq = op = Eq in
     if checked a || checked b then
       Bool_fn
-        (fun st fr ->
+        (fun fr ->
+          let st = fr.interp in
           step st;
           let va = read_value a st fr in
           let vb = read_value b st fr in
@@ -366,7 +400,8 @@ let lower_binop (op : Ast.binop) c a b =
           equal = eq)
     else
       Bool_fn
-        (fun st fr ->
+        (fun fr ->
+          let st = fr.interp in
           step st;
           let x = read_int a st fr in
           let y = read_int b st fr in
@@ -381,42 +416,48 @@ let lower_unop (op : Ast.unop) c a =
   | Neg | Bnot ->
     if checked a then
       Int_fn
-        (fun st fr ->
+        (fun fr ->
+          let st = fr.interp in
           step st;
           let v = read_value a st fr in
           charge st c;
           int_unop op (to_int v))
     else
       Int_fn
-        (fun st fr ->
+        (fun fr ->
+          let st = fr.interp in
           step st;
           let x = read_int a st fr in
           charge st c;
           int_unop op x)
   | Not ->
     Bool_fn
-      (fun st fr ->
+      (fun fr ->
+        let st = fr.interp in
         step st;
         let b = read_truth a st fr in
         charge st c;
         not b)
   | Fneg ->
     Float_fn
-      (fun st fr ->
+      (fun fr ->
+        let st = fr.interp in
         step st;
         let x = read_float a st fr in
         charge st c;
         -.x)
   | Itof ->
     Float_fn
-      (fun st fr ->
+      (fun fr ->
+        let st = fr.interp in
         step st;
         let x = read_float a st fr in
         charge st c;
         x)
   | Ftoi ->
     Int_fn
-      (fun st fr ->
+      (fun fr ->
+        let st = fr.interp in
         step st;
         let x = read_float a st fr in
         charge st c;
@@ -428,7 +469,8 @@ let lower_builtin (cost : Cost.t) name args =
   let c = cost.c_builtin in
   let arity_error =
     Value_fn
-      (fun st fr ->
+      (fun fr ->
+        let st = fr.interp in
         step st;
         ignore (eval_args args st fr);
         charge st c;
@@ -438,7 +480,8 @@ let lower_builtin (cost : Cost.t) name args =
     match args with
     | [| a |] ->
       Float_fn
-        (fun st fr ->
+        (fun fr ->
+          let st = fr.interp in
           step st;
           let x = read_float a st fr in
           charge st c;
@@ -449,7 +492,8 @@ let lower_builtin (cost : Cost.t) name args =
     match args with
     | [| a; b |] ->
       Float_fn
-        (fun st fr ->
+        (fun fr ->
+          let st = fr.interp in
           step st;
           let x = read_float a st fr in
           let y = read_float b st fr in
@@ -461,7 +505,8 @@ let lower_builtin (cost : Cost.t) name args =
     match args with
     | [| a; b |] ->
       Int_fn
-        (fun st fr ->
+        (fun fr ->
+          let st = fr.interp in
           step st;
           let va = read_value a st fr in
           let vb = read_value b st fr in
@@ -487,13 +532,114 @@ let lower_builtin (cost : Cost.t) name args =
     match args with
     | [| a |] ->
       Int_fn
-        (fun st fr ->
+        (fun fr ->
+          let st = fr.interp in
           step st;
           let v = read_value a st fr in
           charge st c;
           abs (to_int v))
     | _ -> arity_error)
   | _ -> invalid_arg ("Interp: no implementation for builtin " ^ name)
+
+(* ---- 8-byte accesses --------------------------------------------------- *)
+
+let page_mask = Memory.page_size - 1
+
+(* Unaligned (possibly page-crossing) words go through [Machine]'s
+   byte-wise path. *)
+let[@inline never] unaligned_load st addr =
+  let bits, is_float = Machine.read_word st.machine addr in
+  Value.of_bits bits is_float
+
+let[@inline never] unaligned_store st addr v =
+  let bits, is_float = Value.to_bits v in
+  Machine.write_word st.machine addr bits is_float
+
+(* An aligned word is read and written on its page: one call resolves
+   the page ([page_for_read]'s all-zero page when unmapped), and the
+   word and its float tag ([Memory.int_tag] or [float_tag]) are taken
+   here, as the aligned branch of [Memory.read_word] and [write_word]
+   would. *)
+let[@inline] load_word st addr =
+  if addr land 7 = 0 then begin
+    let p = Memory.page_for_read st.machine.mem addr in
+    let off = addr land page_mask in
+    let bits = Bytes.get_int64_le p.bytes off in
+    if Bytes.unsafe_get p.ftags (off lsr 3) = Memory.int_tag then Value.VInt (Int64.to_int bits)
+    else Value.VFloat (Int64.float_of_bits bits)
+  end
+  else unaligned_load st addr
+
+let[@inline] store_word st addr (v : Value.t) =
+  if addr land 7 = 0 then begin
+    let p = Memory.touch_page st.machine.mem addr in
+    let off = addr land page_mask in
+    match v with
+    | VInt n ->
+      Bytes.set_int64_le p.bytes off (Int64.of_int n);
+      Bytes.unsafe_set p.ftags (off lsr 3) Memory.int_tag
+    | VFloat f ->
+      Bytes.set_int64_le p.bytes off (Int64.bits_of_float f);
+      Bytes.unsafe_set p.ftags (off lsr 3) Memory.float_tag
+  end
+  else unaligned_store st addr v
+
+(* The load's charge, the word, then the hook. *)
+let[@inline] load8 st c id addr =
+  charge st c;
+  let v = load_word st addr in
+  st.hooks.on_load id ~addr ~size:8 ~value:v;
+  v
+
+(* The store's charge, the hook (which sees pre-store memory), then the
+   word. *)
+let[@inline] store8 st c id addr v =
+  charge st c;
+  st.hooks.on_store id ~addr ~size:8 ~value:v;
+  store_word st addr v
+
+(* A subscript [base[index]], which the parser builds as
+   [base + 8 * index], evaluated in place of those three nodes with
+   their steps, charges and conversions in their order: the add's
+   step, the base, the multiply's and the literal's steps, the index,
+   the multiply's charge, the index's conversion, the add's charge and
+   the base's conversion.  [bc] and [ic] say whether the base and the
+   index need a conversion ([checked]); each is a constant where this
+   is inlined, so each of the four shapes keeps only its own branch. *)
+let[@inline] subscript ~bc ~ic c base index st fr =
+  step st;
+  let vb = if bc then read_value base st fr else v_false in
+  let b = if bc then 0 else read_int base st fr in
+  step st;
+  step st;
+  let i =
+    if ic then begin
+      let vi = read_value index st fr in
+      charge st c;
+      to_int vi
+    end
+    else begin
+      let i = read_int index st fr in
+      charge st c;
+      i
+    end
+  in
+  let off = 8 * i in
+  charge st c;
+  (if bc then to_int vb else b) + off
+
+let[@inline] subscript_load ~bc ~ic ca cl id base index fr =
+  let st = fr.interp in
+  step st;
+  let addr = subscript ~bc ~ic ca base index st fr in
+  load8 st cl id addr
+
+let[@inline] subscript_store ~bc ~ic ca cs id base index ev fr =
+  let st = fr.interp in
+  step st;
+  let addr = subscript ~bc ~ic ca base index st fr in
+  let v = read_value ev st fr in
+  store8 st cs id addr v
 
 (* Call a lowered function on a frame whose parameters are bound. *)
 let invoke (cost : Cost.t) st id fn callee =
@@ -502,7 +648,7 @@ let invoke (cost : Cost.t) st id fn callee =
   st.ctx <- id :: saved_ctx;
   let result =
     try
-      fn.fbody st callee;
+      fn.fbody callee;
       v_false
     with Return_exc v -> v
   in
@@ -534,32 +680,39 @@ let rec lower_expr env names (e : Ast.expr) : expr =
     | Some addr -> Const (VInt addr)
     | None ->
       Value_fn
-        (fun st _ ->
-          step st;
+        (fun fr ->
+          step fr.interp;
           error "unknown global %s" g))
-  | Load (id, size, ea) -> (
+  | Load (id, S8, Binop (Add, base, Binop (Mul, Int 8, index))) ->
+    let base = lower_expr env names base and index = lower_expr env names index in
+    let ca = cost.c_arith and cl = cost.c_load in
+    Value_fn
+      (match (checked base, checked index) with
+      | false, false -> fun fr -> subscript_load ~bc:false ~ic:false ca cl id base index fr
+      | true, false -> fun fr -> subscript_load ~bc:true ~ic:false ca cl id base index fr
+      | false, true -> fun fr -> subscript_load ~bc:false ~ic:true ca cl id base index fr
+      | true, true -> fun fr -> subscript_load ~bc:true ~ic:true ca cl id base index fr)
+  | Load (id, S8, ea) ->
     let ea = lower_expr env names ea in
     let c = cost.c_load in
-    match size with
-    | S8 ->
-      Value_fn
-        (fun st fr ->
-          step st;
-          let addr = read_int ea st fr in
-          charge st c;
-          let bits, is_float = Machine.read_word st.machine addr in
-          let v = Value.of_bits bits is_float in
-          st.hooks.on_load id ~addr ~size:8 ~value:v;
-          v)
-    | S1 ->
-      Int_fn
-        (fun st fr ->
-          step st;
-          let addr = read_int ea st fr in
-          charge st c;
-          let n = Machine.read_byte st.machine addr in
-          st.hooks.on_load id ~addr ~size:1 ~value:(VInt n);
-          n))
+    Value_fn
+      (fun fr ->
+        let st = fr.interp in
+        step st;
+        let addr = read_int ea st fr in
+        load8 st c id addr)
+  | Load (id, S1, ea) ->
+    let ea = lower_expr env names ea in
+    let c = cost.c_load in
+    Int_fn
+      (fun fr ->
+        let st = fr.interp in
+        step st;
+        let addr = read_int ea st fr in
+        charge st c;
+        let n = Machine.read_byte st.machine addr in
+        st.hooks.on_load id ~addr ~size:1 ~value:(VInt n);
+        n)
   | Unop (op, a) -> lower_unop op cost.c_arith (lower_expr env names a)
   | Binop (op, a, b) ->
     lower_binop op cost.c_arith (lower_expr env names a) (lower_expr env names b)
@@ -567,7 +720,8 @@ let rec lower_expr env names (e : Ast.expr) : expr =
     let a = lower_expr env names a and b = lower_expr env names b in
     let c = cost.c_branch in
     Bool_fn
-      (fun st fr ->
+      (fun fr ->
+        let st = fr.interp in
         step st;
         charge st c;
         read_truth a st fr && read_truth b st fr)
@@ -575,7 +729,8 @@ let rec lower_expr env names (e : Ast.expr) : expr =
     let a = lower_expr env names a and b = lower_expr env names b in
     let c = cost.c_branch in
     Bool_fn
-      (fun st fr ->
+      (fun fr ->
+        let st = fr.interp in
         step st;
         charge st c;
         read_truth a st fr || read_truth b st fr)
@@ -587,22 +742,25 @@ let rec lower_expr env names (e : Ast.expr) : expr =
       match Hashtbl.find_opt env.e_fns fname with
       | None ->
         Value_fn
-          (fun st fr ->
+          (fun fr ->
+            let st = fr.interp in
             step st;
             ignore (eval_args args st fr);
             error "call to undefined function %s" fname)
       | Some fn when fn.arity <> nargs ->
         Value_fn
-          (fun st fr ->
+          (fun fr ->
+            let st = fr.interp in
             step st;
             ignore (eval_args args st fr);
             error "%s: expected %d arguments, got %d" fname fn.arity nargs)
       | Some fn ->
         let params = fn.param_slots in
         Value_fn
-          (fun st fr ->
+          (fun fr ->
+            let st = fr.interp in
             step st;
-            let callee = new_frame fn in
+            let callee = new_frame fn st in
             for i = 0 to nargs - 1 do
               callee.slots.(params.(i)) <- read_value args.(i) st fr
             done;
@@ -617,7 +775,8 @@ let rec lower_expr env names (e : Ast.expr) : expr =
       | None, Ast.Salloc -> Heap.Stack
     in
     Int_fn
-      (fun st fr ->
+      (fun fr ->
+        let st = fr.interp in
         step st;
         let size = read_int size_e st fr in
         if size < 0 then error "negative allocation size %d" size;
@@ -631,21 +790,21 @@ let rec lower_expr env names (e : Ast.expr) : expr =
 
 and lower_block env names blk : stmt_code =
   match Array.of_list (List.map (lower_stmt env names) blk) with
-  | [||] -> fun _ _ -> ()
+  | [||] -> fun _ -> ()
   | [| s |] -> s
   | [| s1; s2 |] ->
-    fun st fr ->
-      s1 st fr;
-      s2 st fr
+    fun fr ->
+      s1 fr;
+      s2 fr
   | [| s1; s2; s3 |] ->
-    fun st fr ->
-      s1 st fr;
-      s2 st fr;
-      s3 st fr
+    fun fr ->
+      s1 fr;
+      s2 fr;
+      s3 fr
   | stmts ->
-    fun st fr ->
+    fun fr ->
       for i = 0 to Array.length stmts - 1 do
-        stmts.(i) st fr
+        stmts.(i) fr
       done
 
 and lower_stmt env names (s : Ast.stmt) : stmt_code =
@@ -654,43 +813,53 @@ and lower_stmt env names (s : Ast.stmt) : stmt_code =
   match s with
   | Assign (name, e) ->
     let slot = Hashtbl.find names name and e = expr e in
-    fun st fr ->
+    fun fr ->
+      let st = fr.interp in
       step st;
       fr.slots.(slot) <- read_value e st fr
-  | Store (id, size, ea, ev) -> (
+  | Store (id, S8, Binop (Add, base, Binop (Mul, Int 8, index)), ev) ->
+    let base = expr base and index = expr index and ev = expr ev in
+    let ca = cost.c_arith and cs = cost.c_store in
+    (match (checked base, checked index) with
+    | false, false -> fun fr -> subscript_store ~bc:false ~ic:false ca cs id base index ev fr
+    | true, false -> fun fr -> subscript_store ~bc:true ~ic:false ca cs id base index ev fr
+    | false, true -> fun fr -> subscript_store ~bc:false ~ic:true ca cs id base index ev fr
+    | true, true -> fun fr -> subscript_store ~bc:true ~ic:true ca cs id base index ev fr)
+  | Store (id, S8, ea, ev) ->
     let ea = expr ea and ev = expr ev in
     let c = cost.c_store in
-    match size with
-    | S8 ->
-      fun st fr ->
-        step st;
-        let addr = read_int ea st fr in
-        let v = read_value ev st fr in
-        charge st c;
-        st.hooks.on_store id ~addr ~size:8 ~value:v;
-        let bits, is_float = Value.to_bits v in
-        Machine.write_word st.machine addr bits is_float
-    | S1 ->
-      fun st fr ->
-        step st;
-        let addr = read_int ea st fr in
-        let v = read_value ev st fr in
-        charge st c;
-        st.hooks.on_store id ~addr ~size:1 ~value:v;
-        Machine.write_byte st.machine addr (to_int v))
+    fun fr ->
+      let st = fr.interp in
+      step st;
+      let addr = read_int ea st fr in
+      let v = read_value ev st fr in
+      store8 st c id addr v
+  | Store (id, S1, ea, ev) ->
+    let ea = expr ea and ev = expr ev in
+    let c = cost.c_store in
+    fun fr ->
+      let st = fr.interp in
+      step st;
+      let addr = read_int ea st fr in
+      let v = read_value ev st fr in
+      charge st c;
+      st.hooks.on_store id ~addr ~size:1 ~value:v;
+      Machine.write_byte st.machine addr (to_int v)
   | If (id, c, b1, b2) ->
     let cond = expr c and b1 = lower_block env names b1 and b2 = lower_block env names b2 in
     let c = cost.c_branch in
-    fun st fr ->
+    fun fr ->
+      let st = fr.interp in
       step st;
       charge st c;
       let taken = read_truth cond st fr in
       st.hooks.on_branch id ~taken;
-      if taken then b1 st fr else b2 st fr
+      if taken then b1 fr else b2 fr
   | While (id, cond, body) ->
     let cond = expr cond and body = lower_block env names body in
     let c = cost.c_branch in
-    fun st fr ->
+    fun fr ->
+      let st = fr.interp in
       step st;
       st.hooks.on_loop_enter id;
       let saved_ctx = st.ctx in
@@ -702,7 +871,7 @@ and lower_stmt env names (s : Ast.stmt) : stmt_code =
            charge st c;
            if read_truth cond st fr then begin
              st.hooks.on_loop_iter id ~iter:!iter;
-             (try body st fr with Continue_exc -> ());
+             (try body fr with Continue_exc -> ());
              incr iter
            end
            else continue_loop := false
@@ -716,7 +885,8 @@ and lower_stmt env names (s : Ast.stmt) : stmt_code =
     let body = lower_block env names body in
     let loop = { loop_id = id; induction = slot; body } in
     let c = cost.c_branch in
-    fun st fr ->
+    fun fr ->
+      let st = fr.interp in
       step st;
       let init = read_int init_e st fr in
       let limit = read_int limit_e st fr in
@@ -734,7 +904,7 @@ and lower_stmt env names (s : Ast.stmt) : stmt_code =
              charge st c;
              if to_int fr.slots.(slot) < limit then begin
                st.hooks.on_loop_iter id ~iter:!iter;
-               (try body st fr with Continue_exc -> ());
+               (try body fr with Continue_exc -> ());
                incr iter;
                fr.slots.(slot) <- VInt (to_int fr.slots.(slot) + 1)
              end
@@ -745,13 +915,15 @@ and lower_stmt env names (s : Ast.stmt) : stmt_code =
         st.hooks.on_loop_exit id ~trips:!iter)
   | Expr e ->
     let e = expr e in
-    fun st fr ->
+    fun fr ->
+      let st = fr.interp in
       step st;
       ignore (read_value e st fr)
   | Free (id, _, pe) ->
     let pe = expr pe in
     let c = cost.c_free in
-    fun st fr ->
+    fun fr ->
+      let st = fr.interp in
       step st;
       let addr = read_int pe st fr in
       charge st c;
@@ -759,25 +931,27 @@ and lower_stmt env names (s : Ast.stmt) : stmt_code =
       st.hooks.on_free id ~addr ~size heap
   | Return (Some e) ->
     let e = expr e in
-    fun st fr ->
+    fun fr ->
+      let st = fr.interp in
       step st;
       raise (Return_exc (read_value e st fr))
   | Return None ->
-    fun st _ ->
-      step st;
+    fun fr ->
+      step fr.interp;
       raise (Return_exc v_false)
   | Break ->
-    fun st _ ->
-      step st;
+    fun fr ->
+      step fr.interp;
       raise Break_exc
   | Continue ->
-    fun st _ ->
-      step st;
+    fun fr ->
+      step fr.interp;
       raise Continue_exc
   | Print (_, fmt, args) ->
     let args = Array.of_list (List.map expr args) in
     let c = cost.c_print in
-    fun st fr ->
+    fun fr ->
+      let st = fr.interp in
       step st;
       let args = eval_args args st fr in
       charge st c;
@@ -785,7 +959,8 @@ and lower_stmt env names (s : Ast.stmt) : stmt_code =
   | Check_heap (id, pe, heap) ->
     let pe = expr pe in
     let c = cost.c_check_heap in
-    fun st fr ->
+    fun fr ->
+      let st = fr.interp in
       step st;
       let addr = read_int pe st fr in
       charge st c;
@@ -794,13 +969,15 @@ and lower_stmt env names (s : Ast.stmt) : stmt_code =
     let e = expr e in
     let c = cost.c_assert_value in
     let expected_v = Value.VInt expected in
-    fun st fr ->
+    fun fr ->
+      let st = fr.interp in
       step st;
       let v = read_value e st fr in
       charge st c;
       st.hooks.on_assert_value id ~observed:v ~expected ~ok:(Value.equal v expected_v)
   | Misspec (id, reason) ->
-    fun st _ ->
+    fun fr ->
+      let st = fr.interp in
       step st;
       st.hooks.on_misspec id ~reason
 
@@ -818,7 +995,7 @@ let lower cost globals (program : Ast.program) =
             { arity = List.length f.params;
               param_slots = Array.of_list (List.map (Hashtbl.find names) f.params);
               slot_names = names; nslots = Hashtbl.length names;
-              fbody = (fun _ _ -> ()) }
+              fbody = (fun _ -> ()) }
           in
           Hashtbl.add fns f.fname fn;
           Some (f, fn)
@@ -863,11 +1040,13 @@ let fork st =
   child.emit <- (fun s -> Buffer.add_string child.output s);
   child
 
-(* One iteration of a loop the executor took over: the induction
-   variable set to [v], then the body. *)
+(* One iteration of a loop the executor took over, on [st]: the frame
+   is bound to [st] (a worker's frame copy to its fork), the induction
+   variable set to [v], then the body runs. *)
 let run_iteration st fr l v =
+  fr.interp <- st;
   set_induction fr l v;
-  l.body st fr
+  l.body fr
 
 (* Run the program's entry function.  Returns the entry's return value. *)
 let run_entry st =
@@ -877,6 +1056,6 @@ let run_entry st =
     if fn.arity <> 0 then
       error "%s: expected %d arguments, got 0" st.program.entry fn.arity;
     (* 0 is the synthetic call-site id of the entry invocation. *)
-    invoke st.cost st 0 fn (new_frame fn)
+    invoke st.cost st 0 fn (new_frame fn st)
 
 let output st = Buffer.contents st.output

@@ -11,11 +11,30 @@
     (a slot assignment, call arguments and results, store values, print
     arguments, [==]/[!=] unless both operands are ints, and
     [assert_value]).  The int/float conversions are the interpreter's
-    own, with {!Value}'s error text, because the default build compiles
-    with [-opaque] and cross-module calls do not inline.  Observables
-    are fixed: one step per expression node and per statement, cycle
-    charges and hook events in evaluation order, and the error texts of
-    {!Runtime_error}. *)
+    own, with {!Value}'s error text.
+
+    The default build compiles with [-opaque], where cross-module calls
+    do not inline and a closure called with two or more arguments pays
+    the runtime's arity check.  So a node calls its operands with one
+    argument, and an aligned 8-byte access makes one cross-module call,
+    the page lookup, before its hook:
+    - a lowered closure takes only the {!frame}, which records the
+      interpreter running it.  A function's frame is bound to its
+      caller's interpreter, and {!run_iteration} binds the frame it is
+      given to the interpreter it is given, so a worker's
+      {!copy_frame} runs on the worker's {!fork};
+    - aligned 8-byte loads and stores read and write the word and its
+      float tag on the page ({!Privateer_machine.Memory.page_for_read},
+      {!Privateer_machine.Memory.touch_page}); unaligned ones take
+      {!Privateer_machine.Machine.read_word} and [write_word];
+    - a subscript [a[i]] (the parser's [a + 8 * i]) is evaluated inside
+      its load or store, with the steps, charges and int conversions of
+      the add, the multiply and the literal, in their order.
+
+    Observables are fixed: one step per expression node and per
+    statement, cycle charges and hook events in evaluation order, and
+    the error texts of {!Runtime_error}.  A step budget therefore stops
+    a run at the same node, inside a subscript too. *)
 
 open Privateer_ir
 open Privateer_machine
@@ -24,7 +43,8 @@ open Privateer_machine
     {!Value.Runtime_error}). *)
 exception Runtime_error of string
 
-(** A function activation's locals. *)
+(** A function activation's locals, bound to the interpreter running
+    it. *)
 type frame
 
 (** A [For] loop handed to [parallel_for]: its id, induction slot
@@ -75,14 +95,18 @@ val loop_id : loop -> Ast.node_id
 (** Set the loop's induction variable. *)
 val set_induction : frame -> loop -> int -> unit
 
-(** One iteration: the induction variable set to the value, then the
-    body.  No loop hook fires. *)
+(** One iteration on the given interpreter: the frame is bound to it
+    (a worker's frame copy to the worker's fork), the induction
+    variable set to the value, then the body runs.  No loop hook
+    fires. *)
 val run_iteration : t -> frame -> loop -> int -> unit
 
 (** {2 Frames by name}
 
     For spawn and commit only: the hot path never looks a name up. *)
 
+(** A copy of the locals, still bound to the frame's interpreter until
+    {!run_iteration} binds it. *)
 val copy_frame : frame -> frame
 
 (** [None] when the name is unbound. *)

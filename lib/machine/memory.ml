@@ -24,8 +24,10 @@
    software TLB): each slot holds one (page number, page) pair, so a
    load, store or shadow access whose page is cached costs one array
    probe instead of a hashtable lookup.  An unmapped page is cached
-   as [absent], a shared all-zero page that nothing writes and no
-   function returns.  Coherence rests on three facts:
+   as [absent], a shared all-zero page that nothing writes; only
+   [page_for_read] returns it, so a reader can take a word from any
+   address's page with no [option] to unwrap.  Coherence rests on
+   three facts:
    - only [touch_page] maps or replaces a page in a memory's own
      banks (a fresh page or a copy-on-write clone), and it refills
      the page's slot when it does;
@@ -46,20 +48,33 @@
 
    Because the interpreter is dynamically typed, each 8-byte-aligned
    word carries a one-byte "float tag" recording whether the last full
-   word store was a float; partial (byte) stores clear the tag. *)
+   word store was a float; partial (byte) stores clear the tag.  The
+   word is little-endian in [bytes] and its tag is [int_tag] or
+   [float_tag] in [ftags]; the interpreter reads and writes aligned
+   words on the page in this format, so both tags are defined here
+   only.
+
+   [page] is a private record outside this module: anyone may read its
+   fields, and the bytes of a page from [touch_page] may be written in
+   place (the interpreter's aligned stores, the shadow layer's
+   metadata), but its flags and counts change only through the
+   functions below ([flag_*], [add_*], [clear_timestamp_flag]), and
+   [shared] and [written_this_interval] only inside this module. *)
 
 open Privateer_ir
 
 let page_shift = 12
 let page_size = 1 lsl page_shift
 let words_per_page = page_size / 8
+let int_tag = '\000'
+let float_tag = '\001'
 
 (* Address bits [tag_shift, tag_shift + tag_bits) select the logical
    heap; in a page number (addr lsr page_shift) the same tag sits
    [page_shift] bits lower. *)
 let heap_shift = Heap.tag_shift - page_shift
 let n_heaps = 1 lsl Heap.tag_bits
-let tag_of_key key = (key lsr heap_shift) land (n_heaps - 1)
+let[@inline] tag_of_key key = (key lsr heap_shift) land (n_heaps - 1)
 
 type page = {
   bytes : Bytes.t;
@@ -88,12 +103,13 @@ type page = {
 }
 
 let fresh_page () =
-  { bytes = Bytes.make page_size '\000'; ftags = Bytes.make words_per_page '\000';
+  { bytes = Bytes.make page_size '\000'; ftags = Bytes.make words_per_page int_tag;
     shared = false; any_timestamp = false; any_live_in_read = false;
     written_this_interval = false; timestamp_bytes = 0; live_in_bytes = 0 }
 
 (* What the page cache holds for an unmapped page: reads of it see
-   zeros, [find_page] maps it to [None] and [touch_page] replaces it. *)
+   zeros, [is_mapped] answers false for it and [touch_page] replaces
+   it. *)
 let absent = fresh_page ()
 
 let cache_slots = 64
@@ -101,7 +117,7 @@ let cache_slots = 64
 (* Mixing in the heap tag keeps a private page and its shadow twin,
    whose page numbers differ only in the tag, out of each other's
    slot. *)
-let slot_of_key key = (key + (9 * tag_of_key key)) land (cache_slots - 1)
+let[@inline] slot_of_key key = (key + (9 * tag_of_key key)) land (cache_slots - 1)
 
 type t = {
   banks : (int, page) Hashtbl.t array; (* heap tag -> page number -> page *)
@@ -143,10 +159,6 @@ let page_of_addr addr = addr lsr page_shift
 let offset_of_addr addr = addr land (page_size - 1)
 let base_of_page key = key lsl page_shift
 
-let page_bytes p = p.bytes
-let any_timestamp p = p.any_timestamp
-let any_live_in_read p = p.any_live_in_read
-let written_this_interval p = p.written_this_interval
 let flag_timestamp p = p.any_timestamp <- true
 let flag_live_in_read p = p.any_live_in_read <- true
 
@@ -156,31 +168,30 @@ let clear_timestamp_flag p =
   p.any_timestamp <- false;
   p.timestamp_bytes <- 0
 
-let timestamp_bytes p = p.timestamp_bytes
 let add_timestamp_bytes p n = p.timestamp_bytes <- p.timestamp_bytes + n
-let live_in_bytes p = p.live_in_bytes
 let add_live_in_bytes p n = p.live_in_bytes <- p.live_in_bytes + n
 
-(* The page numbered [key], or [absent]: one probe on a cache hit,
-   one bank lookup and a slot refill on a miss. *)
-let lookup t key =
+(* A cache miss: one bank lookup and a slot refill. *)
+let[@inline never] refill t key slot =
+  let p =
+    match Hashtbl.find_opt t.banks.(tag_of_key key) key with
+    | Some p -> p
+    | None -> absent
+  in
+  t.cache_keys.(slot) <- key;
+  t.cache_pages.(slot) <- p;
+  p
+
+(* The page numbered [key], or [absent]: one probe on a cache hit, the
+   slot computed in line. *)
+let[@inline] lookup t key =
   let slot = slot_of_key key in
   if Array.unsafe_get t.cache_keys slot = key then Array.unsafe_get t.cache_pages slot
-  else begin
-    let p =
-      match Hashtbl.find_opt t.banks.(tag_of_key key) key with
-      | Some p -> p
-      | None -> absent
-    in
-    t.cache_keys.(slot) <- key;
-    t.cache_pages.(slot) <- p;
-    p
-  end
+  else refill t key slot
 
-(* Page for reading: never maps or clones; None means all-zero. *)
-let find_page t addr =
-  let p = lookup t (page_of_addr addr) in
-  if p == absent then None else Some p
+(* Pages for reading: neither maps nor clones. *)
+let page_for_read t addr = lookup t (page_of_addr addr)
+let is_mapped t addr = lookup t (page_of_addr addr) != absent
 
 (* Page for writing: allocates or clones as needed, marks dirty.  A
    page already dirty this interval and not shared is returned as is
@@ -214,7 +225,7 @@ let write_byte t addr v =
   let off = offset_of_addr addr in
   Bytes.set p.bytes off (Char.chr (v land 0xff));
   (* A partial store invalidates the word's float tag. *)
-  Bytes.set p.ftags (off lsr 3) '\000'
+  Bytes.set p.ftags (off lsr 3) int_tag
 
 (* Raw 8-byte little-endian read; [is_float] is the word's float tag
    (only meaningful for aligned access within one page). *)
@@ -222,7 +233,7 @@ let read_word t addr =
   let off = offset_of_addr addr in
   if off land 7 = 0 then
     let p = lookup t (page_of_addr addr) in
-    (Bytes.get_int64_le p.bytes off, Bytes.get p.ftags (off lsr 3) <> '\000')
+    (Bytes.get_int64_le p.bytes off, Bytes.get p.ftags (off lsr 3) <> int_tag)
   else begin
     (* Unaligned (possibly page-crossing): assemble byte by byte. *)
     let v = ref 0L in
@@ -237,7 +248,7 @@ let write_word t addr bits is_float =
   if off land 7 = 0 then begin
     let p = touch_page t addr in
     Bytes.set_int64_le p.bytes off bits;
-    Bytes.set p.ftags (off lsr 3) (if is_float then '\001' else '\000')
+    Bytes.set p.ftags (off lsr 3) (if is_float then float_tag else int_tag)
   end
   else
     for i = 0 to 7 do
@@ -258,7 +269,7 @@ let fill_words t addr ~words bits is_float =
       write_word t (addr + (8 * w)) bits is_float
     done
   else begin
-    let ftag = if is_float then '\001' else '\000' in
+    let ftag = if is_float then float_tag else int_tag in
     let pos = ref addr in
     let remaining = ref words in
     while !remaining > 0 do
@@ -283,7 +294,7 @@ let read_words t addr ~words dst ~bits_pos ~tags_pos =
     for w = 0 to words - 1 do
       let bits, is_float = read_word t (addr + (8 * w)) in
       Bytes.set_int64_le dst (bits_pos + (8 * w)) bits;
-      Bytes.set dst (tags_pos + w) (if is_float then '\001' else '\000')
+      Bytes.set dst (tags_pos + w) (if is_float then float_tag else int_tag)
     done
   else begin
     let pos = ref addr in
@@ -334,22 +345,6 @@ let mapped_pages t =
 
 (* ---- comparison ------------------------------------------------------- *)
 
-(* All-zero check of [lo, hi) within one page, word-wise. *)
-let zero_chunk bytes lo hi =
-  let ok = ref true in
-  let i = ref lo in
-  while !ok && !i < hi do
-    if !i land 7 = 0 && hi - !i >= 8 then begin
-      if Bytes.get_int64_le bytes !i <> 0L then ok := false;
-      i := !i + 8
-    end
-    else begin
-      if Bytes.get bytes !i <> '\000' then ok := false;
-      incr i
-    end
-  done;
-  !ok
-
 let equal_chunk ba bb lo hi =
   let ok = ref true in
   let i = ref lo in
@@ -366,25 +361,22 @@ let equal_chunk ba bb lo hi =
   !ok
 
 (* Byte-for-byte equality of an address range across two memories;
-   unmapped pages compare as zero.  One page resolution per page and
-   word-granular comparison: stack-safe and ~8x fewer steps than the
-   old byte recursion. *)
+   unmapped pages compare as zero (they read as [absent]).  One page
+   resolution per page and word-granular comparison: stack-safe and ~8x
+   fewer steps than the old byte recursion. *)
 let equal_range a b lo hi =
   let ok = ref true in
   let addr = ref lo in
   while !ok && !addr < hi do
     let off = offset_of_addr !addr in
     let chunk = min (hi - !addr) (page_size - off) in
-    (match (find_page a !addr, find_page b !addr) with
-    | None, None -> ()
-    | Some p, None | None, Some p -> if not (zero_chunk p.bytes off (off + chunk)) then ok := false
-    | Some p, Some q ->
-      (* Shared COW pages are physically equal. *)
-      if p != q then
-        if off = 0 && chunk = page_size then begin
-          if not (Bytes.equal p.bytes q.bytes) then ok := false
-        end
-        else if not (equal_chunk p.bytes q.bytes off (off + chunk)) then ok := false);
+    let p = page_for_read a !addr and q = page_for_read b !addr in
+    (* Shared COW pages, and two unmapped ones, are physically equal. *)
+    if p != q then
+      if off = 0 && chunk = page_size then begin
+        if not (Bytes.equal p.bytes q.bytes) then ok := false
+      end
+      else if not (equal_chunk p.bytes q.bytes off (off + chunk)) then ok := false;
     addr := !addr + chunk
   done;
   !ok

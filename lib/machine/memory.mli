@@ -30,66 +30,77 @@ val page_size : int
 val words_per_page : int
 (** 8-byte words per page (512). *)
 
+val int_tag : char
+(** The float tag (['\000']) of a word whose last full store was an
+    int, or which a byte store has touched since. *)
+
+val float_tag : char
+(** The float tag (['\001']) of a word whose last full store was a
+    float.  These two bytes, with the word little-endian in a page's
+    [bytes], are the page word format: the interpreter's aligned loads
+    and stores read and write it on the page, mirroring the aligned
+    branch of {!read_word} and {!write_word}. *)
+
 (** A paged memory. *)
 type t
 
-(** A mapped page.  [page_bytes] is the live backing store: callers
-    holding a page obtained from {!touch_page} may mutate it directly
-    (this is what makes range-granular metadata transitions one page
-    resolution per run, not per byte).  Pages from {!find_page} must be
-    treated as read-only — they may be shared copy-on-write. *)
-type page
-
-val page_bytes : page -> Bytes.t
-(** The page's backing store (see {!type-page} for the mutation
-    rules). *)
-
-(** Summary flags.  The [any_timestamp] / [any_live_in_read] flags are
-    set by the shadow layer when it writes the corresponding metadata
-    codes and let [fold_pages] consumers skip pages wholesale; they
-    over-approximate page content (a set flag means "may contain"),
-    and [clear_timestamp_flag] re-arms the approximation after a
-    metadata reset.  [written_this_interval] mirrors membership in the
-    dirty set and is cleared by {!clear_dirty}. *)
-
-val any_timestamp : page -> bool
-val any_live_in_read : page -> bool
-val written_this_interval : page -> bool
+(** A mapped page, as a [private] record: any module may read its
+    fields, none may build one or assign a field.
+    - [bytes] is the live backing store and [ftags] the float tag of
+      each 8-byte word ({!int_tag} or {!float_tag}).  A caller holding
+      a page from {!touch_page} may write both in place: that is the
+      sanctioned bulk write path (the interpreter's aligned 8-byte
+      stores, the shadow layer's metadata transitions, one page
+      resolution per run).  A page from {!page_for_read} is read-only:
+      it may be shared copy-on-write, or be the all-zero page that
+      stands for every unmapped one.
+    - The summary flags and exact counts change only through
+      {!flag_timestamp}, {!flag_live_in_read}, {!clear_timestamp_flag},
+      {!add_timestamp_bytes} and {!add_live_in_bytes}; [shared] and
+      [written_this_interval] only inside this module.
+    - [any_timestamp] and [any_live_in_read] are set by the shadow
+      layer when it writes the matching metadata codes, and let
+      {!fold_pages} consumers skip pages wholesale.  They
+      over-approximate content (set means "may contain").
+      [written_this_interval] mirrors membership in the dirty set and
+      is cleared by {!clear_dirty}.
+    - [timestamp_bytes] is the exact count of shadow timestamp bytes
+      (metadata [>= 3]).  Unlike the flags it is a count, not a hint:
+      [Shadow.access] adds to it, the interval reset zeroes it through
+      {!clear_timestamp_flag}, and it survives copy-on-write cloning.
+      [timestamp_bytes = page_size] proves the page fully timestamped,
+      so the reset fills it in one memset instead of scanning it.
+    - [live_in_bytes] is the exact count of read-live-in marks
+      (metadata [= 2]), the read-side mirror.  Live-in marks
+      accumulate across a cohort (the interval reset keeps them), so it
+      is never bulk-zeroed.  With [timestamp_bytes] it bounds the
+      marked bytes on a page, so checkpoint extraction stops a page
+      scan once every mark has been found. *)
+type page = private {
+  bytes : Bytes.t;
+  ftags : Bytes.t;
+  mutable shared : bool;  (** may be referenced by another page table *)
+  mutable any_timestamp : bool;
+  mutable any_live_in_read : bool;
+  mutable written_this_interval : bool;
+  mutable timestamp_bytes : int;
+  mutable live_in_bytes : int;
+}
 
 val flag_timestamp : page -> unit
 val flag_live_in_read : page -> unit
 
 val clear_timestamp_flag : page -> unit
-(** Clears the timestamp flag {i and} zeroes {!timestamp_bytes}: the
+(** Clears the timestamp flag {i and} zeroes [timestamp_bytes]: the
     caller asserts the page holds no timestamps, so the exact count
     falls with the hint. *)
 
-val timestamp_bytes : page -> int
-(** Exact count of shadow timestamp bytes (metadata [>= 3]) on this
-    page.  Unlike the [any_*] flags this is a count, not a hint: it is
-    maintained solely by the shadow layer ([Shadow.access] adds,
-    interval reset zeroes via {!clear_timestamp_flag}) and survives
-    copy-on-write cloning.  [timestamp_bytes p = page_size] proves the
-    page is fully timestamped, so the interval reset fills it in one
-    memset instead of scanning it. *)
-
 val add_timestamp_bytes : page -> int -> unit
-(** Add a (possibly negative) delta to {!timestamp_bytes}.  Shadow
+(** Add a (possibly negative) delta to [timestamp_bytes].  Shadow
     layer only. *)
 
-val live_in_bytes : page -> int
-(** Exact count of read-live-in marks (metadata [= 2]) on this page —
-    the read-side mirror of {!timestamp_bytes}.  Maintained solely by
-    the shadow layer ([Shadow.access] adds on the live-in → read-live-in
-    transition) and inherited across copy-on-write cloning.  Live-in
-    marks accumulate across the whole cohort (the interval reset
-    preserves them), so this count is never bulk-zeroed.  Together with
-    {!timestamp_bytes} it bounds the marked bytes on a page, letting
-    checkpoint extraction stop a page scan once every mark has been
-    found. *)
-
 val add_live_in_bytes : page -> int -> unit
-(** Add a (possibly negative) delta to {!live_in_bytes}.  Shadow layer
+(** Add a (possibly negative) delta to [live_in_bytes].  Shadow layer
     only. *)
 
 val create : unit -> t
@@ -109,16 +120,28 @@ val offset_of_addr : int -> int
 (** Base address of a page number. *)
 val base_of_page : int -> int
 
-(** The page containing [addr], for reading; [None] means all-zero.
-    Never maps a page or clones one; it only refills the memory's page
-    cache on a miss. *)
-val find_page : t -> int -> page option
+(** The page containing [addr], for reading.  An unmapped address gets
+    one shared all-zero page, with every flag clear and both counts 0,
+    so a read of it sees what an unmapped read sees.  Read-only, like
+    every page not from {!touch_page}.  Never maps a page or clones
+    one; it only refills the memory's page cache on a miss.  Every
+    read-side page lookup goes through it (the interpreter's aligned
+    8-byte path, [Shadow.access], checkpoint extraction,
+    {!equal_range}): one call, no allocation. *)
+val page_for_read : t -> int -> page
+
+(** Whether the page containing [addr] is mapped (has been written
+    through {!touch_page}, here or in a memory this one was snapshot
+    from).  Reads never need it: {!page_for_read} answers an unmapped
+    page with zeros. *)
+val is_mapped : t -> int -> bool
 
 (** The page containing [addr], for writing: allocates or clones
     (copy-on-write) as needed, marks the page dirty and caches it.  A
     page already written this interval and not shared is returned
     without touching the dirty set.  Resolving the page once and then
-    mutating [page_bytes] is the sanctioned bulk write path. *)
+    writing its [bytes] (and [ftags]) is the sanctioned bulk write
+    path. *)
 val touch_page : t -> int -> page
 
 (** Read one byte (0 for unmapped memory). *)
@@ -129,7 +152,9 @@ val read_byte : t -> int -> int
 val write_byte : t -> int -> int -> unit
 
 (** Raw 8-byte little-endian read: [(bits, is_float)].  The float tag
-    is only meaningful for aligned, same-page access. *)
+    is only meaningful for aligned, same-page access.  The interpreter
+    calls it (and {!write_word}) for unaligned addresses only; its
+    aligned accesses read and write the page. *)
 val read_word : t -> int -> int64 * bool
 
 val write_word : t -> int -> int64 -> bool -> unit
@@ -157,7 +182,7 @@ val fill_words : t -> int -> words:int -> int64 -> bool -> unit
 
 (** Copy [words] 8-byte words starting at [addr] into [dst]: their
     little-endian bytes at [dst.[bits_pos]] onward and their float tags,
-    one byte each (['\001'] float, ['\000'] not), at [dst.[tags_pos]]
+    one byte each ({!float_tag} or {!int_tag}), at [dst.[tags_pos]]
     onward.  The counterpart of {!fill_words}: one page resolution per
     page touched, and unmapped memory reads as zero.  Falls back to
     {!read_word} per word if [addr] is unaligned, so every copied word

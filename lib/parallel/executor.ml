@@ -22,6 +22,7 @@ open Privateer_runtime
 
 type t = {
   manifest : Manifest.t;
+  sites : Worker.sites; (* the manifest's per-site decisions, for every cohort *)
   config : Runtime_config.t;
   stats : Stats.t;
   mutable fallbacks : int; (* invocations run sequentially (failed preheader) *)
@@ -33,10 +34,11 @@ let create manifest (config : Runtime_config.t) =
   Runtime_config.validate config;
   let stats = Stats.create () in
   stats.workers <- config.workers;
-  { manifest; config; stats; fallbacks = 0; suspended = Hashtbl.create 4 }
+  { manifest; sites = Worker.sites manifest; config; stats; fallbacks = 0;
+    suspended = Hashtbl.create 4 }
 
 let env t =
-  { Worker.cm = t.config.costs; stats = t.stats; manifest = t.manifest;
+  { Worker.cm = t.config.costs; stats = t.stats; sites = t.sites;
     validate = t.config.validate; inject = t.config.inject; board = None }
 
 (* True once the throttle has demoted the loop: later invocations run

@@ -16,12 +16,34 @@ open Privateer_analysis
 open Privateer_transform
 open Privateer_runtime
 
+(* What the manifest fixed per access site, as two tables indexed by
+   site id, so the access hook decides a site with array reads. *)
+type sites = {
+  check_tags : int array;
+      (* the heap tag the site's live separation check expects; -1 when
+         it has none (no check, an elided one, or no single heap) *)
+  redux_sites : bool array; (* the site is a sanctioned reduction access *)
+}
+
+let sites (manifest : Manifest.t) =
+  let checks = manifest.checks in
+  { check_tags =
+      Array.map
+        (function
+          | Some { Manifest.expected = Some h; elided = false; _ } -> Heap.tag h
+          | Some _ | None -> -1)
+        checks;
+    redux_sites =
+      Array.map
+        (function Some { Manifest.redux_op = Some _; _ } -> true | Some _ | None -> false)
+        checks }
+
 (* The layers below the driver share this environment instead of
    reaching back into [Executor.t]. *)
 type env = {
   cm : Cost_model.t;
   stats : Stats.t;
-  manifest : Manifest.t;
+  sites : sites; (* built once per executor *)
   validate : bool;
   inject : (int -> bool) option;
   board : Conflict_board.t option;
@@ -71,34 +93,29 @@ let publish (env : env) w op ~addr ~size =
               { addr = c.Conflict_board.c_addr;
                 earliest_iter = c.Conflict_board.c_earliest_iter })))
 
+(* An address tag's heap, from [Heap]'s own encoding: the hot path
+   makes no cross-module call to find it.  Shared by every worker. *)
+let heaps = Array.init 8 Heap.of_tag
+let tag_mask = Heap.tag_mask
+let tag_shift = Heap.tag_shift
+
 let hooks (env : env) w : Hooks.t =
   let cm = env.cm in
   let stats = env.stats in
-  (* The hot path makes no cross-module call to find the site check or
-     the heap: [checks] is read directly, and [heaps] maps an address
-     tag to its heap, built from [Heap]'s own encoding. *)
-  let checks = env.manifest.Manifest.checks in
-  let find_check id = if id < Array.length checks then checks.(id) else None in
-  let heaps = Array.init 8 Heap.of_tag in
-  let tag_mask = Heap.tag_mask and tag_shift = Heap.tag_shift in
-  let separation_check id addr heap =
-    match find_check id with
-    | Some { expected = Some h; elided = false; _ } ->
-      charge_instr w cm.c_check_heap;
-      stats.separation_checks <- stats.separation_checks + 1;
-      if heap <> h then
-        raise (Misspec.Misspeculation (Misspec.Separation { site = id; addr; expected = h }))
-    | Some _ | None -> ()
-  in
-  let redux_ok id =
-    match find_check id with
-    | Some { redux_op = Some _; _ } -> true
-    | Some _ | None -> false
-  in
+  let check_tags = env.sites.check_tags and redux_sites = env.sites.redux_sites in
   let on_access ~is_read id ~addr ~size =
-    let heap = heaps.((addr land tag_mask) lsr tag_shift) in
-    separation_check id addr heap;
-    match heap with
+    let tag = (addr land tag_mask) lsr tag_shift in
+    (if id < Array.length check_tags then
+       let expected = Array.unsafe_get check_tags id in
+       if expected >= 0 then begin
+         charge_instr w cm.c_check_heap;
+         stats.separation_checks <- stats.separation_checks + 1;
+         if tag <> expected then
+           raise
+             (Misspec.Misspeculation
+                (Misspec.Separation { site = id; addr; expected = heaps.(expected) }))
+       end);
+    match heaps.(tag) with
     | Heap.Private ->
       if is_read then begin
         charge_instr w (cm.c_private_read * ((size + 7) / 8));
@@ -118,7 +135,7 @@ let hooks (env : env) w : Hooks.t =
       if not is_read then
         raise (Misspec.Misspeculation (Misspec.Foreign_heap { addr }))
     | Heap.Redux ->
-      if not (redux_ok id) then
+      if not (id < Array.length redux_sites && Array.unsafe_get redux_sites id) then
         raise (Misspec.Misspeculation (Misspec.Redux_violation { site = id; addr }))
     | Heap.Short_lived | Heap.Stack -> ()
     | Heap.Default | Heap.Unrestricted | Heap.Shadow ->

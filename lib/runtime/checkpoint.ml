@@ -67,41 +67,37 @@ type contribution = {
    flags, so the [any_*] guard filters them out before the counts
    matter. *)
 let scan_page ~interval_start mem key writes live_in_reads =
-  match Memory.find_page mem (Memory.base_of_page key) with
-  | None -> ()
-  | Some page ->
-    if Memory.any_timestamp page || Memory.any_live_in_read page then begin
-      let bytes = Memory.page_bytes page in
-      let base = Memory.base_of_page key in
-      let remaining =
-        ref (Memory.timestamp_bytes page + Memory.live_in_bytes page)
-      in
-      let off = ref 0 in
-      while !remaining > 0 && !off < Memory.page_size do
-        let word = !off in
-        if Bytes.get_int64_le bytes word <> 0L then begin
-          let latest = ref 0 in
-          for i = word to word + 7 do
-            let m = Char.code (Bytes.unsafe_get bytes i) in
-            if Shadow.is_timestamp m then begin
-              decr remaining;
-              if m > !latest then latest := m
-            end
-            else if m = Shadow.read_live_in then begin
-              decr remaining;
-              Hashtbl.replace live_in_reads (Heap.private_of_shadow (base + i)) ()
-            end
-          done;
-          if !latest > 0 then begin
-            let word_addr = Heap.private_of_shadow (base + word) in
-            let iter = Shadow.iteration_of_timestamp ~interval_start !latest in
-            let bits, is_float = Memory.read_word mem word_addr in
-            Hashtbl.replace writes word_addr { iter; bits; is_float }
+  let page = Memory.page_for_read mem (Memory.base_of_page key) in
+  if page.Memory.any_timestamp || page.any_live_in_read then begin
+    let bytes = page.bytes in
+    let base = Memory.base_of_page key in
+    let remaining = ref (page.timestamp_bytes + page.live_in_bytes) in
+    let off = ref 0 in
+    while !remaining > 0 && !off < Memory.page_size do
+      let word = !off in
+      if Bytes.get_int64_le bytes word <> 0L then begin
+        let latest = ref 0 in
+        for i = word to word + 7 do
+          let m = Char.code (Bytes.unsafe_get bytes i) in
+          if Shadow.is_timestamp m then begin
+            decr remaining;
+            if m > !latest then latest := m
           end
-        end;
-        off := word + 8
-      done
-    end
+          else if m = Shadow.read_live_in then begin
+            decr remaining;
+            Hashtbl.replace live_in_reads (Heap.private_of_shadow (base + i)) ()
+          end
+        done;
+        if !latest > 0 then begin
+          let word_addr = Heap.private_of_shadow (base + word) in
+          let iter = Shadow.iteration_of_timestamp ~interval_start !latest in
+          let bits, is_float = Memory.read_word mem word_addr in
+          Hashtbl.replace writes word_addr { iter; bits; is_float }
+        end
+      end;
+      off := word + 8
+    done
+  end
 
 type extract_request = {
   req_worker : int;
@@ -335,7 +331,7 @@ let merge_redux ~(redux_ranges : (int * int * Privateer_ir.Ast.binop) list)
         let first = c = 0 in
         for i = 0 to n - 1 do
           let bits = Bytes.get_int64_le buf (8 * i) in
-          let is_float = Bytes.get buf ((8 * n) + i) <> '\000' in
+          let is_float = Bytes.get buf ((8 * n) + i) <> Memory.int_tag in
           (* An int step needs an int partial over an int accumulator;
              only the base, before the first contribution, can be a
              float. *)

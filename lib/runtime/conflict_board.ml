@@ -17,7 +17,7 @@
      [wrote] table maps a page to the sole worker that wrote it this
      interval, or to [multi] once a second worker has.  The [read]
      table does the same for the workers whose shadow page holds
-     read-live-in marks ([Memory.live_in_bytes] > 0), noted on every
+     read-live-in marks (the page's [live_in_bytes] > 0), noted on every
      publication, writes included.  Only a marked byte can convict
      (paper Table 2), so a read coarse-hits only when the reader's own
      page is marked and another worker wrote the page, and a write

@@ -48,21 +48,15 @@ let iteration_of_timestamp ~interval_start m =
    carried by the checkpoint merge's writer index), exactly as in
    checkpoint extraction, which also scans dirty pages only. *)
 let probe machine ~addr =
-  let mem = machine.Machine.mem in
-  match Memory.find_page mem (Heap.shadow_of_private addr) with
-  | None -> (live_in, false)
-  | Some p ->
-    ( Char.code (Bytes.get (Memory.page_bytes p) (Memory.offset_of_addr addr)),
-      Memory.written_this_interval p )
+  let p = Memory.page_for_read machine.Machine.mem (Heap.shadow_of_private addr) in
+  (Char.code (Bytes.get p.bytes (Memory.offset_of_addr addr)), p.written_this_interval)
 
 (* Read-live-in marks on the shadow page covering private [addr] on
    one worker machine: the board's coarse filter, since only a marked
    byte can convict.  Counts the whole cohort's marks, dirty page or
    not. *)
 let live_in_marks machine ~addr =
-  match Memory.find_page machine.Machine.mem (Heap.shadow_of_private addr) with
-  | None -> 0
-  | Some p -> Memory.live_in_bytes p
+  (Memory.page_for_read machine.Machine.mem (Heap.shadow_of_private addr)).live_in_bytes
 
 type op = Read | Write
 
@@ -96,22 +90,20 @@ let all_read_live_in = splat read_live_in
    Each case is what [range_access] does to such a word, down to the
    page promotion, the summary flag and the exact counts; beta >= 3, so
    the four patterns never overlap.  Returns false, having changed
-   nothing, on any other word. *)
+   nothing, on any other word.  The word is read through
+   [page_for_read], whose unmapped page reads as all live-in, so the
+   read allocates nothing. *)
 let word_access mem op ~addr ~beta =
   let shadow = Heap.shadow_of_private addr in
   let off = Memory.offset_of_addr shadow in
-  let w =
-    match Memory.find_page mem shadow with
-    | None -> all_live_in
-    | Some p -> Bytes.get_int64_le (Memory.page_bytes p) off
-  in
+  let w = Bytes.get_int64_le (Memory.page_for_read mem shadow).bytes off in
   match op with
   | Read ->
     if Int64.equal w all_read_live_in || Int64.equal w (splat beta) then true
     else if Int64.equal w all_live_in then begin
       let p = Memory.touch_page mem shadow in
       Memory.flag_live_in_read p;
-      Bytes.set_int64_le (Memory.page_bytes p) off all_read_live_in;
+      Bytes.set_int64_le p.bytes off all_read_live_in;
       Memory.add_live_in_bytes p 8;
       true
     end
@@ -124,7 +116,7 @@ let word_access mem op ~addr ~beta =
     else if Int64.equal w all_live_in || Int64.equal w all_old_write then begin
       let p = Memory.touch_page mem shadow in
       Memory.flag_timestamp p;
-      Bytes.set_int64_le (Memory.page_bytes p) off (splat beta);
+      Bytes.set_int64_le p.bytes off (splat beta);
       Memory.add_timestamp_bytes p 8;
       true
     end
@@ -161,13 +153,9 @@ let range_access mem op ~addr ~size ~beta =
     let shadow_base = Heap.shadow_of_private private_base in
     let off = Memory.offset_of_addr shadow_base in
     let chunk = min !remaining (Memory.page_size - off) in
-    let bytes =
-      ref
-        (match Memory.find_page mem shadow_base with
-        | Some p -> Some (Memory.page_bytes p)
-        | None -> None)
-    in
-    let page = ref None in
+    (* Read-only (an unmapped page reads as all live-in) until the
+       first update promotes it; the counts go to the promoted page. *)
+    let page = ref (Memory.page_for_read mem shadow_base) in
     let writable = ref false in
     let added = ref 0 in
     let li_added = ref 0 in
@@ -177,37 +165,25 @@ let range_access mem op ~addr ~size ~beta =
       | Write -> Memory.flag_timestamp p
       | Read -> Memory.flag_live_in_read p);
       writable := true;
-      page := Some p;
-      let b = Memory.page_bytes p in
-      bytes := Some b;
-      b
+      page := p
     in
     let flush_count () =
-      if !added > 0 || !li_added > 0 then begin
-        (match !page with
-        | Some p ->
-          if !added > 0 then Memory.add_timestamp_bytes p !added;
-          if !li_added > 0 then Memory.add_live_in_bytes p !li_added
-        | None -> assert false (* counted bytes were written via promote *));
-        added := 0;
-        li_added := 0
-      end
+      if !added > 0 then Memory.add_timestamp_bytes !page !added;
+      if !li_added > 0 then Memory.add_live_in_bytes !page !li_added;
+      added := 0;
+      li_added := 0
     in
     for i = 0 to chunk - 1 do
-      let current =
-        match !bytes with
-        | None -> live_in
-        | Some b -> Char.code (Bytes.unsafe_get b (off + i))
-      in
+      let current = Char.code (Bytes.unsafe_get !page.Memory.bytes (off + i)) in
       match transition op ~current ~beta with
       | Keep -> ()
       | Update m ->
-        let b = match !bytes with Some b when !writable -> b | _ -> promote () in
+        if not !writable then promote ();
         if m >= first_timestamp && current < first_timestamp then incr added
         (* The only transition into read-live-in is from live-in, so
            every such update is a fresh mark. *)
         else if m = read_live_in then incr li_added;
-        Bytes.unsafe_set b (off + i) (Char.unsafe_chr m)
+        Bytes.unsafe_set !page.bytes (off + i) (Char.unsafe_chr m)
       | Fail mk ->
         flush_count ();
         raise (Misspec.Misspeculation (mk ~addr:(private_base + i)))
@@ -265,13 +241,13 @@ let reset_interval machine =
      bank being folded over. *)
   let flagged =
     Memory.fold_pages mem ~heap:Heap.Shadow ~init:[] ~f:(fun ~key page acc ->
-        if Memory.any_timestamp page then key :: acc else acc)
+        if page.Memory.any_timestamp then key :: acc else acc)
   in
   List.iter
     (fun key ->
       let p = Memory.touch_page mem (Memory.base_of_page key) in
-      let bytes = Memory.page_bytes p in
-      let timestamps = Memory.timestamp_bytes p in
+      let bytes = p.Memory.bytes in
+      let timestamps = p.timestamp_bytes in
       if timestamps = Memory.page_size then
         Bytes.fill bytes 0 Memory.page_size (Char.unsafe_chr old_write)
       else scan_rewrite bytes ~timestamps;

@@ -47,7 +47,7 @@ val iteration_of_timestamp : interval_start:int -> int -> int
     promotes a page or moves a simulated cycle. *)
 val probe : Privateer_machine.Machine.t -> addr:int -> int * bool
 
-(** The exact count of read-live-in marks ({!Privateer_machine.Memory.live_in_bytes})
+(** The exact count of read-live-in marks (the page's [live_in_bytes])
     on the shadow page covering private [addr] on one worker machine, 0
     when that page is unmapped.  Marks accumulate over the cohort, so
     the count includes marks carried over interval boundaries.  The

@@ -16,7 +16,7 @@
    - regression: a clean interval (no new writes) does zero index
      work; a writing interval sweeps its delta back out; a violation
      is pinned to the smallest conflicting byte;
-   - unit: [Memory.live_in_bytes] stays exact under overlapping
+   - unit: a page's [live_in_bytes] stays exact under overlapping
      [Shadow.access] ranges and across the interval reset;
    - qcheck: the interval reset, full-page fill included, equals the
      per-byte reference reset; units: the fill never writes through a
@@ -398,22 +398,17 @@ let test_violation_reports_smallest_addr () =
 (* ---- exact live-in counts ------------------------------------------------ *)
 
 (* Recount read-live-in marks straight off a shadow page's bytes — the
-   oracle for [Memory.live_in_bytes]. *)
+   oracle for a page's [live_in_bytes]. *)
 let recount_live_in (m : Machine.t) key =
-  match Memory.find_page m.Machine.mem (Memory.base_of_page key) with
-  | None -> 0
-  | Some p ->
-    let bytes = Memory.page_bytes p in
-    let n = ref 0 in
-    for i = 0 to Memory.page_size - 1 do
-      if Char.code (Bytes.get bytes i) = Shadow.read_live_in then incr n
-    done;
-    !n
+  let bytes = (Memory.page_for_read m.Machine.mem (Memory.base_of_page key)).Memory.bytes in
+  let n = ref 0 in
+  for i = 0 to Memory.page_size - 1 do
+    if Char.code (Bytes.get bytes i) = Shadow.read_live_in then incr n
+  done;
+  !n
 
 let counted_live_in (m : Machine.t) key =
-  match Memory.find_page m.Machine.mem (Memory.base_of_page key) with
-  | None -> 0
-  | Some p -> Memory.live_in_bytes p
+  (Memory.page_for_read m.Machine.mem (Memory.base_of_page key)).Memory.live_in_bytes
 
 let test_live_in_count_exact () =
   let m = Machine.create () in
@@ -481,24 +476,23 @@ let test_full_page_reset_spares_snapshot_parent () =
   Shadow.access parent Shadow.Write ~addr:base ~size:Memory.page_size ~beta:5;
   let shadow = Heap.shadow_of_private base in
   let page_of m =
-    match Memory.find_page m.Machine.mem shadow with
-    | Some p -> p
-    | None -> Alcotest.fail "shadow page not mapped"
+    if not (Memory.is_mapped m.Machine.mem shadow) then Alcotest.fail "shadow page not mapped";
+    Memory.page_for_read m.Machine.mem shadow
   in
   check_int "page fully timestamped" Memory.page_size
-    (Memory.timestamp_bytes (page_of parent));
-  let before = Bytes.copy (Memory.page_bytes (page_of parent)) in
+    (page_of parent).Memory.timestamp_bytes;
+  let before = Bytes.copy (page_of parent).Memory.bytes in
   let child = Machine.snapshot parent in
   ignore (Shadow.reset_interval child);
   let p = page_of child in
   check "child reads all old-write" true
-    (Bytes.for_all (fun c -> Char.code c = Shadow.old_write) (Memory.page_bytes p));
-  check "child timestamp flag cleared" false (Memory.any_timestamp p);
-  check_int "child timestamp count cleared" 0 (Memory.timestamp_bytes p);
+    (Bytes.for_all (fun c -> Char.code c = Shadow.old_write) p.Memory.bytes);
+  check "child timestamp flag cleared" false p.Memory.any_timestamp;
+  check_int "child timestamp count cleared" 0 p.Memory.timestamp_bytes;
   check "parent bytes unchanged" true
-    (Bytes.equal before (Memory.page_bytes (page_of parent)));
+    (Bytes.equal before (page_of parent).Memory.bytes);
   check_int "parent count unchanged" Memory.page_size
-    (Memory.timestamp_bytes (page_of parent))
+    (page_of parent).Memory.timestamp_bytes
 
 (* The fill is gated on the exact timestamp count.  A page one byte
    short of full takes the scan and keeps its read-live-in mark; a page
@@ -515,29 +509,29 @@ let test_reset_fills_only_full_pages () =
   Shadow.access m Shadow.Write ~addr:full ~size:((page / 2) + 64) ~beta:3;
   Shadow.access m Shadow.Write ~addr:(full + (page / 2)) ~size:(page / 2) ~beta:4;
   let page_of addr =
-    match Memory.find_page m.Machine.mem (Heap.shadow_of_private addr) with
-    | Some p -> p
-    | None -> Alcotest.fail "shadow page not mapped"
+    let shadow = Heap.shadow_of_private addr in
+    if not (Memory.is_mapped m.Machine.mem shadow) then Alcotest.fail "shadow page not mapped";
+    Memory.page_for_read m.Machine.mem shadow
   in
-  check_int "one byte short of full" (page - 1) (Memory.timestamp_bytes (page_of near));
-  check_int "overlapping writes counted once" page (Memory.timestamp_bytes (page_of full));
+  check_int "one byte short of full" (page - 1) (page_of near).Memory.timestamp_bytes;
+  check_int "overlapping writes counted once" page (page_of full).Memory.timestamp_bytes;
   ignore (Shadow.reset_interval m);
-  let near_bytes = Memory.page_bytes (page_of near) in
+  let near_bytes = (page_of near).Memory.bytes in
   check_int "read-live-in mark kept" Shadow.read_live_in
     (Char.code (Bytes.get near_bytes 0));
   check "rest of the near-full page old-write" true
     (Bytes.for_all
        (fun c -> Char.code c = Shadow.old_write)
        (Bytes.sub near_bytes 1 (page - 1)));
-  check_int "live-in count kept" 1 (Memory.live_in_bytes (page_of near));
+  check_int "live-in count kept" 1 (page_of near).Memory.live_in_bytes;
   check "full page all old-write" true
     (Bytes.for_all
        (fun c -> Char.code c = Shadow.old_write)
-       (Memory.page_bytes (page_of full)));
+       (page_of full).Memory.bytes);
   List.iter
     (fun addr ->
-      check "timestamp flag cleared" false (Memory.any_timestamp (page_of addr));
-      check_int "timestamp count cleared" 0 (Memory.timestamp_bytes (page_of addr)))
+      check "timestamp flag cleared" false (page_of addr).Memory.any_timestamp;
+      check_int "timestamp count cleared" 0 (page_of addr).Memory.timestamp_bytes)
     [ near; full ]
 
 (* The reset's return value is the simulated charge: one [c_reset_page]

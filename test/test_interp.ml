@@ -209,6 +209,57 @@ let test_fork_isolation () =
   check_int "child sees own write" 2
     (Privateer_machine.Machine.get_int child.machine gaddr)
 
+(* A frame runs on the interpreter it is bound to: [run_iteration]
+   binds a worker's frame copy to the fork, so the fork pays for the
+   iteration, its nested call and stack slot included, and the parent
+   pays only for its own frame. *)
+let test_frame_binding () =
+  let src =
+    {|global g[4];
+fn f(n) { var buf[2]; buf[1] = n + 1; print("f%d\n", n); return buf[1] * 2; }
+fn main() { for (i = 0; i < 2) { g[i] = f(i); } return g[0] + g[1]; }|}
+  in
+  let program = Privateer_lang.Parser.parse_program_exn src in
+  let st = Interp.create program in
+  let module M = Privateer_machine.Machine in
+  let module A = Privateer_machine.Allocator in
+  let gaddr = Hashtbl.find st.globals "g" in
+  let stack_bump (st : Interp.t) = A.bump (M.allocator st.machine Heap.Stack) in
+  let observe (st : Interp.t) =
+    (st.cycles, st.steps, Interp.output st, M.get_int st.machine gaddr,
+     M.get_int st.machine (gaddr + 8), stack_bump st)
+  in
+  let ran = ref false in
+  st.parallel_for <-
+    Some
+      (fun st fr loop ~init ~limit:_ ->
+        let child = Interp.fork st in
+        let frame = Interp.copy_frame fr in
+        let parent_before = observe st and child_before = observe child in
+        Interp.run_iteration child frame loop (init + 1);
+        let c_cycles, c_steps, c_out, c_g0, c_g1, c_bump = observe child in
+        let _, _, _, _, _, c_bump0 = child_before in
+        check "fork charged cycles" true (c_cycles > 0);
+        check "fork counted steps" true (c_steps > 0);
+        Alcotest.(check string) "fork printed" "f1\n" c_out;
+        check_int "fork wrote g[1]" 4 c_g1;
+        check_int "fork left g[0]" 0 c_g0;
+        check "fork allocated its stack slot" true (c_bump > c_bump0);
+        check "parent untouched by the fork" true (observe st = parent_before);
+        Interp.run_iteration st fr loop init;
+        let p_cycles, p_steps, p_out, p_g0, p_g1, _ = observe st in
+        let b_cycles, b_steps, _, _, _, _ = parent_before in
+        check "parent charged for its frame" true (p_cycles > b_cycles && p_steps > b_steps);
+        Alcotest.(check string) "parent printed" "f0\n" p_out;
+        check_int "parent wrote g[0]" 2 p_g0;
+        check_int "parent left g[1]" 0 p_g1;
+        check "fork untouched by the parent" true
+          (observe child = (c_cycles, c_steps, c_out, c_g0, c_g1, c_bump));
+        ran := true;
+        true);
+  ignore (Interp.run_entry st);
+  check "the loop was handed over" true !ran
+
 let test_assert_value_hook () =
   let b = Builder.create () in
   let body =
@@ -421,7 +472,79 @@ fn main() {
     ("float-alloc-size", {|fn main() { var n = 2; return malloc(n *. 1.25); }|});
     ("float-for-init", {|fn main() { var s = 0; for (i = 0.5; i < 3) { s = s + 1; } return s; }|});
     ("float-free", {|fn main() { var p = malloc(1); free(itof(p)); return 0; }|});
-    ("print-float-d", {|fn main() { print("%f %x", 3, 255); print("%d", 2.5); return 0; }|}) ]
+    ("print-float-d", {|fn main() { print("%f %x", 3, 255); print("%d", 2.5); return 0; }|});
+    (* Subscripts, which the parser builds as [base + 8 * index]: every
+       kind of base and index (int literal, global address, global
+       scalar, int local, call result, nested load, int and bool
+       expressions) in 8-byte loads and stores, then the fixed points of
+       the access itself and the faults of each wrong-kind operand. *)
+    ( "index-operand-kinds",
+      {|global g[8]; global s; global h;
+fn two() { return 2; }
+fn arr() { return g; }
+fn main() {
+  var p = malloc(8); var i = 3; var k = malloc(4);
+  s = p; h = 1;
+  k[0] = 2; k[1] = 0; k[two()] = 3; k[h] = 1; k[i] = 0;
+  g[i] = 5; g[0] = 9; g[k[1]] = g[i] + 4; g[&g - &g + 6] = 7; g[i < 4] = 1;
+  p[k[2]] = 6; p[two()] = 8; p[h + 4] = 10; p[i + 3] = p[k[k[0]]];
+  arr()[i + 1] = 11; arr()[two()] = arr()[i]; s[0] = 13; s[k[0]] = s[h];
+  65536[i] = 15; 65536[two()] = 16; 65536[k[3]] = 17; 65536[h] = 65536[i]; 65536[&g] = 21;
+  malloc(2)[1] = 3; (p + 8)[i] = 19;
+  var t = g[i] + g[0] + g[k[1]] + p[k[2]] + p[two()] + p[h] + arr()[i] + arr()[two()];
+  t = t * 3 + s[0] + s[k[0]] + 65536[i] + 65536[two()] + 65536[k[3]] + 65536[h];
+  t = t * 3 + k[k[k[0]]] + p[i] + 65536[0] + g[i < 4] + (p + 8)[i] + g[&g - &g + 6] + 65536[&g];
+  print("%d %d %d\n", p[4], p[5], p[6]);
+  return t;
+}|} );
+    ( "index-float-store-load",
+      {|global g[4];
+fn main() {
+  var p = malloc(4); var i = 1; var f = 0.5;
+  p[i] = 2.5; p[i + 1] = f; g[i] = p[i] *. 2.0; p[0] = itof(i) +. p[i]; g[2] = p[i + 1];
+  print("%f %f %f %f\n", g[i], p[i + 1], p[0], g[2]);
+  return ftoi(g[1] +. p[2]) + p[3] + (g[2] ==. 0.5);
+}|} );
+    ( "index-negative",
+      {|fn main() {
+  var p = malloc(8); var q = p + 32; var i = -2;
+  q[-1] = 7; q[i] = 9; p[3 - 4 + 1] = 5; 0[-1] = 4; 0[i] = 2.5;
+  return p[3] * 100 + p[2] * 10 + p[0] + q[-4] + (q - 8)[i + 1] + 0[-1] + ftoi(0[-2]);
+}|} );
+    ( "index-unaligned-base",
+      {|fn main() {
+  var p = malloc(4); var i = 1; var z = 0;
+  (p + 3)[i] = 258; (p + 1)[0] = 2.5; 4093[z] = 77;
+  print("%d %d %d\n", (p + 3)[i], load1(p + 11), 4093[z]);
+  return (p + 3)[i] + (p + 1)[0] + p[1] + 4093[z];
+}|} );
+    ( "index-unmapped-page",
+      {|fn main() { var p = malloc(1); var i = 100000; return p[i] + 1048576[3] + p[i + 1] + p[i] * 0; }|}
+    );
+    ( "index-float-base-literal",
+      {|fn main() { var f = 2.5; var p = malloc(1); return p[0] + f[1]; }|} );
+    ( "index-float-base-call-index",
+      {|fn pr() { print("index\n"); return 1; } fn main() { var f = 2.5; return f[pr()]; }|} );
+    ( "index-float-base-load-index",
+      {|fn main() { var p = malloc(2); p[0] = 1; var f = 0.5; return f[p[0]]; }|} );
+    ("index-float-base-unbound-index", {|fn main() { var f = 1.5; return f[q]; }|});
+    ("index-float-base-and-index", {|fn main() { var f = 1.5; var g = 0.25; return f[g]; }|});
+    ("index-float-literal-base", {|fn main() { var i = 1; return 2.5[i]; }|});
+    ("index-float-expr-base", {|fn main() { var i = 1; return (1.0 +. 1.0)[i]; }|});
+    ( "index-float-base-store",
+      {|fn pr() { print("value\n"); return 1; } fn main() { var f = 2.5; var i = 0; f[i] = pr(); return 0; }|}
+    );
+    ("index-float-index-local-base", {|fn main() { var p = malloc(1); var f = 0.5; return p[f]; }|});
+    ( "index-float-index-global-base",
+      {|global g[2]; fn main() { var f = 0.5; g[f] = 1; return 0; }|} );
+    ( "index-float-index-call-base",
+      {|global g[2]; fn arr() { return g; } fn main() { var f = 0.5; return arr()[f]; }|} );
+    ( "index-float-index-load-base",
+      {|global s; fn main() { s = malloc(2); var f = 0.75; return s[f]; }|} );
+    ("index-float-expr-index", {|fn main() { var p = malloc(2); return p[1.0 +. 1.0]; }|});
+    ( "index-unbound-base",
+      {|fn pr() { print("index\n"); return 1; } fn main() { return q[pr()]; }|} );
+    ("index-unbound-index", {|fn main() { var p = malloc(1); p[q] = 1; return 0; }|}) ]
 
 (* The statements only the transformation inserts. *)
 let inserted_checks () =
@@ -571,7 +694,47 @@ let expected_events =
     ("print-float-d",
       "0 events=0 cycles=130 steps=5 result=error: expected int, got float 2.5 output=2500986a856613d9388276dd976f9f86");
     ("inserted-checks",
-      "7d466188e2836409 events=7 cycles=78 steps=16 result=0 output=d41d8cd98f00b204e9800998ecf8427e") ]
+      "7d466188e2836409 events=7 cycles=78 steps=16 result=0 output=d41d8cd98f00b204e9800998ecf8427e");
+    ("index-operand-kinds",
+      "78e2c998737d8993 events=82 cycles=795 steps=516 result=578 output=eabfaac9e2e4110246a89b571a9f2810");
+    ("index-float-store-load",
+      "787eda9faabfccb1 events=17 cycles=218 steps=126 result=6 output=f4e3b3a3fdae2b09d0c677ef1315301c");
+    ("index-negative",
+      "137d50efdb1c4074 events=13 cycles=143 steps=114 result=815 output=d41d8cd98f00b204e9800998ecf8427e");
+    ("index-unaligned-base",
+      "7c4149d99291d819 events=11 cycles=178 steps=85 result=-4610560114192023153 output=54526e68efd7be5507fefbf0777b065c");
+    ("index-unmapped-page",
+      "71fe4a70cf4f005f events=5 cycles=80 steps=39 result=0 output=d41d8cd98f00b204e9800998ecf8427e");
+    ("index-float-base-literal",
+      "1bbf1f37a4a05798 events=2 cycles=59 steps=21 result=error: expected int, got float 2.5 output=d41d8cd98f00b204e9800998ecf8427e");
+    ("index-float-base-call-index",
+      "0 events=0 cycles=82 steps=12 result=error: expected int, got float 2.5 output=caf7e7bf96a799f0547469cb698bfb68");
+    ("index-float-base-load-index",
+      "33c9e2182be1a349 events=3 cycles=65 steps=26 result=error: expected int, got float 0.5 output=d41d8cd98f00b204e9800998ecf8427e");
+    ("index-float-base-unbound-index",
+      "0 events=0 cycles=10 steps=9 result=error: unbound local q output=d41d8cd98f00b204e9800998ecf8427e");
+    ("index-float-base-and-index",
+      "0 events=0 cycles=11 steps=11 result=error: expected int, got float 0.25 output=d41d8cd98f00b204e9800998ecf8427e");
+    ("index-float-literal-base",
+      "0 events=0 cycles=12 steps=9 result=error: expected int, got float 2.5 output=d41d8cd98f00b204e9800998ecf8427e");
+    ("index-float-expr-base",
+      "0 events=0 cycles=13 steps=11 result=error: expected int, got float 2 output=d41d8cd98f00b204e9800998ecf8427e");
+    ("index-float-base-store",
+      "0 events=0 cycles=12 steps=10 result=error: expected int, got float 2.5 output=d41d8cd98f00b204e9800998ecf8427e");
+    ("index-float-index-local-base",
+      "3a3be6904000e951 events=1 cycles=52 steps=14 result=error: expected int, got float 0.5 output=d41d8cd98f00b204e9800998ecf8427e");
+    ("index-float-index-global-base",
+      "0 events=0 cycles=11 steps=8 result=error: expected int, got float 0.5 output=d41d8cd98f00b204e9800998ecf8427e");
+    ("index-float-index-call-base",
+      "0 events=0 cycles=21 steps=11 result=error: expected int, got float 0.5 output=d41d8cd98f00b204e9800998ecf8427e");
+    ("index-float-index-load-base",
+      "52a6eb196f8fa84e events=3 cycles=60 steps=16 result=error: expected int, got float 0.75 output=d41d8cd98f00b204e9800998ecf8427e");
+    ("index-float-expr-index",
+      "6a34728bff167d79 events=1 cycles=53 steps=14 result=error: expected int, got float 2 output=d41d8cd98f00b204e9800998ecf8427e");
+    ("index-unbound-base",
+      "0 events=0 cycles=10 steps=4 result=error: unbound local q output=d41d8cd98f00b204e9800998ecf8427e");
+    ("index-unbound-index",
+      "3a3be6904000e951 events=1 cycles=51 steps=11 result=error: unbound local q output=d41d8cd98f00b204e9800998ecf8427e") ]
 
 let test_event_sequence () =
   List.iter
@@ -581,6 +744,33 @@ let test_event_sequence () =
       | Some want -> Alcotest.(check string) name want got
       | None -> Alcotest.failf "no pinned record for %s: %s" name got)
     (event_programs ())
+
+(* A step budget of [k] must stop a run at the same node, with the same
+   cycles charged, for every [k] up to the run's full step count: the
+   record digests each budgeted run's result or error text, steps and
+   cycles, so a subscript's steps and charges keep their places. *)
+let budget_program =
+  {|fn two() { return 2; }
+fn main() { var p = malloc(4); var i = 1; p[i + 1] = p[i] + 3; p[two()] = p[p[2] - 2] *. 0.5; return ftoi(p[2]); }|}
+
+let budget_record () =
+  let program = Privateer_lang.Parser.parse_program_exn budget_program in
+  let full = Interp.create program in
+  ignore (Interp.run_entry full);
+  let digest = ref 0 in
+  for k = 0 to full.steps do
+    let st = Interp.create ~max_steps:k program in
+    let result =
+      match Interp.run_entry st with
+      | v -> Value.to_string v
+      | exception Interp.Runtime_error msg -> "error: " ^ msg
+    in
+    digest := mix (mix (mix !digest (Hashtbl.hash result)) st.steps) st.cycles
+  done;
+  Printf.sprintf "%x runs=%d" !digest (full.steps + 1)
+
+let test_budget_record () =
+  Alcotest.(check string) "budgeted runs" "3372e648b984cfa5 runs=55" (budget_record ())
 
 let suite =
   [ Alcotest.test_case "integer arithmetic" `Quick test_arithmetic;
@@ -601,6 +791,8 @@ let suite =
     Alcotest.test_case "load/store/loop hooks" `Quick test_hooks_fire;
     Alcotest.test_case "alloc/free hooks and context" `Quick test_alloc_free_hooks;
     Alcotest.test_case "fork isolation" `Quick test_fork_isolation;
+    Alcotest.test_case "a frame copy runs on its fork" `Quick test_frame_binding;
     Alcotest.test_case "assert-value hook" `Quick test_assert_value_hook;
     Alcotest.test_case "check-heap statement" `Quick test_check_heap_stmt;
-    Alcotest.test_case "event sequence pinned" `Quick test_event_sequence ]
+    Alcotest.test_case "event sequence pinned" `Quick test_event_sequence;
+    Alcotest.test_case "step budget inside a subscript" `Quick test_budget_record ]

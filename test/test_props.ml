@@ -227,9 +227,8 @@ let dirty_agrees mem md =
   && Memory.dirty_count mem = List.length model_dirty
   && List.for_all
        (fun key ->
-         match Memory.find_page mem (Memory.base_of_page key) with
-         | Some p -> Memory.written_this_interval p
-         | None -> false)
+         let a = Memory.base_of_page key in
+         Memory.is_mapped mem a && (Memory.page_for_read mem a).Memory.written_this_interval)
        model_dirty
 
 let prop_cow_page_cache ops =
@@ -287,12 +286,12 @@ let prop_cow_page_cache ops =
         (fun m mem ->
           let md = !models.(m) in
           if not (dirty_agrees mem md) then ok := false;
-          (* An unmapped page is [None] to [find_page], never the
-             cache's stand-in for it. *)
+          (* [is_mapped] answers false for an unmapped page even when
+             the page cache holds the all-zero stand-in for it. *)
           List.iter
             (fun a ->
               let mapped = Hashtbl.mem md.mapped (Memory.page_of_addr a) in
-              if Option.is_some (Memory.find_page mem a) <> mapped then ok := false)
+              if Memory.is_mapped mem a <> mapped then ok := false)
             (match op with
             | Read_byte (_, a) | Read_word (_, a) | Write_byte (_, a, _)
             | Write_word (_, a, _, _) | Fill_words (_, a, _, _, _) -> [ a; a + 7 ]
@@ -594,8 +593,8 @@ let counts_match (m : Privateer_machine.Machine.t) =
           let c = Char.code c in
           if c >= Privateer_runtime.Shadow.first_timestamp then incr ts
           else if c = Privateer_runtime.Shadow.read_live_in then incr li)
-        (Memory.page_bytes p);
-      ok && !ts = Memory.timestamp_bytes p && !li = Memory.live_in_bytes p)
+        p.Memory.bytes;
+      ok && !ts = p.Memory.timestamp_bytes && !li = p.Memory.live_in_bytes)
 
 let prop_shadow_counts_exact ops =
   let open Privateer_runtime in
