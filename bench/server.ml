@@ -1,6 +1,6 @@
-(* The `server` experiment: does multiplexing concurrent speculative
-   pipelines over one shared pool raise aggregate throughput, and do
-   the concurrent runs stay byte-identical to serial?
+(* The `server` experiment: does running concurrent speculative
+   pipelines on the job server's domains raise aggregate throughput,
+   and do the concurrent runs stay byte-identical to serial?
 
    A stress corpus of SERVER_JOBS (default 500) generated scenarios
    (Privateer_gen.Scenario_gen.corpus: seeded, so the corpus is
@@ -15,11 +15,14 @@
      host its throughput must beat serial; on 1 core the clamp keeps
      jobs effectively sequential and throughput must not regress;
    - `forced-4`: 4 "cores" forced, so the genuinely concurrent path
-     (jobs as pool futures) is exercised even on a 1-core host — for
-     the determinism check, not the throughput claim.
+     (three server domains plus the awaiting one) is exercised even on
+     a 1-core host — for the determinism check, not the throughput
+     claim.
 
-   Every cell's per-job fingerprints (cycles, output, result, non-host
-   stats, per-loop table) must equal the serial cell's.  Results go to
+   `serial` and `concurrent-4` run in alternating rounds, and the
+   throughput gate reads the median of the per-round speedups.  Every
+   run's per-job fingerprints (cycles, output, result, non-host stats,
+   per-loop table) must equal the first serial run's.  Results go to
    BENCH_server.json and the binary exits non-zero when a gate fails;
    CI smoke runs scale down via SERVER_JOBS. *)
 
@@ -54,90 +57,120 @@ let specs ~max_inflight =
         (Privateer.Pipeline.parse t.Scenario_gen.sc_source))
     (Lazy.force corpus)
 
-type cell = {
-  label : string;
-  inflight : int;
-  forced_cores : int option;
+(* The serial and concurrent-4 cells run in this many alternating
+   rounds and the throughput gate reads the median per-round speedup:
+   one ~0.1 s sample per cell (SERVER_JOBS=24) flips either way on a
+   shared 2-core host. *)
+let rounds = 5
+
+(* One pass of the corpus through a fresh server. *)
+type run = {
   wall_s : float;
-  throughput : float;
   effective : int;
   cores : int;
   done_ : int;
   failed : int;
-  queue_p50_ms : float;
-  queue_p95_ms : float;
-  service_p50_ms : float;
-  service_p95_ms : float;
+  queue_ns : float list;
+  service_ns : float list;
   fingerprints : (string * string) list;
 }
+
+type cell = { label : string; inflight : int; forced_cores : int option; runs : run list }
 
 let percentile sorted p =
   let n = Array.length sorted in
   if n = 0 then 0.0
   else sorted.(min (n - 1) (int_of_float (ceil (p *. float_of_int n)) - 1))
 
-let run_cell ~label ?host_cores ~inflight n =
+let sorted xs =
+  let a = Array.of_list xs in
+  Array.sort compare a;
+  a
+
+let median xs = percentile (sorted xs) 0.50
+
+(* The specs (a parse per job, and on the first pass the lazy corpus)
+   are built before the clock starts, so only the server is timed. *)
+let run_once ?host_cores ~inflight () =
   let config = { RC.default with max_inflight = inflight } in
+  let specs = specs ~max_inflight:inflight in
   let t0 = Clock.now_ns () in
-  let sv = Job_server.run_jobs ?host_cores ~config (specs ~max_inflight:inflight) in
+  let sv = Job_server.run_jobs ?host_cores ~config specs in
   let wall_s = (Clock.now_ns () -. t0) /. 1e9 in
-  let results =
-    List.map (fun j -> Job_server.state sv j) (Job_server.jobs sv)
-  in
-  let dones =
-    List.filter_map
-      (function Job_server.Done r -> Some r | _ -> None)
-      results
-  in
-  let failed =
-    List.length (List.filter (function Job_server.Failed _ -> true | _ -> false) results)
-  in
-  let ms f sel =
-    let a = Array.of_list (List.map (fun r -> sel r /. 1e6) dones) in
-    Array.sort compare a;
-    percentile a f
-  in
-  { label; inflight; forced_cores = host_cores; wall_s;
-    throughput = float_of_int n /. wall_s;
+  let results = List.map (Job_server.state sv) (Job_server.jobs sv) in
+  let dones = List.filter_map (function Job_server.Done r -> Some r | _ -> None) results in
+  { wall_s;
     effective = Job_server.effective_inflight sv;
     cores = Job_server.host_cores sv;
-    done_ = List.length dones; failed;
-    queue_p50_ms = ms 0.50 (fun r -> r.Job_server.jr_queue_ns);
-    queue_p95_ms = ms 0.95 (fun r -> r.Job_server.jr_queue_ns);
-    service_p50_ms = ms 0.50 (fun r -> r.Job_server.jr_service_ns);
-    service_p95_ms = ms 0.95 (fun r -> r.Job_server.jr_service_ns);
+    done_ = List.length dones;
+    failed =
+      List.length (List.filter (function Job_server.Failed _ -> true | _ -> false) results);
+    queue_ns = List.map (fun r -> r.Job_server.jr_queue_ns) dones;
+    service_ns = List.map (fun r -> r.Job_server.jr_service_ns) dones;
     fingerprints =
       List.map (fun r -> (r.Job_server.jr_name, r.Job_server.jr_fingerprint)) dones }
+
+(* A cell's summary: its median run's wall time and throughput, its
+   worst run's done/failed counts, and latency percentiles over every
+   job it ran. *)
+let cell_wall_s c = median (List.map (fun r -> r.wall_s) c.runs)
+let cell_throughput n c = median (List.map (fun r -> float_of_int n /. r.wall_s) c.runs)
+let cell_done c = List.fold_left (fun m r -> min m r.done_) max_int c.runs
+let cell_failed c = List.fold_left (fun m r -> max m r.failed) 0 c.runs
+let cell_ms c sel p = percentile (sorted (List.concat_map sel c.runs)) p /. 1e6
 
 let run () =
   let n = jobs_n () in
   let real_cores = Domain.recommended_domain_count () in
   let multicore = real_cores > 1 in
-  Printf.printf "server: %d jobs, %d host cores%s\n%!" n real_cores
-    (if multicore then "" else " (1-core host: inflight clamps to sequential)");
-  let serial = run_cell ~label:"serial" ~host_cores:1 ~inflight:1 n in
-  let concurrent4 = run_cell ~label:"concurrent-4" ~inflight:4 n in
-  let forced4 = run_cell ~label:"forced-4" ~host_cores:4 ~inflight:4 n in
+  Printf.printf "server: %d jobs, %d host cores%s, %d rounds\n%!" n real_cores
+    (if multicore then "" else " (1-core host: inflight clamps to sequential)")
+    rounds;
+  let serial_run () = run_once ~host_cores:1 ~inflight:1 () in
+  let concurrent_run () = run_once ~inflight:4 () in
+  let pairs =
+    List.init rounds (fun k ->
+        if k mod 2 = 0 then
+          let s = serial_run () in
+          (s, concurrent_run ())
+        else
+          let c = concurrent_run () in
+          (serial_run (), c))
+  in
+  let serial =
+    { label = "serial"; inflight = 1; forced_cores = Some 1; runs = List.map fst pairs }
+  in
+  let concurrent4 =
+    { label = "concurrent-4"; inflight = 4; forced_cores = None; runs = List.map snd pairs }
+  in
+  let forced4 =
+    { label = "forced-4"; inflight = 4; forced_cores = Some 4;
+      runs = [ run_once ~host_cores:4 ~inflight:4 () ] }
+  in
   let cells = [ serial; concurrent4; forced4 ] in
-  let identical c = c.fingerprints = serial.fingerprints in
+  let reference = (List.hd serial.runs).fingerprints in
+  let identical c = List.for_all (fun r -> r.fingerprints = reference) c.runs in
   let all_identical = List.for_all identical cells in
+  let speedups = List.map (fun (s, c) -> s.wall_s /. c.wall_s) pairs in
+  let speedup = median speedups in
   let t =
     Table.create
       ~aligns:
         [ Table.Left; Table.Right; Table.Right; Table.Right; Table.Right;
-          Table.Right; Table.Right ]
-      [ "cell"; "cores"; "inflight"; "wall s"; "jobs/s"; "p95 ms"; "identical" ]
+          Table.Right; Table.Right; Table.Right ]
+      [ "cell"; "cores"; "inflight"; "runs"; "wall s"; "jobs/s"; "p95 ms"; "identical" ]
   in
   List.iter
     (fun c ->
+      let first = List.hd c.runs in
       Table.add_row t
-        [ c.label; string_of_int c.cores; string_of_int c.effective;
-          Printf.sprintf "%.2f" c.wall_s; Printf.sprintf "%.1f" c.throughput;
-          Printf.sprintf "%.2f" c.service_p95_ms;
+        [ c.label; string_of_int first.cores; string_of_int first.effective;
+          string_of_int (List.length c.runs); Printf.sprintf "%.2f" (cell_wall_s c);
+          Printf.sprintf "%.1f" (cell_throughput n c);
+          Printf.sprintf "%.2f" (cell_ms c (fun r -> r.service_ns) 0.95);
           (if identical c then "yes" else "NO (BUG)") ])
     cells;
   Table.print t;
-  let speedup = concurrent4.throughput /. serial.throughput in
   (* The acceptance gate: concurrency must pay on a multi-core host
      and must cost (at most noise) nothing on a 1-core one, where the
      clamp keeps execution sequential. *)
@@ -145,8 +178,9 @@ let run () =
     if multicore then speedup > 1.0 else speedup >= 0.85
   in
   Printf.printf
-    "\nmax_inflight 4 vs serial: %.2fx throughput -> %s\n"
+    "\nmax_inflight 4 vs serial: %.2fx throughput (median of %s) -> %s\n"
     speedup
+    (String.concat " " (List.map (Printf.sprintf "%.2f") speedups))
     (if throughput_ok then
        if multicore then "concurrent wins" else "no regression at 1 core"
      else "REGRESSION (BUG)");
@@ -163,24 +197,28 @@ let run () =
           List
             (List.map
                (fun c ->
+                 let first = List.hd c.runs in
+                 let ms sel p = Float (cell_ms c sel p) in
                  Obj
                    [ ("label", String c.label);
                      ("max_inflight", Int c.inflight);
-                     ("effective_inflight", Int c.effective);
-                     ("host_cores", Int c.cores);
+                     ("effective_inflight", Int first.effective);
+                     ("host_cores", Int first.cores);
                      ( "host_cores_forced",
                        Bool (Option.is_some c.forced_cores) );
-                     ("wall_s", Float c.wall_s);
-                     ("throughput_jobs_per_s", Float c.throughput);
-                     ("done", Int c.done_); ("failed", Int c.failed);
-                     ("queue_p50_ms", Float c.queue_p50_ms);
-                     ("queue_p95_ms", Float c.queue_p95_ms);
-                     ("service_p50_ms", Float c.service_p50_ms);
-                     ("service_p95_ms", Float c.service_p95_ms);
+                     ("runs", Int (List.length c.runs));
+                     ("wall_s", Float (cell_wall_s c));
+                     ("throughput_jobs_per_s", Float (cell_throughput n c));
+                     ("done", Int (cell_done c)); ("failed", Int (cell_failed c));
+                     ("queue_p50_ms", ms (fun r -> r.queue_ns) 0.50);
+                     ("queue_p95_ms", ms (fun r -> r.queue_ns) 0.95);
+                     ("service_p50_ms", ms (fun r -> r.service_ns) 0.50);
+                     ("service_p95_ms", ms (fun r -> r.service_ns) 0.95);
                      ("identical_to_serial", Bool (identical c)) ])
                cells) );
-        ("serial_throughput_jobs_per_s", Float serial.throughput);
-        ("concurrent_throughput_jobs_per_s", Float concurrent4.throughput);
+        ("serial_throughput_jobs_per_s", Float (cell_throughput n serial));
+        ("concurrent_throughput_jobs_per_s", Float (cell_throughput n concurrent4));
+        ("speedup_rounds", List (List.map (fun x -> Float x) speedups));
         ("speedup_vs_serial", Float speedup);
         ("throughput_ok", Bool throughput_ok);
         ("all_identical", Bool all_identical) ]

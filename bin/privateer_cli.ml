@@ -398,8 +398,8 @@ let gen_cmd =
     Term.(const run $ spec_arg $ meta_arg)
 
 (* privateer serve <manifest>: run every job in the manifest through
-   the job server — many concurrent speculative pipelines over one
-   domain pool — and emit the aggregate JSON report
+   the job server — many concurrent speculative pipelines on the
+   server's own domains — and emit the aggregate JSON report
    (throughput, latency percentiles, per-job results).  Exits 3 when
    any job failed, so smoke tests can assert success without parsing. *)
 let serve_cmd =
@@ -431,8 +431,7 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:
          "Run a jobs manifest through the job server (concurrent speculative \
-          pipelines over one shared domain pool) and emit the aggregate JSON \
-          report")
+          pipelines, one domain each) and emit the aggregate JSON report")
     Term.(const run $ path $ bindings_term)
 
 let () =

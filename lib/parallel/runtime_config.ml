@@ -59,9 +59,10 @@ type t = {
          notes STMLite's central commit "can quickly become an
          execution bottleneck"). *)
   max_inflight : int;
-      (* job server: maximum number of jobs running concurrently, and
-         the size of the server's domain pool.  The server clamps this
-         to the host core count (1 core -> sequential jobs).
+      (* job server: maximum number of jobs running concurrently, one
+         domain each (the server spawns all but the awaiting caller's).
+         The server clamps this to the host core count (1 core ->
+         sequential jobs).
          Host-only: per-job results are byte-identical at any
          setting. *)
   queue_cap : int;
@@ -236,7 +237,7 @@ let cli_bindings =
       b_apply = opt_int_field "throttle" (fun t throttle -> { t with throttle }) };
     { b_flags = [ "max-inflight" ]; b_docv = "N";
       b_doc =
-        "Job server: run at most N jobs concurrently on a pool of N domains \
+        "Job server: run at most N jobs concurrently, one domain each \
          (clamped to the host core count; default \
          $(b,PRIVATEER_MAX_INFLIGHT) or 4).  Host-only: per-job results are \
          identical at any setting.";

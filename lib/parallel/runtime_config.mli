@@ -62,8 +62,9 @@ type t = {
   max_inflight : int;
       (** job server: maximum concurrently-running jobs in [\[1, 64\]],
           further clamped to the host core count at serve time (on a
-          1-core host jobs run effectively sequentially); the clamped
-          value also sizes the server's domain pool.  Host-only —
+          1-core host jobs run effectively sequentially).  The server
+          spawns one domain fewer than the clamped value; a domain
+          awaiting a job fills the last slot.  Host-only —
           per-job results are byte-identical at any setting.  Default:
           [PRIVATEER_MAX_INFLIGHT] or 4. *)
   queue_cap : int;

@@ -1,12 +1,12 @@
-(* Privateer as a service: a job server multiplexing concurrent
-   speculative pipelines over one shared domain pool.
+(* Privateer as a service: a job server running concurrent speculative
+   pipelines on domains it owns.
 
    Each job is a whole pipeline — profile (train input), classify,
-   transform, speculative parallel run (run input) — and jobs run
-   concurrently as tasks on the server's work-stealing `Domain_pool`:
-   a job body is one submitted future, and everything inside it runs
-   on the domain that took it.  This is the program's only host
-   parallelism.
+   transform, speculative parallel run (run input) — and runs to
+   completion on one domain: one of the server's own, or a client
+   domain that runs the head of the queue while it waits (in [await],
+   or in a [submit] blocked on a full queue).  This is the program's
+   only host parallelism.
 
    Determinism contract: a job's simulated cycles, output, result and
    every non-host stats counter (everything but the `ns_*` wall-time
@@ -23,7 +23,6 @@
    wait in the queue; a full queue blocks [submit] (backpressure) and
    rejects [try_submit]. *)
 
-module Domain_pool = Privateer_support.Domain_pool
 module Clock = Privateer_support.Clock
 module Json = Privateer_support.Json
 module RC = Privateer_parallel.Runtime_config
@@ -80,8 +79,6 @@ type job = {
   j_id : int;
   j_spec : job_spec;
   mutable j_state : state;
-  mutable j_future : unit Domain_pool.future option;
-      (* set when launched; its task settles after j_state is final *)
   j_submit_ns : float;
   mutable j_start_ns : float;
 }
@@ -120,7 +117,7 @@ let fingerprint_of_run ~output ~result ~cycles ~fallbacks stats =
 
 (* ---- job execution ----------------------------------------------------- *)
 
-(* The whole pipeline, on the caller's domain (possibly a pool worker). *)
+(* The whole pipeline, on the calling domain. *)
 let execute_spec spec =
   let tr, profiler = Pipeline.compile ~setup:spec.js_train spec.js_program in
   let par = Pipeline.run_parallel ~setup:spec.js_run ~config:spec.js_config tr in
@@ -148,14 +145,19 @@ let execute_spec spec =
 
 type t = {
   sv_mutex : Mutex.t;
-  sv_not_full : Condition.t; (* queue dropped below cap *)
-  sv_changed : Condition.t; (* some job launched or settled *)
+  sv_changed : Condition.t;
+      (* broadcast when the queue or the in-flight count changes:
+         awaiters and submitters blocked on a full queue re-check *)
+  sv_work : Condition.t;
+      (* signalled when a job is queued or a slot frees: one idle
+         server domain is enough to launch it, so the server's domains
+         wait here and not on [sv_changed] *)
   sv_queue : job Queue.t; (* accepted, not yet launched *)
   sv_queue_cap : int; (* 0 = unbounded *)
   sv_requested_inflight : int;
   sv_inflight_cap : int; (* effective: clamped to host cores *)
   mutable sv_inflight : int;
-  sv_pool : Domain_pool.t option; (* None: jobs run inline, one at a time *)
+  mutable sv_domains : unit Domain.t list;
   sv_host_cores : int;
   mutable sv_jobs : job list; (* every accepted job, reverse order *)
   mutable sv_next_id : int;
@@ -170,6 +172,49 @@ type t = {
 let effective_inflight_for ~host_cores ~max_inflight =
   if host_cores <= 1 then 1 else min max_inflight host_cores
 
+(* If an in-flight slot is free, launch the head of the queue and run
+   it to completion on the calling domain, then settle it; [false] when
+   nothing can launch.  Called and returns with [sv_mutex] held; the
+   job runs without it.  Never raises: a failed pipeline is a Failed
+   job. *)
+let run_head_locked t =
+  if Queue.is_empty t.sv_queue || t.sv_inflight >= t.sv_inflight_cap then false
+  else begin
+    let job = Queue.pop t.sv_queue in
+    job.j_start_ns <- Clock.now_ns ();
+    job.j_state <- Running;
+    t.sv_inflight <- t.sv_inflight + 1;
+    Condition.broadcast t.sv_changed;
+    Mutex.unlock t.sv_mutex;
+    let outcome =
+      try
+        let r = execute_spec job.j_spec in
+        let now = Clock.now_ns () in
+        Done
+          { r with
+            jr_queue_ns = job.j_start_ns -. job.j_submit_ns;
+            jr_service_ns = now -. job.j_start_ns }
+      with
+      | Privateer_interp.Interp.Runtime_error msg -> Failed ("runtime error: " ^ msg)
+      | e -> Failed (Printexc.to_string e)
+    in
+    Mutex.lock t.sv_mutex;
+    job.j_state <- outcome;
+    t.sv_inflight <- t.sv_inflight - 1;
+    Condition.broadcast t.sv_changed;
+    if not (Queue.is_empty t.sv_queue) then Condition.signal t.sv_work;
+    true
+  end
+
+(* A server domain: until [shutdown], run queued jobs while slots
+   allow and sleep on [sv_work] otherwise. *)
+let serve t =
+  Mutex.lock t.sv_mutex;
+  while not t.sv_shut do
+    if not (run_head_locked t) then Condition.wait t.sv_work t.sv_mutex
+  done;
+  Mutex.unlock t.sv_mutex
+
 let create ?host_cores ~config () =
   RC.validate config;
   let host_cores =
@@ -178,14 +223,17 @@ let create ?host_cores ~config () =
     | None -> Domain.recommended_domain_count ()
   in
   let inflight = effective_inflight_for ~host_cores ~max_inflight:config.RC.max_inflight in
-  (* One domain per in-flight job. *)
-  let pool = if inflight > 1 then Some (Domain_pool.create ~domains:inflight ()) else None in
-  { sv_mutex = Mutex.create (); sv_not_full = Condition.create ();
-    sv_changed = Condition.create (); sv_queue = Queue.create ();
-    sv_queue_cap = config.RC.queue_cap;
-    sv_requested_inflight = config.RC.max_inflight; sv_inflight_cap = inflight;
-    sv_inflight = 0; sv_pool = pool; sv_host_cores = host_cores; sv_jobs = [];
-    sv_next_id = 0; sv_started_ns = Clock.now_ns (); sv_shut = false }
+  let t =
+    { sv_mutex = Mutex.create (); sv_changed = Condition.create ();
+      sv_work = Condition.create (); sv_queue = Queue.create ();
+      sv_queue_cap = config.RC.queue_cap;
+      sv_requested_inflight = config.RC.max_inflight; sv_inflight_cap = inflight;
+      sv_inflight = 0; sv_domains = []; sv_host_cores = host_cores; sv_jobs = [];
+      sv_next_id = 0; sv_started_ns = Clock.now_ns (); sv_shut = false }
+  in
+  (* The domain that awaits a job fills the last in-flight slot. *)
+  t.sv_domains <- List.init (inflight - 1) (fun _ -> Domain.spawn (fun () -> serve t));
+  t
 
 let effective_inflight t = t.sv_inflight_cap
 let host_cores t = t.sv_host_cores
@@ -197,85 +245,23 @@ let state t job =
   Mutex.unlock t.sv_mutex;
   s
 
-(* Run [job] to completion on the calling domain and settle its state.
-   Never raises: a failed pipeline is a Failed job, not a dead pool
-   task.  Completion frees an in-flight slot, so it pumps the queue —
-   that is what keeps a drained server launching jobs without anyone
-   calling submit again. *)
-let rec run_job_body t job () =
-  let outcome =
-    try
-      let r = execute_spec job.j_spec in
-      let now = Clock.now_ns () in
-      Done
-        { r with
-          jr_queue_ns = job.j_start_ns -. job.j_submit_ns;
-          jr_service_ns = now -. job.j_start_ns }
-    with
-    | Privateer_interp.Interp.Runtime_error msg -> Failed ("runtime error: " ^ msg)
-    | e -> Failed (Printexc.to_string e)
-  in
-  Mutex.lock t.sv_mutex;
-  job.j_state <- outcome;
-  t.sv_inflight <- t.sv_inflight - 1;
-  Condition.broadcast t.sv_changed;
-  pump t;
-  Mutex.unlock t.sv_mutex
-
-(* Launch queued jobs while in-flight capacity allows.  Caller holds
-   [sv_mutex]; submission to the pool happens outside the lock (the
-   launched slots are reserved first, so concurrent pumps cannot
-   overshoot the cap).  With no pool the dequeued jobs run inline —
-   sequentially, to completion — on the calling domain. *)
-and pump t =
-  let launch = ref [] in
-  while
-    (not (Queue.is_empty t.sv_queue)) && t.sv_inflight < t.sv_inflight_cap
-  do
-    let job = Queue.pop t.sv_queue in
-    job.j_start_ns <- Clock.now_ns ();
-    job.j_state <- Running;
-    t.sv_inflight <- t.sv_inflight + 1;
-    launch := job :: !launch;
-    Condition.broadcast t.sv_not_full
-  done;
-  let launch = List.rev !launch in
-  match t.sv_pool with
-  | Some pool ->
-    Mutex.unlock t.sv_mutex;
-    List.iter
-      (fun job ->
-        let fu = Domain_pool.submit pool (run_job_body t job) in
-        Mutex.lock t.sv_mutex;
-        job.j_future <- Some fu;
-        Condition.broadcast t.sv_changed;
-        Mutex.unlock t.sv_mutex)
-      launch;
-    Mutex.lock t.sv_mutex
-  | None ->
-    (* Inline: run each dequeued job now.  run_job_body re-locks, so
-       release around it; completion may have queued more capacity. *)
-    Mutex.unlock t.sv_mutex;
-    List.iter (fun job -> run_job_body t job ()) launch;
-    Mutex.lock t.sv_mutex;
-    if (not (Queue.is_empty t.sv_queue)) && t.sv_inflight < t.sv_inflight_cap then
-      pump t
-
 let enqueue_locked t spec =
   let job =
-    { j_id = t.sv_next_id; j_spec = spec; j_state = Queued; j_future = None;
+    { j_id = t.sv_next_id; j_spec = spec; j_state = Queued;
       j_submit_ns = Clock.now_ns (); j_start_ns = 0.0 }
   in
   t.sv_next_id <- t.sv_next_id + 1;
   t.sv_jobs <- job :: t.sv_jobs;
   Queue.push job t.sv_queue;
-  pump t;
+  Condition.broadcast t.sv_changed;
+  Condition.signal t.sv_work;
   job
 
 let queue_full t =
   t.sv_queue_cap > 0 && Queue.length t.sv_queue >= t.sv_queue_cap
 
-(* Blocking admission: waits while the queue is at cap (backpressure). *)
+(* Blocking admission: while the queue is at cap (backpressure), run
+   its head if a slot is free, else wait. *)
 let submit t spec =
   Mutex.lock t.sv_mutex;
   if t.sv_shut then begin
@@ -283,7 +269,7 @@ let submit t spec =
     invalid_arg "Job_server.submit: server is shut down"
   end;
   while queue_full t do
-    Condition.wait t.sv_not_full t.sv_mutex
+    if not (run_head_locked t) then Condition.wait t.sv_changed t.sv_mutex
   done;
   let job = enqueue_locked t spec in
   Mutex.unlock t.sv_mutex;
@@ -300,31 +286,22 @@ let try_submit t spec =
   Mutex.unlock t.sv_mutex;
   r
 
-(* Block until [job] settles.  While its future is pending the calling
-   domain helps drain the pool (Domain_pool.await), so awaiting from
-   the submitting thread contributes a core instead of idling. *)
+(* Block until [job] settles, running the head of the queue on the
+   calling domain whenever a slot is free, so the awaiting domain
+   contributes a core instead of idling. *)
 let await t job =
-  let rec loop () =
-    Mutex.lock t.sv_mutex;
-    match (job.j_state, job.j_future) with
-    | Done r, _ ->
-      Mutex.unlock t.sv_mutex;
-      Ok r
-    | Failed msg, _ ->
-      Mutex.unlock t.sv_mutex;
-      Error msg
-    | (Queued | Running), Some fu ->
-      Mutex.unlock t.sv_mutex;
-      Domain_pool.await fu;
-      loop ()
-    | (Queued | Running), None ->
-      (* Not launched yet: wait for a launch or settle; every pump and
-         every completion broadcasts sv_changed. *)
-      Condition.wait t.sv_changed t.sv_mutex;
-      Mutex.unlock t.sv_mutex;
-      loop ()
+  Mutex.lock t.sv_mutex;
+  let rec settled () =
+    match job.j_state with
+    | Done r -> Ok r
+    | Failed msg -> Error msg
+    | Queued | Running ->
+      if not (run_head_locked t) then Condition.wait t.sv_changed t.sv_mutex;
+      settled ()
   in
-  loop ()
+  let r = settled () in
+  Mutex.unlock t.sv_mutex;
+  r
 
 let drain t = List.iter (fun job -> ignore (await t job)) (jobs t)
 
@@ -332,8 +309,11 @@ let shutdown t =
   drain t;
   Mutex.lock t.sv_mutex;
   t.sv_shut <- true;
+  let domains = t.sv_domains in
+  t.sv_domains <- [];
+  Condition.broadcast t.sv_work;
   Mutex.unlock t.sv_mutex;
-  Option.iter Domain_pool.shutdown t.sv_pool
+  List.iter Domain.join domains
 
 (* ---- aggregate report -------------------------------------------------- *)
 
@@ -425,9 +405,9 @@ let report t =
         latency_summary (List.map (fun r -> r.jr_service_ns) results) );
       ("job_results", Json.List (List.map (job_json t) all)) ]
 
-(* One-shot convenience: create, submit everything, drain, shut the
-   pool down; the returned server holds the settled jobs for [report]
-   and inspection. *)
+(* One-shot convenience: create, submit everything, drain, shut down;
+   the returned server holds the settled jobs for [report] and
+   inspection. *)
 let run_jobs ?host_cores ~config specs =
   let t = create ?host_cores ~config () in
   List.iter (fun spec -> ignore (submit t spec)) specs;

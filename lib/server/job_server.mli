@@ -1,11 +1,12 @@
-(** Privateer as a service: a job server multiplexing concurrent
-    speculative pipelines over one shared {!Privateer_support.Domain_pool}.
+(** Privateer as a service: a job server running concurrent
+    speculative pipelines on domains it owns.
 
     Each job is a whole pipeline — profile on the train input,
     classify, transform, speculative parallel run on the run input —
-    submitted as one pool future and run to completion on the domain
-    that takes it.  Concurrent jobs are the program's only host
-    parallelism.
+    run to completion on one domain: one of the server's own, or a
+    client domain that runs the head of the queue while it waits in
+    {!await} or in a {!submit} blocked on a full queue.  Concurrent
+    jobs are the program's only host parallelism.
 
     {b Admission control.} At most [max_inflight] jobs run at once —
     clamped to the host core count, so a 1-core host degrades to
@@ -81,12 +82,12 @@ type job
 type t
 
 (** [create ~config ()] builds a server from [config]'s [max_inflight]
-    and [queue_cap] knobs, spawning its own domain pool of one domain
-    per in-flight job (never the [Domain_pool.shared] registry —
-    concurrent servers must not shut each other's pools down).
-    [host_cores] overrides the detected core count, for tests: the
-    effective in-flight bound is [max_inflight] clamped to it, and an
-    effective bound of 1 runs jobs sequentially with no pool at all. *)
+    and [queue_cap] knobs.  The effective in-flight bound is
+    [max_inflight] clamped to the host core count ([host_cores]
+    overrides the detected count, for tests).  The server spawns one
+    domain fewer than that bound: a domain that awaits a job fills the
+    last slot.  At an effective bound of 1 no domain is spawned, and
+    jobs run sequentially on the domains that await them. *)
 val create : ?host_cores:int -> config:RC.t -> unit -> t
 
 val effective_inflight : t -> int
@@ -94,8 +95,9 @@ val effective_inflight : t -> int
 
 val host_cores : t -> int
 
-(** Blocking admission: enqueue the job, waiting while the queue is at
-    [queue_cap] (backpressure).
+(** Blocking admission: enqueue the job.  While the queue is at
+    [queue_cap] (backpressure), the calling domain runs the head of the
+    queue itself if an in-flight slot is free, and waits otherwise.
     @raise Invalid_argument after {!shutdown}. *)
 val submit : t -> job_spec -> job
 
@@ -106,7 +108,8 @@ val state : t -> job -> state
 (** Lifecycle snapshot. *)
 
 (** Block until the job settles.  While waiting, the calling domain
-    helps drain the pool, contributing a core instead of idling. *)
+    runs the head of the queue whenever an in-flight slot is free,
+    contributing a core instead of idling. *)
 val await : t -> job -> (job_result, string) result
 
 val drain : t -> unit
@@ -116,8 +119,8 @@ val jobs : t -> job list
 (** Every accepted job, in submission order. *)
 
 val shutdown : t -> unit
-(** {!drain}, then stop the server's pool and refuse new submissions.
-    Settled jobs remain readable ({!state}, {!report}). *)
+(** {!drain}, refuse new submissions, and join the server's domains.
+    Idempotent.  Settled jobs remain readable ({!state}, {!report}). *)
 
 (** The aggregate report: job counts by outcome, the requested and
     effective in-flight bounds, wall-clock throughput (jobs/s),

@@ -1,5 +1,5 @@
-(* The checkpoint path's host fast paths and the job server's domain
-   pool, each against a simpler oracle:
+(* The checkpoint path's host fast paths, each against a simpler
+   oracle:
 
    - qcheck: cohort extraction equals the single-worker path run
      worker by worker;
@@ -21,24 +21,14 @@
    - qcheck: the interval reset, full-page fill included, equals the
      per-byte reference reset; units: the fill never writes through a
      copy-on-write shared page, takes only exactly-full pages, and the
-     reset charges every mapped shadow page as the oracle does;
-   - unit: the inert fields of [Runtime_config] change neither the
-     plan nor any simulated figure, and the removed knobs are not
-     bound;
-   - unit and qcheck tests for the Domain_pool futures (ordering,
-     completion order, exceptions, nested submit, concurrent awaiters,
-     inline fallback, shutdown, concurrent submitters, [shared]). *)
+     reset charges every mapped shadow page as the oracle does. *)
 
 open Privateer_ir
 open Privateer_machine
 open Privateer_runtime
-module Domain_pool = Privateer_support.Domain_pool
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
-
-(* The pool under test: the process-wide shared one. *)
-let pool () = Domain_pool.shared ~domains:3 ()
 
 (* ---- random shadow states ---------------------------------------------- *)
 
@@ -583,241 +573,6 @@ let test_merge_state_isolation () =
   check_int "s2 unaffected by s1's work" 0 (Checkpoint.index_ops s2);
   check_int "s1 unaffected by s2's merge" ops1 (Checkpoint.index_ops s1)
 
-(* ---- inert fields --------------------------------------------------------- *)
-
-module RC = Privateer_parallel.Runtime_config
-
-(* [host_domains], [merge_shards], [pool_cap] and [profilers] are
-   documented as inert: setting them must change neither the plan nor
-   a single simulated figure, nor must the engine reject values it no
-   longer reads. *)
-let test_inert_host_fields () =
-  let src =
-    {|global a[64];
-global acc;
-fn main() {
-  acc = 0;
-  for (i = 0; i < 64) { a[i] = i * 3; acc = acc + a[i]; }
-  return acc;
-}|}
-  in
-  let program = Privateer.Pipeline.parse src in
-  let tr, _ = Privateer.Pipeline.compile program in
-  let inert =
-    { RC.default with host_domains = 7; merge_shards = 13; pool_cap = -5;
-      profilers = [ "exec" ] }
-  in
-  let tr', _ = Privateer.Pipeline.compile ~config:inert program in
-  check "same plan" true
-    (String.equal (Pp.program_str tr.program) (Pp.program_str tr'.program));
-  let run config tr =
-    Privateer.Pipeline.run_parallel ~config:{ config with RC.workers = 4 } tr
-  in
-  let base = run RC.default tr in
-  let tuned = run inert tr' in
-  check "same output" true (String.equal base.par_output tuned.par_output);
-  check "same result" true (Privateer_interp.Value.equal base.par_result tuned.par_result);
-  check_int "same cycles" base.par_cycles tuned.par_cycles;
-  check_int "same checkpoints" base.stats.checkpoints tuned.stats.checkpoints;
-  check_int "same wall cycles" base.stats.wall_cycles tuned.stats.wall_cycles
-
-(* The host-parallelism knobs, the shadow-page pool cap and the
-   profiler set are gone from the flag table, so the CLI (derived from
-   it) no longer offers them. *)
-let test_removed_host_knobs () =
-  let flags = List.concat_map (fun (b : RC.binding) -> b.b_flags) RC.cli_bindings in
-  List.iter
-    (fun flag -> check (flag ^ " is not a binding") false (List.mem flag flags))
-    [ "host-domains"; "merge-shards"; "pool-kind"; "host-controller"; "shadow-pool-cap";
-      "profilers" ];
-  check "surviving knobs still bound" true
-    (List.for_all (fun f -> List.mem f flags) [ "workers"; "validation"; "max-inflight" ])
-
-(* ---- the pool itself ---------------------------------------------------- *)
-
-exception Boom of int
-
-let test_pool_size_validation () =
-  check "rejects 0 domains" true
-    (try ignore (Domain_pool.create ~domains:0 ()); false with Invalid_argument _ -> true);
-  check "rejects 65 domains" true
-    (try ignore (Domain_pool.create ~domains:65 ()); false with Invalid_argument _ -> true)
-
-(* Regression: [shared] must report the REQUESTED size, not the
-   spawned one — a smaller request reusing a larger pool's domains
-   used to inherit the larger size, inflating every chunking
-   heuristic. *)
-let test_shared_reports_requested_size () =
-  let p3 = pool () in
-  check_int "shared 3 reports 3" 3 (Domain_pool.size p3);
-  let p2 = Domain_pool.shared ~domains:2 () in
-  check "smaller request reuses the spawned domains" true (p2 == p3);
-  check_int "smaller request reports the requested size" 2 (Domain_pool.size p2);
-  let p3' = Domain_pool.shared ~domains:3 () in
-  check_int "re-request restores the size" 3 (Domain_pool.size p3')
-
-(* ---- futures: submit / await -------------------------------------------- *)
-
-let test_submit_await_basic () =
-  let p = pool () in
-  let fus = List.init 50 (fun i -> Domain_pool.submit p (fun () -> i * 3)) in
-  let results = List.map Domain_pool.await fus in
-  check "awaited results in submission order" true (results = List.init 50 (fun i -> i * 3));
-  (* A settled future stays settled: poll and re-await agree. *)
-  let fu = Domain_pool.submit p (fun () -> 41) in
-  check_int "await" 41 (Domain_pool.await fu);
-  check "poll after settle" true (Domain_pool.poll fu = Some (Ok 41));
-  check_int "re-await" 41 (Domain_pool.await fu)
-
-let test_submit_exception () =
-  let p = pool () in
-  let fu = Domain_pool.submit p (fun () -> raise (Boom 9)) in
-  (match Domain_pool.await fu with
-  | _ -> Alcotest.fail "expected Boom"
-  | exception Boom 9 -> ());
-  (* The failure is confined to its future: the pool survives. *)
-  check_int "pool usable after failed future" 5
-    (Domain_pool.await (Domain_pool.submit p (fun () -> 5)))
-
-let test_submit_inline_fallback () =
-  (* A pool of size 1 runs the task inline on the submitting domain:
-     the future is settled before submit returns. *)
-  let p = Domain_pool.create ~domains:1 () in
-  let ran = ref false in
-  let fu = Domain_pool.submit p (fun () -> ran := true; 13) in
-  check "inline execution on size-1 pool" true !ran;
-  check "inline future settled" true (Domain_pool.poll fu = Some (Ok 13));
-  check_int "inline await" 13 (Domain_pool.await fu);
-  Domain_pool.shutdown p;
-  (* After shutdown, submit degrades the same way. *)
-  let fu = Domain_pool.submit p (fun () -> 14) in
-  check_int "inline await after shutdown" 14 (Domain_pool.await fu)
-
-(* Spin until [flag] is set; loop back-edges are safepoints, so a
-   spinning domain never stalls a collection. *)
-let spin_until flag = while not (Atomic.get flag) do Domain.cpu_relax () done
-
-(* [poll] never blocks and never helps: a gated task stays pending
-   until its gate opens. *)
-let test_poll_pending_then_settled () =
-  let p = pool () in
-  let gate = Atomic.make false in
-  let fu = Domain_pool.submit p (fun () -> spin_until gate; 21) in
-  check "pending while gated" true (Domain_pool.poll fu = None);
-  Atomic.set gate true;
-  check_int "await after the gate opens" 21 (Domain_pool.await fu);
-  check "settled after await" true (Domain_pool.poll fu = Some (Ok 21))
-
-(* Each future carries its own result even when the futures settle in
-   the reverse of submission order: the first task waits until every
-   later one has finished. *)
-let test_results_independent_of_completion_order () =
-  let p = pool () in
-  let n = 12 in
-  let later_done = Atomic.make 0 and all_later = Atomic.make false in
-  let fus =
-    List.init n (fun i ->
-        Domain_pool.submit p (fun () ->
-            if i = 0 then spin_until all_later
-            else if Atomic.fetch_and_add later_done 1 = n - 2 then Atomic.set all_later true;
-            i * 7))
-  in
-  check "results by future, not by completion" true
-    (List.map Domain_pool.await fus = List.init n (fun i -> i * 7))
-
-(* Regression for the exception contract: failing futures do not stop
-   their neighbours, and each await re-raises exactly its own task's
-   exception. *)
-let test_mixed_failures_settle_per_future () =
-  let p = pool () in
-  let ran = Atomic.make 0 in
-  let fus =
-    List.init 10 (fun i ->
-        Domain_pool.submit p (fun () ->
-            Atomic.incr ran;
-            if i mod 3 = 1 then raise (Boom i) else i))
-  in
-  List.iteri
-    (fun i fu ->
-      match Domain_pool.await fu with
-      | v -> check (Printf.sprintf "future %d succeeds" i) true (i mod 3 <> 1 && v = i)
-      | exception Boom b -> check (Printf.sprintf "future %d raises its own" i) true (b = i))
-    fus;
-  check_int "every task ran" 10 (Atomic.get ran);
-  check_int "pool reusable after mixed failures" 8
-    (Domain_pool.await (Domain_pool.submit p (fun () -> 8)))
-
-(* A pool task may submit and await on its own pool: the awaiting task
-   helps drain the deques instead of deadlocking. *)
-let test_nested_submit_inside_future () =
-  let p = pool () in
-  let fus =
-    List.init 6 (fun j ->
-        Domain_pool.submit p (fun () ->
-            List.init 8 (fun i -> Domain_pool.submit p (fun () -> (j * 8) + i))
-            |> List.map Domain_pool.await
-            |> List.fold_left ( + ) 0))
-  in
-  List.iteri
-    (fun j fu ->
-      let expected = List.init 8 (fun i -> (j * 8) + i) |> List.fold_left ( + ) 0 in
-      check_int (Printf.sprintf "nested sum %d" j) expected (Domain_pool.await fu))
-    fus
-
-(* Several client domains awaiting one future all see its result. *)
-let test_concurrent_awaiters () =
-  let p = pool () in
-  let gate = Atomic.make false in
-  let fu = Domain_pool.submit p (fun () -> spin_until gate; 99) in
-  let awaiters = List.init 3 (fun _ -> Domain.spawn (fun () -> Domain_pool.await fu)) in
-  Atomic.set gate true;
-  List.iteri
-    (fun k d -> check_int (Printf.sprintf "awaiter %d" k) 99 (Domain.join d))
-    awaiters
-
-(* Futures still queued at [shutdown] are not lost: their awaiter
-   helps, running them on its own domain. *)
-let test_shutdown_with_queued_futures () =
-  let p = Domain_pool.create ~domains:2 () in
-  let fus = List.init 20 (fun i -> Domain_pool.submit p (fun () -> i + 1)) in
-  Domain_pool.shutdown p;
-  check "queued futures settle after shutdown" true
-    (List.map Domain_pool.await fus = List.init 20 (fun i -> i + 1))
-
-(* qcheck: interleaved submit/await from several client domains
-   preserves per-client result order, and a failing task's exception
-   surfaces at exactly its position. *)
-let submitters_arb =
-  QCheck.make
-    ~print:(fun (clients, per, fail_mod) ->
-      Printf.sprintf "%d clients x %d tasks, fail mod %d" clients per fail_mod)
-    QCheck.Gen.(triple (int_range 2 4) (int_range 1 25) (int_range 0 7))
-
-let prop_concurrent_submitters (clients, per, fail_mod) =
-  let p = Domain_pool.create ~domains:3 () in
-    Fun.protect ~finally:(fun () -> Domain_pool.shutdown p)
-      (fun () ->
-        let fails c i = fail_mod > 0 && (i + c) mod fail_mod = 1 in
-        let client c =
-          Domain.spawn (fun () ->
-              (* Interleave: submit everything, then await in order. *)
-              let fus =
-                List.init per (fun i ->
-                    Domain_pool.submit p (fun () ->
-                        if fails c i then raise (Boom ((c * 1000) + i))
-                        else (c * 1000) + i))
-              in
-              List.mapi
-                (fun i fu ->
-                  match Domain_pool.await fu with
-                  | v -> (not (fails c i)) && v = (c * 1000) + i
-                  | exception Boom b -> fails c i && b = (c * 1000) + i
-                  | exception _ -> false)
-                fus)
-        in
-        let domains = List.init clients client in
-        List.for_all (fun d -> List.for_all Fun.id (Domain.join d)) domains)
-
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [ QCheck.Test.make ~count:60 ~name:"extraction = single-worker path"
@@ -829,9 +584,7 @@ let suite =
       QCheck.Test.make ~count:60 ~name:"incremental merge = rebuilt index"
         intervals_arb prop_incremental_merge_equals_rebuilt;
       QCheck.Test.make ~count:120 ~name:"reset = per-byte oracle"
-        big_ops_arb prop_reset_matches_oracle;
-      QCheck.Test.make ~count:30 ~name:"concurrent submitters: order + exceptions"
-        submitters_arb prop_concurrent_submitters ]
+        big_ops_arb prop_reset_matches_oracle ]
   @ [ Alcotest.test_case "clean interval: zero index ops" `Quick
         test_clean_interval_no_index_work;
       Alcotest.test_case "merge states are isolated" `Quick
@@ -847,27 +600,4 @@ let suite =
       Alcotest.test_case "violation pinned to smallest address" `Quick
         test_violation_reports_smallest_addr;
       Alcotest.test_case "live-in byte count stays exact" `Quick
-        test_live_in_count_exact;
-      Alcotest.test_case "pool: submit/await basics" `Quick test_submit_await_basic;
-      Alcotest.test_case "pool: future exception confined" `Quick
-        test_submit_exception;
-      Alcotest.test_case "pool: submit inline fallback" `Quick
-        test_submit_inline_fallback;
-      Alcotest.test_case "pool: poll pending then settled" `Quick
-        test_poll_pending_then_settled;
-      Alcotest.test_case "pool: results independent of completion order" `Quick
-        test_results_independent_of_completion_order;
-      Alcotest.test_case "pool: mixed failures settle per future" `Quick
-        test_mixed_failures_settle_per_future;
-      Alcotest.test_case "pool: nested submit inside future" `Quick
-        test_nested_submit_inside_future;
-      Alcotest.test_case "pool: concurrent awaiters" `Quick test_concurrent_awaiters;
-      Alcotest.test_case "pool: shutdown with queued futures" `Quick
-        test_shutdown_with_queued_futures;
-      Alcotest.test_case "pool: size validation" `Quick test_pool_size_validation;
-      Alcotest.test_case "pool: shared reports requested size" `Quick
-        test_shared_reports_requested_size;
-      Alcotest.test_case "runtime config: inert host fields" `Quick
-        test_inert_host_fields;
-      Alcotest.test_case "runtime config: removed host knobs" `Quick
-        test_removed_host_knobs ]
+        test_live_in_count_exact ]

@@ -483,6 +483,53 @@ let test_apply_bindings () =
   Alcotest.(check string) "parse errors still win"
     "workers: expected an integer, got \"x\"" (error [ ("workers", "x"); ("checkpoint", "0") ])
 
+(* [host_domains], [merge_shards], [pool_cap] and [profilers] are
+   documented as inert: setting them must change neither the plan nor
+   a single simulated figure, nor must the engine reject values it no
+   longer reads. *)
+let test_inert_host_fields () =
+  let module RC = Privateer_parallel.Runtime_config in
+  let src =
+    {|global a[64];
+global acc;
+fn main() {
+  acc = 0;
+  for (i = 0; i < 64) { a[i] = i * 3; acc = acc + a[i]; }
+  return acc;
+}|}
+  in
+  let program = Pipeline.parse src in
+  let tr, _ = Pipeline.compile program in
+  let inert =
+    { RC.default with host_domains = 7; merge_shards = 13; pool_cap = -5;
+      profilers = [ "exec" ] }
+  in
+  let tr', _ = Pipeline.compile ~config:inert program in
+  check "same plan" true
+    (String.equal (Privateer_ir.Pp.program_str tr.program)
+       (Privateer_ir.Pp.program_str tr'.program));
+  let run config tr = Pipeline.run_parallel ~config:{ config with RC.workers = 4 } tr in
+  let base = run RC.default tr in
+  let tuned = run inert tr' in
+  check "same output" true (String.equal base.par_output tuned.par_output);
+  check "same result" true (Privateer_interp.Value.equal base.par_result tuned.par_result);
+  check_int "same cycles" base.par_cycles tuned.par_cycles;
+  check_int "same checkpoints" base.stats.checkpoints tuned.stats.checkpoints;
+  check_int "same wall cycles" base.stats.wall_cycles tuned.stats.wall_cycles
+
+(* The host-parallelism knobs, the shadow-page pool cap and the
+   profiler set are gone from the flag table, so the CLI (derived from
+   it) no longer offers them. *)
+let test_removed_host_knobs () =
+  let module RC = Privateer_parallel.Runtime_config in
+  let flags = List.concat_map (fun (b : RC.binding) -> b.b_flags) RC.cli_bindings in
+  List.iter
+    (fun flag -> check (flag ^ " is not a binding") false (List.mem flag flags))
+    [ "host-domains"; "merge-shards"; "pool-kind"; "host-controller"; "shadow-pool-cap";
+      "profilers" ];
+  check "surviving knobs still bound" true
+    (List.for_all (fun f -> List.mem f flags) [ "workers"; "validation"; "max-inflight" ])
+
 (* ---- recovery edge cases ---------------------------------------------- *)
 
 let test_misspec_on_iteration_zero () =
@@ -811,6 +858,8 @@ let suite =
     Alcotest.test_case "config validation" `Quick test_config_validation;
     Alcotest.test_case "config check names the field" `Quick test_config_check;
     Alcotest.test_case "flag fold fails closed" `Quick test_apply_bindings;
+    Alcotest.test_case "runtime config: inert host fields" `Quick test_inert_host_fields;
+    Alcotest.test_case "runtime config: removed host knobs" `Quick test_removed_host_knobs;
     Alcotest.test_case "misspec on iteration 0" `Quick test_misspec_on_iteration_zero;
     Alcotest.test_case "misspec on interval's last iteration" `Quick
       test_misspec_on_interval_last_iteration;

@@ -11,7 +11,7 @@ let () =
       ("runtime", Test_runtime.suite);
       ("executor", Test_executor.suite);
       ("speculation", Test_speculation.suite);
-      ("host-parallel", Test_host_parallel.suite);
+      ("checkpoint", Test_checkpoint.suite);
       ("baselines", Test_baselines.suite);
       ("workloads", Test_workloads.suite);
       ("properties", Test_props.suite);

@@ -2,7 +2,7 @@
 
    Every unit test runs under three variants — the production
    profiler, the monolithic reference oracle from the test library,
-   and two profiler instances profiling at once in pool futures (as
+   and two profiler instances profiling at once on two domains (as
    the job server runs them) — which must answer identically.
    Targeted sources then check the profiler's fast paths against the
    oracle, and the full query surface is checked on the five ports and,
@@ -33,16 +33,15 @@ let run_reference : runner =
   (program, q, st)
 
 (* The job server's pattern: two profiler instances profile the same
-   source at once, each inside its own pool future with its own parse.
-   Neither may observe the other — their answers must agree — and the
-   first one answers the test. *)
+   source at once, each on its own domain with its own parse.  Neither
+   may observe the other — their answers must agree — and the first one
+   answers the test. *)
 let run_concurrent : runner =
  fun src ->
-  let pool = Privateer_support.Domain_pool.shared ~domains:2 () in
-  let profile_in_future () = Privateer_support.Domain_pool.submit pool (fun () -> run_fast src) in
-  let fa = profile_in_future () and fb = profile_in_future () in
-  let ((program, qa, _) as first) = Privateer_support.Domain_pool.await fa in
-  let _, qb, _ = Privateer_support.Domain_pool.await fb in
+  let profile_on_domain () = Domain.spawn (fun () -> run_fast src) in
+  let da = profile_on_domain () and db = profile_on_domain () in
+  let ((program, qa, _) as first) = Domain.join da in
+  let _, qb, _ = Domain.join db in
   (match Answers.diff program qa qb with
   | None -> ()
   | Some what -> Alcotest.fail ("concurrent profiles differ on " ^ what));

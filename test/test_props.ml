@@ -489,7 +489,7 @@ let prop_shadow_vs_oracle history =
 
    Both implementations satisfy [Shadow_sig.S], so the op-list driver
    is a functor over the signature: the same workload replays against
-   any implementation, and [test_host_parallel] reuses the instances
+   any implementation, and [test_checkpoint] reuses the instances
    to pin the full-page reset against the oracle. *)
 type sh_op = Access of { write : bool; off : int; size : int; beta : int } | Reset
 

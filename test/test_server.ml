@@ -1,5 +1,5 @@
-(* The job server: concurrent speculative pipelines over one shared
-   pool.
+(* The job server: concurrent speculative pipelines on domains the
+   server owns.
 
    - qcheck: N generated jobs run concurrently (max_inflight 2-4,
      forced 4 "cores") produce per-job fingerprints —
@@ -14,8 +14,20 @@
    - units: lifecycle states settle to Done, a failing job is
      confined (Failed, server survives, neighbours finish), the
      in-flight bound clamps to the host core count, a full queue
-     rejects try_submit (backpressure), and a bounded queue cannot
-     deadlock the inline 1-core path. *)
+     rejects try_submit (backpressure), a submitter blocked on a full
+     queue runs a queued job itself, [shutdown] stops the server's
+     domains, and three client domains sharing one server each see
+     their jobs settle once, equal to a serial run;
+   - submit/await/state/shutdown units and a qcheck, one per contract
+     the server's callers rely on: a job's result is its own and stays
+     settled, a failure leaves the server usable, at bound 1 a job
+     waits for the domain that awaits it and jobs launch from the head
+     of the queue, results follow jobs and not completion order, each
+     failed job carries exactly its own fault, several awaiters of one
+     job see one result, [shutdown] runs queued jobs and is
+     idempotent, [create] validates its knobs, the report shows the
+     requested and effective bounds, and client domains submitting
+     streams concurrently each get their own results in order. *)
 
 module Job_server = Privateer_server.Job_server
 module Jobs_manifest = Privateer_server.Jobs_manifest
@@ -224,17 +236,387 @@ let test_backpressure_rejects () =
     accepted;
   Job_server.shutdown t
 
-let test_bounded_queue_inline () =
-  (* 1 core: jobs run inline at submit time, so a tiny queue cap can
-     never deadlock a long submission stream. *)
+let test_blocked_submitter_runs_queued_job () =
+  (* 1 core: the server spawns no domain, so with a queue cap of 1
+     every submit after the first finds the queue full and must run
+     the queued job itself for the stream to make progress. *)
   let config = { RC.default with RC.max_inflight = 4; queue_cap = 1 } in
-  let specs = List.init 6 (fun i -> spec_of_src (Printf.sprintf "q%d" i) (program_src i)) in
-  let t = Job_server.run_jobs ~host_cores:1 ~config specs in
+  let t = Job_server.create ~host_cores:1 ~config () in
+  let jobs =
+    List.init 6 (fun i -> Job_server.submit t (spec_of_src (Printf.sprintf "q%d" i) (program_src i)))
+  in
+  List.iteri
+    (fun i j ->
+      check (Printf.sprintf "q%d settled by a later submit" i) (i < 5)
+        (match Job_server.state t j with Job_server.Done _ -> true | _ -> false))
+    jobs;
+  Job_server.shutdown t;
   List.iter
     (fun j ->
-      check "inline job done" true
+      check "job done" true
         (match Job_server.state t j with Job_server.Done _ -> true | _ -> false))
-    (Job_server.jobs t)
+    jobs
+
+(* OCaml caps live domains at 128, so 130 servers in sequence, each
+   with one spawned domain, fail at [create] unless [shutdown] stops
+   the domain it spawned.  Nothing awaits the job, so only that domain
+   can run it, and [state] can read it settled only once the domain
+   has released the lock to wait for more work. *)
+let test_shutdown_stops_domains () =
+  let config = { RC.default with RC.max_inflight = 2 } in
+  for i = 1 to 130 do
+    let t = Job_server.create ~host_cores:2 ~config () in
+    let j = Job_server.submit t (spec_of_src (Printf.sprintf "s%d" i) "fn main() { return 1; }\n") in
+    while (match Job_server.state t j with Job_server.(Queued | Running) -> true | _ -> false) do
+      Domain.cpu_relax ()
+    done;
+    check "run by the server's domain" true
+      (match Job_server.state t j with Job_server.Done _ -> true | _ -> false);
+    Job_server.shutdown t
+  done
+
+(* Three client domains submit to and await one server (one spawned
+   domain, queue cap 1, so submitters block and run queued jobs); one
+   job faults.  Every job settles once: re-awaiting returns the very
+   result the first await did, the report counts each job once, and
+   every job's fingerprint, the fault's text included, equals a serial
+   run's. *)
+let test_shared_server () =
+  let clients = 3 and per = 4 in
+  let name c i = Printf.sprintf "c%d.%d" c i in
+  let spec c i =
+    spec_of_src (name c i)
+      (if c = 1 && i = 2 then "fn main() { var x = 0; return 7 / x; }\n"
+       else program_src ((c * per) + i))
+  in
+  let config = { RC.default with RC.max_inflight = 2; queue_cap = 1 } in
+  let t = Job_server.create ~host_cores:4 ~config () in
+  let client c =
+    Domain.spawn (fun () ->
+        let jobs = List.init per (fun i -> Job_server.submit t (spec c i)) in
+        List.mapi (fun i j -> (name c i, j, Job_server.await t j)) jobs)
+  in
+  let awaited = List.concat_map Domain.join (List.init clients client) in
+  Job_server.shutdown t;
+  let serial =
+    Job_server.run_jobs ~host_cores:1 ~config
+      (List.concat (List.init clients (fun c -> List.init per (spec c))))
+  in
+  List.iter2
+    (fun (name, j, first) reference ->
+      check (name ^ " settles once") true
+        (match (first, Job_server.await t j) with
+        | Ok a, Ok b -> a == b
+        | Error a, Error b -> a == b
+        | _ -> false);
+      Alcotest.(check string) (name ^ " = serial run") (fingerprint_of serial reference)
+        (fingerprint_of t j))
+    awaited (Job_server.jobs serial);
+  Alcotest.(check (list string)) "only the faulting job fails"
+    [ "c1.2: runtime error: division by zero" ]
+    (List.filter_map
+       (fun (name, _, r) -> match r with Error msg -> Some (name ^ ": " ^ msg) | Ok _ -> None)
+       awaited);
+  let counts =
+    match Job_server.report t with
+    | Privateer_support.Json.Obj kvs ->
+      List.map (fun k -> List.assoc k kvs) [ "jobs"; "done"; "failed" ]
+    | _ -> []
+  in
+  check "report counts each job once" true
+    (counts = Privateer_support.Json.[ Int (clients * per); Int ((clients * per) - 1); Int 1 ])
+
+(* ---- submit, await, state and shutdown ----------------------------------- *)
+
+(* [program_src salt]'s return value: the sum of [k * k + salt] over
+   [k < 32]. *)
+let program_total salt = 10416 + (32 * salt)
+
+(* A job that fails with a runtime error naming [tag]. *)
+let float_fault_src tag = Printf.sprintf "fn main() { var x = %d.5; return x + 2; }\n" tag
+let float_fault_error tag = Printf.sprintf "runtime error: expected int, got float %d.5" tag
+
+(* A job about a hundred times longer than [program_src]'s. *)
+let long_src =
+  "global out[2048];\n\
+   fn main() {\n\
+  \  for (k = 0; k < 2048) { out[k] = k * 3 + 1; }\n\
+  \  var total = 0;\n\
+  \  for (q = 0; q < 2048) { total = total + out[q]; }\n\
+  \  print(\"= %d\\n\", total);\n\
+  \  return total;\n\
+   }\n"
+
+let ok_result = function Ok r -> r | Error msg -> Alcotest.fail ("job failed: " ^ msg)
+
+let is_done t j = match Job_server.state t j with Job_server.Done _ -> true | _ -> false
+let is_queued t j = match Job_server.state t j with Job_server.Queued -> true | _ -> false
+
+(* The report's top-level [key]. *)
+let report_field t key =
+  match Job_server.report t with
+  | Privateer_support.Json.Obj kvs -> List.assoc key kvs
+  | _ -> Alcotest.fail "report is not an object"
+
+(* Jobs awaited in submission order each return their own result, equal
+   to a serial run's; a settled job stays settled, so re-awaiting
+   returns the very same result and [state] reads it too. *)
+let test_submit_await_basic () =
+  let specs () = List.init 8 (fun i -> spec_of_src (Printf.sprintf "a%d" i) (program_src i)) in
+  let config = { RC.default with RC.max_inflight = 3 } in
+  let t = Job_server.create ~host_cores:4 ~config () in
+  let jobs = List.map (Job_server.submit t) (specs ()) in
+  let results = List.map (fun j -> ok_result (Job_server.await t j)) jobs in
+  Job_server.shutdown t;
+  let serial = Job_server.run_jobs ~host_cores:1 ~config (specs ()) in
+  List.iteri
+    (fun i ((j, r), reference) ->
+      let name = Printf.sprintf "a%d" i in
+      Alcotest.(check string) (name ^ " returns its own result") name r.Job_server.jr_name;
+      Alcotest.(check string) (name ^ " result") (string_of_int (program_total i)) r.jr_result;
+      Alcotest.(check string) (name ^ " = serial run") (fingerprint_of serial reference)
+        r.jr_fingerprint;
+      check (name ^ " re-await returns the same result") true
+        (match Job_server.await t j with Ok r' -> r' == r | Error _ -> false);
+      check (name ^ " state holds the same result") true
+        (match Job_server.state t j with Job_server.Done r' -> r' == r | _ -> false))
+    (List.combine (List.combine jobs results) (Job_server.jobs serial))
+
+(* A failed job is confined to itself: the same server runs the next
+   job as if nothing had happened. *)
+let test_failure_leaves_server_usable () =
+  let config = { RC.default with RC.max_inflight = 2 } in
+  let t = Job_server.create ~host_cores:2 ~config () in
+  let bad = Job_server.submit t (spec_of_src "bad" "fn main() { var x = 0; return 7 / x; }\n") in
+  (match Job_server.await t bad with
+  | Error msg -> Alcotest.(check string) "the fault's text" "runtime error: division by zero" msg
+  | Ok _ -> Alcotest.fail "faulting job reported Done");
+  let good = Job_server.submit t (spec_of_src "good" (program_src 5)) in
+  let r = ok_result (Job_server.await t good) in
+  Alcotest.(check string) "next job's result" (string_of_int (program_total 5)) r.jr_result;
+  Alcotest.(check string) "next job's output"
+    (Printf.sprintf "= %d\n" (program_total 5))
+    r.jr_output;
+  Job_server.shutdown t;
+  check "the failure stays recorded" true
+    (match Job_server.state t bad with Job_server.Failed _ -> true | _ -> false)
+
+(* At an effective bound of 1 the server spawns no domain, so a
+   submitted job stays queued, however long anyone polls [state],
+   until a domain awaits it and runs it. *)
+let test_bound_one_runs_on_awaiter () =
+  let t = Job_server.create ~host_cores:1 ~config:{ RC.default with RC.max_inflight = 4 } () in
+  let j = Job_server.submit t (spec_of_src "solo" (program_src 3)) in
+  (* Far longer than the job takes: a spawned domain would settle it. *)
+  let deadline = Privateer_support.Clock.now_ns () +. 20e6 in
+  while Privateer_support.Clock.now_ns () < deadline do
+    check "queued while nobody awaits" true (is_queued t j);
+    Domain.cpu_relax ()
+  done;
+  let r = ok_result (Job_server.await t j) in
+  Alcotest.(check string) "run by the awaiting domain" "solo" r.jr_name;
+  check "settled Done" true (is_done t j);
+  Job_server.shutdown t
+
+(* Jobs launch from the head of the queue: awaiting the third of four
+   jobs at bound 1 runs the two ahead of it first and leaves the
+   fourth queued. *)
+let test_await_runs_queue_in_order () =
+  let t = Job_server.create ~host_cores:1 ~config:RC.default () in
+  let jobs =
+    List.init 4 (fun i -> Job_server.submit t (spec_of_src (Printf.sprintf "f%d" i) (program_src i)))
+  in
+  ignore (ok_result (Job_server.await t (List.nth jobs 2)));
+  Alcotest.(check (list string)) "states after awaiting f2"
+    [ "done"; "done"; "done"; "queued" ]
+    (List.map (fun j -> Job_server.state_name (Job_server.state t j)) jobs);
+  Job_server.drain t;
+  check "drain settles the rest" true (List.for_all (is_done t) jobs);
+  Job_server.shutdown t
+
+(* Each job carries its own result whatever order the jobs settle in:
+   a long job submitted first runs while the short ones behind it
+   finish, and the jobs are awaited last to first. *)
+let test_results_independent_of_completion_order () =
+  let specs () =
+    spec_of_src "long" long_src
+    :: List.init 6 (fun i -> spec_of_src (Printf.sprintf "s%d" i) (program_src (i + 20)))
+  in
+  let config = { RC.default with RC.max_inflight = 2 } in
+  let t = Job_server.create ~host_cores:4 ~config () in
+  let jobs = List.map (Job_server.submit t) (specs ()) in
+  let results = List.rev_map (fun j -> ok_result (Job_server.await t j)) (List.rev jobs) in
+  Job_server.shutdown t;
+  let serial = Job_server.run_jobs ~host_cores:1 ~config (specs ()) in
+  List.iter2
+    (fun (r : Job_server.job_result) reference ->
+      match Job_server.state serial reference with
+      | Job_server.Done s ->
+        Alcotest.(check string) "result follows its job" s.jr_name r.jr_name;
+        Alcotest.(check string) (r.jr_name ^ " = serial run") s.jr_fingerprint r.jr_fingerprint
+      | _ -> Alcotest.fail "serial reference did not settle Done")
+    results (Job_server.jobs serial)
+
+(* Failing jobs do not stop their neighbours, and each failed job
+   carries exactly its own fault. *)
+let test_mixed_failures_settle_per_job () =
+  let config = { RC.default with RC.max_inflight = 3 } in
+  let t = Job_server.create ~host_cores:4 ~config () in
+  let fails i = i mod 3 = 1 in
+  let jobs =
+    List.init 9 (fun i ->
+        Job_server.submit t
+          (spec_of_src (Printf.sprintf "m%d" i)
+             (if fails i then float_fault_src i else program_src i)))
+  in
+  List.iteri
+    (fun i j ->
+      let name = Printf.sprintf "m%d" i in
+      match Job_server.await t j with
+      | Ok r ->
+        check (name ^ " should have failed") false (fails i);
+        Alcotest.(check string) (name ^ " result") (string_of_int (program_total i)) r.jr_result
+      | Error msg ->
+        check (name ^ " should have succeeded") true (fails i);
+        Alcotest.(check string) (name ^ " carries its own fault") (float_fault_error i) msg)
+    jobs;
+  let after = Job_server.submit t (spec_of_src "after" (program_src 8)) in
+  check "server usable after mixed failures" true
+    (match Job_server.await t after with Ok _ -> true | Error _ -> false);
+  Job_server.shutdown t;
+  check "report: 7 done, 3 failed" true
+    (report_field t "done" = Privateer_support.Json.Int 7
+    && report_field t "failed" = Privateer_support.Json.Int 3)
+
+(* Several client domains awaiting one job all see its one result: the
+   job runs once, whichever domain launches it. *)
+let test_concurrent_awaiters () =
+  let config = { RC.default with RC.max_inflight = 2 } in
+  let t = Job_server.create ~host_cores:4 ~config () in
+  let j = Job_server.submit t (spec_of_src "shared" long_src) in
+  let awaiters = List.init 3 (fun _ -> Domain.spawn (fun () -> Job_server.await t j)) in
+  let results = List.map (fun d -> ok_result (Domain.join d)) awaiters in
+  Job_server.shutdown t;
+  (match results with
+  | r :: rest ->
+    List.iteri
+      (fun k r' -> check (Printf.sprintf "awaiter %d sees the same result" (k + 1)) true (r' == r))
+      rest
+  | [] -> Alcotest.fail "no awaiters");
+  check "the job ran once" true
+    (report_field t "jobs" = Privateer_support.Json.Int 1
+    && report_field t "done" = Privateer_support.Json.Int 1)
+
+(* Jobs still queued at [shutdown] are not lost: with no server domain
+   (bound 1) the domain that shuts the server down runs them.  A second
+   [shutdown] changes nothing, and admission stays closed. *)
+let test_shutdown_with_queued_jobs () =
+  let t = Job_server.create ~host_cores:1 ~config:RC.default () in
+  let jobs =
+    List.init 5 (fun i -> Job_server.submit t (spec_of_src (Printf.sprintf "z%d" i) (program_src i)))
+  in
+  check "all queued before shutdown" true (List.for_all (is_queued t) jobs);
+  Job_server.shutdown t;
+  let results = List.map (fun j -> ok_result (Job_server.await t j)) jobs in
+  List.iteri
+    (fun i (r : Job_server.job_result) ->
+      Alcotest.(check string) (Printf.sprintf "z%d settled by shutdown" i)
+        (string_of_int (program_total i)) r.jr_result)
+    results;
+  Job_server.shutdown t;
+  check "second shutdown keeps the results" true
+    (List.for_all2
+       (fun j r -> match Job_server.state t j with Job_server.Done r' -> r' == r | _ -> false)
+       jobs results);
+  check "try_submit after shutdown refused" true
+    (try
+       ignore (Job_server.try_submit t (spec_of_src "late" (program_src 9)));
+       false
+     with Invalid_argument _ -> true)
+
+(* [create] validates its knobs before it spawns anything, and a
+   nonsensical core count clamps to one core. *)
+let test_create_validates () =
+  let rejects msg config frag =
+    match Job_server.create ~host_cores:4 ~config () with
+    | t ->
+      Job_server.shutdown t;
+      Alcotest.fail (msg ^ " accepted")
+    | exception Invalid_argument m ->
+      check (msg ^ ": " ^ m) true
+        (let lf = String.length frag in
+         let rec go i = i + lf <= String.length m && (String.sub m i lf = frag || go (i + 1)) in
+         go 0)
+  in
+  rejects "max_inflight 0" { RC.default with RC.max_inflight = 0 } "max_inflight must be in [1, 64]";
+  rejects "max_inflight 65" { RC.default with RC.max_inflight = 65 } "max_inflight must be in [1, 64]";
+  rejects "queue_cap -1" { RC.default with RC.queue_cap = -1 } "queue_cap must be >= 0";
+  let t = Job_server.create ~host_cores:0 ~config:{ RC.default with RC.max_inflight = 8 } () in
+  check_int "0 cores clamps to 1" 1 (Job_server.host_cores t);
+  check_int "and to sequential execution" 1 (Job_server.effective_inflight t);
+  Job_server.shutdown t
+
+(* The report carries the requested in-flight bound next to the
+   effective one, so a clamp is visible, and counts the jobs it ran. *)
+let test_report_bounds () =
+  let config = { RC.default with RC.max_inflight = 8; queue_cap = 3 } in
+  let t = Job_server.create ~host_cores:2 ~config () in
+  List.iter
+    (fun i -> ignore (Job_server.submit t (spec_of_src (Printf.sprintf "r%d" i) (program_src i))))
+    [ 0; 1 ];
+  Job_server.shutdown t;
+  let open Privateer_support.Json in
+  List.iter
+    (fun (key, expected) -> check (key ^ " reported") true (report_field t key = Int expected))
+    [ ("max_inflight_requested", 8); ("max_inflight_effective", 2); ("queue_cap", 3);
+      ("host_cores", 2); ("jobs", 2); ("done", 2); ("failed", 0) ];
+  check "one entry per job, each done" true
+    (match report_field t "job_results" with
+    | List entries ->
+      List.length entries = 2
+      && List.for_all
+           (function Obj kvs -> List.assoc_opt "state" kvs = Some (String "done") | _ -> false)
+           entries
+    | _ -> false)
+
+(* qcheck: client domains that each submit a stream of jobs to one
+   server and then await them in order see each job settle with its
+   own result, or with exactly its own fault. *)
+let submitters_arb =
+  QCheck.make
+    ~print:(fun (clients, per, fail_mod, queue_cap) ->
+      Printf.sprintf "%d clients x %d jobs, fail mod %d, queue cap %d" clients per fail_mod
+        queue_cap)
+    QCheck.Gen.(quad (int_range 2 3) (int_range 1 4) (int_range 0 3) (int_range 0 2))
+
+let prop_concurrent_submitters (clients, per, fail_mod, queue_cap) =
+  let config = { RC.default with RC.max_inflight = 3; queue_cap } in
+  let t = Job_server.create ~host_cores:4 ~config () in
+  Fun.protect
+    ~finally:(fun () -> Job_server.shutdown t)
+    (fun () ->
+      let fails c i = fail_mod > 0 && (i + c) mod fail_mod = 1 in
+      let client c =
+        Domain.spawn (fun () ->
+            let tag i = (c * 100) + i in
+            let jobs =
+              List.init per (fun i ->
+                  Job_server.submit t
+                    (spec_of_src (Printf.sprintf "p%d" (tag i))
+                       (if fails c i then float_fault_src (tag i) else program_src (tag i))))
+            in
+            List.mapi
+              (fun i j ->
+                match Job_server.await t j with
+                | Ok r ->
+                  (not (fails c i))
+                  && r.Job_server.jr_name = Printf.sprintf "p%d" (tag i)
+                  && r.jr_result = string_of_int (program_total (tag i))
+                | Error msg -> fails c i && msg = float_fault_error (tag i))
+              jobs)
+      in
+      let domains = List.init clients client in
+      List.for_all (fun d -> List.for_all Fun.id (Domain.join d)) domains)
 
 (* ---- manifest parsing ---------------------------------------------------- *)
 
@@ -371,7 +753,9 @@ let suite =
   List.map QCheck_alcotest.to_alcotest
     [ QCheck.Test.make ~count:10
         ~name:"concurrent jobs byte-identical to serial" jobs_arb
-        prop_concurrent_identical_to_serial ]
+        prop_concurrent_identical_to_serial;
+      QCheck.Test.make ~count:20 ~name:"concurrent submitters: order + failures"
+        submitters_arb prop_concurrent_submitters ]
   @ [ Alcotest.test_case "interleaved pipelines = serial reference" `Quick
         test_interleaved_pipelines;
       Alcotest.test_case "stats tables are instance-scoped" `Quick
@@ -383,8 +767,30 @@ let suite =
         test_inflight_clamp;
       Alcotest.test_case "full queue rejects try_submit" `Quick
         test_backpressure_rejects;
-      Alcotest.test_case "bounded queue: inline path can't deadlock" `Quick
-        test_bounded_queue_inline;
+      Alcotest.test_case "full queue: a blocked submitter runs a queued job" `Quick
+        test_blocked_submitter_runs_queued_job;
+      Alcotest.test_case "shutdown stops the server's domains" `Quick
+        test_shutdown_stops_domains;
+      Alcotest.test_case "three clients share one server" `Quick test_shared_server;
+      Alcotest.test_case "submit/await: own result, settled once" `Quick
+        test_submit_await_basic;
+      Alcotest.test_case "a failed job leaves the server usable" `Quick
+        test_failure_leaves_server_usable;
+      Alcotest.test_case "bound 1: a job waits for its awaiter" `Quick
+        test_bound_one_runs_on_awaiter;
+      Alcotest.test_case "await runs the queue from its head" `Quick
+        test_await_runs_queue_in_order;
+      Alcotest.test_case "results independent of completion order" `Quick
+        test_results_independent_of_completion_order;
+      Alcotest.test_case "mixed failures settle per job" `Quick
+        test_mixed_failures_settle_per_job;
+      Alcotest.test_case "concurrent awaiters see one result" `Quick
+        test_concurrent_awaiters;
+      Alcotest.test_case "shutdown runs queued jobs, idempotent" `Quick
+        test_shutdown_with_queued_jobs;
+      Alcotest.test_case "create validates its knobs" `Quick test_create_validates;
+      Alcotest.test_case "report: requested and effective bounds" `Quick
+        test_report_bounds;
       Alcotest.test_case "manifest: parse, repeat, knobs, errors" `Quick
         test_manifest_parse;
       Alcotest.test_case "manifest: scenario jobs, scale, line errors" `Quick
