@@ -33,7 +33,7 @@ let compiled wl =
 
 let config ?(workers = 24) ?checkpoint_period ?inject ?(serial_commit = false)
     ?(schedule = Privateer_parallel.Schedule.Cyclic) ?(adaptive = false) ?throttle
-    ?(validation = Privateer_parallel.Runtime_config.default_validation) () =
+    ?(validation = Privateer_parallel.Runtime_config.Commit) () =
   { Privateer_parallel.Runtime_config.default with
     workers; checkpoint_period; inject; serial_commit; schedule;
     adaptive_period = adaptive; throttle; validation }

@@ -81,22 +81,3 @@ let run_parallel ?(setup = no_setup) ?(config = Runtime_config.default)
 (* Per-loop engine health of a parallel run, sorted by loop id:
    invocations, misspeculations, wall cycles, throttle demotions. *)
 let loop_report (run : par_run) = Stats.loop_table run.stats
-
-(* ---- whole-experiment convenience ------------------------------------ *)
-
-type experiment = {
-  sequential : seq_run;
-  parallel : par_run;
-  speedup : float;
-  transform : Transform.result;
-}
-
-(* Profile on [train], evaluate on [run] — the paper's methodology
-   (train vs ref inputs). *)
-let experiment ?(train = no_setup) ?(run = no_setup)
-    ?(config = Runtime_config.default) program =
-  let tr, _profiler = compile ~setup:train program in
-  let sequential = run_sequential ~setup:run program in
-  let parallel = run_parallel ~setup:run ~config tr in
-  let speedup = float_of_int sequential.seq_cycles /. float_of_int parallel.par_cycles in
-  { sequential; parallel; speedup; transform = tr }

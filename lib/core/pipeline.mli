@@ -73,8 +73,9 @@ type par_run = {
 (** Speculative parallel execution of a transformed program under the
     DOALL executor.
 
-    [config] is a {!Privateer_parallel.Runtime_config.t} — build one
-    with [Runtime_config.make].  The run is single-domain; host
+    [config] is a {!Privateer_parallel.Runtime_config.t}: a record
+    update of [Runtime_config.default], or the CLI's flags folded over
+    it by [Runtime_config.apply_bindings].  The run is single-domain; host
     parallelism comes from running several pipelines at once in the
     job server, which moves no simulated figure. *)
 val run_parallel :
@@ -88,19 +89,3 @@ val run_parallel :
     suspensions. *)
 val loop_report :
   par_run -> (int * Privateer_runtime.Stats.loop_stats) list
-
-type experiment = {
-  sequential : seq_run;
-  parallel : par_run;
-  speedup : float;
-  transform : Privateer_transform.Transform.result;
-}
-
-(** Train on [train], evaluate on [run]: compile once, run both ways,
-    report the whole-program speedup. *)
-val experiment :
-  ?train:setup ->
-  ?run:setup ->
-  ?config:Privateer_parallel.Runtime_config.t ->
-  Privateer_ir.Ast.program ->
-  experiment

@@ -14,12 +14,14 @@
 
    Under `--validation eager` the in-flight conflict board
    (Conflict_board, see docs/SPECULATION.md) may squash an interval
-   before it reaches this module, but the phase-2 validation here
-   remains the authoritative backstop: the board is sound but
-   incomplete (it only sees current-interval summaries), so any
-   conflict it misses — e.g. against the carried merge index — is
-   still caught by the merge below, and commit mode doubles as the
-   differential oracle for eager mode's verdicts. *)
+   before it reaches this module; the phase-2 validation here stays on
+   behind it, and commit mode doubles as the differential oracle for
+   eager mode's verdicts.  Phase 2 checks each live-in read against
+   the writes of its own interval only: the merge sweeps the writer
+   index empty before it returns.  A read of a word that another
+   worker of the cohort wrote in an earlier interval is therefore
+   caught by no layer, and the reader's stale snapshot value commits
+   (ROADMAP item 7). *)
 
 open Privateer_machine
 open Privateer_interp
@@ -29,9 +31,8 @@ open Privateer_runtime
 
 (* Everything one worker cohort's commits need; rebuilt at each
    (re)spawn because the reduction bases are read from the main
-   process at that point (and so the carried merge index restarts with
-   the cohort — squashed contributions must not leave entries
-   behind). *)
+   process at that point (and so the merge state restarts with the
+   cohort). *)
 type ctx = {
   env : Worker.env;
   ranges : (int * int * Privateer_ir.Ast.binop) list; (* redux heap ranges *)
@@ -43,7 +44,8 @@ type ctx = {
   emit_main : string -> unit;
   serial_commit : bool;
   merge_state : Checkpoint.merge_state;
-      (* word -> writer index carried across this cohort's intervals *)
+      (* the word -> writer index: its table is reused across this
+         cohort's intervals, its entries last one merge *)
 }
 
 (* A reduction register's value; reading one the program never bound
@@ -61,7 +63,7 @@ let make_ctx (env : Worker.env) (st : Interp.t) fr spec ~io ~emit_main ~serial_c
     io; emit_main; serial_commit;
     merge_state = Checkpoint.create_merge_state () }
 
-(* Index work performed by this cohort's carried merge index — a
+(* Index work performed by this cohort's merge state — a
    per-ctx counter, so concurrent pipelines in one process cannot
    cross-contaminate each other's regression baselines. *)
 let index_ops ctx = Checkpoint.index_ops ctx.merge_state
@@ -98,7 +100,7 @@ let collect ctx workers ~interval_start =
   contribs
 
 (* Phase-2 validation + last-writer-wins merge through the cohort's
-   carried index.  The per-phase host time is folded into the run's
+   merge state.  The per-phase host time is folded into the run's
    Stats so the CLI and bench can attribute merge cost (host-side
    instrumentation only — never simulated state). *)
 let merge ctx contribs =

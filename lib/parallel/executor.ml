@@ -282,12 +282,3 @@ let install t (st : Interp.t) =
           if n <= 0 then Interp.set_induction fr loop init
           else run_invocation t st fr spec loop ~init_value:init ~n;
           true)
-
-(* One-shot: run a transformed program under the speculative runtime. *)
-let run ?(config = Runtime_config.default) (tr : Transform.result) =
-  let st = Interp.create ~cost:config.Runtime_config.costs.base tr.program in
-  let t = create tr.manifest config in
-  t.stats.separation_checks_elided <- Manifest.elided_check_count tr.manifest;
-  install t st;
-  ignore (Interp.run_entry st);
-  (st, t)

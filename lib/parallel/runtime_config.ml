@@ -3,15 +3,17 @@
    Every knob of the speculation engine lives in this one validated
    record: [Executor] consumes it directly, [Pipeline] threads it
    through, and the CLI builds its flags from [cli_bindings] instead
-   of hand-rolling one argument per field.  This module is also the
-   only place that reads the PRIVATEER_* environment defaults. *)
+   of hand-rolling one argument per field.  [default] is a constant:
+   no knob reads the environment. *)
 
 (* When misspeculation is detected.  [Commit]: only at the checkpoint
    merge (the paper's two-phase validation).  [Eager]: additionally
    in-flight, through the conflict board — the first observed
-   violation squashes the interval immediately.  Final outputs,
-   results and violation verdicts are identical in both modes; only
-   wasted-work accounting (and, on violating runs, cycles) differ. *)
+   violation squashes the interval immediately.  Final outputs and
+   results are identical in both modes.  Wasted-work accounting and,
+   on violating runs, cycles differ; so can the misspeculation count
+   when one interval misspeculates on two workers: eager recovers from
+   the first in worker order, commit from the earliest iteration. *)
 type validation = Commit | Eager
 
 let validation_of_string s =
@@ -50,7 +52,7 @@ type t = {
       (* when violations are detected: at the checkpoint merge only
          (Commit, the default) or additionally in-flight through the
          eager conflict board (Eager), which kills doomed intervals at
-         the first observed violation.  Outputs and verdicts are
+         the first observed violation.  Outputs and results are
          identical in both modes; commit mode stays the differential
          oracle. *)
   serial_commit : bool;
@@ -75,34 +77,14 @@ type t = {
          needs every profiler's facts. *)
 }
 
-(* ---- environment defaults -------------------------------------------- *)
-
-let env_int ~lo ~hi ~default name =
-  match Sys.getenv_opt name with
-  | Some s -> (
-    try max lo (min hi (int_of_string (String.trim s))) with Failure _ -> default)
-  | None -> default
-
-(* PRIVATEER_VALIDATION ("commit" | "eager") selects the default
-   validation mode, so CI can push the whole unmodified suite through
-   the eager path. *)
-let default_validation =
-  match Sys.getenv_opt "PRIVATEER_VALIDATION" with
-  | Some s -> (
-    match validation_of_string s with Some v -> v | None -> Commit)
-  | None -> Commit
-
 let default =
   { workers = 4; host_domains = 1; merge_shards = 1;
     pool_kind = Privateer_support.Domain_pool.Work_stealing;
     host_controller = Host_controller.Auto; schedule = Schedule.Cyclic;
     checkpoint_period = None; adaptive_period = false; throttle = None;
     pool_cap = Privateer_runtime.Page_pool.unbounded; costs = Cost_model.default;
-    inject = None; validate = true; validation = default_validation;
-    serial_commit = false;
-    max_inflight = env_int ~lo:1 ~hi:64 ~default:4 "PRIVATEER_MAX_INFLIGHT";
-    queue_cap = env_int ~lo:0 ~hi:max_int ~default:0 "PRIVATEER_QUEUE_CAP";
-    profilers = [ "all" ] }
+    inject = None; validate = true; validation = Commit; serial_commit = false;
+    max_inflight = 4; queue_cap = 0; profilers = [ "all" ] }
 
 (* ---- validation ------------------------------------------------------- *)
 
@@ -132,30 +114,6 @@ let validate config =
   match check config with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Runtime_config: " ^ msg)
-
-(* ---- builder ---------------------------------------------------------- *)
-
-let make ?workers ?schedule ?checkpoint_period ?adaptive_period ?throttle ?costs
-    ?inject ?validate:validate_opt ?validation ?serial_commit ?max_inflight
-    ?queue_cap () =
-  let opt v d = Option.value v ~default:d in
-  let config =
-    { default with
-      workers = opt workers default.workers;
-      schedule = opt schedule default.schedule;
-      checkpoint_period = opt checkpoint_period default.checkpoint_period;
-      adaptive_period = opt adaptive_period default.adaptive_period;
-      throttle = opt throttle default.throttle;
-      costs = opt costs default.costs;
-      inject = opt inject default.inject;
-      validate = opt validate_opt default.validate;
-      validation = opt validation default.validation;
-      serial_commit = opt serial_commit default.serial_commit;
-      max_inflight = opt max_inflight default.max_inflight;
-      queue_cap = opt queue_cap default.queue_cap }
-  in
-  validate config;
-  config
 
 (* ---- CLI flag bindings ------------------------------------------------ *)
 
@@ -198,8 +156,7 @@ let cli_bindings =
         "Misspeculation detection: 'commit' (only at the checkpoint merge — the \
          default) or 'eager' (in-flight conflict board squashes a doomed \
          interval at the first observed violation; the merge stays on as the \
-         backstop; default $(b,PRIVATEER_VALIDATION)).  Final outputs and \
-         violation verdicts are identical in both modes.";
+         backstop).  Final outputs and results are identical in both modes.";
       b_flag_like = false;
       b_apply =
         (fun t s ->
@@ -238,17 +195,16 @@ let cli_bindings =
     { b_flags = [ "max-inflight" ]; b_docv = "N";
       b_doc =
         "Job server: run at most N jobs concurrently, one domain each \
-         (clamped to the host core count; default \
-         $(b,PRIVATEER_MAX_INFLIGHT) or 4).  Host-only: per-job results are \
-         identical at any setting.";
+         (clamped to the host core count; default 4).  Host-only: per-job \
+         results are identical at any setting.";
       b_flag_like = false;
       b_apply =
         int_field "max-inflight" (fun t max_inflight -> { t with max_inflight }) };
     { b_flags = [ "queue-cap" ]; b_docv = "N";
       b_doc =
         "Job server: bound the queued-but-not-running backlog at N jobs; a full \
-         queue applies backpressure to submitters (0: unbounded; default \
-         $(b,PRIVATEER_QUEUE_CAP) or 0).";
+         queue applies backpressure to submitters (0: unbounded, the \
+         default).";
       b_flag_like = false;
       b_apply = int_field "queue-cap" (fun t queue_cap -> { t with queue_cap }) } ]
 

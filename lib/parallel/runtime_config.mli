@@ -3,19 +3,22 @@
     One validated record holds every knob: simulated worker count,
     checkpoint period (fixed or adaptive), misspeculation throttle,
     iteration schedule, validation mode, job-server admission, cost
-    model, and the ablation switches.  {!make} is the validating builder, this module is the
-    only reader of the [PRIVATEER_*] environment defaults, and
-    {!cli_bindings} is the single table the CLI derives its tuning
-    flags from. *)
+    model, and the ablation switches.  {!default} is a constant (no
+    knob reads the environment), {!check} validates a record, and
+    {!cli_bindings} is the single table the CLI and the jobs manifest
+    derive their tuning knobs from. *)
 
 (** When misspeculation is detected.  [Commit]: only at the checkpoint
     merge (the paper's two-phase validation).  [Eager]: additionally
     in-flight, through {!Privateer_runtime.Conflict_board} — the first
     observed violation squashes the interval immediately and feeds the
-    adaptive checkpoint period.  Final outputs, results and violation
-    verdicts are byte-identical in both modes (commit mode is the
-    differential oracle); the eager-only counters are listed in the
-    determinism-contract table of [docs/RUNTIME.md]. *)
+    adaptive checkpoint period.  Final outputs and results are
+    byte-identical in both modes (commit mode is the differential
+    oracle); the eager-only counters are listed in the
+    determinism-contract table of [docs/RUNTIME.md].  Misspeculation
+    counts agree too unless one interval misspeculates on two workers:
+    eager recovers from the first in worker order, commit from the
+    earliest iteration. *)
 type validation = Commit | Eager
 
 val validation_of_string : string -> validation option
@@ -56,7 +59,7 @@ type t = {
       (** misspeculation-detection mode: {!Commit} (merge-time only,
           the default) or {!Eager} (in-flight conflict board with
           mid-interval squash; the merge stays on as the backstop).
-          Default: [PRIVATEER_VALIDATION] or [Commit]. *)
+          {!default} sets [Commit]. *)
   serial_commit : bool;
       (** model an STMLite-style central serial commit (ablation) *)
   max_inflight : int;
@@ -65,13 +68,13 @@ type t = {
           1-core host jobs run effectively sequentially).  The server
           spawns one domain fewer than the clamped value; a domain
           awaiting a job fills the last slot.  Host-only —
-          per-job results are byte-identical at any setting.  Default:
-          [PRIVATEER_MAX_INFLIGHT] or 4. *)
+          per-job results are byte-identical at any setting.
+          {!default} sets 4. *)
   queue_cap : int;
       (** job server: admission-control bound ([>= 0]) on the
           queued-but-not-running backlog; a full queue blocks [submit]
-          and rejects [try_submit].  [0] means unbounded.  Default:
-          [PRIVATEER_QUEUE_CAP] or 0. *)
+          and rejects [try_submit].  [0] means unbounded, which
+          {!default} sets. *)
   profilers : string list;
       (** Inert, and kept like [host_domains] so record literals
           compile: every training run profiles with all five
@@ -79,13 +82,10 @@ type t = {
           facts.  {!default} sets [["all"]]. *)
 }
 
-val default_validation : validation
-(** The [PRIVATEER_VALIDATION] environment default ([Commit] when
-    unset or unparseable). *)
-
 val default : t
-(** Every field at its documented default (environment-sensitive for
-    [validation], [max_inflight] and [queue_cap]). *)
+(** Every field at its documented default: 4 workers, cyclic schedule,
+    auto checkpoint period, [Commit] validation, [max_inflight] 4 and
+    an unbounded queue. *)
 
 (** [Error msg] names the first field that would fail deep inside an
     invocation (a non-positive worker count, checkpoint period,
@@ -95,24 +95,6 @@ val check : t -> (unit, string) result
 (** {!check}, raising.
     @raise Invalid_argument naming the offending field. *)
 val validate : t -> unit
-
-(** Builder: {!default} with the given fields replaced, validated.
-    @raise Invalid_argument on an invalid combination. *)
-val make :
-  ?workers:int ->
-  ?schedule:Schedule.t ->
-  ?checkpoint_period:int option ->
-  ?adaptive_period:bool ->
-  ?throttle:int option ->
-  ?costs:Cost_model.t ->
-  ?inject:(int -> bool) option ->
-  ?validate:bool ->
-  ?validation:validation ->
-  ?serial_commit:bool ->
-  ?max_inflight:int ->
-  ?queue_cap:int ->
-  unit ->
-  t
 
 (** {2 CLI flag bindings}
 

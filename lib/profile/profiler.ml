@@ -6,9 +6,8 @@
    no event is ever materialized:
 
    - object naming — a live-range interval map from addresses to
-     interned object-name ids, fronted by a last-object cache and a
-     direct-mapped page cache so the common strided/repeated access
-     patterns never reach the tree;
+     interned object-name ids, fronted by a last-object cache so
+     consecutive accesses inside one object never reach the tree;
    - loop context — one flat mutable (loop, invocation, iteration)
      stack ({!Loop_ctx}) updated once per loop transition and read by
      the lifetime and flow profilers (the reference rebuilds an
@@ -33,10 +32,6 @@ type loop_summary = Profile_types.loop_summary = {
   loop_cycles : int;
 }
 
-(* Page cache geometry: 4 KiB pages, 4096 direct-mapped slots. *)
-let page_bits = 12
-let pc_slots = 4096
-
 type t = {
   live : int Interval_map.t; (* address range -> name id *)
   mutable names : Objname.t array; (* id -> name; id 0 = Unknown *)
@@ -44,18 +39,13 @@ type t = {
   name_ids : (Objname.t, int) Hashtbl.t;
   obj_size : (int, int) Hashtbl.t; (* name id -> max observed size *)
   mutable objects : Objname.Set.t;
-  (* Caches are valid only while [gen] is unchanged; every allocation,
-     free and global registration bumps it. *)
+  (* The last-object cache is valid only while [gen] is unchanged;
+     every allocation, free and global registration bumps it. *)
   mutable gen : int;
   mutable last_gen : int;
   mutable last_lo : int;
   mutable last_hi : int;
   mutable last_id : int;
-  pc_gen : int array;
-  pc_page : int array;
-  pc_lo : int array;
-  pc_hi : int array;
-  pc_id : int array;
   ctx : Loop_ctx.t; (* shared by the lifetime and flow profilers *)
   ptr : Prof_ptr.t;
   lifetime : Prof_lifetime.t;
@@ -71,9 +61,7 @@ let create () =
     { live = Interval_map.create (); names = Array.make 64 Objname.Unknown;
       n_names = 1; name_ids = Hashtbl.create 64; obj_size = Hashtbl.create 32;
       objects = Objname.Set.empty; gen = 1; last_gen = 0; last_lo = 0;
-      last_hi = 0; last_id = 0; pc_gen = Array.make pc_slots 0;
-      pc_page = Array.make pc_slots 0; pc_lo = Array.make pc_slots 0;
-      pc_hi = Array.make pc_slots 0; pc_id = Array.make pc_slots 0; ctx;
+      last_hi = 0; last_id = 0; ctx;
       ptr = Prof_ptr.create (); lifetime = Prof_lifetime.create ctx;
       flow = Prof_flow.create ctx; value = Prof_value.create ();
       exec = Prof_exec.create (); wall_ns = 0. }
@@ -103,7 +91,7 @@ let intern t name =
     id
 
 (* Name a newly live object: intern [name], keep its largest size, and
-   map [lo, hi) to it.  Bumping [gen] invalidates both caches. *)
+   map [lo, hi) to it.  Bumping [gen] invalidates the cache. *)
 let add_live t name ~size ~lo ~hi =
   let id = intern t name in
   t.objects <- Objname.Set.add name t.objects;
@@ -114,41 +102,21 @@ let add_live t name ~size ~lo ~hi =
   Interval_map.insert t.live lo hi id;
   id
 
-(* Name id of the object containing [addr]: last-object cache, then
-   the page cache, then the interval map (filling both caches on the
-   way out).  Misses resolve to id 0 = Unknown and are not cached —
-   in practice almost every access hits a registered object. *)
+(* Name id of the object containing [addr]: the last-object cache,
+   then the interval map (refilling the cache on the way out).  Misses
+   resolve to id 0 = Unknown and are not cached — in practice almost
+   every access hits a registered object. *)
 let resolve t addr =
   if t.last_gen = t.gen && addr >= t.last_lo && addr < t.last_hi then t.last_id
-  else begin
-    let page = addr lsr page_bits in
-    let slot = page land (pc_slots - 1) in
-    if
-      t.pc_gen.(slot) = t.gen && t.pc_page.(slot) = page
-      && addr >= t.pc_lo.(slot)
-      && addr < t.pc_hi.(slot)
-    then begin
+  else
+    match Interval_map.find_opt t.live addr with
+    | Some (lo, hi, id) ->
       t.last_gen <- t.gen;
-      t.last_lo <- t.pc_lo.(slot);
-      t.last_hi <- t.pc_hi.(slot);
-      t.last_id <- t.pc_id.(slot);
-      t.last_id
-    end
-    else
-      match Interval_map.find_opt t.live addr with
-      | Some (lo, hi, id) ->
-        t.last_gen <- t.gen;
-        t.last_lo <- lo;
-        t.last_hi <- hi;
-        t.last_id <- id;
-        t.pc_gen.(slot) <- t.gen;
-        t.pc_page.(slot) <- page;
-        t.pc_lo.(slot) <- lo;
-        t.pc_hi.(slot) <- hi;
-        t.pc_id.(slot) <- id;
-        id
-      | None -> 0
-  end
+      t.last_lo <- lo;
+      t.last_hi <- hi;
+      t.last_id <- id;
+      id
+    | None -> 0
 
 (* ---- the hooks ------------------------------------------------------- *)
 
@@ -200,13 +168,6 @@ let attach p (st : Interp.t) =
           Prof_lifetime.on_exit p.lifetime loop;
           Prof_exec.on_exit p.exec loop trips st.cycles);
       on_branch = (fun id ~taken -> Prof_value.on_branch p.value id taken) }
-
-let profile_run program =
-  let st = Interp.create program in
-  let p = create () in
-  attach p st;
-  ignore (Interp.run_entry st);
-  (p, st)
 
 (* ---- post-run queries ------------------------------------------------ *)
 

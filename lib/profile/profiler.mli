@@ -32,9 +32,6 @@ val create : unit -> t
     an interpreter (call before [Interp.run_entry]). *)
 val attach : t -> Privateer_interp.Interp.t -> unit
 
-(** Convenience: create an interpreter, attach, run the program. *)
-val profile_run : Privateer_ir.Ast.program -> t * Privateer_interp.Interp.t
-
 (** Wall-clock nanoseconds the training run spent profiling, stamped
     by [Pipeline.profile]; 0 until set.  Reporting only — exempt from
     the determinism contract. *)

@@ -8,8 +8,11 @@
    partials, and its deferred output.  Merging performs:
 
    - phase-2 privacy validation: a byte one worker read as live-in
-     must not have been written by another worker (conservatively, at
-     any earlier point);
+     in this interval must not have been written by another worker in
+     this interval (conservatively, at any iteration of it).  Writes
+     of earlier intervals are not in the index, so a read of a word
+     another worker wrote in an earlier interval of the cohort goes
+     unchecked (ROADMAP item 7);
    - last-writer-wins combination of private bytes across workers by
      iteration number, yielding the overlay to commit onto the main
      process's heaps. *)
@@ -161,7 +164,7 @@ type merged = {
   total_pages : int;
 }
 
-(* The word -> writer index carried across a worker cohort's
+(* The word -> writer index kept across a worker cohort's
    intervals.  Contributions are per-interval deltas (extraction visits
    only pages dirtied since the last checkpoint), so the index holds
    exactly one interval's entries while a merge is validating and is

@@ -87,7 +87,8 @@ type merged = {
     index holds one interval's entries during a merge and is swept
     back to empty before the merge returns: the allocation persists,
     the content is per-interval, and a clean interval (no new writes)
-    does no index work at all. *)
+    does no index work at all.  Phase 2 therefore sees only the
+    interval's own writes (ROADMAP item 7). *)
 type merge_state
 
 (** A fresh carried index (one per worker cohort / spawn), starting at

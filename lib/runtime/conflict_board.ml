@@ -44,11 +44,12 @@
    merge would not also flag for this interval (no false kills — on a
    violation-free run eager mode is cycle-identical to commit mode),
    but it can miss conflicts whose evidence is not in current-interval
-   metadata — a write that committed in an earlier interval (carried
-   only by the merge's word->writer index), or a reader whose live-in
-   mark sits on a page not (yet) dirtied this interval when the
-   conflicting write is published.  The commit-time merge stays on as
-   the backstop that catches those. *)
+   metadata.  A reader whose live-in mark sits on a page not (yet)
+   dirtied this interval when the conflicting write is published is
+   caught by the commit-time merge, which stays on behind the board.
+   A write that committed in an earlier interval is caught by no
+   layer: the merge's writer index holds one interval's writes
+   (ROADMAP item 7). *)
 
 open Privateer_machine
 
@@ -86,8 +87,8 @@ let new_cohort t machines =
   Hashtbl.reset t.wrote;
   Hashtbl.reset t.read
 
-(* A new checkpoint interval: committed summaries are the merge's
-   carried index's business now, not the board's. *)
+(* A new checkpoint interval: the committed interval's summaries are
+   dropped.  Nothing checks them later (ROADMAP item 7). *)
 let new_interval t ~interval_start =
   t.interval_start <- interval_start;
   Hashtbl.reset t.wrote;

@@ -13,10 +13,11 @@
     interval, and the coarse filter never hides one the precise rules
     would confirm.  Sound but incomplete: no false kills ever, but
     conflicts whose evidence lives outside current-interval metadata
-    (earlier-interval writes carried only by the merge's word->writer
-    index, live-in marks on pages not dirtied this interval) are left
-    to the commit-time backstop.  See [docs/SPECULATION.md] for the
-    full lifecycle. *)
+    are missed.  Live-in marks on pages not dirtied this interval are
+    left to the commit-time merge.  Writes from earlier intervals are
+    caught by no layer, because the merge's writer index holds one
+    interval's writes (ROADMAP item 7).  See [docs/SPECULATION.md] for
+    the full lifecycle. *)
 
 type t
 
@@ -35,9 +36,9 @@ val new_cohort : t -> Privateer_machine.Machine.t array -> unit
     machine at index [i], discarding all summaries. *)
 
 val new_interval : t -> interval_start:int -> unit
-(** Start a checkpoint interval: summaries reset (committed intervals
-    are the merge's carried index's business) and timestamps decode
-    against the new [interval_start]. *)
+(** Start a checkpoint interval: summaries reset (nothing checks a
+    committed interval's writes again) and timestamps decode against
+    the new [interval_start]. *)
 
 val publish :
   t -> worker:int -> op:Shadow.op -> addr:int -> size:int -> iter:int ->

@@ -44,9 +44,9 @@ let iteration_of_timestamp ~interval_start m =
    metadata byte of one private address on one worker machine, plus
    whether its shadow page is dirty this interval.  The dirty bit is
    what scopes a probe to the current interval's obligations: marks on
-   clean pages are earlier intervals' business (already validated, or
-   carried by the checkpoint merge's writer index), exactly as in
-   checkpoint extraction, which also scans dirty pages only. *)
+   clean pages belong to earlier intervals, which their own merges
+   validated, exactly as in checkpoint extraction, which also scans
+   dirty pages only. *)
 let probe machine ~addr =
   let p = Memory.page_for_read machine.Machine.mem (Heap.shadow_of_private addr) in
   (Char.code (Bytes.get p.bytes (Memory.offset_of_addr addr)), p.written_this_interval)

@@ -215,9 +215,3 @@ let apply (program : Ast.program) (profiler : Profiler.t) (selection : Selection
   in
   let manifest = { Manifest.checks; loops; site_heap } in
   { program = program'; manifest; selection }
-
-(* Profile + select + transform in one call. *)
-let pipeline program =
-  let profiler, _st = Profiler.profile_run program in
-  let selection = Selection.select program profiler in
-  (apply program profiler selection, profiler)

@@ -13,7 +13,7 @@ let parse = Privateer_lang.Parser.parse_program_exn
 
 let profile src =
   let program = parse src in
-  let p, _ = Profiler.profile_run program in
+  let p, _ = Privateer.Pipeline.profile program in
   (program, p)
 
 let loop_in program fname =

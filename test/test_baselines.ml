@@ -2,14 +2,13 @@
 
 open Privateer
 open Privateer_baselines
-open Privateer_profile
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
 let profile src =
   let program = Pipeline.parse src in
-  let p, _ = Profiler.profile_run program in
+  let p, _ = Pipeline.profile program in
   (program, p)
 
 (* ---- DOALL-only -------------------------------------------------------- *)

@@ -1,7 +1,9 @@
 (* Integration tests for the speculative DOALL executor (paper
    section 5): privatized parallel execution must be observationally
    equivalent to sequential execution, under all worker counts,
-   checkpoint periods, and injected misspeculation. *)
+   checkpoint periods, and injected misspeculation.  The programs run
+   as cells of the contract harness (Test_contract.unit_cell), so the
+   equivalence is checked in both validation modes. *)
 
 open Privateer
 
@@ -16,23 +18,17 @@ let config ?(workers = 4) ?checkpoint_period ?inject ?(schedule = Privateer_para
     workers; checkpoint_period; inject; schedule; adaptive_period = adaptive;
     throttle; serial_commit }
 
-(* Run both versions; assert byte-identical output and equal result. *)
+(* Run both versions through the contract harness, in both validation
+   modes: byte-identical output and equal result.  Returns the
+   sequential and commit runs. *)
 let assert_equivalent ?workers ?checkpoint_period ?inject ?schedule ?adaptive
     ?throttle ?serial_commit src =
-  let program = Pipeline.parse src in
-  let tr, _ = Pipeline.compile program in
-  check "a loop was planned" true (tr.selection.plans <> []);
-  let seq = Pipeline.run_sequential program in
-  let par =
-    Pipeline.run_parallel
-      ~config:
-        (config ?workers ?checkpoint_period ?inject ?schedule ?adaptive ?throttle
-           ?serial_commit ())
-      tr
+  let tr, seq, par =
+    Test_contract.unit_cell src
+      (config ?workers ?checkpoint_period ?inject ?schedule ?adaptive ?throttle
+         ?serial_commit ())
   in
-  Alcotest.(check string) "outputs equal" seq.seq_output par.par_output;
-  check "results equal" true
-    (Privateer_interp.Value.equal seq.seq_result par.par_result);
+  check "a loop was planned" true (tr.selection.plans <> []);
   (seq, par)
 
 let private_src =
@@ -186,25 +182,23 @@ fn main() {
   return out[3];
 }|}
   in
-  let program = Pipeline.parse src in
-  (* Train with mode=0 so the profiler predicts flag==0. *)
-  let tr, _ =
-    Pipeline.compile ~setup:(fun st -> Pipeline.set_global st "mode" 0) program
+  (* Train with mode=0 so the profiler predicts flag==0; run with
+     mode=9, where the live-in differs from the prediction. *)
+  let tr, _, par =
+    Test_contract.unit_cell src (config ())
+      ~train:(fun st -> Pipeline.set_global st "mode" 0)
+      ~run:(fun st -> Pipeline.set_global st "mode" 9)
   in
   check "prediction exists" true
     (List.exists
        (fun (l : Privateer_transform.Manifest.loop_spec) -> l.predictions <> [])
        tr.manifest.loops);
-  (* Run with mode=9: live-in differs from the prediction. *)
-  let setup st = Pipeline.set_global st "mode" 9 in
-  let seq = Pipeline.run_sequential ~setup program in
-  let par = Pipeline.run_parallel ~setup ~config:(config ()) tr in
-  check "fell back to sequential" true (par.fallbacks = 1);
-  check "still correct" true (Privateer_interp.Value.equal seq.seq_result par.par_result)
+  check "fell back to sequential" true (par.fallbacks = 1)
 
 (* A type error inside a speculative iteration squashes the interval
-   as a worker fault; the sequential re-execution then reports the
-   program's own fault, never an escaped exception. *)
+   as a worker fault, in either validation mode; the sequential
+   re-execution then reports the program's own fault, never an escaped
+   exception. *)
 let test_type_error_in_worker () =
   let src =
     {|global mode; global a[40]; global out[40];
@@ -228,8 +222,12 @@ fn main() {
   in
   Alcotest.(check string) "sequential fault" "expected int, got float 0.5"
     (fault (fun () -> ignore (Pipeline.run_sequential ~setup program)));
-  Alcotest.(check string) "parallel fault" "expected int, got float 0.5"
-    (fault (fun () -> ignore (Pipeline.run_parallel ~setup ~config:(config ()) tr)))
+  List.iter
+    (fun validation ->
+      Alcotest.(check string) "parallel fault" "expected int, got float 0.5"
+        (fault (fun () ->
+             ignore (Pipeline.run_parallel ~setup ~config:{ (config ()) with validation } tr))))
+    [ Privateer_parallel.Runtime_config.Commit; Eager ]
 
 let test_induction_var_final_value () =
   let _, _ =
@@ -343,15 +341,8 @@ fn main() {
      no prediction for flag... unless only address constant. To force
      the scenario, train on a modified input is not possible here, so
      accept either outcome: if a plan exists, execution must still be
-     equivalent. *)
-  let program = Pipeline.parse src in
-  let tr, _ = Pipeline.compile program in
-  match tr.selection.plans with
-  | [] -> () (* classified unrestricted: also acceptable (dep value varies) *)
-  | _ ->
-    let seq = Pipeline.run_sequential program in
-    let par = Pipeline.run_parallel ~config:(config ()) tr in
-    check "equivalent" true (String.equal seq.seq_output par.par_output)
+     equivalent (with no plan, it is trivially so). *)
+  ignore (Test_contract.unit_cell src (config ()))
 
 (* ---- schedule policies ------------------------------------------------ *)
 
@@ -718,16 +709,14 @@ fn main() {
   return i;
 }|}
   in
-  let program = Pipeline.parse src in
-  let tr, _ =
-    Pipeline.compile ~setup:(fun st -> Pipeline.set_global st "mode" 0) program
+  let _, _, par =
+    Test_contract.unit_cell src (config ())
+      ~train:(fun st -> Pipeline.set_global st "mode" 0)
+      ~run:(fun st -> Pipeline.set_global st "mode" 9)
   in
-  let setup st = Pipeline.set_global st "mode" 9 in
-  let seq = Pipeline.run_sequential ~setup program in
-  let par = Pipeline.run_parallel ~setup ~config:(config ()) tr in
-  check "fell back" true (par.fallbacks = 1);
-  check "induction variable final value matches sequential" true
-    (Privateer_interp.Value.equal seq.seq_result par.par_result)
+  (* The harness compared the result, the loop's final [i], with the
+     sequential run's. *)
+  check "fell back" true (par.fallbacks = 1)
 
 (* ---- a cohort's host allocation ---------------------------------------- *)
 

@@ -1,14 +1,8 @@
 (* The scenario generator (lib/gen): spec grammar, determinism, the
-   expected-classification oracle, the planted-conflict misspeculation
-   oracle, and the qcheck fuzzer the corpus doubles as.
-
-   The fuzz property is the generator's reason to exist: for random
-   knobs, the generated program's parallel run must reproduce the
-   sequential output byte-for-byte — at one worker (where the planted
-   misspeculation count is exact), at four workers, and under both
-   validation modes (eager = commit on clean
-   scenarios; both = sequential on conflicted ones).  GEN_FUZZ_COUNT
-   scales the case count (default 25). *)
+   expected-classification oracle and the planted-conflict
+   misspeculation oracle.  Generated scenarios are one of
+   test_contract's corpora, which runs them over its lattice of run
+   settings. *)
 
 open Privateer
 module Scenario_gen = Privateer_gen.Scenario_gen
@@ -18,11 +12,6 @@ module Workloads = Privateer_workloads.Workloads
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
-
-let fuzz_count =
-  match Sys.getenv_opt "GEN_FUZZ_COUNT" with
-  | Some s -> ( match int_of_string_opt s with Some n when n >= 1 -> n | _ -> 25)
-  | None -> 25
 
 let contains s frag =
   let ls = String.length s and lf = String.length frag in
@@ -152,15 +141,13 @@ let test_expected_classification () =
 
 (* ---- planted-conflict oracle -------------------------------------------- *)
 
-let run_scenario ?(workers = 1) ?(validation = Privateer_parallel.Runtime_config.Commit)
-    (t : Scenario_gen.t) input =
+let run_one_worker (t : Scenario_gen.t) input =
   let wl, program, tr = compile_scenario t in
   let setup = Workload.setup wl input in
   let seq = Pipeline.run_sequential ~setup program in
   let par =
     Pipeline.run_parallel ~setup
-      ~config:
-        { Privateer_parallel.Runtime_config.default with workers; validation }
+      ~config:{ Privateer_parallel.Runtime_config.default with workers = 1 }
       tr
   in
   (seq, par)
@@ -173,7 +160,7 @@ let test_misspec_oracle () =
           { Scenario_gen.default_knobs with Scenario_gen.k_seed = seed;
             k_trip = trip; k_misspec = misspec }
       in
-      let seq, par = run_scenario ~workers:1 t Workload.Ref in
+      let seq, par = run_one_worker t Workload.Ref in
       let n = trip in
       let expected = Scenario_gen.expected_misspecs t ~n in
       check "one-worker output identical" true
@@ -192,86 +179,15 @@ let test_misspec_oracle () =
         (rate >= (misspec /. 2.0) -. 0.001 && rate <= (misspec *. 2.0) +. 0.001))
     [ (1, 64, 0.1); (2, 48, 0.05); (3, 40, 0.2); (9, 64, 0.15) ]
 
-(* ---- fuzz --------------------------------------------------------------- *)
-
-let knob_gen =
-  QCheck.Gen.(
-    let* seed = int_bound 999_999 in
-    let* loops = 1 -- 2 in
-    let* trip = map (fun i -> 24 + (8 * i)) (int_bound 5) in
-    let* heap = map (fun i -> 16 * (1 + i)) (int_bound 7) in
-    let* reuse = 1 -- 6 in
-    let* redux = oneofl [ 0.0; 0.25; 0.5; 0.75; 1.0 ] in
-    let+ misspec = oneofl [ 0.0; 0.0; 0.05; 0.1; 0.15 ] in
-    { Scenario_gen.k_seed = seed; k_loops = loops; k_trip = trip; k_heap = heap;
-      k_reuse = reuse; k_redux = redux; k_misspec = misspec })
-
-let knob_arb =
-  QCheck.make ~print:Scenario_gen.spec_of_knobs knob_gen
-
-let fuzz_identity =
-  QCheck.Test.make ~name:"fuzz: seq = par, eager = commit, oracle exact" ~count:fuzz_count
-    knob_arb (fun knobs ->
-      let t = Scenario_gen.generate knobs in
-      let open Pipeline in
-      (* One worker: exact misspeculation oracle. *)
-      let seq, par1 = run_scenario ~workers:1 t Workload.Ref in
-      let n = knobs.Scenario_gen.k_trip in
-      let expected = Scenario_gen.expected_misspecs t ~n in
-      let ok1 =
-        String.equal par1.par_output seq.seq_output
-        && par1.par_result = seq.seq_result
-        && par1.stats.Privateer_runtime.Stats.misspeculations = expected
-      in
-      (* Both validation modes at 4 workers. *)
-      let cells =
-        List.map
-          (fun validation -> snd (run_scenario ~workers:4 ~validation t Workload.Ref))
-          [ Privateer_parallel.Runtime_config.Commit; Privateer_parallel.Runtime_config.Eager ]
-      in
-      let outputs_ok =
-        List.for_all
-          (fun (par : par_run) ->
-            String.equal par.par_output seq.seq_output
-            && par.par_result = seq.seq_result
-            && par.stats.Privateer_runtime.Stats.misspeculations <= expected)
-          cells
-      in
-      (* Clean scenarios: eager is indistinguishable from commit,
-         cycles included. *)
-      let clean_ok =
-        knobs.Scenario_gen.k_misspec > 0.0
-        ||
-        match cells with
-        | first :: rest ->
-          List.for_all
-            (fun (par : par_run) ->
-              par.par_cycles = first.par_cycles
-              && par.stats.Privateer_runtime.Stats.checkpoints
-                 = first.stats.Privateer_runtime.Stats.checkpoints
-              && String.equal par.par_output first.par_output)
-            rest
-          && first.stats.Privateer_runtime.Stats.misspeculations = 0
-        | [] -> false
-      in
-      if not (ok1 && outputs_ok && clean_ok) then
-        QCheck.Test.fail_reportf
-          "scenario %s: one-worker %b (misspecs %d vs expected %d), cells %b, clean %b"
-          (Scenario_gen.spec_of_knobs knobs)
-          ok1 par1.stats.Privateer_runtime.Stats.misspeculations expected
-          outputs_ok clean_ok;
-      true)
-
 let suite =
-  List.map QCheck_alcotest.to_alcotest [ fuzz_identity ]
-  @ [ Alcotest.test_case "spec round-trip" `Quick test_spec_roundtrip;
-      Alcotest.test_case "spec errors" `Quick test_spec_errors;
-      Alcotest.test_case "generation is deterministic" `Quick test_deterministic;
-      Alcotest.test_case "source loader: malformed file fails closed" `Quick
-        test_sources_file_fails_closed;
-      Alcotest.test_case "workload_of_spec registers and caches" `Quick
-        test_workload_of_spec;
-      Alcotest.test_case "expected classification holds" `Quick
-        test_expected_classification;
-      Alcotest.test_case "misspeculation oracle exact at one worker" `Quick
-        test_misspec_oracle ]
+  [ Alcotest.test_case "spec round-trip" `Quick test_spec_roundtrip;
+    Alcotest.test_case "spec errors" `Quick test_spec_errors;
+    Alcotest.test_case "generation is deterministic" `Quick test_deterministic;
+    Alcotest.test_case "source loader: malformed file fails closed" `Quick
+      test_sources_file_fails_closed;
+    Alcotest.test_case "workload_of_spec registers and caches" `Quick
+      test_workload_of_spec;
+    Alcotest.test_case "expected classification holds" `Quick
+      test_expected_classification;
+    Alcotest.test_case "misspeculation oracle exact at one worker" `Quick
+      test_misspec_oracle ]

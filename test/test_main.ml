@@ -18,4 +18,5 @@ let () =
       ("eager", Test_eager.suite);
       ("server", Test_server.suite);
       ("gen", Test_gen.suite);
+      ("contract", Test_contract.suite);
       ("fuzz", Test_fuzz.suite) ]

@@ -1,11 +1,7 @@
 (* The job server: concurrent speculative pipelines on domains the
-   server owns.
+   server owns.  That served jobs are byte-identical to serial runs
+   is one of test_contract's checks.
 
-   - qcheck: N generated jobs run concurrently (max_inflight 2-4,
-     forced 4 "cores") produce per-job fingerprints —
-     simulated cycles, outputs, results, non-host stats, per-loop
-     tables — byte-identical to the same jobs run serially (1 core,
-     effectively sequential);
    - regression: two whole pipelines running interleaved on separate
      domains in one process (same source, hence the SAME loop node
      ids) each match the serial reference — per-run state (stats
@@ -67,43 +63,6 @@ let fingerprint_of t job =
   | Job_server.Done r -> r.jr_fingerprint
   | Job_server.Failed msg -> "failed: " ^ msg
   | s -> "unsettled: " ^ Job_server.state_name s
-
-(* ---- qcheck: concurrent = serial ---------------------------------------- *)
-
-(* Job sources come from the same template generator as the pipeline
-   equivalence properties; per-job configs vary workers so the jobs
-   are not clones of each other. *)
-let jobs_arb =
-  QCheck.make
-    ~print:(fun (progs, inflight) ->
-      Printf.sprintf "%d jobs, max_inflight %d" (List.length progs) inflight)
-    QCheck.Gen.(
-      pair
-        (list_size (int_range 2 4)
-           (list_size (int_range 1 5) Test_props.tmpl_gen))
-      (int_range 2 4))
-
-let run_fingerprints ~host_cores ~max_inflight sources =
-  let config = { RC.default with max_inflight; queue_cap = 0 } in
-  let specs =
-    List.mapi
-      (fun i src ->
-        spec_of_src
-          ~config:{ config with RC.workers = 3 + (i mod 3) }
-          (Printf.sprintf "job%d" i) src)
-      sources
-  in
-  let t = Job_server.run_jobs ~host_cores ~config specs in
-  List.map (fingerprint_of t) (Job_server.jobs t)
-
-let prop_concurrent_identical_to_serial (template_lists, max_inflight) =
-  let sources = List.map Test_props.program_of_templates template_lists in
-  (* Serial reference: 1 host core clamps the server to sequential,
-     poolless execution. *)
-  let serial = run_fingerprints ~host_cores:1 ~max_inflight sources in
-  let concurrent = run_fingerprints ~host_cores:4 ~max_inflight sources in
-  List.for_all (fun fp -> not (String.length fp >= 6 && String.sub fp 0 6 = "failed")) serial
-  && serial = concurrent
 
 (* ---- regression: interleaved pipelines in one process ------------------- *)
 
@@ -751,10 +710,7 @@ let test_example_manifest_loads () =
 
 let suite =
   List.map QCheck_alcotest.to_alcotest
-    [ QCheck.Test.make ~count:10
-        ~name:"concurrent jobs byte-identical to serial" jobs_arb
-        prop_concurrent_identical_to_serial;
-      QCheck.Test.make ~count:20 ~name:"concurrent submitters: order + failures"
+    [ QCheck.Test.make ~count:20 ~name:"concurrent submitters: order + failures"
         submitters_arb prop_concurrent_submitters ]
   @ [ Alcotest.test_case "interleaved pipelines = serial reference" `Quick
         test_interleaved_pipelines;

@@ -2,7 +2,9 @@
    input behaves differently from the training input, so speculation
    is genuinely wrong at runtime.  The system must detect every case
    (separation, control, value, lifetime) and recover to exactly
-   sequential behaviour — the paper's core soundness claim. *)
+   sequential behaviour — the paper's core soundness claim — in both
+   validation modes: each program runs as a cell of the contract
+   harness (Test_contract.unit_cell). *)
 
 open Privateer
 
@@ -11,19 +13,16 @@ let check = Alcotest.(check bool)
 let config ?(workers = 4) () =
   { Privateer_parallel.Runtime_config.default with workers }
 
-(* Train with mode=0, run with mode=1; compare against sequential. *)
+(* Train with mode=0, run with mode=1, through the contract harness in
+   both validation modes: recovered output and result equal the
+   sequential run's.  Returns the commit run. *)
 let train_ref_divergence ?workers src =
-  let program = Pipeline.parse src in
-  let tr, _ =
-    Pipeline.compile ~setup:(fun st -> Pipeline.set_global st "mode" 0) program
+  let tr, _, par =
+    Test_contract.unit_cell src (config ?workers ())
+      ~train:(fun st -> Pipeline.set_global st "mode" 0)
+      ~run:(fun st -> Pipeline.set_global st "mode" 1)
   in
   check "trained program planned a loop" true (tr.selection.plans <> []);
-  let setup st = Pipeline.set_global st "mode" 1 in
-  let seq = Pipeline.run_sequential ~setup program in
-  let par = Pipeline.run_parallel ~setup ~config:(config ?workers ()) tr in
-  Alcotest.(check string) "recovered output equals sequential" seq.seq_output
-    par.par_output;
-  check "results equal" true (Privateer_interp.Value.equal seq.seq_result par.par_result);
   par
 
 let test_control_misspeculation_in_production () =
@@ -146,12 +145,8 @@ fn main() {
   return s;
 }|}
   in
-  let program = Pipeline.parse src in
-  let tr, _ = Pipeline.compile program in
+  let tr, _, par = Test_contract.unit_cell src (config ()) in
   Alcotest.(check int) "two plans" 2 (List.length tr.selection.plans);
-  let seq = Pipeline.run_sequential program in
-  let par = Pipeline.run_parallel ~config:(config ()) tr in
-  Alcotest.(check string) "outputs equal" seq.seq_output par.par_output;
   Alcotest.(check int) "two invocations" 2 par.stats.invocations
 
 let test_loop_in_helper_called_twice () =
@@ -173,11 +168,7 @@ fn main() {
   return s;
 }|}
   in
-  let program = Pipeline.parse src in
-  let tr, _ = Pipeline.compile program in
-  let seq = Pipeline.run_sequential program in
-  let par = Pipeline.run_parallel ~config:(config ()) tr in
-  check "results equal" true (Privateer_interp.Value.equal seq.seq_result par.par_result);
+  let _, _, par = Test_contract.unit_cell src (config ()) in
   Alcotest.(check int) "two invocations of one region" 2 par.stats.invocations
 
 let test_worker_fault_recovers () =
@@ -203,15 +194,10 @@ fn main() {
   return s;
 }|}
   in
-  let program = Pipeline.parse src in
-  let tr, _ =
-    Pipeline.compile ~setup:(fun st -> Pipeline.set_global st "mode" 0) program
-  in
-  let setup st = Pipeline.set_global st "mode" 1 in
-  let seq = Pipeline.run_sequential ~setup program in
-  let par = Pipeline.run_parallel ~setup ~config:(config ()) tr in
-  check "equivalent under ref input" true
-    (Privateer_interp.Value.equal seq.seq_result par.par_result)
+  ignore
+    (Test_contract.unit_cell src (config ())
+       ~train:(fun st -> Pipeline.set_global st "mode" 0)
+       ~run:(fun st -> Pipeline.set_global st "mode" 1))
 
 let suite =
   [ Alcotest.test_case "control misspeculation in production" `Quick

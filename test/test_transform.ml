@@ -1,7 +1,6 @@
 (* Unit tests for the privatization transformation (paper 4.4-4.6). *)
 
 open Privateer_ir
-open Privateer_profile
 open Privateer_analysis
 open Privateer_transform
 
@@ -10,7 +9,7 @@ let check_int = Alcotest.(check int)
 
 let compile src =
   let program = Privateer_lang.Parser.parse_program_exn src in
-  let p, _ = Profiler.profile_run program in
+  let p, _ = Privateer.Pipeline.profile program in
   let selection = Selection.select program p in
   (program, Transform.apply program p selection)
 

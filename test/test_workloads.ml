@@ -18,27 +18,11 @@ let compile wl =
   in
   (program, tr, profiler)
 
-(* Outputs equal, with a float tolerance for reduction reassociation
-   (alvinn's rmse lines). *)
-let outputs_equivalent a b =
-  let close x y =
-    String.equal x y
-    ||
-    match
-      ( Scanf.sscanf_opt x "epoch %d rmse %f" (fun d f -> (d, f)),
-        Scanf.sscanf_opt y "epoch %d rmse %f" (fun d f -> (d, f)) )
-    with
-    | Some (d1, f1), Some (d2, f2) -> d1 = d2 && abs_float (f1 -. f2) < 1e-6
-    | _ -> false
-  in
-  let la = String.split_on_char '\n' a and lb = String.split_on_char '\n' b in
-  List.length la = List.length lb && List.for_all2 close la lb
-
+(* The port as a cell of the contract harness: both validation modes,
+   output and result byte-identical to the sequential run, no
+   misspeculation.  Returns the sequential and commit runs. *)
 let run_both ?(workers = 8) ?(input = Workload.Alt) wl =
-  let program, tr, _ = compile wl in
-  let seq = Pipeline.run_sequential ~setup:(Workload.setup wl input) program in
-  let config = { Privateer_parallel.Runtime_config.default with workers } in
-  let par = Pipeline.run_parallel ~setup:(Workload.setup wl input) ~config tr in
+  let _, seq, par = Test_contract.port_cell wl input workers in
   (seq, par)
 
 let plan_of tr =
@@ -149,15 +133,10 @@ let test_md5_known_vector () =
   Alcotest.(check string) "empty-message digest"
     "0: d98c1dd4 4b2008f 980980e9 7e42f8ec\n" seq.seq_output
 
+(* [run_both] asserts the equivalence: byte-identical, alvinn's float
+   reductions included, since the reduction fold's order is fixed. *)
 let test_outputs_equivalent_alt_input () =
-  List.iter
-    (fun wl ->
-      let seq, par = run_both wl in
-      check (wl.Workload.name ^ " par ~ seq") true
-        (outputs_equivalent seq.seq_output par.par_output);
-      check (wl.Workload.name ^ " no misspeculation") true
-        (par.stats.misspeculations = 0))
-    (Workloads.all ())
+  List.iter (fun wl -> ignore (run_both wl)) Workloads.builtin
 
 let test_profile_stability_alt () =
   (* The paper: profiling with a third input (alt) generates identical
@@ -182,8 +161,7 @@ let test_profile_stability_alt () =
 let test_speedup_on_ref_dijkstra () =
   let seq, par = run_both ~workers:24 ~input:Workload.Ref Dijkstra.workload in
   let speedup = float_of_int seq.seq_cycles /. float_of_int par.par_cycles in
-  check "dijkstra speedup > 8x at 24 workers" true (speedup > 8.0);
-  check "output identical" true (String.equal seq.seq_output par.par_output)
+  check "dijkstra speedup > 8x at 24 workers" true (speedup > 8.0)
 
 (* ---- registry + scale API ----------------------------------------------- *)
 
