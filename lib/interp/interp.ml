@@ -13,13 +13,24 @@
    lowered function.  Each expression lowers to a typed code: a
    constant (a literal or global address, boxed once for value
    contexts), a slot read, or a closure known to return an [int], a
-   [float], a [bool] or a [Value.t] (8-byte loads and user calls).  Each
-   consumer reads its operands in the context it needs, so arithmetic,
-   addresses and conditions run unboxed, and a value is boxed only
-   where it crosses a dynamic boundary: a slot assignment, call
-   arguments and results, store values (the [on_store] hook's
-   [~value]), print arguments, [==]/[!=] unless both operands are ints,
-   and [assert_value].  The conversions are this module's own.
+   [float], a [bool] or a [Value.t] (8-byte loads and user calls).  A
+   value is boxed only where it crosses a dynamic boundary: a slot
+   assignment, call arguments and results, store values (the
+   [on_store] hook's [~value]), print arguments, [==]/[!=] unless both
+   operands are ints, and [assert_value].  The conversions are this
+   module's own.
+
+   The hot nodes fix each operand's shape at lowering: int and float
+   arithmetic and comparisons, subscripted 8-byte loads and stores,
+   [Assign] and [If].  An operand is a constant converted once to the
+   context's type, a local slot, a closure of the context's type or a
+   closure read as a value, and the node is one closure per
+   combination of its operands' shapes, so it reads them with no
+   run-time match; only its operator is switched on at run time.  Each
+   combination instantiates one [@inline] body with literal shape
+   arguments, the form the non-flambda compiler folds.  The other nodes
+   read their operands through the generic [read_*] readers, which
+   match on the operand's code.
 
    The default build compiles with [-opaque], so every cross-module
    call is a real call, and a call of an unknown closure with two or
@@ -42,10 +53,11 @@
      [base + 8 * index], is evaluated inside its load or store closure
      ([subscript]) with the steps, charges and int conversions of the
      three nodes it replaces, in their order.
-   The observables are fixed (test_interp pins them): one step per
-   expression node and per statement, a subscript's three nodes
-   included, cycle charges and hooks in evaluation order, and the error
-   texts. *)
+   The observables are fixed (test_interp pins them for every shape
+   combination): one step per expression node and per statement, a
+   subscript's three nodes included, cycle charges and hooks in
+   evaluation order, int conversions after the node's charge, right
+   operand first, and the error texts. *)
 
 open Privateer_ir
 open Privateer_machine
@@ -123,9 +135,12 @@ let set_induction fr l v = fr.slots.(l.induction) <- Value.VInt v
 
 let step_budget_exhausted () = error "step budget exhausted (infinite loop?)"
 
+(* The count is read once: re-reading it after the store would cost a
+   load on every node. *)
 let[@inline] step st =
-  st.steps <- st.steps + 1;
-  if st.steps > st.max_steps then step_budget_exhausted ()
+  let n = st.steps + 1 in
+  st.steps <- n;
+  if n > st.max_steps then step_budget_exhausted ()
 
 let[@inline] charge st c = st.cycles <- st.cycles + c
 
@@ -259,12 +274,6 @@ let[@inline] read_truth e st fr =
   | Bool_fn f -> f fr
   | Value_fn f -> truthy (f fr)
 
-(* Whether an integer consumer must convert the operand (and may fail):
-   everything but an int constant, an int closure or a condition. *)
-let checked = function
-  | Const (VInt _) | Int_fn _ | Bool_fn _ -> false
-  | Const (VFloat _) | Slot _ | Float_fn _ | Value_fn _ -> true
-
 (* Evaluate argument codes left to right, as values. *)
 let eval_args args st fr = Array.to_list (Array.map (fun a -> read_value a st fr) args)
 
@@ -285,108 +294,253 @@ let slot_table (f : Ast.func) =
 let[@inline never] division_by_zero () = error "division by zero"
 let[@inline never] modulo_by_zero () = error "modulo by zero"
 
-(* An integer operator, typed by its result. *)
-type _ int_op = Arith : Ast.binop -> int int_op | Compare : Ast.binop -> bool int_op
+(* ---- operand shapes ---------------------------------------------------- *)
 
-let[@inline] apply_int_op : type r. r int_op -> int -> int -> r =
- fun op x y ->
+(* How a specialised node reads one operand, fixed at lowering:
+   - [K]: a constant, converted once to the context's type;
+   - [S]: a local slot;
+   - [T]: a closure of the context's type (an int or bool closure in an
+     int context, any typed closure in a float context);
+   - [V]: a closure read as a value (an 8-byte load, a user call; in an
+     int context also a float, which faults).
+   A specialised node is one [@inline] body, instantiated once per
+   combination of its operands' shapes by literal arguments, so each
+   instance keeps only its shapes' reads and no run-time match on the
+   operands is left.  In an int context [S] and [V] yield a value that
+   is converted after the node's charge, right operand first, so a
+   float operand faults where the unspecialised node would; a float
+   context converts at the read, which never fails.  A bool closure in
+   an int context and an int or bool closure in a float context are a
+   [T] through a converting closure, which costs one more call, and in
+   a float context a boxed result, than converting in place; the ports
+   convert with [itof], so these shapes are rare. *)
+type shape = K | S | T | V
+
+(* One operand of a specialised node.  Only the fields its shape names
+   are read; the rest are placeholders. *)
+type 'a operand = {
+  shape : shape;
+  k : 'a; (* K *)
+  slot : int; (* S, with the name for the unbound error *)
+  name : string;
+  typed : frame -> 'a; (* T *)
+  boxed : frame -> Value.t; (* V *)
+}
+
+let int_shape = function
+  | Const (VInt _) -> K
+  | Slot _ -> S
+  | Int_fn _ | Bool_fn _ -> T
+  | Const (VFloat _) | Float_fn _ | Value_fn _ -> V
+
+let int_placeholders : int operand =
+  { shape = K; k = 0; slot = 0; name = ""; typed = (fun _ -> 0); boxed = (fun _ -> v_false) }
+
+let float_placeholders : float operand =
+  { shape = K; k = 0.0; slot = 0; name = ""; typed = (fun _ -> 0.0);
+    boxed = (fun _ -> v_false) }
+
+let int_operand e : int operand =
+  let shape = int_shape e and o = int_placeholders in
+  match e with
+  | Const (VInt n) -> { o with shape; k = n }
+  | Slot (slot, name) -> { o with shape; slot; name }
+  | Int_fn f -> { o with shape; typed = f }
+  | Bool_fn f -> { o with shape; typed = (fun fr -> Bool.to_int (f fr)) }
+  | Value_fn f -> { o with shape; boxed = f }
+  | Const (VFloat _ as v) -> { o with shape; boxed = (fun fr -> step fr.interp; v) }
+  | Float_fn f -> { o with shape; boxed = (fun fr -> Value.VFloat (f fr)) }
+
+let float_operand e : float operand =
+  let o = float_placeholders in
+  match e with
+  | Const v -> { o with k = to_float v }
+  | Slot (slot, name) -> { o with shape = S; slot; name }
+  | Float_fn f -> { o with shape = T; typed = f }
+  | Int_fn f -> { o with shape = T; typed = (fun fr -> float_of_int (f fr)) }
+  | Bool_fn f -> { o with shape = T; typed = (fun fr -> if f fr then 1.0 else 0.0) }
+  | Value_fn f -> { o with shape = V; boxed = f }
+
+(* An int-context read, split by what the shape yields: [K] and [T] an
+   int ([int_part]), [S] and [V] a value ([value_part]) that [as_int]
+   converts after the charge.  The other part is a placeholder. *)
+let[@inline] int_part sh (o : int operand) st fr =
+  match sh with
+  | K ->
+    step st;
+    o.k
+  | T -> o.typed fr
+  | S | V -> 0
+
+let[@inline] value_part sh (o : int operand) st fr =
+  match sh with
+  | S -> read_slot st fr o.slot o.name
+  | V -> o.boxed fr
+  | K | T -> v_false
+
+let[@inline] as_int sh x v = match sh with K | T -> x | S | V -> to_int v
+
+let[@inline] float_read sh (o : float operand) st fr =
+  match sh with
+  | K ->
+    step st;
+    o.k
+  | S -> to_float (read_slot st fr o.slot o.name)
+  | T -> o.typed fr
+  | V -> to_float (o.boxed fr)
+
+let[@inline] int_arith ~a:sa ~b:sb (op : Ast.binop) c a b fr =
+  let st = fr.interp in
+  step st;
+  let xa = int_part sa a st fr in
+  let va = value_part sa a st fr in
+  let xb = int_part sb b st fr in
+  let vb = value_part sb b st fr in
+  charge st c;
+  let y = as_int sb xb vb in
+  let x = as_int sa xa va in
   match op with
-  | Arith Add -> x + y
-  | Arith Sub -> x - y
-  | Arith Mul -> x * y
-  | Arith Div -> if y = 0 then division_by_zero () else x / y
-  | Arith Rem -> if y = 0 then modulo_by_zero () else x mod y
-  | Arith Band -> x land y
-  | Arith Bor -> x lor y
-  | Arith Bxor -> x lxor y
-  | Arith Shl -> x lsl y
-  | Arith Shr -> x lsr y
-  | Compare Lt -> x < y
-  | Compare Le -> x <= y
-  | Compare Gt -> x > y
-  | Compare Ge -> x >= y
-  | Arith _ | Compare _ -> invalid_arg "Interp.apply_int_op"
+  | Add -> x + y
+  | Sub -> x - y
+  | Mul -> x * y
+  | Div -> if y = 0 then division_by_zero () else x / y
+  | Rem -> if y = 0 then modulo_by_zero () else x mod y
+  | Band -> x land y
+  | Bor -> x lor y
+  | Bxor -> x lxor y
+  | Shl -> x lsl y
+  | _ -> x lsr y
 
-(* An integer operator: one closure shape per (left checked?, right
-   checked?) pair, with the operator's match inlined into each.  A
-   checked operand is read as a value and converted after the charge,
-   right first: when both are floats, the error names the right one. *)
-let int_shapes (type r) (op : r int_op) c a b : frame -> r =
-  match (checked a, checked b) with
-  | false, false ->
-    fun fr ->
-      let st = fr.interp in
-      step st;
-      let x = read_int a st fr in
-      let y = read_int b st fr in
-      charge st c;
-      apply_int_op op x y
-  | true, false ->
-    fun fr ->
-      let st = fr.interp in
-      step st;
-      let va = read_value a st fr in
-      let y = read_int b st fr in
-      charge st c;
-      apply_int_op op (to_int va) y
-  | false, true ->
-    fun fr ->
-      let st = fr.interp in
-      step st;
-      let x = read_int a st fr in
-      let vb = read_value b st fr in
-      charge st c;
-      apply_int_op op x (to_int vb)
-  | true, true ->
-    fun fr ->
-      let st = fr.interp in
-      step st;
-      let va = read_value a st fr in
-      let vb = read_value b st fr in
-      charge st c;
-      let y = to_int vb in
-      apply_int_op op (to_int va) y
+let[@inline] int_compare ~a:sa ~b:sb (op : Ast.binop) c a b fr =
+  let st = fr.interp in
+  step st;
+  let xa = int_part sa a st fr in
+  let va = value_part sa a st fr in
+  let xb = int_part sb b st fr in
+  let vb = value_part sb b st fr in
+  charge st c;
+  let y = as_int sb xb vb in
+  let x = as_int sa xa va in
+  match op with Lt -> x < y | Le -> x <= y | Gt -> x > y | _ -> x >= y
+
+let[@inline] float_arith ~a:sa ~b:sb (op : Ast.binop) c a b fr =
+  let st = fr.interp in
+  step st;
+  let x = float_read sa a st fr in
+  let y = float_read sb b st fr in
+  charge st c;
+  match op with Fadd -> x +. y | Fsub -> x -. y | Fmul -> x *. y | _ -> x /. y
+
+let[@inline] float_compare ~a:sa ~b:sb (op : Ast.binop) c a b fr =
+  let st = fr.interp in
+  step st;
+  let x = float_read sa a st fr in
+  let y = float_read sb b st fr in
+  charge st c;
+  match op with
+  | Flt -> x < y
+  | Fle -> x <= y
+  | Fgt -> x > y
+  | Fge -> x >= y
+  | Feq -> x = y
+  | _ -> x <> y
+
+(* One closure per pair of shapes.  Each line instantiates a body with
+   literal shapes, which is what lets the compiler fold them. *)
+
+let int_arith_node op c (a : int operand) (b : int operand) : frame -> int =
+  match (a.shape, b.shape) with
+  | K, K -> fun fr -> int_arith ~a:K ~b:K op c a b fr
+  | K, S -> fun fr -> int_arith ~a:K ~b:S op c a b fr
+  | K, T -> fun fr -> int_arith ~a:K ~b:T op c a b fr
+  | K, V -> fun fr -> int_arith ~a:K ~b:V op c a b fr
+  | S, K -> fun fr -> int_arith ~a:S ~b:K op c a b fr
+  | S, S -> fun fr -> int_arith ~a:S ~b:S op c a b fr
+  | S, T -> fun fr -> int_arith ~a:S ~b:T op c a b fr
+  | S, V -> fun fr -> int_arith ~a:S ~b:V op c a b fr
+  | T, K -> fun fr -> int_arith ~a:T ~b:K op c a b fr
+  | T, S -> fun fr -> int_arith ~a:T ~b:S op c a b fr
+  | T, T -> fun fr -> int_arith ~a:T ~b:T op c a b fr
+  | T, V -> fun fr -> int_arith ~a:T ~b:V op c a b fr
+  | V, K -> fun fr -> int_arith ~a:V ~b:K op c a b fr
+  | V, S -> fun fr -> int_arith ~a:V ~b:S op c a b fr
+  | V, T -> fun fr -> int_arith ~a:V ~b:T op c a b fr
+  | V, V -> fun fr -> int_arith ~a:V ~b:V op c a b fr
+
+let int_compare_node op c (a : int operand) (b : int operand) : frame -> bool =
+  match (a.shape, b.shape) with
+  | K, K -> fun fr -> int_compare ~a:K ~b:K op c a b fr
+  | K, S -> fun fr -> int_compare ~a:K ~b:S op c a b fr
+  | K, T -> fun fr -> int_compare ~a:K ~b:T op c a b fr
+  | K, V -> fun fr -> int_compare ~a:K ~b:V op c a b fr
+  | S, K -> fun fr -> int_compare ~a:S ~b:K op c a b fr
+  | S, S -> fun fr -> int_compare ~a:S ~b:S op c a b fr
+  | S, T -> fun fr -> int_compare ~a:S ~b:T op c a b fr
+  | S, V -> fun fr -> int_compare ~a:S ~b:V op c a b fr
+  | T, K -> fun fr -> int_compare ~a:T ~b:K op c a b fr
+  | T, S -> fun fr -> int_compare ~a:T ~b:S op c a b fr
+  | T, T -> fun fr -> int_compare ~a:T ~b:T op c a b fr
+  | T, V -> fun fr -> int_compare ~a:T ~b:V op c a b fr
+  | V, K -> fun fr -> int_compare ~a:V ~b:K op c a b fr
+  | V, S -> fun fr -> int_compare ~a:V ~b:S op c a b fr
+  | V, T -> fun fr -> int_compare ~a:V ~b:T op c a b fr
+  | V, V -> fun fr -> int_compare ~a:V ~b:V op c a b fr
+
+let float_arith_node op c (a : float operand) (b : float operand) : frame -> float =
+  match (a.shape, b.shape) with
+  | K, K -> fun fr -> float_arith ~a:K ~b:K op c a b fr
+  | K, S -> fun fr -> float_arith ~a:K ~b:S op c a b fr
+  | K, T -> fun fr -> float_arith ~a:K ~b:T op c a b fr
+  | K, V -> fun fr -> float_arith ~a:K ~b:V op c a b fr
+  | S, K -> fun fr -> float_arith ~a:S ~b:K op c a b fr
+  | S, S -> fun fr -> float_arith ~a:S ~b:S op c a b fr
+  | S, T -> fun fr -> float_arith ~a:S ~b:T op c a b fr
+  | S, V -> fun fr -> float_arith ~a:S ~b:V op c a b fr
+  | T, K -> fun fr -> float_arith ~a:T ~b:K op c a b fr
+  | T, S -> fun fr -> float_arith ~a:T ~b:S op c a b fr
+  | T, T -> fun fr -> float_arith ~a:T ~b:T op c a b fr
+  | T, V -> fun fr -> float_arith ~a:T ~b:V op c a b fr
+  | V, K -> fun fr -> float_arith ~a:V ~b:K op c a b fr
+  | V, S -> fun fr -> float_arith ~a:V ~b:S op c a b fr
+  | V, T -> fun fr -> float_arith ~a:V ~b:T op c a b fr
+  | V, V -> fun fr -> float_arith ~a:V ~b:V op c a b fr
+
+let float_compare_node op c (a : float operand) (b : float operand) : frame -> bool =
+  match (a.shape, b.shape) with
+  | K, K -> fun fr -> float_compare ~a:K ~b:K op c a b fr
+  | K, S -> fun fr -> float_compare ~a:K ~b:S op c a b fr
+  | K, T -> fun fr -> float_compare ~a:K ~b:T op c a b fr
+  | K, V -> fun fr -> float_compare ~a:K ~b:V op c a b fr
+  | S, K -> fun fr -> float_compare ~a:S ~b:K op c a b fr
+  | S, S -> fun fr -> float_compare ~a:S ~b:S op c a b fr
+  | S, T -> fun fr -> float_compare ~a:S ~b:T op c a b fr
+  | S, V -> fun fr -> float_compare ~a:S ~b:V op c a b fr
+  | T, K -> fun fr -> float_compare ~a:T ~b:K op c a b fr
+  | T, S -> fun fr -> float_compare ~a:T ~b:S op c a b fr
+  | T, T -> fun fr -> float_compare ~a:T ~b:T op c a b fr
+  | T, V -> fun fr -> float_compare ~a:T ~b:V op c a b fr
+  | V, K -> fun fr -> float_compare ~a:V ~b:K op c a b fr
+  | V, S -> fun fr -> float_compare ~a:V ~b:S op c a b fr
+  | V, T -> fun fr -> float_compare ~a:V ~b:T op c a b fr
+  | V, V -> fun fr -> float_compare ~a:V ~b:V op c a b fr
+
+(* An operand an int context reads with no conversion. *)
+let int_typed e = match int_shape e with K | T -> true | S | V -> false
 
 let lower_binop (op : Ast.binop) c a b =
   match op with
   | Add | Sub | Mul | Div | Rem | Band | Bor | Bxor | Shl | Shr ->
-    Int_fn (int_shapes (Arith op) c a b)
-  | Lt | Le | Gt | Ge -> Bool_fn (int_shapes (Compare op) c a b)
+    Int_fn (int_arith_node op c (int_operand a) (int_operand b))
+  | Lt | Le | Gt | Ge -> Bool_fn (int_compare_node op c (int_operand a) (int_operand b))
   | Fadd | Fsub | Fmul | Fdiv ->
-    (* Float operators read their operands as floats, which never
-       fails. *)
-    Float_fn
-      (fun fr ->
-        let st = fr.interp in
-        step st;
-        let x = read_float a st fr in
-        let y = read_float b st fr in
-        charge st c;
-        match op with
-        | Fadd -> x +. y
-        | Fsub -> x -. y
-        | Fmul -> x *. y
-        | _ -> x /. y)
+    Float_fn (float_arith_node op c (float_operand a) (float_operand b))
   | Flt | Fle | Fgt | Fge | Feq | Fne ->
-    Bool_fn
-      (fun fr ->
-        let st = fr.interp in
-        step st;
-        let x = read_float a st fr in
-        let y = read_float b st fr in
-        charge st c;
-        match op with
-        | Flt -> x < y
-        | Fle -> x <= y
-        | Fgt -> x > y
-        | Fge -> x >= y
-        | Feq -> x = y
-        | _ -> x <> y)
+    Bool_fn (float_compare_node op c (float_operand a) (float_operand b))
   | Eq | Ne ->
     (* [Value.equal]'s rules: an int never equals a float, NaN equals
        NaN.  Two int operands compare unboxed. *)
     let eq = op = Eq in
-    if checked a || checked b then
+    if not (int_typed a && int_typed b) then
       Bool_fn
         (fun fr ->
           let st = fr.interp in
@@ -414,7 +568,7 @@ let[@inline] int_unop (op : Ast.unop) x =
 let lower_unop (op : Ast.unop) c a =
   match op with
   | Neg | Bnot ->
-    if checked a then
+    if not (int_typed a) then
       Int_fn
         (fun fr ->
           let st = fr.interp in
@@ -603,43 +757,74 @@ let[@inline] store8 st c id addr v =
    their steps, charges and conversions in their order: the add's
    step, the base, the multiply's and the literal's steps, the index,
    the multiply's charge, the index's conversion, the add's charge and
-   the base's conversion.  [bc] and [ic] say whether the base and the
-   index need a conversion ([checked]); each is a constant where this
-   is inlined, so each of the four shapes keeps only its own branch. *)
-let[@inline] subscript ~bc ~ic c base index st fr =
+   the base's conversion.  The base and the index are int-context
+   operands, and [sb] and [si] their shapes. *)
+let[@inline] subscript ~sb ~si c (base : int operand) (index : int operand) st fr =
   step st;
-  let vb = if bc then read_value base st fr else v_false in
-  let b = if bc then 0 else read_int base st fr in
+  let xb = int_part sb base st fr in
+  let vb = value_part sb base st fr in
   step st;
   step st;
-  let i =
-    if ic then begin
-      let vi = read_value index st fr in
-      charge st c;
-      to_int vi
-    end
-    else begin
-      let i = read_int index st fr in
-      charge st c;
-      i
-    end
-  in
-  let off = 8 * i in
+  let xi = int_part si index st fr in
+  let vi = value_part si index st fr in
   charge st c;
-  (if bc then to_int vb else b) + off
+  let off = 8 * as_int si xi vi in
+  charge st c;
+  as_int sb xb vb + off
 
-let[@inline] subscript_load ~bc ~ic ca cl id base index fr =
+let[@inline] subscript_load ~b:sb ~i:si ca cl id base index fr =
   let st = fr.interp in
   step st;
-  let addr = subscript ~bc ~ic ca base index st fr in
+  let addr = subscript ~sb ~si ca base index st fr in
   load8 st cl id addr
 
-let[@inline] subscript_store ~bc ~ic ca cs id base index ev fr =
+let[@inline] subscript_store ~b:sb ~i:si ca cs id base index ev fr =
   let st = fr.interp in
   step st;
-  let addr = subscript ~bc ~ic ca base index st fr in
+  let addr = subscript ~sb ~si ca base index st fr in
   let v = read_value ev st fr in
   store8 st cs id addr v
+
+(* One closure per pair of base and index shapes, as for the binary
+   nodes. *)
+
+let subscript_load_node ca cl id (base : int operand) (index : int operand) : frame -> Value.t =
+  match (base.shape, index.shape) with
+  | K, K -> fun fr -> subscript_load ~b:K ~i:K ca cl id base index fr
+  | K, S -> fun fr -> subscript_load ~b:K ~i:S ca cl id base index fr
+  | K, T -> fun fr -> subscript_load ~b:K ~i:T ca cl id base index fr
+  | K, V -> fun fr -> subscript_load ~b:K ~i:V ca cl id base index fr
+  | S, K -> fun fr -> subscript_load ~b:S ~i:K ca cl id base index fr
+  | S, S -> fun fr -> subscript_load ~b:S ~i:S ca cl id base index fr
+  | S, T -> fun fr -> subscript_load ~b:S ~i:T ca cl id base index fr
+  | S, V -> fun fr -> subscript_load ~b:S ~i:V ca cl id base index fr
+  | T, K -> fun fr -> subscript_load ~b:T ~i:K ca cl id base index fr
+  | T, S -> fun fr -> subscript_load ~b:T ~i:S ca cl id base index fr
+  | T, T -> fun fr -> subscript_load ~b:T ~i:T ca cl id base index fr
+  | T, V -> fun fr -> subscript_load ~b:T ~i:V ca cl id base index fr
+  | V, K -> fun fr -> subscript_load ~b:V ~i:K ca cl id base index fr
+  | V, S -> fun fr -> subscript_load ~b:V ~i:S ca cl id base index fr
+  | V, T -> fun fr -> subscript_load ~b:V ~i:T ca cl id base index fr
+  | V, V -> fun fr -> subscript_load ~b:V ~i:V ca cl id base index fr
+
+let subscript_store_node ca cs id (base : int operand) (index : int operand) ev : frame -> unit =
+  match (base.shape, index.shape) with
+  | K, K -> fun fr -> subscript_store ~b:K ~i:K ca cs id base index ev fr
+  | K, S -> fun fr -> subscript_store ~b:K ~i:S ca cs id base index ev fr
+  | K, T -> fun fr -> subscript_store ~b:K ~i:T ca cs id base index ev fr
+  | K, V -> fun fr -> subscript_store ~b:K ~i:V ca cs id base index ev fr
+  | S, K -> fun fr -> subscript_store ~b:S ~i:K ca cs id base index ev fr
+  | S, S -> fun fr -> subscript_store ~b:S ~i:S ca cs id base index ev fr
+  | S, T -> fun fr -> subscript_store ~b:S ~i:T ca cs id base index ev fr
+  | S, V -> fun fr -> subscript_store ~b:S ~i:V ca cs id base index ev fr
+  | T, K -> fun fr -> subscript_store ~b:T ~i:K ca cs id base index ev fr
+  | T, S -> fun fr -> subscript_store ~b:T ~i:S ca cs id base index ev fr
+  | T, T -> fun fr -> subscript_store ~b:T ~i:T ca cs id base index ev fr
+  | T, V -> fun fr -> subscript_store ~b:T ~i:V ca cs id base index ev fr
+  | V, K -> fun fr -> subscript_store ~b:V ~i:K ca cs id base index ev fr
+  | V, S -> fun fr -> subscript_store ~b:V ~i:S ca cs id base index ev fr
+  | V, T -> fun fr -> subscript_store ~b:V ~i:T ca cs id base index ev fr
+  | V, V -> fun fr -> subscript_store ~b:V ~i:V ca cs id base index ev fr
 
 (* Call a lowered function on a frame whose parameters are bound. *)
 let invoke (cost : Cost.t) st id fn callee =
@@ -684,14 +869,9 @@ let rec lower_expr env names (e : Ast.expr) : expr =
           step fr.interp;
           error "unknown global %s" g))
   | Load (id, S8, Binop (Add, base, Binop (Mul, Int 8, index))) ->
-    let base = lower_expr env names base and index = lower_expr env names index in
-    let ca = cost.c_arith and cl = cost.c_load in
-    Value_fn
-      (match (checked base, checked index) with
-      | false, false -> fun fr -> subscript_load ~bc:false ~ic:false ca cl id base index fr
-      | true, false -> fun fr -> subscript_load ~bc:true ~ic:false ca cl id base index fr
-      | false, true -> fun fr -> subscript_load ~bc:false ~ic:true ca cl id base index fr
-      | true, true -> fun fr -> subscript_load ~bc:true ~ic:true ca cl id base index fr)
+    let base = int_operand (lower_expr env names base) in
+    let index = int_operand (lower_expr env names index) in
+    Value_fn (subscript_load_node cost.c_arith cost.c_load id base index)
   | Load (id, S8, ea) ->
     let ea = lower_expr env names ea in
     let c = cost.c_load in
@@ -811,20 +991,42 @@ and lower_stmt env names (s : Ast.stmt) : stmt_code =
   let cost = env.e_cost in
   let expr = lower_expr env names in
   match s with
-  | Assign (name, e) ->
-    let slot = Hashtbl.find names name and e = expr e in
-    fun fr ->
-      let st = fr.interp in
-      step st;
-      fr.slots.(slot) <- read_value e st fr
+  | Assign (name, e) -> (
+    (* One closure per kind of right-hand side, each boxing only what
+       the slot must hold. *)
+    let slot = Hashtbl.find names name in
+    match expr e with
+    | Const v ->
+      fun fr ->
+        let st = fr.interp in
+        step st;
+        step st;
+        fr.slots.(slot) <- v
+    | Slot (from, from_name) ->
+      fun fr ->
+        let st = fr.interp in
+        step st;
+        fr.slots.(slot) <- read_slot st fr from from_name
+    | Int_fn f ->
+      fun fr ->
+        step fr.interp;
+        fr.slots.(slot) <- VInt (f fr)
+    | Float_fn f ->
+      fun fr ->
+        step fr.interp;
+        fr.slots.(slot) <- VFloat (f fr)
+    | Bool_fn f ->
+      fun fr ->
+        step fr.interp;
+        fr.slots.(slot) <- of_bool (f fr)
+    | Value_fn f ->
+      fun fr ->
+        step fr.interp;
+        fr.slots.(slot) <- f fr)
   | Store (id, S8, Binop (Add, base, Binop (Mul, Int 8, index)), ev) ->
-    let base = expr base and index = expr index and ev = expr ev in
-    let ca = cost.c_arith and cs = cost.c_store in
-    (match (checked base, checked index) with
-    | false, false -> fun fr -> subscript_store ~bc:false ~ic:false ca cs id base index ev fr
-    | true, false -> fun fr -> subscript_store ~bc:true ~ic:false ca cs id base index ev fr
-    | false, true -> fun fr -> subscript_store ~bc:false ~ic:true ca cs id base index ev fr
-    | true, true -> fun fr -> subscript_store ~bc:true ~ic:true ca cs id base index ev fr)
+    let base = int_operand (expr base) in
+    let index = int_operand (expr index) in
+    subscript_store_node cost.c_arith cost.c_store id base index (expr ev)
   | Store (id, S8, ea, ev) ->
     let ea = expr ea and ev = expr ev in
     let c = cost.c_store in
@@ -845,16 +1047,26 @@ and lower_stmt env names (s : Ast.stmt) : stmt_code =
       charge st c;
       st.hooks.on_store id ~addr ~size:1 ~value:v;
       Machine.write_byte st.machine addr (to_int v)
-  | If (id, c, b1, b2) ->
+  | If (id, c, b1, b2) -> (
     let cond = expr c and b1 = lower_block env names b1 and b2 = lower_block env names b2 in
     let c = cost.c_branch in
-    fun fr ->
-      let st = fr.interp in
-      step st;
-      charge st c;
-      let taken = read_truth cond st fr in
+    let[@inline] branch st taken fr =
       st.hooks.on_branch id ~taken;
       if taken then b1 fr else b2 fr
+    in
+    match cond with
+    | Bool_fn test ->
+      fun fr ->
+        let st = fr.interp in
+        step st;
+        charge st c;
+        branch st (test fr) fr
+    | cond ->
+      fun fr ->
+        let st = fr.interp in
+        step st;
+        charge st c;
+        branch st (read_truth cond st fr) fr)
   | While (id, cond, body) ->
     let cond = expr cond and body = lower_block env names body in
     let c = cost.c_branch in

@@ -6,12 +6,20 @@
     lowered code.  Each expression lowers to a typed code: a constant
     (a literal or global address), a slot read, or a closure known to
     return an int, a float, a bool or a {!Value.t} (8-byte loads and
-    user calls).  Arithmetic, addresses and conditions therefore run
-    unboxed; a value is boxed only where it crosses a dynamic boundary
-    (a slot assignment, call arguments and results, store values, print
-    arguments, [==]/[!=] unless both operands are ints, and
-    [assert_value]).  The int/float conversions are the interpreter's
-    own, with {!Value}'s error text.
+    user calls).  A value is boxed only where it crosses a dynamic
+    boundary (a slot assignment, call arguments and results, store
+    values, print arguments, [==]/[!=] unless both operands are ints,
+    and [assert_value]).  The int/float conversions are the
+    interpreter's own, with {!Value}'s error text.
+
+    Int and float arithmetic and comparisons, subscripted 8-byte loads
+    and stores, assignments and conditions fix each operand's shape at
+    lowering: a constant converted once to the context's type, a local
+    slot, a closure of the context's type, or a closure read as a
+    value.  Such a node is one closure per combination of its operands'
+    shapes, so it reads them with no run-time match; its operator is
+    the one run-time switch left.  Other nodes read their operands
+    through a match on the operand's code.
 
     The default build compiles with [-opaque], where cross-module calls
     do not inline and a closure called with two or more arguments pays
@@ -32,9 +40,11 @@
       the add, the multiply and the literal, in their order.
 
     Observables are fixed: one step per expression node and per
-    statement, cycle charges and hook events in evaluation order, and
-    the error texts of {!Runtime_error}.  A step budget therefore stops
-    a run at the same node, inside a subscript too. *)
+    statement, cycle charges and hook events in evaluation order, int
+    conversions after the node's charge (right operand first), and the
+    error texts of {!Runtime_error}, whatever the operands' shapes.  A
+    step budget therefore stops a run at the same node, inside a
+    subscript too. *)
 
 open Privateer_ir
 open Privateer_machine

@@ -544,7 +544,90 @@ fn main() {
     ("index-float-expr-index", {|fn main() { var p = malloc(2); return p[1.0 +. 1.0]; }|});
     ( "index-unbound-base",
       {|fn pr() { print("index\n"); return 1; } fn main() { return q[pr()]; }|} );
-    ("index-unbound-index", {|fn main() { var p = malloc(1); p[q] = 1; return 0; }|}) ]
+    ("index-unbound-index", {|fn main() { var p = malloc(1); p[q] = 1; return 0; }|});
+    (* The operand-shape matrix completed: the (left, right) shape
+       pairs of comparisons, float operators and subscripts (K a
+       constant, S a local slot, T a closure of the context's type, V a
+       closure read as a value) that the programs above do not reach,
+       one program per family, an assignment from a slot, then each
+       fault those shapes can raise: a float in an int context, an
+       unbound local (read before the other operand), a zero
+       divisor. *)
+    ( "int-compare-shapes",
+      {|fn two() { return 2; }
+fn main() {
+  var i = 3; var p = malloc(2); p[0] = 4; p[1] = 1;
+  var s = (1 < i) + 2 * (5 >= i + 1) + 4 * (i <= load1(p + 8)) + 8 * (i > two()) + 16 * (i < p[0]);
+  s = s + 32 * ((i + 1) > 2) + 64 * ((i < 4) >= 1) + 128 * (i * 2 < i) + 256 * ((i - 1) <= (i < 4));
+  s = s + 512 * (min(i, 9) >= max(2, i)) + 1024 * (load1(p + 8) > i);
+  return s;
+}|} );
+    ("int-compare-fault-right-slot", {|fn main() { var f = 0.5; return 1 < f; }|});
+    ("int-compare-fault-left-unbound", {|fn main() { var i = 1; return q < i + 1; }|});
+    ( "int-compare-fault-slot-and-call",
+      {|fn fl() { return 2.5; } fn main() { var f = 0.5; return f >= fl(); }|} );
+    ( "int-compare-fault-unbound-before-call",
+      {|fn fl() { print("fl\n"); return 2.5; } fn main() { return q > fl(); }|} );
+    ("int-compare-fault-typed-slot", {|fn main() { var f = 1.5; return (2 + 1) <= f; }|});
+    ( "float-arith-shapes",
+      {|fn two() { return 2; }
+fn half() { return 0.5; }
+fn main() {
+  var i = 3; var x = 1.5; var p = malloc(2); p[0] = 4; p[1] = 0.25;
+  var y = (1.5 +. x) +. (2 *. x) +. (2.0 -. (x *. 3.0)) +. (1.0 +. (i + 1)) +. (0.5 *. p[1]) +. (3 /. two());
+  y = y +. (x /. sqrt(4.0)) +. (x -. p[1]) +. (x *. half()) +. (itof(i) *. x) +. ((i < 4) -. x);
+  y = y +. (p[1] +. x) +. (half() -. x) +. (p[1] /. (x *. x)) +. (half() -. (x *. x));
+  print("%f\n", y);
+  return ftoi(y *. 1000.0);
+}|} );
+    ("float-arith-fault-right-unbound", {|fn main() { return ftoi(1.0 +. q); }|});
+    ("float-arith-fault-left-unbound", {|fn main() { return ftoi(q *. (1.0 +. 1.0)); }|});
+    ( "float-arith-fault-unbound-before-call",
+      {|fn fl() { print("fl\n"); return 2.5; } fn main() { return ftoi(q -. fl()); }|} );
+    ("float-arith-fault-typed-unbound", {|fn main() { return ftoi((1.0 +. 1.0) /. q); }|});
+    ( "float-arith-fault-call-unbound",
+      {|fn fl() { print("fl\n"); return 2.5; } fn main() { return ftoi(fl() +. q); }|} );
+    ( "float-compare-shapes",
+      {|fn half() { return 0.5; }
+fn main() {
+  var i = 3; var x = 1.5; var p = malloc(2); p[0] = 4; p[1] = 0.25;
+  var s = (1.0 <. x) + 2 * (2 >=. (x +. 1.0)) + 4 * (0.25 ==. p[1]) + 8 * (x !=. sqrt(x)) + 16 * (x <=. half());
+  s = s + 32 * ((x *. 2.0) >. x) + 64 * ((x +. 1.0) <. itof(i)) + 128 * ((x +. 1.0) >=. (i < 4));
+  s = s + 256 * ((x -. 1.0) !=. p[1]) + 512 * (p[1] <. (x *. 4.0)) + 1024 * (x >. p[0]) + 2048 * (half() ==. (x -. 1.0));
+  return s;
+}|} );
+    ("float-compare-fault-right-unbound", {|fn main() { return 1.0 <. q; }|});
+    ("float-compare-fault-left-unbound", {|fn main() { return q >. (1.0 +. 1.0); }|});
+    ( "float-compare-fault-unbound-before-call",
+      {|fn fl() { print("fl\n"); return 2.5; } fn main() { return q ==. fl(); }|} );
+    ("float-compare-fault-typed-unbound", {|fn main() { return (1.0 +. 1.0) <=. q; }|});
+    ( "index-shapes",
+      {|global g[8]; global s;
+fn two() { return 2; }
+fn arr() { return g; }
+fn main() {
+  var p = malloc(8); var k = malloc(2); var i = 2;
+  s = g; k[0] = 1; k[1] = 3;
+  (p + 8)[i - 1] = 5; (p + 8)[k[0]] = (p + 8)[i - 1] + 1; arr()[i] = 7; s[i + 1] = 8;
+  (p + 16)[two()] = arr()[i + 1] * 10 + (p + 8)[k[1]];
+  var t = (p + 8)[k[0]] + (p + 8)[two()] + arr()[i - 1] + s[i * 2 - 1] + p[4] + s[i];
+  return t * 100 + (p + 8)[i - 1];
+}|} );
+    ( "index-fault-typed-base-value-index",
+      {|fn fl() { return 0.5; } fn main() { var p = malloc(2); return (p + 8)[fl()]; }|} );
+    ( "index-fault-value-base-typed-index",
+      {|fn fb() { return 2.5; } fn main() { var i = 1; return fb()[i + 1]; }|} );
+    ( "index-fault-store-typed-base-value-index",
+      {|fn fl() { return 0.5; } fn main() { var p = malloc(2); (p + 8)[fl()] = 1; return 0; }|} );
+    ( "index-fault-store-value-base-slot-index",
+      {|fn fb() { return 2.5; } fn main() { var f = 0.25; fb()[f] = 1; return 0; }|} );
+    ( "index-fault-store-value-base-unbound-index",
+      {|global g[2]; fn arr() { print("arr\n"); return g; } fn main() { arr()[q] = 1; return 0; }|} );
+    ("assign-slot", {|fn main() { var x = 4; var y = x; y = y + 1; x = y; var z = 0.5; y = z; return x; }|});
+    ("assign-slot-unbound", {|fn main() { var x = 1; var y = q; return x; }|});
+    ("zero-divisor-slot", {|fn main() { var i = 7; var z = 0; return i / z; }|});
+    ("zero-divisor-load", {|fn main() { var i = 7; var p = malloc(1); p[0] = 0; return i % p[0]; }|});
+    ("zero-divisor-literal", {|fn main() { var i = 7; return i % 0; }|}) ]
 
 (* The statements only the transformation inserts. *)
 let inserted_checks () =
@@ -734,7 +817,63 @@ let expected_events =
     ("index-unbound-base",
       "0 events=0 cycles=10 steps=4 result=error: unbound local q output=d41d8cd98f00b204e9800998ecf8427e");
     ("index-unbound-index",
-      "3a3be6904000e951 events=1 cycles=51 steps=11 result=error: unbound local q output=d41d8cd98f00b204e9800998ecf8427e") ]
+      "3a3be6904000e951 events=1 cycles=51 steps=11 result=error: unbound local q output=d41d8cd98f00b204e9800998ecf8427e");
+    ("int-compare-shapes",
+      "5afe2cdbc13b534e events=6 cycles=166 steps=120 result=635 output=d41d8cd98f00b204e9800998ecf8427e");
+    ("int-compare-fault-right-slot",
+      "0 events=0 cycles=11 steps=6 result=error: expected int, got float 0.5 output=d41d8cd98f00b204e9800998ecf8427e");
+    ("int-compare-fault-left-unbound",
+      "0 events=0 cycles=10 steps=5 result=error: unbound local q output=d41d8cd98f00b204e9800998ecf8427e");
+    ("int-compare-fault-slot-and-call",
+      "0 events=0 cycles=21 steps=8 result=error: expected int, got float 2.5 output=d41d8cd98f00b204e9800998ecf8427e");
+    ("int-compare-fault-unbound-before-call",
+      "0 events=0 cycles=10 steps=3 result=error: unbound local q output=d41d8cd98f00b204e9800998ecf8427e");
+    ("int-compare-fault-typed-slot",
+      "0 events=0 cycles=12 steps=8 result=error: expected int, got float 1.5 output=d41d8cd98f00b204e9800998ecf8427e");
+    ("float-arith-shapes",
+      "77b96bfec1792bd4 events=7 cycles=244 steps=134 result=15986 output=0cde7a5e21b0bc50f233c0b17242f132");
+    ("float-arith-fault-right-unbound",
+      "0 events=0 cycles=10 steps=5 result=error: unbound local q output=d41d8cd98f00b204e9800998ecf8427e");
+    ("float-arith-fault-left-unbound",
+      "0 events=0 cycles=10 steps=4 result=error: unbound local q output=d41d8cd98f00b204e9800998ecf8427e");
+    ("float-arith-fault-unbound-before-call",
+      "0 events=0 cycles=10 steps=4 result=error: unbound local q output=d41d8cd98f00b204e9800998ecf8427e");
+    ("float-arith-fault-typed-unbound",
+      "0 events=0 cycles=11 steps=7 result=error: unbound local q output=d41d8cd98f00b204e9800998ecf8427e");
+    ("float-arith-fault-call-unbound",
+      "0 events=0 cycles=80 steps=8 result=error: unbound local q output=51ac5d3f32be0c213f26b14228c4ef9d");
+    ("float-compare-shapes",
+      "2933b79a0051b9a5 events=7 cycles=170 steps=141 result=3053 output=d41d8cd98f00b204e9800998ecf8427e");
+    ("float-compare-fault-right-unbound",
+      "0 events=0 cycles=10 steps=4 result=error: unbound local q output=d41d8cd98f00b204e9800998ecf8427e");
+    ("float-compare-fault-left-unbound",
+      "0 events=0 cycles=10 steps=3 result=error: unbound local q output=d41d8cd98f00b204e9800998ecf8427e");
+    ("float-compare-fault-unbound-before-call",
+      "0 events=0 cycles=10 steps=3 result=error: unbound local q output=d41d8cd98f00b204e9800998ecf8427e");
+    ("float-compare-fault-typed-unbound",
+      "0 events=0 cycles=11 steps=6 result=error: unbound local q output=d41d8cd98f00b204e9800998ecf8427e");
+    ("index-shapes",
+      "56a07ea72591424e events=26 cycles=304 steps=198 result=10106 output=d41d8cd98f00b204e9800998ecf8427e");
+    ("index-fault-typed-base-value-index",
+      "6a34728bff167d79 events=1 cycles=63 steps=16 result=error: expected int, got float 0.5 output=d41d8cd98f00b204e9800998ecf8427e");
+    ("index-fault-value-base-typed-index",
+      "0 events=0 cycles=23 steps=13 result=error: expected int, got float 2.5 output=d41d8cd98f00b204e9800998ecf8427e");
+    ("index-fault-store-typed-base-value-index",
+      "6a34728bff167d79 events=1 cycles=63 steps=15 result=error: expected int, got float 0.5 output=d41d8cd98f00b204e9800998ecf8427e");
+    ("index-fault-store-value-base-slot-index",
+      "0 events=0 cycles=21 steps=10 result=error: expected int, got float 0.25 output=d41d8cd98f00b204e9800998ecf8427e");
+    ("index-fault-store-value-base-unbound-index",
+      "0 events=0 cycles=80 steps=9 result=error: unbound local q output=e1483d9e89a29e273329a70562992fd6");
+    ("assign-slot",
+      "0 events=0 cycles=11 steps=16 result=5 output=d41d8cd98f00b204e9800998ecf8427e");
+    ("assign-slot-unbound",
+      "0 events=0 cycles=10 steps=4 result=error: unbound local q output=d41d8cd98f00b204e9800998ecf8427e");
+    ("zero-divisor-slot",
+      "0 events=0 cycles=11 steps=8 result=error: division by zero output=d41d8cd98f00b204e9800998ecf8427e");
+    ("zero-divisor-load",
+      "34abd28f822d5ca4 events=3 cycles=64 steps=23 result=error: modulo by zero output=d41d8cd98f00b204e9800998ecf8427e");
+    ("zero-divisor-literal",
+      "0 events=0 cycles=11 steps=6 result=error: modulo by zero output=d41d8cd98f00b204e9800998ecf8427e") ]
 
 let test_event_sequence () =
   List.iter
@@ -748,13 +887,17 @@ let test_event_sequence () =
 (* A step budget of [k] must stop a run at the same node, with the same
    cycles charged, for every [k] up to the run's full step count: the
    record digests each budgeted run's result or error text, steps and
-   cycles, so a subscript's steps and charges keep their places. *)
+   cycles.  The programs are a short one nesting subscripts, so a
+   subscript's steps and charges keep their places, and the record
+   programs that read every operand shape of every specialised node:
+   each node re-implements its steps and charges, so a budget must stop
+   each one at the same place. *)
 let budget_program =
   {|fn two() { return 2; }
 fn main() { var p = malloc(4); var i = 1; p[i + 1] = p[i] + 3; p[two()] = p[p[2] - 2] *. 0.5; return ftoi(p[2]); }|}
 
-let budget_record () =
-  let program = Privateer_lang.Parser.parse_program_exn budget_program in
+let budget_record src =
+  let program = Privateer_lang.Parser.parse_program_exn src in
   let full = Interp.create program in
   ignore (Interp.run_entry full);
   let digest = ref 0 in
@@ -769,8 +912,23 @@ let budget_record () =
   done;
   Printf.sprintf "%x runs=%d" !digest (full.steps + 1)
 
+let expected_budgets =
+  [ ("subscripts", "3372e648b984cfa5 runs=55");
+    ("int-operand-kinds", "38f588de234c6f0 runs=514");
+    ("float-ops-int-operands", "f156c150f49fbf1 runs=206");
+    ("truthiness", "66106b05a6a0bba7 runs=216");
+    ("index-operand-kinds", "799bbed947db866d runs=517");
+    ("int-compare-shapes", "12885a372c5f2104 runs=121");
+    ("float-arith-shapes", "5f7d8619f97890b6 runs=135");
+    ("float-compare-shapes", "e2d3df77bb5965d runs=142");
+    ("index-shapes", "3cdbfa64cf1fa5c9 runs=199");
+    ("assign-slot", "61c510716ac63085 runs=17") ]
+
 let test_budget_record () =
-  Alcotest.(check string) "budgeted runs" "3372e648b984cfa5 runs=55" (budget_record ())
+  let sources = ("subscripts", budget_program) :: hand_written in
+  List.iter
+    (fun (name, want) -> Alcotest.(check string) name want (budget_record (List.assoc name sources)))
+    expected_budgets
 
 let suite =
   [ Alcotest.test_case "integer arithmetic" `Quick test_arithmetic;

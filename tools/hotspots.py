@@ -13,6 +13,13 @@ first instruction.  An anonymous OCaml closure such as
 that defines it.  Samples that land in a shared library are counted
 under the library's name.
 
+Under each top symbol of the executable a second line gives its
+instruction count, its indirect jumps (``jmp *``; how many of them are
+jump tables, that is, load their target from a table of offsets) and
+its indirect calls (``call *``), read from ``objdump -d``.  A node
+specialised by literal arguments that failed to fold shows up there as
+jump tables that its source does not ask for.
+
 Unlike a SIGPROF sampler, which can only stop the program where it is
 willing to take a signal, a ptrace stop lands on any instruction, so
 allocation points are not over-counted.
@@ -23,7 +30,8 @@ Otherwise it exits with the command's own status.  The command's
 output passes through unchanged; the report goes to stderr.
 
 Linux x86-64 only.  Standard library only: ptrace through ctypes,
-symbol names from ``nm`` and source lines from ``addr2line`` (binutils).
+symbol names from ``nm``, source lines from ``addr2line`` and
+instructions from ``objdump`` (binutils).
 Profile a built executable directly (``_build/default/bin/X.exe``), not
 ``dune exec``, which would be the process sampled.
 """
@@ -147,6 +155,30 @@ def source_line(path, addr):
     return os.path.basename(out.split(" ")[0])
 
 
+def disasm(path, start, stop):
+    """Instruction count, indirect jumps, jump tables and indirect calls
+    of the code in [start, stop)."""
+    out = subprocess.run(["objdump", "-d", "--no-show-raw-insn",
+                          "--start-address=0x%x" % start, "--stop-address=0x%x" % stop, path],
+                         capture_output=True, text=True).stdout
+    insns = []
+    for line in out.splitlines():
+        addr, sep, insn = line.partition(":\t")
+        if sep and addr.strip() and all(c in "0123456789abcdef" for c in addr.strip()):
+            insns.append(insn.strip())
+    jumps = tables = calls = 0
+    for i, insn in enumerate(insns):
+        if insn.startswith("call") and "*" in insn:
+            calls += 1
+        elif insn.startswith("jmp") and "*" in insn:
+            jumps += 1
+            # A jump table loads its target as a 4-byte offset scaled
+            # by the case index, just before the jump.
+            if any(x.startswith("movslq") and ",4)" in x for x in insns[max(0, i - 3):i]):
+                tables += 1
+    return len(insns), jumps, tables, calls
+
+
 def report(ips, maps, exe, top):
     base = min(lo - off for lo, hi, off, path in maps if path == exe)
     bias = base if is_pie(exe) else 0
@@ -170,6 +202,12 @@ def report(ips, maps, exe, top):
     for name, c in ranked:
         where = source_line(exe, first[name]) if name in first else ""
         lines.append("%6.1f%%  %-60s %s" % (100.0 * c / max(n, 1), name, where))
+        if name in first:
+            start = first[name]
+            i = bisect.bisect_right(starts, start)
+            stop = starts[i] if i < len(starts) else start + 1
+            lines.append("         %d instructions, %d indirect jumps (%d jump tables), "
+                         "%d indirect calls" % disasm(exe, start, stop))
     return lines, [name for name, _ in ranked]
 
 
