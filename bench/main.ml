@@ -131,7 +131,23 @@ let fig2 () =
           "// value prediction: at iteration start store %d to %s+%d;\n// at iteration end: if (load(%s+%d) != %d) misspec();\n"
           p.pred_value p.pred_global p.pred_offset p.pred_global p.pred_offset
           p.pred_value)
-      spec.predictions
+      spec.assignment.predictions;
+    (* The runtime checks each speculated branch from the manifest:
+       name it by its condition. *)
+    let conds = Hashtbl.create 8 in
+    List.iter
+      (fun (f : Privateer_ir.Ast.func) ->
+        Privateer_ir.Ast.iter_stmts
+          (function Privateer_ir.Ast.If (id, e, _, _) -> Hashtbl.replace conds id e | _ -> ())
+          f.body)
+      c.tr.program.funcs;
+    List.iter
+      (fun (id, kept) ->
+        let cond = Privateer_ir.Pp.expr_str (Hashtbl.find conds id) in
+        Printf.printf "// control speculation: at branch %d, if (%s%s) misspec();\n" id
+          (if kept then "!" else "")
+          cond)
+      spec.assignment.control_spec
   | [] -> ());
   Printf.printf "separation checks: %d live, %d elided at compile time\n"
     (Privateer_transform.Manifest.live_check_count c.tr.manifest)
@@ -371,7 +387,7 @@ let ablation () =
           loops =
             List.map
               (fun (l : Privateer_transform.Manifest.loop_spec) ->
-                { l with predictions = [] })
+                { l with assignment = { l.assignment with predictions = [] } })
               c.tr.manifest.loops } }
   in
   let par =

@@ -37,7 +37,7 @@ let assigned_locals blk =
       | Assign (x, _) -> acc := String_set.add x !acc
       | For (_, v, _, _, _) -> acc := String_set.add v !acc
       | Store _ | If _ | While _ | Expr _ | Free _ | Return _ | Break | Continue
-      | Print _ | Check_heap _ | Assert_value _ | Misspec _ -> ())
+      | Print _ -> ())
     blk;
   !acc
 

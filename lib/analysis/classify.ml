@@ -189,6 +189,10 @@ let to_string a =
       set_str "  short-lived " a.short_lived; set_str "  redux       " a.redux;
       set_str "  unrestricted" a.unrestricted; set_str "  private     " a.priv;
       set_str "  read-only   " a.read_only;
-      Printf.sprintf "  predictions : %d, control-spec branches: %d"
+      Printf.sprintf "  predictions : %d, control-speculated branches: %s"
         (List.length a.predictions)
-        (List.length a.control_spec) ]
+        (match a.control_spec with
+        | [] -> "none"
+        | cs ->
+          String.concat ", "
+            (List.map (fun (id, kept) -> Printf.sprintf "%d never %b" id (not kept)) cs)) ]

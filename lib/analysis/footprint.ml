@@ -87,7 +87,7 @@ let compute ?(prune = fun _ -> None) program profiler blk =
     in
     let rec walk_stmt (s : Ast.stmt) =
       match s with
-      | Assign (_, e) | Expr e | Return (Some e) | Assert_value (_, e, _) -> walk_expr e
+      | Assign (_, e) | Expr e | Return (Some e) -> walk_expr e
       | Store (id, _, addr, value) ->
         walk_expr addr;
         walk_expr value;
@@ -120,8 +120,7 @@ let compute ?(prune = fun _ -> None) program profiler blk =
       | Print (id, _, args) ->
         List.iter walk_expr args;
         Hashtbl.replace !fp.print_sites id ()
-      | Check_heap (_, e, _) -> walk_expr e
-      | Return None | Break | Continue | Misspec _ -> ()
+      | Return None | Break | Continue -> ()
     in
     List.iter walk_stmt blk
   and walk_func name =

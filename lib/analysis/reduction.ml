@@ -44,20 +44,6 @@ let pairs_in_block blk =
     blk;
   List.rev !acc
 
-(* Reduction pairs in a block and in every function reachable from it. *)
-let pairs_in_region program blk =
-  let own = pairs_in_block blk in
-  let funcs = Ast_util.reachable_funcs program blk in
-  let called =
-    Ast_util.String_set.fold
-      (fun name acc ->
-        match Ast.find_func program name with
-        | Some f -> pairs_in_block f.body @ acc
-        | None -> acc)
-      funcs []
-  in
-  own @ called
-
 (* Identity element for merging partial reduction results: the value a
    worker's accumulator starts from (paper 3.2: "bytes within those
    pages are initialized with the identity value").  Returns the raw

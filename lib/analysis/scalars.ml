@@ -71,16 +71,13 @@ let reads_before_def blk ~induction =
       expr defined limit;
       ignore (block (SS.add v defined) body);
       defined
-    | Expr e | Return (Some e) | Free (_, _, e) | Assert_value (_, e, _) ->
-      expr defined e;
-      defined
-    | Check_heap (_, e, _) ->
+    | Expr e | Return (Some e) | Free (_, _, e) ->
       expr defined e;
       defined
     | Print (_, _, args) ->
       List.iter (expr defined) args;
       defined
-    | Return None | Break | Continue | Misspec _ -> defined
+    | Return None | Break | Continue -> defined
   in
   ignore (block (SS.singleton induction) blk);
   !flagged

@@ -34,8 +34,7 @@ let rec has_direct_exit blk =
       | Break | Continue -> true
       | If (_, _, b1, b2) -> has_direct_exit b1 || has_direct_exit b2
       | While _ | For _ -> false (* inner loops capture their own exits *)
-      | Assign _ | Store _ | Expr _ | Free _ | Return _ | Print _ | Check_heap _
-      | Assert_value _ | Misspec _ -> false)
+      | Assign _ | Store _ | Expr _ | Free _ | Return _ | Print _ -> false)
     blk
 
 let has_return blk =

@@ -122,11 +122,10 @@ and transfer_stmt t fname (s : Ast.stmt) =
     add_to t (cell t.locals (local_key fname v)) (eval t fname init);
     ignore (eval t fname limit);
     transfer_block t fname body
-  | Expr e | Free (_, _, e) | Assert_value (_, e, _) | Check_heap (_, e, _) ->
-    ignore (eval t fname e)
+  | Expr e | Free (_, _, e) -> ignore (eval t fname e)
   | Return (Some e) -> add_to t (cell t.returns fname) (eval t fname e)
   | Print (_, _, args) -> List.iter (fun e -> ignore (eval t fname e)) args
-  | Return None | Break | Continue | Misspec _ -> ()
+  | Return None | Break | Continue -> ()
 
 (* Iterate all functions to a fixpoint. *)
 let analyze program =

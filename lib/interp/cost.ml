@@ -21,18 +21,8 @@ type t = {
   c_alloc : int;
   c_free : int;
   c_print : int;
-  c_check_heap : int; (* separation check: bit arithmetic, paper 5.1 *)
-  c_assert_value : int; (* value-prediction check *)
 }
 
 let default =
   { c_arith = 1; c_load = 4; c_store = 4; c_branch = 1; c_call = 10;
-    c_builtin = 20; c_alloc = 40; c_free = 20; c_print = 60; c_check_heap = 2;
-    c_assert_value = 2 }
-
-(* A free cost table: used when profiling, where simulated time must
-   not be perturbed by instrumentation (costs are still charged for
-   application instructions, just with the same table). *)
-let zero =
-  { c_arith = 0; c_load = 0; c_store = 0; c_branch = 0; c_call = 0; c_builtin = 0;
-    c_alloc = 0; c_free = 0; c_print = 0; c_check_heap = 0; c_assert_value = 0 }
+    c_builtin = 20; c_alloc = 40; c_free = 20; c_print = 60 }

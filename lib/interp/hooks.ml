@@ -2,8 +2,11 @@
 
    Profilers (during the training run) and the speculative runtime
    (during parallel execution) both observe execution through this one
-   interface, mirroring how the paper's profilers and inserted
-   validation calls intercept the same IR operations. *)
+   interface.  The paper's transformation inserts validation calls
+   into the program; here the program carries none, and the runtime's
+   hooks perform every check at these operations from the manifest:
+   separation and privacy at loads and stores, lifetimes at
+   allocations and frees, control speculation at branches. *)
 
 open Privateer_ir
 
@@ -21,14 +24,8 @@ type t = {
   on_loop_enter : Ast.node_id -> unit;
   on_loop_iter : Ast.node_id -> iter:int -> unit;
   on_loop_exit : Ast.node_id -> trips:int -> unit;
-  (* Separation check outcome: [ok = false] is a misspeculation when
-     running speculatively. *)
-  on_check_heap : Ast.node_id -> addr:int -> Heap.kind -> ok:bool -> unit;
-  (* Value-prediction check outcome, with the observed value. *)
-  on_assert_value : Ast.node_id -> observed:Value.t -> expected:int -> ok:bool -> unit;
+  (* Fires after the branch's cycle charge, before either side runs. *)
   on_branch : Ast.node_id -> taken:bool -> unit;
-  (* A control-speculation marker was reached. *)
-  on_misspec : Ast.node_id -> reason:string -> unit;
 }
 
 let default =
@@ -39,7 +36,4 @@ let default =
     on_loop_enter = (fun _ -> ());
     on_loop_iter = (fun _ ~iter:_ -> ());
     on_loop_exit = (fun _ ~trips:_ -> ());
-    on_check_heap = (fun _ ~addr:_ _ ~ok:_ -> ());
-    on_assert_value = (fun _ ~observed:_ ~expected:_ ~ok:_ -> ());
-    on_branch = (fun _ ~taken:_ -> ());
-    on_misspec = (fun _ ~reason:_ -> ()) }
+    on_branch = (fun _ ~taken:_ -> ()) }

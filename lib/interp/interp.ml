@@ -1,11 +1,13 @@
 (* The IR interpreter: a deterministic simulated machine.
 
    Runs a program against a Machine (paged memory + per-heap
-   allocators), firing instrumentation hooks at every memory event and
-   charging cycle costs from a cost table.  The DOALL executor
-   intercepts a chosen For loop through [parallel_for]; everything
-   else (profiling runs, sequential baselines, worker-iteration
-   execution, sequential recovery) is this same evaluator.
+   allocators), firing instrumentation hooks at every memory, loop and
+   branch event and charging cycle costs from a cost table.  The
+   speculative runtime's checks run in its hooks; the program carries
+   none.  The DOALL executor intercepts a chosen For loop through
+   [parallel_for]; everything else (profiling runs, sequential
+   baselines, worker-iteration execution, sequential recovery) is this
+   same evaluator.
 
    [create] lowers every function once into OCaml closures: names are
    resolved at lowering time, so a local is an int slot in the frame's
@@ -16,9 +18,8 @@
    [float], a [bool] or a [Value.t] (8-byte loads and user calls).  A
    value is boxed only where it crosses a dynamic boundary: a slot
    assignment, call arguments and results, store values (the
-   [on_store] hook's [~value]), print arguments, [==]/[!=] unless both
-   operands are ints, and [assert_value].  The conversions are this
-   module's own.
+   [on_store] hook's [~value]), print arguments, and [==]/[!=] unless
+   both operands are ints.  The conversions are this module's own.
 
    The hot nodes fix each operand's shape at lowering: int and float
    arithmetic and comparisons, subscripted 8-byte loads and stores,
@@ -1168,30 +1169,6 @@ and lower_stmt env names (s : Ast.stmt) : stmt_code =
       let args = eval_args args st fr in
       charge st c;
       st.emit (render_format fmt args)
-  | Check_heap (id, pe, heap) ->
-    let pe = expr pe in
-    let c = cost.c_check_heap in
-    fun fr ->
-      let st = fr.interp in
-      step st;
-      let addr = read_int pe st fr in
-      charge st c;
-      st.hooks.on_check_heap id ~addr heap ~ok:(Heap.check addr heap)
-  | Assert_value (id, e, expected) ->
-    let e = expr e in
-    let c = cost.c_assert_value in
-    let expected_v = Value.VInt expected in
-    fun fr ->
-      let st = fr.interp in
-      step st;
-      let v = read_value e st fr in
-      charge st c;
-      st.hooks.on_assert_value id ~observed:v ~expected ~ok:(Value.equal v expected_v)
-  | Misspec (id, reason) ->
-    fun fr ->
-      let st = fr.interp in
-      step st;
-      st.hooks.on_misspec id ~reason
 
 (* Lower every function of [program]; the first definition of a name
    wins, as a lookup by name did. *)

@@ -8,9 +8,9 @@
     return an int, a float, a bool or a {!Value.t} (8-byte loads and
     user calls).  A value is boxed only where it crosses a dynamic
     boundary (a slot assignment, call arguments and results, store
-    values, print arguments, [==]/[!=] unless both operands are ints,
-    and [assert_value]).  The int/float conversions are the
-    interpreter's own, with {!Value}'s error text.
+    values, print arguments, and [==]/[!=] unless both operands are
+    ints).  The int/float conversions are the interpreter's own, with
+    {!Value}'s error text.
 
     Int and float arithmetic and comparisons, subscripted 8-byte loads
     and stores, assignments and conditions fix each operand's shape at

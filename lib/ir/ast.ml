@@ -7,16 +7,17 @@
    site (load, store, alloc, free, call, loop) carries a unique static
    [node_id]; the profilers and the transformation key all their facts
    on these ids, exactly as the paper keys facts on LLVM instructions.
+   The IR has no speculation statements: the transformation only
+   re-homes allocations, and the runtime performs every check from the
+   manifest at these ids.
 
    Control flow is structured (if/while/for) rather than a CFG: loop
    identification is then syntactic, which matches the paper's use of
    natural loops without requiring a dominator analysis substrate. *)
 
-type node_id = int [@@deriving show, eq, ord]
+type node_id = int
 
-type size = S1 | S8 [@@deriving show { with_path = false }, eq, ord]
-
-let bytes_of_size = function S1 -> 1 | S8 -> 8
+type size = S1 | S8
 
 type unop =
   | Neg (* integer negate *)
@@ -25,7 +26,6 @@ type unop =
   | Fneg
   | Ftoi (* truncate float to int *)
   | Itof
-[@@deriving show { with_path = false }, eq, ord]
 
 type binop =
   | Add | Sub | Mul | Div | Rem
@@ -33,7 +33,6 @@ type binop =
   | Lt | Le | Gt | Ge | Eq | Ne
   | Fadd | Fsub | Fmul | Fdiv
   | Flt | Fle | Fgt | Fge | Feq | Fne
-[@@deriving show { with_path = false }, eq, ord]
 
 (* Whether updates through this operator form an associative and
    commutative reduction (paper's Reduction Criterion). *)
@@ -45,7 +44,6 @@ let is_reduction_op = function
 type alloc_kind =
   | Malloc (* heap allocation; lives until freed *)
   | Salloc (* stack slot; freed automatically at function exit *)
-[@@deriving show { with_path = false }, eq, ord]
 
 type expr =
   | Int of int
@@ -64,7 +62,6 @@ type expr =
      untransformed program's default placement; the privatization
      transform rewrites it to [Some h] (paper section 4.4). *)
   | Alloc of node_id * alloc_kind * Heap.kind option * expr
-[@@deriving show { with_path = false }, eq]
 
 type stmt =
   | Assign of string * expr
@@ -80,37 +77,27 @@ type stmt =
   | Break
   | Continue
   | Print of node_id * string * expr list (* printf-style; %d %f %x *)
-  (* Inserted by the transformation: *)
-  | Check_heap of node_id * expr * Heap.kind (* separation check, 4.5 *)
-  | Assert_value of node_id * expr * int (* value-prediction check *)
-  (* Control speculation: replaces a profiled-never-taken branch body;
-     reaching it at runtime is a misspeculation. *)
-  | Misspec of node_id * string
-[@@deriving show { with_path = false }, eq]
 
-and block = stmt list [@@deriving show, eq]
+and block = stmt list
 
 type func = {
   fname : string;
   params : string list;
   body : block;
 }
-[@@deriving show { with_path = false }, eq]
 
 type global = {
   gname : string;
   gbytes : int; (* size in bytes, zero-initialized *)
   gheap : Heap.kind option; (* None before transformation *)
 }
-[@@deriving show { with_path = false }, eq]
 
 type program = {
   globals : global list;
   funcs : func list;
   entry : string; (* name of the entry function, usually "main" *)
-  next_id : int; (* first unused node id; transforms allocate from here *)
+  next_id : int; (* first unused node id *)
 }
-[@@deriving show { with_path = false }, eq]
 
 let find_func program name =
   List.find_opt (fun f -> f.fname = name) program.funcs
@@ -130,7 +117,7 @@ let rec iter_stmts f blk =
         iter_stmts f b2
       | While (_, _, b) | For (_, _, _, _, b) -> iter_stmts f b
       | Assign _ | Store _ | Expr _ | Free _ | Return _ | Break | Continue
-      | Print _ | Check_heap _ | Assert_value _ | Misspec _ -> ())
+      | Print _ -> ())
     blk
 
 (* Iterate over every expression appearing in a block (including
@@ -149,12 +136,10 @@ let rec iter_exprs f blk =
   List.iter
     (fun stmt ->
       match stmt with
-      | Assign (_, e) | Expr e | Free (_, _, e) | Return (Some e)
-      | Assert_value (_, e, _) -> on_expr e
+      | Assign (_, e) | Expr e | Free (_, _, e) | Return (Some e) -> on_expr e
       | Store (_, _, a, v) ->
         on_expr a;
         on_expr v
-      | Check_heap (_, e, _) -> on_expr e
       | Print (_, _, args) -> List.iter on_expr args
       | If (_, c, b1, b2) ->
         on_expr c;
@@ -167,7 +152,7 @@ let rec iter_exprs f blk =
         on_expr init;
         on_expr limit;
         iter_exprs f b
-      | Return None | Break | Continue | Misspec _ -> ())
+      | Return None | Break | Continue -> ())
     blk
 
 (* All loop headers (For and While) in a block, outermost first. *)
@@ -179,7 +164,7 @@ let rec loops_of_block blk =
       | While (id, _, body) -> (id, stmt) :: loops_of_block body
       | If (_, _, b1, b2) -> loops_of_block b1 @ loops_of_block b2
       | Assign _ | Store _ | Expr _ | Free _ | Return _ | Break | Continue
-      | Print _ | Check_heap _ | Assert_value _ | Misspec _ -> [])
+      | Print _ -> [])
     blk
 
 let loops_of_program program =

@@ -16,7 +16,8 @@ type kind =
   | Shadow (* metadata for the private heap; never visible to programs *)
   | Unrestricted
   | Stack (* simulated stack slots; a distinct range so frees are checked *)
-[@@deriving show { with_path = false }, eq, ord]
+
+let equal_kind (a : kind) b = a = b
 
 let all = [ Default; Read_only; Redux; Short_lived; Private; Shadow; Unrestricted; Stack ]
 

@@ -16,10 +16,7 @@ type kind =
   | Unrestricted
   | Stack  (** simulated stack slots *)
 
-val pp_kind : Format.formatter -> kind -> unit
-val show_kind : kind -> string
 val equal_kind : kind -> kind -> bool
-val compare_kind : kind -> kind -> int
 
 val all : kind list
 

@@ -2,8 +2,9 @@
 
    Used by the CLI's [dump] command and by the Figure-2 style
    before/after listings: the transformed program renders its heap
-   placements and inserted checks inline, so a reader can compare it
-   with the paper's motivating example. *)
+   placements inline, so a reader can compare it with the paper's
+   motivating example.  The checks the paper inserts are not in the
+   program; the runtime performs them from the manifest. *)
 
 open Ast
 
@@ -79,11 +80,6 @@ let rec stmt_lines indent stmt =
     let args = List.map expr_str args in
     [ Printf.sprintf "%sprint(%S%s);" pad fmt
         (if args = [] then "" else ", " ^ String.concat ", " args) ]
-  | Check_heap (_, e, h) ->
-    [ Printf.sprintf "%scheck_heap(%s, %s);" pad (expr_str e) (heap_str h) ]
-  | Assert_value (_, e, expected) ->
-    [ Printf.sprintf "%sif (%s != %d) misspec();" pad (expr_str e) expected ]
-  | Misspec (_, reason) -> [ Printf.sprintf "%smisspec(%S);" pad reason ]
 
 and block_lines indent blk = List.concat_map (stmt_lines indent) blk
 

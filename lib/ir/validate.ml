@@ -2,8 +2,8 @@
 
    Every pass output is validated in tests: unique node ids, resolvable
    callees and globals, break/continue confined to loops, and node ids
-   below the program's [next_id] watermark (so transforms can safely
-   mint fresh ids). *)
+   below the program's [next_id] watermark (so a table indexed by node
+   id, like the manifest's, can be sized by it). *)
 
 open Ast
 
@@ -70,10 +70,7 @@ let check program =
         (match stmt with
         | Store (id, _, _, _)
         | Free (id, _, _)
-        | Print (id, _, _)
-        | Check_heap (id, _, _)
-        | Assert_value (id, _, _)
-        | Misspec (id, _) -> note_id id
+        | Print (id, _, _) -> note_id id
         | While (id, _, _) | For (id, _, _, _, _) | If (id, _, _, _) -> note_id id
         | Break | Continue -> if not in_loop then err (Stray_break_continue fname)
         | Assign _ | Expr _ | Return _ -> ());

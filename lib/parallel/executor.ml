@@ -69,7 +69,7 @@ let run_invocation t (st : Interp.t) fr (spec : Manifest.loop_spec) loop ~init_v
   let ls = Stats.loop_stats stats spec.loop in
   stats.invocations <- stats.invocations + 1;
   ls.l_invocations <- ls.l_invocations + 1;
-  let predictions = Worker.resolve_predictions st spec.predictions in
+  let predictions = Worker.resolve_predictions st spec.assignment.predictions in
   let finish_induction () =
     (* Induction variable's final value, as after a sequential For. *)
     Interp.set_induction fr loop (init_value + n)

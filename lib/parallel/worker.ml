@@ -4,10 +4,11 @@
    page map), a copied register frame, and a simulated clock.  Inline
    validation — separation by address tag, privacy via the shadow
    metadata machine, short-lived lifetimes by allocation balance,
-   value predictions at iteration boundaries — runs through the
-   interpreter hooks installed here.  Checkpoint contribution and
-   recovery live in [Commit] and [Recovery]; the [Executor] driver
-   wires the layers together. *)
+   control speculation at branches, value predictions at iteration
+   boundaries — runs from the manifest, through the interpreter hooks
+   installed here and around each iteration; the program carries no
+   checks.  Checkpoint contribution and recovery live in [Commit] and
+   [Recovery]; the [Executor] driver wires the layers together. *)
 
 open Privateer_ir
 open Privateer_machine
@@ -16,17 +17,27 @@ open Privateer_analysis
 open Privateer_transform
 open Privateer_runtime
 
-(* What the manifest fixed per access site, as two tables indexed by
-   site id, so the access hook decides a site with array reads. *)
+(* What the manifest fixed per site, as tables indexed by node id, so
+   a hook decides a site with array reads. *)
 type sites = {
   check_tags : int array;
       (* the heap tag the site's live separation check expects; -1 when
          it has none (no check, an elided one, or no single heap) *)
   redux_sites : bool array; (* the site is a sanctioned reduction access *)
+  cold_sides : int array;
+      (* per branch, the side control speculation says is never taken
+         (1: true, 0: false); -1 when the branch is not speculated *)
 }
 
 let sites (manifest : Manifest.t) =
   let checks = manifest.checks in
+  let cold_sides = Array.make (Array.length checks) (-1) in
+  List.iter
+    (fun (l : Manifest.loop_spec) ->
+      List.iter
+        (fun (id, kept) -> cold_sides.(id) <- Bool.to_int (not kept))
+        l.assignment.control_spec)
+    manifest.loops;
   { check_tags =
       Array.map
         (function
@@ -36,7 +47,8 @@ let sites (manifest : Manifest.t) =
     redux_sites =
       Array.map
         (function Some { Manifest.redux_op = Some _; _ } -> true | Some _ | None -> false)
-        checks }
+        checks;
+    cold_sides }
 
 (* The layers below the driver share this environment instead of
    reaching back into [Executor.t]. *)
@@ -103,6 +115,7 @@ let hooks (env : env) w : Hooks.t =
   let cm = env.cm in
   let stats = env.stats in
   let check_tags = env.sites.check_tags and redux_sites = env.sites.redux_sites in
+  let cold_sides = env.sites.cold_sides in
   let on_access ~is_read id ~addr ~size =
     let tag = (addr land tag_mask) lsr tag_shift in
     (if id < Array.length check_tags then
@@ -154,21 +167,14 @@ let hooks (env : env) w : Hooks.t =
         (fun _ ~addr:_ ~size:_ heap ->
           if Heap.equal_kind heap Heap.Short_lived then
             w.w_sl_balance <- w.w_sl_balance - 1);
-      on_check_heap =
-        (fun id ~addr heap ~ok ->
-          if not ok then
-            raise (Misspec.Misspeculation (Misspec.Separation { site = id; addr; expected = heap })));
-      on_assert_value =
-        (fun id ~observed:_ ~expected ~ok ->
-          if not ok then
-            raise
-              (Misspec.Misspeculation
-                 (Misspec.Value_prediction
-                    { global = Printf.sprintf "<site %d>" id; offset = 0;
-                      expected })));
-      on_misspec =
-        (fun id ~reason:_ ->
-          raise (Misspec.Misspeculation (Misspec.Control { site = id }))) }
+      (* Control speculation: going the way the profile never went
+         misspeculates, before that side runs. *)
+      on_branch =
+        (fun id ~taken ->
+          if
+            id < Array.length cold_sides
+            && Array.unsafe_get cold_sides id = if taken then 1 else 0
+          then raise (Misspec.Misspeculation (Misspec.Control { site = id }))) }
 
 (* ---- value predictions ----------------------------------------------- *)
 

@@ -17,14 +17,3 @@ type dep_info = {
 }
 
 type loop_summary = { loop_invocations : int; loop_trips : int; loop_cycles : int }
-
-let const_status_equal a b =
-  match (a, b) with
-  | Const va, Const vb -> Privateer_interp.Value.equal va vb
-  | Varying, Varying -> true
-  | Const _, Varying | Varying, Const _ -> false
-
-let dep_info_equal a b =
-  a.dep_count = b.dep_count
-  && const_status_equal a.dep_value b.dep_value
-  && a.dep_addr = b.dep_addr

@@ -131,8 +131,7 @@ let attach p (st : Interp.t) =
         (add_live p (Objname.Global g.gname) ~size:g.gbytes ~lo ~hi:(lo + max 8 g.gbytes)))
     st.program.globals;
   st.hooks <-
-    { Hooks.default with
-      on_load =
+    { on_load =
         (fun site ~addr ~size ~value ->
           Prof_ptr.access p.ptr site (resolve p addr);
           Prof_flow.on_load p.flow site addr size value;

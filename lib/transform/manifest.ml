@@ -2,12 +2,16 @@
    system about the transformed program.
 
    The paper communicates this through inserted calls (check_heap,
-   private_read/private_write, value-prediction tests) plus the heap
-   assignment baked into allocation sites.  Here the allocation
-   re-homing is a real IR rewrite, while per-access expectations are
-   carried in this manifest and enforced by the runtime at the same
-   program points, with the same cost accounting; Pp_spec renders them
-   inline for the Figure-2 style listing. *)
+   private_read/private_write, value-prediction and control
+   misspeculation tests) plus the heap assignment baked into allocation
+   sites.  Here the allocation re-homing is the only IR rewrite, and
+   the transformed program differs from the original in heap placement
+   alone.  Every check is carried in this manifest and performed by the
+   runtime at the same program points, with the same cost accounting:
+   separation and reduction sanction per access site, value
+   predictions and control speculation per loop (in its
+   [assignment]).  The Figure-2 listing in bench prints the per-loop
+   ones as comments beside the program. *)
 
 open Privateer_ir
 open Privateer_profile
@@ -25,12 +29,12 @@ type loop_spec = {
   loop : Ast.node_id;
   func : string;
   var : string;
-  predictions : Classify.prediction list;
   scalars : (string * Scalars.scalar_class) list;
   deferred_io : bool;
   extras : string list;
   assignment : Classify.assignment;
-  control_spec : (Ast.node_id * bool) list;
+      (* the heap assignment, with the loop's value predictions and
+         control-speculated branches *)
 }
 
 type t = {
@@ -42,8 +46,6 @@ type t = {
 }
 
 let loop_spec t loop = List.find_opt (fun l -> l.loop = loop) t.loops
-
-let is_parallel_loop t loop = Option.is_some (loop_spec t loop)
 
 let count_checks t f =
   Array.fold_left

@@ -12,12 +12,14 @@
        are registered so their loads/stores of the redux heap are
        sanctioned.
 
-   Control speculation prepends a misspeculation marker to each
-   profiled-never-taken branch side (the original code remains, so
-   non-speculative execution and recovery are untouched).  Value
-   predictions are recorded in the manifest; the parallel executor
-   re-initializes predicted locations at iteration start and validates
-   them at iteration end (see Privateer_parallel). *)
+   The rewritten program differs from the original only in heap
+   placement: no check is inserted and no node id is minted, so
+   non-speculative execution and recovery run the original code.
+   Value predictions and control-speculated branches travel in the
+   manifest's per-loop assignment: the parallel executor re-initializes
+   predicted locations at iteration start and validates them at
+   iteration end, and a worker misspeculates when a branch goes the
+   side the profile never took (see Privateer_parallel). *)
 
 open Privateer_ir
 open Privateer_profile
@@ -46,33 +48,22 @@ let rec rewrite_expr site_heap (e : Ast.expr) : Ast.expr =
   | Alloc (id, kind, _, size) ->
     Alloc (id, kind, heap_for_site site_heap (Objname.Alloc_site id), r size)
 
-let rec rewrite_block site_heap control_spec fresh blk =
-  List.map (rewrite_stmt site_heap control_spec fresh) blk
+let rec rewrite_block site_heap blk = List.map (rewrite_stmt site_heap) blk
 
-and rewrite_stmt site_heap control_spec fresh (s : Ast.stmt) : Ast.stmt =
+and rewrite_stmt site_heap (s : Ast.stmt) : Ast.stmt =
   let re = rewrite_expr site_heap in
-  let rb = rewrite_block site_heap control_spec fresh in
+  let rb = rewrite_block site_heap in
   match s with
   | Assign (x, e) -> Assign (x, re e)
   | Store (id, sz, a, v) -> Store (id, sz, re a, re v)
-  | If (id, c, b1, b2) -> (
-    let b1 = rb b1 and b2 = rb b2 in
-    (* Control speculation: mark the cold side.  The original code is
-       kept after the marker so sequential execution and recovery are
-       unaffected; reaching the marker speculatively misspeculates. *)
-    match List.assoc_opt id control_spec with
-    | Some true -> If (id, re c, b1, Ast.Misspec (fresh (), "control") :: b2)
-    | Some false -> If (id, re c, Ast.Misspec (fresh (), "control") :: b1, b2)
-    | None -> If (id, re c, b1, b2))
+  | If (id, c, b1, b2) -> If (id, re c, rb b1, rb b2)
   | While (id, c, body) -> While (id, re c, rb body)
   | For (id, v, init, limit, body) -> For (id, v, re init, re limit, rb body)
   | Expr e -> Expr (re e)
   | Free (id, heap, e) -> Free (id, heap, re e)
   | Return (Some e) -> Return (Some (re e))
   | Print (id, fmt, args) -> Print (id, fmt, List.map re args)
-  | Check_heap (id, e, h) -> Check_heap (id, re e, h)
-  | Assert_value (id, e, c) -> Assert_value (id, re e, c)
-  | Return None | Break | Continue | Misspec _ -> s
+  | Return None | Break | Continue -> s
 
 (* ---- separation checks and eliding ----------------------------------- *)
 
@@ -133,23 +124,13 @@ let expected_heap assignment profiler site =
 
 let apply (program : Ast.program) (profiler : Profiler.t) (selection : Selection.t) =
   let site_heap = Selection.merged_site_heap selection in
-  let control_spec =
-    List.concat_map (fun (p : Selection.plan) -> p.assignment.control_spec)
-      selection.plans
-  in
-  let next = ref program.next_id in
-  let fresh () =
-    let id = !next in
-    incr next;
-    id
-  in
   (* Rewrite every function (allocation sites in callees of the
      parallel region must be re-homed too; sites outside any region
      are not in [site_heap] and stay untouched). *)
   let funcs =
     List.map
       (fun (f : Ast.func) ->
-        { f with Ast.body = rewrite_block site_heap control_spec fresh f.body })
+        { f with Ast.body = rewrite_block site_heap f.body })
       program.funcs
   in
   let globals =
@@ -158,7 +139,7 @@ let apply (program : Ast.program) (profiler : Profiler.t) (selection : Selection
         { g with Ast.gheap = heap_for_site site_heap (Objname.Global_site g.gname) })
       program.globals
   in
-  let program' = { program with Ast.funcs; globals; next_id = !next } in
+  let program' = { program with Ast.funcs; globals } in
   Validate.check_exn program';
   (* Build the manifest against the rewritten program (same site ids). *)
   let pta = Static_pta.analyze program' in
@@ -207,10 +188,9 @@ let apply (program : Ast.program) (profiler : Profiler.t) (selection : Selection
   let loops =
     List.map
       (fun (p : Selection.plan) ->
-        { Manifest.loop = p.loop; func = p.func; var = p.var;
-          predictions = p.assignment.predictions; scalars = p.scalars;
+        { Manifest.loop = p.loop; func = p.func; var = p.var; scalars = p.scalars;
           deferred_io = p.deferred_io; extras = Selection.extras p;
-          assignment = p.assignment; control_spec = p.assignment.control_spec })
+          assignment = p.assignment })
       selection.plans
   in
   let manifest = { Manifest.checks; loops; site_heap } in

@@ -255,8 +255,7 @@ let register_globals p (st : Interp.t) =
     st.program.globals
 
 let hooks p : Hooks.t =
-  { Hooks.default with
-    on_load = (fun id ~addr ~size ~value -> on_load p id addr size value);
+  { on_load = (fun id ~addr ~size ~value -> on_load p id addr size value);
     on_store = (fun id ~addr ~size ~value:_ -> on_store p id addr size);
     on_alloc = (fun id ~ctx _kind _heap ~addr ~size -> on_alloc p id ctx addr size);
     on_free = (fun _id ~addr ~size _heap -> on_free p addr size);

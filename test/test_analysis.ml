@@ -212,6 +212,62 @@ fn main() {
      never-executed accesses); the mixed branch never does. *)
   check_int "two control-speculated branches" 2 (List.length a.control_spec)
 
+(* [Classify.to_string] is what `privateer plan` prints.  The
+   transformed program carries no marker, so the plan names each
+   speculated branch and the side its profile never took. *)
+let test_plan_lists_control_speculation () =
+  let plan src =
+    let program, p = profile src in
+    let loop, body = loop_in program "main" in
+    let branches = ref [] in
+    Ast.iter_stmts
+      (function Ast.If (id, _, _, _) -> branches := id :: !branches | _ -> ())
+      body;
+    let text = Classify.to_string (Classify.classify program p ~loop ~body) in
+    ( List.rev !branches,
+      List.find_opt (String.starts_with ~prefix:"  predictions")
+        (String.split_on_char '\n' text) )
+  in
+  (match
+     plan
+       {|global g; global err;
+fn main() {
+  g = 0;
+  for (i = 0; i < 8) {
+    if (i < 100) { g = i; } else { err = err + 1; }     // never false
+    if (i < 0) { err = err - 1; } else { g = g + 1; }   // never true
+    if (i % 2 == 0) { g = g + 1; } else { g = g + 2; }  // mixed
+  }
+  return g;
+}|}
+   with
+  | [ never_false; never_true; _mixed ], line ->
+    Alcotest.(check (option string))
+      "each speculated branch and its cold side"
+      (Some
+         (Printf.sprintf
+            "  predictions : 0, control-speculated branches: %d never false, %d never true"
+            never_false never_true))
+      line
+  | _ -> Alcotest.fail "expected three branches");
+  match
+    plan
+      {|global g;
+fn main() {
+  g = 0;
+  for (i = 0; i < 8) {
+    if (i % 2 == 0) { g = g + 1; } else { g = g + 2; }
+  }
+  return g;
+}|}
+  with
+  | [ _ ], line ->
+    Alcotest.(check (option string))
+      "no speculated branch"
+      (Some "  predictions : 0, control-speculated branches: none")
+      line
+  | _ -> Alcotest.fail "expected one branch"
+
 (* ---- scalars ----------------------------------------------------------- *)
 
 let classify_scalars src =
@@ -412,6 +468,8 @@ let suite =
     Alcotest.test_case "classification: redux read elsewhere demoted" `Quick test_classification_redux_demoted_when_read;
     Alcotest.test_case "classification: value prediction" `Quick test_value_prediction_classification;
     Alcotest.test_case "control speculation needs cold access" `Quick test_control_speculation_requires_cold_access;
+    Alcotest.test_case "plan lists control-speculated branches" `Quick
+      test_plan_lists_control_speculation;
     Alcotest.test_case "scalar classes" `Quick test_scalars_classes;
     Alcotest.test_case "scalars: carried register rejected" `Quick test_scalars_reject_carried;
     Alcotest.test_case "scalars: conditional def rejected" `Quick test_scalars_conditional_def_is_carried;

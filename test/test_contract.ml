@@ -181,7 +181,7 @@ let check src p =
     end
   | _ -> invalid_arg "validation runs as a pair");
   match (List.rev !broken, runs) with
-  | [], (_, _, commit) :: _ -> Ok (tr, seq, commit)
+  | [], [ (_, _, commit); (_, _, eager) ] -> Ok (tr, seq, commit, eager)
   | broken, _ ->
     Error
       (Printf.sprintf "at %s:\n  %s\nsource: %s" (show_point p) (String.concat "\n  " broken)
@@ -190,8 +190,8 @@ let check src p =
 (* ---- cells ------------------------------------------------------------- *)
 
 (* A fixed cell, run for another suite, which asserts its own figures
-   on the compiled program and the sequential and commit runs it gets
-   back. *)
+   on the compiled program and the sequential, commit and eager runs
+   it gets back. *)
 let cell src p = match check src p with Ok runs -> runs | Error report -> Alcotest.fail report
 
 (* A port at [workers] on [input]: test_workloads runs the five at 8
@@ -260,7 +260,7 @@ let serial_points =
 let sweep src () =
   List.iter
     (fun p ->
-      let tr, _, (commit : Pipeline.par_run) = cell src p in
+      let tr, _, (commit : Pipeline.par_run), _ = cell src p in
       let at = show_point p in
       Alcotest.(check bool) (at ^ ": a loop was planned") true (tr.selection.plans <> []);
       if p.config.inject <> None then

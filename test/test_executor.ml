@@ -23,7 +23,7 @@ let config ?(workers = 4) ?checkpoint_period ?inject ?(schedule = Privateer_para
    sequential and commit runs. *)
 let assert_equivalent ?workers ?checkpoint_period ?inject ?schedule ?adaptive
     ?throttle ?serial_commit src =
-  let tr, seq, par =
+  let tr, seq, par, _ =
     Test_contract.unit_cell src
       (config ?workers ?checkpoint_period ?inject ?schedule ?adaptive ?throttle
          ?serial_commit ())
@@ -161,7 +161,7 @@ fn main() {
   let tr, _ = compile src in
   check "prediction planned" true
     (List.exists
-       (fun (l : Privateer_transform.Manifest.loop_spec) -> l.predictions <> [])
+       (fun (l : Privateer_transform.Manifest.loop_spec) -> l.assignment.predictions <> [])
        tr.manifest.loops);
   let _, par = assert_equivalent src in
   check "no misspeculation" true (par.stats.misspeculations = 0)
@@ -184,14 +184,14 @@ fn main() {
   in
   (* Train with mode=0 so the profiler predicts flag==0; run with
      mode=9, where the live-in differs from the prediction. *)
-  let tr, _, par =
+  let tr, _, par, _ =
     Test_contract.unit_cell src (config ())
       ~train:(fun st -> Pipeline.set_global st "mode" 0)
       ~run:(fun st -> Pipeline.set_global st "mode" 9)
   in
   check "prediction exists" true
     (List.exists
-       (fun (l : Privateer_transform.Manifest.loop_spec) -> l.predictions <> [])
+       (fun (l : Privateer_transform.Manifest.loop_spec) -> l.assignment.predictions <> [])
        tr.manifest.loops);
   check "fell back to sequential" true (par.fallbacks = 1)
 
@@ -709,7 +709,7 @@ fn main() {
   return i;
 }|}
   in
-  let _, _, par =
+  let _, _, par, _ =
     Test_contract.unit_cell src (config ())
       ~train:(fun st -> Pipeline.set_global st "mode" 0)
       ~run:(fun st -> Pipeline.set_global st "mode" 9)
@@ -769,7 +769,7 @@ let cohort_allocations () =
             words_allocated (fun () -> Worker.spawn env st fr spec ranges 8 ~now:0)
           in
           let w = List.hd workers in
-          let predictions = Worker.resolve_predictions st spec.predictions in
+          let predictions = Worker.resolve_predictions st spec.assignment.predictions in
           let io = Privateer_runtime.Deferred_io.create () in
           for iter = 0 to 63 do
             if iter mod 8 = 0 then
@@ -818,6 +818,69 @@ let test_cohort_allocation_bounds () =
         ("one worker-interval's extraction", extract_words, 950) ]
   in
   if over <> [] then Alcotest.fail (String.concat "; " over)
+
+(* Control speculation lives in the manifest alone: a worker raises
+   [Control] naming the branch at the first iteration that goes the
+   side the training run never took, whether that side is the then or
+   the else side and whether the branch sits in the loop body or in a
+   callee.  One worker runs the first planned loop's iterations in
+   order. *)
+let test_control_misspec_names_branch () =
+  let open Privateer_parallel in
+  List.iter
+    (fun (name, src, first_cold) ->
+      let tr, _ =
+        Pipeline.compile
+          ~setup:(fun st -> Pipeline.set_global st "mode" 0)
+          (Pipeline.parse src)
+      in
+      let branches = ref [] in
+      List.iter
+        (fun (f : Privateer_ir.Ast.func) ->
+          Privateer_ir.Ast.iter_stmts
+            (function Privateer_ir.Ast.If (id, _, _, _) -> branches := id :: !branches | _ -> ())
+            f.body)
+        tr.program.funcs;
+      let branch =
+        match !branches with [ id ] -> id | _ -> Alcotest.fail (name ^ ": expected one branch")
+      in
+      let cfg = Runtime_config.default in
+      let st = Privateer_interp.Interp.create ~cost:cfg.costs.base tr.program in
+      Pipeline.set_global st "mode" 1;
+      let fired = ref None and ran = ref false in
+      st.parallel_for <-
+        Some
+          (fun st fr loop ~init ~limit ->
+            (match
+               ( !ran,
+                 Privateer_transform.Manifest.loop_spec tr.manifest
+                   (Privateer_interp.Interp.loop_id loop) )
+             with
+            | false, Some spec -> (
+              ran := true;
+              let env =
+                { Worker.cm = cfg.costs; stats = Privateer_runtime.Stats.create ();
+                  sites = Worker.sites tr.manifest; validate = true; inject = None;
+                  board = None }
+              in
+              let ranges = Worker.redux_ranges st spec in
+              let w = List.hd (Worker.spawn env st fr spec ranges 1 ~now:0) in
+              let predictions = Worker.resolve_predictions st spec.assignment.predictions in
+              let io = Privateer_runtime.Deferred_io.create () in
+              try
+                for iter = 0 to limit - init - 1 do
+                  Worker.exec_iteration env w loop ~init_value:init ~iter ~interval_start:0
+                    ~predictions ~io
+                done
+              with Worker.Worker_misspec (iter, reason) -> fired := Some (iter, reason))
+            | _ -> ());
+            false);
+      ignore (Privateer_interp.Interp.run_entry st);
+      check name true
+        (!fired = Some (first_cold, Privateer_runtime.Misspec.Control { site = branch })))
+    [ ("then side", List.assoc "inline" Test_speculation.control_programs, 5);
+      ("then side in a callee", List.assoc "callee" Test_speculation.control_programs, 3);
+      ("else side", Test_speculation.cold_else_src, 9) ]
 
 let suite =
   [ Alcotest.test_case "privatization equivalence" `Quick test_privatization_equivalence;
@@ -868,4 +931,6 @@ let suite =
     Alcotest.test_case "fallback induction final value" `Quick
       test_fallback_induction_final_value;
     Alcotest.test_case "cohort spawn and extraction allocation bounds" `Quick
-      test_cohort_allocation_bounds ]
+      test_cohort_allocation_bounds;
+    Alcotest.test_case "control misspeculation names its branch" `Quick
+      test_control_misspec_names_branch ]

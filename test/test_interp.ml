@@ -260,43 +260,6 @@ fn main() { for (i = 0; i < 2) { g[i] = f(i); } return g[0] + g[1]; }|}
   ignore (Interp.run_entry st);
   check "the loop was handed over" true !ran
 
-let test_assert_value_hook () =
-  let b = Builder.create () in
-  let body =
-    [ Ast.Assert_value (Builder.fresh b, Ast.Int 5, 5);
-      Ast.Assert_value (Builder.fresh b, Ast.Int 6, 5); Ast.Return (Some (Ast.Int 0)) ]
-  in
-  let program =
-    Builder.program b ~globals:[] ~funcs:[ Builder.func "main" [] body ] ~entry:"main"
-  in
-  let st = Interp.create program in
-  let oks = ref [] in
-  st.hooks <-
-    { Hooks.default with
-      on_assert_value = (fun _ ~observed:_ ~expected:_ ~ok -> oks := ok :: !oks) };
-  ignore (Interp.run_entry st);
-  check "first passes, second fails" true (!oks = [ false; true ])
-
-let test_check_heap_stmt () =
-  let b = Builder.create () in
-  let alloc_e = Builder.malloc b (Ast.Int 16) in
-  let body =
-    [ Ast.Assign ("p", alloc_e);
-      Ast.Check_heap (Builder.fresh b, Ast.Local "p", Heap.Default);
-      Ast.Check_heap (Builder.fresh b, Ast.Local "p", Heap.Private);
-      Ast.Return (Some (Ast.Int 0)) ]
-  in
-  let program =
-    Builder.program b ~globals:[] ~funcs:[ Builder.func "main" [] body ] ~entry:"main"
-  in
-  let st = Interp.create program in
-  let outcomes = ref [] in
-  st.hooks <-
-    { Hooks.default with
-      on_check_heap = (fun _ ~addr:_ _ ~ok -> outcomes := ok :: !outcomes) };
-  ignore (Interp.run_entry st);
-  check "default heap passes, private fails" true (!outcomes = [ false; true ])
-
 (* ---- the event sequence ------------------------------------------------ *)
 
 (* The interpreter's observable surface, pinned event by event: every
@@ -330,13 +293,7 @@ let recording_hooks (st : Interp.t) digest events : Hooks.t =
     on_loop_enter = (fun id -> ev 5 id []);
     on_loop_iter = (fun id ~iter -> ev 6 id [ iter ]);
     on_loop_exit = (fun id ~trips -> ev 7 id [ trips ]);
-    on_check_heap =
-      (fun id ~addr heap ~ok -> ev 8 id [ addr; Heap.tag heap; Bool.to_int ok ]);
-    on_assert_value =
-      (fun id ~observed ~expected ~ok ->
-        ev 9 id [ value_bits observed; expected; Bool.to_int ok ]);
-    on_branch = (fun id ~taken -> ev 10 id [ Bool.to_int taken ]);
-    on_misspec = (fun id ~reason -> ev 11 id [ Hashtbl.hash reason ]) }
+    on_branch = (fun id ~taken -> ev 10 id [ Bool.to_int taken ]) }
 
 let event_record ?(setup = fun _ -> ()) program =
   let st = Interp.create program in
@@ -629,16 +586,12 @@ fn main() {
     ("zero-divisor-load", {|fn main() { var i = 7; var p = malloc(1); p[0] = 0; return i % p[0]; }|});
     ("zero-divisor-literal", {|fn main() { var i = 7; return i % 0; }|}) ]
 
-(* The statements only the transformation inserts. *)
-let inserted_checks () =
+(* A program built through [Builder] rather than parsed: its malloc
+   takes the builder's size expression and its free a fresh id. *)
+let built_malloc_free () =
   let b = Builder.create () in
   let body =
     [ Ast.Assign ("p", Builder.malloc b (Ast.Int 16));
-      Ast.Check_heap (Builder.fresh b, Ast.Local "p", Heap.Default);
-      Ast.Check_heap (Builder.fresh b, Ast.Local "p", Heap.Private);
-      Ast.Assert_value (Builder.fresh b, Ast.Int 5, 5);
-      Ast.Assert_value (Builder.fresh b, Ast.Float 5.0, 5);
-      Ast.Misspec (Builder.fresh b, "never taken");
       Ast.Free (Builder.fresh b, None, Ast.Local "p");
       Ast.Return (Some (Ast.Int 0)) ]
   in
@@ -673,7 +626,7 @@ let event_programs () =
       (fun (name, src) -> (name, (fun _ -> ()), Privateer_lang.Parser.parse_program_exn src))
       hand_written
   in
-  ports @ scenarios @ hand @ [ ("inserted-checks", (fun _ -> ()), inserted_checks ()) ]
+  ports @ scenarios @ hand @ [ ("built-malloc-free", (fun _ -> ()), built_malloc_free ()) ]
 
 let expected_events =
   [ ("052.alvinn",
@@ -776,8 +729,8 @@ let expected_events =
       "3a3be6904000e951 events=1 cycles=52 steps=8 result=error: expected int, got float 16 output=d41d8cd98f00b204e9800998ecf8427e");
     ("print-float-d",
       "0 events=0 cycles=130 steps=5 result=error: expected int, got float 2.5 output=2500986a856613d9388276dd976f9f86");
-    ("inserted-checks",
-      "7d466188e2836409 events=7 cycles=78 steps=16 result=0 output=d41d8cd98f00b204e9800998ecf8427e");
+    ("built-malloc-free",
+      "1d7645720a644755 events=2 cycles=70 steps=7 result=0 output=d41d8cd98f00b204e9800998ecf8427e");
     ("index-operand-kinds",
       "78e2c998737d8993 events=82 cycles=795 steps=516 result=578 output=eabfaac9e2e4110246a89b571a9f2810");
     ("index-float-store-load",
@@ -950,7 +903,5 @@ let suite =
     Alcotest.test_case "alloc/free hooks and context" `Quick test_alloc_free_hooks;
     Alcotest.test_case "fork isolation" `Quick test_fork_isolation;
     Alcotest.test_case "a frame copy runs on its fork" `Quick test_frame_binding;
-    Alcotest.test_case "assert-value hook" `Quick test_assert_value_hook;
-    Alcotest.test_case "check-heap statement" `Quick test_check_heap_stmt;
     Alcotest.test_case "event sequence pinned" `Quick test_event_sequence;
     Alcotest.test_case "step budget inside a subscript" `Quick test_budget_record ]

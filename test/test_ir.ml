@@ -24,11 +24,6 @@ let test_pp_expressions () =
     (Pp.expr_str (Ast.And (Local "a", Ast.Or (Local "b", Local "c"))))
 
 let test_pp_statements () =
-  let lines = Pp.stmt_lines 0 (Ast.Misspec (7, "control")) in
-  check "misspec marker renders" true (lines = [ "misspec(\"control\");" ]);
-  let lines = Pp.stmt_lines 2 (Ast.Assert_value (8, Ast.Local "x", 0)) in
-  check "assert renders as guarded misspec" true
-    (lines = [ "  if (x != 0) misspec();" ]);
   let prog =
     Privateer_lang.Parser.parse_program_exn
       "global g[2]; fn main() { g[0] = 1; if (g[0] > 0) { print(\"hi\\n\"); } return 0; }"

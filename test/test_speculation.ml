@@ -17,7 +17,7 @@ let config ?(workers = 4) () =
    both validation modes: recovered output and result equal the
    sequential run's.  Returns the commit run. *)
 let train_ref_divergence ?workers src =
-  let tr, _, par =
+  let tr, _, par, _ =
     Test_contract.unit_cell src (config ?workers ())
       ~train:(fun st -> Pipeline.set_global st "mode" 0)
       ~run:(fun st -> Pipeline.set_global st "mode" 1)
@@ -25,12 +25,12 @@ let train_ref_divergence ?workers src =
   check "trained program planned a loop" true (tr.selection.plans <> []);
   par
 
-let test_control_misspeculation_in_production () =
-  (* The error path never runs in training (control-speculated away)
-     but runs for some ref iterations: the Misspec marker must fire
-     and recovery must execute the original cold code. *)
-  let par =
-    train_ref_divergence
+(* The error path never runs in training (control-speculated away)
+   but runs for some ref iterations: the worker's branch hook must
+   misspeculate and recovery must execute the original cold code.  The
+   cold branch sits in the loop body, or in a callee. *)
+let control_programs =
+  [ ( "inline",
       {|global mode; global scratch[8]; global err_count;
 fn main() {
   err_count = 0;
@@ -42,9 +42,170 @@ fn main() {
   }
   print("errs %d\n", err_count);
   return err_count;
-}|}
+}|} );
+    ( "callee",
+      {|global mode; global scratch[8]; global out[100]; global err_count;
+fn note(k) {
+  if (mode == 1 && k % 7 == 3) {
+    err_count = err_count + k;     // cold in training
+    return 1;
+  }
+  return 0;
+}
+fn main() {
+  err_count = 0;
+  for (k = 0; k < 100) {
+    scratch[0] = k * 3;
+    out[k] = scratch[0] + note(k);
+  }
+  var s = err_count;
+  for (q = 0; q < 100) { s = s + out[q]; }
+  print("errs %d\n", err_count);
+  return s;
+}|} ) ]
+
+(* Each program's simulated figures at workers 1, 4, 8 and 24 and
+   checkpoint auto and 4, in both validation modes: cycles,
+   misspeculation, recovered and squashed iteration counts and the
+   run's fingerprint.  A control misspeculation that fires a cycle
+   earlier or later, or in another iteration, moves them. *)
+let control_pins =
+  [ ("inline workers=1 checkpoint=auto commit",
+      "cycles=13837 misspeculations=5 recovered=18 squashed=18 79b928edcd9861794c0292a49f18a619");
+    ("inline workers=1 checkpoint=auto eager",
+      "cycles=13837 misspeculations=5 recovered=18 squashed=18 79b928edcd9861794c0292a49f18a619");
+    ("inline workers=1 checkpoint=4 commit",
+      "cycles=20677 misspeculations=5 recovered=6 squashed=6 cf2d425d38db812d3b8d22f9be8200a2");
+    ("inline workers=1 checkpoint=4 eager",
+      "cycles=20677 misspeculations=5 recovered=6 squashed=6 cf2d425d38db812d3b8d22f9be8200a2");
+    ("inline workers=4 checkpoint=auto commit",
+      "cycles=34297 misspeculations=5 recovered=18 squashed=41 1ee2700054ccc902847a5ae84d8bb32d");
+    ("inline workers=4 checkpoint=auto eager",
+      "cycles=34069 misspeculations=5 recovered=18 squashed=9 f595119d310cd2670c4d658b5dde0c00");
+    ("inline workers=4 checkpoint=4 commit",
+      "cycles=41080 misspeculations=5 recovered=6 squashed=19 48ed700219727e1c00bf4c54cd82de2d");
+    ("inline workers=4 checkpoint=4 eager",
+      "cycles=41004 misspeculations=5 recovered=6 squashed=6 130f4961d674b151e91bb540a9f22e4c");
+    ("inline workers=8 checkpoint=auto commit",
+      "cycles=62869 misspeculations=5 recovered=18 squashed=45 7270e9ebb15178558c2f3f231dddc134");
+    ("inline workers=8 checkpoint=auto eager",
+      "cycles=62793 misspeculations=5 recovered=18 squashed=32 874e073891460f5e1f6828287a4c5988");
+    ("inline workers=8 checkpoint=4 commit",
+      "cycles=66609 misspeculations=5 recovered=6 squashed=19 12fa7f14d56f5a119e328736225afc8b");
+    ("inline workers=8 checkpoint=4 eager",
+      "cycles=66533 misspeculations=5 recovered=6 squashed=6 316ee1a7d5fa6fe3fc87b8304721b899");
+    ("inline workers=24 checkpoint=auto commit",
+      "cycles=176397 misspeculations=5 recovered=18 squashed=45 84b5a70bba710e0591ee828f63b098e4");
+    ("inline workers=24 checkpoint=auto eager",
+      "cycles=176397 misspeculations=5 recovered=18 squashed=18 325849b5999eb4bb3657403f94f73df4");
+    ("inline workers=24 checkpoint=4 commit",
+      "cycles=179817 misspeculations=5 recovered=6 squashed=19 53d4f98e4bce8e4333eb961720820ce1");
+    ("inline workers=24 checkpoint=4 eager",
+      "cycles=179817 misspeculations=5 recovered=6 squashed=6 019c8f810bc2522e29566d85e35fba56");
+    ("callee workers=1 checkpoint=auto commit",
+      "cycles=29668 misspeculations=14 recovered=95 squashed=95 db4087b33136e7abe70a50116934c7e6");
+    ("callee workers=1 checkpoint=auto eager",
+      "cycles=29668 misspeculations=14 recovered=95 squashed=95 db4087b33136e7abe70a50116934c7e6");
+    ("callee workers=1 checkpoint=4 commit",
+      "cycles=38560 misspeculations=14 recovered=43 squashed=43 2ebd5e67fbc3751fd9259411242236c9");
+    ("callee workers=1 checkpoint=4 eager",
+      "cycles=38560 misspeculations=14 recovered=43 squashed=43 2ebd5e67fbc3751fd9259411242236c9");
+    ("callee workers=4 checkpoint=auto commit",
+      "cycles=81388 misspeculations=14 recovered=95 squashed=204 1c099fb9aaa00dcf879e35c4d9831dba");
+    ("callee workers=4 checkpoint=auto eager",
+      "cycles=45145 misspeculations=7 recovered=95 squashed=66 99ba8c4d1a2023fdce9689d45989bbe6");
+    ("callee workers=4 checkpoint=4 commit",
+      "cycles=88705 misspeculations=14 recovered=43 squashed=56 e0b409f15aaa5bd9a491562a1ebdca3b");
+    ("callee workers=4 checkpoint=4 eager",
+      "cycles=88042 misspeculations=14 recovered=43 squashed=43 ce7985892acea77b2484ef33bfe2b7c2");
+    ("callee workers=8 checkpoint=auto commit",
+      "cycles=151691 misspeculations=14 recovered=95 squashed=220 b8b30c6389f35d40becc2bcf6b3d98e8");
+    ("callee workers=8 checkpoint=auto eager",
+      "cycles=83114 misspeculations=7 recovered=95 squashed=85 2a1248ed24edad36b70be26fcadc0fc2");
+    ("callee workers=8 checkpoint=4 commit",
+      "cycles=154549 misspeculations=14 recovered=43 squashed=56 58e6523be24d22a9d5c137141cd01595");
+    ("callee workers=8 checkpoint=4 eager",
+      "cycles=153886 misspeculations=14 recovered=43 squashed=43 0c95921a2a64f8586f677ea58282590d");
+    ("callee workers=24 checkpoint=auto commit",
+      "cycles=438314 misspeculations=14 recovered=95 squashed=233 3aea8573aa2bbb2b819165c0a68f0f53");
+    ("callee workers=24 checkpoint=auto eager",
+      "cycles=438314 misspeculations=14 recovered=95 squashed=95 70a960503958d8f0f418e6f9768aa531");
+    ("callee workers=24 checkpoint=4 commit",
+      "cycles=441886 misspeculations=14 recovered=43 squashed=56 e2ded302572aa7927c846ca9e1c675ac");
+    ("callee workers=24 checkpoint=4 eager",
+      "cycles=441886 misspeculations=14 recovered=43 squashed=43 cd89a3af7d4e9edea3ab282e270cb73c") ]
+
+let test_control_misspeculation_in_production () =
+  let figures (par : Pipeline.par_run) =
+    Printf.sprintf "cycles=%d misspeculations=%d recovered=%d squashed=%d %s" par.par_cycles
+      par.stats.misspeculations par.stats.recovered_iterations par.stats.squashed_iterations
+      (Test_contract.fingerprint par)
   in
-  check "misspeculated at least once" true (par.stats.misspeculations > 0)
+  List.iter
+    (fun (name, src) ->
+      List.iter
+        (fun workers ->
+          List.iter
+            (fun checkpoint_period ->
+              let cell =
+                Printf.sprintf "%s workers=%d checkpoint=%s" name workers
+                  (Option.fold ~none:"auto" ~some:string_of_int checkpoint_period)
+              in
+              let tr, _, commit, eager =
+                Test_contract.unit_cell src
+                  { (config ~workers ()) with checkpoint_period }
+                  ~train:(fun st -> Pipeline.set_global st "mode" 0)
+                  ~run:(fun st -> Pipeline.set_global st "mode" 1)
+              in
+              check (cell ^ ": a loop was planned") true (tr.selection.plans <> []);
+              check (cell ^ ": misspeculated") true (commit.stats.misspeculations > 0);
+              List.iter
+                (fun (mode, par) ->
+                  let cell = cell ^ " " ^ mode in
+                  Alcotest.(check string) cell (List.assoc cell control_pins) (figures par))
+                [ ("commit", commit); ("eager", eager) ])
+            [ None; Some 4 ])
+        [ 1; 4; 8; 24 ])
+    control_programs
+
+(* The profile never took this branch's else side, where the programs
+   above never took the then side: the manifest records the branch as
+   always true, and the worker misspeculates when it goes false. *)
+let cold_else_src =
+  {|global mode; global scratch[8]; global err_count;
+fn main() {
+  err_count = 0;
+  for (k = 0; k < 40) {
+    if (mode == 0 || k != 9) {
+      scratch[0] = k;
+    } else {
+      err_count = err_count + 1;   // cold in training
+    }
+  }
+  print("errs %d\n", err_count);
+  return err_count;
+}|}
+
+let test_control_misspeculation_cold_else () =
+  let tr, _, commit, eager =
+    Test_contract.unit_cell cold_else_src (config ())
+      ~train:(fun st -> Pipeline.set_global st "mode" 0)
+      ~run:(fun st -> Pipeline.set_global st "mode" 1)
+  in
+  let branches = ref [] in
+  List.iter
+    (fun (f : Privateer_ir.Ast.func) ->
+      Privateer_ir.Ast.iter_stmts
+        (function Privateer_ir.Ast.If (id, _, _, _) -> branches := id :: !branches | _ -> ())
+        f.body)
+    tr.program.funcs;
+  (match (tr.manifest.loops, !branches) with
+  | [ l ], [ branch ] ->
+    check "the manifest records the branch as always true" true
+      (l.assignment.control_spec = [ (branch, true) ])
+  | _ -> Alcotest.fail "expected one planned loop and one branch");
+  check "commit mode misspeculated" true (commit.stats.misspeculations > 0);
+  check "eager mode misspeculated" true (eager.stats.misspeculations > 0)
 
 let test_lifetime_misspeculation_in_production () =
   (* In training every node is freed within its iteration
@@ -145,7 +306,7 @@ fn main() {
   return s;
 }|}
   in
-  let tr, _, par = Test_contract.unit_cell src (config ()) in
+  let tr, _, par, _ = Test_contract.unit_cell src (config ()) in
   Alcotest.(check int) "two plans" 2 (List.length tr.selection.plans);
   Alcotest.(check int) "two invocations" 2 par.stats.invocations
 
@@ -168,7 +329,7 @@ fn main() {
   return s;
 }|}
   in
-  let _, _, par = Test_contract.unit_cell src (config ()) in
+  let _, _, par, _ = Test_contract.unit_cell src (config ()) in
   Alcotest.(check int) "two invocations of one region" 2 par.stats.invocations
 
 let test_worker_fault_recovers () =
@@ -202,6 +363,8 @@ fn main() {
 let suite =
   [ Alcotest.test_case "control misspeculation in production" `Quick
       test_control_misspeculation_in_production;
+    Alcotest.test_case "control misspeculation on a cold else side" `Quick
+      test_control_misspeculation_cold_else;
     Alcotest.test_case "lifetime misspeculation in production" `Quick
       test_lifetime_misspeculation_in_production;
     Alcotest.test_case "value misspeculation in production" `Quick

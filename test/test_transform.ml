@@ -52,14 +52,31 @@ let test_alloc_sites_rehomed () =
   check "malloc redirected to short-lived heap" true
     (!found = Some (Some Heap.Short_lived))
 
+(* Re-homing is the whole rewrite: with every global's placement and
+   every allocation site's heap cleared ([rewrite_block] under an empty
+   site map), the transformed program is the original, node ids and
+   [next_id] included. *)
+let test_only_placement_changes () =
+  let program, tr = compile quickstart_src in
+  let unplaced (p : Ast.program) =
+    { p with
+      globals = List.map (fun (g : Ast.global) -> { g with gheap = None }) p.globals;
+      funcs =
+        List.map
+          (fun (f : Ast.func) -> { f with body = Transform.rewrite_block [] f.body })
+          p.funcs }
+  in
+  check "placement changed" true (tr.program <> program);
+  check "the original but for placement" true (unplaced tr.program = program)
+
 let test_transformed_program_validates () =
   let _, tr = compile quickstart_src in
   check "validates" true (Validate.check tr.program = [])
 
 let test_sequential_semantics_preserved () =
   (* The rewritten program run WITHOUT the speculative runtime must
-     behave exactly like the original (allocation re-homing and cold
-     markers are semantically transparent). *)
+     behave exactly like the original (allocation re-homing is
+     semantically transparent). *)
   let program, tr = compile quickstart_src in
   let r1, o1 =
     let st = Privateer_interp.Interp.create program in
@@ -103,33 +120,7 @@ fn main() {
   check "live checks remain" true (Manifest.live_check_count tr.manifest > 0);
   check "still elides the provable ones" true (Manifest.elided_check_count tr.manifest > 0)
 
-let test_control_spec_marker_prepended () =
-  let _, tr =
-    compile
-      {|global out[16]; global err;
-fn main() {
-  for (i = 0; i < 16) {
-    out[i] = i;
-    if (i < 1000) { out[i] = out[i] + 1; } else { err = err + 1; }
-  }
-  return 0;
-}|}
-  in
-  (* The cold side must now start with a Misspec marker, followed by
-     the original code. *)
-  let found = ref false in
-  List.iter
-    (fun (f : Ast.func) ->
-      Ast.iter_stmts
-        (fun s ->
-          match s with
-          | Ast.If (_, _, _, Ast.Misspec _ :: _ :: _) -> found := true
-          | _ -> ())
-        f.body)
-    tr.program.funcs;
-  check "marker prepended, original kept" true !found
-
-let test_fresh_ids_above_watermark () =
+let test_control_spec_in_manifest () =
   let program, tr =
     compile
       {|global out[16]; global err;
@@ -141,8 +132,26 @@ fn main() {
   return 0;
 }|}
   in
-  check "next_id advanced" true (tr.program.next_id >= program.next_id);
-  check "still validates" true (Validate.check tr.program = [])
+  (* With no allocation site to re-home, only the globals' placement
+     changes: the functions, their ids and control flow included, are
+     the original's. *)
+  check_int "next_id kept" program.next_id tr.program.next_id;
+  check "functions unchanged" true (tr.program.funcs = program.funcs);
+  check "globals unchanged but for placement" true
+    (List.map (fun (g : Ast.global) -> { g with gheap = None }) tr.program.globals
+    = program.globals);
+  let branches = ref [] in
+  List.iter
+    (fun (f : Ast.func) ->
+      Ast.iter_stmts
+        (function Ast.If (id, _, _, _) -> branches := id :: !branches | _ -> ())
+        f.body)
+    program.funcs;
+  match (tr.manifest.loops, !branches) with
+  | [ l ], [ branch ] ->
+    check "the manifest records the never-taken else side" true
+      (l.assignment.control_spec = [ (branch, true) ])
+  | _ -> Alcotest.fail "expected one planned loop and one branch"
 
 let test_redux_sites_marked () =
   let _, tr =
@@ -175,11 +184,12 @@ let test_site_counts () =
 let suite =
   [ Alcotest.test_case "globals re-homed" `Quick test_globals_rehomed;
     Alcotest.test_case "allocation sites re-homed" `Quick test_alloc_sites_rehomed;
+    Alcotest.test_case "only heap placement changes" `Quick test_only_placement_changes;
     Alcotest.test_case "transformed program validates" `Quick test_transformed_program_validates;
     Alcotest.test_case "sequential semantics preserved" `Quick test_sequential_semantics_preserved;
     Alcotest.test_case "manifest covers region accesses" `Quick test_manifest_checks_cover_region;
     Alcotest.test_case "pointer chase keeps live check" `Quick test_pointer_chase_not_elided;
-    Alcotest.test_case "control-spec marker prepended" `Quick test_control_spec_marker_prepended;
-    Alcotest.test_case "fresh node ids" `Quick test_fresh_ids_above_watermark;
+    Alcotest.test_case "control speculation in the manifest" `Quick
+      test_control_spec_in_manifest;
     Alcotest.test_case "reduction sites sanctioned" `Quick test_redux_sites_marked;
     Alcotest.test_case "Table-3 style site counts" `Quick test_site_counts ]

@@ -22,7 +22,7 @@ let compile wl =
    output and result byte-identical to the sequential run, no
    misspeculation.  Returns the sequential and commit runs. *)
 let run_both ?(workers = 8) ?(input = Workload.Alt) wl =
-  let _, seq, par = Test_contract.port_cell wl input workers in
+  let _, seq, par, _ = Test_contract.port_cell wl input workers in
   (seq, par)
 
 let plan_of tr =
