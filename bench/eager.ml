@@ -1,6 +1,6 @@
-(* The `eager` experiment: does in-flight conflict detection actually
-   reduce the work wasted on squashed intervals, without perturbing
-   anything else?
+(* The `eager` experiment: does stopping an interval at a worker's
+   own first misspeculation actually reduce the work wasted on
+   squashed intervals, without perturbing anything else?
 
    Two measurements:
 
@@ -8,21 +8,19 @@
      deterministically spaced injected misspeculation, adaptive
      checkpoint period): at each injection rate, run once with
      `--validation commit` (every worker burns its whole interval
-     before the discard) and once with `--validation eager` (the first
-     observed misspeculation squashes the interval mid-sweep).  Both
-     runs must reproduce the sequential output; eager mode must not
-     execute *more* doomed iterations at any rate and must skip some
-     in aggregate (`wasted_reduced`);
+     before the discard) and once with `--validation eager` (the
+     first misspeculation a worker raises squashes the interval
+     mid-sweep).  Both runs must reproduce the sequential output;
+     eager mode must not execute *more* doomed iterations at any rate
+     and must skip some in aggregate (`wasted_reduced`);
 
    - *identity*: on the clean (injection-free) workload, eager and
      commit validation must be byte-identical — output, result,
      verdicts, wall cycles, checkpoints — and eager must report zero
-     kills
-     (`no_false_kills`): the board's precise confirmation never fires
-     on a conflict the checkpoint merge would not also flag, so a
-     violation-free run cannot tell the modes apart.  Under injection
-     cycles legitimately diverge (that is the saving), so there the
-     oracle is output/result identity only.
+     kills (`no_false_kills`): a run without a kill cannot tell the
+     modes apart.  Under injection cycles legitimately diverge (that
+     is the saving), so there the oracle is output/result identity
+     only.
 
    Results go to BENCH_eager.json; the binary exits non-zero when a
    gate fails.  Everything here is simulated state, so there are no
@@ -71,7 +69,7 @@ let identity () =
 
 let run () =
   Printf.printf
-    "\n================ eager: in-flight conflict detection ================\n\n";
+    "\n================ eager: squash at a worker's own misspeculation ================\n\n";
   let c = Harness.compiled workload in
   let open Privateer.Pipeline in
   let heavy = wasted_work () in
@@ -146,8 +144,6 @@ let run () =
                        Int eager.stats.squashed_iterations );
                      ("avoided_iterations", Int eager.stats.avoided_iterations);
                      ("eager_kills", Int eager.stats.eager_kills);
-                     ("eager_checks", Int eager.stats.eager_checks);
-                     ("eager_hits", Int eager.stats.eager_hits);
                      ("cycles_commit", Int commit.par_cycles);
                      ("cycles_eager", Int eager.par_cycles) ])
                heavy) );

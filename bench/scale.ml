@@ -86,7 +86,7 @@ let run () =
   Printf.printf "scale sweep 1..%d (per-port cap), %d workers\n\n" (scale_cap ())
     (workers ());
   let open Pipeline in
-  let ports = Workloads.builtin in
+  let ports = Workloads.all () in
   let results = List.map (fun wl -> (wl, run_port wl)) ports in
   let t =
     Table.create

@@ -9,8 +9,8 @@
      privateer file <path.cm> [-w N]   -- full pipeline on a Cmini file
      privateer serve <manifest> [--max-inflight N] [--queue-cap N]
 
-   <workload> is any registry name, including scenario:<spec> — the
-   generated scenario joins the registry and runs like a builtin.
+   <workload> is a port's name or scenario:<spec> — the generated
+   scenario runs like a port.
 *)
 
 open Cmdliner
@@ -19,7 +19,8 @@ open Privateer_workloads
 
 (* Workload names resolve through the shared source loader, so
    scenario:<spec> works everywhere a workload name does and the
-   unknown-workload error string is the registry's canonical one. *)
+   unknown-workload error string is [Workloads.lookup]'s canonical
+   one. *)
 let workload_conv =
   let parse s =
     match Privateer_gen.Sources.lookup_workload s with
@@ -108,7 +109,7 @@ let list_cmd =
         Printf.printf "%-14s (scale 1..%d) %s\n" w.name w.max_scale w.description)
       (Workloads.all ())
   in
-  Cmd.v (Cmd.info "list" ~doc:"List the registered workloads")
+  Cmd.v (Cmd.info "list" ~doc:"List the workloads")
     Term.(const run $ const ())
 
 let plan_cmd =
@@ -219,15 +220,13 @@ let json_report ~config:cfg ~profile_ns ~seq ~(par : Pipeline.par_run) ~fallback
           [ ("ns_reset", Float stats.ns_reset);
             ("ns_extract", Float stats.ns_extract);
             ("ns_spawn", Float stats.ns_spawn) ] );
-      (* Eager in-flight validation counters: deterministic for a given
+      (* Eager-validation counters: deterministic for a given
          validation mode, but exempt from the cross-MODE identity
-         contract (commit mode reports zeros for kills/checks/hits; the
-         authoritative exemption table lives in docs/RUNTIME.md). *)
+         contract after an eager kill (commit mode reports zero kills;
+         the authoritative exemption table lives in docs/RUNTIME.md). *)
       ( "eager",
         Obj
           [ ("eager_kills", Int stats.eager_kills);
-            ("eager_checks", Int stats.eager_checks);
-            ("eager_hits", Int stats.eager_hits);
             ("squashed_iterations", Int stats.squashed_iterations);
             ("avoided_iterations", Int stats.avoided_iterations) ] );
       ("loops", List loops) ]

@@ -40,7 +40,6 @@
 
 module Rng = Privateer_support.Rng
 module Workload = Privateer_workloads.Workload
-module Workloads = Privateer_workloads.Workloads
 
 type knobs = {
   k_seed : int;
@@ -369,16 +368,7 @@ let expected_misspecs t ~n =
     (List.init (List.length t.sc_conflict_offsets) Fun.id)
 
 let workload_of_spec spec =
-  match knobs_of_spec spec with
-  | Error _ as e -> e
-  | Ok k -> (
-    let name = "scenario:" ^ spec_of_knobs k in
-    match Workloads.find name with
-    | Some w -> Ok w
-    | None ->
-      let t = generate k in
-      Workloads.register t.sc_workload;
-      Ok t.sc_workload)
+  Result.map (fun k -> (generate k).sc_workload) (knobs_of_spec spec)
 
 let corpus ~seed ~count =
   let rng = Rng.create seed in

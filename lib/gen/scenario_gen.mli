@@ -42,7 +42,7 @@ type expect = {
 
 type t = {
   sc_knobs : knobs;
-  sc_name : string;  (** registry name: ["scenario:" ^ canonical spec] *)
+  sc_name : string;  (** workload name: ["scenario:" ^ canonical spec] *)
   sc_source : string;  (** the generated Cmini program *)
   sc_expect : expect;
   sc_conflict_period : int option;
@@ -73,10 +73,9 @@ val expected_misspecs : t -> n:int -> int
     sequential value, by construction. *)
 
 val workload_of_spec : string -> (Privateer_workloads.Workload.t, string) result
-(** Generate the scenario for a spec and register it in
-    {!Privateer_workloads.Workloads} under its canonical name (a
-    cache: re-resolving an equivalent spec returns the same instance,
-    preserving its parsed-AST cache). *)
+(** Generate the scenario for a spec, named by its canonical spec.
+    Each call generates afresh; nothing is registered, so
+    {!Privateer_workloads.Workloads.all} stays the five ports. *)
 
 val corpus : seed:int -> count:int -> t list
 (** [count] scenarios with knob draws from a seeded Rng — small trips

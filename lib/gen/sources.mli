@@ -7,8 +7,8 @@
 type t = {
   src_kind : string;  (** ["workload"], ["file"] or ["scenario"] *)
   src_workload : Privateer_workloads.Workload.t option;
-      (** [Some] for workload/scenario sources (scenarios resolve to
-          registered workloads); [None] for raw files *)
+      (** [Some] for workload/scenario sources (a scenario resolves
+          to the workload it generates); [None] for raw files *)
   src_fresh : unit -> Privateer_ir.Ast.program;
       (** a fresh AST per call — concurrent pipelines never share one *)
 }
@@ -18,8 +18,8 @@ val kinds : string
 
 val lookup_workload :
   string -> (Privateer_workloads.Workload.t, string) result
-(** Resolve a workload name: [scenario:<spec>] generates (and
-    registers) the scenario; anything else is
+(** Resolve a workload name: [scenario:<spec>] generates the
+    scenario; anything else is
     {!Privateer_workloads.Workloads.lookup}. *)
 
 val parse : ?dir:string -> string -> (t, string) result

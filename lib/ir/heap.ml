@@ -59,10 +59,6 @@ let capacity = 1 lsl tag_shift
 
 let heap_of_addr addr = of_tag ((addr land tag_mask) lsr tag_shift)
 
-(* The separation check: does [addr] carry [kind]'s tag?  This is the
-   few-instruction test the compiler inserts at pointer definitions. *)
-let check addr kind = addr land tag_mask = tag kind lsl tag_shift
-
 let shadow_of_private addr = addr lor private_shadow_bit
 let private_of_shadow addr = addr lxor private_shadow_bit
 

@@ -41,10 +41,6 @@ val capacity : int
 
 val heap_of_addr : int -> kind
 
-(** The separation check: does [addr] carry [kind]'s tag?  A few
-    instructions at runtime. *)
-val check : int -> kind -> bool
-
 val shadow_of_private : int -> int
 val private_of_shadow : int -> int
 

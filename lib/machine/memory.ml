@@ -11,10 +11,9 @@
    44-46: one bank (hashtable) and one dirty set per logical heap.
    Bulk consumers (checkpoint extraction, shadow metadata reset) walk
    exactly one bank instead of filtering a global table, and each page
-   carries summary flags the shadow layer maintains so scans can skip
-   pages wholesale.  The flags over-approximate content ("may
-   contain"); a clear flag is a proof of absence, a set flag only an
-   invitation to scan.
+   carries exact mark counts the shadow layer maintains, so scans skip
+   a page with no marks wholesale and stop on another once its marks
+   are found.
 
    Unmapped pages read as zero, so the shadow heap's metadata starts
    at code 0 (live-in) with no explicit initialization, as in the
@@ -57,9 +56,9 @@
    [page] is a private record outside this module: anyone may read its
    fields, and the bytes of a page from [touch_page] may be written in
    place (the interpreter's aligned stores, the shadow layer's
-   metadata), but its flags and counts change only through the
-   functions below ([flag_*], [add_*], [clear_timestamp_flag]), and
-   [shared] and [written_this_interval] only inside this module. *)
+   metadata), but its counts change only through the functions below
+   ([add_*], [clear_timestamp_bytes]), and [shared] and
+   [written_this_interval] only inside this module. *)
 
 open Privateer_ir
 
@@ -82,16 +81,15 @@ type page = {
   mutable shared : bool;
       (* true when this page object may be referenced by another page
          table; a write must clone first (copy-on-write). *)
-  mutable any_timestamp : bool; (* may hold shadow timestamps (>= 3) *)
-  mutable any_live_in_read : bool; (* may hold read-live-in marks (2) *)
   mutable written_this_interval : bool; (* mirrors the dirty set *)
   mutable timestamp_bytes : int;
       (* exact count of shadow timestamp bytes (metadata >= 3) on this
          page, maintained by the shadow layer (Shadow.access adds,
-         reset zeroes).  [timestamp_bytes = page_size] proves the page
-         is fully timestamped, so the reset can fill it in one memset;
-         unlike the [any_*] flags this is a count, not a hint, so only
-         the shadow layer may write metadata on counted pages. *)
+         reset zeroes).  A page with none is skipped by the reset and,
+         with no read-live-in marks either, by checkpoint extraction;
+         [timestamp_bytes = page_size] proves the page fully
+         timestamped, so the reset can fill it in one memset.  Only the
+         shadow layer may write metadata on counted pages. *)
   mutable live_in_bytes : int;
       (* exact count of read-live-in marks (metadata = 2) on this
          page, the read-side mirror of [timestamp_bytes].  Together
@@ -104,8 +102,8 @@ type page = {
 
 let fresh_page () =
   { bytes = Bytes.make page_size '\000'; ftags = Bytes.make words_per_page int_tag;
-    shared = false; any_timestamp = false; any_live_in_read = false;
-    written_this_interval = false; timestamp_bytes = 0; live_in_bytes = 0 }
+    shared = false; written_this_interval = false; timestamp_bytes = 0;
+    live_in_bytes = 0 }
 
 (* What the page cache holds for an unmapped page: reads of it see
    zeros, [is_mapped] answers false for it and [touch_page] replaces
@@ -132,11 +130,10 @@ let create () =
     cache_keys = Array.make cache_slots (-1);
     cache_pages = Array.make cache_slots absent }
 
-(* The clone inherits the summary flags and the exact mark counts:
-   they describe page content, which the copy shares at clone time. *)
+(* The clone inherits the exact mark counts: they describe page
+   content, which the copy shares at clone time. *)
 let clone_page p =
   { bytes = Bytes.copy p.bytes; ftags = Bytes.copy p.ftags; shared = false;
-    any_timestamp = p.any_timestamp; any_live_in_read = p.any_live_in_read;
     written_this_interval = p.written_this_interval;
     timestamp_bytes = p.timestamp_bytes; live_in_bytes = p.live_in_bytes }
 
@@ -159,14 +156,7 @@ let page_of_addr addr = addr lsr page_shift
 let offset_of_addr addr = addr land (page_size - 1)
 let base_of_page key = key lsl page_shift
 
-let flag_timestamp p = p.any_timestamp <- true
-let flag_live_in_read p = p.any_live_in_read <- true
-
-(* Clearing the timestamp flag is a proof of absence, so the exact
-   count falls to zero with it. *)
-let clear_timestamp_flag p =
-  p.any_timestamp <- false;
-  p.timestamp_bytes <- 0
+let clear_timestamp_bytes p = p.timestamp_bytes <- 0
 
 let add_timestamp_bytes p n = p.timestamp_bytes <- p.timestamp_bytes + n
 let add_live_in_bytes p n = p.live_in_bytes <- p.live_in_bytes + n

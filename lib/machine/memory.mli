@@ -6,8 +6,8 @@
     ([Heap.tag_shift]), so bulk operations (checkpoint extraction,
     metadata resets) visit exactly one logical heap's pages instead of
     filtering the whole page table.  Each page additionally carries
-    summary flags maintained by the shadow-metadata layer
-    ([any_timestamp], [any_live_in_read]) plus a [written_this_interval]
+    exact mark counts maintained by the shadow-metadata layer
+    ([timestamp_bytes], [live_in_bytes]) plus a [written_this_interval]
     mark maintained by the dirty tracking, letting scans skip pages
     with nothing to find.
 
@@ -54,46 +54,37 @@ type t
       resolution per run).  A page from {!page_for_read} is read-only:
       it may be shared copy-on-write, or be the all-zero page that
       stands for every unmapped one.
-    - The summary flags and exact counts change only through
-      {!flag_timestamp}, {!flag_live_in_read}, {!clear_timestamp_flag},
+    - The exact counts change only through {!clear_timestamp_bytes},
       {!add_timestamp_bytes} and {!add_live_in_bytes}; [shared] and
       [written_this_interval] only inside this module.
-    - [any_timestamp] and [any_live_in_read] are set by the shadow
-      layer when it writes the matching metadata codes, and let
-      {!fold_pages} consumers skip pages wholesale.  They
-      over-approximate content (set means "may contain").
       [written_this_interval] mirrors membership in the dirty set and
       is cleared by {!clear_dirty}.
     - [timestamp_bytes] is the exact count of shadow timestamp bytes
-      (metadata [>= 3]).  Unlike the flags it is a count, not a hint:
-      [Shadow.access] adds to it, the interval reset zeroes it through
-      {!clear_timestamp_flag}, and it survives copy-on-write cloning.
-      [timestamp_bytes = page_size] proves the page fully timestamped,
-      so the reset fills it in one memset instead of scanning it.
+      (metadata [>= 3]): [Shadow.access] adds to it, the interval
+      reset zeroes it through {!clear_timestamp_bytes}, and it
+      survives copy-on-write cloning.  A page with none is one the
+      reset skips; [timestamp_bytes = page_size] proves the page fully
+      timestamped, so the reset fills it in one memset instead of
+      scanning it.
     - [live_in_bytes] is the exact count of read-live-in marks
       (metadata [= 2]), the read-side mirror.  Live-in marks
       accumulate across a cohort (the interval reset keeps them), so it
       is never bulk-zeroed.  With [timestamp_bytes] it bounds the
-      marked bytes on a page, so checkpoint extraction stops a page
-      scan once every mark has been found. *)
+      marked bytes on a page, so checkpoint extraction skips a page
+      with neither and stops a page scan once every mark has been
+      found. *)
 type page = private {
   bytes : Bytes.t;
   ftags : Bytes.t;
   mutable shared : bool;  (** may be referenced by another page table *)
-  mutable any_timestamp : bool;
-  mutable any_live_in_read : bool;
   mutable written_this_interval : bool;
   mutable timestamp_bytes : int;
   mutable live_in_bytes : int;
 }
 
-val flag_timestamp : page -> unit
-val flag_live_in_read : page -> unit
-
-val clear_timestamp_flag : page -> unit
-(** Clears the timestamp flag {i and} zeroes [timestamp_bytes]: the
-    caller asserts the page holds no timestamps, so the exact count
-    falls with the hint. *)
+val clear_timestamp_bytes : page -> unit
+(** Zeroes [timestamp_bytes]: the caller asserts the page holds no
+    timestamps any more. *)
 
 val add_timestamp_bytes : page -> int -> unit
 (** Add a (possibly negative) delta to [timestamp_bytes].  Shadow
@@ -121,7 +112,7 @@ val offset_of_addr : int -> int
 val base_of_page : int -> int
 
 (** The page containing [addr], for reading.  An unmapped address gets
-    one shared all-zero page, with every flag clear and both counts 0,
+    one shared all-zero page, with both counts 0,
     so a read of it sees what an unmapped read sees.  Read-only, like
     every page not from {!touch_page}.  Never maps a page or clones
     one; it only refills the memory's page cache on a miss.  Every

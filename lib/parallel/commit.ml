@@ -1,27 +1,25 @@
 (* Checkpoint contribution, merge, and commit (paper section 5.2).
 
    Per interval, each worker contributes its speculative state (a scan
-   of the shadow bank's dirty pages, skipping pages whose summary
-   flags show no metadata); the merge performs phase-2 privacy
-   validation via the per-word writer index and last-writer-wins
-   combination; a clean merge commits into the main process:
-   private-byte overlay, absolute reduction values, register-reduction
-   folds, deferred output in iteration order, and per-worker metadata
-   reset (which likewise visits only timestamp-flagged pages, while
-   the simulated per-page charge stays on every mapped shadow page).  The final interval additionally adopts
-   allocator state and live-out private registers from the worker
-   that ran the last iteration.
+   of the shadow bank's dirty pages, skipping pages that hold no
+   marks); the merge performs phase-2 privacy validation via the
+   per-word writer index and last-writer-wins combination; a clean
+   merge commits into the main process: private-byte overlay, absolute
+   reduction values, register-reduction folds, deferred output in
+   iteration order, and per-worker metadata reset (which likewise
+   visits only pages holding timestamps, while the simulated per-page
+   charge stays on every mapped shadow page).  The final interval
+   additionally adopts allocator state and live-out private registers
+   from the worker that ran the last iteration.
 
-   Under `--validation eager` the in-flight conflict board
-   (Conflict_board, see docs/SPECULATION.md) may squash an interval
-   before it reaches this module; the phase-2 validation here stays on
-   behind it, and commit mode doubles as the differential oracle for
-   eager mode's verdicts.  Phase 2 checks each live-in read against
-   the writes of its own interval only: the merge sweeps the writer
-   index empty before it returns.  A read of a word that another
-   worker of the cohort wrote in an earlier interval is therefore
-   caught by no layer, and the reader's stale snapshot value commits
-   (ROADMAP item 7). *)
+   Phase 2 here is the only check of cross-worker conflicts, in both
+   validation modes: `--validation eager` stops an interval only on a
+   worker's own misspeculation, before it reaches this module.  Phase
+   2 checks each live-in read against the writes of its own interval
+   only: the merge sweeps the writer index empty before it returns.  A
+   read of a word that another worker of the cohort wrote in an
+   earlier interval is therefore caught by no layer, and the reader's
+   stale snapshot value commits (ROADMAP item 7). *)
 
 open Privateer_machine
 open Privateer_interp

@@ -39,7 +39,7 @@ let create manifest (config : Runtime_config.t) =
 
 let env t =
   { Worker.cm = t.config.costs; stats = t.stats; sites = t.sites;
-    validate = t.config.validate; inject = t.config.inject; board = None }
+    validate = t.config.validate; inject = t.config.inject }
 
 (* True once the throttle has demoted the loop: later invocations run
    sequentially until something re-enables speculation. *)
@@ -58,13 +58,12 @@ let auto_period n = max 1 (min Shadow.max_interval ((n + 5) / 6))
 
 let run_invocation t (st : Interp.t) fr (spec : Manifest.loop_spec) loop ~init_value
     ~n =
-  (* Eager validation: one conflict board per invocation, threaded to
-     the workers through the environment.  Without validation there is
-     nothing to publish, so --no-validate ablations stay board-free in
-     either mode. *)
+  (* Eager validation: a worker's own misspeculation stops the sweep.
+     Without validation nothing misspeculates but injection and
+     faults, so --no-validate ablations run commit's sweep in either
+     mode. *)
   let eager = t.config.validation = Runtime_config.Eager && t.config.validate in
-  let board = if eager then Some (Conflict_board.create ()) else None in
-  let env = { (env t) with Worker.board } in
+  let env = env t in
   let stats = t.stats in
   let ls = Stats.loop_stats stats spec.loop in
   stats.invocations <- stats.invocations + 1;
@@ -132,30 +131,22 @@ let run_invocation t (st : Interp.t) fr (spec : Manifest.loop_spec) loop ~init_v
             ~serial_commit:t.config.serial_commit
         in
         let workers = Worker.spawn env st fr spec ctx.Commit.ranges nw ~now:!timeline in
-        (match board with
-        | Some b ->
-          (* [Worker.spawn] numbers workers 0 .. nw - 1 in list order. *)
-          Conflict_board.new_cohort b
-            (Array.of_list
-               (List.map (fun (w : Worker.t) -> w.Worker.w_st.Interp.machine) workers))
-        | None -> ());
         let rec interval_loop i0 =
           let hi = min n (i0 + Recovery.current_period period) in
-          (match board with
-          | Some b -> Conflict_board.new_interval b ~interval_start:i0
-          | None -> ());
           let owner =
             Schedule.owner t.config.schedule ~workers:nw ~spawn_start:start_iter
               ~lo:i0 ~hi
           in
           (* Execute every worker's iterations of [i0, hi).  In eager
-             mode the first misspeculation — board-confirmed or inline
-             — squashes the whole sweep: the observing worker stops,
-             and every worker after it in the (deterministic) sweep
-             order never runs this interval, which is the mode's
-             entire saving.  Commit mode reproduces the paper's
-             behavior: every worker burns its full slice and the
-             discard happens below. *)
+             mode the first misspeculation a worker raises itself
+             (Table 2, separation, a value prediction, control,
+             injection or a fault) squashes the whole sweep: the
+             observing worker stops, and every worker after it in the
+             (deterministic) sweep order never runs this interval,
+             which is the mode's entire saving.  Commit mode
+             reproduces the paper's behavior: every worker burns its
+             full slice and the discard happens below.  Cross-worker
+             conflicts are phase 2's alone, in both modes. *)
           let misspecs = ref [] in
           let executed = ref 0 in
           let eager_killed = ref false in
@@ -252,11 +243,6 @@ let run_invocation t (st : Interp.t) fr (spec : Manifest.loop_spec) loop ~init_v
       end
     in
     parallel_from 0;
-    (match board with
-    | Some b ->
-      stats.eager_checks <- stats.eager_checks + Conflict_board.checks b;
-      stats.eager_hits <- stats.eager_hits + Conflict_board.hits b
-    | None -> ());
     finish_induction ();
     st.emit <- emit_main;
     stats.wall_cycles <- stats.wall_cycles + !timeline;

@@ -79,7 +79,7 @@ let period_on_clean p =
     end
   end
 
-(* The eager validator's extra signal: unlike a merge-time violation
+(* Eager mode's extra signal: unlike a merge-time violation
    (pinned to the interval's last iteration), an eager kill knows the
    distance from the interval start to the earliest violating
    iteration.  Clamp the adaptive period down to that observed

@@ -6,14 +6,17 @@
    of hand-rolling one argument per field.  [default] is a constant:
    no knob reads the environment. *)
 
-(* When misspeculation is detected.  [Commit]: only at the checkpoint
-   merge (the paper's two-phase validation).  [Eager]: additionally
-   in-flight, through the conflict board — the first observed
-   violation squashes the interval immediately.  Final outputs and
-   results are identical in both modes.  Wasted-work accounting and,
-   on violating runs, cycles differ; so can the misspeculation count
-   when one interval misspeculates on two workers: eager recovers from
-   the first in worker order, commit from the earliest iteration. *)
+(* What a misspeculation stops.  [Commit]: every worker runs its
+   slice of the interval and the discard happens at the checkpoint
+   merge (the paper's behavior).  [Eager]: the first misspeculation a
+   worker raises itself squashes the interval at once, so the workers
+   after it in sweep order never run it.  Cross-worker conflicts are
+   found by the merge's phase 2 alone, in both modes, so a run with no
+   eager kill is identical across modes.  Final outputs and results
+   are identical in both modes; after a kill, wasted-work accounting
+   and cycles differ, and so can the misspeculation count when one
+   interval misspeculates on two workers: eager recovers from the
+   first in worker order, commit from the earliest iteration. *)
 type validation = Commit | Eager
 
 let validation_of_string s =
@@ -49,12 +52,11 @@ type t = {
   inject : (int -> bool) option; (* injected misspeculation, by iteration *)
   validate : bool; (* false: disable all validation work (ablation) *)
   validation : validation;
-      (* when violations are detected: at the checkpoint merge only
-         (Commit, the default) or additionally in-flight through the
-         eager conflict board (Eager), which kills doomed intervals at
-         the first observed violation.  Outputs and results are
-         identical in both modes; commit mode stays the differential
-         oracle. *)
+      (* what a misspeculation stops: nothing before the checkpoint
+         merge (Commit, the default), or the interval's sweep at a
+         worker's own first misspeculation (Eager).  Outputs and
+         results are identical in both modes; commit mode stays the
+         differential oracle. *)
   serial_commit : bool;
       (* true: model an STMLite-style central commit process that
          serially merges every contributed page (ablation; the paper
@@ -153,10 +155,11 @@ let cli_bindings =
       b_apply = int_field "workers" (fun t workers -> { t with workers }) };
     { b_flags = [ "validation" ]; b_docv = "MODE";
       b_doc =
-        "Misspeculation detection: 'commit' (only at the checkpoint merge — the \
-         default) or 'eager' (in-flight conflict board squashes a doomed \
-         interval at the first observed violation; the merge stays on as the \
-         backstop).  Final outputs and results are identical in both modes.";
+        "Misspeculation handling: 'commit' (every worker runs its slice and the \
+         checkpoint merge discards a failed interval — the default) or 'eager' (a \
+         worker's own misspeculation squashes the interval at once; cross-worker \
+         conflicts are left to the merge in both modes).  Final outputs and \
+         results are identical in both modes.";
       b_flag_like = false;
       b_apply =
         (fun t s ->

@@ -8,11 +8,15 @@
     {!cli_bindings} is the single table the CLI and the jobs manifest
     derive their tuning knobs from. *)
 
-(** When misspeculation is detected.  [Commit]: only at the checkpoint
-    merge (the paper's two-phase validation).  [Eager]: additionally
-    in-flight, through {!Privateer_runtime.Conflict_board} — the first
-    observed violation squashes the interval immediately and feeds the
-    adaptive checkpoint period.  Final outputs and results are
+(** What a misspeculation stops.  [Commit]: every worker runs its
+    slice of the interval and the checkpoint merge discards it (the
+    paper's behavior).  [Eager]: the first misspeculation a worker
+    raises itself (Table 2, separation, a value prediction, control,
+    injection or a fault) squashes the interval at once and feeds the
+    adaptive checkpoint period; the workers after it in sweep order
+    never run the interval.  Cross-worker conflicts are found by the
+    merge's phase 2 alone, in both modes, so a run with no eager kill
+    is byte-identical across modes.  Final outputs and results are
     byte-identical in both modes (commit mode is the differential
     oracle); the eager-only counters are listed in the
     determinism-contract table of [docs/RUNTIME.md].  Misspeculation
@@ -56,10 +60,10 @@ type t = {
       (** injected misspeculation, by iteration *)
   validate : bool;  (** [false]: disable all validation (ablation) *)
   validation : validation;
-      (** misspeculation-detection mode: {!Commit} (merge-time only,
-          the default) or {!Eager} (in-flight conflict board with
-          mid-interval squash; the merge stays on as the backstop).
-          {!default} sets [Commit]. *)
+      (** what a misspeculation stops: {!Commit} (nothing before the
+          merge, the default) or {!Eager} (the interval's sweep, at a
+          worker's own first misspeculation).  {!default} sets
+          [Commit]. *)
   serial_commit : bool;
       (** model an STMLite-style central serial commit (ablation) *)
   max_inflight : int;

@@ -58,9 +58,6 @@ type env = {
   sites : sites; (* built once per executor *)
   validate : bool;
   inject : (int -> bool) option;
-  board : Conflict_board.t option;
-      (* eager validation: the invocation's in-flight conflict board;
-         None in commit mode *)
 }
 
 (* Per-worker simulated process. *)
@@ -71,7 +68,6 @@ type t = {
   mutable w_clock : int; (* absolute simulated time *)
   mutable w_cycles_mark : int; (* st.cycles at last sample *)
   mutable w_beta : int;
-  mutable w_iter : int;
   mutable w_sl_balance : int;
   mutable w_instr : int; (* instrumentation cycles this iteration *)
 }
@@ -83,27 +79,6 @@ exception Worker_misspec of int * Misspec.reason (* iteration, reason *)
 let charge_instr w n =
   w.w_st.cycles <- w.w_st.cycles + n;
   w.w_instr <- w.w_instr + n
-
-(* Eager validation: publish a private access to the conflict board
-   right after its [Shadow.access] and raise on the first confirmed
-   cross-worker conflict.  The board models the Speculative Threading
-   Unit's always-on tracker hardware, so publication costs no
-   simulated cycles — which is also what keeps violation-free eager
-   runs cycle-identical to commit mode. *)
-let publish (env : env) w op ~addr ~size =
-  match env.board with
-  | None -> ()
-  | Some board -> (
-    match
-      Conflict_board.publish board ~worker:w.w_id ~op ~addr ~size ~iter:w.w_iter
-    with
-    | None -> ()
-    | Some c ->
-      raise
-        (Misspec.Misspeculation
-           (Misspec.Eager_conflict
-              { addr = c.Conflict_board.c_addr;
-                earliest_iter = c.Conflict_board.c_earliest_iter })))
 
 (* An address tag's heap, from [Heap]'s own encoding: the hot path
    makes no cross-module call to find it.  Shared by every worker. *)
@@ -134,15 +109,13 @@ let hooks (env : env) w : Hooks.t =
         charge_instr w (cm.c_private_read * ((size + 7) / 8));
         stats.private_bytes_read <- stats.private_bytes_read + size;
         stats.cyc_private_read <- stats.cyc_private_read + cm.c_private_read;
-        Shadow.access w.w_st.machine Shadow.Read ~addr ~size ~beta:w.w_beta;
-        publish env w Shadow.Read ~addr ~size
+        Shadow.access w.w_st.machine Shadow.Read ~addr ~size ~beta:w.w_beta
       end
       else begin
         charge_instr w (cm.c_private_write * ((size + 7) / 8));
         stats.private_bytes_written <- stats.private_bytes_written + size;
         stats.cyc_private_write <- stats.cyc_private_write + cm.c_private_write;
-        Shadow.access w.w_st.machine Shadow.Write ~addr ~size ~beta:w.w_beta;
-        publish env w Shadow.Write ~addr ~size
+        Shadow.access w.w_st.machine Shadow.Write ~addr ~size ~beta:w.w_beta
       end
     | Heap.Read_only ->
       if not is_read then
@@ -195,10 +168,8 @@ let apply_predictions (env : env) w predictions =
       charge_instr w (cm.c_prediction + cm.base.c_store + cm.c_private_write);
       env.stats.private_bytes_written <- env.stats.private_bytes_written + 8;
       env.stats.cyc_private_write <- env.stats.cyc_private_write + cm.c_private_write;
-      if env.validate then begin
+      if env.validate then
         Shadow.access w.w_st.machine Shadow.Write ~addr ~size:8 ~beta:w.w_beta;
-        publish env w Shadow.Write ~addr ~size:8
-      end;
       Machine.set_int w.w_st.machine addr p.pred_value)
     predictions
 
@@ -210,10 +181,8 @@ let validate_predictions (env : env) w predictions =
       charge_instr w (cm.c_prediction + cm.base.c_load + cm.c_private_read);
       env.stats.private_bytes_read <- env.stats.private_bytes_read + 8;
       env.stats.cyc_private_read <- env.stats.cyc_private_read + cm.c_private_read;
-      if env.validate then begin
+      if env.validate then
         Shadow.access w.w_st.machine Shadow.Read ~addr ~size:8 ~beta:w.w_beta;
-        publish env w Shadow.Read ~addr ~size:8
-      end;
       let v = Machine.get_int w.w_st.machine addr in
       if v <> p.pred_value then
         raise
@@ -279,8 +248,7 @@ let setup_worker (env : env) (st : Interp.t) fr spec ranges ~now i =
   Memory.clear_dirty wst.machine.Machine.mem;
   let w =
     { w_id = i; w_st = wst; w_frame = frame; w_clock = now + ((i + 1) * cm.c_fork);
-      w_cycles_mark = wst.cycles; w_beta = 0; w_iter = 0; w_sl_balance = 0;
-      w_instr = 0 }
+      w_cycles_mark = wst.cycles; w_beta = 0; w_sl_balance = 0; w_instr = 0 }
   in
   wst.hooks <- hooks env w;
   w
@@ -298,7 +266,6 @@ let spawn (env : env) (st : Interp.t) fr spec ranges n_workers ~now =
 (* Execute one iteration on a worker.  Raises Worker_misspec. *)
 let exec_iteration (env : env) w loop ~init_value ~iter ~interval_start ~predictions
     ~io =
-  w.w_iter <- iter;
   w.w_beta <- Shadow.timestamp ~iter ~interval_start;
   w.w_sl_balance <- 0;
   w.w_instr <- 0;
@@ -318,15 +285,7 @@ let exec_iteration (env : env) w loop ~init_value ~iter ~interval_start ~predict
   | Misspec.Misspeculation r ->
     let delta = w.w_st.cycles - cycles_before in
     w.w_clock <- w.w_clock + delta;
-    (* The conflict board can pin the violation to an earlier involved
-       iteration than the one that observed it; recovery then
-       re-executes less and resumes sooner. *)
-    let miss =
-      match r with
-      | Misspec.Eager_conflict { earliest_iter; _ } -> min iter earliest_iter
-      | _ -> iter
-    in
-    raise (Worker_misspec (miss, r))
+    raise (Worker_misspec (iter, r))
   | Interp.Runtime_error msg ->
     let delta = w.w_st.cycles - cycles_before in
     w.w_clock <- w.w_clock + delta;

@@ -47,11 +47,10 @@ type contribution = {
   pages_touched : int; (* for checkpoint copy cost accounting *)
 }
 
-(* Scan one flagged shadow page into the given tables.  [interval_start]
-   decodes shadow timestamps into iteration numbers.  Pages whose
-   summary flags show neither timestamps nor read-live-in marks are
-   skipped without a scan; flagged pages are scanned word-wise directly
-   on the page bytes (an all-zero metadata word is all live-in).
+(* Scan one shadow page into the given tables.  [interval_start]
+   decodes shadow timestamps into iteration numbers.  The page is
+   scanned word-wise directly on its bytes (an all-zero metadata word
+   is all live-in).
 
    Each nonzero metadata word is decided once: its read-live-in bytes
    go into [live_in_reads] one by one, and its largest timestamp makes
@@ -65,42 +64,39 @@ type contribution = {
    [timestamp_bytes + live_in_bytes] marked bytes have been found, the
    rest of the page is provably unmarked (live-in or old-write) and
    the scan stops — O(marked bytes) on sparse pages instead of
-   O(page).  Machines driven through the per-byte reference oracle
-   (test code) never reach this loop: its pages carry no summary
-   flags, so the [any_*] guard filters them out before the counts
-   matter. *)
+   O(page), and nothing on a page with no marks.  Machines driven
+   through the per-byte reference oracle (test code) never reach the
+   loop: its pages keep no counts. *)
 let scan_page ~interval_start mem key writes live_in_reads =
   let page = Memory.page_for_read mem (Memory.base_of_page key) in
-  if page.Memory.any_timestamp || page.any_live_in_read then begin
-    let bytes = page.bytes in
-    let base = Memory.base_of_page key in
-    let remaining = ref (page.timestamp_bytes + page.live_in_bytes) in
-    let off = ref 0 in
-    while !remaining > 0 && !off < Memory.page_size do
-      let word = !off in
-      if Bytes.get_int64_le bytes word <> 0L then begin
-        let latest = ref 0 in
-        for i = word to word + 7 do
-          let m = Char.code (Bytes.unsafe_get bytes i) in
-          if Shadow.is_timestamp m then begin
-            decr remaining;
-            if m > !latest then latest := m
-          end
-          else if m = Shadow.read_live_in then begin
-            decr remaining;
-            Hashtbl.replace live_in_reads (Heap.private_of_shadow (base + i)) ()
-          end
-        done;
-        if !latest > 0 then begin
-          let word_addr = Heap.private_of_shadow (base + word) in
-          let iter = Shadow.iteration_of_timestamp ~interval_start !latest in
-          let bits, is_float = Memory.read_word mem word_addr in
-          Hashtbl.replace writes word_addr { iter; bits; is_float }
+  let bytes = page.Memory.bytes in
+  let base = Memory.base_of_page key in
+  let remaining = ref (page.timestamp_bytes + page.live_in_bytes) in
+  let off = ref 0 in
+  while !remaining > 0 && !off < Memory.page_size do
+    let word = !off in
+    if Bytes.get_int64_le bytes word <> 0L then begin
+      let latest = ref 0 in
+      for i = word to word + 7 do
+        let m = Char.code (Bytes.unsafe_get bytes i) in
+        if Shadow.is_timestamp m then begin
+          decr remaining;
+          if m > !latest then latest := m
         end
-      end;
-      off := word + 8
-    done
-  end
+        else if m = Shadow.read_live_in then begin
+          decr remaining;
+          Hashtbl.replace live_in_reads (Heap.private_of_shadow (base + i)) ()
+        end
+      done;
+      if !latest > 0 then begin
+        let word_addr = Heap.private_of_shadow (base + word) in
+        let iter = Shadow.iteration_of_timestamp ~interval_start !latest in
+        let bits, is_float = Memory.read_word mem word_addr in
+        Hashtbl.replace writes word_addr { iter; bits; is_float }
+      end
+    end;
+    off := word + 8
+  done
 
 type extract_request = {
   req_worker : int;

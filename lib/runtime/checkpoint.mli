@@ -54,8 +54,8 @@ type extract_request = {
 
 (** Extract every worker's interval contribution by scanning the
     shadow pages each worker dirtied since the interval started
-    (straight off the shadow bank's dirty index; pages without
-    timestamp/read-live-in summary flags are skipped).  Shadow
+    (straight off the shadow bank's dirty index; pages with no
+    timestamp or read-live-in marks are skipped).  Shadow
     timestamps decode into iteration numbers relative to
     [interval_start]. *)
 val extract : interval_start:int -> extract_request list -> contribution list

@@ -8,9 +8,6 @@ type reason =
   | Value_prediction of { global : string; offset : int; expected : int }
   | Control of { site : int }
   | Phase2 of { addr : int } (* cross-worker live-in read/write conflict *)
-  | Eager_conflict of { addr : int; earliest_iter : int }
-      (* the same cross-worker conflict, observed in-flight by the
-         conflict board before the checkpoint merge could *)
   | Foreign_heap of { addr : int } (* access outside any sanctioned heap *)
   | Redux_violation of { site : int; addr : int }
   | Injected (* artificial misspeculation (Figure 9 experiments) *)
@@ -30,9 +27,6 @@ let to_string = function
     Printf.sprintf "value prediction failed: %s+%d != %d" global offset expected
   | Control { site } -> Printf.sprintf "control speculation violated at branch %d" site
   | Phase2 { addr } -> Printf.sprintf "phase-2 privacy conflict at %#x" addr
-  | Eager_conflict { addr; earliest_iter } ->
-    Printf.sprintf "eager cross-worker conflict at %#x (earliest iteration %d)" addr
-      earliest_iter
   | Foreign_heap { addr } -> Printf.sprintf "access outside sanctioned heaps at %#x" addr
   | Redux_violation { site; addr } ->
     Printf.sprintf "non-reduction access to redux heap at site %d (%#x)" site addr

@@ -14,10 +14,6 @@ type reason =
   | Control of { site : int }  (** a speculated-away branch was taken *)
   | Phase2 of { addr : int }
       (** checkpoint-time cross-worker live-in conflict *)
-  | Eager_conflict of { addr : int; earliest_iter : int }
-      (** the same cross-worker conflict, observed in-flight by the
-          conflict board; [earliest_iter] is the earliest iteration
-          known to be involved, so recovery can resume right after it *)
   | Foreign_heap of { addr : int }
       (** speculative access outside every sanctioned heap *)
   | Redux_violation of { site : int; addr : int }

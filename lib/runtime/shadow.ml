@@ -40,24 +40,6 @@ let iteration_of_timestamp ~interval_start m =
   if not (is_timestamp m) then invalid_arg "Shadow.iteration_of_timestamp";
   interval_start + m - first_timestamp
 
-(* Read-only metadata probe for the eager conflict board: the current
-   metadata byte of one private address on one worker machine, plus
-   whether its shadow page is dirty this interval.  The dirty bit is
-   what scopes a probe to the current interval's obligations: marks on
-   clean pages belong to earlier intervals, which their own merges
-   validated, exactly as in checkpoint extraction, which also scans
-   dirty pages only. *)
-let probe machine ~addr =
-  let p = Memory.page_for_read machine.Machine.mem (Heap.shadow_of_private addr) in
-  (Char.code (Bytes.get p.bytes (Memory.offset_of_addr addr)), p.written_this_interval)
-
-(* Read-live-in marks on the shadow page covering private [addr] on
-   one worker machine: the board's coarse filter, since only a marked
-   byte can convict.  Counts the whole cohort's marks, dirty page or
-   not. *)
-let live_in_marks machine ~addr =
-  (Memory.page_for_read machine.Machine.mem (Heap.shadow_of_private addr)).live_in_bytes
-
 type op = Read | Write
 
 type verdict = Keep | Update of int | Fail of (addr:int -> Misspec.reason)
@@ -88,9 +70,13 @@ let all_read_live_in = splat read_live_in
 (* Table 2 on the aligned metadata word of an 8-byte access whose eight
    bytes share one state: one word read and at most one word write.
    Each case is what [range_access] does to such a word, down to the
-   page promotion, the summary flag and the exact counts; beta >= 3, so
-   the four patterns never overlap.  Returns false, having changed
-   nothing, on any other word.  The word is read through
+   page promotion and the exact counts, except that a write over an
+   all-beta word skips the promotion: the current iteration's
+   timestamps sit only on a page this machine promoted this interval
+   (the reset rewrites every timestamp at each checkpoint), which is
+   already dirty and unshared.  beta >= 3, so the four patterns never
+   overlap.  Returns false, having changed nothing, on any other
+   word.  The word is read through
    [page_for_read], whose unmapped page reads as all live-in, so the
    read allocates nothing. *)
 let word_access mem op ~addr ~beta =
@@ -102,20 +88,15 @@ let word_access mem op ~addr ~beta =
     if Int64.equal w all_read_live_in || Int64.equal w (splat beta) then true
     else if Int64.equal w all_live_in then begin
       let p = Memory.touch_page mem shadow in
-      Memory.flag_live_in_read p;
       Bytes.set_int64_le p.bytes off all_read_live_in;
       Memory.add_live_in_bytes p 8;
       true
     end
     else false
   | Write ->
-    if Int64.equal w (splat beta) then begin
-      Memory.flag_timestamp (Memory.touch_page mem shadow);
-      true
-    end
+    if Int64.equal w (splat beta) then true
     else if Int64.equal w all_live_in || Int64.equal w all_old_write then begin
       let p = Memory.touch_page mem shadow in
-      Memory.flag_timestamp p;
       Bytes.set_int64_le p.bytes off (splat beta);
       Memory.add_timestamp_bytes p 8;
       true
@@ -129,18 +110,15 @@ let word_access mem op ~addr ~beta =
    run (not once per byte) and the metadata bytes are transitioned
    directly on the page's backing store.  The page is promoted to a
    writable (copy-on-write-cloned, dirty-marked) page lazily, at the
-   first byte that actually needs an update, and the page summary flag
-   matching the operation (timestamps for writes, read-live-in marks
-   for reads) is raised at the same moment — so checkpoint extraction
-   and metadata reset can skip unflagged pages wholesale.  Promotions
-   additionally maintain the page's exact mark counts — timestamp
-   bytes on writes (a byte entering the >= first_timestamp range from
-   below, which is what lets the reset fill fully-timestamped pages
-   instead of scanning them) and read-live-in bytes on reads
-   (the live-in -> read-live-in transition, which is what lets
-   checkpoint extraction stop a page scan once every mark is found);
-   both counts are flushed to the page before any raise so partial
-   updates stay consistent.
+   first byte that actually needs an update.  Updates maintain the
+   page's exact mark counts — timestamp bytes on writes (a byte
+   entering the >= first_timestamp range from below) and read-live-in
+   bytes on reads (the live-in -> read-live-in transition) — which is
+   what lets checkpoint extraction and metadata reset skip unmarked
+   pages wholesale, the reset fill fully-timestamped pages instead of
+   scanning them, and extraction stop a page scan once every mark is
+   found; both counts are flushed to the page before any raise so
+   partial updates stay consistent.
    Byte-for-byte equivalent to the per-byte reference oracle in the
    test library (asserted by a qcheck property): same final metadata,
    same verdict at the same byte, same partial updates before a
@@ -160,12 +138,8 @@ let range_access mem op ~addr ~size ~beta =
     let added = ref 0 in
     let li_added = ref 0 in
     let promote () =
-      let p = Memory.touch_page mem shadow_base in
-      (match op with
-      | Write -> Memory.flag_timestamp p
-      | Read -> Memory.flag_live_in_read p);
-      writable := true;
-      page := p
+      page := Memory.touch_page mem shadow_base;
+      writable := true
     in
     let flush_count () =
       if !added > 0 then Memory.add_timestamp_bytes !page !added;
@@ -225,12 +199,12 @@ let scan_rewrite bytes ~timestamps =
    Returns the number of shadow pages in the cost model's sense — every
    mapped shadow page, exactly as before the page-index refactor, so
    simulated cycle charges are unchanged.  Host work is proportional
-   only to pages whose [any_timestamp] summary flag is set: the rest
+   only to pages whose exact timestamp count is nonzero: the rest
    provably hold no timestamps and are skipped without a scan.
 
    A page whose exact timestamp count equals the page size resets to
    a constant, so it takes one memset instead of the read-check-write
-   scan; any other flagged page is scanned only until its counted
+   scan; any other counted page is scanned only until its counted
    timestamps are rewritten.  [touch_page] has already cloned a
    copy-on-write shared page, so the fill never writes through a buffer
    another machine sees. *)
@@ -239,9 +213,9 @@ let reset_interval machine =
   let mapped = Memory.mapped_page_count mem ~heap:Heap.Shadow in
   (* Collect first: resetting clones shared pages, which mutates the
      bank being folded over. *)
-  let flagged =
+  let stamped =
     Memory.fold_pages mem ~heap:Heap.Shadow ~init:[] ~f:(fun ~key page acc ->
-        if page.Memory.any_timestamp then key :: acc else acc)
+        if page.Memory.timestamp_bytes > 0 then key :: acc else acc)
   in
   List.iter
     (fun key ->
@@ -251,6 +225,6 @@ let reset_interval machine =
       if timestamps = Memory.page_size then
         Bytes.fill bytes 0 Memory.page_size (Char.unsafe_chr old_write)
       else scan_rewrite bytes ~timestamps;
-      Memory.clear_timestamp_flag p)
-    flagged;
+      Memory.clear_timestamp_bytes p)
+    stamped;
   mapped

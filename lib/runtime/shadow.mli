@@ -38,23 +38,6 @@ val is_timestamp : int -> bool
     @raise Invalid_argument if the byte is not a timestamp. *)
 val iteration_of_timestamp : interval_start:int -> int -> int
 
-(** Read-only probe of one private byte's metadata on one worker
-    machine: [(metadata, dirty)] where [metadata] is the current shadow
-    byte ([live_in] when the shadow page is unmapped) and [dirty] is
-    whether that shadow page was written this interval — the same
-    dirty-page scope checkpoint extraction uses.  The eager conflict
-    board ({!Conflict_board}) is the intended caller; the probe never
-    promotes a page or moves a simulated cycle. *)
-val probe : Privateer_machine.Machine.t -> addr:int -> int * bool
-
-(** The exact count of read-live-in marks (the page's [live_in_bytes])
-    on the shadow page covering private [addr] on one worker machine, 0
-    when that page is unmapped.  Marks accumulate over the cohort, so
-    the count includes marks carried over interval boundaries.  The
-    conflict board's coarse filter: a page without marks cannot
-    convict. *)
-val live_in_marks : Privateer_machine.Machine.t -> addr:int -> int
-
 (** The two private-access kinds Table 2 distinguishes. *)
 type op = Read | Write
 
@@ -72,9 +55,9 @@ val transition : op -> current:int -> beta:int -> verdict
     eight metadata bytes share one state is decided on the metadata
     word (one read, at most one write); any other is range-granular:
     one page resolution per contiguous run, metadata transitioned
-    directly on the page bytes.  Both raise the page summary flags for
-    the checkpoint and reset scans and keep the exact per-page
-    timestamp and read-live-in counts.  Byte-for-byte
+    directly on the page bytes.  Both keep the exact per-page
+    timestamp and read-live-in counts the checkpoint and reset scans
+    read.  Byte-for-byte
     equivalent to the per-byte reference oracle kept in the test
     library (property-tested).
     @raise Misspec.Misspeculation on a violation. *)
@@ -84,7 +67,7 @@ val access :
 (** Checkpoint-time reset: every timestamp becomes old-write (code 1);
     read-live-in marks are preserved.  Returns the number of mapped
     shadow pages — the unchanged simulated cost charge — while host
-    work visits only pages whose [any_timestamp] summary flag is set.
+    work visits only pages whose exact timestamp count is nonzero.
     A fully-timestamped page (exact count equal to [Memory.page_size])
     takes one in-place fill of [old_write]; a partial page takes the
     word-wise scan-rewrite, which stops once it has rewritten the

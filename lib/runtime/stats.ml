@@ -32,14 +32,17 @@ type t = {
   (* Eager-validation accounting.  Deterministic within one validation
      mode (pure functions of the simulated execution, identical at any
      host-parallelism setting) but *not* part of the cross-mode
-     identity surface: commit mode never kills early, so these — and
-     only these among the simulated counters — legitimately differ
-     between --validation eager and commit.  squashed_iterations is
-     maintained in both modes: it is the wasted-work metric the two
-     modes are compared on. *)
-  mutable eager_kills : int; (* intervals cut short by the conflict board *)
-  mutable eager_checks : int; (* accesses published to the board *)
-  mutable eager_hits : int; (* coarse page hits that ran a precise confirm *)
+     identity surface after an eager kill: commit mode never kills
+     early, so these legitimately differ between --validation eager
+     and commit once one fires.  squashed_iterations is maintained in
+     both modes: it is the wasted-work metric the two modes are
+     compared on. *)
+  mutable eager_kills : int; (* intervals cut short by a worker's own misspeculation *)
+  (* Inert, like the par_*/seq_* counters below: nothing counts into
+     them, so they read 0.  They stay until the benchmark stops
+     reading them. *)
+  mutable eager_checks : int;
+  mutable eager_hits : int;
   mutable squashed_iterations : int;
       (* speculative iterations executed inside intervals that were
          then squashed (their work discarded) — in either mode *)

@@ -19,11 +19,11 @@ type loop_stats = {
     simulation — none may vary with host settings such as
     concurrent server jobs — except the [ns_*]
     host-time accumulators, which are explicitly host-side
-    instrumentation.  The [eager_*] /
+    instrumentation.  The [eager_kills] /
     [squashed_iterations] / [avoided_iterations] fields are simulated
     and host-deterministic, but differ between the two validation
-    modes by design; the authoritative table of every
-    determinism-contract exemption is in [docs/RUNTIME.md]. *)
+    modes by design once an eager kill fires; the authoritative table
+    of every determinism-contract exemption is in [docs/RUNTIME.md]. *)
 type t = {
   mutable invocations : int;
   mutable checkpoints : int;
@@ -43,13 +43,14 @@ type t = {
   mutable cyc_join : int;
   mutable cyc_recovery : int;
   mutable eager_kills : int;
-      (** intervals cut short by the eager conflict board.  Like the
-          other [eager_*] fields: deterministic at any host setting,
-          exempt only from the cross-validation-mode identity
-          surface. *)
-  mutable eager_checks : int;  (** accesses published to the board *)
+      (** intervals an eager sweep stopped at a worker's own
+          misspeculation: deterministic at any host setting, exempt
+          only from the cross-validation-mode identity surface *)
+  mutable eager_checks : int;
+      (** Inert, like [eager_hits] and the [par_*]/[seq_*] counters:
+          nothing counts into either, so both always read 0.  They
+          remain for readers that still name them. *)
   mutable eager_hits : int;
-      (** coarse page hits that ran a precise confirm *)
   mutable squashed_iterations : int;
       (** speculative iterations executed inside later-squashed
           intervals (either mode) — the wasted-work metric eager and

@@ -12,7 +12,7 @@
    kinds resolve through the shared loader (Privateer_gen.Sources), so
    the CLI and the server report identical errors — here each wrapped
    with its line number.  A scenario:<spec> (see docs/SCENARIOS.md) is
-   generated on first use and registered as a first-class workload;
+   generated when its line loads and runs like a port;
    `scale=N` picks the workload's large-input scale factor.  <knob> is
    any Runtime_config CLI binding name (workers, checkpoint, schedule,
    validation, ...), applied over the server's base config — the same

@@ -1,33 +1,18 @@
-(* The workload registry.
+(* The workloads: the paper's five programs (section 6, Table 3).
 
-   The paper's five programs (section 6, Table 3) are built in;
-   [register] lets generated scenarios (lib/gen) and tests join the
-   suite as first-class citizens — [all]/[find]/[lookup] see them
-   exactly like the builtins.  [lookup] owns the canonical
+   Generated scenarios (lib/gen) resolve by spec through
+   [Scenario_gen.workload_of_spec] and never join this list, so [all]
+   is the same five in every process.  [lookup] owns the canonical
    unknown-workload error string shared by the CLI and the jobs
    manifest. *)
 
-let builtin : Workload.t list =
+let all () =
   [ Alvinn.workload; Dijkstra.workload; Blackscholes.workload; Swaptions.workload;
     Enc_md5.workload ]
-
-let registered : Workload.t list ref = ref []
-
-let all () = builtin @ List.rev !registered
 
 let names () = List.map (fun (w : Workload.t) -> w.name) (all ())
 
 let find name = List.find_opt (fun (w : Workload.t) -> w.name = name) (all ())
-
-(* Registration replaces an earlier registered workload of the same
-   name (so re-generating a scenario under one name is idempotent) but
-   never shadows a builtin. *)
-let register (w : Workload.t) =
-  if List.exists (fun (b : Workload.t) -> b.name = w.name) builtin then
-    invalid_arg (Printf.sprintf "workload %S is a builtin and cannot be replaced" w.name)
-  else
-    registered :=
-      w :: List.filter (fun (r : Workload.t) -> r.name <> w.name) !registered
 
 let lookup name =
   match find name with

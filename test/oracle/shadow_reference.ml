@@ -7,8 +7,8 @@
    failure) under randomized op/addr/size/beta sequences.
 
    It resolves a page per byte through the generic Memory accessors
-   and does NOT maintain the per-page summary flags, so a machine
-   driven through this module must not be handed to the flag-driven
+   and does NOT maintain the per-page mark counts, so a machine
+   driven through this module must not be handed to the count-driven
    fast paths ([Shadow.reset_interval], checkpoint extraction). *)
 
 open Privateer_ir
@@ -25,7 +25,7 @@ let access machine op ~addr ~size ~beta =
     | Shadow.Fail mk -> raise (Misspec.Misspeculation (mk ~addr:b))
   done
 
-(* Per byte, in place: no summary flags, no full-page fill. *)
+(* Per byte, in place: no mark counts, no full-page fill. *)
 let reset_interval machine =
   let mem = machine.Machine.mem in
   let pages =

@@ -6,9 +6,9 @@
     over the two and compare their observable effects byte for byte.
 
     It resolves a page per byte through the generic [Memory] accessors
-    and does {b not} maintain the per-page summary flags or the exact
-    timestamp-byte counts, so a machine driven through this module
-    must not be handed to the flag-driven fast paths
+    and does {b not} maintain the exact per-page mark counts, so a
+    machine driven through this module must not be handed to the
+    count-driven fast paths
     ([Shadow.reset_interval], checkpoint extraction).  Its
     [reset_interval] rewrites every shadow byte in place. *)
 

@@ -1,6 +1,6 @@
 (** The signature shared by the shadow-metadata implementations.
 
-    Two modules implement it: the range-granular, flag-driven
+    Two modules implement it: the range-granular, count-driven
     [Privateer_runtime.Shadow] (the production path) and the per-byte
     {!Shadow_reference} oracle.  Property tests functorize over
     {!module-type-S} so the same workload drives both and their

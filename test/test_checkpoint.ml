@@ -20,8 +20,9 @@
      [Shadow.access] ranges and across the interval reset;
    - qcheck: the interval reset, full-page fill included, equals the
      per-byte reference reset; units: the fill never writes through a
-     copy-on-write shared page, takes only exactly-full pages, and the
-     reset charges every mapped shadow page as the oracle does. *)
+     copy-on-write shared page, takes only exactly-full pages, the
+     reset neither clones nor dirties a page with no timestamps, and it
+     charges every mapped shadow page as the oracle does. *)
 
 open Privateer_ir
 open Privateer_machine
@@ -108,11 +109,11 @@ let prop_extraction_equals_per_worker workerses =
 
 (* ---- early-exit scan vs byte-wise oracle -------------------------------- *)
 
-(* Extraction oracle that ignores summary flags and mark counts: every
-   byte of every dirty shadow page through [read_byte].  The real scan
-   stops once [timestamp_bytes + live_in_bytes] marks are found; if a
-   count were ever short, the early exit would drop marks and this
-   property would catch it. *)
+(* Extraction oracle that ignores the mark counts: every byte of every
+   dirty shadow page through [read_byte].  The real scan skips a page
+   with no marks and stops once [timestamp_bytes + live_in_bytes] marks
+   are found; if a count were ever short, the scan would drop marks and
+   this property would catch it. *)
 let naive_tables ~interval_start (m : Machine.t) =
   let mem = m.Machine.mem in
   let writes = Hashtbl.create 64 in
@@ -477,7 +478,6 @@ let test_full_page_reset_spares_snapshot_parent () =
   let p = page_of child in
   check "child reads all old-write" true
     (Bytes.for_all (fun c -> Char.code c = Shadow.old_write) p.Memory.bytes);
-  check "child timestamp flag cleared" false p.Memory.any_timestamp;
   check_int "child timestamp count cleared" 0 p.Memory.timestamp_bytes;
   check "parent bytes unchanged" true
     (Bytes.equal before (page_of parent).Memory.bytes);
@@ -520,9 +520,30 @@ let test_reset_fills_only_full_pages () =
        (page_of full).Memory.bytes);
   List.iter
     (fun addr ->
-      check "timestamp flag cleared" false (page_of addr).Memory.any_timestamp;
       check_int "timestamp count cleared" 0 (page_of addr).Memory.timestamp_bytes)
     [ near; full ]
+
+(* The reset picks pages by their exact timestamp count.  On a snapshot
+   child, a shadow page holding only read-live-in marks is neither
+   cloned nor dirtied; the stamped page beside it is both. *)
+let test_reset_skips_unstamped_pages () =
+  let parent = Machine.create () in
+  Memory.clear_dirty parent.Machine.mem;
+  let base = Heap.base Heap.Private in
+  let stamped = base + Memory.page_size in
+  Shadow.access parent Shadow.Read ~addr:base ~size:8 ~beta:3;
+  Shadow.access parent Shadow.Write ~addr:stamped ~size:8 ~beta:3;
+  let child = Machine.snapshot parent in
+  let page_of m addr = Memory.page_for_read m.Machine.mem (Heap.shadow_of_private addr) in
+  check_int "both pages charged" 2 (Shadow.reset_interval child);
+  check "live-in-only page still the parent's" true
+    (page_of child base == page_of parent base);
+  check_int "its marks are kept" 8 (page_of child base).Memory.live_in_bytes;
+  check "stamped page cloned" true (page_of child stamped != page_of parent stamped);
+  check_int "stamped page reset" 0 (page_of child stamped).Memory.timestamp_bytes;
+  check "only the stamped page is dirty" true
+    (Memory.dirty_pages ~heap:Heap.Shadow child.Machine.mem
+    = [ Memory.page_of_addr (Heap.shadow_of_private stamped) ])
 
 (* The reset's return value is the simulated charge: one [c_reset_page]
    per mapped shadow page.  Filled, scanned and skipped pages all
@@ -593,6 +614,8 @@ let suite =
         test_full_page_reset_spares_snapshot_parent;
       Alcotest.test_case "reset fills only exactly-full pages" `Quick
         test_reset_fills_only_full_pages;
+      Alcotest.test_case "reset skips pages without timestamps" `Quick
+        test_reset_skips_unstamped_pages;
       Alcotest.test_case "reset charge = oracle's, every mapped page" `Quick
         test_reset_charge_matches_oracle;
       Alcotest.test_case "writing interval sweeps its delta" `Quick

@@ -7,13 +7,17 @@
    At every point a source runs in both validation modes, and
    1. output and result equal the sequential run;
    2. a served run's fingerprint equals the serial run's;
-   3. eager agrees with commit (on output and result, through 1); on a
-      clean run also on cycles and checkpoints, with no kill; and on
-      misspeculation and recovery counts, squashing at most as much,
-      unless conflicts are planted at more than one worker, where the
-      modes resume at different iterations (docs/RUNTIME.md).  The
-      lattice injects every 11th iteration into intervals of at most
-      11, so injection alone never misspeculates twice per interval;
+   3. eager agrees with commit (on output and result, through 1).  On
+      a run with no eager kill it agrees on everything: fingerprint,
+      cycles, checkpoints, misspeculation, recovery and squash counts,
+      because only a worker's own misspeculation stops an eager sweep
+      and phase 2 alone finds cross-worker conflicts in both modes.
+      After a kill it still agrees on misspeculation and recovery
+      counts, squashing at most as much, unless conflicts are planted
+      at more than one worker, where the modes resume at different
+      iterations (docs/RUNTIME.md).  The lattice injects every 11th
+      iteration into intervals of at most 11, so injection alone never
+      misspeculates twice per interval;
    4. without injection the misspeculation count is the oracle's at
       one worker and at most the oracle's at more (0 for templates
       and ports, which plant nothing).
@@ -167,12 +171,15 @@ let check src p =
   | [ (_, _, (commit : Pipeline.par_run)); (_, _, eager) ] ->
     let c = commit.stats and e = eager.stats in
     let agree what a b = holds (a = b) "%s: commit %d, eager %d" what a b in
-    if c.misspeculations = 0 && e.misspeculations = 0 && not inject then begin
+    if e.eager_kills = 0 then begin
+      holds (fingerprint commit = fingerprint eager) "fingerprint: eager differs from commit";
       agree "cycles" commit.par_cycles eager.par_cycles;
       agree "checkpoints" c.checkpoints e.checkpoints;
-      agree "eager kills" c.eager_kills e.eager_kills
-    end;
-    if src.expect = Some 0 || (src.expect <> None && workers = 1) then begin
+      agree "misspeculations" c.misspeculations e.misspeculations;
+      agree "recovered iterations" c.recovered_iterations e.recovered_iterations;
+      agree "squashed iterations" c.squashed_iterations e.squashed_iterations
+    end
+    else if src.expect = Some 0 || (src.expect <> None && workers = 1) then begin
       agree "misspeculations" c.misspeculations e.misspeculations;
       agree "recovered iterations" c.recovered_iterations e.recovered_iterations;
       holds
@@ -244,6 +251,24 @@ let sweep_text =
 let sweep_knobs =
   { Scenario_gen.default_knobs with
     Scenario_gen.k_seed = 1; k_loops = 2; k_trip = 64; k_redux = 0.5; k_misspec = 0.1 }
+
+(* The planted scenario at eight workers, where every conflict it
+   plants is cross-worker: phase 2 finds each in both modes, so eager
+   never kills and runs exactly as commit does. *)
+let test_cross_worker_conflicts_phase2 () =
+  let p =
+    point_of
+      [ ("workers", "8"); ("schedule", "cyclic"); ("checkpoint", "none"); ("inject", "none") ]
+  in
+  let _, _, (commit : Pipeline.par_run), eager = cell (scenario_source sweep_knobs) p in
+  List.iter
+    (fun (mode, (par : Pipeline.par_run)) ->
+      Alcotest.(check int) (mode ^ ": misspeculations") 11 par.stats.misspeculations;
+      Alcotest.(check int) (mode ^ ": cycles") 167_873 par.par_cycles)
+    [ ("commit", commit); ("eager", eager) ];
+  Alcotest.(check int) "no eager kill" 0 eager.stats.eager_kills;
+  Alcotest.(check string) "eager fingerprint = commit's" (fingerprint commit)
+    (fingerprint eager)
 
 (* Every point of the lattice on a serial host: the product of the
    drawn dimensions' values, which grows with the lattice. *)
@@ -344,7 +369,9 @@ let suite =
     Alcotest.test_case "a template program at every serial point" `Quick
       (sweep (text_source ~expect:0 sweep_text));
     Alcotest.test_case "a planted scenario at every serial point" `Quick
-      (sweep (scenario_source sweep_knobs)) ]
+      (sweep (scenario_source sweep_knobs));
+    Alcotest.test_case "cross-worker conflicts: phase 2 in both modes" `Quick
+      test_cross_worker_conflicts_phase2 ]
   @ List.map QCheck_alcotest.to_alcotest
     [ QCheck.Test.make ~count:170 ~name:"template programs at drawn points"
         (QCheck.make ~print:(fun (_, p) -> show_point p)

@@ -761,8 +761,7 @@ let cohort_allocations () =
         | None, Some spec ->
           let env =
             { Worker.cm = cfg.costs; stats = Privateer_runtime.Stats.create ();
-              sites = Worker.sites tr.manifest; validate = true; inject = None;
-              board = None }
+              sites = Worker.sites tr.manifest; validate = true; inject = None }
           in
           let ranges = Worker.redux_ranges st spec in
           let workers, spawn_words =
@@ -860,8 +859,7 @@ let test_control_misspec_names_branch () =
               ran := true;
               let env =
                 { Worker.cm = cfg.costs; stats = Privateer_runtime.Stats.create ();
-                  sites = Worker.sites tr.manifest; validate = true; inject = None;
-                  board = None }
+                  sites = Worker.sites tr.manifest; validate = true; inject = None }
               in
               let ranges = Worker.redux_ranges st spec in
               let w = List.hd (Worker.spawn env st fr spec ranges 1 ~now:0) in

@@ -2,7 +2,7 @@
    and a seeded byte-mutation fuzzer over Cmini sources and the jobs
    manifest.
 
-   The sources are every registered workload, the seed-1 and seed-7919
+   The sources are the five ports, the seed-1 and seed-7919
    scenario corpora and examples/programs.  On each of them and on
    their byte mutants, the lexer must give Lexer_reference's located
    tokens, or its Lex_error text and position.  A mutant that parses

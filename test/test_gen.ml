@@ -57,16 +57,19 @@ let test_deterministic () =
   check "different seed, different source" false
     (String.equal a.Scenario_gen.sc_source c.Scenario_gen.sc_source)
 
-(* ---- registry integration ----------------------------------------------- *)
+(* ---- resolution by spec --------------------------------------------------- *)
 
+(* A spec resolves to the scenario it generates, under its canonical
+   name, and the workload list stays the five ports. *)
 let test_workload_of_spec () =
   (match Scenario_gen.workload_of_spec "seed=901,trip=24" with
   | Error m -> Alcotest.fail m
   | Ok wl ->
-    check "registered under canonical name" true (Workloads.find wl.Workload.name <> None);
-    (match Scenario_gen.workload_of_spec "seed=901,trip=24" with
-    | Ok wl' -> check "second resolution is cached" true (wl == wl')
-    | Error m -> Alcotest.fail m));
+    let k = { Scenario_gen.default_knobs with Scenario_gen.k_seed = 901; k_trip = 24 } in
+    Alcotest.(check string) "named by its canonical spec"
+      ("scenario:" ^ Scenario_gen.spec_of_knobs k) wl.Workload.name;
+    check "the workload list is unchanged" true
+      (Workloads.find wl.Workload.name = None && List.length (Workloads.all ()) = 5));
   match Sources.parse "scenario:seed=901,trip=banana" with
   | Ok _ -> Alcotest.fail "bad scenario spec accepted by source loader"
   | Error m -> check "loader surfaces the knob error" true (contains m "expected an integer")
@@ -185,7 +188,7 @@ let suite =
     Alcotest.test_case "generation is deterministic" `Quick test_deterministic;
     Alcotest.test_case "source loader: malformed file fails closed" `Quick
       test_sources_file_fails_closed;
-    Alcotest.test_case "workload_of_spec registers and caches" `Quick
+    Alcotest.test_case "workload_of_spec generates, registers nothing" `Quick
       test_workload_of_spec;
     Alcotest.test_case "expected classification holds" `Quick
       test_expected_classification;

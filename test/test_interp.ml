@@ -611,7 +611,7 @@ let event_programs () =
         let tr, _ = Privateer.Pipeline.compile ~setup program in
         [ (wl.name, setup, program);
           (wl.name ^ "/transformed", setup, tr.Privateer_transform.Transform.program) ])
-      Privateer_workloads.Workloads.builtin
+      (Privateer_workloads.Workloads.all ())
   in
   let scenarios =
     List.map

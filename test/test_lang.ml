@@ -56,7 +56,7 @@ let test_lexer_positions () =
 let test_lexer_allocation () =
   let sources =
     List.map (fun (w : Privateer_workloads.Workload.t) -> w.source)
-      Privateer_workloads.Workloads.builtin
+      (Privateer_workloads.Workloads.all ())
     @ List.map
         (fun (t : Privateer_gen.Scenario_gen.t) -> t.sc_source)
         (Privateer_gen.Scenario_gen.corpus ~seed:1 ~count:200)

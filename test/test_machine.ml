@@ -13,7 +13,6 @@ let test_heap_tags_roundtrip () =
   List.iter
     (fun h ->
       let base = Heap.base h in
-      check "base carries tag" true (Heap.check base h);
       check "heap_of_addr" true (Heap.equal_kind (Heap.heap_of_addr base) h);
       check "interior address keeps tag" true
         (Heap.equal_kind (Heap.heap_of_addr (base + 123456)) h);
@@ -29,7 +28,7 @@ let test_private_shadow_one_bit () =
      so the metadata address is one OR away. *)
   let p = Heap.base Heap.Private + 0xabc in
   let s = Heap.shadow_of_private p in
-  check "shadow tagged" true (Heap.check s Heap.Shadow);
+  check "shadow tagged" true (Heap.equal_kind (Heap.heap_of_addr s) Heap.Shadow);
   check_int "roundtrip" p (Heap.private_of_shadow s);
   check_int "one bit apart" 1
     (let x = Heap.tag Heap.Private lxor Heap.tag Heap.Shadow in
@@ -38,9 +37,9 @@ let test_private_shadow_one_bit () =
 
 let test_heap_check_rejects_foreign () =
   let p = Heap.base Heap.Private + 8 in
-  check "not read-only" false (Heap.check p Heap.Read_only);
-  check "not default" false (Heap.check p Heap.Default);
-  check "is private" true (Heap.check p Heap.Private)
+  check "not read-only" false (Heap.equal_kind (Heap.heap_of_addr p) Heap.Read_only);
+  check "not default" false (Heap.equal_kind (Heap.heap_of_addr p) Heap.Default);
+  check "is private" true (Heap.equal_kind (Heap.heap_of_addr p) Heap.Private)
 
 (* ---- memory ------------------------------------------------------------ *)
 
@@ -103,6 +102,26 @@ let test_memory_cow_two_children () =
   check_int "c1" 11 (Int64.to_int (fst (Memory.read_word c1 0x100)));
   check_int "c2" 22 (Int64.to_int (fst (Memory.read_word c2 0x100)));
   check_int "parent" 1 (Int64.to_int (fst (Memory.read_word parent 0x100)))
+
+(* A page's exact mark counts describe its content, so a copy-on-write
+   clone starts with them, and a change on either side stays there. *)
+let test_memory_cow_mark_counts () =
+  let parent = Memory.create () in
+  let p = Memory.touch_page parent 0x2000 in
+  Memory.add_timestamp_bytes p 24;
+  Memory.add_live_in_bytes p 3;
+  let child = Memory.snapshot parent in
+  let c = Memory.touch_page child 0x2000 in
+  check "the child's first write clones the page" true (c != p);
+  check_int "clone keeps the timestamp count" 24 c.Memory.timestamp_bytes;
+  check_int "clone keeps the live-in count" 3 c.Memory.live_in_bytes;
+  Memory.clear_timestamp_bytes c;
+  Memory.add_live_in_bytes c (-1);
+  check_int "child timestamp count cleared" 0 c.Memory.timestamp_bytes;
+  check_int "child live-in count lowered" 2 c.Memory.live_in_bytes;
+  let p = Memory.page_for_read parent 0x2000 in
+  check_int "parent timestamp count kept" 24 p.Memory.timestamp_bytes;
+  check_int "parent live-in count kept" 3 p.Memory.live_in_bytes
 
 let test_memory_dirty_tracking () =
   let m = Memory.create () in
@@ -237,7 +256,7 @@ let test_allocator_basic () =
   let a = Allocator.create Heap.Private in
   let p1 = Allocator.alloc a 24 in
   let p2 = Allocator.alloc a 24 in
-  check "tagged" true (Heap.check p1 Heap.Private);
+  check "tagged" true (Heap.equal_kind (Heap.heap_of_addr p1) Heap.Private);
   check "distinct" true (p1 <> p2);
   check "aligned" true (p1 mod 16 = 0);
   check "no overlap" true (abs (p2 - p1) >= 24);
@@ -313,6 +332,7 @@ let suite =
     Alcotest.test_case "memory unaligned words" `Quick test_memory_unaligned_word;
     Alcotest.test_case "COW parent/child isolation" `Quick test_memory_cow_isolation;
     Alcotest.test_case "COW sibling isolation" `Quick test_memory_cow_two_children;
+    Alcotest.test_case "COW clones keep mark counts" `Quick test_memory_cow_mark_counts;
     Alcotest.test_case "dirty page tracking" `Quick test_memory_dirty_tracking;
     Alcotest.test_case "equal_range across a page boundary" `Quick test_memory_equal_range_page_boundary;
     Alcotest.test_case "equal_range: unmapped vs mapped zeros" `Quick test_memory_equal_range_unmapped_vs_zero;

@@ -15,7 +15,6 @@ let () =
       ("baselines", Test_baselines.suite);
       ("workloads", Test_workloads.suite);
       ("properties", Test_props.suite);
-      ("eager", Test_eager.suite);
       ("server", Test_server.suite);
       ("gen", Test_gen.suite);
       ("contract", Test_contract.suite);

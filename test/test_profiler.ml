@@ -393,7 +393,7 @@ let test_ports_match_reference () =
       | None -> ()
       | Some what ->
         Alcotest.failf "%s: fast profiler differs from the oracle on %s" wl.name what)
-    Privateer_workloads.Workloads.builtin
+    (Privateer_workloads.Workloads.all ())
 
 let scenario_corpus =
   lazy (Privateer_gen.Scenario_gen.corpus ~seed:11 ~count:6)

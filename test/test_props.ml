@@ -84,7 +84,7 @@ let prop_allocator_no_overlap script =
       if n >= 0 then begin
         let size = max 1 n in
         let addr = Allocator.alloc a size in
-        if not (Privateer_ir.Heap.check addr Privateer_ir.Heap.Private) then ok := false;
+        if Privateer_ir.Heap.(heap_of_addr addr <> Private) then ok := false;
         (* no overlap with any live range *)
         List.iter
           (fun (base, sz) ->
@@ -143,7 +143,7 @@ let resolve_addr recent fresh pick =
   let open Privateer_ir in
   match List.nth_opt recent (pick mod 8) with
   | Some a when pick < 8 -> a
-  | Some a when pick < 10 && (Heap.check a Heap.Private || Heap.check a Heap.Shadow) ->
+  | Some a when pick < 10 && Heap.(heap_of_addr a = Private || heap_of_addr a = Shadow) ->
     a lxor Heap.private_shadow_bit
   | Some a when pick < 12 -> a + (64 * Privateer_machine.Memory.page_size)
   | _ -> fresh
@@ -222,7 +222,7 @@ let dirty_agrees mem md =
       List.sort compare (Memory.dirty_pages ~heap mem)
       = List.filter
           (fun key ->
-            Privateer_ir.Heap.check (Memory.base_of_page key) heap)
+            Privateer_ir.Heap.heap_of_addr (Memory.base_of_page key) = heap)
           model_dirty)
     Privateer_ir.Heap.all
   && Memory.dirty_count mem = List.length model_dirty
@@ -482,10 +482,10 @@ let prop_shadow_vs_oracle history =
 (* ---- range-granular shadow access vs per-byte reference ----------------- *)
 
 (* The refactored Shadow.access resolves pages per contiguous run and
-   keeps per-page summary flags; Shadow_reference retains the original
+   keeps exact per-page mark counts; Shadow_reference retains the original
    per-byte implementation.  Under random op/addr/size/beta sequences
    (addresses biased to straddle page boundaries, occasional interval
-   resets to stress the flag-driven reset path) both must produce the
+   resets to stress the count-driven reset path) both must produce the
    same verdicts at the same op index and byte-identical metadata.
 
    Both implementations satisfy [Shadow_sig.S], so the op-list driver

@@ -1,5 +1,7 @@
 (* Unit tests for the speculative runtime: the Table 2 metadata state
-   machine (exhaustively), deferred I/O, and checkpoint merging. *)
+   machine (exhaustively), deferred I/O, checkpoint merging, and
+   phase 2, the one validator of cross-worker conflicts in either
+   validation mode. *)
 
 open Privateer_ir
 open Privateer_machine
@@ -210,6 +212,124 @@ let test_checkpoint_phase2_violation () =
   check "phase-2 conflict detected" true
     (match merged.violation with Some (Misspec.Phase2 _) -> true | _ -> false)
 
+(* ---- phase 2: the one cross-worker validator ---------------------------- *)
+
+(* Each worker below runs its accesses through [Shadow.access], as the
+   worker hooks do, and is extracted as the commit path extracts it;
+   the verdict is the merge's. *)
+let fresh_worker () =
+  let m = Machine.create () in
+  Memory.clear_dirty m.Machine.mem;
+  m
+
+let touch ?(interval_start = 0) m op ~addr ~size ~iter =
+  Shadow.access m op ~addr ~size ~beta:(Shadow.timestamp ~iter ~interval_start)
+
+let contribution ?(interval_start = 0) worker m =
+  Checkpoint.contribution_of_worker ~worker ~interval_start m ~redux_ranges:[]
+    ~reg_partials:[]
+
+let expect_phase2 msg want violation =
+  match violation with
+  | Some (Misspec.Phase2 { addr }) -> check_int msg want addr
+  | Some r -> Alcotest.fail (msg ^ ": unexpected " ^ Misspec.to_string r)
+  | None -> Alcotest.fail (msg ^ ": no phase-2 violation")
+
+let test_phase2_any_iteration_order () =
+  (* Worker 0 writes a word at iteration 2; worker 1 reads four of its
+     bytes as live-in at iteration 5 (a flow it would have seen
+     sequentially) or at iteration 1 (a read before the write).  The
+     one-byte metadata keeps no order between workers, so phase 2
+     convicts both, pinned to the first byte read. *)
+  let base = Heap.base Heap.Private in
+  List.iter
+    (fun read_iter ->
+      let w0 = fresh_worker () and w1 = fresh_worker () in
+      touch w0 Shadow.Write ~addr:base ~size:8 ~iter:2;
+      touch w1 Shadow.Read ~addr:(base + 4) ~size:4 ~iter:read_iter;
+      expect_phase2
+        (Printf.sprintf "read at iteration %d" read_iter)
+        (base + 4)
+        (Checkpoint.merge [ contribution 0 w0; contribution 1 w1 ]).violation)
+    [ 5; 1 ]
+
+let test_phase2_word_granular () =
+  (* Live-in marks are per byte, writes per word: a live-in byte
+     convicts a write to its own word only, and a read spanning two
+     words is pinned to its first byte on a written one. *)
+  let base = Heap.base Heap.Private in
+  let writer = fresh_worker () in
+  touch writer Shadow.Write ~addr:base ~size:8 ~iter:0;
+  touch writer Shadow.Write ~addr:(base + 16) ~size:8 ~iter:1;
+  let reader addr =
+    let m = fresh_worker () in
+    touch m Shadow.Read ~addr ~size:8 ~iter:2;
+    (Checkpoint.merge [ contribution 0 writer; contribution 1 m ]).violation
+  in
+  check "the word between the writes is clean" true (reader (base + 8) = None);
+  expect_phase2 "read across into a written word" (base + 16) (reader (base + 12))
+
+let test_phase2_own_writes_exempt () =
+  (* Worker 0 reads byte 0 of a word as live-in and writes byte 1 of
+     it: its own write is no conflict.  A second worker writing the
+     same word is. *)
+  let base = Heap.base Heap.Private in
+  let w0 = fresh_worker () and w1 = fresh_worker () and w2 = fresh_worker () in
+  touch w0 Shadow.Read ~addr:base ~size:1 ~iter:0;
+  touch w0 Shadow.Write ~addr:(base + 1) ~size:1 ~iter:0;
+  touch w1 Shadow.Write ~addr:(base + 64) ~size:8 ~iter:1;
+  touch w2 Shadow.Write ~addr:(base + 2) ~size:1 ~iter:2;
+  let c0 = contribution 0 w0 and c1 = contribution 1 w1 in
+  check "own write on the read word: clean" true
+    ((Checkpoint.merge [ c0; c1 ]).violation = None);
+  expect_phase2 "another worker's write to the word" base
+    (Checkpoint.merge [ c0; c1; contribution 2 w2 ]).violation
+
+let test_phase2_read_back_leaves_no_mark () =
+  (* Worker 1 writes a word and reads it back in the same iteration
+     (intra-iteration flow: Keep, no mark).  Worker 0 writes the same
+     word at an earlier iteration, so the word has two writers, yet
+     nothing was read as live-in: the merge is clean and the later
+     iteration's value wins. *)
+  let base = Heap.base Heap.Private in
+  let w0 = fresh_worker () and w1 = fresh_worker () in
+  touch w0 Shadow.Write ~addr:base ~size:8 ~iter:0;
+  Machine.set_int w0 base 10;
+  touch w1 Shadow.Write ~addr:base ~size:8 ~iter:1;
+  Machine.set_int w1 base 11;
+  touch w1 Shadow.Read ~addr:base ~size:8 ~iter:1;
+  let c1 = contribution 1 w1 in
+  check_int "no live-in byte recorded" 0 (Hashtbl.length c1.live_in_reads);
+  let merged = Checkpoint.merge [ contribution 0 w0; c1 ] in
+  check "no violation" true (merged.violation = None);
+  match Hashtbl.find_opt merged.overlay base with
+  | Some { iter = 1; bits; _ } -> check_int "iteration 1 wins" 11 (Int64.to_int bits)
+  | _ -> Alcotest.fail "missing merged word"
+
+let test_phase2_carried_mark () =
+  (* Worker 1's live-in mark on [w] outlives the interval boundary (the
+     reset keeps read-live-in marks).  In the next interval worker 1
+     only writes elsewhere on the page, which dirties the marked shadow
+     page, so the extraction sees the mark again and worker 0's write
+     to [w] is convicted at the next merge. *)
+  let base = Heap.base Heap.Private in
+  let w = base + 32 in
+  let w0 = fresh_worker () and w1 = fresh_worker () in
+  touch w1 Shadow.Read ~addr:w ~size:8 ~iter:1;
+  check "the first interval is clean" true
+    ((Checkpoint.merge [ contribution 0 w0; contribution 1 w1 ]).violation = None);
+  List.iter
+    (fun m ->
+      ignore (Shadow.reset_interval m);
+      Memory.clear_dirty m.Machine.mem)
+    [ w0; w1 ];
+  touch ~interval_start:8 w1 Shadow.Write ~addr:(base + 256) ~size:8 ~iter:9;
+  touch ~interval_start:8 w0 Shadow.Write ~addr:w ~size:8 ~iter:10;
+  expect_phase2 "write over the carried mark" w
+    (Checkpoint.merge
+       [ contribution ~interval_start:8 0 w0; contribution ~interval_start:8 1 w1 ])
+      .violation
+
 let test_checkpoint_float_preserved () =
   let base = Heap.base Heap.Private in
   let m = Machine.create () in
@@ -393,6 +513,16 @@ let suite =
     Alcotest.test_case "checkpoint contribution" `Quick test_checkpoint_contribution;
     Alcotest.test_case "checkpoint last-writer-wins" `Quick test_checkpoint_last_writer_wins;
     Alcotest.test_case "checkpoint phase-2 violation" `Quick test_checkpoint_phase2_violation;
+    Alcotest.test_case "phase 2: any iteration order conflicts" `Quick
+      test_phase2_any_iteration_order;
+    Alcotest.test_case "phase 2: live-in bytes convict their word" `Quick
+      test_phase2_word_granular;
+    Alcotest.test_case "phase 2: a worker's own writes are exempt" `Quick
+      test_phase2_own_writes_exempt;
+    Alcotest.test_case "phase 2: a read-back leaves no mark" `Quick
+      test_phase2_read_back_leaves_no_mark;
+    Alcotest.test_case "phase 2: a carried live-in mark convicts" `Quick
+      test_phase2_carried_mark;
     Alcotest.test_case "checkpoint preserves floats" `Quick test_checkpoint_float_preserved;
     Alcotest.test_case "checkpoint reduction merge" `Quick test_checkpoint_redux_merge;
     Alcotest.test_case "checkpoint register partials" `Quick test_checkpoint_reg_partials;

@@ -4,7 +4,10 @@
    (separation, control, value, lifetime) and recover to exactly
    sequential behaviour — the paper's core soundness claim — in both
    validation modes: each program runs as a cell of the contract
-   harness (Test_contract.unit_cell). *)
+   harness (Test_contract.unit_cell).  Four cells also pin what
+   `--validation eager` does: stop the sweep at each misspeculation a
+   worker raises itself, change nothing on a clean run, and leave a
+   cross-worker conflict to phase 2, as commit mode does. *)
 
 open Privateer
 
@@ -255,13 +258,11 @@ fn main() {
   in
   check "prediction failure detected" true (par.stats.misspeculations > 0)
 
-let test_separation_misspeculation_in_production () =
-  (* In training the helper only ever touches the iteration's own
-     node; in the ref run one iteration writes through a pointer into
-     an object classified read-only. *)
-  let par =
-    train_ref_divergence
-      {|global mode; global table[16]; global out[48];
+(* In training the loop only ever writes through the iteration's own
+   node; in the ref run one iteration writes through a pointer into an
+   object classified read-only. *)
+let separation_src =
+  {|global mode; global table[16]; global out[48];
 fn main() {
   for (j = 0; j < 16) { table[j] = j * j; }
   for (k = 0; k < 48) {
@@ -277,7 +278,9 @@ fn main() {
   for (q = 0; q < 48) { s = s + out[q] + table[q % 16]; }
   return s;
 }|}
-  in
+
+let test_separation_misspeculation_in_production () =
+  let par = train_ref_divergence separation_src in
   check "separation violation detected" true (par.stats.misspeculations > 0)
 
 let test_two_parallel_loops_one_program () =
@@ -360,6 +363,143 @@ fn main() {
        ~train:(fun st -> Pipeline.set_global st "mode" 0)
        ~run:(fun st -> Pipeline.set_global st "mode" 1))
 
+(* ---- eager validation ---------------------------------------------------- *)
+
+(* A privatized scratch array refilled every iteration: clean unless
+   the unit injects. *)
+let eager_src =
+  {|global scratch[8]; global out[60];
+fn main() {
+  for (k = 0; k < 60) {
+    for (i = 0; i < 8) { scratch[i] = k + i; }
+    out[k] = scratch[k % 8];
+  }
+  var s = 0;
+  for (q = 0; q < 60) { s = s + out[q]; }
+  print("= %d\n", s);
+  return s;
+}|}
+
+let eager_config inject = { (config ()) with checkpoint_period = Some 20; inject }
+
+let test_kill_at_earliest_violating_iteration () =
+  (* One injected misspeculation at iteration 5 (owned by worker 1 of
+     4, cyclic).  Commit mode burns the whole 20-iteration interval;
+     eager mode stops the sweep at the kill, skipping workers 2 and 3
+     entirely — yet both recover exactly [0, 5] and resume at 6. *)
+  let _, _, commit, eager =
+    Test_contract.unit_cell eager_src (eager_config (Some (fun iter -> iter = 5)))
+  in
+  let c = commit.Pipeline.stats and e = eager.Pipeline.stats in
+  Alcotest.(check int) "one misspeculation either way" 1 e.misspeculations;
+  Alcotest.(check int) "same verdict count as commit" c.misspeculations e.misspeculations;
+  Alcotest.(check int) "identical recovery extent" c.recovered_iterations
+    e.recovered_iterations;
+  Alcotest.(check int) "one eager kill" 1 e.eager_kills;
+  check "eager squashes fewer executed iterations" true
+    (e.squashed_iterations < c.squashed_iterations);
+  check "the skipped iterations are accounted" true (e.avoided_iterations > 0);
+  Alcotest.(check int) "commit mode never kills early" 0 c.eager_kills
+
+let test_no_false_kill_on_clean_intervals () =
+  (* Violation-free run: eager mode must be indistinguishable from
+     commit mode, cycles included. *)
+  let _, _, commit, eager = Test_contract.unit_cell eager_src (eager_config None) in
+  Alcotest.(check int) "no kills" 0 eager.Pipeline.stats.eager_kills;
+  Alcotest.(check int) "no misspeculations" 0 eager.stats.misspeculations;
+  Alcotest.(check int) "cycles identical to commit mode" commit.par_cycles
+    eager.par_cycles;
+  Alcotest.(check int) "wall cycles identical" commit.stats.wall_cycles
+    eager.stats.wall_cycles
+
+(* Two ref-input divergences with no branch to speculate away, so the
+   worker meets them as themselves rather than as a control
+   misspeculation: [flag] is left at 5 by iteration 20 against its
+   predicted 0, and iteration 17 allocates a second node it never
+   frees. *)
+let value_miss_src =
+  {|global mode; global flag; global out[50];
+fn main() {
+  flag = 0;
+  for (k = 0; k < 50) {
+    out[k] = flag + k;
+    flag = mode * (k == 20) * 5;
+  }
+  var s = 0;
+  for (q = 0; q < 50) { s = s + out[q]; }
+  return s;
+}|}
+
+let escape_src =
+  {|global mode; global nodes[2]; global out[40];
+fn main() {
+  for (k = 0; k < 40) {
+    for (j = 0; j < 1 + mode * (k == 17)) {
+      nodes[j] = malloc(1);
+      nodes[j][0] = k * 3;
+    }
+    out[k] = nodes[0][0];
+    free(nodes[0]);
+  }
+  var s = 0;
+  for (q = 0; q < 40) { s = s + out[q]; }
+  return s;
+}|}
+
+let test_own_misspeculations_kill () =
+  (* A value misprediction, a short-lived object escaping its
+     iteration, a separation violation and a cold branch are each
+     raised by the worker that runs into them, so in eager mode each
+     one stops its sweep: one kill per misspeculation, and none in
+     commit mode. *)
+  List.iter
+    (fun (name, src) ->
+      let _, _, commit, eager =
+        Test_contract.unit_cell src (config ())
+          ~train:(fun st -> Pipeline.set_global st "mode" 0)
+          ~run:(fun st -> Pipeline.set_global st "mode" 1)
+      in
+      check (name ^ ": eager misspeculated") true (eager.Pipeline.stats.misspeculations > 0);
+      Alcotest.(check int) (name ^ ": one kill per misspeculation")
+        eager.stats.misspeculations eager.stats.eager_kills;
+      Alcotest.(check int) (name ^ ": commit mode never kills") 0 commit.stats.eager_kills)
+    [ ("value", value_miss_src); ("lifetime", escape_src); ("separation", separation_src);
+      ("control", cold_else_src) ]
+
+(* Iteration [k] writes [out[k]] and then reads [out[k + mode]]: its
+   own write in training, the next iteration's word in the ref run.
+   Under the cyclic schedule the next iteration is another worker's, so
+   the reader's word is live-in on its own machine and no worker can
+   see the conflict; only the checkpoint merge (phase 2) does. *)
+let cross_worker_src =
+  {|global mode; global out[61]; global got[60];
+fn main() {
+  for (k = 0; k < 60) {
+    out[k] = k * 2;
+    got[k] = out[k + mode];
+  }
+  var s = 0;
+  for (q = 0; q < 60) { s = s + got[q]; }
+  print("= %d\n", s);
+  return s;
+}|}
+
+let test_cross_worker_conflict_left_to_phase2 () =
+  let _, _, commit, eager =
+    Test_contract.unit_cell cross_worker_src (eager_config None)
+      ~train:(fun st -> Pipeline.set_global st "mode" 0)
+      ~run:(fun st -> Pipeline.set_global st "mode" 1)
+  in
+  let c = commit.Pipeline.stats and e = eager.Pipeline.stats in
+  check "phase 2 found the conflicts" true (c.misspeculations > 0);
+  Alcotest.(check int) "no eager kill" 0 e.eager_kills;
+  Alcotest.(check int) "same misspeculations" c.misspeculations e.misspeculations;
+  Alcotest.(check int) "same squashed iterations" c.squashed_iterations
+    e.squashed_iterations;
+  Alcotest.(check int) "cycles identical to commit mode" commit.par_cycles eager.par_cycles;
+  Alcotest.(check string) "fingerprint identical to commit mode"
+    (Test_contract.fingerprint commit) (Test_contract.fingerprint eager)
+
 let suite =
   [ Alcotest.test_case "control misspeculation in production" `Quick
       test_control_misspeculation_in_production;
@@ -374,4 +514,12 @@ let suite =
     Alcotest.test_case "two parallel loops in one program" `Quick
       test_two_parallel_loops_one_program;
     Alcotest.test_case "one region invoked twice" `Quick test_loop_in_helper_called_twice;
-    Alcotest.test_case "worker fault recovers cleanly" `Quick test_worker_fault_recovers ]
+    Alcotest.test_case "worker fault recovers cleanly" `Quick test_worker_fault_recovers;
+    Alcotest.test_case "kill at earliest violating iteration" `Quick
+      test_kill_at_earliest_violating_iteration;
+    Alcotest.test_case "no false kill on clean intervals" `Quick
+      test_no_false_kill_on_clean_intervals;
+    Alcotest.test_case "eager kills on a worker's own misspeculation" `Quick
+      test_own_misspeculations_kill;
+    Alcotest.test_case "eager leaves cross-worker conflicts to phase 2" `Quick
+      test_cross_worker_conflict_left_to_phase2 ]

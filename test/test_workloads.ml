@@ -136,7 +136,7 @@ let test_md5_known_vector () =
 (* [run_both] asserts the equivalence: byte-identical, alvinn's float
    reductions included, since the reduction fold's order is fixed. *)
 let test_outputs_equivalent_alt_input () =
-  List.iter (fun wl -> ignore (run_both wl)) Workloads.builtin
+  List.iter (fun wl -> ignore (run_both wl)) (Workloads.all ())
 
 let test_profile_stability_alt () =
   (* The paper: profiling with a third input (alt) generates identical
@@ -163,7 +163,7 @@ let test_speedup_on_ref_dijkstra () =
   let speedup = float_of_int seq.seq_cycles /. float_of_int par.par_cycles in
   check "dijkstra speedup > 8x at 24 workers" true (speedup > 8.0)
 
-(* ---- registry + scale API ----------------------------------------------- *)
+(* ---- lookup + scale API ------------------------------------------------- *)
 
 let test_input_of_name () =
   List.iter
@@ -229,8 +229,8 @@ let test_scale_monotonic_cycles () =
       check (wl.Workload.name ^ " exposes scale range") true (wl.Workload.max_scale >= 2))
     (Workloads.all ())
 
-let test_registry () =
-  (match Workloads.lookup "no-such-workload" with
+let test_lookup_error () =
+  match Workloads.lookup "no-such-workload" with
   | Ok _ -> Alcotest.fail "lookup found a ghost"
   | Error m ->
     let has frag =
@@ -239,19 +239,7 @@ let test_registry () =
       go 0
     in
     check "canonical unknown-workload error" true
-      (has "unknown workload" && has "dijkstra" && has "alvinn"));
-  (match Workloads.register Dijkstra.workload with
-  | exception Invalid_argument _ -> ()
-  | () -> Alcotest.fail "registering over a builtin was allowed");
-  let dummy =
-    Workload.make ~name:"test-registry-dummy" ~description:"registry test"
-      ~source:"fn main() { print 1; }" (fun _ ~scale:_ -> [])
-  in
-  Workloads.register dummy;
-  check "registered workload resolves" true (Workloads.find "test-registry-dummy" <> None);
-  let before = List.length (Workloads.all ()) in
-  Workloads.register dummy;
-  check "re-registration is idempotent" true (List.length (Workloads.all ()) = before)
+      (has "unknown workload" && has "dijkstra" && has "alvinn")
 
 let suite =
   [ Alcotest.test_case "all workloads parse" `Quick test_all_parse_and_validate;
@@ -270,6 +258,4 @@ let suite =
     Alcotest.test_case "par ~ seq on alt inputs" `Slow test_outputs_equivalent_alt_input;
     Alcotest.test_case "profile stability (alt)" `Slow test_profile_stability_alt;
     Alcotest.test_case "dijkstra ref speedup" `Slow test_speedup_on_ref_dijkstra;
-    (* Last: registers a dummy into the process-global registry, which
-       Workloads.all-driven tests above must not observe. *)
-    Alcotest.test_case "registry: lookup error, register rules" `Quick test_registry ]
+    Alcotest.test_case "lookup: unknown-workload error" `Quick test_lookup_error ]
