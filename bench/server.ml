@@ -47,7 +47,7 @@ let specs ~max_inflight =
   List.mapi
     (fun i (t : Scenario_gen.t) ->
       let config =
-        { RC.default with max_inflight; queue_cap = 0; workers = 4 + (4 * (i mod 3)) }
+        { RC.default with max_inflight; workers = 4 + (4 * (i mod 3)) }
       in
       let wl = t.Scenario_gen.sc_workload in
       Job_server.job_spec ~config

@@ -1,56 +1,83 @@
 (* The privateer command-line driver.
 
      privateer list
-     privateer plan <workload>
-     privateer dump <workload> [--transformed]
-     privateer run <workload> [-w N] [-i ref] [--scale S] [--inject RATE]
-     privateer compare <workload> [-w N]
+     privateer plan <source>
+     privateer dump <source> [--transformed]
+     privateer run <source> [-w N] [-i ref] [--scale S] [--inject RATE] [--json]
+     privateer compare <source> [-w N]
      privateer gen <spec> [--meta]     -- emit a generated scenario
-     privateer file <path.cm> [-w N]   -- full pipeline on a Cmini file
-     privateer serve <manifest> [--max-inflight N] [--queue-cap N]
+     privateer serve <manifest> [--max-inflight N]
 
-   <workload> is a port's name or scenario:<spec> — the generated
-   scenario runs like a port.
+   <source> is anything a jobs-manifest line names (workload:<name>,
+   scenario:<spec>, file:<path>); a bare argument is a port if it
+   names one and a Cmini file path otherwise.
 *)
 
 open Cmdliner
 open Privateer
 open Privateer_workloads
+module Sources = Privateer_gen.Sources
+module Job_server = Privateer_server.Job_server
 
-(* Workload names resolve through the shared source loader, so
-   scenario:<spec> works everywhere a workload name does and the
-   unknown-workload error string is [Workloads.lookup]'s canonical
-   one. *)
-let workload_conv =
-  let parse s =
-    match Privateer_gen.Sources.lookup_workload s with
-    | Ok w -> Ok w
-    | Error msg -> Error (`Msg msg)
+(* Fail closed on a bad argument: one [privateer:] line, exit 124. *)
+let fail_closed msg =
+  Printf.eprintf "privateer: %s\n" msg;
+  exit 124
+
+let source_arg =
+  Arg.(required & pos 0 (some string) None
+       & info [] ~docv:"SOURCE"
+           ~doc:
+             "A port's name, a Cmini file path, or workload:NAME, file:PATH or \
+              scenario:SPEC.")
+
+(* Resolve a SOURCE through the loader the jobs manifest uses, so both
+   report identical errors: a malformed file fails here with its
+   positioned Cmini message. *)
+let source_of_arg arg =
+  let src =
+    if String.contains arg ':' then arg
+    else if Option.is_some (Workloads.find arg) then "workload:" ^ arg
+    else "file:" ^ arg
   in
-  Arg.conv (parse, fun fmt (w : Workload.t) -> Format.pp_print_string fmt w.name)
+  match Sources.parse src with Ok s -> s | Error msg -> fail_closed msg
+
+(* Run [f] on a SOURCE argument; a program fault exits 3, the code
+   serve uses for a failed job. *)
+let on_source arg f =
+  let source = source_of_arg arg in
+  try f source
+  with Privateer_interp.Interp.Runtime_error msg ->
+    Printf.eprintf "privateer: runtime error: %s\n" msg;
+    exit 3
+
+(* A source's (train, run) setups: a workload's inputs at [scale], or
+   none for a file, which takes neither option. *)
+let setups (source : Sources.t) ?input ?scale () =
+  match source.src_workload with
+  | Some wl ->
+    let scale = Option.value scale ~default:1 in
+    Result.iter_error fail_closed (Workload.check_scale wl scale);
+    ( Workload.setup ~scale wl Train,
+      Workload.setup ~scale wl (Option.value input ~default:Workload.Ref) )
+  | None ->
+    let only flag = fail_closed (flag ^ " only applies to workload: and scenario: sources") in
+    if Option.is_some input then only "--input";
+    if Option.is_some scale then only "--scale";
+    (Pipeline.no_setup, Pipeline.no_setup)
 
 let input_conv =
   let parse s = Result.map_error (fun m -> `Msg m) (Workload.input_of_name s) in
   Arg.conv (parse, fun fmt i -> Format.pp_print_string fmt (Workload.input_name i))
 
-let wl_arg = Arg.(required & pos 0 (some workload_conv) None & info [] ~docv:"WORKLOAD")
-
 let input_arg =
-  Arg.(value & opt input_conv Workload.Ref
-       & info [ "i"; "input" ] ~docv:"INPUT" ~doc:"Input set (train|ref|alt).")
+  Arg.(value & opt (some input_conv) None
+       & info [ "i"; "input" ] ~docv:"INPUT" ~doc:"Input set (train|ref|alt; default ref).")
 
 let scale_arg =
-  Arg.(value & opt int 1
+  Arg.(value & opt (some int) None
        & info [ "scale" ] ~docv:"S"
            ~doc:"Input scale factor (1 = paper-sized; see each workload's max).")
-
-(* Validate --scale against the workload's cap before running. *)
-let checked_scale (wl : Workload.t) scale =
-  match Workload.check_scale wl scale with
-  | Ok () -> scale
-  | Error msg ->
-    Printf.eprintf "privateer: %s\n" msg;
-    exit 124
 
 let inject_arg =
   Arg.(value & opt float 0.0
@@ -96,9 +123,7 @@ let config ?(inject = 0.0) bindings =
   let base = { RC.default with workers = 24 } in
   match RC.apply_bindings base bindings with
   | Ok c -> { c with RC.inject = spaced_injection inject }
-  | Error msg ->
-    Printf.eprintf "privateer: %s\n" msg;
-    exit 124
+  | Error msg -> fail_closed msg
 
 (* ---- commands --------------------------------------------------------- *)
 
@@ -113,9 +138,11 @@ let list_cmd =
     Term.(const run $ const ())
 
 let plan_cmd =
-  let run wl =
-    let program = Workload.program wl in
-    let profiler, _ = Pipeline.profile ~setup:(Workload.setup wl Train) program in
+  let run arg =
+    on_source arg @@ fun source ->
+    let train, _ = setups source () in
+    let program = source.src_fresh () in
+    let profiler, _ = Pipeline.profile ~setup:train program in
     let selection = Privateer_analysis.Selection.select program profiler in
     List.iter
       (fun (p : Privateer_analysis.Selection.plan) ->
@@ -136,112 +163,37 @@ let plan_cmd =
       selection.rejections
   in
   Cmd.v (Cmd.info "plan" ~doc:"Show the heap assignment and loop selection")
-    Term.(const run $ wl_arg)
+    Term.(const run $ source_arg)
 
 let dump_cmd =
   let transformed =
     Arg.(value & flag & info [ "transformed" ] ~doc:"Dump after privatization.")
   in
-  let run wl transformed =
-    let program = Workload.program wl in
+  let run arg transformed =
+    on_source arg @@ fun source ->
+    let train, _ = setups source () in
+    let program = source.src_fresh () in
     if transformed then begin
-      let tr, _ = Pipeline.compile ~setup:(Workload.setup wl Train) program in
+      let tr, _ = Pipeline.compile ~setup:train program in
       print_endline (Privateer_ir.Pp.program_str tr.program)
     end
     else print_endline (Privateer_ir.Pp.program_str program)
   in
-  Cmd.v (Cmd.info "dump" ~doc:"Pretty-print a workload's IR")
-    Term.(const run $ wl_arg $ transformed)
+  Cmd.v (Cmd.info "dump" ~doc:"Pretty-print a source's IR")
+    Term.(const run $ source_arg $ transformed)
 
-(* The engine configuration that shaped a run, so bench/CI JSON is
-   self-describing instead of inferred from the invocation. *)
-let config_json (cfg : RC.t) =
-  let open Privateer_support.Json in
-  Obj
-    [ ("workers", Int cfg.workers);
-      ("schedule", String (Privateer_parallel.Schedule.to_string cfg.schedule));
-      ("validation", String (RC.validation_to_string cfg.validation)) ]
-
-(* Machine-readable report: the configuration, whole-run numbers,
-   every stats counter, the Figure 8 breakdown, and the per-loop
-   engine-health table. *)
-let json_report ~config:cfg ~profile_ns ~seq ~(par : Pipeline.par_run) ~fallbacks =
-  let open Privateer_support.Json in
-  let stats = par.stats in
-  let b = Privateer_runtime.Stats.breakdown stats in
-  let loops =
-    List.map
-      (fun (loop, (ls : Privateer_runtime.Stats.loop_stats)) ->
-        Obj
-          [ ("loop", Int loop); ("invocations", Int ls.l_invocations);
-            ("misspeculations", Int ls.l_misspeculations);
-            ("wall_cycles", Int ls.l_wall_cycles); ("demotions", Int ls.l_demotions);
-            ("suspended_invocations", Int ls.l_suspended_invocations) ])
-      (Pipeline.loop_report par)
-  in
-  Obj
-    [ ("config", config_json cfg);
-      ("sequential_cycles", Int seq.Pipeline.seq_cycles);
-      ("parallel_cycles", Int par.par_cycles);
-      ( "speedup",
-        Float (float_of_int seq.Pipeline.seq_cycles /. float_of_int par.par_cycles) );
-      ("output_identical", Bool (String.equal seq.seq_output par.par_output));
-      ("invocations", Int stats.invocations); ("checkpoints", Int stats.checkpoints);
-      ("misspeculations", Int stats.misspeculations);
-      ("recovered_iterations", Int stats.recovered_iterations);
-      ("fallbacks", Int fallbacks); ("iterations", Int stats.iterations);
-      ("private_bytes_read", Int stats.private_bytes_read);
-      ("private_bytes_written", Int stats.private_bytes_written);
-      ("separation_checks", Int stats.separation_checks);
-      ("cyc_checkpoint", Int stats.cyc_checkpoint);
-      ("cyc_recovery", Int stats.cyc_recovery);
-      ("wall_cycles", Int stats.wall_cycles); ("workers", Int stats.workers);
-      ( "breakdown",
-        Obj
-          [ ("useful", Float b.useful); ("private_read", Float b.private_read);
-            ("private_write", Float b.private_write);
-            ("checkpoint", Float b.checkpoint); ("spawn_join", Float b.spawn_join);
-            ("other", Float b.other) ] );
-      (* Host wall time of the profiling training run — instrumentation
-         like merge_phase_ns, not part of the deterministic simulation
-         (varies run to run; exemption table in docs/RUNTIME.md). *)
-      ("profile_ns", Float profile_ns);
-      (* Host wall time per merge phase — instrumentation, not part of
-         the deterministic simulation (varies run to run). *)
-      ( "merge_phase_ns",
-        Obj
-          [ ("index_fill", Float stats.ns_merge_fill);
-            ("validate", Float stats.ns_merge_validate);
-            ("sweep", Float stats.ns_merge_sweep) ] );
-      (* Host wall time of the other interval stages — instrumentation
-         like merge_phase_ns (varies run to run). *)
-      ( "host_stages",
-        Obj
-          [ ("ns_reset", Float stats.ns_reset);
-            ("ns_extract", Float stats.ns_extract);
-            ("ns_spawn", Float stats.ns_spawn) ] );
-      (* Eager-validation counters: deterministic for a given
-         validation mode, but exempt from the cross-MODE identity
-         contract after an eager kill (commit mode reports zero kills;
-         the authoritative exemption table lives in docs/RUNTIME.md). *)
-      ( "eager",
-        Obj
-          [ ("eager_kills", Int stats.eager_kills);
-            ("squashed_iterations", Int stats.squashed_iterations);
-            ("avoided_iterations", Int stats.avoided_iterations) ] );
-      ("loops", List loops) ]
-
-let report_run ~seq ~(par : Pipeline.par_run) ~fallbacks =
-  let stats = par.stats in
-  Printf.printf "sequential cycles : %d\n" seq.Pipeline.seq_cycles;
-  Printf.printf "parallel cycles   : %d\n" par.par_cycles;
+let report_run (r : Job_server.job_result) =
+  let stats = r.jr_stats in
+  let seq_cycles = Option.get r.jr_baseline_cycles in
+  Printf.printf "sequential cycles : %d\n" seq_cycles;
+  Printf.printf "parallel cycles   : %d\n" r.jr_cycles;
   Printf.printf "whole-program speedup: %.2fx\n"
-    (float_of_int seq.Pipeline.seq_cycles /. float_of_int par.par_cycles);
-  Printf.printf "output identical  : %b\n" (String.equal seq.seq_output par.par_output);
+    (float_of_int seq_cycles /. float_of_int (max 1 r.jr_cycles));
+  Printf.printf "output identical  : %b\n" (Option.get r.jr_output_identical);
   Printf.printf
     "invocations %d, checkpoints %d, misspeculations %d (recovered %d iterations), fallbacks %d\n"
     stats.invocations stats.checkpoints stats.misspeculations
-    stats.recovered_iterations fallbacks;
+    stats.recovered_iterations r.jr_fallbacks;
   Printf.printf "private bytes: %s read, %s written\n"
     (Privateer_support.Table.fbytes stats.private_bytes_read)
     (Privateer_support.Table.fbytes stats.private_bytes_written);
@@ -250,49 +202,45 @@ let report_run ~seq ~(par : Pipeline.par_run) ~fallbacks =
     "overhead breakdown: useful %.1f%%, priv-read %.1f%%, priv-write %.1f%%, checkpoint %.1f%%, spawn/join %.1f%%\n"
     b.useful b.private_read b.private_write b.checkpoint b.spawn_join
 
+(* privateer run <source>: one job, through the job server's own
+   pipeline and report, with the sequential baseline. *)
 let run_cmd =
-  let run wl bindings input scale inject json =
-    let scale = checked_scale wl scale in
-    let program = Workload.program wl in
-    let cfg = config ~inject bindings in
-    let tr, profiler = Pipeline.compile ~setup:(Workload.setup ~scale wl Train) program in
-    let seq =
-      Pipeline.run_sequential ~setup:(Workload.setup ~scale wl input) program
+  let run arg bindings input scale inject json =
+    on_source arg @@ fun source ->
+    let train, run = setups source ?input ?scale () in
+    let spec =
+      Job_server.job_spec ~train ~run ~config:(config ~inject bindings) ~baseline:true
+        ~name:arg (source.src_fresh ())
     in
-    let par =
-      Pipeline.run_parallel ~setup:(Workload.setup ~scale wl input) ~config:cfg tr
-    in
-    if json then
-      print_endline
-        (Privateer_support.Json.to_string
-           (json_report ~config:cfg
-              ~profile_ns:(Privateer_profile.Profiler.wall_ns profiler)
-              ~seq ~par ~fallbacks:par.fallbacks))
-    else report_run ~seq ~par ~fallbacks:par.fallbacks
+    let r = Job_server.execute spec in
+    if json then print_endline (Privateer_support.Json.to_string (Job_server.result_json spec r))
+    else begin
+      print_string r.jr_output;
+      report_run r
+    end
   in
-  Cmd.v (Cmd.info "run" ~doc:"Profile, privatize and run a workload in parallel")
-    Term.(const run $ wl_arg $ bindings_term $ input_arg $ scale_arg $ inject_arg
+  Cmd.v
+    (Cmd.info "run"
+       ~doc:
+         "Profile, privatize and run a source in parallel (a port, a Cmini file, \
+          or a workload:, file: or scenario: source)")
+    Term.(const run $ source_arg $ bindings_term $ input_arg $ scale_arg $ inject_arg
           $ json_arg)
 
 let compare_cmd =
-  let run wl bindings scale =
-    let scale = checked_scale wl scale in
-    let program = Workload.program wl in
+  let run arg bindings scale =
+    on_source arg @@ fun source ->
+    let train, run = setups source ?scale () in
+    let program = source.src_fresh () in
     let cfg = config bindings in
-    let tr, profiler = Pipeline.compile ~setup:(Workload.setup ~scale wl Train) program in
-    let seq =
-      Pipeline.run_sequential ~setup:(Workload.setup ~scale wl Ref) program
-    in
-    let workers = cfg.RC.workers in
-    let par =
-      Pipeline.run_parallel ~setup:(Workload.setup ~scale wl Ref) ~config:cfg tr
-    in
+    let tr, profiler = Pipeline.compile ~setup:train program in
+    let seq = Pipeline.run_sequential ~setup:run program in
+    let par = Pipeline.run_parallel ~setup:run ~config:cfg tr in
     let report = Privateer_baselines.Doall_only.select program profiler in
     let dst, _, _ =
-      Privateer_baselines.Doall_only.run ~workers program report
-        ~setup:(Workload.setup ~scale wl Ref)
+      Privateer_baselines.Doall_only.run ~workers:cfg.RC.workers program report ~setup:run
     in
-    Printf.printf "%-14s sequential: %d cycles\n" wl.name seq.seq_cycles;
+    Printf.printf "%-14s sequential: %d cycles\n" arg seq.seq_cycles;
     Printf.printf "  DOALL-only : %.2fx (%d provable loops)\n"
       (float_of_int seq.seq_cycles /. float_of_int dst.cycles)
       (List.length report.chosen);
@@ -301,49 +249,7 @@ let compare_cmd =
   in
   Cmd.v
     (Cmd.info "compare" ~doc:"Privateer vs the non-speculative DOALL-only baseline")
-    Term.(const run $ wl_arg $ bindings_term $ scale_arg)
-
-(* privateer file <src>: the full pipeline on any loader source — a
-   bare path, file:<path>, workload:<name> or scenario:<spec> — via
-   the same Sources interface the jobs manifest uses, so both report
-   identical errors.  A malformed source exits 124; a program fault
-   exits 3, the code serve uses for a failed job. *)
-let file_cmd =
-  let src_arg = Arg.(required & pos 0 (some string) None & info [] ~docv:"SOURCE") in
-  let run src bindings =
-    let src = if String.contains src ':' then src else "file:" ^ src in
-    let source =
-      match Privateer_gen.Sources.parse src with
-      | Ok s -> s
-      | Error msg ->
-        Printf.eprintf "privateer: %s\n" msg;
-        exit 124
-    in
-    let program = source.Privateer_gen.Sources.src_fresh () in
-    let train, runset =
-      match source.Privateer_gen.Sources.src_workload with
-      | Some wl -> (Workload.setup wl Train, Workload.setup wl Ref)
-      | None -> (Pipeline.no_setup, Pipeline.no_setup)
-    in
-    let cfg = config bindings in
-    match
-      let tr, _ = Pipeline.compile ~setup:train program in
-      let seq = Pipeline.run_sequential ~setup:runset program in
-      (seq, Pipeline.run_parallel ~setup:runset ~config:cfg tr)
-    with
-    | seq, par ->
-      print_string par.par_output;
-      report_run ~seq ~par ~fallbacks:par.fallbacks
-    | exception Privateer_interp.Interp.Runtime_error msg ->
-      Printf.eprintf "privateer: runtime error: %s\n" msg;
-      exit 3
-  in
-  Cmd.v
-    (Cmd.info "file"
-       ~doc:
-         "Run the full pipeline on a source (a Cmini file path, file:<path>, \
-          workload:<name> or scenario:<spec>)")
-    Term.(const run $ src_arg $ bindings_term)
+    Term.(const run $ source_arg $ bindings_term $ scale_arg)
 
 (* privateer gen <spec>: emit a generated scenario — the Cmini source
    on stdout, or with --meta a JSON object carrying the canonical
@@ -438,5 +344,4 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group (Cmd.info "privateer" ~doc)
-          [ list_cmd; plan_cmd; dump_cmd; run_cmd; compare_cmd; gen_cmd; file_cmd;
-            serve_cmd ]))
+          [ list_cmd; plan_cmd; dump_cmd; run_cmd; compare_cmd; gen_cmd; serve_cmd ]))

@@ -59,61 +59,68 @@ type test_result = {
   marked_words : int;
 }
 
-(* Run the loop sequentially with shadow marking; validate the
-   privatization criterion afterwards (the "D" phase of LRPD run
-   before committing, here folded into one pass since our harness only
-   needs the verdict and the marking cost). *)
-let run_test program ~setup ~loop =
+(* Run the program sequentially, marking every word the loop touches
+   from iteration [lo] on: the iterations that wrote it and those that
+   read it before writing it.  Returns the marks and the loop's trip
+   count. *)
+let mark_loop program ~setup ~loop ~lo =
   let st = Interp.create program in
   let shadow : (int, mark) Hashtbl.t = Hashtbl.create 1024 in
   let current_iter = ref (-1) in
   let in_loop = ref false in
+  let trips = ref 0 in
   let mark_of addr =
     let word = addr land lnot 7 in
-    match Hashtbl.find_opt shadow word with
-    | Some m -> m
-    | None ->
-      let m =
-        { write_iters = []; read_first_iters = []; cur_iter = -1;
-          wrote_this_iter = false }
-      in
-      Hashtbl.replace shadow word m;
-      m
-  in
-  let enter_iter m =
+    let m =
+      match Hashtbl.find_opt shadow word with
+      | Some m -> m
+      | None ->
+        let m =
+          { write_iters = []; read_first_iters = []; cur_iter = -1;
+            wrote_this_iter = false }
+        in
+        Hashtbl.replace shadow word m;
+        m
+    in
     if m.cur_iter <> !current_iter then begin
       m.cur_iter <- !current_iter;
       m.wrote_this_iter <- false
-    end
+    end;
+    m
   in
+  let marking () = !in_loop && !current_iter >= lo in
   st.hooks <-
     { Hooks.default with
-      on_loop_iter =
-        (fun id ~iter -> if id = loop then current_iter := iter);
+      on_loop_iter = (fun id ~iter -> if id = loop then current_iter := iter);
       on_loop_enter = (fun id -> if id = loop then in_loop := true);
-      on_loop_exit = (fun id ~trips:_ -> if id = loop then in_loop := false);
+      on_loop_exit =
+        (fun id ~trips:n -> if id = loop then begin in_loop := false; trips := n end);
       on_load =
         (fun _ ~addr ~size:_ ~value:_ ->
-          if !in_loop then begin
+          if marking () then begin
             let m = mark_of addr in
-            enter_iter m;
             if (not m.wrote_this_iter)
                && not (List.mem !current_iter m.read_first_iters)
             then m.read_first_iters <- !current_iter :: m.read_first_iters
           end);
       on_store =
         (fun _ ~addr ~size:_ ~value:_ ->
-          if !in_loop then begin
+          if marking () then begin
             let m = mark_of addr in
-            enter_iter m;
             m.wrote_this_iter <- true;
             if not (List.mem !current_iter m.write_iters) then
               m.write_iters <- !current_iter :: m.write_iters
           end) };
   setup st;
   ignore (Interp.run_entry st);
-  (* Privatization criterion per element: a read-before-write in
-     iteration j must not coexist with a write in iteration i <> j. *)
+  (shadow, !trips)
+
+(* The privatization criterion per element: a read-before-write in
+   iteration j must not coexist with a write in iteration i <> j (the
+   "D" phase of LRPD, run after marking since our harness only needs
+   the verdict and the marking cost). *)
+let run_test program ~setup ~loop =
+  let shadow, _ = mark_loop program ~setup ~loop ~lo:0 in
   let failure = ref None in
   Hashtbl.iter
     (fun word m ->
@@ -149,72 +156,24 @@ type r_lrpd_result = {
   iterations : int;
 }
 
-(* Earliest privacy-violating iteration in [lo, hi), if any: an
-   element read-before-write in iteration j after a write in an
-   earlier in-window iteration i < j. *)
+(* Earliest privacy-violating iteration from [lo] on, if any: the
+   least iteration j that read an element before writing it after an
+   earlier iteration i < j wrote it.  Iterations run in order, so every
+   such write happened before j's read. *)
 let earliest_violation program ~setup ~loop ~lo =
-  let st = Interp.create program in
-  let shadow : (int, mark) Hashtbl.t = Hashtbl.create 1024 in
-  let current_iter = ref (-1) in
-  let in_loop = ref false in
-  let total = ref 0 in
-  let violation = ref None in
-  let note_violation j =
-    match !violation with
-    | Some j' when j' <= j -> ()
-    | Some _ | None -> violation := Some j
+  let shadow, trips = mark_loop program ~setup ~loop ~lo in
+  let violation =
+    Hashtbl.fold
+      (fun _ m acc ->
+        List.fold_left
+          (fun acc j ->
+            if List.exists (fun i -> i < j) m.write_iters then
+              match acc with Some j' when j' <= j -> acc | Some _ | None -> Some j
+            else acc)
+          acc m.read_first_iters)
+      shadow None
   in
-  let in_window () = !in_loop && !current_iter >= lo in
-  let mark_of addr =
-    let word = addr land lnot 7 in
-    match Hashtbl.find_opt shadow word with
-    | Some m -> m
-    | None ->
-      let m =
-        { write_iters = []; read_first_iters = []; cur_iter = -1;
-          wrote_this_iter = false }
-      in
-      Hashtbl.replace shadow word m;
-      m
-  in
-  let enter m =
-    if m.cur_iter <> !current_iter then begin
-      m.cur_iter <- !current_iter;
-      m.wrote_this_iter <- false
-    end
-  in
-  st.hooks <-
-    { Hooks.default with
-      on_loop_iter = (fun id ~iter -> if id = loop then current_iter := iter);
-      on_loop_enter = (fun id -> if id = loop then in_loop := true);
-      on_loop_exit =
-        (fun id ~trips -> if id = loop then begin in_loop := false; total := trips end);
-      on_load =
-        (fun _ ~addr ~size:_ ~value:_ ->
-          if in_window () then begin
-            let m = mark_of addr in
-            enter m;
-            if not m.wrote_this_iter then begin
-              (* Read-before-write this iteration: a violation iff an
-                 earlier in-window iteration wrote this element. *)
-              if List.exists (fun i -> i < !current_iter) m.write_iters then
-                note_violation !current_iter;
-              if not (List.mem !current_iter m.read_first_iters) then
-                m.read_first_iters <- !current_iter :: m.read_first_iters
-            end
-          end);
-      on_store =
-        (fun _ ~addr ~size:_ ~value:_ ->
-          if in_window () then begin
-            let m = mark_of addr in
-            enter m;
-            m.wrote_this_iter <- true;
-            if not (List.mem !current_iter m.write_iters) then
-              m.write_iters <- !current_iter :: m.write_iters
-          end) };
-  setup st;
-  ignore (Interp.run_entry st);
-  (!violation, !total)
+  (violation, trips)
 
 let run_r_lrpd program ~setup ~loop =
   let rec stage lo acc total =

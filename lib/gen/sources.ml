@@ -9,13 +9,6 @@ type t = {
 
 let kinds = "workload:<name>, file:<path> or scenario:<spec>"
 
-let lookup_workload name =
-  match String.index_opt name ':' with
-  | Some i when String.sub name 0 i = "scenario" ->
-    Scenario_gen.workload_of_spec
-      (String.sub name (i + 1) (String.length name - i - 1))
-  | _ -> Workloads.lookup name
-
 let of_workload kind wl =
   { src_kind = kind; src_workload = Some wl;
     src_fresh = (fun () -> Workload.fresh_program wl) }

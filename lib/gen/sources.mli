@@ -1,6 +1,6 @@
 (** The one source-loader interface behind every way of naming a
     program: [workload:<name>], [file:<path>] and [scenario:<spec>].
-    The CLI ([run], [file], [gen]) and the jobs manifest both resolve
+    The CLI's SOURCE argument and the jobs manifest both resolve
     sources here, so the three kinds share parsing and error
     reporting (the manifest prefixes line numbers). *)
 
@@ -15,12 +15,6 @@ type t = {
 
 val kinds : string
 (** Human-readable list of accepted kinds, for error messages. *)
-
-val lookup_workload :
-  string -> (Privateer_workloads.Workload.t, string) result
-(** Resolve a workload name: [scenario:<spec>] generates the
-    scenario; anything else is
-    {!Privateer_workloads.Workloads.lookup}. *)
 
 val parse : ?dir:string -> string -> (t, string) result
 (** Parse a [kind:arg] source.  [file:] paths resolve relative to

@@ -61,11 +61,6 @@ let make_ctx (env : Worker.env) (st : Interp.t) fr spec ~io ~emit_main ~serial_c
     io; emit_main; serial_commit;
     merge_state = Checkpoint.create_merge_state () }
 
-(* Index work performed by this cohort's merge state — a
-   per-ctx counter, so concurrent pipelines in one process cannot
-   cross-contaminate each other's regression baselines. *)
-let index_ops ctx = Checkpoint.index_ops ctx.merge_state
-
 let write_value_word machine addr (v : Value.t) =
   let bits, is_float = Value.to_bits v in
   Machine.write_word machine addr bits is_float
@@ -98,22 +93,15 @@ let collect ctx workers ~interval_start =
   contribs
 
 (* Phase-2 validation + last-writer-wins merge through the cohort's
-   merge state.  The per-phase host time is folded into the run's
-   Stats so the CLI and bench can attribute merge cost (host-side
-   instrumentation only — never simulated state). *)
+   merge state.  The per-pass host time is folded into the run's
+   Stats so the job report and bench can attribute merge cost
+   (host-side instrumentation only — never simulated state). *)
 let merge ctx contribs =
   let stats = ctx.env.Worker.stats in
-  let before = Checkpoint.phase_timings ctx.merge_state in
   let m = Checkpoint.merge ~state:ctx.merge_state contribs in
-  let after = Checkpoint.phase_timings ctx.merge_state in
-  stats.ns_merge_fill <-
-    stats.ns_merge_fill +. (after.Checkpoint.fill_ns -. before.Checkpoint.fill_ns);
-  stats.ns_merge_validate <-
-    stats.ns_merge_validate
-    +. (after.Checkpoint.validate_ns -. before.Checkpoint.validate_ns);
-  stats.ns_merge_sweep <-
-    stats.ns_merge_sweep
-    +. (after.Checkpoint.sweep_ns -. before.Checkpoint.sweep_ns);
+  stats.ns_merge_fill <- stats.ns_merge_fill +. m.Checkpoint.fill_ns;
+  stats.ns_merge_validate <- stats.ns_merge_validate +. m.validate_ns;
+  stats.ns_merge_sweep <- stats.ns_merge_sweep +. m.sweep_ns;
   m
 
 (* Commit a cleanly merged interval [lo, hi) into the main process.

@@ -70,9 +70,7 @@ type t = {
          Host-only: per-job results are byte-identical at any
          setting. *)
   queue_cap : int;
-      (* job server: admission-control bound on the queued-but-not-
-         running backlog; a full queue blocks (or rejects, for
-         try_submit) further submissions.  0 means unbounded. *)
+      (* Inert, like [pool_cap]: the job server's queue is unbounded. *)
   profilers : string list;
       (* Inert, like [host_domains] and [pool_cap]: every training
          run profiles with all five profilers, because classification
@@ -105,7 +103,6 @@ let check config =
       bad
         (config.max_inflight < 1 || config.max_inflight > 64)
         "max_inflight must be in [1, 64] (got %d)" config.max_inflight;
-      bad (config.queue_cap < 0) "queue_cap must be >= 0 (got %d)" config.queue_cap;
       (match Schedule.validate config.schedule with
       | () -> None
       | exception Invalid_argument msg -> Some msg) ]
@@ -202,14 +199,7 @@ let cli_bindings =
          results are identical at any setting.";
       b_flag_like = false;
       b_apply =
-        int_field "max-inflight" (fun t max_inflight -> { t with max_inflight }) };
-    { b_flags = [ "queue-cap" ]; b_docv = "N";
-      b_doc =
-        "Job server: bound the queued-but-not-running backlog at N jobs; a full \
-         queue applies backpressure to submitters (0: unbounded, the \
-         default).";
-      b_flag_like = false;
-      b_apply = int_field "queue-cap" (fun t queue_cap -> { t with queue_cap }) } ]
+        int_field "max-inflight" (fun t max_inflight -> { t with max_inflight }) } ]
 
 (* Fold a list of (binding, passed value) pairs over [base]; unpassed
    flags leave their field untouched.  The first parse error wins; a

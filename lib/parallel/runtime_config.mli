@@ -2,11 +2,11 @@
 
     One validated record holds every knob: simulated worker count,
     checkpoint period (fixed or adaptive), misspeculation throttle,
-    iteration schedule, validation mode, job-server admission, cost
-    model, and the ablation switches.  {!default} is a constant (no
-    knob reads the environment), {!check} validates a record, and
-    {!cli_bindings} is the single table the CLI and the jobs manifest
-    derive their tuning knobs from. *)
+    iteration schedule, validation mode, the job server's in-flight
+    bound, cost model, and the ablation switches.  {!default} is a
+    constant (no knob reads the environment), {!check} validates a
+    record, and {!cli_bindings} is the single table the CLI and the
+    jobs manifest derive their tuning knobs from. *)
 
 (** What a misspeculation stops.  [Commit]: every worker runs its
     slice of the interval and the checkpoint merge discards it (the
@@ -75,10 +75,8 @@ type t = {
           per-job results are byte-identical at any setting.
           {!default} sets 4. *)
   queue_cap : int;
-      (** job server: admission-control bound ([>= 0]) on the
-          queued-but-not-running backlog; a full queue blocks [submit]
-          and rejects [try_submit].  [0] means unbounded, which
-          {!default} sets. *)
+      (** Inert, and kept like [pool_cap] so record literals compile:
+          the job server's queue is unbounded.  {!default} sets [0]. *)
   profilers : string list;
       (** Inert, and kept like [host_domains] so record literals
           compile: every training run profiles with all five
@@ -88,8 +86,7 @@ type t = {
 
 val default : t
 (** Every field at its documented default: 4 workers, cyclic schedule,
-    auto checkpoint period, [Commit] validation, [max_inflight] 4 and
-    an unbounded queue. *)
+    auto checkpoint period, [Commit] validation and [max_inflight] 4. *)
 
 (** [Error msg] names the first field that would fail deep inside an
     invocation (a non-positive worker count, checkpoint period,

@@ -66,7 +66,6 @@ type t = {
   w_st : Interp.t;
   w_frame : Interp.frame;
   mutable w_clock : int; (* absolute simulated time *)
-  mutable w_cycles_mark : int; (* st.cycles at last sample *)
   mutable w_beta : int;
   mutable w_sl_balance : int;
   mutable w_instr : int; (* instrumentation cycles this iteration *)
@@ -248,7 +247,7 @@ let setup_worker (env : env) (st : Interp.t) fr spec ranges ~now i =
   Memory.clear_dirty wst.machine.Machine.mem;
   let w =
     { w_id = i; w_st = wst; w_frame = frame; w_clock = now + ((i + 1) * cm.c_fork);
-      w_cycles_mark = wst.cycles; w_beta = 0; w_sl_balance = 0; w_instr = 0 }
+      w_beta = 0; w_sl_balance = 0; w_instr = 0 }
   in
   wst.hooks <- hooks env w;
   w

@@ -158,6 +158,11 @@ type merged = {
   contributions : contribution list;
   violation : Misspec.reason option;
   total_pages : int;
+  (* host wall time of the three passes; 0 on an interval with no
+     writes, which reads no clock *)
+  fill_ns : float;
+  validate_ns : float;
+  sweep_ns : float;
 }
 
 (* The word -> writer index kept across a worker cohort's
@@ -167,29 +172,15 @@ type merged = {
    swept back to empty before the merge returns: the table (and its
    grown bucket array) persists, the content is per-interval.
    [ms_index_ops] counts every insert/update/remove so tests can assert
-   that clean intervals do no index work at all; the [ms_*_ns]
-   accumulators attribute host wall time per merge phase
-   (instrumentation only — host time never feeds back into simulated
-   state). *)
+   that clean intervals do no index work at all. *)
 type merge_state = {
   ms_writers : (int, int) Hashtbl.t; (* word -> sole writer, or -1 *)
   mutable ms_index_ops : int;
-  mutable ms_fill_ns : float;
-  mutable ms_validate_ns : float;
-  mutable ms_sweep_ns : float;
 }
 
-let create_merge_state () =
-  { ms_writers = Hashtbl.create 16; ms_index_ops = 0; ms_fill_ns = 0.0;
-    ms_validate_ns = 0.0; ms_sweep_ns = 0.0 }
+let create_merge_state () = { ms_writers = Hashtbl.create 16; ms_index_ops = 0 }
 
 let index_ops state = state.ms_index_ops
-
-type phase_ns = { fill_ns : float; validate_ns : float; sweep_ns : float }
-
-let phase_timings state =
-  { fill_ns = state.ms_fill_ns; validate_ns = state.ms_validate_ns;
-    sweep_ns = state.ms_sweep_ns }
 
 (* Phase-2 validation + last-writer-wins merge, in three passes:
 
@@ -209,7 +200,9 @@ let phase_timings state =
    proportional to this interval's entries (insert the delta, sweep it
    out again), and an interval with no new writes short-circuits all
    three passes outright — no allocation, no hashing, no read
-   iteration. *)
+   iteration, no clock read.  Each pass's host wall time is returned
+   in [merged] (instrumentation only — host time never feeds back into
+   simulated state). *)
 let merge ?state (contribs : contribution list) =
   let st = match state with Some s -> s | None -> create_merge_state () in
   let have_writes =
@@ -217,59 +210,60 @@ let merge ?state (contribs : contribution list) =
   in
   let overlay = Hashtbl.create (if have_writes then 64 else 1) in
   let violation = ref None in
-  if have_writes then begin
-    let writers = st.ms_writers in
-    let inserted = ref [] in
-    let t0 = Clock.now_ns () in
-    (* Pass 1: index fill. *)
-    List.iter
-      (fun c ->
-        Hashtbl.iter
-          (fun addr (w : word_write) ->
-            (match Hashtbl.find_opt writers addr with
-            | None ->
-              Hashtbl.replace writers addr c.worker;
-              inserted := addr :: !inserted;
-              st.ms_index_ops <- st.ms_index_ops + 1
-            | Some id when id = c.worker || id = -1 -> ()
-            | Some _ ->
-              Hashtbl.replace writers addr (-1);
-              st.ms_index_ops <- st.ms_index_ops + 1);
-            match Hashtbl.find_opt overlay addr with
-            | Some prev when prev.iter >= w.iter -> ()
-            | Some _ | None -> Hashtbl.replace overlay addr w)
-          c.writes)
-      contribs;
-    let t1 = Clock.now_ns () in
-    (* Pass 2: validate — one probe of the word owning each live-in
-       byte. *)
-    List.iter
-      (fun reader ->
-        Hashtbl.iter
-          (fun addr () ->
-            match Hashtbl.find_opt writers (word_base addr) with
-            | Some id when id <> reader.worker -> (
-              match !violation with
-              | Some a when a <= addr -> ()
-              | Some _ | None -> violation := Some addr)
-            | Some _ | None -> ())
-          reader.live_in_reads)
-      contribs;
-    let t2 = Clock.now_ns () in
-    (* Pass 3: sweep this interval's delta back out so the carried
-       index is empty again (content is per-interval; only the
-       allocation is carried). *)
-    List.iter (Hashtbl.remove writers) !inserted;
-    st.ms_index_ops <- st.ms_index_ops + List.length !inserted;
-    let t3 = Clock.now_ns () in
-    st.ms_fill_ns <- st.ms_fill_ns +. (t1 -. t0);
-    st.ms_validate_ns <- st.ms_validate_ns +. (t2 -. t1);
-    st.ms_sweep_ns <- st.ms_sweep_ns +. (t3 -. t2)
-  end;
+  let fill_ns, validate_ns, sweep_ns =
+    if not have_writes then (0.0, 0.0, 0.0)
+    else begin
+      let writers = st.ms_writers in
+      let inserted = ref [] in
+      let t0 = Clock.now_ns () in
+      (* Pass 1: index fill. *)
+      List.iter
+        (fun c ->
+          Hashtbl.iter
+            (fun addr (w : word_write) ->
+              (match Hashtbl.find_opt writers addr with
+              | None ->
+                Hashtbl.replace writers addr c.worker;
+                inserted := addr :: !inserted;
+                st.ms_index_ops <- st.ms_index_ops + 1
+              | Some id when id = c.worker || id = -1 -> ()
+              | Some _ ->
+                Hashtbl.replace writers addr (-1);
+                st.ms_index_ops <- st.ms_index_ops + 1);
+              match Hashtbl.find_opt overlay addr with
+              | Some prev when prev.iter >= w.iter -> ()
+              | Some _ | None -> Hashtbl.replace overlay addr w)
+            c.writes)
+        contribs;
+      let t1 = Clock.now_ns () in
+      (* Pass 2: validate — one probe of the word owning each live-in
+         byte. *)
+      List.iter
+        (fun reader ->
+          Hashtbl.iter
+            (fun addr () ->
+              match Hashtbl.find_opt writers (word_base addr) with
+              | Some id when id <> reader.worker -> (
+                match !violation with
+                | Some a when a <= addr -> ()
+                | Some _ | None -> violation := Some addr)
+              | Some _ | None -> ())
+            reader.live_in_reads)
+        contribs;
+      let t2 = Clock.now_ns () in
+      (* Pass 3: sweep this interval's delta back out so the carried
+         index is empty again (content is per-interval; only the
+         allocation is carried). *)
+      List.iter (Hashtbl.remove writers) !inserted;
+      st.ms_index_ops <- st.ms_index_ops + List.length !inserted;
+      let t3 = Clock.now_ns () in
+      (t1 -. t0, t2 -. t1, t3 -. t2)
+    end
+  in
   let total_pages = List.fold_left (fun acc c -> acc + c.pages_touched) 0 contribs in
   { overlay; contributions = contribs;
     violation = Option.map (fun addr -> Misspec.Phase2 { addr }) !violation;
-    total_pages }
+    total_pages; fill_ns; validate_ns; sweep_ns }
 
 (* Install a merged overlay into the main process's memory (the
    paper's "replaces its heaps with those from the last valid

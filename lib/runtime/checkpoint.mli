@@ -80,6 +80,12 @@ type merged = {
           conflicting byte address, so it never depends on hash
           iteration order *)
   total_pages : int;  (** summed page-copy charge across workers *)
+  fill_ns : float;
+      (** host wall time of the index-fill pass; 0 on an interval with
+          no writes, which reads no clock.  Instrumentation only: host
+          time never feeds back into simulated state. *)
+  validate_ns : float;  (** host wall time of the phase-2 validation pass *)
+  sweep_ns : float;  (** host wall time of the delta-sweep pass *)
 }
 
 (** The word→writer index carried across one worker cohort's
@@ -102,13 +108,6 @@ val create_merge_state : unit -> merge_state
     costs an insert, at most one multi-writer update, and a sweep
     removal. *)
 val index_ops : merge_state -> int
-
-(** Cumulative host wall time this state has spent per merge phase.
-    Instrumentation only: host time never feeds back into simulated
-    state. *)
-type phase_ns = { fill_ns : float; validate_ns : float; sweep_ns : float }
-
-val phase_timings : merge_state -> phase_ns
 
 (** Phase-2 validation plus last-writer-wins merge, as three passes
     over the writer index: index fill, phase-2 validation (one O(1)

@@ -4,9 +4,10 @@
    Each job is a whole pipeline — profile (train input), classify,
    transform, speculative parallel run (run input) — and runs to
    completion on one domain: one of the server's own, or a client
-   domain that runs the head of the queue while it waits (in [await],
-   or in a [submit] blocked on a full queue).  This is the program's
-   only host parallelism.
+   domain that runs the head of the queue while it waits in [await].
+   This is the program's only host parallelism.  [execute] is that
+   pipeline and [result_json] its report, the same for a served job
+   and for `privateer run`.
 
    Determinism contract: a job's simulated cycles, output, result and
    every non-host stats counter (everything but the `ns_*` wall-time
@@ -19,9 +20,7 @@
    Admission control: at most [effective_inflight] jobs run at once
    (the configured `max_inflight` clamped to the host core count —
    on a 1-core host jobs run sequentially, concurrency could only add
-   scheduling overhead), and at most `queue_cap` accepted jobs may
-   wait in the queue; a full queue blocks [submit] (backpressure) and
-   rejects [try_submit]. *)
+   scheduling overhead); the queue of accepted jobs is unbounded. *)
 
 module Clock = Privateer_support.Clock
 module Json = Privateer_support.Json
@@ -62,8 +61,8 @@ type job_result = {
          non-host stats, per-loop table *)
   jr_baseline_cycles : int option; (* when js_baseline *)
   jr_output_identical : bool option;
-  jr_queue_ns : float; (* host: admission to launch *)
-  jr_service_ns : float; (* host: launch to settle *)
+  jr_queue_ns : float; (* host: admission to launch, 0 outside the server *)
+  jr_service_ns : float; (* host: the pipeline's wall time *)
   jr_profile_ns : float; (* host: profiling share of the training run *)
 }
 
@@ -117,8 +116,10 @@ let fingerprint_of_run ~output ~result ~cycles ~fallbacks stats =
 
 (* ---- job execution ----------------------------------------------------- *)
 
-(* The whole pipeline, on the calling domain. *)
-let execute_spec spec =
+(* The whole pipeline, on the calling domain: the one path a job takes,
+   served or run from the CLI. *)
+let execute spec =
+  let t0 = Clock.now_ns () in
   let tr, profiler = Pipeline.compile ~setup:spec.js_train spec.js_program in
   let par = Pipeline.run_parallel ~setup:spec.js_run ~config:spec.js_config tr in
   let baseline =
@@ -138,8 +139,96 @@ let execute_spec spec =
       Option.map
         (fun (s : Pipeline.seq_run) -> String.equal s.seq_output par.par_output)
         baseline;
-    jr_queue_ns = 0.0; jr_service_ns = 0.0;
+    jr_queue_ns = 0.0; jr_service_ns = Clock.now_ns () -. t0;
     jr_profile_ns = Privateer_profile.Profiler.wall_ns profiler }
+
+(* ---- the job report ---------------------------------------------------- *)
+
+(* One job's report fields, the same for a served job and for
+   `privateer run`: configuration, figures and fingerprint, every
+   Stats counter, the Figure 8 breakdown, the per-loop table and one
+   [host_ms] object with every host-time number.  Each Stats field is
+   bound by name, so a new one fails the build until it is placed. *)
+let result_fields spec r =
+  let { Stats.invocations; checkpoints; private_bytes_read; private_bytes_written;
+        separation_checks; separation_checks_elided; misspeculations;
+        recovered_iterations; iterations; cyc_useful; cyc_private_read;
+        cyc_private_write; cyc_checkpoint; cyc_spawn; cyc_join; cyc_recovery;
+        eager_kills; squashed_iterations; avoided_iterations; wall_cycles; workers;
+        ns_merge_fill; ns_merge_validate; ns_merge_sweep; ns_reset; ns_extract;
+        ns_spawn; loops = _;
+        (* Inert: nothing counts into these, so they always read 0. *)
+        eager_checks = _; eager_hits = _; par_resets = _; seq_resets = _;
+        par_extracts = _; seq_extracts = _; par_merges = _; seq_merges = _;
+        par_spawns = _; seq_spawns = _ } =
+    r.jr_stats
+  in
+  let open Json in
+  let ms ns = Float (ns /. 1e6) in
+  let loop
+      ( id,
+        { Stats.l_invocations; l_misspeculations; l_wall_cycles; l_demotions;
+          l_suspended_invocations } ) =
+    Obj
+      [ ("loop", Int id); ("invocations", Int l_invocations);
+        ("misspeculations", Int l_misspeculations); ("wall_cycles", Int l_wall_cycles);
+        ("demotions", Int l_demotions);
+        ("suspended_invocations", Int l_suspended_invocations) ]
+  in
+  let b = Stats.breakdown r.jr_stats in
+  let cfg = spec.js_config in
+  [ ("name", String spec.js_name);
+    ( "config",
+      Obj
+        [ ("workers", Int cfg.workers);
+          ("schedule", String (Privateer_parallel.Schedule.to_string cfg.schedule));
+          ("validation", String (RC.validation_to_string cfg.validation)) ] );
+    ("cycles", Int r.jr_cycles); ("fallbacks", Int r.jr_fallbacks);
+    ("fingerprint", String r.jr_fingerprint) ]
+  @ (match (r.jr_baseline_cycles, r.jr_output_identical) with
+    | Some c, Some identical ->
+      [ ("baseline_cycles", Int c);
+        ("speedup", Float (float_of_int c /. float_of_int (max 1 r.jr_cycles)));
+        ("output_identical", Bool identical) ]
+    | _ -> [])
+  @ [ ( "stats",
+        Obj
+          [ ("invocations", Int invocations); ("checkpoints", Int checkpoints);
+            ("private_bytes_read", Int private_bytes_read);
+            ("private_bytes_written", Int private_bytes_written);
+            ("separation_checks", Int separation_checks);
+            ("separation_checks_elided", Int separation_checks_elided);
+            ("misspeculations", Int misspeculations);
+            ("recovered_iterations", Int recovered_iterations);
+            ("iterations", Int iterations); ("cyc_useful", Int cyc_useful);
+            ("cyc_private_read", Int cyc_private_read);
+            ("cyc_private_write", Int cyc_private_write);
+            ("cyc_checkpoint", Int cyc_checkpoint); ("cyc_spawn", Int cyc_spawn);
+            ("cyc_join", Int cyc_join); ("cyc_recovery", Int cyc_recovery);
+            ("wall_cycles", Int wall_cycles); ("workers", Int workers) ] );
+      ( "breakdown",
+        Obj
+          [ ("useful", Float b.useful); ("private_read", Float b.private_read);
+            ("private_write", Float b.private_write); ("checkpoint", Float b.checkpoint);
+            ("spawn_join", Float b.spawn_join); ("other", Float b.other) ] );
+      (* Deterministic, but differ across validation modes after an
+         eager kill. *)
+      ( "eager",
+        Obj
+          [ ("eager_kills", Int eager_kills);
+            ("squashed_iterations", Int squashed_iterations);
+            ("avoided_iterations", Int avoided_iterations) ] );
+      ("loops", List (List.map loop (Stats.loop_table r.jr_stats)));
+      (* Host wall time, outside the determinism contract. *)
+      ( "host_ms",
+        Obj
+          [ ("profile", ms r.jr_profile_ns); ("spawn", ms ns_spawn);
+            ("extract", ms ns_extract); ("merge_fill", ms ns_merge_fill);
+            ("merge_validate", ms ns_merge_validate); ("merge_sweep", ms ns_merge_sweep);
+            ("reset", ms ns_reset); ("queue", ms r.jr_queue_ns);
+            ("service", ms r.jr_service_ns) ] ) ]
+
+let result_json spec r = Json.Obj (result_fields spec r)
 
 (* ---- the server -------------------------------------------------------- *)
 
@@ -147,13 +236,12 @@ type t = {
   sv_mutex : Mutex.t;
   sv_changed : Condition.t;
       (* broadcast when the queue or the in-flight count changes:
-         awaiters and submitters blocked on a full queue re-check *)
+         awaiters re-check *)
   sv_work : Condition.t;
       (* signalled when a job is queued or a slot frees: one idle
          server domain is enough to launch it, so the server's domains
          wait here and not on [sv_changed] *)
   sv_queue : job Queue.t; (* accepted, not yet launched *)
-  sv_queue_cap : int; (* 0 = unbounded *)
   sv_requested_inflight : int;
   sv_inflight_cap : int; (* effective: clamped to host cores *)
   mutable sv_inflight : int;
@@ -187,13 +275,7 @@ let run_head_locked t =
     Condition.broadcast t.sv_changed;
     Mutex.unlock t.sv_mutex;
     let outcome =
-      try
-        let r = execute_spec job.j_spec in
-        let now = Clock.now_ns () in
-        Done
-          { r with
-            jr_queue_ns = job.j_start_ns -. job.j_submit_ns;
-            jr_service_ns = now -. job.j_start_ns }
+      try Done { (execute job.j_spec) with jr_queue_ns = job.j_start_ns -. job.j_submit_ns }
       with
       | Privateer_interp.Interp.Runtime_error msg -> Failed ("runtime error: " ^ msg)
       | e -> Failed (Printexc.to_string e)
@@ -226,7 +308,6 @@ let create ?host_cores ~config () =
   let t =
     { sv_mutex = Mutex.create (); sv_changed = Condition.create ();
       sv_work = Condition.create (); sv_queue = Queue.create ();
-      sv_queue_cap = config.RC.queue_cap;
       sv_requested_inflight = config.RC.max_inflight; sv_inflight_cap = inflight;
       sv_inflight = 0; sv_domains = []; sv_host_cores = host_cores; sv_jobs = [];
       sv_next_id = 0; sv_started_ns = Clock.now_ns (); sv_shut = false }
@@ -245,7 +326,12 @@ let state t job =
   Mutex.unlock t.sv_mutex;
   s
 
-let enqueue_locked t spec =
+let submit t spec =
+  Mutex.lock t.sv_mutex;
+  if t.sv_shut then begin
+    Mutex.unlock t.sv_mutex;
+    invalid_arg "Job_server.submit: server is shut down"
+  end;
   let job =
     { j_id = t.sv_next_id; j_spec = spec; j_state = Queued;
       j_submit_ns = Clock.now_ns (); j_start_ns = 0.0 }
@@ -255,36 +341,8 @@ let enqueue_locked t spec =
   Queue.push job t.sv_queue;
   Condition.broadcast t.sv_changed;
   Condition.signal t.sv_work;
-  job
-
-let queue_full t =
-  t.sv_queue_cap > 0 && Queue.length t.sv_queue >= t.sv_queue_cap
-
-(* Blocking admission: while the queue is at cap (backpressure), run
-   its head if a slot is free, else wait. *)
-let submit t spec =
-  Mutex.lock t.sv_mutex;
-  if t.sv_shut then begin
-    Mutex.unlock t.sv_mutex;
-    invalid_arg "Job_server.submit: server is shut down"
-  end;
-  while queue_full t do
-    if not (run_head_locked t) then Condition.wait t.sv_changed t.sv_mutex
-  done;
-  let job = enqueue_locked t spec in
   Mutex.unlock t.sv_mutex;
   job
-
-(* Non-blocking admission: [None] when the queue is at cap. *)
-let try_submit t spec =
-  Mutex.lock t.sv_mutex;
-  if t.sv_shut then begin
-    Mutex.unlock t.sv_mutex;
-    invalid_arg "Job_server.try_submit: server is shut down"
-  end;
-  let r = if queue_full t then None else Some (enqueue_locked t spec) in
-  Mutex.unlock t.sv_mutex;
-  r
 
 (* Block until [job] settles, running the head of the queue on the
    calling domain whenever a slot is free, so the awaiting domain
@@ -335,45 +393,20 @@ let latency_summary values =
       ("mean_ms", Json.Float (mean /. 1e6));
       ("max_ms", Json.Float ((if n = 0 then 0.0 else a.(n - 1)) /. 1e6)) ]
 
+(* A served job's entry: its id and state, then its [result_json]
+   fields, or its error text. *)
 let job_json t job =
-  let base =
-    [ ("id", Json.Int job.j_id); ("name", Json.String job.j_spec.js_name);
-      ("state", Json.String (state_name (state t job))) ]
-  in
-  match state t job with
-  | Done r ->
-    let loops =
-      List.map
-        (fun (loop, (ls : Stats.loop_stats)) ->
-          Json.Obj
-            [ ("loop", Json.Int loop); ("invocations", Json.Int ls.l_invocations);
-              ("misspeculations", Json.Int ls.l_misspeculations);
-              ("wall_cycles", Json.Int ls.l_wall_cycles) ])
-        (Stats.loop_table r.jr_stats)
-    in
-    Json.Obj
-      (base
-      @ [ ("cycles", Json.Int r.jr_cycles);
-          ("fallbacks", Json.Int r.jr_fallbacks);
-          ("misspeculations", Json.Int r.jr_stats.misspeculations);
-          ("iterations", Json.Int r.jr_stats.iterations);
-          ("fingerprint", Json.String r.jr_fingerprint);
-          ("queue_ms", Json.Float (r.jr_queue_ns /. 1e6));
-          ("service_ms", Json.Float (r.jr_service_ns /. 1e6));
-          ("profile_ms", Json.Float (r.jr_profile_ns /. 1e6));
-          ("loops", Json.List loops) ]
-      @ (match r.jr_baseline_cycles with
-        | Some c ->
-          [ ("baseline_cycles", Json.Int c);
-            ( "speedup",
-              Json.Float (float_of_int c /. float_of_int (max 1 r.jr_cycles)) );
-            ( "output_identical",
-              Json.Bool (Option.value ~default:false r.jr_output_identical) ) ]
-        | None -> []))
-  | Failed msg -> Json.Obj (base @ [ ("error", Json.String msg) ])
-  | Queued | Running -> Json.Obj base
+  let s = state t job in
+  let head = [ ("id", Json.Int job.j_id); ("state", Json.String (state_name s)) ] in
+  Json.Obj
+    (head
+    @
+    match s with
+    | Done r -> result_fields job.j_spec r
+    | Failed msg -> [ ("name", Json.String job.j_spec.js_name); ("error", Json.String msg) ]
+    | Queued | Running -> [ ("name", Json.String job.j_spec.js_name) ])
 
-(* The aggregate report: admission configuration, throughput over the
+(* The aggregate report: in-flight bounds, throughput over the
    server's lifetime, queue/service latency percentiles, and one entry
    per job.  Meaningful after [drain]. *)
 let report t =
@@ -393,7 +426,6 @@ let report t =
       ("done", Json.Int (List.length results)); ("failed", Json.Int failed);
       ("max_inflight_requested", Json.Int t.sv_requested_inflight);
       ("max_inflight_effective", Json.Int t.sv_inflight_cap);
-      ("queue_cap", Json.Int t.sv_queue_cap);
       ("host_cores", Json.Int t.sv_host_cores);
       ("wall_s", Json.Float wall_s);
       ( "throughput_jobs_per_s",

@@ -5,14 +5,13 @@
     classify, transform, speculative parallel run on the run input —
     run to completion on one domain: one of the server's own, or a
     client domain that runs the head of the queue while it waits in
-    {!await} or in a {!submit} blocked on a full queue.  Concurrent
-    jobs are the program's only host parallelism.
+    {!await}.  Concurrent jobs are the program's only host
+    parallelism.  {!execute} is that pipeline and {!result_json} its
+    report, the same for a served job and for [privateer run].
 
     {b Admission control.} At most [max_inflight] jobs run at once —
     clamped to the host core count, so a 1-core host degrades to
-    sequential execution — and at most [queue_cap] accepted jobs may
-    wait ([0]: unbounded); a full queue blocks {!submit} and rejects
-    {!try_submit}.
+    sequential execution; the queue of accepted jobs is unbounded.
 
     {b Determinism contract.} A job's simulated cycles, output, result
     and every non-host stats counter (all but the [ns_*] wall-time
@@ -60,8 +59,10 @@ type job_result = {
           non-host stats counters, per-loop table *)
   jr_baseline_cycles : int option;
   jr_output_identical : bool option;
-  jr_queue_ns : float;  (** host wall time from admission to launch *)
-  jr_service_ns : float;  (** host wall time from launch to settle *)
+  jr_queue_ns : float;
+      (** host wall time from admission to launch; 0 outside the
+          server *)
+  jr_service_ns : float;  (** host wall time of the pipeline *)
   jr_profile_ns : float;
       (** host wall time the training run spent profiling
           ([Profiler.wall_ns]); instrumentation like [jr_queue_ns],
@@ -76,13 +77,30 @@ type state = Queued | Running | Done of job_result | Failed of string
 val state_name : state -> string
 (** ["queued"] / ["running"] / ["done"] / ["failed"]. *)
 
-(** A job accepted by {!submit} / {!try_submit}. *)
+(** The whole pipeline on the calling domain — profile on the train
+    input, classify, transform, speculative parallel run on the run
+    input, and the sequential baseline when [js_baseline] — the one
+    path every job takes, served or not.
+    @raise Privateer_interp.Interp.Runtime_error on a program fault. *)
+val execute : job_spec -> job_result
+
+(** One job's report: the name and engine configuration; cycles,
+    fallbacks and fingerprint; with a baseline, its cycles,
+    the speedup and [output_identical]; every {!Privateer_runtime.Stats}
+    counter ([stats]), the Figure 8 [breakdown], the [eager] counters,
+    the full per-loop table ([loops]); and one [host_ms] object with
+    every host-time number: profile, spawn, extract, the three merge
+    passes, reset, queue and service.  A served job's entry in
+    {!report} is this object plus its [id] and [state]. *)
+val result_json : job_spec -> job_result -> Privateer_support.Json.t
+
+(** A job accepted by {!submit}. *)
 type job
 
 type t
 
 (** [create ~config ()] builds a server from [config]'s [max_inflight]
-    and [queue_cap] knobs.  The effective in-flight bound is
+    knob.  The effective in-flight bound is
     [max_inflight] clamped to the host core count ([host_cores]
     overrides the detected count, for tests).  The server spawns one
     domain fewer than that bound: a domain that awaits a job fills the
@@ -95,14 +113,9 @@ val effective_inflight : t -> int
 
 val host_cores : t -> int
 
-(** Blocking admission: enqueue the job.  While the queue is at
-    [queue_cap] (backpressure), the calling domain runs the head of the
-    queue itself if an in-flight slot is free, and waits otherwise.
+(** Enqueue the job.
     @raise Invalid_argument after {!shutdown}. *)
 val submit : t -> job_spec -> job
-
-(** Non-blocking admission: [None] when the queue is at cap. *)
-val try_submit : t -> job_spec -> job option
 
 val state : t -> job -> state
 (** Lifecycle snapshot. *)
@@ -125,8 +138,9 @@ val shutdown : t -> unit
 (** The aggregate report: job counts by outcome, the requested and
     effective in-flight bounds, wall-clock throughput (jobs/s),
     queue/service latency percentiles (p50/p95/mean/max, ms), and one
-    entry per job (cycles, fingerprint, per-loop table; error text for
-    failed jobs).  Meaningful after {!drain}. *)
+    entry per job: its [id] and [state], then its {!result_json}
+    fields, or its [name] and [error] text when it failed.
+    Meaningful after {!drain}. *)
 val report : t -> Privateer_support.Json.t
 
 (** One-shot convenience: create, submit everything, drain, shut down;

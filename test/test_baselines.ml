@@ -274,8 +274,52 @@ fn main() {
   | _ -> Alcotest.fail "stage structure");
   check_int "iterations observed" 50 r.iterations
 
+let test_r_lrpd_least_flow_violation () =
+  (* [a] is read in iteration 5 and written in 8 (an anti-dependence),
+     then read again in 30; [b] is written in 12 and read in 20.  LRPD
+     fails the loop on the anti-dependence alone.  R-LRPD counts only
+     a read after an earlier iteration's write, so the least violation
+     is iteration 20, not 5 or 30; from 20 on no window iteration
+     writes what a later one reads, and the rest is one stage. *)
+  let src =
+    {|global a; global b; global sink[4]; global out[40];
+fn main() {
+  a = 1;
+  b = 2;
+  for (k = 0; k < 40) {
+    if (k == 5) { sink[0] = a; }
+    if (k == 8) { a = 9; }
+    if (k == 12) { b = 3; }
+    if (k == 20) { sink[1] = b; }
+    if (k == 30) { sink[2] = a; }
+    out[k] = k;
+  }
+  return 0;
+}|}
+  in
+  let program = Pipeline.parse src in
+  let loop =
+    match
+      List.find_opt
+        (fun ((f : Privateer_ir.Ast.func), _) -> f.fname = "main")
+        (Privateer_ir.Ast.loops_of_program program)
+    with
+    | Some (_, (id, _)) -> id
+    | None -> Alcotest.fail "no loop"
+  in
+  check "LRPD fails on the anti-dependence" false
+    (Lrpd.run_test program ~setup:(fun _ -> ()) ~loop).passed;
+  let r = Lrpd.run_r_lrpd program ~setup:(fun _ -> ()) ~loop in
+  Alcotest.(check (list (pair int int)))
+    "stages cut at the least flow violation"
+    [ (0, 20); (20, 40) ]
+    (List.map (fun (s : Lrpd.stage) -> (s.stage_lo, s.stage_hi)) r.stages);
+  check_int "iterations observed" 40 r.iterations
+
 let suite =
   suite
   @ [ Alcotest.test_case "R-LRPD: fully parallel loop" `Quick test_r_lrpd_fully_parallel;
       Alcotest.test_case "R-LRPD: partially parallel loop" `Quick
-        test_r_lrpd_partially_parallel ]
+        test_r_lrpd_partially_parallel;
+      Alcotest.test_case "R-LRPD: stages cut at the least flow violation" `Quick
+        test_r_lrpd_least_flow_violation ]

@@ -322,11 +322,14 @@ let writer worker addr value iter =
 let test_clean_interval_no_index_work () =
   let base = Heap.base Heap.Private in
   let state = Checkpoint.create_merge_state () in
-  (* Live-in reads but no writes: merge must not touch the index. *)
+  (* Live-in reads but no writes: merge must not touch the index or
+     read the clock. *)
   let m = Checkpoint.merge ~state [ reader_only 0 (base + 8); reader_only 1 (base + 64) ] in
   check "clean interval: no violation" true (m.violation = None);
   check_int "clean interval: zero index ops" 0 (Checkpoint.index_ops state);
-  check_int "clean interval: empty overlay" 0 (Hashtbl.length m.overlay)
+  check_int "clean interval: empty overlay" 0 (Hashtbl.length m.overlay);
+  check "clean interval: no pass timed" true
+    (m.fill_ns = 0.0 && m.validate_ns = 0.0 && m.sweep_ns = 0.0)
 
 let test_writing_interval_sweeps_delta () =
   let base = Heap.base Heap.Private in
@@ -577,9 +580,9 @@ let test_reset_charge_matches_oracle () =
 
 (* ---- merge-state isolation (regression) ---------------------------------- *)
 
-(* [Checkpoint.index_ops] counts per merge state (reachable per-cohort
-   as [Commit.index_ops ctx]), so two pipelines interleaving in one
-   process cannot contaminate each other's zero-index-work baseline. *)
+(* [Checkpoint.index_ops] counts per merge state (one per worker
+   cohort), so two pipelines interleaving in one process cannot
+   contaminate each other's zero-index-work baseline. *)
 let test_merge_state_isolation () =
   let base = Heap.base Heap.Private in
   let s1 = Checkpoint.create_merge_state () in

@@ -439,10 +439,11 @@ let test_config_check () =
         (raised c))
     [ ({ RC.default with workers = -2 }, "workers must be > 0 (got -2)");
       ({ RC.default with throttle = Some 0 }, "throttle must be > 0 (got 0)");
-      ({ RC.default with max_inflight = 65 }, "max_inflight must be in [1, 64] (got 65)");
-      ({ RC.default with queue_cap = -1 }, "queue_cap must be >= 0 (got -1)") ];
+      ({ RC.default with max_inflight = 65 }, "max_inflight must be in [1, 64] (got 65)") ];
   check "inert host fields unchecked" true
-    (RC.check { RC.default with pool_cap = -1; host_domains = -1; merge_shards = -1 } = Ok ());
+    (RC.check
+       { RC.default with pool_cap = -1; host_domains = -1; merge_shards = -1; queue_cap = -1 }
+    = Ok ());
   check "inert profilers field unchecked" true
     (RC.check { RC.default with profilers = [ "no-such-profiler" ] } = Ok ())
 
@@ -825,14 +826,9 @@ let test_cohort_allocation_bounds () =
    callee.  One worker runs the first planned loop's iterations in
    order. *)
 let test_control_misspec_names_branch () =
-  let open Privateer_parallel in
   List.iter
     (fun (name, src, first_cold) ->
-      let tr, _ =
-        Pipeline.compile
-          ~setup:(fun st -> Pipeline.set_global st "mode" 0)
-          (Pipeline.parse src)
-      in
+      let tr, raised = Test_speculation.worker_misspecs src in
       let branches = ref [] in
       List.iter
         (fun (f : Privateer_ir.Ast.func) ->
@@ -843,39 +839,8 @@ let test_control_misspec_names_branch () =
       let branch =
         match !branches with [ id ] -> id | _ -> Alcotest.fail (name ^ ": expected one branch")
       in
-      let cfg = Runtime_config.default in
-      let st = Privateer_interp.Interp.create ~cost:cfg.costs.base tr.program in
-      Pipeline.set_global st "mode" 1;
-      let fired = ref None and ran = ref false in
-      st.parallel_for <-
-        Some
-          (fun st fr loop ~init ~limit ->
-            (match
-               ( !ran,
-                 Privateer_transform.Manifest.loop_spec tr.manifest
-                   (Privateer_interp.Interp.loop_id loop) )
-             with
-            | false, Some spec -> (
-              ran := true;
-              let env =
-                { Worker.cm = cfg.costs; stats = Privateer_runtime.Stats.create ();
-                  sites = Worker.sites tr.manifest; validate = true; inject = None }
-              in
-              let ranges = Worker.redux_ranges st spec in
-              let w = List.hd (Worker.spawn env st fr spec ranges 1 ~now:0) in
-              let predictions = Worker.resolve_predictions st spec.assignment.predictions in
-              let io = Privateer_runtime.Deferred_io.create () in
-              try
-                for iter = 0 to limit - init - 1 do
-                  Worker.exec_iteration env w loop ~init_value:init ~iter ~interval_start:0
-                    ~predictions ~io
-                done
-              with Worker.Worker_misspec (iter, reason) -> fired := Some (iter, reason))
-            | _ -> ());
-            false);
-      ignore (Privateer_interp.Interp.run_entry st);
       check name true
-        (!fired = Some (first_cold, Privateer_runtime.Misspec.Control { site = branch })))
+        (raised = [ (first_cold, Privateer_runtime.Misspec.Control { site = branch }) ]))
     [ ("then side", List.assoc "inline" Test_speculation.control_programs, 5);
       ("then side in a callee", List.assoc "callee" Test_speculation.control_programs, 3);
       ("else side", Test_speculation.cold_else_src, 9) ]

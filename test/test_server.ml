@@ -9,16 +9,17 @@
      a process-global;
    - units: lifecycle states settle to Done, a failing job is
      confined (Failed, server survives, neighbours finish), the
-     in-flight bound clamps to the host core count, a full queue
-     rejects try_submit (backpressure), a submitter blocked on a full
-     queue runs a queued job itself, [shutdown] stops the server's
-     domains, and three client domains sharing one server each see
-     their jobs settle once, equal to a serial run;
+     in-flight bound clamps to the host core count, [shutdown] stops
+     the server's domains, three client domains sharing one server
+     each see their jobs settle once, equal to a serial run, and a
+     served job's report entry is the report of the same job run
+     alone;
    - submit/await/state/shutdown units and a qcheck, one per contract
      the server's callers rely on: a job's result is its own and stays
      settled, a failure leaves the server usable, at bound 1 a job
-     waits for the domain that awaits it and jobs launch from the head
-     of the queue, results follow jobs and not completion order, each
+     waits for the domain that awaits it, [submit] only enqueues (the
+     queue is unbounded) and jobs launch from the head of the queue,
+     results follow jobs and not completion order, each
      failed job carries exactly its own fault, several awaiters of one
      job see one result, [shutdown] runs queued jobs and is
      idempotent, [create] validates its knobs, the report shows the
@@ -171,51 +172,6 @@ let test_inflight_clamp () =
   check_int "server reports the knob" 2 (Job_server.effective_inflight t);
   Job_server.shutdown t
 
-let test_backpressure_rejects () =
-  (* 2 in-flight slots + queue cap 2: a burst of 6 admissions must see
-     at least one rejection (jobs take milliseconds; the burst takes
-     microseconds), and every accepted job still settles Done. *)
-  let config = { RC.default with RC.max_inflight = 2; queue_cap = 2 } in
-  let t = Job_server.create ~host_cores:4 ~config () in
-  let accepted, rejected =
-    List.fold_left
-      (fun (a, r) i ->
-        match Job_server.try_submit t (spec_of_src (Printf.sprintf "b%d" i) (program_src i)) with
-        | Some j -> (j :: a, r)
-        | None -> (a, r + 1))
-      ([], 0) (List.init 6 Fun.id)
-  in
-  check "queue at cap rejects try_submit" true (rejected > 0);
-  check "not everything rejected" true (List.length accepted >= 2);
-  Job_server.drain t;
-  List.iter
-    (fun j ->
-      check "accepted job settled Done" true
-        (match Job_server.state t j with Job_server.Done _ -> true | _ -> false))
-    accepted;
-  Job_server.shutdown t
-
-let test_blocked_submitter_runs_queued_job () =
-  (* 1 core: the server spawns no domain, so with a queue cap of 1
-     every submit after the first finds the queue full and must run
-     the queued job itself for the stream to make progress. *)
-  let config = { RC.default with RC.max_inflight = 4; queue_cap = 1 } in
-  let t = Job_server.create ~host_cores:1 ~config () in
-  let jobs =
-    List.init 6 (fun i -> Job_server.submit t (spec_of_src (Printf.sprintf "q%d" i) (program_src i)))
-  in
-  List.iteri
-    (fun i j ->
-      check (Printf.sprintf "q%d settled by a later submit" i) (i < 5)
-        (match Job_server.state t j with Job_server.Done _ -> true | _ -> false))
-    jobs;
-  Job_server.shutdown t;
-  List.iter
-    (fun j ->
-      check "job done" true
-        (match Job_server.state t j with Job_server.Done _ -> true | _ -> false))
-    jobs
-
 (* OCaml caps live domains at 128, so 130 servers in sequence, each
    with one spawned domain, fail at [create] unless [shutdown] stops
    the domain it spawned.  Nothing awaits the job, so only that domain
@@ -235,8 +191,8 @@ let test_shutdown_stops_domains () =
   done
 
 (* Three client domains submit to and await one server (one spawned
-   domain, queue cap 1, so submitters block and run queued jobs); one
-   job faults.  Every job settles once: re-awaiting returns the very
+   domain, so awaiting clients run queued jobs too); one job
+   faults.  Every job settles once: re-awaiting returns the very
    result the first await did, the report counts each job once, and
    every job's fingerprint, the fault's text included, equals a serial
    run's. *)
@@ -248,7 +204,7 @@ let test_shared_server () =
       (if c = 1 && i = 2 then "fn main() { var x = 0; return 7 / x; }\n"
        else program_src ((c * per) + i))
   in
-  let config = { RC.default with RC.max_inflight = 2; queue_cap = 1 } in
+  let config = { RC.default with RC.max_inflight = 2 } in
   let t = Job_server.create ~host_cores:4 ~config () in
   let client c =
     Domain.spawn (fun () ->
@@ -377,6 +333,26 @@ let test_bound_one_runs_on_awaiter () =
   check "settled Done" true (is_done t j);
   Job_server.shutdown t
 
+(* The queue of accepted jobs is unbounded and [submit] only enqueues:
+   at bound 1, where no server domain runs jobs, a burst of twelve is
+   admitted whole and every job is still queued when the last submit
+   returns; a drain then settles each with its own result. *)
+let test_submit_only_enqueues () =
+  let t = Job_server.create ~host_cores:1 ~config:{ RC.default with RC.max_inflight = 4 } () in
+  let jobs =
+    List.init 12 (fun i -> Job_server.submit t (spec_of_src (Printf.sprintf "u%d" i) (program_src i)))
+  in
+  check_int "every job admitted" 12 (List.length (Job_server.jobs t));
+  check "every job still queued after the burst" true (List.for_all (is_queued t) jobs);
+  Job_server.drain t;
+  List.iteri
+    (fun i j ->
+      let r = ok_result (Job_server.await t j) in
+      Alcotest.(check string) (Printf.sprintf "u%d result" i) (string_of_int (program_total i))
+        r.jr_result)
+    jobs;
+  Job_server.shutdown t
+
 (* Jobs launch from the head of the queue: awaiting the third of four
    jobs at bound 1 runs the two ahead of it first and leaves the
    fourth queued. *)
@@ -468,7 +444,7 @@ let test_concurrent_awaiters () =
 
 (* Jobs still queued at [shutdown] are not lost: with no server domain
    (bound 1) the domain that shuts the server down runs them.  A second
-   [shutdown] changes nothing, and admission stays closed. *)
+   [shutdown] changes nothing. *)
 let test_shutdown_with_queued_jobs () =
   let t = Job_server.create ~host_cores:1 ~config:RC.default () in
   let jobs =
@@ -486,12 +462,7 @@ let test_shutdown_with_queued_jobs () =
   check "second shutdown keeps the results" true
     (List.for_all2
        (fun j r -> match Job_server.state t j with Job_server.Done r' -> r' == r | _ -> false)
-       jobs results);
-  check "try_submit after shutdown refused" true
-    (try
-       ignore (Job_server.try_submit t (spec_of_src "late" (program_src 9)));
-       false
-     with Invalid_argument _ -> true)
+       jobs results)
 
 (* [create] validates its knobs before it spawns anything, and a
    nonsensical core count clamps to one core. *)
@@ -509,7 +480,6 @@ let test_create_validates () =
   in
   rejects "max_inflight 0" { RC.default with RC.max_inflight = 0 } "max_inflight must be in [1, 64]";
   rejects "max_inflight 65" { RC.default with RC.max_inflight = 65 } "max_inflight must be in [1, 64]";
-  rejects "queue_cap -1" { RC.default with RC.queue_cap = -1 } "queue_cap must be >= 0";
   let t = Job_server.create ~host_cores:0 ~config:{ RC.default with RC.max_inflight = 8 } () in
   check_int "0 cores clamps to 1" 1 (Job_server.host_cores t);
   check_int "and to sequential execution" 1 (Job_server.effective_inflight t);
@@ -518,7 +488,7 @@ let test_create_validates () =
 (* The report carries the requested in-flight bound next to the
    effective one, so a clamp is visible, and counts the jobs it ran. *)
 let test_report_bounds () =
-  let config = { RC.default with RC.max_inflight = 8; queue_cap = 3 } in
+  let config = { RC.default with RC.max_inflight = 8 } in
   let t = Job_server.create ~host_cores:2 ~config () in
   List.iter
     (fun i -> ignore (Job_server.submit t (spec_of_src (Printf.sprintf "r%d" i) (program_src i))))
@@ -527,8 +497,7 @@ let test_report_bounds () =
   let open Privateer_support.Json in
   List.iter
     (fun (key, expected) -> check (key ^ " reported") true (report_field t key = Int expected))
-    [ ("max_inflight_requested", 8); ("max_inflight_effective", 2); ("queue_cap", 3);
-      ("host_cores", 2); ("jobs", 2); ("done", 2); ("failed", 0) ];
+    [ ("max_inflight_requested", 8); ("max_inflight_effective", 2); ("host_cores", 2); ("jobs", 2); ("done", 2); ("failed", 0) ];
   check "one entry per job, each done" true
     (match report_field t "job_results" with
     | List entries ->
@@ -543,13 +512,12 @@ let test_report_bounds () =
    own result, or with exactly its own fault. *)
 let submitters_arb =
   QCheck.make
-    ~print:(fun (clients, per, fail_mod, queue_cap) ->
-      Printf.sprintf "%d clients x %d jobs, fail mod %d, queue cap %d" clients per fail_mod
-        queue_cap)
-    QCheck.Gen.(quad (int_range 2 3) (int_range 1 4) (int_range 0 3) (int_range 0 2))
+    ~print:(fun (clients, per, fail_mod) ->
+      Printf.sprintf "%d clients x %d jobs, fail mod %d" clients per fail_mod)
+    QCheck.Gen.(triple (int_range 2 3) (int_range 1 4) (int_range 0 3))
 
-let prop_concurrent_submitters (clients, per, fail_mod, queue_cap) =
-  let config = { RC.default with RC.max_inflight = 3; queue_cap } in
+let prop_concurrent_submitters (clients, per, fail_mod) =
+  let config = { RC.default with RC.max_inflight = 3 } in
   let t = Job_server.create ~host_cores:4 ~config () in
   Fun.protect
     ~finally:(fun () -> Job_server.shutdown t)
@@ -576,6 +544,49 @@ let prop_concurrent_submitters (clients, per, fail_mod, queue_cap) =
       in
       let domains = List.init clients client in
       List.for_all (fun d -> List.for_all Fun.id (Domain.join d)) domains)
+
+(* A port, a scenario and a file source, each with its baseline: the
+   served entry of each job is [result_json] of the same job executed
+   alone, once the served-only [id] and [state] and the host-time
+   [host_ms] object are set aside, and both [host_ms] objects carry
+   the same keys. *)
+let test_served_entry_is_result_json () =
+  with_source (program_src 4) (fun path ->
+      let specs () =
+        Jobs_manifest.parse ~base:RC.default
+          (Printf.sprintf
+             "port workload:dijkstra input=train baseline\n\
+              gen scenario:seed=3,trip=24 baseline\n\
+              file file:%s baseline\n"
+             path)
+      in
+      let t =
+        Job_server.run_jobs ~host_cores:2 ~config:{ RC.default with RC.max_inflight = 2 }
+          (specs ())
+      in
+      let fields = function
+        | Privateer_support.Json.Obj kvs -> kvs
+        | _ -> Alcotest.fail "not an object"
+      in
+      let split kvs =
+        ( List.filter (fun (k, _) -> not (List.mem k [ "id"; "state"; "host_ms" ])) kvs,
+          List.map fst (fields (List.assoc "host_ms" kvs)) )
+      in
+      let served =
+        match report_field t "job_results" with
+        | Privateer_support.Json.List entries -> List.map fields entries
+        | _ -> Alcotest.fail "job_results is not a list"
+      in
+      List.iter2
+        (fun spec entry ->
+          let name = spec.Job_server.js_name in
+          let alone, alone_host =
+            split (fields (Job_server.result_json spec (Job_server.execute spec)))
+          in
+          let entry, entry_host = split entry in
+          check (name ^ ": served entry = result_json") true (entry = alone);
+          Alcotest.(check (list string)) (name ^ ": host_ms keys") alone_host entry_host)
+        (specs ()) served)
 
 (* ---- manifest parsing ---------------------------------------------------- *)
 
@@ -640,8 +651,9 @@ let test_manifest_scenarios () =
   bad "x workload:dijkstra scale=9\n" "supports scale 1..";
   bad "x zap:foo\n" "unknown job source kind";
   bad "x dijkstra input=ref\n" "job source must be";
-  (* The host-parallelism knobs, the shadow-page pool cap and the
-     profiler set are gone: each is an unknown option. *)
+  (* The host-parallelism knobs, the shadow-page pool cap, the
+     profiler set and the queue cap are gone: each is an unknown
+     option. *)
   List.iter
     (fun opt ->
       match Jobs_manifest.parse ~base:RC.default ("# ok\nx workload:dijkstra " ^ opt ^ "\n") with
@@ -650,7 +662,7 @@ let test_manifest_scenarios () =
         check (opt ^ " is an unknown job option on line 2") true
           (contains m "line 2:" && contains m "unknown job option"))
     [ "host-domains=2"; "merge-shards=4"; "pool-kind=legacy"; "host-controller=never";
-      "shadow-pool-cap=0"; "profilers=exec" ];
+      "shadow-pool-cap=0"; "profilers=exec"; "queue-cap=1" ];
   (* A knob that parses but is out of range fails the load on its own
      line, not the job at run time. *)
   List.iter
@@ -721,10 +733,6 @@ let suite =
         test_failed_job_confined;
       Alcotest.test_case "in-flight bound clamps to cores" `Quick
         test_inflight_clamp;
-      Alcotest.test_case "full queue rejects try_submit" `Quick
-        test_backpressure_rejects;
-      Alcotest.test_case "full queue: a blocked submitter runs a queued job" `Quick
-        test_blocked_submitter_runs_queued_job;
       Alcotest.test_case "shutdown stops the server's domains" `Quick
         test_shutdown_stops_domains;
       Alcotest.test_case "three clients share one server" `Quick test_shared_server;
@@ -734,6 +742,8 @@ let suite =
         test_failure_leaves_server_usable;
       Alcotest.test_case "bound 1: a job waits for its awaiter" `Quick
         test_bound_one_runs_on_awaiter;
+      Alcotest.test_case "unbounded queue: submit only enqueues" `Quick
+        test_submit_only_enqueues;
       Alcotest.test_case "await runs the queue from its head" `Quick
         test_await_runs_queue_in_order;
       Alcotest.test_case "results independent of completion order" `Quick
@@ -747,6 +757,8 @@ let suite =
       Alcotest.test_case "create validates its knobs" `Quick test_create_validates;
       Alcotest.test_case "report: requested and effective bounds" `Quick
         test_report_bounds;
+      Alcotest.test_case "served entry = result_json of the job alone" `Quick
+        test_served_entry_is_result_json;
       Alcotest.test_case "manifest: parse, repeat, knobs, errors" `Quick
         test_manifest_parse;
       Alcotest.test_case "manifest: scenario jobs, scale, line errors" `Quick

@@ -28,6 +28,54 @@ let train_ref_divergence ?workers src =
   check "trained program planned a loop" true (tr.selection.plans <> []);
   par
 
+(* What the workers raise themselves, as (iteration, reason), on the
+   first invocation of the first planned loop when [src] is trained
+   with mode=0 and run with mode=1: [workers] workers share one
+   snapshot of the main process, and each runs its cyclic slice in
+   order up to its first misspeculation, as in one commit-mode
+   interval.  Returns the transformed program too. *)
+let worker_misspecs ?(workers = 1) src =
+  let open Privateer_parallel in
+  let tr, _ =
+    Pipeline.compile ~setup:(fun st -> Pipeline.set_global st "mode" 0) (Pipeline.parse src)
+  in
+  let cfg = Runtime_config.default in
+  let st = Privateer_interp.Interp.create ~cost:cfg.costs.base tr.program in
+  Pipeline.set_global st "mode" 1;
+  let raised = ref [] and ran = ref false in
+  st.parallel_for <-
+    Some
+      (fun st fr loop ~init ~limit ->
+        (match
+           ( !ran,
+             Privateer_transform.Manifest.loop_spec tr.manifest
+               (Privateer_interp.Interp.loop_id loop) )
+         with
+        | false, Some spec ->
+          ran := true;
+          let env =
+            { Worker.cm = cfg.costs; stats = Privateer_runtime.Stats.create ();
+              sites = Worker.sites tr.manifest; validate = true; inject = None }
+          in
+          let predictions = Worker.resolve_predictions st spec.assignment.predictions in
+          let io = Privateer_runtime.Deferred_io.create () in
+          List.iter
+            (fun (w : Worker.t) ->
+              let rec sweep iter =
+                if iter < limit - init then begin
+                  Worker.exec_iteration env w loop ~init_value:init ~iter ~interval_start:0
+                    ~predictions ~io;
+                  sweep (iter + workers)
+                end
+              in
+              try sweep w.w_id
+              with Worker.Worker_misspec (iter, r) -> raised := (iter, r) :: !raised)
+            (Worker.spawn env st fr spec (Worker.redux_ranges st spec) workers ~now:0)
+        | _ -> ());
+        false);
+  ignore (Privateer_interp.Interp.run_entry st);
+  (tr, List.rev !raised)
+
 (* The error path never runs in training (control-speculated away)
    but runs for some ref iterations: the worker's branch hook must
    misspeculate and recovery must execute the original cold code.  The
@@ -210,53 +258,59 @@ let test_control_misspeculation_cold_else () =
   check "commit mode misspeculated" true (commit.stats.misspeculations > 0);
   check "eager mode misspeculated" true (eager.stats.misspeculations > 0)
 
-let test_lifetime_misspeculation_in_production () =
-  (* In training every node is freed within its iteration
-     (short-lived); the ref input leaks one node past the iteration,
-     violating lifetime speculation. *)
-  let par =
-    train_ref_divergence
-      {|global mode; global keeper; global out[40];
-fn main() {
-  keeper = 0;
-  for (k = 0; k < 40) {
-    var node = malloc(1);
-    node[0] = k * 3;
-    out[k] = node[0];
-    if (mode == 1 && k == 17) {
-      keeper = node;           // escapes the iteration
-    } else {
-      free(node);
-    }
-  }
-  if (keeper != 0) { free(keeper); }
-  var s = 0;
-  for (q = 0; q < 40) { s = s + out[q]; }
-  return s;
-}|}
-  in
-  check "lifetime violation detected" true (par.stats.misspeculations > 0)
-
-let test_value_misspeculation_in_production () =
-  (* flag returns to 0 every training iteration; one ref iteration
-     leaves 5 behind: the end-of-iteration prediction check fires. *)
-  let par =
-    train_ref_divergence
-      {|global mode; global flag; global out[50];
+(* Two ref-input divergences with no branch to speculate away, so the
+   worker meets them as themselves rather than as a control
+   misspeculation: [flag] is left at 5 by iteration 20 against its
+   predicted 0, and iteration 17 allocates a second node it never
+   frees. *)
+let value_miss_src =
+  {|global mode; global flag; global out[50];
 fn main() {
   flag = 0;
   for (k = 0; k < 50) {
     out[k] = flag + k;
-    flag = 9;
-    if (mode == 1 && k == 20) { flag = 5; } else { flag = 0; }
+    flag = mode * (k == 20) * 5;
   }
-  flag = 0;
   var s = 0;
   for (q = 0; q < 50) { s = s + out[q]; }
   return s;
 }|}
-  in
-  check "prediction failure detected" true (par.stats.misspeculations > 0)
+
+let escape_src =
+  {|global mode; global nodes[2]; global out[40];
+fn main() {
+  for (k = 0; k < 40) {
+    for (j = 0; j < 1 + mode * (k == 17)) {
+      nodes[j] = malloc(1);
+      nodes[j][0] = k * 3;
+    }
+    out[k] = nodes[0][0];
+    free(nodes[0]);
+  }
+  var s = 0;
+  for (q = 0; q < 40) { s = s + out[q]; }
+  return s;
+}|}
+
+let test_lifetime_misspeculation_in_production () =
+  (* In training every node is freed within its iteration
+     (short-lived); the ref input leaks one. *)
+  let par = train_ref_divergence escape_src in
+  check "lifetime violation detected" true (par.stats.misspeculations > 0);
+  check "the worker raises the escape" true
+    (match worker_misspecs escape_src with
+    | _, [ (17, Privateer_runtime.Misspec.Short_lived_escape _) ] -> true
+    | _ -> false)
+
+let test_value_misspeculation_in_production () =
+  (* flag returns to 0 every training iteration; one ref iteration
+     leaves 5 behind: the end-of-iteration prediction check fires. *)
+  let par = train_ref_divergence value_miss_src in
+  check "prediction failure detected" true (par.stats.misspeculations > 0);
+  check "the worker raises the failed prediction" true
+    (match worker_misspecs value_miss_src with
+    | _, [ (20, Privateer_runtime.Misspec.Value_prediction _) ] -> true
+    | _ -> false)
 
 (* In training the loop only ever writes through the iteration's own
    node; in the ref run one iteration writes through a pointer into an
@@ -335,33 +389,31 @@ fn main() {
   let _, _, par, _ = Test_contract.unit_cell src (config ()) in
   Alcotest.(check int) "two invocations of one region" 2 par.stats.invocations
 
-let test_worker_fault_recovers () =
-  (* Division by zero on a path only the ref input reaches: the worker
-     faults; the fault is treated as misspeculation; recovery replays
-     sequentially, where the same fault becomes the program's real
-     behaviour... so instead make the fault *speculation-induced*:
-     reading a stale pointer that sequential execution would never
-     see is impossible here, so we check a plain worker fault aborts
-     cleanly rather than crashing the host. *)
-  let src =
-    {|global mode; global scratch[4]; global out[30];
+(* In training every iteration sets the divisor before it divides; in
+   the ref run only iteration 0 does.  The branch's cold side holds no
+   access, so it is not control-speculated, and a worker that did not
+   run iteration 0 divides by its snapshot's stale 0: a fault only
+   speculation produces, which recovery must turn back into the
+   sequential run. *)
+let stale_divisor_src =
+  {|global mode; global divisor; global out[30];
 fn main() {
   for (k = 0; k < 30) {
-    scratch[0] = k + 1;
-    var d = scratch[0];
-    if (mode == 1 && k == 7) { d = 0; }
-    if (d == 0) { d = 1; }    // keeps sequential execution safe
-    out[k] = 100 / d;
+    if (mode * k == 0) { divisor = k + 1; }
+    out[k] = 100 / divisor;
   }
   var s = 0;
   for (q = 0; q < 30) { s = s + out[q]; }
   return s;
 }|}
-  in
-  ignore
-    (Test_contract.unit_cell src (config ())
-       ~train:(fun st -> Pipeline.set_global st "mode" 0)
-       ~run:(fun st -> Pipeline.set_global st "mode" 1))
+
+let test_worker_fault_recovers () =
+  let par = train_ref_divergence stale_divisor_src in
+  check "the fault misspeculated" true (par.stats.misspeculations > 0);
+  check "the second worker faults on its stale divisor" true
+    (List.mem
+       (1, Privateer_runtime.Misspec.Worker_fault "division by zero")
+       (snd (worker_misspecs ~workers:2 stale_divisor_src)))
 
 (* ---- eager validation ---------------------------------------------------- *)
 
@@ -411,40 +463,6 @@ let test_no_false_kill_on_clean_intervals () =
     eager.par_cycles;
   Alcotest.(check int) "wall cycles identical" commit.stats.wall_cycles
     eager.stats.wall_cycles
-
-(* Two ref-input divergences with no branch to speculate away, so the
-   worker meets them as themselves rather than as a control
-   misspeculation: [flag] is left at 5 by iteration 20 against its
-   predicted 0, and iteration 17 allocates a second node it never
-   frees. *)
-let value_miss_src =
-  {|global mode; global flag; global out[50];
-fn main() {
-  flag = 0;
-  for (k = 0; k < 50) {
-    out[k] = flag + k;
-    flag = mode * (k == 20) * 5;
-  }
-  var s = 0;
-  for (q = 0; q < 50) { s = s + out[q]; }
-  return s;
-}|}
-
-let escape_src =
-  {|global mode; global nodes[2]; global out[40];
-fn main() {
-  for (k = 0; k < 40) {
-    for (j = 0; j < 1 + mode * (k == 17)) {
-      nodes[j] = malloc(1);
-      nodes[j][0] = k * 3;
-    }
-    out[k] = nodes[0][0];
-    free(nodes[0]);
-  }
-  var s = 0;
-  for (q = 0; q < 40) { s = s + out[q]; }
-  return s;
-}|}
 
 let test_own_misspeculations_kill () =
   (* A value misprediction, a short-lived object escaping its
