@@ -202,6 +202,10 @@ let report_run (r : Job_server.job_result) =
     "overhead breakdown: useful %.1f%%, priv-read %.1f%%, priv-write %.1f%%, checkpoint %.1f%%, spawn/join %.1f%%\n"
     b.useful b.private_read b.private_write b.checkpoint b.spawn_join
 
+(* [run]'s exit code when the parallel run's output differs from the
+   sequential baseline's: a wrong answer fails closed. *)
+let exit_wrong_output = 4
+
 (* privateer run <source>: one job, through the job server's own
    pipeline and report, with the sequential baseline. *)
 let run_cmd =
@@ -217,10 +221,20 @@ let run_cmd =
     else begin
       print_string r.jr_output;
       report_run r
+    end;
+    if r.jr_output_identical = Some false then begin
+      prerr_endline "privateer: the parallel run's output differs from the sequential run's";
+      exit exit_wrong_output
     end
   in
+  let exits =
+    Cmd.Exit.info 3 ~doc:"on a program fault (a runtime error), as $(b,serve) does for a failed job."
+    :: Cmd.Exit.info exit_wrong_output
+         ~doc:"when the parallel run's output differs from the sequential run's."
+    :: Cmd.Exit.defaults
+  in
   Cmd.v
-    (Cmd.info "run"
+    (Cmd.info "run" ~exits
        ~doc:
          "Profile, privatize and run a source in parallel (a port, a Cmini file, \
           or a workload:, file: or scenario: source)")

@@ -2,15 +2,14 @@ module Workload = Privateer_workloads.Workload
 module Workloads = Privateer_workloads.Workloads
 
 type t = {
-  src_kind : string;
   src_workload : Workload.t option;
   src_fresh : unit -> Privateer_ir.Ast.program;
 }
 
 let kinds = "workload:<name>, file:<path> or scenario:<spec>"
 
-let of_workload kind wl =
-  { src_kind = kind; src_workload = Some wl;
+let of_workload wl =
+  { src_workload = Some wl;
     src_fresh = (fun () -> Workload.fresh_program wl) }
 
 let parse ?(dir = ".") src =
@@ -20,9 +19,8 @@ let parse ?(dir = ".") src =
     let kind = String.sub src 0 i in
     let arg = String.sub src (i + 1) (String.length src - i - 1) in
     match kind with
-    | "workload" -> Result.map (of_workload "workload") (Workloads.lookup arg)
-    | "scenario" ->
-      Result.map (of_workload "scenario") (Scenario_gen.workload_of_spec arg)
+    | "workload" -> Result.map of_workload (Workloads.lookup arg)
+    | "scenario" -> Result.map of_workload (Scenario_gen.workload_of_spec arg)
     | "file" -> (
       let path = if Filename.is_relative arg then Filename.concat dir arg else arg in
       if not (Sys.file_exists path) then Error (Printf.sprintf "no such file %S" path)
@@ -34,6 +32,6 @@ let parse ?(dir = ".") src =
         | exception Failure msg -> Error msg
         | _ ->
           Ok
-            { src_kind = "file"; src_workload = None;
+            { src_workload = None;
               src_fresh = (fun () -> Privateer.Pipeline.parse source) })
     | k -> Error (Printf.sprintf "unknown job source kind %S (want %s)" k kinds))

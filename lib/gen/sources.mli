@@ -5,7 +5,6 @@
     reporting (the manifest prefixes line numbers). *)
 
 type t = {
-  src_kind : string;  (** ["workload"], ["file"] or ["scenario"] *)
   src_workload : Privateer_workloads.Workload.t option;
       (** [Some] for workload/scenario sources (a scenario resolves
           to the workload it generates); [None] for raw files *)

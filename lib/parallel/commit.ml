@@ -1,12 +1,11 @@
-(* Checkpoint contribution, merge, and commit (paper section 5.2).
+(* Checkpoint collection, phase 2, and commit (paper section 5.2).
 
-   Per interval, each worker contributes its speculative state (a scan
-   of the shadow bank's dirty pages, skipping pages that hold no
-   marks); the merge performs phase-2 privacy validation via the
-   per-word writer index and last-writer-wins combination; a clean
-   merge commits into the main process: private-byte overlay, absolute
-   reduction values, register-reduction folds, deferred output in
-   iteration order, and per-worker metadata reset (which likewise
+   Per interval, each worker adds its speculative state to the
+   interval's one table (a scan of its marked shadow pages); phase 2
+   probes that table with every worker's live-in bytes; a clean
+   interval commits into the main process: the table's private bytes,
+   absolute reduction values, register-reduction folds, deferred
+   output in iteration order, and per-worker metadata reset (which
    visits only pages holding timestamps, while the simulated per-page
    charge stays on every mapped shadow page).  The final interval
    additionally adopts allocator state and live-out private registers
@@ -14,12 +13,12 @@
 
    Phase 2 here is the only check of cross-worker conflicts, in both
    validation modes: `--validation eager` stops an interval only on a
-   worker's own misspeculation, before it reaches this module.  Phase
-   2 checks each live-in read against the writes of its own interval
-   only: the merge sweeps the writer index empty before it returns.  A
-   read of a word that another worker of the cohort wrote in an
-   earlier interval is therefore caught by no layer, and the reader's
-   stale snapshot value commits (ROADMAP item 7). *)
+   worker's own misspeculation, before it reaches this module.  It
+   sees every live-in mark of the cohort, but only the writes of its
+   own interval: the table does not outlive the interval.  A read of a
+   word that another worker of the cohort wrote in an earlier interval
+   is therefore caught by no layer, and the reader's stale snapshot
+   value commits (ROADMAP item 7). *)
 
 open Privateer_machine
 open Privateer_interp
@@ -29,8 +28,7 @@ open Privateer_runtime
 
 (* Everything one worker cohort's commits need; rebuilt at each
    (re)spawn because the reduction bases are read from the main
-   process at that point (and so the merge state restarts with the
-   cohort). *)
+   process at that point. *)
 type ctx = {
   env : Worker.env;
   ranges : (int * int * Privateer_ir.Ast.binop) list; (* redux heap ranges *)
@@ -41,9 +39,6 @@ type ctx = {
   io : Deferred_io.t;
   emit_main : string -> unit;
   serial_commit : bool;
-  merge_state : Checkpoint.merge_state;
-      (* the word -> writer index: its table is reused across this
-         cohort's intervals, its entries last one merge *)
 }
 
 (* A reduction register's value; reading one the program never bound
@@ -58,16 +53,16 @@ let make_ctx (env : Worker.env) (st : Interp.t) fr spec ~io ~emit_main ~serial_c
   let reg_ops = Worker.reduction_regs spec in
   { env; ranges; reg_ops; redux_base = Worker.read_redux_base st ranges;
     reg_base = List.map (fun (name, _) -> (name, local_exn fr name)) reg_ops;
-    io; emit_main; serial_commit;
-    merge_state = Checkpoint.create_merge_state () }
+    io; emit_main; serial_commit }
 
 let write_value_word machine addr (v : Value.t) =
   let bits, is_float = Value.to_bits v in
   Machine.write_word machine addr bits is_float
 
-(* Contribution collection: each worker's interval state plus the
+(* Build the interval's table from every worker, timed into the run's
+   Stats (host instrumentation only), and put each worker's
    page-granular copy cost on its clock. *)
-let collect ctx workers ~interval_start =
+let collect ctx workers =
   let cm = ctx.env.Worker.cm in
   let stats = ctx.env.Worker.stats in
   let reqs =
@@ -80,7 +75,7 @@ let collect ctx workers ~interval_start =
       workers
   in
   let t0 = Privateer_support.Clock.now_ns () in
-  let contribs = Checkpoint.extract ~interval_start reqs in
+  let cp = Checkpoint.extract reqs in
   stats.ns_extract <- stats.ns_extract +. (Privateer_support.Clock.now_ns () -. t0);
   List.iter2
     (fun (w : Worker.t) (c : Checkpoint.contribution) ->
@@ -89,27 +84,28 @@ let collect ctx workers ~interval_start =
       in
       w.w_clock <- w.w_clock + copy_cost;
       stats.cyc_checkpoint <- stats.cyc_checkpoint + copy_cost)
-    workers contribs;
-  contribs
+    workers cp.Checkpoint.contributions;
+  cp
 
-(* Phase-2 validation + last-writer-wins merge through the cohort's
-   merge state.  The per-pass host time is folded into the run's
-   Stats so the job report and bench can attribute merge cost
-   (host-side instrumentation only — never simulated state). *)
-let merge ctx contribs =
-  let stats = ctx.env.Worker.stats in
-  let m = Checkpoint.merge ~state:ctx.merge_state contribs in
-  stats.ns_merge_fill <- stats.ns_merge_fill +. m.Checkpoint.fill_ns;
-  stats.ns_merge_validate <- stats.ns_merge_validate +. m.validate_ns;
-  stats.ns_merge_sweep <- stats.ns_merge_sweep +. m.sweep_ns;
-  m
+(* Phase 2 on the interval's table, timed into the run's Stats.  A
+   write-free interval can convict no read, so it reads no clock. *)
+let merge ctx (cp : Checkpoint.t) =
+  if Hashtbl.length cp.Checkpoint.words = 0 then None
+  else begin
+    let stats = ctx.env.Worker.stats in
+    let t0 = Privateer_support.Clock.now_ns () in
+    let violation = Checkpoint.validate cp in
+    stats.ns_merge_validate <-
+      stats.ns_merge_validate +. (Privateer_support.Clock.now_ns () -. t0);
+    violation
+  end
 
-(* Commit a cleanly merged interval [lo, hi) into the main process.
-   Returns the simulated time at which the checkpoint retires. *)
-let commit_interval ctx (st : Interp.t) fr workers (m : Checkpoint.merged) ~lo ~hi =
+(* Commit a clean interval [lo, hi) into the main process.  Returns the
+   simulated time at which the checkpoint retires. *)
+let commit_interval ctx (st : Interp.t) fr workers (m : Checkpoint.t) ~lo ~hi =
   let cm = ctx.env.Worker.cm in
   let stats = ctx.env.Worker.stats in
-  (* Overlay private bytes, absolute reduction values, deferred output. *)
+  (* Private bytes, absolute reduction values, deferred output. *)
   Checkpoint.apply_overlay st.machine m;
   List.iter
     (fun (addr, v) -> write_value_word st.machine addr v)

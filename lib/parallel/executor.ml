@@ -2,12 +2,12 @@
 
    Intercepts a selected For loop and wires the engine's layers around
    it: [Schedule] assigns iterations to simulated worker processes,
-   [Worker] executes them under inline validation, [Commit] collects
-   and merges checkpoint contributions and commits clean intervals,
-   and [Recovery] squashes and re-executes misspeculated intervals —
-   with an optional adaptive checkpoint period and a per-loop
-   misspeculation throttle that demotes chronically misspeculating
-   loops to sequential execution.
+   [Worker] executes them under inline validation, [Commit] builds
+   each interval's checkpoint table, validates it and commits clean
+   intervals, and [Recovery] squashes and re-executes misspeculated
+   intervals — with an optional adaptive checkpoint period and a
+   per-loop misspeculation throttle that demotes chronically
+   misspeculating loops to sequential execution.
 
    Timing is simulated: workers accumulate cycle clocks (application
    costs from the interpreter's table, runtime costs from Cost_model),
@@ -41,16 +41,11 @@ let env t =
   { Worker.cm = t.config.costs; stats = t.stats; sites = t.sites;
     validate = t.config.validate; inject = t.config.inject }
 
-(* True once the throttle has demoted the loop: later invocations run
-   sequentially until something re-enables speculation. *)
+(* True once the throttle has demoted the loop: later invocations of
+   this run execute it sequentially. *)
 let loop_suspended t loop = Hashtbl.mem t.suspended loop
 
 let suspend_loop t loop = Hashtbl.replace t.suspended loop ()
-
-(* Re-enable speculation on a suspended loop (the paper's §5.3
-   re-enable discipline; exposed for callers that know the workload
-   has shifted). *)
-let reenable_loop t loop = Hashtbl.remove t.suspended loop
 
 (* ---- main invocation driver ------------------------------------------ *)
 
@@ -169,16 +164,10 @@ let run_invocation t (st : Interp.t) fr (spec : Manifest.loop_spec) loop ~init_v
                    end)
                workers
            with Exit -> ());
-          (* Contributions and phase-2 validation. *)
-          let contributions =
-            if !misspecs <> [] then []
-            else Commit.collect ctx workers ~interval_start:i0
-          in
-          let merged =
-            if contributions = [] then None else Some (Commit.merge ctx contributions)
-          in
+          (* The interval's table and phase-2 validation. *)
+          let checkpoint = if !misspecs <> [] then None else Some (Commit.collect ctx workers) in
           let violation =
-            match (!misspecs, merged) with
+            match (!misspecs, checkpoint) with
             | (_ :: _ as ms), _ ->
               (* Workers record the earliest misspeculated iteration
                  (paper 5.3). *)
@@ -188,8 +177,8 @@ let run_invocation t (st : Interp.t) fr (spec : Manifest.loop_spec) loop ~init_v
                   (max_int, Misspec.Injected) ms
               in
               Some (earliest_iter, reason)
-            | [], Some m -> (
-              match m.Checkpoint.violation with
+            | [], Some cp -> (
+              match Commit.merge ctx cp with
               | Some r -> Some (hi - 1, r) (* unknown iteration: recover interval *)
               | None -> None)
             | [], None -> None
@@ -224,8 +213,9 @@ let run_invocation t (st : Interp.t) fr (spec : Manifest.loop_spec) loop ~init_v
             parallel_from (miss_iter + 1)
           | None ->
             Recovery.period_on_clean period;
-            let m = Option.get merged in
-            let checkpoint_done = Commit.commit_interval ctx st fr workers m ~lo:i0 ~hi in
+            let checkpoint_done =
+              Commit.commit_interval ctx st fr workers (Option.get checkpoint) ~lo:i0 ~hi
+            in
             if hi >= n then begin
               (* Final commit: allocator state, frame scalars, join. *)
               let last_iter = n - 1 in

@@ -1,6 +1,6 @@
 (* Misspeculation recovery and robustness policies (paper section 5.3).
 
-   Recovery squashes the failed interval (contributions and buffered
+   Recovery squashes the failed interval (its checkpoint and buffered
    output) and re-executes it sequentially on the main process — which
    holds exactly the last valid checkpoint — through the earliest
    misspeculated iteration; speculation then resumes.

@@ -1,43 +1,49 @@
 (* Checkpoint objects and the two-phase privacy validation
    (paper sections 5.1-5.2).
 
-   Per checkpoint interval, each worker contributes its speculative
-   state: the private bytes it wrote (with the writing iteration
-   decoded from shadow timestamps), the bytes it read as live-in, a
-   snapshot of its reduction partials, its register-reduction
-   partials, and its deferred output.  Merging performs:
+   Each checkpoint interval builds one table, the checkpoint object
+   every worker adds its state to.  Extraction scans each worker's
+   marked shadow pages once: it folds the words the worker wrote into
+   the table and lists the bytes it read as live-in.  Per word the
+   table keeps, byte by byte, the latest timestamp any worker wrote
+   and the byte that write left, plus the float tag and the sole
+   writer.  One merge's timestamps share the interval's start, so raw
+   metadata bytes compare in iteration order.
 
-   - phase-2 privacy validation: a byte one worker read as live-in
-     in this interval must not have been written by another worker in
-     this interval (conservatively, at any iteration of it).  Writes
-     of earlier intervals are not in the index, so a read of a word
-     another worker wrote in an earlier interval of the cohort goes
-     unchecked (ROADMAP item 7);
-   - last-writer-wins combination of private bytes across workers by
-     iteration number, yielding the overlay to commit onto the main
-     process's heaps. *)
+   Phase 2 probes the same table with every worker's live-in bytes: a
+   byte one worker read as live-in conflicts with another worker's
+   write to its word (conservatively, at any iteration).  Live-in marks
+   outlive the interval reset, so phase 2 sees every mark of the
+   cohort; but the table holds one interval's writes, so a read of a
+   word another worker wrote in an earlier interval of the cohort goes
+   unchecked (ROADMAP item 7).
+
+   A clean interval's table is installed into the main process's
+   heaps. *)
 
 open Privateer_ir
 open Privateer_machine
 open Privateer_interp
-module Clock = Privateer_support.Clock
 
-type word_write = { iter : int; bits : int64; is_float : bool }
-
-(* The 8-byte word containing a byte address.  Writes are tracked at
-   word granularity (to preserve float tags); this is the mask that
-   maps a byte-granular live-in mark onto that index in the phase-2
-   probe. *)
+(* The 8-byte word containing a byte address: phase 2 is word-granular
+   while live-in marks are per byte. *)
 let word_base addr = addr land lnot 7
+
+type word = {
+  stamps : Bytes.t;
+      (* per byte: the latest timestamp a worker wrote it at this
+         interval, '\000' where none did *)
+  bits : Bytes.t; (* per stamped byte: the byte that write left; '\000' elsewhere *)
+  mutable float_tag : bool;
+      (* the word's tag if its eight bytes all come from one worker *)
+  mutable writer : int; (* the one worker that wrote the word, or -1 *)
+}
 
 type contribution = {
   worker : int;
-  (* private word address -> latest write this interval.  Word
-     granularity preserves the float tags of the simulated memory; the
-     iteration is the latest timestamp among the word's bytes. *)
-  writes : (int, word_write) Hashtbl.t;
-  (* byte addresses this worker read as live-in (metadata 2) *)
-  live_in_reads : (int, unit) Hashtbl.t;
+  live_in : int list;
+      (* the first read-live-in byte of each private word holding one:
+         phase 2 decides a word at once and pins its first byte *)
   (* snapshot of the worker's reduction-heap partials, flat: for the
      n words of the reduction ranges in range order, n 8-byte
      little-endian words, then n float-tag bytes *)
@@ -47,56 +53,83 @@ type contribution = {
   pages_touched : int; (* for checkpoint copy cost accounting *)
 }
 
-(* Scan one shadow page into the given tables.  [interval_start]
-   decodes shadow timestamps into iteration numbers.  The page is
-   scanned word-wise directly on its bytes (an all-zero metadata word
-   is all live-in).
+type t = {
+  words : (int, word) Hashtbl.t;
+  contributions : contribution list;
+  total_pages : int;
+}
 
-   Each nonzero metadata word is decided once: its read-live-in bytes
-   go into [live_in_reads] one by one, and its largest timestamp makes
-   its one [writes] entry.  That equals keeping, byte by byte, each
-   later iteration than the word's entry so far, because [writes]
-   holds no entry for the word when its scan starts: a word's eight
-   metadata bytes sit on one shadow page, and extraction visits each
-   dirty page once.
-
-   The scan is bounded by the page's exact mark counts: once
-   [timestamp_bytes + live_in_bytes] marked bytes have been found, the
-   rest of the page is provably unmarked (live-in or old-write) and
-   the scan stops — O(marked bytes) on sparse pages instead of
-   O(page), and nothing on a page with no marks.  Machines driven
-   through the per-byte reference oracle (test code) never reach the
-   loop: its pages keep no counts. *)
-let scan_page ~interval_start mem key writes live_in_reads =
-  let page = Memory.page_for_read mem (Memory.base_of_page key) in
-  let bytes = page.Memory.bytes in
-  let base = Memory.base_of_page key in
-  let remaining = ref (page.timestamp_bytes + page.live_in_bytes) in
-  let off = ref 0 in
-  while !remaining > 0 && !off < Memory.page_size do
-    let word = !off in
-    if Bytes.get_int64_le bytes word <> 0L then begin
-      let latest = ref 0 in
-      for i = word to word + 7 do
-        let m = Char.code (Bytes.unsafe_get bytes i) in
-        if Shadow.is_timestamp m then begin
-          decr remaining;
-          if m > !latest then latest := m
-        end
-        else if m = Shadow.read_live_in then begin
-          decr remaining;
-          Hashtbl.replace live_in_reads (Heap.private_of_shadow (base + i)) ()
-        end
-      done;
-      if !latest > 0 then begin
-        let word_addr = Heap.private_of_shadow (base + word) in
-        let iter = Shadow.iteration_of_timestamp ~interval_start !latest in
-        let bits, is_float = Memory.read_word mem word_addr in
-        Hashtbl.replace writes word_addr { iter; bits; is_float }
+(* Fold one worker's word into the table.  Each byte the worker wrote
+   this interval at a later iteration than the table holds takes the
+   worker's timestamp and byte.  A word is taken whole, with its float
+   tag, only from a worker that supplies all eight bytes; a word built
+   from several workers, or with bytes nobody wrote this interval, is
+   int-tagged, as [Memory.write_byte] leaves it. *)
+let fold_word words ~worker ~meta ~(data : Memory.page) off addr =
+  let tag = Bytes.get data.ftags (off lsr 3) <> Memory.int_tag in
+  match Hashtbl.find_opt words addr with
+  | None ->
+    let stamps = Bytes.sub meta off 8 and bits = Bytes.sub data.bytes off 8 in
+    let whole = ref true in
+    for i = 0 to 7 do
+      if not (Shadow.is_timestamp (Char.code (Bytes.get stamps i))) then begin
+        Bytes.set stamps i '\000';
+        Bytes.set bits i '\000';
+        whole := false
       end
-    end;
-    off := word + 8
-  done
+    done;
+    Hashtbl.add words addr { stamps; bits; float_tag = !whole && tag; writer = worker }
+  | Some w ->
+    if w.writer <> worker then w.writer <- -1;
+    let taken = ref 0 in
+    for i = 0 to 7 do
+      let m = Char.code (Bytes.get meta (off + i)) in
+      if Shadow.is_timestamp m && m > Char.code (Bytes.get w.stamps i) then begin
+        Bytes.set w.stamps i (Char.chr m);
+        Bytes.set w.bits i (Bytes.get data.bytes (off + i));
+        incr taken
+      end
+    done;
+    if !taken = 8 then w.float_tag <- tag else if !taken > 0 then w.float_tag <- false
+
+(* Scan one shadow page of a worker: fold its timestamped words into
+   the table and return [live_in] with the page's live-in words added.
+   The scan is word-wise on the page's bytes (an all-zero metadata
+   word is all live-in) and bounded by the page's exact mark counts:
+   once [timestamp_bytes + live_in_bytes] marked bytes have been found,
+   the rest of the page is provably unmarked and the scan stops —
+   O(marked bytes) on sparse pages, nothing on a page with no marks. *)
+let scan_page words ~worker mem ~key (page : Memory.page) live_in =
+  let marks = ref (page.timestamp_bytes + page.live_in_bytes) in
+  if !marks = 0 then live_in
+  else begin
+    let meta = page.bytes in
+    let base = Heap.private_of_shadow (Memory.base_of_page key) in
+    let data = Memory.page_for_read mem base in
+    let live_in = ref live_in in
+    let off = ref 0 in
+    while !marks > 0 && !off < Memory.page_size do
+      let word = !off in
+      if Bytes.get_int64_le meta word <> 0L then begin
+        let stamped = ref false and first_live_in = ref (-1) in
+        for i = word to word + 7 do
+          let m = Char.code (Bytes.unsafe_get meta i) in
+          if Shadow.is_timestamp m then begin
+            decr marks;
+            stamped := true
+          end
+          else if m = Shadow.read_live_in then begin
+            decr marks;
+            if !first_live_in < 0 then first_live_in := i
+          end
+        done;
+        if !first_live_in >= 0 then live_in := (base + !first_live_in) :: !live_in;
+        if !stamped then fold_word words ~worker ~meta ~data word (base + word)
+      end;
+      off := word + 8
+    done;
+    !live_in
+  end
 
 type extract_request = {
   req_worker : int;
@@ -121,159 +154,66 @@ let read_redux mem ranges =
        0 ranges);
   buf
 
-(* Extract every worker's interval contribution: one scan per worker
-   over the shadow pages it dirtied this interval, plus a copy of its
-   reduction words.  The tables start at the smallest size and grow
-   with what the worker wrote and read. *)
-let extract ~interval_start (reqs : extract_request list) =
-  List.map
-    (fun req ->
-      let mem = req.req_machine.Machine.mem in
-      let writes = Hashtbl.create 16 in
-      let live_in_reads = Hashtbl.create 16 in
-      List.iter
-        (fun key -> scan_page ~interval_start mem key writes live_in_reads)
-        (Memory.dirty_pages ~heap:Heap.Shadow mem);
-      { worker = req.req_worker; writes; live_in_reads;
-        redux_words = read_redux mem req.req_redux_ranges;
-        reg_partials = req.req_reg_partials; pages_touched = Memory.dirty_count mem })
-    reqs
-
-(* Extract a single worker's contribution. *)
-let contribution_of_worker ~worker ~interval_start (machine : Machine.t)
-    ~redux_ranges ~reg_partials =
-  match
-    extract ~interval_start
-      [ { req_worker = worker; req_machine = machine;
-          req_redux_ranges = redux_ranges; req_reg_partials = reg_partials } ]
-  with
-  | [ c ] -> c
-  | _ -> assert false
-
-type merged = {
-  (* winning (latest-iteration) write per word *)
-  overlay : (int, word_write) Hashtbl.t;
-  (* per-worker redux snapshots and register partials, kept for
-     recovery and final commit *)
-  contributions : contribution list;
-  violation : Misspec.reason option;
-  total_pages : int;
-  (* host wall time of the three passes; 0 on an interval with no
-     writes, which reads no clock *)
-  fill_ns : float;
-  validate_ns : float;
-  sweep_ns : float;
-}
-
-(* The word -> writer index kept across a worker cohort's
-   intervals.  Contributions are per-interval deltas (extraction visits
-   only pages dirtied since the last checkpoint), so the index holds
-   exactly one interval's entries while a merge is validating and is
-   swept back to empty before the merge returns: the table (and its
-   grown bucket array) persists, the content is per-interval.
-   [ms_index_ops] counts every insert/update/remove so tests can assert
-   that clean intervals do no index work at all. *)
-type merge_state = {
-  ms_writers : (int, int) Hashtbl.t; (* word -> sole writer, or -1 *)
-  mutable ms_index_ops : int;
-}
-
-let create_merge_state () = { ms_writers = Hashtbl.create 16; ms_index_ops = 0 }
-
-let index_ops state = state.ms_index_ops
-
-(* Phase-2 validation + last-writer-wins merge, in three passes:
-
-   1. index fill: build the overlay last-writer-wins by iteration and
-      record every written word's sole writer ([-1] = more than one
-      distinct worker) in the writer index;
-   2. validate: for every live-in byte, one O(1) probe of the index —
-      a write by a different worker is a phase-2 privacy violation
-      (conservative: regardless of iteration order, as in the paper's
-      one-byte-metadata design).  The verdict is pinned to the
-      smallest conflicting byte address, so it cannot depend on hash
-      iteration order;
-   3. sweep: remove this interval's inserted delta so the carried
-      index is empty again.
-
-   With [?state], the index is the carried one: merge cost is
-   proportional to this interval's entries (insert the delta, sweep it
-   out again), and an interval with no new writes short-circuits all
-   three passes outright — no allocation, no hashing, no read
-   iteration, no clock read.  Each pass's host wall time is returned
-   in [merged] (instrumentation only — host time never feeds back into
-   simulated state). *)
-let merge ?state (contribs : contribution list) =
-  let st = match state with Some s -> s | None -> create_merge_state () in
-  let have_writes =
-    List.exists (fun c -> Hashtbl.length c.writes > 0) contribs
+(* Build the interval's table: one scan per worker over every shadow
+   page holding marks, plus a copy of its reduction words.  Timestamps
+   sit only on pages written this interval, but read-live-in marks
+   accumulate over the cohort, and re-reading a marked byte does not
+   touch its page, so the scan covers the whole bank, not only the
+   dirty pages.  The table starts at the smallest size and grows with
+   the words written. *)
+let extract (reqs : extract_request list) =
+  let words = Hashtbl.create 16 in
+  let contributions =
+    List.map
+      (fun req ->
+        let mem = req.req_machine.Machine.mem in
+        let worker = req.req_worker in
+        { worker;
+          live_in = Memory.fold_pages mem ~heap:Heap.Shadow ~init:[] ~f:(scan_page words ~worker mem);
+          redux_words = read_redux mem req.req_redux_ranges;
+          reg_partials = req.req_reg_partials; pages_touched = Memory.dirty_count mem })
+      reqs
   in
-  let overlay = Hashtbl.create (if have_writes then 64 else 1) in
-  let violation = ref None in
-  let fill_ns, validate_ns, sweep_ns =
-    if not have_writes then (0.0, 0.0, 0.0)
-    else begin
-      let writers = st.ms_writers in
-      let inserted = ref [] in
-      let t0 = Clock.now_ns () in
-      (* Pass 1: index fill. *)
-      List.iter
-        (fun c ->
-          Hashtbl.iter
-            (fun addr (w : word_write) ->
-              (match Hashtbl.find_opt writers addr with
-              | None ->
-                Hashtbl.replace writers addr c.worker;
-                inserted := addr :: !inserted;
-                st.ms_index_ops <- st.ms_index_ops + 1
-              | Some id when id = c.worker || id = -1 -> ()
-              | Some _ ->
-                Hashtbl.replace writers addr (-1);
-                st.ms_index_ops <- st.ms_index_ops + 1);
-              match Hashtbl.find_opt overlay addr with
-              | Some prev when prev.iter >= w.iter -> ()
-              | Some _ | None -> Hashtbl.replace overlay addr w)
-            c.writes)
-        contribs;
-      let t1 = Clock.now_ns () in
-      (* Pass 2: validate — one probe of the word owning each live-in
-         byte. *)
-      List.iter
-        (fun reader ->
-          Hashtbl.iter
-            (fun addr () ->
-              match Hashtbl.find_opt writers (word_base addr) with
-              | Some id when id <> reader.worker -> (
-                match !violation with
-                | Some a when a <= addr -> ()
-                | Some _ | None -> violation := Some addr)
-              | Some _ | None -> ())
-            reader.live_in_reads)
-        contribs;
-      let t2 = Clock.now_ns () in
-      (* Pass 3: sweep this interval's delta back out so the carried
-         index is empty again (content is per-interval; only the
-         allocation is carried). *)
-      List.iter (Hashtbl.remove writers) !inserted;
-      st.ms_index_ops <- st.ms_index_ops + List.length !inserted;
-      let t3 = Clock.now_ns () in
-      (t1 -. t0, t2 -. t1, t3 -. t2)
-    end
-  in
-  let total_pages = List.fold_left (fun acc c -> acc + c.pages_touched) 0 contribs in
-  { overlay; contributions = contribs;
-    violation = Option.map (fun addr -> Misspec.Phase2 { addr }) !violation;
-    total_pages; fill_ns; validate_ns; sweep_ns }
+  { words; contributions;
+    total_pages = List.fold_left (fun acc c -> acc + c.pages_touched) 0 contributions }
 
-(* Install a merged overlay into the main process's memory (the
-   paper's "replaces its heaps with those from the last valid
-   checkpoint" uses mmap; we write the bytes).  Overlay words are
-   disjoint, so the write order cannot matter. *)
-let apply_overlay (machine : Machine.t) merged =
+(* Phase 2: each worker's live-in words probe the table once each.  A
+   word another worker wrote (or two workers did) convicts the read,
+   regardless of iteration order, as in the paper's one-byte-metadata
+   design.  The verdict is the smallest conflicting byte, so it cannot
+   depend on the order of pages, workers or the table. *)
+let validate t =
+  let first = ref max_int in
+  List.iter
+    (fun c ->
+      List.iter
+        (fun addr ->
+          if addr < !first then
+            match Hashtbl.find_opt t.words (word_base addr) with
+            | Some w when w.writer <> c.worker -> first := addr
+            | Some _ | None -> ())
+        c.live_in)
+    t.contributions;
+  if !first = max_int then None else Some (Misspec.Phase2 { addr = !first })
+
+(* Install a clean interval's table into the main process's memory
+   (the paper's "replaces its heaps with those from the last valid
+   checkpoint" uses mmap; we write the bytes).  A word stamped in all
+   eight bytes is written whole; any other word byte by byte, so a byte
+   no worker wrote this interval keeps the main process's value.  Table
+   words are disjoint, so the write order cannot matter. *)
+let apply_overlay (machine : Machine.t) t =
+  let mem = machine.Machine.mem in
   Hashtbl.iter
-    (fun addr (w : word_write) ->
-      Memory.write_word machine.Machine.mem addr w.bits w.is_float)
-    merged.overlay
+    (fun addr w ->
+      if Bytes.for_all (fun c -> c <> '\000') w.stamps then
+        Memory.write_word mem addr (Bytes.get_int64_le w.bits 0) w.float_tag
+      else
+        for i = 0 to 7 do
+          if Bytes.get w.stamps i <> '\000' then
+            Memory.write_byte mem (addr + i) (Char.code (Bytes.get w.bits i))
+        done)
+    t.words
 
 (* Combine worker reduction partials over the base (pre-interval)
    values: final = base op partial_1 op ... op partial_n.  [base] and

@@ -36,10 +36,6 @@ let timestamp ~iter ~interval_start = first_timestamp + (iter - interval_start)
 
 let is_timestamp m = m >= first_timestamp
 
-let iteration_of_timestamp ~interval_start m =
-  if not (is_timestamp m) then invalid_arg "Shadow.iteration_of_timestamp";
-  interval_start + m - first_timestamp
-
 type op = Read | Write
 
 type verdict = Keep | Update of int | Fail of (addr:int -> Misspec.reason)

@@ -34,10 +34,6 @@ val is_timestamp : int -> bool
 (** Whether a metadata byte encodes a write timestamp
     ([first_timestamp] or above). *)
 
-(** Inverse of [timestamp].
-    @raise Invalid_argument if the byte is not a timestamp. *)
-val iteration_of_timestamp : interval_start:int -> int -> int
-
 (** The two private-access kinds Table 2 distinguishes. *)
 type op = Read | Write
 

@@ -53,17 +53,17 @@ type t = {
   (* Wall-clock (simulated cycles) of all parallel invocations. *)
   mutable wall_cycles : int;
   mutable workers : int;
-  (* Host wall time spent in the checkpoint merge, split by phase
-     (index fill / phase-2 validate / delta sweep).  Unlike every
-     other field these are host-side instrumentation, not simulated
-     state: they vary run to run and with host parallelism, and must
-     never feed a simulated decision. *)
+  (* Host wall time of phase 2.  Unlike every other field the ns_*
+     fields are host-side instrumentation, not simulated state: they
+     vary run to run and with host parallelism, and must never feed a
+     simulated decision.  ns_merge_fill and ns_merge_sweep are inert
+     and read 0: the merge has no fill or sweep pass any more. *)
   mutable ns_merge_fill : float;
   mutable ns_merge_validate : float;
   mutable ns_merge_sweep : float;
   (* Host wall time of the other three interval stages (interval
-     reset, checkpoint extraction, spawn setup) — instrumentation like
-     ns_merge_*, feeding the CLI report. *)
+     reset, checkpoint extraction with its fold into the interval's
+     table, spawn setup). *)
   mutable ns_reset : float;
   mutable ns_extract : float;
   mutable ns_spawn : float;

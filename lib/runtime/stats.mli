@@ -60,16 +60,19 @@ type t = {
   mutable wall_cycles : int;  (** sum over parallel invocations *)
   mutable workers : int;
   mutable ns_merge_fill : float;
-      (** host ns in the merge's index-fill pass — instrumentation,
-          {e not} simulated state; varies run to run *)
+      (** Inert, like [ns_merge_sweep]: the merge has no index-fill
+          pass any more, so it always reads 0.  Both remain for
+          readers that still name them. *)
   mutable ns_merge_validate : float;
-      (** host ns in the phase-2 validation pass *)
+      (** host ns in phase 2 — instrumentation, {e not} simulated
+          state; varies run to run *)
   mutable ns_merge_sweep : float;
-      (** host ns in the delta-sweep pass *)
   mutable ns_reset : float;
       (** host ns in the shadow interval reset — instrumentation, like
-          [ns_merge_fill] *)
-  mutable ns_extract : float;  (** host ns in checkpoint extraction *)
+          [ns_merge_validate] *)
+  mutable ns_extract : float;
+      (** host ns in checkpoint extraction, which folds every worker's
+          writes into the interval's table *)
   mutable ns_spawn : float;  (** host ns in spawn-time snapshot setup *)
   mutable par_resets : int;
       (** Inert, like the other seven [par_*]/[seq_*] counters: no

@@ -155,10 +155,10 @@ let result_fields spec r =
         recovered_iterations; iterations; cyc_useful; cyc_private_read;
         cyc_private_write; cyc_checkpoint; cyc_spawn; cyc_join; cyc_recovery;
         eager_kills; squashed_iterations; avoided_iterations; wall_cycles; workers;
-        ns_merge_fill; ns_merge_validate; ns_merge_sweep; ns_reset; ns_extract;
-        ns_spawn; loops = _;
+        ns_merge_validate; ns_reset; ns_extract; ns_spawn; loops = _;
         (* Inert: nothing counts into these, so they always read 0. *)
-        eager_checks = _; eager_hits = _; par_resets = _; seq_resets = _;
+        ns_merge_fill = _; ns_merge_sweep = _; eager_checks = _; eager_hits = _;
+        par_resets = _; seq_resets = _;
         par_extracts = _; seq_extracts = _; par_merges = _; seq_merges = _;
         par_spawns = _; seq_spawns = _ } =
     r.jr_stats
@@ -223,8 +223,7 @@ let result_fields spec r =
       ( "host_ms",
         Obj
           [ ("profile", ms r.jr_profile_ns); ("spawn", ms ns_spawn);
-            ("extract", ms ns_extract); ("merge_fill", ms ns_merge_fill);
-            ("merge_validate", ms ns_merge_validate); ("merge_sweep", ms ns_merge_sweep);
+            ("extract", ms ns_extract); ("merge_validate", ms ns_merge_validate);
             ("reset", ms ns_reset); ("queue", ms r.jr_queue_ns);
             ("service", ms r.jr_service_ns) ] ) ]
 

@@ -1,21 +1,21 @@
 (* The checkpoint path's host fast paths, each against a simpler
    oracle:
 
-   - qcheck: cohort extraction equals the single-worker path run
-     worker by worker;
-   - qcheck: the early-exit page scan equals a byte-wise oracle that
-     ignores the mark counts, so it can never under-read, on words
-     whose bytes were written at different iterations, in a second
-     interval after a reset;
-   - qcheck: the merge equals a nested-scan oracle with no writer
-     index at all, and re-merging through the carried [merge_state]
-     is idempotent;
-   - qcheck: merging through a carried [merge_state] gives the same
-     overlay/violation/pages as rebuilding the index per interval,
-     over random multi-interval sequences;
-   - regression: a clean interval (no new writes) does zero index
-     work; a writing interval sweeps its delta back out; a violation
-     is pinned to the smallest conflicting byte;
+   - qcheck: the interval's one table equals a byte-wise scan oracle
+     that ignores the mark counts and reads every byte of every mapped
+     shadow page: per word, each byte's latest timestamp and its byte,
+     the float tag, the sole writer, and each worker's live-in words.
+     Workers write partial words at different iterations, in a second
+     interval after a reset, so live-in marks also sit on pages the
+     interval never dirtied;
+   - qcheck: installing the table and phase 2's verdict equal a
+     nested-scan oracle with no table at all;
+   - qcheck: the table and the verdict do not depend on worker order;
+   - regression: a write-free interval builds an empty table and reads
+     no clock; a violation is pinned to the smallest conflicting byte;
+     a partially written word takes each byte from its latest writer
+     and keeps the main process's other bytes, and a float tag survives
+     only on a word one worker supplied whole;
    - unit: a page's [live_in_bytes] stays exact under overlapping
      [Shadow.access] ranges and across the interval reset;
    - qcheck: the interval reset, full-page fill included, equals the
@@ -31,124 +31,17 @@ open Privateer_runtime
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-(* ---- random shadow states ---------------------------------------------- *)
-
-(* One op: (page, word, kind, iter, value); kind 0-2 writes a word,
-   3 reads 1-8 bytes as live-in.  Illegal sequences (e.g. a write over
-   a live-in mark) raise Misspeculation and are simply skipped — the
-   surviving shadow state is still a valid worker interval state. *)
-let op_gen =
-  QCheck.Gen.(
-    int_bound 15 >>= fun page ->
-    int_bound 511 >>= fun word ->
-    int_bound 3 >>= fun kind ->
-    int_bound 20 >>= fun iter ->
-    map (fun value -> (page, word, kind, iter, value)) (int_bound 1000))
-
-let ops_print ops = string_of_int (List.length ops) ^ " ops"
-
-let worker_ops_arb =
-  QCheck.make
-    ~print:(fun ws ->
-      String.concat "+" (List.map ops_print ws) ^ " across workers")
-    QCheck.Gen.(list_size (int_range 1 4) (list_size (int_bound 120) op_gen))
-
-let build_machine ~interval_start ops =
-  let m = Machine.create () in
-  Memory.clear_dirty m.Machine.mem;
-  List.iter
-    (fun (page, word, kind, iter, value) ->
-      let addr = Heap.base Heap.Private + (page * Memory.page_size) + (word * 8) in
-      let beta = Shadow.timestamp ~iter ~interval_start in
-      try
-        if kind < 3 then begin
-          Shadow.access m Shadow.Write ~addr ~size:8 ~beta;
-          Machine.set_int m addr value
-        end
-        else Shadow.access m Shadow.Read ~addr ~size:(1 + (value mod 8)) ~beta
-      with Misspec.Misspeculation _ -> ())
-    ops;
-  m
-
-let reqs_of ~interval_start workerses =
-  List.mapi
-    (fun i ops ->
-      { Checkpoint.req_worker = i;
-        req_machine = build_machine ~interval_start ops;
-        req_redux_ranges = []; req_reg_partials = [] })
-    workerses
-
-(* ---- extraction equality ------------------------------------------------ *)
-
-let tbl_equal a b =
-  Hashtbl.length a = Hashtbl.length b
-  && Hashtbl.fold (fun k v acc -> acc && Hashtbl.find_opt b k = Some v) a true
-
-let contribution_equal (a : Checkpoint.contribution) (b : Checkpoint.contribution) =
-  a.worker = b.worker
-  && tbl_equal a.writes b.writes
-  && tbl_equal a.live_in_reads b.live_in_reads
-  && a.redux_words = b.redux_words
-  && a.reg_partials = b.reg_partials
-  && a.pages_touched = b.pages_touched
-
-(* A worker's contribution depends only on its own machine: extracting
-   the whole cohort equals the single-worker path run worker by worker
-   on identically built machines. *)
-let prop_extraction_equals_per_worker workerses =
-  let cohort = Checkpoint.extract ~interval_start:0 (reqs_of ~interval_start:0 workerses) in
-  let alone =
-    List.mapi
-      (fun i ops ->
-        Checkpoint.contribution_of_worker ~worker:i ~interval_start:0
-          (build_machine ~interval_start:0 ops)
-          ~redux_ranges:[] ~reg_partials:[])
-      workerses
-  in
-  List.length cohort = List.length alone && List.for_all2 contribution_equal cohort alone
-
-(* ---- early-exit scan vs byte-wise oracle -------------------------------- *)
-
-(* Extraction oracle that ignores the mark counts: every byte of every
-   dirty shadow page through [read_byte].  The real scan skips a page
-   with no marks and stops once [timestamp_bytes + live_in_bytes] marks
-   are found; if a count were ever short, the scan would drop marks and
-   this property would catch it. *)
-let naive_tables ~interval_start (m : Machine.t) =
-  let mem = m.Machine.mem in
-  let writes = Hashtbl.create 64 in
-  let live_in_reads = Hashtbl.create 16 in
-  List.iter
-    (fun key ->
-      let base = Memory.base_of_page key in
-      for off = 0 to Memory.page_size - 1 do
-        let md = Memory.read_byte mem (base + off) in
-        if Shadow.is_timestamp md then begin
-          let private_addr = Heap.private_of_shadow (base + off) in
-          let word_addr = Checkpoint.word_base private_addr in
-          let iter = Shadow.iteration_of_timestamp ~interval_start md in
-          let keep =
-            match Hashtbl.find_opt writes word_addr with
-            | Some (prev : Checkpoint.word_write) -> iter > prev.iter
-            | None -> true
-          in
-          if keep then begin
-            let bits, is_float = Memory.read_word mem word_addr in
-            Hashtbl.replace writes word_addr { Checkpoint.iter; bits; is_float }
-          end
-        end
-        else if md = Shadow.read_live_in then
-          Hashtbl.replace live_in_reads (Heap.private_of_shadow (base + off)) ()
-      done)
-    (Memory.dirty_pages ~heap:Heap.Shadow mem);
-  (writes, live_in_reads)
+(* ---- random cohorts ------------------------------------------------------ *)
 
 (* Ops that let one metadata word hold bytes written at different
    iterations: (page, offset, kind, iter, value, size).  Kind 0 writes
-   an aligned word, kinds 1-2 write [size] (1-8) bytes at any offset,
-   page-crossing included, kind 3 reads [size] bytes as live-in.
-   Offsets cluster at the head and the tail of a page so that ranges
-   overlap and cross pages; [iter] counts from the interval start. *)
+   an aligned word (as a float when [value] is odd), kinds 1-2 write
+   [size] (1-8) bytes at any offset, page-crossing included, kind 3
+   reads [size] bytes as live-in.  Offsets cluster at the head and the
+   tail of a page so that ranges overlap and cross pages.  Illegal
+   sequences (e.g. a write over a live-in mark) raise Misspeculation
+   and are skipped: the surviving shadow state is still a valid worker
+   interval state. *)
 let mixed_op_gen =
   QCheck.Gen.(
     int_bound 7 >>= fun page ->
@@ -162,14 +55,20 @@ let mixed_op_gen =
     int_range 1 8 >>= fun size ->
     map (fun value -> (page, off, kind, iter, value, size)) (int_bound 1_000_000))
 
-let apply_mixed_op m ~interval_start (page, off, kind, iter, value, size) =
+let max_workers = 4
+
+(* Worker [worker] runs iteration [iter] of the interval as the cyclic
+   schedule numbers it, so no two workers share a timestamp. *)
+let apply_mixed_op m ~worker ~interval_start (page, off, kind, iter, value, size) =
   let addr = Heap.base Heap.Private + (page * Memory.page_size) + off in
-  let beta = Shadow.timestamp ~iter:(interval_start + iter) ~interval_start in
+  let iter = interval_start + (iter * max_workers) + worker in
+  let beta = Shadow.timestamp ~iter ~interval_start in
   try
     if kind = 0 then begin
       let addr = Checkpoint.word_base addr in
       Shadow.access m Shadow.Write ~addr ~size:8 ~beta;
-      Machine.set_int m addr value
+      if value land 1 = 1 then Machine.set_float m addr (float_of_int value)
+      else Machine.set_int m addr value
     end
     else if kind < 3 then begin
       Shadow.access m Shadow.Write ~addr ~size ~beta;
@@ -180,17 +79,23 @@ let apply_mixed_op m ~interval_start (page, off, kind, iter, value, size) =
     else Shadow.access m Shadow.Read ~addr ~size ~beta
   with Misspec.Misspeculation _ -> ()
 
+(* Interval length in iterations, with room for every worker's
+   numbering. *)
+let interval = 21 * max_workers
+
 (* A worker machine in its second interval: the first phase's ops,
    the commit's interval reset and [clear_dirty], then the second
-   phase's ops, 21 iterations later. *)
-let build_two_phase_machine ~start (phase1, phase2) =
+   phase's ops. *)
+let build_two_phase_machine ~worker ~start (phase1, phase2) =
   let m = Machine.create () in
   Memory.clear_dirty m.Machine.mem;
-  List.iter (apply_mixed_op m ~interval_start:start) phase1;
+  List.iter (apply_mixed_op m ~worker ~interval_start:start) phase1;
   ignore (Shadow.reset_interval m);
   Memory.clear_dirty m.Machine.mem;
-  List.iter (apply_mixed_op m ~interval_start:(start + 21)) phase2;
+  List.iter (apply_mixed_op m ~worker ~interval_start:(start + interval)) phase2;
   m
+
+let ops_print ops = string_of_int (List.length ops) ^ " ops"
 
 let two_phase_arb =
   QCheck.make
@@ -200,167 +105,231 @@ let two_phase_arb =
            (List.map (fun (a, b) -> ops_print a ^ "/" ^ ops_print b) ws)))
     QCheck.Gen.(
       pair (int_bound 10_000)
-        (list_size (int_range 1 4)
+        (list_size (int_range 1 max_workers)
            (pair (list_size (int_bound 60) mixed_op_gen)
               (list_size (int_bound 60) mixed_op_gen))))
 
-let prop_early_exit_scan_matches_bytewise (start, workers) =
-  let interval_start = start + 21 in
-  let reqs =
-    List.mapi
-      (fun i phases ->
-        { Checkpoint.req_worker = i; req_machine = build_two_phase_machine ~start phases;
-          req_redux_ranges = []; req_reg_partials = [] })
-      workers
+let cohort (start, workers) =
+  List.mapi (fun worker phases -> build_two_phase_machine ~worker ~start phases) workers
+
+let reqs_of machines =
+  List.mapi
+    (fun i m ->
+      { Checkpoint.req_worker = i; req_machine = m; req_redux_ranges = [];
+        req_reg_partials = [] })
+    machines
+
+(* ---- byte-wise scan oracle ---------------------------------------------- *)
+
+(* Every mark of one worker, read byte by byte through [read_byte] from
+   every mapped shadow page, dirty or not: its timestamped private bytes
+   (address -> timestamp, the byte it left) and its read-live-in bytes.
+   It ignores the pages' mark counts, so a short count, or a page the
+   scan skipped, would show. *)
+let marks (m : Machine.t) =
+  let mem = m.Machine.mem in
+  let stamped = Hashtbl.create 64 in
+  let live_in =
+    Memory.fold_pages mem ~heap:Heap.Shadow ~init:[] ~f:(fun ~key _ acc ->
+        let base = Memory.base_of_page key in
+        let acc = ref acc in
+        for off = 0 to Memory.page_size - 1 do
+          let md = Memory.read_byte mem (base + off) in
+          let addr = Heap.private_of_shadow (base + off) in
+          if Shadow.is_timestamp md then
+            Hashtbl.replace stamped addr (md, Memory.read_byte mem addr)
+          else if md = Shadow.read_live_in then acc := addr :: !acc
+        done;
+        !acc)
   in
-  let extracted = Checkpoint.extract ~interval_start reqs in
-  List.for_all2
-    (fun (req : Checkpoint.extract_request) (c : Checkpoint.contribution) ->
-      let writes, live_in = naive_tables ~interval_start req.req_machine in
-      tbl_equal writes c.writes && tbl_equal live_in c.live_in_reads)
-    reqs extracted
+  (stamped, live_in)
 
-(* ---- incremental merge equality ----------------------------------------- *)
-
-let merged_equal (a : Checkpoint.merged) (b : Checkpoint.merged) =
-  tbl_equal a.overlay b.overlay
-  && a.violation = b.violation
-  && a.total_pages = b.total_pages
-
-let intervals_arb =
-  QCheck.make
-    ~print:(fun is -> string_of_int (List.length is) ^ " intervals")
-    QCheck.Gen.(
-      list_size (int_range 1 5)
-        (list_size (int_range 1 3) (list_size (int_bound 60) op_gen)))
-
-let prop_incremental_merge_equals_rebuilt intervals =
-  let state = Checkpoint.create_merge_state () in
-  List.for_all
-    (fun workerses ->
-      (* Fresh machines per interval: contributions are per-interval
-         deltas by construction, exactly as after a commit's
-         reset_interval + clear_dirty. *)
-      let contribs = Checkpoint.extract ~interval_start:0 (reqs_of ~interval_start:0 workerses) in
-      let incremental = Checkpoint.merge ~state contribs in
-      let rebuilt = Checkpoint.merge contribs in
-      merged_equal incremental rebuilt)
-    intervals
-
-(* ---- merge vs nested-scan oracle -------------------------------------- *)
-
-(* The nested-scan oracle: merge semantics with no writer index at
-   all.  Overlay is last-writer-wins by iteration; the violation is
-   the smallest live-in byte whose containing word any other worker
-   wrote. *)
-let oracle_merge (contribs : Checkpoint.contribution list) =
-  let overlay = Hashtbl.create 64 in
-  List.iter
-    (fun (c : Checkpoint.contribution) ->
+(* Per written private byte, its latest timestamp across workers, the
+   byte that write left and the writing worker. *)
+let latest_bytes workers_marks =
+  let latest = Hashtbl.create 64 in
+  List.iteri
+    (fun worker (stamped, _) ->
       Hashtbl.iter
-        (fun addr (w : Checkpoint.word_write) ->
-          match Hashtbl.find_opt overlay addr with
-          | Some (prev : Checkpoint.word_write) when prev.iter >= w.iter -> ()
-          | Some _ | None -> Hashtbl.replace overlay addr w)
-        c.writes)
-    contribs;
-  let violation = ref None in
-  List.iter
-    (fun (r : Checkpoint.contribution) ->
+        (fun addr (stamp, byte) ->
+          match Hashtbl.find_opt latest addr with
+          | Some (s, _, _) when s >= stamp -> ()
+          | Some _ | None -> Hashtbl.replace latest addr (stamp, byte, worker))
+        stamped)
+    workers_marks;
+  latest
+
+(* The worker that supplied all eight bytes of [word], if one did. *)
+let sole_source latest word =
+  match List.init 8 (fun i -> Hashtbl.find_opt latest (word + i)) with
+  | Some (_, _, k) :: rest when List.for_all (function Some (_, _, j) -> j = k | None -> false) rest
+    -> Some k
+  | _ -> None
+
+let float_tag machines k word = snd (Memory.read_word (List.nth machines k).Machine.mem word)
+
+(* The table and live-in lists the byte-wise scan implies. *)
+let prop_table_matches_bytewise arg =
+  let machines = cohort arg in
+  let cp = Checkpoint.extract (reqs_of machines) in
+  let all_marks = List.map marks machines in
+  let latest = latest_bytes all_marks in
+  let writers = Hashtbl.create 64 in
+  List.iteri
+    (fun worker (stamped, _) ->
       Hashtbl.iter
-        (fun addr () ->
-          let conflict =
-            List.exists
-              (fun (w : Checkpoint.contribution) ->
-                w.worker <> r.worker
-                && Hashtbl.mem w.writes (Checkpoint.word_base addr))
-              contribs
+        (fun addr _ ->
+          let word = Checkpoint.word_base addr in
+          let ws = Option.value (Hashtbl.find_opt writers word) ~default:[] in
+          if not (List.mem worker ws) then Hashtbl.replace writers word (worker :: ws))
+        stamped)
+    all_marks;
+  let word_ok word ws =
+    match Hashtbl.find_opt cp.words word with
+    | None -> false
+    | Some (w : Checkpoint.word) ->
+      List.for_all
+        (fun i ->
+          match Hashtbl.find_opt latest (word + i) with
+          | Some (stamp, byte, _) ->
+            Char.code (Bytes.get w.stamps i) = stamp && Char.code (Bytes.get w.bits i) = byte
+          | None -> Bytes.get w.stamps i = '\000' && Bytes.get w.bits i = '\000')
+        (List.init 8 Fun.id)
+      && w.float_tag
+         = (match sole_source latest word with
+           | Some k -> float_tag machines k word
+           | None -> false)
+      && w.writer = (match ws with [ k ] -> k | _ -> -1)
+  in
+  let first_live_in_per_word live_in =
+    let firsts = Hashtbl.create 16 in
+    List.iter
+      (fun addr ->
+        let word = Checkpoint.word_base addr in
+        match Hashtbl.find_opt firsts word with
+        | Some a when a <= addr -> ()
+        | Some _ | None -> Hashtbl.replace firsts word addr)
+      live_in;
+    List.sort compare (Hashtbl.fold (fun _ a acc -> a :: acc) firsts [])
+  in
+  Hashtbl.length cp.words = Hashtbl.length writers
+  && Hashtbl.fold (fun word ws ok -> ok && word_ok word ws) writers true
+  && List.for_all2
+       (fun (c : Checkpoint.contribution) (_, live_in) ->
+         List.sort compare c.live_in = first_live_in_per_word live_in)
+       cp.contributions all_marks
+
+(* ---- nested-scan oracle ------------------------------------------------- *)
+
+(* Phase 2 and the install with no table at all.  The verdict is the
+   smallest live-in byte whose word any other worker wrote any byte of.
+   The main process, pre-filled with float-tagged 0xa5 bytes, ends with
+   each written byte from its latest writer, each other byte as it was,
+   and a float tag only on a word whose eight bytes one worker supplied
+   with its word float-tagged. *)
+let prop_install_and_verdict_match_nested_scan arg =
+  let machines = cohort arg in
+  let cp = Checkpoint.extract (reqs_of machines) in
+  let all_marks = List.map marks machines in
+  let wrote_word worker word =
+    let stamped, _ = List.nth all_marks worker in
+    List.exists (fun i -> Hashtbl.mem stamped (word + i)) (List.init 8 Fun.id)
+  in
+  let verdict =
+    List.fold_left min max_int
+      (List.concat
+         (List.mapi
+            (fun reader (_, live_in) ->
+              List.filter
+                (fun addr ->
+                  List.exists
+                    (fun w -> w <> reader && wrote_word w (Checkpoint.word_base addr))
+                    (List.init (List.length machines) Fun.id))
+                live_in)
+            all_marks))
+  in
+  let expected_verdict =
+    if verdict = max_int then None else Some (Misspec.Phase2 { addr = verdict })
+  in
+  let latest = latest_bytes all_marks in
+  let words =
+    List.sort_uniq compare
+      (Hashtbl.fold (fun addr _ acc -> Checkpoint.word_base addr :: acc) latest [])
+  in
+  let fill = 0xa5a5a5a5a5a5a5a5L in
+  let main = Machine.create () in
+  List.iter (fun word -> Memory.write_word main.Machine.mem word fill true) words;
+  Checkpoint.apply_overlay main cp;
+  let installed_ok word =
+    let bits, is_float = Memory.read_word main.Machine.mem word in
+    let expected_bits =
+      List.fold_left
+        (fun acc i ->
+          let byte =
+            match Hashtbl.find_opt latest (word + i) with Some (_, b, _) -> b | None -> 0xa5
           in
-          if conflict then
-            match !violation with
-            | Some a when a <= addr -> ()
-            | Some _ | None -> violation := Some addr)
-        r.live_in_reads)
-    contribs;
-  (overlay, Option.map (fun addr -> Misspec.Phase2 { addr }) !violation)
-
-(* The merge must reproduce the oracle's overlay and verdict and —
-   because the sweep must leave the carried index empty — re-merge the
-   same contributions identically, at the same index-op cost. *)
-let prop_merge_matches_oracle workerses =
-  let contribs =
-    Checkpoint.extract ~interval_start:0 (reqs_of ~interval_start:0 workerses)
+          Int64.logor acc (Int64.shift_left (Int64.of_int byte) (8 * i)))
+        0L (List.init 8 Fun.id)
+    in
+    let expected_float =
+      match sole_source latest word with Some k -> float_tag machines k word | None -> false
+    in
+    Int64.equal bits expected_bits && is_float = expected_float
   in
-  let oracle_ov, oracle_v = oracle_merge contribs in
-  let state = Checkpoint.create_merge_state () in
-  let m = Checkpoint.merge ~state contribs in
-  let ops = Checkpoint.index_ops state in
-  let m2 = Checkpoint.merge ~state contribs in
-  tbl_equal m.overlay oracle_ov
-  && m.violation = oracle_v
-  && merged_equal m m2
-  && Checkpoint.index_ops state = 2 * ops
+  Checkpoint.validate cp = expected_verdict && List.for_all installed_ok words
 
-(* ---- clean-interval short-circuit (regression) -------------------------- *)
+(* The table is a fold with no order: the cohort extracted in reverse
+   request order gives the same words and the same verdict. *)
+let prop_table_order_free arg =
+  let machines = cohort arg in
+  let forward = Checkpoint.extract (reqs_of machines) in
+  let backward = Checkpoint.extract (List.rev (reqs_of machines)) in
+  Hashtbl.length forward.words = Hashtbl.length backward.words
+  && Hashtbl.fold
+       (fun addr w ok -> ok && Hashtbl.find_opt backward.words addr = Some w)
+       forward.words true
+  && Checkpoint.validate forward = Checkpoint.validate backward
 
-let reader_only worker addr =
+(* ---- write-free intervals and the verdict's pin (regression) ------------ *)
+
+let reader_only addr =
   let m = Machine.create () in
   Memory.clear_dirty m.Machine.mem;
   Shadow.access m Shadow.Read ~addr ~size:8 ~beta:3;
-  Checkpoint.contribution_of_worker ~worker ~interval_start:0 m ~redux_ranges:[]
-    ~reg_partials:[]
+  m
 
-let writer worker addr value iter =
-  let m = Machine.create () in
-  Memory.clear_dirty m.Machine.mem;
-  Shadow.access m Shadow.Write ~addr ~size:8
-    ~beta:(Shadow.timestamp ~iter ~interval_start:0);
-  Machine.set_int m addr value;
-  Checkpoint.contribution_of_worker ~worker ~interval_start:0 m ~redux_ranges:[]
-    ~reg_partials:[]
-
-let test_clean_interval_no_index_work () =
-  let base = Heap.base Heap.Private in
-  let state = Checkpoint.create_merge_state () in
-  (* Live-in reads but no writes: merge must not touch the index or
-     read the clock. *)
-  let m = Checkpoint.merge ~state [ reader_only 0 (base + 8); reader_only 1 (base + 64) ] in
-  check "clean interval: no violation" true (m.violation = None);
-  check_int "clean interval: zero index ops" 0 (Checkpoint.index_ops state);
-  check_int "clean interval: empty overlay" 0 (Hashtbl.length m.overlay);
-  check "clean interval: no pass timed" true
-    (m.fill_ns = 0.0 && m.validate_ns = 0.0 && m.sweep_ns = 0.0)
-
-let test_writing_interval_sweeps_delta () =
-  let base = Heap.base Heap.Private in
-  let state = Checkpoint.create_merge_state () in
-  (* Interval 1: worker 1 writes base+8. *)
-  let m1 = Checkpoint.merge ~state [ writer 1 (base + 8) 42 0 ] in
-  check "interval 1 clean" true (m1.violation = None);
-  let ops_after_1 = Checkpoint.index_ops state in
-  check "writing interval does index work" true (ops_after_1 > 0);
-  (* Interval 2: worker 0 reads base+8 as live-in and worker 0 writes
-     elsewhere.  A stale index entry from interval 1 (worker 1 wrote
-     base+8) would flag a phase-2 conflict; the sweep must prevent
-     that. *)
-  let r =
-    let m = Machine.create () in
-    Memory.clear_dirty m.Machine.mem;
-    Shadow.access m Shadow.Read ~addr:(base + 8) ~size:8 ~beta:3;
-    Shadow.access m Shadow.Write ~addr:(base + 128) ~size:8
-      ~beta:(Shadow.timestamp ~iter:4 ~interval_start:0);
-    Machine.set_int m (base + 128) 7;
-    Checkpoint.contribution_of_worker ~worker:0 ~interval_start:0 m ~redux_ranges:[]
-      ~reg_partials:[]
+(* Minor words [f] allocates beyond an empty call.  Reading the clock
+   boxes a float, so zero words means [f] read no clock. *)
+let allocated_by f =
+  let words g =
+    let w0 = Gc.minor_words () in
+    ignore (Sys.opaque_identity (g ()));
+    Gc.minor_words () -. w0
   in
-  let m2 = Checkpoint.merge ~state [ r ] in
-  check "no stale cross-interval conflict" true (m2.violation = None)
+  words f -. words (fun () -> None)
+
+let test_write_free_interval () =
+  let base = Heap.base Heap.Private in
+  let cp = Checkpoint.extract (reqs_of [ reader_only (base + 8); reader_only (base + 64) ]) in
+  check_int "write-free interval: empty table" 0 (Hashtbl.length cp.words);
+  check "write-free interval: no violation" true (Checkpoint.validate cp = None);
+  let module P = Privateer_parallel in
+  let ctx =
+    { P.Commit.env =
+        { P.Worker.cm = P.Runtime_config.default.costs; stats = Stats.create ();
+          sites = { check_tags = [||]; redux_sites = [||]; cold_sides = [||] };
+          validate = true; inject = None };
+      ranges = []; reg_ops = []; redux_base = []; reg_base = [];
+      io = Deferred_io.create (); emit_main = ignore; serial_commit = false }
+  in
+  check "write-free interval: phase 2 reads no clock" true
+    (allocated_by (fun () -> P.Commit.merge ctx cp) = 0.0)
 
 let test_violation_reports_smallest_addr () =
   let base = Heap.base Heap.Private in
   (* Two distinct conflicts on different pages; the reported address
-     must be the smaller one whatever order the hash tables yield the
-     live-in bytes in. *)
+     must be the smaller one whatever order the table and the pages
+     yield the live-in bytes in. *)
   let w =
     let m = Machine.create () in
     Memory.clear_dirty m.Machine.mem;
@@ -370,24 +339,115 @@ let test_violation_reports_smallest_addr () =
           ~beta:(Shadow.timestamp ~iter:1 ~interval_start:0);
         Machine.set_int m a 9)
       [ base + 8; base + 4096 + 16 ];
-    Checkpoint.contribution_of_worker ~worker:1 ~interval_start:0 m ~redux_ranges:[]
-      ~reg_partials:[]
+    m
   in
   let r =
-    let m = Machine.create () in
-    Memory.clear_dirty m.Machine.mem;
-    Shadow.access m Shadow.Read ~addr:(base + 8) ~size:8 ~beta:3;
+    let m = reader_only (base + 8) in
     Shadow.access m Shadow.Read ~addr:(base + 4096 + 16) ~size:8 ~beta:3;
-    Checkpoint.contribution_of_worker ~worker:0 ~interval_start:0 m ~redux_ranges:[]
-      ~reg_partials:[]
+    m
   in
   List.iter
-    (fun (contribs, label) ->
-      match (Checkpoint.merge contribs).violation with
+    (fun (machines, label) ->
+      match Checkpoint.validate (Checkpoint.extract (reqs_of machines)) with
       | Some (Misspec.Phase2 { addr }) ->
         check_int (Printf.sprintf "smallest conflict (%s)" label) (base + 8) addr
       | _ -> Alcotest.fail (Printf.sprintf "expected a phase-2 violation (%s)" label))
     [ ([ r; w ], "reader first"); ([ w; r ], "writer first") ]
+
+(* ---- partial words (regression) ------------------------------------------ *)
+
+let write_at m ~iter addr size =
+  Shadow.access m Shadow.Write ~addr ~size ~beta:(Shadow.timestamp ~iter ~interval_start:0)
+
+let write_float m ~iter addr x =
+  write_at m ~iter addr 8;
+  Machine.set_float m addr x
+
+let write_byte m ~iter addr byte =
+  write_at m ~iter addr 1;
+  Machine.write_byte m addr byte
+
+let worker_doing f =
+  let m = Machine.create () in
+  Memory.clear_dirty m.Machine.mem;
+  f m;
+  m
+
+(* The table's entry for [word] and what a main process whose [word]
+   held float-tagged 0xa5 bytes reads there after the install; both
+   request orders must give the same. *)
+let install_over_fill machines word =
+  let result reqs =
+    let cp = Checkpoint.extract reqs in
+    let main = Machine.create () in
+    Memory.write_word main.Machine.mem word 0xa5a5a5a5a5a5a5a5L true;
+    Checkpoint.apply_overlay main cp;
+    match Hashtbl.find_opt cp.words word with
+    | Some w -> (w, Memory.read_word main.Machine.mem word)
+    | None -> Alcotest.fail "written word missing from the table"
+  in
+  let forward = result (reqs_of machines) in
+  check "same table and install in either request order" true
+    (forward = result (List.rev (reqs_of machines)));
+  forward
+
+let check_bits = Alcotest.(check int64)
+
+(* A float tag survives only on a word whose eight bytes one worker
+   supplied: alone, or over another worker's earlier byte.  A later
+   byte from another worker makes the word int-tagged, installed byte
+   by byte. *)
+let test_float_tag_needs_one_whole_word () =
+  let word = Heap.base Heap.Private + 64 in
+  let x = 2.5 in
+  let bits = Int64.bits_of_float x in
+  let w, (installed, is_float) =
+    install_over_fill [ worker_doing (fun m -> write_float m ~iter:2 word x) ] word
+  in
+  check "sole writer: float tag" true (w.float_tag && is_float);
+  check_int "sole writer: recorded" 0 w.writer;
+  check_bits "sole writer: the float" bits installed;
+  let w, (installed, is_float) =
+    install_over_fill
+      [ worker_doing (fun m -> write_float m ~iter:4 word x);
+        worker_doing (fun m -> write_byte m ~iter:1 word 0x11) ]
+      word
+  in
+  check "earlier byte overwritten: float tag" true (w.float_tag && is_float);
+  check_int "earlier byte overwritten: two writers" (-1) w.writer;
+  check_bits "earlier byte overwritten: the float" bits installed;
+  let w, (installed, is_float) =
+    install_over_fill
+      [ worker_doing (fun m -> write_float m ~iter:4 word x);
+        worker_doing (fun m -> write_byte m ~iter:5 word 0x11) ]
+      word
+  in
+  check "later byte: int-tagged" false (w.float_tag || is_float);
+  check_bits "later byte: the float's other seven bytes"
+    (Int64.logor (Int64.logand bits (Int64.lognot 0xffL)) 0x11L)
+    installed
+
+(* Each byte of a partially written word takes its latest writer across
+   workers; a byte no worker wrote this interval keeps the main
+   process's value, and the word is int-tagged. *)
+let test_partial_word_bytewise () =
+  let word = Heap.base Heap.Private + 64 in
+  let w, (installed, is_float) =
+    install_over_fill
+      [ worker_doing (fun m ->
+            write_byte m ~iter:2 word 0x10;
+            write_byte m ~iter:2 (word + 1) 0x11);
+        worker_doing (fun m ->
+            write_byte m ~iter:1 (word + 3) 0x23;
+            write_byte m ~iter:3 (word + 1) 0x21) ]
+      word
+  in
+  check "stamped: bytes 0, 1 and 3" true
+    (List.init 8 (fun i -> Bytes.get w.stamps i <> '\000')
+    = [ true; true; false; true; false; false; false; false ]);
+  check_int "two writers" (-1) w.writer;
+  check "int-tagged" false (w.float_tag || is_float);
+  check_bits "latest byte each, the rest kept" 0xa5a5a5a523a52110L installed
 
 (* ---- exact live-in counts ------------------------------------------------ *)
 
@@ -578,41 +638,18 @@ let test_reset_charge_matches_oracle () =
   check_int "idle charge = oracle's" ref_second second;
   check "metadata = oracle's" true (Memory.equal_footprint m.Machine.mem ref_m.Machine.mem)
 
-(* ---- merge-state isolation (regression) ---------------------------------- *)
-
-(* [Checkpoint.index_ops] counts per merge state (one per worker
-   cohort), so two pipelines interleaving in one process cannot
-   contaminate each other's zero-index-work baseline. *)
-let test_merge_state_isolation () =
-  let base = Heap.base Heap.Private in
-  let s1 = Checkpoint.create_merge_state () in
-  let s2 = Checkpoint.create_merge_state () in
-  ignore (Checkpoint.merge ~state:s1 [ writer 1 (base + 8) 42 0 ]);
-  let ops1 = Checkpoint.index_ops s1 in
-  check "s1 did index work" true (ops1 > 0);
-  (* A concurrent pipeline's clean interval stays at zero even though
-     s1 wrote. *)
-  let m2 = Checkpoint.merge ~state:s2 [ reader_only 0 (base + 64) ] in
-  check "s2 clean merge" true (m2.violation = None);
-  check_int "s2 unaffected by s1's work" 0 (Checkpoint.index_ops s2);
-  check_int "s1 unaffected by s2's merge" ops1 (Checkpoint.index_ops s1)
-
 let suite =
   List.map QCheck_alcotest.to_alcotest
-    [ QCheck.Test.make ~count:60 ~name:"extraction = single-worker path"
-        worker_ops_arb prop_extraction_equals_per_worker;
-      QCheck.Test.make ~count:100 ~name:"early-exit scan = byte-wise oracle"
-        two_phase_arb prop_early_exit_scan_matches_bytewise;
-      QCheck.Test.make ~count:60 ~name:"merge = nested-scan oracle"
-        worker_ops_arb prop_merge_matches_oracle;
-      QCheck.Test.make ~count:60 ~name:"incremental merge = rebuilt index"
-        intervals_arb prop_incremental_merge_equals_rebuilt;
+    [ QCheck.Test.make ~count:100 ~name:"table = byte-wise scan oracle"
+        two_phase_arb prop_table_matches_bytewise;
+      QCheck.Test.make ~count:60 ~name:"install and verdict = nested-scan oracle"
+        two_phase_arb prop_install_and_verdict_match_nested_scan;
+      QCheck.Test.make ~count:60 ~name:"table and verdict free of worker order"
+        two_phase_arb prop_table_order_free;
       QCheck.Test.make ~count:120 ~name:"reset = per-byte oracle"
         big_ops_arb prop_reset_matches_oracle ]
-  @ [ Alcotest.test_case "clean interval: zero index ops" `Quick
-        test_clean_interval_no_index_work;
-      Alcotest.test_case "merge states are isolated" `Quick
-        test_merge_state_isolation;
+  @ [ Alcotest.test_case "write-free interval: empty table, no clock" `Quick
+        test_write_free_interval;
       Alcotest.test_case "full-page reset spares the snapshot parent" `Quick
         test_full_page_reset_spares_snapshot_parent;
       Alcotest.test_case "reset fills only exactly-full pages" `Quick
@@ -621,9 +658,11 @@ let suite =
         test_reset_skips_unstamped_pages;
       Alcotest.test_case "reset charge = oracle's, every mapped page" `Quick
         test_reset_charge_matches_oracle;
-      Alcotest.test_case "writing interval sweeps its delta" `Quick
-        test_writing_interval_sweeps_delta;
       Alcotest.test_case "violation pinned to smallest address" `Quick
         test_violation_reports_smallest_addr;
+      Alcotest.test_case "float tag only from one worker's whole word" `Quick
+        test_float_tag_needs_one_whole_word;
+      Alcotest.test_case "partial word: latest byte each, rest kept" `Quick
+        test_partial_word_bytewise;
       Alcotest.test_case "live-in byte count stays exact" `Quick
         test_live_in_count_exact ]

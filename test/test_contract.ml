@@ -270,6 +270,72 @@ let test_cross_worker_conflicts_phase2 () =
   Alcotest.(check string) "eager fingerprint = commit's" (fingerprint commit)
     (fingerprint eager)
 
+(* Each iteration stores one byte of [buf], so workers write different
+   bytes of the same words and no iteration reads any.  The checkpoint
+   must take each byte from its own writer and keep the main process's
+   value in the rest. *)
+let partial_words_source =
+  text_source ~expect:0
+    {|global buf[64];
+fn main() {
+  for (i = 0; i < 256) { store1(&buf + i, i + 1); }
+  var s = 0; var q = 0;
+  while (q < 256) { s = s + load1(&buf + q) * (q + 1); q = q + 1; }
+  print("s %d\n", s); return 0;
+}|}
+
+(* The sequential "s 5559680" at worker counts and schedules where a
+   merge taking each word whole from its latest writer loses bytes. *)
+let test_partial_words () =
+  List.iter
+    (fun settings ->
+      let _, seq, _, _ = cell partial_words_source (point_of settings) in
+      Alcotest.(check string) "sequential output" "s 5559680\n" seq.seq_output)
+    (List.map (fun w -> [ ("workers", w) ]) [ "2"; "4"; "8"; "24" ]
+    @ List.map
+        (fun s -> [ ("workers", "4"); ("schedule", s) ])
+        [ "blocked"; "chunked:3"; "chunked:8" ])
+
+(* A cross-worker flow inside one interval whose reader's live-in mark
+   sits on a shadow page the interval never dirties.  Trained with
+   d = 20, [slot] is private: the even iterations read slot[0] live-in
+   and iteration 9 writes slot[20].  Run with d = 0, iteration 9 writes
+   slot[0], which the even iterations after it read.  Each reader
+   re-reads a byte its worker marked in an earlier interval, which
+   Table 2 keeps without touching the page, so phase 2 must take the
+   marks of every page, not only of the dirty ones. *)
+let carried_mark_source =
+  text_source
+    ~train:(fun st -> Pipeline.set_global st "d" 20)
+    ~run:(fun st -> Pipeline.set_global st "d" 0)
+    {|global slot[512]; global out[512]; global d;
+fn main() {
+  for (k = 0; k < 512) { slot[k] = 0; }
+  for (i = 0; i < 64) {
+    if (i == 9) { slot[d] = 7; }
+    var v = 0;
+    if (i % 2 == 0) { v = slot[0]; }
+    out[i] = v;
+  }
+  var s = 0;
+  for (q = 0; q < 64) { s = s + out[q] * (q + 1); }
+  print("s %d\n", s); return 0;
+}|}
+
+(* The sequential "s 6993", with phase 2 convicting the flow, at the
+   settings where extraction from dirty pages alone commits "s 0" with
+   no misspeculation, [workers=2 checkpoint=8] first. *)
+let test_carried_live_in_marks () =
+  List.iter
+    (fun (w, c) ->
+      let _, seq, commit, _ =
+        cell carried_mark_source (point_of [ ("workers", w); ("checkpoint", c) ])
+      in
+      Alcotest.(check string) "sequential output" "s 6993\n" seq.seq_output;
+      Alcotest.(check bool) (w ^ " workers, period " ^ c ^ ": phase 2 convicts") true
+        (commit.stats.misspeculations > 0))
+    [ ("2", "8"); ("2", "4"); ("4", "8"); ("8", "4"); ("8", "8") ]
+
 (* Every point of the lattice on a serial host: the product of the
    drawn dimensions' values, which grows with the lattice. *)
 let serial_points =
@@ -371,13 +437,17 @@ let suite =
     Alcotest.test_case "a planted scenario at every serial point" `Quick
       (sweep (scenario_source sweep_knobs));
     Alcotest.test_case "cross-worker conflicts: phase 2 in both modes" `Quick
-      test_cross_worker_conflicts_phase2 ]
+      test_cross_worker_conflicts_phase2;
+    Alcotest.test_case "partial words merge byte by byte" `Quick test_partial_words;
+    Alcotest.test_case "phase 2 sees marks on clean pages" `Quick test_carried_live_in_marks ]
   @ List.map QCheck_alcotest.to_alcotest
     [ QCheck.Test.make ~count:170 ~name:"template programs at drawn points"
         (QCheck.make ~print:(fun (_, p) -> show_point p)
            QCheck.Gen.(pair (QCheck.gen Test_props.body_arb) point_gen))
         (fun (tmpls, p) ->
           qcheck_at (text_source ~expect:0 (Test_props.program_of_templates tmpls)) p);
+      QCheck.Test.make ~count:30 ~name:"a carried live-in mark at drawn points"
+        (QCheck.make ~print:show_point point_gen) (qcheck_at carried_mark_source);
       QCheck.Test.make ~count:30 ~name:"scenarios at drawn points"
         (QCheck.make
            ~print:(fun (k, p) -> Scenario_gen.spec_of_knobs k ^ " at " ^ show_point p)

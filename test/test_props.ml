@@ -617,19 +617,21 @@ let prop_shadow_counts_exact ops =
 (* ---- random privatizable programs --------------------------------------- *)
 
 (* Generate a loop body from templates that reuse a global scratch
-   array (privatization), a per-iteration malloc (short-lived), and an
-   output array write.  Some generated bodies have real loop-carried
-   dependences (e.g. reading scratch before writing it); for those,
-   selection must reject the loop.  test_contract runs these programs
-   over its lattice of run settings. *)
-type tmpl = Fill of int | ReadSum | Node of int | OutWrite | PrintIter
+   array (privatization), a per-iteration malloc (short-lived), an
+   output array write, and a one-byte store into a packed byte array,
+   so that neighbouring iterations, on different workers, write
+   different bytes of one word.  Some generated bodies have real
+   loop-carried dependences (e.g. reading scratch before writing it);
+   for those, selection must reject the loop.  test_contract runs
+   these programs over its lattice of run settings. *)
+type tmpl = Fill of int | ReadSum | Node of int | OutWrite | PrintIter | Store1 of int
 
 let tmpl_gen =
   QCheck.Gen.(
     frequency
       [ (3, map (fun k -> Fill k) (int_bound 7)); (2, return ReadSum);
         (2, map (fun k -> Node k) (int_bound 9)); (3, return OutWrite);
-        (1, return PrintIter) ])
+        (1, return PrintIter); (2, map (fun k -> Store1 k) (int_bound 9)) ])
 
 let body_arb =
   QCheck.make
@@ -638,7 +640,10 @@ let body_arb =
 
 let program_of_templates tmpls =
   let buf = Buffer.create 256 in
-  Buffer.add_string buf "global scratch[8]; global out[40];\nfn main() {\n";
+  let packed = List.exists (function Store1 _ -> true | _ -> false) tmpls in
+  Buffer.add_string buf "global scratch[8]; global out[40];\n";
+  if packed then Buffer.add_string buf "global packed[5];\n";
+  Buffer.add_string buf "fn main() {\n";
   Buffer.add_string buf "  for (k = 0; k < 40) {\n    var s = k;\n";
   List.iteri
     (fun i t ->
@@ -655,10 +660,16 @@ let program_of_templates tmpls =
              "    var p%d = malloc(2);\n    p%d[0] = k + %d;\n    s = s + p%d[0];\n    free(p%d);\n"
              i i n i i)
       | OutWrite -> Buffer.add_string buf (Printf.sprintf "    out[k] = s + %d;\n" i)
-      | PrintIter -> Buffer.add_string buf "    print(\"%d \", s);\n")
+      | PrintIter -> Buffer.add_string buf "    print(\"%d \", s);\n"
+      | Store1 n ->
+        Buffer.add_string buf
+          (Printf.sprintf "    store1(&packed + k, s * %d + %d);\n" (i + 1) n))
     tmpls;
   Buffer.add_string buf "  }\n  var total = 0;\n";
-  Buffer.add_string buf "  for (q = 0; q < 40) { total = total + out[q]; }\n";
+  Buffer.add_string buf
+    (if packed then
+       "  for (q = 0; q < 40) { total = total + out[q] + load1(&packed + q) * (q + 1); }\n"
+     else "  for (q = 0; q < 40) { total = total + out[q]; }\n");
   Buffer.add_string buf "  print(\"= %d\\n\", total);\n  return total;\n}\n";
   Buffer.contents buf
 

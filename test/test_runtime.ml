@@ -155,18 +155,30 @@ let worker_with_writes ~interval_start writes =
     writes;
   m
 
+(* The interval's table built from [machines], worker [i] being the
+   [i]-th, as the commit path extracts a cohort. *)
+let checkpoint ?(redux_ranges = []) machines =
+  Checkpoint.extract
+    (List.mapi
+       (fun worker m ->
+         { Checkpoint.req_worker = worker; req_machine = m; req_redux_ranges = redux_ranges;
+           req_reg_partials = [] })
+       machines)
+
+(* A table word's value, and whether all eight bytes carry [stamp]. *)
+let word_value (w : Checkpoint.word) = Int64.to_int (Bytes.get_int64_le w.bits 0)
+let stamped_at stamp (w : Checkpoint.word) = Bytes.for_all (fun c -> Char.code c = stamp) w.stamps
+
 let test_checkpoint_contribution () =
   let base = Heap.base Heap.Private in
   let m = worker_with_writes ~interval_start:0 [ (base + 8, 11, 0); (base + 16, 22, 1) ] in
-  let c =
-    Checkpoint.contribution_of_worker ~worker:0 ~interval_start:0 m ~redux_ranges:[]
-      ~reg_partials:[]
-  in
-  check_int "two words contributed" 2 (Hashtbl.length c.writes);
-  (match Hashtbl.find_opt c.writes (base + 8) with
-  | Some { iter = 0; bits; _ } -> check_int "value" 11 (Int64.to_int bits)
+  let cp = checkpoint [ m ] in
+  check_int "two words contributed" 2 (Hashtbl.length cp.words);
+  (match Hashtbl.find_opt cp.words (base + 8) with
+  | Some w when stamped_at (Shadow.timestamp ~iter:0 ~interval_start:0) w ->
+    check_int "value" 11 (word_value w)
   | _ -> Alcotest.fail "missing write record");
-  check "pages counted" true (c.pages_touched > 0)
+  check "pages counted" true (cp.total_pages > 0)
 
 let test_checkpoint_last_writer_wins () =
   let base = Heap.base Heap.Private in
@@ -174,22 +186,15 @@ let test_checkpoint_last_writer_wins () =
      iteration 3: the later iteration's value must win. *)
   let w0 = worker_with_writes ~interval_start:0 [ (base + 8, 100, 0) ] in
   let w1 = worker_with_writes ~interval_start:0 [ (base + 8, 300, 3) ] in
-  let c0 =
-    Checkpoint.contribution_of_worker ~worker:0 ~interval_start:0 w0 ~redux_ranges:[]
-      ~reg_partials:[]
-  in
-  let c1 =
-    Checkpoint.contribution_of_worker ~worker:1 ~interval_start:0 w1 ~redux_ranges:[]
-      ~reg_partials:[]
-  in
-  let merged = Checkpoint.merge [ c0; c1 ] in
-  check "no violation" true (merged.violation = None);
-  (match Hashtbl.find_opt merged.overlay (base + 8) with
-  | Some { iter = 3; bits; _ } -> check_int "iteration 3 wins" 300 (Int64.to_int bits)
+  let cp = checkpoint [ w0; w1 ] in
+  check "no violation" true (Checkpoint.validate cp = None);
+  (match Hashtbl.find_opt cp.words (base + 8) with
+  | Some w when stamped_at (Shadow.timestamp ~iter:3 ~interval_start:0) w ->
+    check_int "iteration 3 wins" 300 (word_value w)
   | _ -> Alcotest.fail "missing merged word");
-  (* Applying the overlay installs the winner. *)
+  (* Installing the table installs the winner. *)
   let main = Machine.create () in
-  Checkpoint.apply_overlay main merged;
+  Checkpoint.apply_overlay main cp;
   check_int "installed" 300 (Machine.get_int main (base + 8))
 
 let test_checkpoint_phase2_violation () =
@@ -200,23 +205,16 @@ let test_checkpoint_phase2_violation () =
   Memory.clear_dirty w0.Machine.mem;
   Shadow.access w0 Shadow.Read ~addr:(base + 8) ~size:8 ~beta:3;
   let w1 = worker_with_writes ~interval_start:0 [ (base + 8, 5, 1) ] in
-  let c0 =
-    Checkpoint.contribution_of_worker ~worker:0 ~interval_start:0 w0 ~redux_ranges:[]
-      ~reg_partials:[]
-  in
-  let c1 =
-    Checkpoint.contribution_of_worker ~worker:1 ~interval_start:0 w1 ~redux_ranges:[]
-      ~reg_partials:[]
-  in
-  let merged = Checkpoint.merge [ c0; c1 ] in
   check "phase-2 conflict detected" true
-    (match merged.violation with Some (Misspec.Phase2 _) -> true | _ -> false)
+    (match Checkpoint.validate (checkpoint [ w0; w1 ]) with
+    | Some (Misspec.Phase2 _) -> true
+    | _ -> false)
 
 (* ---- phase 2: the one cross-worker validator ---------------------------- *)
 
 (* Each worker below runs its accesses through [Shadow.access], as the
-   worker hooks do, and is extracted as the commit path extracts it;
-   the verdict is the merge's. *)
+   worker hooks do, and the cohort is extracted as the commit path
+   extracts it; the verdict is phase 2's. *)
 let fresh_worker () =
   let m = Machine.create () in
   Memory.clear_dirty m.Machine.mem;
@@ -225,9 +223,7 @@ let fresh_worker () =
 let touch ?(interval_start = 0) m op ~addr ~size ~iter =
   Shadow.access m op ~addr ~size ~beta:(Shadow.timestamp ~iter ~interval_start)
 
-let contribution ?(interval_start = 0) worker m =
-  Checkpoint.contribution_of_worker ~worker ~interval_start m ~redux_ranges:[]
-    ~reg_partials:[]
+let phase2 machines = Checkpoint.validate (checkpoint machines)
 
 let expect_phase2 msg want violation =
   match violation with
@@ -249,8 +245,7 @@ let test_phase2_any_iteration_order () =
       touch w1 Shadow.Read ~addr:(base + 4) ~size:4 ~iter:read_iter;
       expect_phase2
         (Printf.sprintf "read at iteration %d" read_iter)
-        (base + 4)
-        (Checkpoint.merge [ contribution 0 w0; contribution 1 w1 ]).violation)
+        (base + 4) (phase2 [ w0; w1 ]))
     [ 5; 1 ]
 
 let test_phase2_word_granular () =
@@ -264,7 +259,7 @@ let test_phase2_word_granular () =
   let reader addr =
     let m = fresh_worker () in
     touch m Shadow.Read ~addr ~size:8 ~iter:2;
-    (Checkpoint.merge [ contribution 0 writer; contribution 1 m ]).violation
+    phase2 [ writer; m ]
   in
   check "the word between the writes is clean" true (reader (base + 8) = None);
   expect_phase2 "read across into a written word" (base + 16) (reader (base + 12))
@@ -279,11 +274,8 @@ let test_phase2_own_writes_exempt () =
   touch w0 Shadow.Write ~addr:(base + 1) ~size:1 ~iter:0;
   touch w1 Shadow.Write ~addr:(base + 64) ~size:8 ~iter:1;
   touch w2 Shadow.Write ~addr:(base + 2) ~size:1 ~iter:2;
-  let c0 = contribution 0 w0 and c1 = contribution 1 w1 in
-  check "own write on the read word: clean" true
-    ((Checkpoint.merge [ c0; c1 ]).violation = None);
-  expect_phase2 "another worker's write to the word" base
-    (Checkpoint.merge [ c0; c1; contribution 2 w2 ]).violation
+  check "own write on the read word: clean" true (phase2 [ w0; w1 ] = None);
+  expect_phase2 "another worker's write to the word" base (phase2 [ w0; w1; w2 ])
 
 let test_phase2_read_back_leaves_no_mark () =
   (* Worker 1 writes a word and reads it back in the same iteration
@@ -298,37 +290,44 @@ let test_phase2_read_back_leaves_no_mark () =
   touch w1 Shadow.Write ~addr:base ~size:8 ~iter:1;
   Machine.set_int w1 base 11;
   touch w1 Shadow.Read ~addr:base ~size:8 ~iter:1;
-  let c1 = contribution 1 w1 in
-  check_int "no live-in byte recorded" 0 (Hashtbl.length c1.live_in_reads);
-  let merged = Checkpoint.merge [ contribution 0 w0; c1 ] in
-  check "no violation" true (merged.violation = None);
-  match Hashtbl.find_opt merged.overlay base with
-  | Some { iter = 1; bits; _ } -> check_int "iteration 1 wins" 11 (Int64.to_int bits)
+  let cp = checkpoint [ w0; w1 ] in
+  check_int "no live-in byte recorded" 0
+    (List.length (List.nth cp.contributions 1).Checkpoint.live_in);
+  check "no violation" true (Checkpoint.validate cp = None);
+  match Hashtbl.find_opt cp.words base with
+  | Some w when stamped_at (Shadow.timestamp ~iter:1 ~interval_start:0) w ->
+    check_int "iteration 1 wins" 11 (word_value w)
   | _ -> Alcotest.fail "missing merged word"
 
 let test_phase2_carried_mark () =
   (* Worker 1's live-in mark on [w] outlives the interval boundary (the
      reset keeps read-live-in marks).  In the next interval worker 1
-     only writes elsewhere on the page, which dirties the marked shadow
-     page, so the extraction sees the mark again and worker 0's write
-     to [w] is convicted at the next merge. *)
+     either writes elsewhere on the page, which dirties the marked
+     shadow page, or only re-reads [w] (Keep), which leaves it clean.
+     Either way extraction sees the mark again, and worker 0's write to
+     [w] is convicted at the next merge. *)
   let base = Heap.base Heap.Private in
   let w = base + 32 in
-  let w0 = fresh_worker () and w1 = fresh_worker () in
-  touch w1 Shadow.Read ~addr:w ~size:8 ~iter:1;
-  check "the first interval is clean" true
-    ((Checkpoint.merge [ contribution 0 w0; contribution 1 w1 ]).violation = None);
   List.iter
-    (fun m ->
-      ignore (Shadow.reset_interval m);
-      Memory.clear_dirty m.Machine.mem)
-    [ w0; w1 ];
-  touch ~interval_start:8 w1 Shadow.Write ~addr:(base + 256) ~size:8 ~iter:9;
-  touch ~interval_start:8 w0 Shadow.Write ~addr:w ~size:8 ~iter:10;
-  expect_phase2 "write over the carried mark" w
-    (Checkpoint.merge
-       [ contribution ~interval_start:8 0 w0; contribution ~interval_start:8 1 w1 ])
-      .violation
+    (fun (label, next_access, dirty) ->
+      let w0 = fresh_worker () and w1 = fresh_worker () in
+      touch w1 Shadow.Read ~addr:w ~size:8 ~iter:1;
+      check (label ^ ": the first interval is clean") true (phase2 [ w0; w1 ] = None);
+      List.iter
+        (fun m ->
+          ignore (Shadow.reset_interval m);
+          Memory.clear_dirty m.Machine.mem)
+        [ w0; w1 ];
+      next_access w1;
+      touch ~interval_start:8 w0 Shadow.Write ~addr:w ~size:8 ~iter:10;
+      check (label ^ ": marked page dirty") dirty
+        (Memory.dirty_pages ~heap:Heap.Shadow w1.Machine.mem <> []);
+      expect_phase2 (label ^ ": write over the carried mark") w (phase2 [ w0; w1 ]))
+    [ ( "write on the page",
+        (fun m -> touch ~interval_start:8 m Shadow.Write ~addr:(base + 256) ~size:8 ~iter:9),
+        true );
+      ("re-read only", (fun m -> touch ~interval_start:8 m Shadow.Read ~addr:w ~size:8 ~iter:9), false)
+    ]
 
 let test_checkpoint_float_preserved () =
   let base = Heap.base Heap.Private in
@@ -336,13 +335,8 @@ let test_checkpoint_float_preserved () =
   Memory.clear_dirty m.Machine.mem;
   Shadow.access m Shadow.Write ~addr:(base + 8) ~size:8 ~beta:3;
   Machine.set_float m (base + 8) 6.25;
-  let c =
-    Checkpoint.contribution_of_worker ~worker:0 ~interval_start:0 m ~redux_ranges:[]
-      ~reg_partials:[]
-  in
-  let merged = Checkpoint.merge [ c ] in
   let main = Machine.create () in
-  Checkpoint.apply_overlay main merged;
+  Checkpoint.apply_overlay main (checkpoint [ m ]);
   Alcotest.(check (float 0.0)) "float survives the merge" 6.25
     (Machine.get_float main (base + 8))
 
@@ -353,13 +347,12 @@ let test_checkpoint_redux_merge () =
     let m = Machine.create () in
     Machine.set_int m base_addr partial;
     Memory.clear_dirty m.Machine.mem;
-    Checkpoint.contribution_of_worker ~worker:0 ~interval_start:0 m ~redux_ranges:ranges
-      ~reg_partials:[]
+    m
   in
-  let c0 = mk_worker 10 and c1 = mk_worker 32 in
   let merged =
     Checkpoint.merge_redux ~redux_ranges:ranges
-      ~base:[ (base_addr, Privateer_interp.Value.VInt 100) ] [ c0; c1 ]
+      ~base:[ (base_addr, Privateer_interp.Value.VInt 100) ]
+      (checkpoint ~redux_ranges:ranges [ mk_worker 10; mk_worker 32 ]).contributions
   in
   match merged with
   | [ (_, Privateer_interp.Value.VInt 142) ] -> ()
@@ -443,18 +436,17 @@ let redux_case_arb =
 
 let prop_merge_redux_left_fold rc =
   let words = Array.of_list (range_words rc.rc_ranges) in
+  let worker partial =
+    let m = Machine.create () in
+    Array.iteri
+      (fun i (addr, _) ->
+        let bits, is_float = Privateer_interp.Value.to_bits partial.(i) in
+        Machine.write_word m addr bits is_float)
+      words;
+    m
+  in
   let contribs =
-    List.mapi
-      (fun id partial ->
-        let m = Machine.create () in
-        Array.iteri
-          (fun i (addr, _) ->
-            let bits, is_float = Privateer_interp.Value.to_bits partial.(i) in
-            Machine.write_word m addr bits is_float)
-          words;
-        Checkpoint.contribution_of_worker ~worker:id ~interval_start:0 m
-          ~redux_ranges:rc.rc_ranges ~reg_partials:[])
-      rc.rc_partials
+    (checkpoint ~redux_ranges:rc.rc_ranges (List.map worker rc.rc_partials)).contributions
   in
   let result f =
     match f () with
@@ -490,7 +482,7 @@ let prop_merge_redux_left_fold rc =
 
 let test_checkpoint_reg_partials () =
   let mk p =
-    { Checkpoint.worker = 0; writes = Hashtbl.create 1; live_in_reads = Hashtbl.create 1;
+    { Checkpoint.worker = 0; live_in = [];
       redux_words = Bytes.empty; reg_partials = [ ("terr", Privateer_interp.Value.VFloat p) ];
       pages_touched = 0 }
   in

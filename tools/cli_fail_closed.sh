@@ -2,12 +2,14 @@
 # Smoke for `privateer run` on every kind of source.  A malformed Cmini
 # source exits 124 with one positioned line ("... at L:C: ..."), a
 # program fault exits 3 with one "runtime error: ..." line, and
-# neither ever prints "internal error".  A port, a workload:, a
-# scenario: and a file source each run with exit 0, and each `--json`
-# report is one line holding one object with a fingerprint and a
-# host_ms object.  `--input` on a file source exits 124.  Also checks
-# that `run --help=plain` and `serve --help=plain` leave no raw
-# Cmdliner markup such as "$(b,...)" in the output.
+# neither ever prints "internal error".  A program whose workers write
+# different bytes of one word runs with exit 0 and output identical to
+# the sequential run's (a wrong answer would exit 4).  A port, a
+# workload:, a scenario: and a file source each run with exit 0, and
+# each `--json` report is one line holding one object with a
+# fingerprint and a host_ms object.  `--input` on a file source exits
+# 124.  Also checks that `run --help=plain` and `serve --help=plain`
+# leave no raw Cmdliner markup such as "$(b,...)" in the output.
 #
 #   dune build && sh tools/cli_fail_closed.sh [PRIVATEER_EXE]
 #
@@ -56,6 +58,33 @@ check 3 arity-mismatch 'fn f(a) { return a; }
 fn main() { return f(1, 2); }'
 check 3 type-error 'fn main() { var x = 1.5; return x + 2; }'
 check 3 double-free 'fn main() { var p = malloc(2); free(p); free(p); return 0; }'
+
+# identical NAME SOURCE FLAGS...: exit 0, and the report says the
+# output equals the sequential run's.
+identical() {
+  name=$1
+  printf '%s\n' "$2" > "$dir/$name.cm"
+  shift 2
+  "$exe" run "$dir/$name.cm" "$@" > "$dir/out" 2> "$dir/err"
+  code=$?
+  if [ "$code" -ne 0 ] || ! grep -q '^output identical  : true$' "$dir/out"; then
+    echo "FAIL $name $*: exit $code (want 0, identical output): $(cat "$dir/err")"
+    status=1
+  else
+    echo "ok   $name $*: exit 0, output identical"
+  fi
+}
+
+store1='global buf[64];
+fn main() {
+  for (i = 0; i < 256) { store1(&buf + i, i + 1); }
+  var s = 0; var q = 0;
+  while (q < 256) { s = s + load1(&buf + q) * (q + 1); q = q + 1; }
+  print("s %d\n", s); return 0;
+}'
+identical partial-words "$store1" -w 2
+identical partial-words "$store1" -w 8
+identical partial-words "$store1" -w 4 --schedule blocked
 
 # run_source SOURCE: the text run and the --json run both exit 0, and
 # the JSON report is one line holding one object with a fingerprint
