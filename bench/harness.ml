@@ -1,60 +1,73 @@
 (* Shared experiment logic for the evaluation harness: compiles each
-   workload once, caches sequential baselines, and exposes the runs
-   each table/figure needs. *)
+   workload once per scale, caches sequential baselines, and exposes
+   the runs each table/figure needs.  Every parallel run is checked
+   against its sequential run before any experiment prints it. *)
 
 open Privateer
 open Privateer_workloads
 
 let worker_counts = [ 4; 8; 12; 16; 20; 24 ]
 
+let section title =
+  Printf.printf "\n================ %s ================\n\n" title
+
 type compiled = {
   wl : Workload.t;
+  scale : int;
   program : Privateer_ir.Ast.program;
   tr : Privateer_transform.Transform.result;
   profiler : Privateer_profile.Profiler.t;
   seq : Pipeline.seq_run; (* ref input, best sequential *)
 }
 
-let compile_workload wl =
-  let program = Workload.program wl in
-  let tr, profiler = Pipeline.compile ~setup:(Workload.setup wl Workload.Train) program in
-  let seq = Pipeline.run_sequential ~setup:(Workload.setup wl Workload.Ref) program in
-  { wl; program; tr; profiler; seq }
+let compiled_cache : (string * int, compiled) Hashtbl.t = Hashtbl.create 8
 
-let compiled_cache : (string, compiled) Hashtbl.t = Hashtbl.create 8
-
-let compiled wl =
-  match Hashtbl.find_opt compiled_cache wl.Workload.name with
+(* A workload trained and run sequentially at [scale]; scale 1 is the
+   paper-sized input every experiment but [scale] uses. *)
+let compiled ?(scale = 1) wl =
+  let key = (wl.Workload.name, scale) in
+  match Hashtbl.find_opt compiled_cache key with
   | Some c -> c
   | None ->
-    let c = compile_workload wl in
-    Hashtbl.replace compiled_cache wl.Workload.name c;
+    let program = Workload.program wl in
+    let tr, profiler =
+      Pipeline.compile ~setup:(Workload.setup ~scale wl Workload.Train) program
+    in
+    let seq =
+      Pipeline.run_sequential ~setup:(Workload.setup ~scale wl Workload.Ref) program
+    in
+    let c = { wl; scale; program; tr; profiler; seq } in
+    Hashtbl.replace compiled_cache key c;
     c
 
-let config ?(workers = 24) ?checkpoint_period ?inject ?(serial_commit = false)
-    ?(schedule = Privateer_parallel.Schedule.Cyclic) ?(adaptive = false) ?throttle
-    ?(validation = Privateer_parallel.Runtime_config.Commit) () =
-  { Privateer_parallel.Runtime_config.default with
-    workers; checkpoint_period; inject; serial_commit; schedule;
-    adaptive_period = adaptive; throttle; validation }
-
-let run_parallel ?workers ?checkpoint_period ?inject ?serial_commit ?schedule
-    ?adaptive ?throttle ?validation c =
-  Pipeline.run_parallel
-    ~setup:(Workload.setup c.wl Workload.Ref)
-    ~config:
-      (config ?workers ?checkpoint_period ?inject ?serial_commit ?schedule ?adaptive
-         ?throttle ?validation ())
-    c.tr
-
-(* A bench's pass/fail gates: exit 2 naming every failed gate.  Call it
-   after the JSON artifact is written, so a failure can be inspected. *)
+(* A bench's pass/fail gates: exit 2 naming every failed gate. *)
 let require gates =
   match List.filter (fun (_, ok) -> not ok) gates with
   | [] -> ()
   | failed ->
     Printf.eprintf "bench gate failed: %s\n" (String.concat ", " (List.map fst failed));
     exit 2
+
+(* One parallel run of [c]'s ref input ([tr] defaults to its plan),
+   gated on reproducing the sequential output and result. *)
+let run_parallel ?tr ?(workers = 24) ?checkpoint_period ?inject ?(serial_commit = false)
+    ?(schedule = Privateer_parallel.Schedule.Cyclic) ?(adaptive = false)
+    ?(validation = Privateer_parallel.Runtime_config.Commit) ?(validate = true) c =
+  let par =
+    Pipeline.run_parallel
+      ~setup:(Workload.setup ~scale:c.scale c.wl Workload.Ref)
+      ~config:
+        { Privateer_parallel.Runtime_config.default with
+          workers; checkpoint_period; inject; serial_commit; schedule;
+          adaptive_period = adaptive; validation; validate }
+      (Option.value tr ~default:c.tr)
+  in
+  require
+    [ ( Printf.sprintf "%s (scale %d, %d workers): parallel output = sequential"
+          c.wl.name c.scale workers,
+        String.equal par.par_output c.seq.seq_output && par.par_result = c.seq.seq_result )
+    ];
+  par
 
 let speedup c (par : Pipeline.par_run) =
   float_of_int c.seq.seq_cycles /. float_of_int par.par_cycles
@@ -74,16 +87,17 @@ let spaced_injection rate =
         > int_of_float (float_of_int (!executed - 1) *. rate))
   end
 
-(* The (workload x workers) result matrix behind Figures 6 and 8. *)
-let matrix_cache : (string * int, Pipeline.par_run) Hashtbl.t = Hashtbl.create 32
+(* The (workload x scale x workers) result matrix behind Figures 6
+   and 8 and the scale sweep. *)
+let matrix_cache : (string * int * int, Pipeline.par_run) Hashtbl.t = Hashtbl.create 32
 
-let matrix_run wl workers =
-  match Hashtbl.find_opt matrix_cache (wl.Workload.name, workers) with
+let matrix_run ?(scale = 1) wl workers =
+  let key = (wl.Workload.name, scale, workers) in
+  match Hashtbl.find_opt matrix_cache key with
   | Some r -> r
   | None ->
-    let c = compiled wl in
-    let r = run_parallel ~workers c in
-    Hashtbl.replace matrix_cache (wl.Workload.name, workers) r;
+    let r = run_parallel ~workers (compiled ~scale wl) in
+    Hashtbl.replace matrix_cache key r;
     r
 
 (* DOALL-only baseline run (Figure 7). *)

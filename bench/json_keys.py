@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
 """Print the sorted set of key paths in a JSON document.
 
-Used by CI to diff a freshly generated bench report (e.g.
-BENCH_eager.json) against its committed schema (BENCH_eager.keys):
+Used by CI to diff a freshly generated `server` bench report
+(BENCH_server.json) against its committed schema (BENCH_server.keys):
 values change run to run, the key structure must not drift silently.
 List elements collapse onto one `[]` segment, so arrays of uniform
 objects contribute each field once.
 
-    python3 bench/json_keys.py BENCH_eager.json | diff -u bench/BENCH_eager.keys -
+    python3 bench/json_keys.py BENCH_server.json | diff -u bench/BENCH_server.keys -
 """
 import json
 import sys

@@ -1,22 +1,22 @@
 (* The evaluation harness: regenerates every table and figure of the
-   paper's evaluation (section 6), plus the scheduler comparison and
-   the ablations.
+   paper's evaluation (section 6), plus the scheduler comparison, the
+   ablations, eager validation and the large-input scale sweep.
 
-     dune exec bench/main.exe              -- everything but the gated experiments
-     dune exec bench/main.exe -- fig6      -- one experiment
-     dune exec bench/main.exe -- eager     -- one gated experiment
+     dune exec bench/main.exe > BENCH_paper.txt  -- every simulated experiment
+     dune exec bench/main.exe -- fig6            -- one experiment
+     dune exec bench/main.exe -- server          -- the host-time experiment
 
-   The gated experiments (eager, scale, server) each write
-   BENCH_<name>.json and exit non-zero naming any failed gate.
-   EXPERIMENTS.md records the paper-vs-measured comparison. *)
+   Every number the default run prints is simulated, so its output is
+   byte-identical from run to run: BENCH_paper.txt is that output,
+   committed, and CI regenerates and diffs it.  A failed gate (every
+   parallel run must reproduce the sequential output, and eager and
+   scale check their own claims) exits 2 naming it.  `server` alone
+   times the host; it writes BENCH_server.json.  EXPERIMENTS.md records
+   the paper-vs-measured comparison, quoting BENCH_paper.txt. *)
 
-open Privateer
 open Privateer_workloads
 open Privateer_support
 open Harness
-
-let section title =
-  Printf.printf "\n================ %s ================\n\n" title
 
 (* ---- Table 1 ----------------------------------------------------------- *)
 
@@ -292,9 +292,9 @@ let fig9 () =
 (* Cyclic vs Blocked vs Chunked self-scheduling on the two loops with
    the most contrasting iteration profiles: dijkstra (uneven relax
    work per node) and blackscholes (uniform per-option work).  The
-   committed state is schedule-independent; only the simulated wall
-   clock differs, so per-policy wall cycles are also emitted as JSON
-   for downstream tooling. *)
+   committed state is schedule-independent (the harness checks every
+   run's output); only the simulated clock differs: the invocation's
+   wall cycles and the whole program's parallel cycles. *)
 let sched () =
   section "Scheduler comparison: iteration-assignment policies at 24 workers";
   let policies =
@@ -304,59 +304,26 @@ let sched () =
   let wls = [ Dijkstra.workload; Blackscholes.workload ] in
   let t =
     Table.create
-      ~aligns:(Table.Left :: List.concat_map (fun _ -> [ Table.Right; Table.Right ]) wls)
+      ~aligns:(Table.Left :: List.init (3 * List.length wls) (fun _ -> Table.Right))
       ("policy"
       :: List.concat_map
-           (fun (wl : Workload.t) -> [ wl.name ^ " wall"; wl.name ^ " speedup" ])
+           (fun (wl : Workload.t) ->
+             [ wl.name ^ " wall"; wl.name ^ " cycles"; wl.name ^ " speedup" ])
            wls)
   in
-  let results =
-    List.map
-      (fun policy ->
-        let runs =
-          List.map
-            (fun wl ->
-              let c = compiled wl in
-              let par = run_parallel ~schedule:policy c in
-              (wl, c, par))
-            wls
-        in
-        Table.add_row t
-          (Privateer_parallel.Schedule.to_string policy
-          :: List.concat_map
-               (fun (_, c, (par : Pipeline.par_run)) ->
-                 [ string_of_int par.stats.wall_cycles; Table.fx (speedup c par) ])
-               runs);
-        (policy, runs))
-      policies
-  in
-  Table.print t;
-  let json =
-    let open Privateer_support.Json in
-    Obj
-      [ ( "scheduler_comparison",
-          List
-            (List.map
-               (fun (policy, runs) ->
-                 Obj
-                   [ ("policy", String (Privateer_parallel.Schedule.to_string policy));
-                     ( "workloads",
-                       List
-                         (List.map
-                            (fun ((wl : Workload.t), c, (par : Pipeline.par_run)) ->
-                              Obj
-                                [ ("program", String wl.name);
-                                  ("wall_cycles", Int par.stats.wall_cycles);
-                                  ("parallel_cycles", Int par.par_cycles);
-                                  ("speedup", Float (speedup c par));
-                                  ("output_identical",
-                                   Bool (String.equal c.seq.seq_output par.par_output))
-                                ])
-                            runs) ) ])
-               results) ) ]
-  in
-  print_newline ();
-  print_endline (Privateer_support.Json.to_string json)
+  List.iter
+    (fun policy ->
+      Table.add_row t
+        (Privateer_parallel.Schedule.to_string policy
+        :: List.concat_map
+             (fun wl ->
+               let c = compiled wl in
+               let par = run_parallel ~schedule:policy c in
+               [ string_of_int par.stats.wall_cycles; string_of_int par.par_cycles;
+                 Table.fx (speedup c par) ])
+             wls))
+    policies;
+  Table.print t
 
 (* ---- ablations ----------------------------------------------------------- *)
 
@@ -390,11 +357,7 @@ let ablation () =
                 { l with assignment = { l.assignment with predictions = [] } })
               c.tr.manifest.loops } }
   in
-  let par =
-    Pipeline.run_parallel
-      ~setup:(Workload.setup Dijkstra.workload Workload.Ref)
-      ~config:(config ()) stripped
-  in
+  let par = run_parallel ~tr:stripped c in
   let with_pred = matrix_run Dijkstra.workload 24 in
   Printf.printf
     "with value prediction   : %s (0 misspeculations)\nwithout value prediction: %s (%d misspeculations, %d iterations recovered)\n"
@@ -425,15 +388,9 @@ let ablation () =
   List.iter
     (fun wl ->
       let c = compiled wl in
-      let novalidate =
-        Pipeline.run_parallel
-          ~setup:(Workload.setup wl Workload.Ref)
-          ~config:{ (config ()) with validate = false }
-          c.tr
-      in
       Table.add_row t
         [ wl.Workload.name; Table.fx (speedup c (matrix_run wl 24));
-          Table.fx (speedup c novalidate) ])
+          Table.fx (speedup c (run_parallel ~validate:false c)) ])
     (Workloads.all ());
   Table.print t
 
@@ -442,25 +399,19 @@ let ablation () =
 let experiments =
   [ ("table1", table1); ("table2", table2); ("table3", table3); ("fig2", fig2);
     ("fig6", fig6); ("fig7", fig7); ("fig8", fig8); ("fig9", fig9);
-    ("sched", sched); ("ablation", ablation) ]
+    ("sched", sched); ("ablation", ablation); ("eager", Eager.run); ("scale", Scale.run) ]
 
 let () =
-  match Array.to_list Sys.argv with
-  | [] | _ :: [] ->
-    List.iter (fun (_, f) -> f ()) experiments;
-    print_newline ();
-    print_endline
-      "(gated experiments, each writing BENCH_<name>.json: dune exec bench/main.exe -- eager | scale | server)"
-  | _ :: names ->
+  match List.tl (Array.to_list Sys.argv) with
+  | [] -> List.iter (fun (_, f) -> f ()) experiments
+  | names ->
     List.iter
       (fun name ->
         match List.assoc_opt name experiments with
         | Some f -> f ()
         | None when name = "server" -> Server.run ()
-        | None when name = "eager" -> Eager.run ()
-        | None when name = "scale" -> Scale.run ()
         | None ->
-          Printf.eprintf "unknown experiment %s (have: %s, server, eager, scale)\n" name
+          Printf.eprintf "unknown experiment %s (have: %s, server)\n" name
             (String.concat ", " (List.map fst experiments));
           exit 1)
       names

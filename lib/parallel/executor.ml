@@ -55,7 +55,7 @@ let run_invocation t (st : Interp.t) fr (spec : Manifest.loop_spec) loop ~init_v
     ~n =
   (* Eager validation: a worker's own misspeculation stops the sweep.
      Without validation nothing misspeculates but injection and
-     faults, so --no-validate ablations run commit's sweep in either
+     faults, so validation-off ablations run commit's sweep in either
      mode. *)
   let eager = t.config.validation = Runtime_config.Eager && t.config.validate in
   let env = env t in

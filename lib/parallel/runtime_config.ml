@@ -50,7 +50,9 @@ type t = {
          sized is gone (the interval reset fills full pages in place). *)
   costs : Cost_model.t;
   inject : (int -> bool) option; (* injected misspeculation, by iteration *)
-  validate : bool; (* false: disable all validation work (ablation) *)
+  validate : bool;
+      (* false: disable validation (ablation); workers still stamp
+         their private writes, so checkpoints commit them *)
   validation : validation;
       (* what a misspeculation stops: nothing before the checkpoint
          merge (Commit, the default), or the interval's sweep at a

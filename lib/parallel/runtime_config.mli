@@ -58,7 +58,9 @@ type t = {
   costs : Cost_model.t;
   inject : (int -> bool) option;
       (** injected misspeculation, by iteration *)
-  validate : bool;  (** [false]: disable all validation (ablation) *)
+  validate : bool;
+      (** [false]: disable validation (ablation); workers still stamp
+          their private writes, so checkpoints commit them *)
   validation : validation;
       (** what a misspeculation stops: {!Commit} (nothing before the
           merge, the default) or {!Eager} (the interval's sweep, at a

@@ -126,7 +126,15 @@ let hooks (env : env) w : Hooks.t =
     | Heap.Default | Heap.Unrestricted | Heap.Shadow ->
       raise (Misspec.Misspeculation (Misspec.Foreign_heap { addr }))
   in
-  if not env.validate then Hooks.default
+  if not env.validate then
+    (* No validation: a private write is still stamped, uncharged and
+       uncounted, so the checkpoint commits it; nothing else runs.
+       With no read marks, no write can fail Table 2. *)
+    { Hooks.default with
+      on_store =
+        (fun _ ~addr ~size ~value:_ ->
+          if Heap.equal_kind heaps.((addr land tag_mask) lsr tag_shift) Heap.Private then
+            Shadow.access w.w_st.machine Shadow.Write ~addr ~size ~beta:w.w_beta) }
   else
     { Hooks.default with
       on_load = (fun id ~addr ~size ~value:_ -> on_access ~is_read:true id ~addr ~size);
@@ -167,8 +175,7 @@ let apply_predictions (env : env) w predictions =
       charge_instr w (cm.c_prediction + cm.base.c_store + cm.c_private_write);
       env.stats.private_bytes_written <- env.stats.private_bytes_written + 8;
       env.stats.cyc_private_write <- env.stats.cyc_private_write + cm.c_private_write;
-      if env.validate then
-        Shadow.access w.w_st.machine Shadow.Write ~addr ~size:8 ~beta:w.w_beta;
+      Shadow.access w.w_st.machine Shadow.Write ~addr ~size:8 ~beta:w.w_beta;
       Machine.set_int w.w_st.machine addr p.pred_value)
     predictions
 

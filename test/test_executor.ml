@@ -83,6 +83,21 @@ let test_speedup_positive () =
   check_int "one invocation" 1 par.stats.invocations;
   check "checkpoints happened" true (par.stats.checkpoints > 0)
 
+(* The validation-off ablation checks nothing, but its workers still
+   stamp their private writes, so every checkpoint commits them and
+   the output is the sequential run's. *)
+let test_no_validation_commits () =
+  List.iter
+    (fun (src, workers) ->
+      let tr, _ = compile src in
+      let seq = Pipeline.run_sequential (Pipeline.parse src) in
+      let par =
+        Pipeline.run_parallel ~config:{ (config ~workers ()) with validate = false } tr
+      in
+      Alcotest.(check string) "sequential output" seq.seq_output par.par_output;
+      check "sequential result" true (par.par_result = seq.seq_result))
+    [ (private_src, 4); (heavy_src, 16) ]
+
 let test_short_lived_equivalence () =
   ignore
     (assert_equivalent
@@ -829,6 +844,8 @@ let suite =
     Alcotest.test_case "all worker counts" `Quick test_worker_counts;
     Alcotest.test_case "all checkpoint periods" `Quick test_checkpoint_periods;
     Alcotest.test_case "speedup is positive" `Quick test_speedup_positive;
+    Alcotest.test_case "no validation still commits private writes" `Quick
+      test_no_validation_commits;
     Alcotest.test_case "short-lived objects" `Quick test_short_lived_equivalence;
     Alcotest.test_case "memory reductions" `Quick test_memory_reduction_equivalence;
     Alcotest.test_case "register reductions" `Quick test_register_reduction_equivalence;

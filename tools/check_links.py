@@ -2,7 +2,7 @@
 """Fail on dead references in the repository's markdown docs.
 
 Scans README.md, DESIGN.md, EXPERIMENTS.md, docs/*.md and the verify
-skill (.claude/skills/verify/SKILL.md) for three kinds of reference,
+skill (.claude/skills/verify/SKILL.md) for four kinds of reference,
 and exits 1 listing every one that is dead:
 
 - inline markdown links and images (``[text](target)``).  Absolute
@@ -11,16 +11,20 @@ and exits 1 listing every one that is dead:
   Anchor fragments (``RUNTIME.md#host-parallelism``) are checked for
   file existence only — heading slugs are not verified;
 - backticked repository paths under lib/, bin/, bench/, test/, tools/,
-  examples/, docs/ or perfbench/, resolved from the repository root.
+  examples/, docs/ or perfbench/, resolved from the repository root
+  (a backticked span may wrap onto the next line).
   A dune executable ``X.exe`` resolves to its source ``X.ml``, a
   brace list (``prof_{ptr,flow}.ml``) must exist in every expansion
   and a glob (``*.ml``) must match something; placeholders
   (``<name>``) are skipped;
 - backticked module references ``privateer_lib.Module`` (or the OCaml
   path ``Privateer_lib.Module``) with no ``module.ml``/``.mli`` in the
-  directory of the dune library named ``privateer_lib``.
+  directory of the dune library named ``privateer_lib``;
+- fenced ``bench`` blocks, quotes of the committed evaluation: each
+  must occur in BENCH_paper.txt as consecutive whole lines, compared
+  without trailing blanks (the tables pad their last column).
 
-Fenced code blocks are skipped: their contents are illustrative.
+Other fenced code blocks are skipped: their contents are illustrative.
 ROADMAP.md and CHANGES.md record history and are not scanned.
 
 Usage: python3 tools/check_links.py  (from the repository root)
@@ -33,12 +37,13 @@ from pathlib import Path
 
 LINK = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 SKIP = ("http://", "https://", "mailto:")
-CODE = re.compile(r"`([^`\n]+)`")
+CODE = re.compile(r"`([^`]+)`")
 PATH = re.compile(
     r"(?<![\w./-])((?:lib|bin|bench|test|tools|examples|docs|perfbench)/"
     r"(?:\{[^{}\s]*\}|[^\s`'\"(),;{])*)")
 MODULE = re.compile(r"(?<![\w.])([Pp]rivateer(?:_[a-z]+)?)\.([A-Z]\w*)")
 LIBRARY = re.compile(r"\(library\s*\(name\s+(\w+)\)")
+BENCH = re.compile(r"^```bench\n(.*?)^```", re.S | re.M)
 
 
 def doc_files(root: Path):
@@ -77,6 +82,10 @@ def path_exists(root: Path, path: str) -> bool:
     return True
 
 
+def unpadded(text: str) -> str:
+    return "".join(line.rstrip() + "\n" for line in text.splitlines())
+
+
 def module_exists(libs, library: str, module: str) -> bool:
     d = libs.get(library.lower())
     if d is None:
@@ -89,12 +98,19 @@ def main() -> int:
     root = Path(__file__).resolve().parent.parent
     files = doc_files(root)
     libs = libraries(root)
+    paper = "\n" + unpadded((root / "BENCH_paper.txt").read_text(encoding="utf-8"))
     dead = []
-    links = paths = modules = 0
+    links = paths = modules = quotes = 0
     for md in files:
-        # Strip fenced code blocks: references inside them are illustrative.
-        text = re.sub(r"```.*?```", "", md.read_text(encoding="utf-8"), flags=re.S)
+        raw = md.read_text(encoding="utf-8")
         rel = md.relative_to(root)
+        for m in BENCH.finditer(raw):
+            quotes += 1
+            if "\n" + unpadded(m.group(1)) not in paper:
+                line = raw.count("\n", 0, m.start()) + 1
+                dead.append(f"{rel}:{line}: bench excerpt not in BENCH_paper.txt")
+        # Strip fenced code blocks: references inside them are illustrative.
+        text = re.sub(r"```.*?```", "", raw, flags=re.S)
         for m in LINK.finditer(text):
             target = m.group(1)
             if target.startswith(SKIP) or target.startswith("#"):
@@ -119,8 +135,8 @@ def main() -> int:
                     dead.append(f"{rel}: dead module `{m.group(0)}`")
     for line in dead:
         print(line, file=sys.stderr)
-    print(f"checked {links} relative links, {paths} code paths and {modules} "
-          f"module names in {len(files)} files: "
+    print(f"checked {links} relative links, {paths} code paths, {modules} "
+          f"module names and {quotes} bench excerpts in {len(files)} files: "
           f"{'OK' if not dead else f'{len(dead)} dead'}")
     return 1 if dead else 0
 
