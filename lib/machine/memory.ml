@@ -1,5 +1,5 @@
-(* Byte-addressable memory with 4 KiB pages, copy-on-write snapshots,
-   and per-heap page indexes.
+(* Byte-addressable memory with 4 KiB pages and copy-on-write
+   snapshots.
 
    This stands in for the paper's POSIX shm/mmap substrate: each
    simulated worker process owns a page table; [snapshot] gives a
@@ -7,30 +7,33 @@
    mechanism the Privateer runtime uses to replicate a logical heap's
    storage without changing virtual addresses (paper section 5.1).
 
-   The page table is bucketed by the 3-bit heap tag in address bits
-   44-46: one bank (hashtable) and one dirty set per logical heap.
-   Bulk consumers (checkpoint extraction, shadow metadata reset) walk
-   exactly one bank instead of filtering a global table, and each page
-   carries exact mark counts the shadow layer maintains, so scans skip
-   a page with no marks wholesale and stop on another once its marks
-   are found.
+   Each memory keeps one page table, one dirty set and, per logical
+   heap (the 3-bit tag in address bits 44-46), a count of its mapped
+   pages.  The interval's bulk work walks the dirty set: checkpoint
+   extraction and the metadata reset visit only the shadow pages
+   written this interval ([dirty_pages ~heap]), because those hold
+   every timestamp.  Each page carries the exact count of its
+   timestamp bytes, which the shadow layer maintains, so both stop a
+   page scan once its timestamps are found.  One flag per memory
+   records whether the shadow layer ever made a read-live-in mark in
+   it, so phase 2 probes only the workers that read something live-in.
 
    Unmapped pages read as zero, so the shadow heap's metadata starts
    at code 0 (live-in) with no explicit initialization, as in the
    paper.
 
-   In front of the banks sits a 64-slot direct-mapped page cache (a
-   software TLB): each slot holds one (page number, page) pair, so a
-   load, store or shadow access whose page is cached costs one array
+   In front of the page table sits a 64-slot direct-mapped page cache
+   (a software TLB): each slot holds one (page number, page) pair, so
+   a load, store or shadow access whose page is cached costs one array
    probe instead of a hashtable lookup.  An unmapped page is cached
    as [absent], a shared all-zero page that nothing writes; only
    [page_for_read] returns it, so a reader can take a word from any
    address's page with no [option] to unwrap.  Coherence rests on
    three facts:
    - only [touch_page] maps or replaces a page in a memory's own
-     banks (a fresh page or a copy-on-write clone), and it refills
+     table (a fresh page or a copy-on-write clone), and it refills
      the page's slot when it does;
-   - nothing removes a page from a bank;
+   - nothing removes a page from a table;
    - [snapshot] gives the child an empty cache, and the parent's
      cached entries stay valid because copy-on-write state lives on
      the page ([shared]), so the parent's next write still clones.
@@ -56,8 +59,8 @@
    [page] is a private record outside this module: anyone may read its
    fields, and the bytes of a page from [touch_page] may be written in
    place (the interpreter's aligned stores, the shadow layer's
-   metadata), but its counts change only through the functions below
-   ([add_*], [clear_timestamp_bytes]), and [shared] and
+   metadata), but its count changes only through [add_timestamp_bytes]
+   and [clear_timestamp_bytes], and [shared] and
    [written_this_interval] only inside this module. *)
 
 open Privateer_ir
@@ -85,25 +88,17 @@ type page = {
   mutable timestamp_bytes : int;
       (* exact count of shadow timestamp bytes (metadata >= 3) on this
          page, maintained by the shadow layer (Shadow.access adds,
-         reset zeroes).  A page with none is skipped by the reset and,
-         with no read-live-in marks either, by checkpoint extraction;
-         [timestamp_bytes = page_size] proves the page fully
-         timestamped, so the reset can fill it in one memset.  Only the
-         shadow layer may write metadata on counted pages. *)
-  mutable live_in_bytes : int;
-      (* exact count of read-live-in marks (metadata = 2) on this
-         page, the read-side mirror of [timestamp_bytes].  Together
-         the two counts bound the marked bytes on a page, letting
-         checkpoint extraction stop a page scan as soon as all marks
-         have been found.  Marks survive the interval reset (live-in
-         reads accumulate across the cohort), so unlike
-         [timestamp_bytes] this count is never bulk-zeroed. *)
+         reset zeroes).  A page with none is skipped by the reset and
+         by checkpoint extraction, and both stop scanning a page once
+         they have found this many; [timestamp_bytes = page_size]
+         proves the page fully timestamped, so the reset can fill it in
+         one memset.  Only the shadow layer may write metadata on
+         counted pages. *)
 }
 
 let fresh_page () =
   { bytes = Bytes.make page_size '\000'; ftags = Bytes.make words_per_page int_tag;
-    shared = false; written_this_interval = false; timestamp_bytes = 0;
-    live_in_bytes = 0 }
+    shared = false; written_this_interval = false; timestamp_bytes = 0 }
 
 (* What the page cache holds for an unmapped page: reads of it see
    zeros, [is_mapped] answers false for it and [touch_page] replaces
@@ -118,39 +113,35 @@ let cache_slots = 64
 let[@inline] slot_of_key key = (key + (9 * tag_of_key key)) land (cache_slots - 1)
 
 type t = {
-  banks : (int, page) Hashtbl.t array; (* heap tag -> page number -> page *)
-  dirty : (int, unit) Hashtbl.t array; (* heap tag -> dirty page numbers *)
+  pages : (int, page) Hashtbl.t; (* page number -> page *)
+  dirty : (int, unit) Hashtbl.t; (* page numbers written since [clear_dirty] *)
+  mapped : int array; (* heap tag -> its mapped pages *)
+  mutable live_in_marks : bool; (* the shadow layer made a read-live-in mark *)
   cache_keys : int array; (* slot -> cached page number, -1 when empty *)
   cache_pages : page array; (* slot -> its page, or [absent] *)
 }
 
-let create () =
-  { banks = Array.init n_heaps (fun _ -> Hashtbl.create 16);
-    dirty = Array.init n_heaps (fun _ -> Hashtbl.create 8);
+(* A memory over [pages], with an empty dirty set and page cache. *)
+let of_pages pages ~mapped ~live_in_marks =
+  { pages; dirty = Hashtbl.create 16; mapped; live_in_marks;
     cache_keys = Array.make cache_slots (-1);
     cache_pages = Array.make cache_slots absent }
 
-(* The clone inherits the exact mark counts: they describe page
+let create () = of_pages (Hashtbl.create 16) ~mapped:(Array.make n_heaps 0) ~live_in_marks:false
+
+(* The clone inherits the exact timestamp count: it describes page
    content, which the copy shares at clone time. *)
 let clone_page p =
   { bytes = Bytes.copy p.bytes; ftags = Bytes.copy p.ftags; shared = false;
-    written_this_interval = p.written_this_interval;
-    timestamp_bytes = p.timestamp_bytes; live_in_bytes = p.live_in_bytes }
+    written_this_interval = p.written_this_interval; timestamp_bytes = p.timestamp_bytes }
 
 (* Copy-on-write child: shares every current page with the parent.
-   Both sides will clone a shared page on first write. *)
+   Both sides will clone a shared page on first write.  The child's
+   dirty set starts empty. *)
 let snapshot t =
-  let child = create () in
-  Array.iteri
-    (fun tag bank ->
-      let cbank = child.banks.(tag) in
-      Hashtbl.iter
-        (fun key page ->
-          page.shared <- true;
-          Hashtbl.replace cbank key page)
-        bank)
-    t.banks;
-  child
+  Hashtbl.iter (fun _ page -> page.shared <- true) t.pages;
+  of_pages (Hashtbl.copy t.pages) ~mapped:(Array.copy t.mapped)
+    ~live_in_marks:t.live_in_marks
 
 let page_of_addr addr = addr lsr page_shift
 let offset_of_addr addr = addr land (page_size - 1)
@@ -159,12 +150,13 @@ let base_of_page key = key lsl page_shift
 let clear_timestamp_bytes p = p.timestamp_bytes <- 0
 
 let add_timestamp_bytes p n = p.timestamp_bytes <- p.timestamp_bytes + n
-let add_live_in_bytes p n = p.live_in_bytes <- p.live_in_bytes + n
+let note_live_in_mark t = t.live_in_marks <- true
+let has_live_in_marks t = t.live_in_marks
 
-(* A cache miss: one bank lookup and a slot refill. *)
+(* A cache miss: one table lookup and a slot refill. *)
 let[@inline never] refill t key slot =
   let p =
-    match Hashtbl.find_opt t.banks.(tag_of_key key) key with
+    match Hashtbl.find_opt t.pages key with
     | Some p -> p
     | None -> absent
   in
@@ -191,12 +183,18 @@ let touch_page t addr =
   let p = lookup t key in
   if p.written_this_interval && not p.shared then p
   else begin
-    let tag = tag_of_key key in
-    Hashtbl.replace t.dirty.(tag) key ();
+    Hashtbl.replace t.dirty key ();
     let p =
       if p == absent || p.shared then begin
-        let p' = if p == absent then fresh_page () else clone_page p in
-        Hashtbl.replace t.banks.(tag) key p';
+        let p' =
+          if p == absent then begin
+            let tag = tag_of_key key in
+            t.mapped.(tag) <- t.mapped.(tag) + 1;
+            fresh_page ()
+          end
+          else clone_page p
+        in
+        Hashtbl.replace t.pages key p';
         (* [lookup] left [key] in its slot. *)
         t.cache_pages.(slot_of_key key) <- p';
         p'
@@ -248,10 +246,7 @@ let write_word t addr bits is_float =
 
 (* ---- bulk API --------------------------------------------------------- *)
 
-let fold_pages t ~heap ~init ~f =
-  Hashtbl.fold (fun key page acc -> f ~key page acc) t.banks.(Heap.tag heap) init
-
-let mapped_page_count t ~heap = Hashtbl.length t.banks.(Heap.tag heap)
+let mapped_page_count t ~heap = t.mapped.(Heap.tag heap)
 
 let fill_words t addr ~words bits is_float =
   if addr land 7 <> 0 then
@@ -302,36 +297,20 @@ let read_words t addr ~words dst ~bits_pos ~tags_pos =
 
 (* ---- dirty tracking --------------------------------------------------- *)
 
-let dirty_pages ?heap t =
-  match heap with
-  | Some h -> Hashtbl.fold (fun k () acc -> k :: acc) t.dirty.(Heap.tag h) []
-  | None ->
-    Array.fold_left
-      (fun acc d -> Hashtbl.fold (fun k () a -> k :: a) d acc)
-      [] t.dirty
+let dirty_pages t ~heap =
+  let tag = Heap.tag heap in
+  Hashtbl.fold (fun k () acc -> if tag_of_key k = tag then k :: acc else acc) t.dirty []
 
 let clear_dirty t =
-  Array.iteri
-    (fun tag d ->
-      if Hashtbl.length d > 0 then begin
-        let bank = t.banks.(tag) in
-        Hashtbl.iter
-          (fun key () ->
-            match Hashtbl.find_opt bank key with
-            | Some p -> p.written_this_interval <- false
-            | None -> ())
-          d;
-        Hashtbl.reset d
-      end)
-    t.dirty
+  if Hashtbl.length t.dirty > 0 then begin
+    Hashtbl.iter (fun key () -> (Hashtbl.find t.pages key).written_this_interval <- false) t.dirty;
+    Hashtbl.reset t.dirty
+  end
 
-let dirty_count t = Array.fold_left (fun acc d -> acc + Hashtbl.length d) 0 t.dirty
+let dirty_count t = Hashtbl.length t.dirty
 
 (* All page numbers mapped in [t] (zero pages excluded). *)
-let mapped_pages t =
-  Array.fold_left
-    (fun acc bank -> Hashtbl.fold (fun k _ a -> k :: a) bank acc)
-    [] t.banks
+let mapped_pages t = Hashtbl.fold (fun k _ acc -> k :: acc) t.pages []
 
 (* ---- comparison ------------------------------------------------------- *)
 

@@ -1,15 +1,15 @@
-(** Byte-addressable memory with 4 KiB pages, copy-on-write snapshots,
-    and per-heap page indexes — the stand-in for the paper's POSIX
-    shm/mmap substrate.
+(** Byte-addressable memory with 4 KiB pages and copy-on-write
+    snapshots — the stand-in for the paper's POSIX shm/mmap substrate.
 
-    Pages are bucketed by the 3-bit heap tag in address bits 44–46
-    ([Heap.tag_shift]), so bulk operations (checkpoint extraction,
-    metadata resets) visit exactly one logical heap's pages instead of
-    filtering the whole page table.  Each page additionally carries
-    exact mark counts maintained by the shadow-metadata layer
-    ([timestamp_bytes], [live_in_bytes]) plus a [written_this_interval]
-    mark maintained by the dirty tracking, letting scans skip pages
-    with nothing to find.
+    Each memory keeps one page table and one dirty set.  Bulk interval
+    work (checkpoint extraction, the metadata reset) walks one logical
+    heap's dirty pages ({!dirty_pages}); the heap is the 3-bit tag in
+    address bits 44–46 ([Heap.tag_shift]).  Each page carries the exact
+    count of its shadow timestamp bytes, maintained by the
+    shadow-metadata layer, and a [written_this_interval] mark
+    maintained by the dirty tracking, so scans skip pages with nothing
+    to find.  One flag per memory records whether the shadow layer
+    made a read-live-in mark in it ({!has_live_in_marks}).
 
     Unmapped pages read as zero (so shadow metadata starts at code 0,
     live-in, with no initialization).  Each 8-byte-aligned word carries
@@ -54,32 +54,24 @@ type t
       resolution per run).  A page from {!page_for_read} is read-only:
       it may be shared copy-on-write, or be the all-zero page that
       stands for every unmapped one.
-    - The exact counts change only through {!clear_timestamp_bytes},
-      {!add_timestamp_bytes} and {!add_live_in_bytes}; [shared] and
-      [written_this_interval] only inside this module.
-      [written_this_interval] mirrors membership in the dirty set and
-      is cleared by {!clear_dirty}.
+    - The exact count changes only through {!clear_timestamp_bytes}
+      and {!add_timestamp_bytes}; [shared] and [written_this_interval]
+      only inside this module.  [written_this_interval] mirrors
+      membership in the dirty set and is cleared by {!clear_dirty}.
     - [timestamp_bytes] is the exact count of shadow timestamp bytes
       (metadata [>= 3]): [Shadow.access] adds to it, the interval
       reset zeroes it through {!clear_timestamp_bytes}, and it
       survives copy-on-write cloning.  A page with none is one the
-      reset skips; [timestamp_bytes = page_size] proves the page fully
-      timestamped, so the reset fills it in one memset instead of
-      scanning it.
-    - [live_in_bytes] is the exact count of read-live-in marks
-      (metadata [= 2]), the read-side mirror.  Live-in marks
-      accumulate across a cohort (the interval reset keeps them), so it
-      is never bulk-zeroed.  With [timestamp_bytes] it bounds the
-      marked bytes on a page, so checkpoint extraction skips a page
-      with neither and stops a page scan once every mark has been
-      found. *)
+      reset and checkpoint extraction skip, and both stop a page scan
+      once they have found that many; [timestamp_bytes = page_size]
+      proves the page fully timestamped, so the reset fills it in one
+      memset instead of scanning it. *)
 type page = private {
   bytes : Bytes.t;
   ftags : Bytes.t;
   mutable shared : bool;  (** may be referenced by another page table *)
   mutable written_this_interval : bool;
   mutable timestamp_bytes : int;
-  mutable live_in_bytes : int;
 }
 
 val clear_timestamp_bytes : page -> unit
@@ -90,16 +82,23 @@ val add_timestamp_bytes : page -> int -> unit
 (** Add a (possibly negative) delta to [timestamp_bytes].  Shadow
     layer only. *)
 
-val add_live_in_bytes : page -> int -> unit
-(** Add a (possibly negative) delta to [live_in_bytes].  Shadow layer
-    only. *)
+val note_live_in_mark : t -> unit
+(** Record that the shadow layer made a read-live-in mark (metadata
+    [2]) in this memory.  Shadow layer only. *)
+
+val has_live_in_marks : t -> bool
+(** Whether {!note_live_in_mark} was called on this memory, or on the
+    memory it was snapshot from before the snapshot.  Marks are never
+    erased within a cohort, so a memory without the flag holds none:
+    phase 2 probes only the shadow words of memories with it. *)
 
 val create : unit -> t
 (** An empty memory (every read sees zero). *)
 
 (** Copy-on-write child sharing every current page with the parent;
     either side's first write to a shared page clones it.  The child
-    starts with an empty page cache. *)
+    starts with an empty page cache and an empty dirty set, and keeps
+    the parent's per-heap page counts and live-in flag. *)
 val snapshot : t -> t
 
 val page_of_addr : int -> int
@@ -112,7 +111,7 @@ val offset_of_addr : int -> int
 val base_of_page : int -> int
 
 (** The page containing [addr], for reading.  An unmapped address gets
-    one shared all-zero page, with both counts 0,
+    one shared all-zero page, with a timestamp count of 0,
     so a read of it sees what an unmapped read sees.  Read-only, like
     every page not from {!touch_page}.  Never maps a page or clones
     one; it only refills the memory's page cache on a miss.  Every
@@ -157,13 +156,8 @@ val write_word : t -> int -> int64 -> bool -> unit
     These are the only sanctioned ways to walk pages; no caller should
     resolve a page per byte. *)
 
-(** Fold over the mapped pages of one logical heap (its bank of the
-    page index).  Do not map or unmap pages of the same heap from
-    inside [f]; collect keys first if mutation is needed. *)
-val fold_pages :
-  t -> heap:Privateer_ir.Heap.kind -> init:'a -> f:(key:int -> page -> 'a -> 'a) -> 'a
-
-(** Number of mapped pages in one heap's bank (O(1)). *)
+(** Number of mapped pages of one logical heap (O(1): a count kept
+    per heap). *)
 val mapped_page_count : t -> heap:Privateer_ir.Heap.kind -> int
 
 (** Fill [words] 8-byte words starting at [addr] with [bits], setting
@@ -180,9 +174,9 @@ val fill_words : t -> int -> words:int -> int64 -> bool -> unit
     and tag equals what {!read_word} returns. *)
 val read_words : t -> int -> words:int -> Bytes.t -> bits_pos:int -> tags_pos:int -> unit
 
-(** Pages written since the last [clear_dirty] (page numbers), across
-    all heaps or restricted to one heap's bank. *)
-val dirty_pages : ?heap:Privateer_ir.Heap.kind -> t -> int list
+(** The page numbers of one logical heap written since the last
+    {!clear_dirty}, in no particular order. *)
+val dirty_pages : t -> heap:Privateer_ir.Heap.kind -> int list
 
 val clear_dirty : t -> unit
 (** Empty the dirty set (checkpoint interval boundary). *)
@@ -190,7 +184,7 @@ val clear_dirty : t -> unit
 val dirty_count : t -> int
 (** Size of the dirty set — the checkpoint copy-cost charge. *)
 
-(** All mapped page numbers, across every heap bank. *)
+(** All mapped page numbers, across every heap. *)
 val mapped_pages : t -> int list
 
 (** Byte-for-byte equality over [\[lo, hi)]; unmapped reads as zero.

@@ -1,15 +1,16 @@
 (* Checkpoint collection, phase 2, and commit (paper section 5.2).
 
    Per interval, each worker adds its speculative state to the
-   interval's one table (a scan of its marked shadow pages); phase 2
-   probes that table with every worker's live-in bytes; a clean
-   interval commits into the main process: the table's private bytes,
-   absolute reduction values, register-reduction folds, deferred
-   output in iteration order, and per-worker metadata reset (which
-   visits only pages holding timestamps, while the simulated per-page
-   charge stays on every mapped shadow page).  The final interval
-   additionally adopts allocator state and live-out private registers
-   from the worker that ran the last iteration.
+   interval's one table (a scan of its dirty shadow pages); phase 2
+   probes the shadow heaps of the workers holding live-in marks at the
+   table's words; a clean interval commits into the main process: the
+   table's private bytes, absolute reduction values, register-reduction
+   folds, deferred output in iteration order, and per-worker metadata
+   reset, before the dirty clear so that the dirty set holds every
+   timestamp the reset and the next extraction must find (the
+   simulated per-page charge stays on every mapped shadow page).  The
+   final interval additionally adopts allocator state and live-out
+   private registers from the worker that ran the last iteration.
 
    Phase 2 here is the only check of cross-worker conflicts, in both
    validation modes: `--validation eager` stops an interval only on a
@@ -88,9 +89,10 @@ let collect ctx workers =
   cp
 
 (* Phase 2 on the interval's table, timed into the run's Stats.  A
-   write-free interval can convict no read, so it reads no clock. *)
+   write-free interval, or a cohort that read nothing live-in, can
+   convict no read, so it reads no clock. *)
 let merge ctx (cp : Checkpoint.t) =
-  if Hashtbl.length cp.Checkpoint.words = 0 then None
+  if Hashtbl.length cp.Checkpoint.words = 0 || cp.readers = [] then None
   else begin
     let stats = ctx.env.Worker.stats in
     let t0 = Privateer_support.Clock.now_ns () in
@@ -117,7 +119,7 @@ let commit_interval ctx (st : Interp.t) fr workers (m : Checkpoint.t) ~lo ~hi =
        m.Checkpoint.contributions);
   Deferred_io.commit_range ctx.io ~lo ~hi ~sink:ctx.emit_main;
   stats.checkpoints <- stats.checkpoints + 1;
-  (* Metadata reset + dirty clear per worker, charged per mapped
+  (* Metadata reset, then dirty clear, per worker, charged per mapped
      shadow page. *)
   List.iter
     (fun (w : Worker.t) ->

@@ -3,20 +3,22 @@
 
    Each checkpoint interval builds one table, the checkpoint object
    every worker adds its state to.  Extraction scans each worker's
-   marked shadow pages once: it folds the words the worker wrote into
-   the table and lists the bytes it read as live-in.  Per word the
-   table keeps, byte by byte, the latest timestamp any worker wrote
-   and the byte that write left, plus the float tag and the sole
-   writer.  One merge's timestamps share the interval's start, so raw
-   metadata bytes compare in iteration order.
+   dirty shadow pages once, which hold every timestamp of the
+   interval, and folds the words the worker wrote into the table.
+   Per word the table keeps, byte by byte, the latest timestamp any
+   worker wrote and the byte that write left, plus the float tag and
+   the sole writer.  One merge's timestamps share the interval's
+   start, so raw metadata bytes compare in iteration order.
 
-   Phase 2 probes the same table with every worker's live-in bytes: a
-   byte one worker read as live-in conflicts with another worker's
-   write to its word (conservatively, at any iteration).  Live-in marks
-   outlive the interval reset, so phase 2 sees every mark of the
-   cohort; but the table holds one interval's writes, so a read of a
-   word another worker wrote in an earlier interval of the cohort goes
-   unchecked (ROADMAP item 7).
+   Phase 2 reads the metadata it validates: at each word of the table
+   it probes the shadow word of every worker that holds a read-live-in
+   mark and is not the word's sole writer, so a byte one worker read
+   as live-in conflicts with another worker's write to its word
+   (conservatively, at any iteration).  Live-in marks outlive the
+   interval reset and the probe reads clean pages too, so phase 2 sees
+   every mark of the cohort; but the table holds one interval's
+   writes, so a read of a word another worker wrote in an earlier
+   interval of the cohort goes unchecked (ROADMAP item 7).
 
    A clean interval's table is installed into the main process's
    heaps. *)
@@ -40,10 +42,6 @@ type word = {
 }
 
 type contribution = {
-  worker : int;
-  live_in : int list;
-      (* the first read-live-in byte of each private word holding one:
-         phase 2 decides a word at once and pins its first byte *)
   (* snapshot of the worker's reduction-heap partials, flat: for the
      n words of the reduction ranges in range order, n 8-byte
      little-endian words, then n float-tag bytes *)
@@ -56,6 +54,9 @@ type contribution = {
 type t = {
   words : (int, word) Hashtbl.t;
   contributions : contribution list;
+  readers : (int * Memory.t) list;
+      (* each worker whose memory holds a read-live-in mark, with that
+         memory: the shadow heaps phase 2 probes *)
   total_pages : int;
 }
 
@@ -92,43 +93,32 @@ let fold_word words ~worker ~meta ~(data : Memory.page) off addr =
     done;
     if !taken = 8 then w.float_tag <- tag else if !taken > 0 then w.float_tag <- false
 
-(* Scan one shadow page of a worker: fold its timestamped words into
-   the table and return [live_in] with the page's live-in words added.
-   The scan is word-wise on the page's bytes (an all-zero metadata
-   word is all live-in) and bounded by the page's exact mark counts:
-   once [timestamp_bytes + live_in_bytes] marked bytes have been found,
-   the rest of the page is provably unmarked and the scan stops —
-   O(marked bytes) on sparse pages, nothing on a page with no marks. *)
-let scan_page words ~worker mem ~key (page : Memory.page) live_in =
-  let marks = ref (page.timestamp_bytes + page.live_in_bytes) in
-  if !marks = 0 then live_in
-  else begin
+(* Scan one dirty shadow page of a worker and fold its timestamped
+   words into the table.  The scan is word-wise on the page's bytes (an
+   all-zero metadata word is all live-in) and bounded by the page's
+   exact timestamp count: once that many timestamps have been found,
+   the rest of the page provably holds none and the scan stops —
+   O(timestamps) on sparse pages, nothing on a page with none. *)
+let scan_page words ~worker mem key =
+  let shadow = Memory.base_of_page key in
+  let page = Memory.page_for_read mem shadow in
+  let stamps = ref page.timestamp_bytes in
+  if !stamps > 0 then begin
     let meta = page.bytes in
-    let base = Heap.private_of_shadow (Memory.base_of_page key) in
+    let base = Heap.private_of_shadow shadow in
     let data = Memory.page_for_read mem base in
-    let live_in = ref live_in in
     let off = ref 0 in
-    while !marks > 0 && !off < Memory.page_size do
+    while !stamps > 0 && !off < Memory.page_size do
       let word = !off in
       if Bytes.get_int64_le meta word <> 0L then begin
-        let stamped = ref false and first_live_in = ref (-1) in
+        let found = !stamps in
         for i = word to word + 7 do
-          let m = Char.code (Bytes.unsafe_get meta i) in
-          if Shadow.is_timestamp m then begin
-            decr marks;
-            stamped := true
-          end
-          else if m = Shadow.read_live_in then begin
-            decr marks;
-            if !first_live_in < 0 then first_live_in := i
-          end
+          if Shadow.is_timestamp (Char.code (Bytes.unsafe_get meta i)) then decr stamps
         done;
-        if !first_live_in >= 0 then live_in := (base + !first_live_in) :: !live_in;
-        if !stamped then fold_word words ~worker ~meta ~data word (base + word)
+        if !stamps < found then fold_word words ~worker ~meta ~data word (base + word)
       end;
       off := word + 8
-    done;
-    !live_in
+    done
   end
 
 type extract_request = {
@@ -154,13 +144,12 @@ let read_redux mem ranges =
        0 ranges);
   buf
 
-(* Build the interval's table: one scan per worker over every shadow
-   page holding marks, plus a copy of its reduction words.  Timestamps
-   sit only on pages written this interval, but read-live-in marks
-   accumulate over the cohort, and re-reading a marked byte does not
-   touch its page, so the scan covers the whole bank, not only the
-   dirty pages.  The table starts at the smallest size and grows with
-   the words written. *)
+(* Build the interval's table: one scan per worker over its dirty
+   shadow pages, plus a copy of its reduction words.  Timestamps sit
+   only on pages written this interval: a worker forks a main process
+   with no shadow metadata, and the commit resets every timestamp
+   before it clears the dirty set.  The table starts at the smallest
+   size and grows with the words written. *)
 let extract (reqs : extract_request list) =
   let words = Hashtbl.create 16 in
   let contributions =
@@ -168,32 +157,51 @@ let extract (reqs : extract_request list) =
       (fun req ->
         let mem = req.req_machine.Machine.mem in
         let worker = req.req_worker in
-        { worker;
-          live_in = Memory.fold_pages mem ~heap:Heap.Shadow ~init:[] ~f:(scan_page words ~worker mem);
-          redux_words = read_redux mem req.req_redux_ranges;
+        List.iter (scan_page words ~worker mem) (Memory.dirty_pages mem ~heap:Heap.Shadow);
+        { redux_words = read_redux mem req.req_redux_ranges;
           reg_partials = req.req_reg_partials; pages_touched = Memory.dirty_count mem })
       reqs
   in
-  { words; contributions;
+  let readers =
+    List.filter_map
+      (fun req ->
+        let mem = req.req_machine.Machine.mem in
+        if Memory.has_live_in_marks mem then Some (req.req_worker, mem) else None)
+      reqs
+  in
+  { words; contributions; readers;
     total_pages = List.fold_left (fun acc c -> acc + c.pages_touched) 0 contributions }
 
-(* Phase 2: each worker's live-in words probe the table once each.  A
-   word another worker wrote (or two workers did) convicts the read,
-   regardless of iteration order, as in the paper's one-byte-metadata
-   design.  The verdict is the smallest conflicting byte, so it cannot
-   depend on the order of pages, workers or the table. *)
+(* The first byte of the private word at [addr] that [mem]'s shadow
+   heap marks read-live-in, or [max_int]. *)
+let first_live_in mem addr =
+  let shadow = Heap.shadow_of_private addr in
+  let meta = (Memory.page_for_read mem shadow).Memory.bytes in
+  let off = Memory.offset_of_addr shadow in
+  let rec find i =
+    if i = 8 then max_int
+    else if Char.code (Bytes.get meta (off + i)) = Shadow.read_live_in then addr + i
+    else find (i + 1)
+  in
+  if Bytes.get_int64_le meta off = 0L then max_int else find 0
+
+(* Phase 2: each word of the table probes the shadow word of every
+   reader other than its sole writer.  A read-live-in byte there
+   convicts the read, regardless of iteration order, as in the paper's
+   one-byte-metadata design.  The verdict is the smallest conflicting
+   byte, so it cannot depend on the order of workers or the table. *)
 let validate t =
+  let rec probe addr writer first = function
+    | [] -> first
+    | (reader, mem) :: readers ->
+      let first = if reader = writer then first else min first (first_live_in mem addr) in
+      probe addr writer first readers
+  in
   let first = ref max_int in
-  List.iter
-    (fun c ->
-      List.iter
-        (fun addr ->
-          if addr < !first then
-            match Hashtbl.find_opt t.words (word_base addr) with
-            | Some w when w.writer <> c.worker -> first := addr
-            | Some _ | None -> ())
-        c.live_in)
-    t.contributions;
+  if t.readers <> [] then
+    Hashtbl.iter
+      (fun addr w -> if addr < !first then first := probe addr w.writer !first t.readers)
+      t.words;
   if !first = max_int then None else Some (Misspec.Phase2 { addr = !first })
 
 (* Install a clean interval's table into the main process's memory

@@ -2,8 +2,9 @@
     sections 5.1–5.2).
 
     Each interval builds one table, {!t}: extraction folds every
-    worker's private writes into it, phase 2 ({!validate}) probes it
-    with every worker's live-in bytes, and a clean interval's table is
+    worker's private writes into it from its dirty shadow pages, phase
+    2 ({!validate}) probes the shadow heap of every worker holding a
+    live-in mark at each word of it, and a clean interval's table is
     installed into the main process ({!apply_overlay}).  Reduction
     partials fold over pre-spawn base values.  Nothing outlives the
     interval: the next one builds a fresh table, so phase 2 sees every
@@ -14,9 +15,9 @@
 open Privateer_interp
 
 val word_base : int -> int
-(** The 8-byte word containing a byte address ([addr land lnot 7]) —
-    the mask mapping byte-granular live-in marks onto the
-    word-granular phase-2 probe. *)
+(** The 8-byte word containing a byte address ([addr land lnot 7]):
+    the table, and so phase 2, is word-granular while shadow metadata
+    is per byte. *)
 
 (** What this interval's writes leave in one private word.  Each byte
     takes its latest-iteration writer across workers. *)
@@ -38,11 +39,6 @@ type word = {
 (** One worker's interval state besides its writes, which go into the
     table. *)
 type contribution = {
-  worker : int;  (** the contributing worker's id *)
-  live_in : int list;
-      (** the first read-live-in byte (metadata 2) of each private word
-          holding one, from every marked shadow page: marks accumulate
-          over the cohort *)
   redux_words : Bytes.t;
       (** reduction partial snapshot, flat and unboxed: for the [n]
           words of the requested reduction ranges in range order, [n]
@@ -60,8 +56,13 @@ type t = {
       (** private word address → what the interval's writes leave in
           it; empty on a write-free interval *)
   contributions : contribution list;
-      (** in request order; kept for phase 2, the reduction folds and
-          the final commit *)
+      (** in request order; kept for the reduction folds and the final
+          commit *)
+  readers : (int * Privateer_machine.Memory.t) list;
+      (** each worker whose memory holds a read-live-in mark
+          ([Memory.has_live_in_marks]), with that memory: the shadow
+          heaps phase 2 probes.  Empty when the cohort read nothing
+          live-in, as on every port. *)
   total_pages : int;  (** summed page-copy charge across workers *)
 }
 
@@ -76,16 +77,20 @@ type extract_request = {
 }
 
 (** Build the interval's table from every worker: one scan of each
-    shadow page holding marks (timestamps or read-live-in marks),
-    stopping once the page's exact mark counts are found.  The table
-    does not depend on the order of workers or pages. *)
+    dirty shadow page holding timestamps, stopping once the page's
+    exact timestamp count is found.  No other page is visited: the
+    dirty set holds every timestamp of the interval
+    ([Shadow.reset_interval]).  The table does not depend on the order
+    of workers or pages. *)
 val extract : extract_request list -> t
 
-(** Phase 2: one table probe per live-in word.  A live-in byte
-    conflicts when a worker other than its reader wrote its word this
-    interval, at any iteration.  The verdict is pinned to the smallest
-    conflicting byte address, so it never depends on iteration
-    order. *)
+(** Phase 2: for each word of the table, one shadow-word probe per
+    reader that is not the word's sole writer.  A read-live-in byte
+    there conflicts: a worker other than its reader wrote its word this
+    interval, at any iteration.  The probe reads the reader's shadow
+    heap, so it sees marks on pages the interval never dirtied.  The
+    verdict is pinned to the smallest conflicting byte address, so it
+    never depends on iteration order. *)
 val validate : t -> Misspec.reason option
 
 (** Install a clean interval's table into the main process's memory:

@@ -19,7 +19,9 @@
    timestamp) on the metadata word: one 8-byte read and at most one
    8-byte write, as the paper's few bit operations per private access.
    Any other access, a mixed word included, runs the range-granular
-   per-byte loop, and the two agree byte for byte, count for count. *)
+   per-byte loop, and the two agree byte for byte, count for count;
+   both set the memory's live-in flag when they mark a byte
+   read-live-in, which tells phase 2 whose shadow words to probe. *)
 
 open Privateer_ir
 open Privateer_machine
@@ -66,13 +68,13 @@ let all_read_live_in = splat read_live_in
 (* Table 2 on the aligned metadata word of an 8-byte access whose eight
    bytes share one state: one word read and at most one word write.
    Each case is what [range_access] does to such a word, down to the
-   page promotion and the exact counts, except that a write over an
-   all-beta word skips the promotion: the current iteration's
-   timestamps sit only on a page this machine promoted this interval
-   (the reset rewrites every timestamp at each checkpoint), which is
-   already dirty and unshared.  beta >= 3, so the four patterns never
-   overlap.  Returns false, having changed nothing, on any other
-   word.  The word is read through
+   page promotion, the exact count and the live-in flag, except that a
+   write over an all-beta word skips the promotion: the current
+   iteration's timestamps sit only on a page this machine promoted
+   this interval (the reset rewrites every timestamp at each
+   checkpoint), which is already dirty and unshared.  beta >= 3, so
+   the four patterns never overlap.  Returns false, having changed
+   nothing, on any other word.  The word is read through
    [page_for_read], whose unmapped page reads as all live-in, so the
    read allocates nothing. *)
 let word_access mem op ~addr ~beta =
@@ -85,7 +87,7 @@ let word_access mem op ~addr ~beta =
     else if Int64.equal w all_live_in then begin
       let p = Memory.touch_page mem shadow in
       Bytes.set_int64_le p.bytes off all_read_live_in;
-      Memory.add_live_in_bytes p 8;
+      Memory.note_live_in_mark mem;
       true
     end
     else false
@@ -106,15 +108,13 @@ let word_access mem op ~addr ~beta =
    run (not once per byte) and the metadata bytes are transitioned
    directly on the page's backing store.  The page is promoted to a
    writable (copy-on-write-cloned, dirty-marked) page lazily, at the
-   first byte that actually needs an update.  Updates maintain the
-   page's exact mark counts — timestamp bytes on writes (a byte
-   entering the >= first_timestamp range from below) and read-live-in
-   bytes on reads (the live-in -> read-live-in transition) — which is
-   what lets checkpoint extraction and metadata reset skip unmarked
-   pages wholesale, the reset fill fully-timestamped pages instead of
-   scanning them, and extraction stop a page scan once every mark is
-   found; both counts are flushed to the page before any raise so
-   partial updates stay consistent.
+   first byte that actually needs an update.  Writes maintain the
+   page's exact timestamp count (a byte entering the >= first_timestamp
+   range from below), which is what lets checkpoint extraction and the
+   metadata reset skip pages without timestamps, the reset fill
+   fully-timestamped pages instead of scanning them, and both stop a
+   page scan once every timestamp is found; the count is flushed to
+   the page before any raise so partial updates stay consistent.
    Byte-for-byte equivalent to the per-byte reference oracle in the
    test library (asserted by a qcheck property): same final metadata,
    same verdict at the same byte, same partial updates before a
@@ -128,20 +128,17 @@ let range_access mem op ~addr ~size ~beta =
     let off = Memory.offset_of_addr shadow_base in
     let chunk = min !remaining (Memory.page_size - off) in
     (* Read-only (an unmapped page reads as all live-in) until the
-       first update promotes it; the counts go to the promoted page. *)
+       first update promotes it; the count goes to the promoted page. *)
     let page = ref (Memory.page_for_read mem shadow_base) in
     let writable = ref false in
     let added = ref 0 in
-    let li_added = ref 0 in
     let promote () =
       page := Memory.touch_page mem shadow_base;
       writable := true
     in
     let flush_count () =
       if !added > 0 then Memory.add_timestamp_bytes !page !added;
-      if !li_added > 0 then Memory.add_live_in_bytes !page !li_added;
-      added := 0;
-      li_added := 0
+      added := 0
     in
     for i = 0 to chunk - 1 do
       let current = Char.code (Bytes.unsafe_get !page.Memory.bytes (off + i)) in
@@ -150,9 +147,7 @@ let range_access mem op ~addr ~size ~beta =
       | Update m ->
         if not !writable then promote ();
         if m >= first_timestamp && current < first_timestamp then incr added
-        (* The only transition into read-live-in is from live-in, so
-           every such update is a fresh mark. *)
-        else if m = read_live_in then incr li_added;
+        else if m = read_live_in then Memory.note_live_in_mark mem;
         Bytes.unsafe_set !page.bytes (off + i) (Char.unsafe_chr m)
       | Fail mk ->
         flush_count ();
@@ -193,10 +188,11 @@ let scan_rewrite bytes ~timestamps =
 
 (* Checkpoint-time metadata reset: all timestamps become old-write.
    Returns the number of shadow pages in the cost model's sense — every
-   mapped shadow page, exactly as before the page-index refactor, so
-   simulated cycle charges are unchanged.  Host work is proportional
-   only to pages whose exact timestamp count is nonzero: the rest
-   provably hold no timestamps and are skipped without a scan.
+   mapped shadow page, so simulated cycle charges do not depend on how
+   the host finds the timestamps.  Host work visits only the shadow
+   pages dirtied this interval, which hold every timestamp (see
+   [Checkpoint.extract]), and skips a dirty page whose exact timestamp
+   count is 0 without a scan.
 
    A page whose exact timestamp count equals the page size resets to
    a constant, so it takes one memset instead of the read-check-write
@@ -206,21 +202,17 @@ let scan_rewrite bytes ~timestamps =
    another machine sees. *)
 let reset_interval machine =
   let mem = machine.Machine.mem in
-  let mapped = Memory.mapped_page_count mem ~heap:Heap.Shadow in
-  (* Collect first: resetting clones shared pages, which mutates the
-     bank being folded over. *)
-  let stamped =
-    Memory.fold_pages mem ~heap:Heap.Shadow ~init:[] ~f:(fun ~key page acc ->
-        if page.Memory.timestamp_bytes > 0 then key :: acc else acc)
-  in
   List.iter
     (fun key ->
-      let p = Memory.touch_page mem (Memory.base_of_page key) in
-      let bytes = p.Memory.bytes in
-      let timestamps = p.timestamp_bytes in
-      if timestamps = Memory.page_size then
-        Bytes.fill bytes 0 Memory.page_size (Char.unsafe_chr old_write)
-      else scan_rewrite bytes ~timestamps;
-      Memory.clear_timestamp_bytes p)
-    stamped;
-  mapped
+      let base = Memory.base_of_page key in
+      if (Memory.page_for_read mem base).Memory.timestamp_bytes > 0 then begin
+        let p = Memory.touch_page mem base in
+        let bytes = p.Memory.bytes in
+        let timestamps = p.timestamp_bytes in
+        if timestamps = Memory.page_size then
+          Bytes.fill bytes 0 Memory.page_size (Char.unsafe_chr old_write)
+        else scan_rewrite bytes ~timestamps;
+        Memory.clear_timestamp_bytes p
+      end)
+    (Memory.dirty_pages mem ~heap:Heap.Shadow);
+  Memory.mapped_page_count mem ~heap:Heap.Shadow

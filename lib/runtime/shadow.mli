@@ -52,8 +52,9 @@ val transition : op -> current:int -> beta:int -> verdict
     word (one read, at most one write); any other is range-granular:
     one page resolution per contiguous run, metadata transitioned
     directly on the page bytes.  Both keep the exact per-page
-    timestamp and read-live-in counts the checkpoint and reset scans
-    read.  Byte-for-byte
+    timestamp count the checkpoint and reset scans read, and set the
+    memory's live-in flag ([Memory.note_live_in_mark]) when they mark
+    a byte read-live-in.  Byte-for-byte
     equivalent to the per-byte reference oracle kept in the test
     library (property-tested).
     @raise Misspec.Misspeculation on a violation. *)
@@ -63,7 +64,11 @@ val access :
 (** Checkpoint-time reset: every timestamp becomes old-write (code 1);
     read-live-in marks are preserved.  Returns the number of mapped
     shadow pages — the unchanged simulated cost charge — while host
-    work visits only pages whose exact timestamp count is nonzero.
+    work visits only the shadow pages in the dirty set whose exact
+    timestamp count is nonzero.  The dirty set holds every timestamp
+    as long as each interval ends with this reset before
+    [Memory.clear_dirty], as the commit does, on a machine forked from
+    one without shadow metadata.
     A fully-timestamped page (exact count equal to [Memory.page_size])
     takes one in-place fill of [old_write]; a partial page takes the
     word-wise scan-rewrite, which stops once it has rewritten the

@@ -36,6 +36,15 @@ let pad align width s =
     | Left -> s ^ String.make (width - n) ' '
     | Right -> String.make (width - n) ' ' ^ s
 
+(* [s] without its trailing blanks: a row whose last cell is
+   left-aligned or empty would otherwise end in padding. *)
+let trim_right s =
+  let n = ref (String.length s) in
+  while !n > 0 && s.[!n - 1] = ' ' do
+    decr n
+  done;
+  String.sub s 0 !n
+
 let render t =
   let rows = List.rev t.rows in
   let all = t.headers :: rows in
@@ -51,7 +60,7 @@ let render t =
         (fun i cell -> pad (List.nth t.aligns i) widths.(i) cell)
         row
     in
-    String.concat "  " cells
+    trim_right (String.concat "  " cells)
   in
   let sep =
     String.concat "  "

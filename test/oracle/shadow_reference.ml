@@ -7,9 +7,10 @@
    failure) under randomized op/addr/size/beta sequences.
 
    It resolves a page per byte through the generic Memory accessors
-   and does NOT maintain the per-page mark counts, so a machine
-   driven through this module must not be handed to the count-driven
-   fast paths ([Shadow.reset_interval], checkpoint extraction). *)
+   and does NOT maintain the per-page timestamp counts or the live-in
+   flag, so a machine driven through this module must not be handed
+   to the count-driven fast paths ([Shadow.reset_interval],
+   checkpoint extraction). *)
 
 open Privateer_ir
 open Privateer_machine
@@ -25,7 +26,7 @@ let access machine op ~addr ~size ~beta =
     | Shadow.Fail mk -> raise (Misspec.Misspeculation (mk ~addr:b))
   done
 
-(* Per byte, in place: no mark counts, no full-page fill. *)
+(* Per byte, in place: no timestamp counts, no full-page fill. *)
 let reset_interval machine =
   let mem = machine.Machine.mem in
   let pages =

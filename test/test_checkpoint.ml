@@ -2,9 +2,10 @@
    oracle:
 
    - qcheck: the interval's one table equals a byte-wise scan oracle
-     that ignores the mark counts and reads every byte of every mapped
-     shadow page: per word, each byte's latest timestamp and its byte,
-     the float tag, the sole writer, and each worker's live-in words.
+     that ignores the timestamp counts and the dirty set and reads
+     every byte of every mapped shadow page: per word, each byte's
+     latest timestamp and its byte, the float tag and the sole writer;
+     and phase 2's readers are the workers holding a live-in mark.
      Workers write partial words at different iterations, in a second
      interval after a reset, so live-in marks also sit on pages the
      interval never dirtied;
@@ -12,17 +13,18 @@
      nested-scan oracle with no table at all;
    - qcheck: the table and the verdict do not depend on worker order;
    - regression: a write-free interval builds an empty table and reads
-     no clock; a violation is pinned to the smallest conflicting byte;
-     a partially written word takes each byte from its latest writer
-     and keeps the main process's other bytes, and a float tag survives
-     only on a word one worker supplied whole;
-   - unit: a page's [live_in_bytes] stays exact under overlapping
-     [Shadow.access] ranges and across the interval reset;
+     no clock; extraction and phase 2 allocate no more for a worker
+     that holds many live-in marks on clean pages; a violation is
+     pinned to the smallest conflicting byte; a partially written word
+     takes each byte from its latest writer and keeps the main
+     process's other bytes, and a float tag survives only on a word
+     one worker supplied whole;
    - qcheck: the interval reset, full-page fill included, equals the
      per-byte reference reset; units: the fill never writes through a
      copy-on-write shared page, takes only exactly-full pages, the
-     reset neither clones nor dirties a page with no timestamps, and it
-     charges every mapped shadow page as the oracle does. *)
+     reset neither visits nor clones a page the interval did not
+     dirty, and it charges every mapped shadow page as the oracle
+     does. *)
 
 open Privateer_ir
 open Privateer_machine
@@ -124,25 +126,25 @@ let reqs_of machines =
 (* Every mark of one worker, read byte by byte through [read_byte] from
    every mapped shadow page, dirty or not: its timestamped private bytes
    (address -> timestamp, the byte it left) and its read-live-in bytes.
-   It ignores the pages' mark counts, so a short count, or a page the
-   scan skipped, would show. *)
+   It ignores the pages' timestamp counts and the dirty set, so a short
+   count, or a page the scan skipped, would show. *)
 let marks (m : Machine.t) =
   let mem = m.Machine.mem in
   let stamped = Hashtbl.create 64 in
-  let live_in =
-    Memory.fold_pages mem ~heap:Heap.Shadow ~init:[] ~f:(fun ~key _ acc ->
-        let base = Memory.base_of_page key in
-        let acc = ref acc in
+  let live_in = ref [] in
+  List.iter
+    (fun key ->
+      let base = Memory.base_of_page key in
+      if Heap.equal_kind (Heap.heap_of_addr base) Heap.Shadow then
         for off = 0 to Memory.page_size - 1 do
           let md = Memory.read_byte mem (base + off) in
           let addr = Heap.private_of_shadow (base + off) in
           if Shadow.is_timestamp md then
             Hashtbl.replace stamped addr (md, Memory.read_byte mem addr)
-          else if md = Shadow.read_live_in then acc := addr :: !acc
-        done;
-        !acc)
-  in
-  (stamped, live_in)
+          else if md = Shadow.read_live_in then live_in := addr :: !live_in
+        done)
+    (Memory.mapped_pages mem);
+  (stamped, !live_in)
 
 (* Per written private byte, its latest timestamp across workers, the
    byte that write left and the writing worker. *)
@@ -168,7 +170,7 @@ let sole_source latest word =
 
 let float_tag machines k word = snd (Memory.read_word (List.nth machines k).Machine.mem word)
 
-(* The table and live-in lists the byte-wise scan implies. *)
+(* The table and the readers the byte-wise scan implies. *)
 let prop_table_matches_bytewise arg =
   let machines = cohort arg in
   let cp = Checkpoint.extract (reqs_of machines) in
@@ -201,23 +203,12 @@ let prop_table_matches_bytewise arg =
            | None -> false)
       && w.writer = (match ws with [ k ] -> k | _ -> -1)
   in
-  let first_live_in_per_word live_in =
-    let firsts = Hashtbl.create 16 in
-    List.iter
-      (fun addr ->
-        let word = Checkpoint.word_base addr in
-        match Hashtbl.find_opt firsts word with
-        | Some a when a <= addr -> ()
-        | Some _ | None -> Hashtbl.replace firsts word addr)
-      live_in;
-    List.sort compare (Hashtbl.fold (fun _ a acc -> a :: acc) firsts [])
+  let readers =
+    List.concat (List.mapi (fun k (_, live_in) -> if live_in = [] then [] else [ k ]) all_marks)
   in
   Hashtbl.length cp.words = Hashtbl.length writers
   && Hashtbl.fold (fun word ws ok -> ok && word_ok word ws) writers true
-  && List.for_all2
-       (fun (c : Checkpoint.contribution) (_, live_in) ->
-         List.sort compare c.live_in = first_live_in_per_word live_in)
-       cp.contributions all_marks
+  && List.map fst cp.readers = readers
 
 (* ---- nested-scan oracle ------------------------------------------------- *)
 
@@ -324,6 +315,28 @@ let test_write_free_interval () =
   in
   check "write-free interval: phase 2 reads no clock" true
     (allocated_by (fun () -> P.Commit.merge ctx cp) = 0.0)
+
+(* Extraction and phase 2 follow what the interval wrote, not what the
+   cohort read: a worker that marked 64 pages live-in in its first
+   interval and writes one word in its second allocates within a few
+   words of the same worker without the marks (one reader entry). *)
+let test_clean_marks_cost_nothing () =
+  let base = Heap.base Heap.Private in
+  let second_interval ~marks =
+    let m = Machine.create () in
+    Memory.clear_dirty m.Machine.mem;
+    if marks then
+      Shadow.access m Shadow.Read ~addr:(base + Memory.page_size) ~size:(64 * Memory.page_size)
+        ~beta:3;
+    ignore (Shadow.reset_interval m);
+    Memory.clear_dirty m.Machine.mem;
+    Shadow.access m Shadow.Write ~addr:base ~size:8 ~beta:4;
+    let reqs = reqs_of [ m ] in
+    allocated_by (fun () -> Checkpoint.validate (Checkpoint.extract reqs))
+  in
+  let clean = second_interval ~marks:false and marked = second_interval ~marks:true in
+  if marked -. clean > 32.0 then
+    Alcotest.failf "64 marked pages: %.0f words against %.0f without them" marked clean
 
 let test_violation_reports_smallest_addr () =
   let base = Heap.base Heap.Private in
@@ -449,48 +462,6 @@ let test_partial_word_bytewise () =
   check "int-tagged" false (w.float_tag || is_float);
   check_bits "latest byte each, the rest kept" 0xa5a5a5a523a52110L installed
 
-(* ---- exact live-in counts ------------------------------------------------ *)
-
-(* Recount read-live-in marks straight off a shadow page's bytes — the
-   oracle for a page's [live_in_bytes]. *)
-let recount_live_in (m : Machine.t) key =
-  let bytes = (Memory.page_for_read m.Machine.mem (Memory.base_of_page key)).Memory.bytes in
-  let n = ref 0 in
-  for i = 0 to Memory.page_size - 1 do
-    if Char.code (Bytes.get bytes i) = Shadow.read_live_in then incr n
-  done;
-  !n
-
-let counted_live_in (m : Machine.t) key =
-  (Memory.page_for_read m.Machine.mem (Memory.base_of_page key)).Memory.live_in_bytes
-
-let test_live_in_count_exact () =
-  let m = Machine.create () in
-  Memory.clear_dirty m.Machine.mem;
-  let base = Heap.base Heap.Private in
-  let check_all msg =
-    List.iter
-      (fun key ->
-        check_int
-          (Printf.sprintf "%s: page %#x" msg key)
-          (recount_live_in m key) (counted_live_in m key))
-      (Memory.dirty_pages ~heap:Heap.Shadow m.Machine.mem)
-  in
-  (* Overlapping reads (the second re-covers already-marked bytes), a
-     page-crossing read, and an unrelated write on the same page. *)
-  Shadow.access m Shadow.Read ~addr:base ~size:100 ~beta:3;
-  Shadow.access m Shadow.Read ~addr:(base + 50) ~size:100 ~beta:3;
-  Shadow.access m Shadow.Read ~addr:(base + 4000) ~size:200 ~beta:3;
-  Shadow.access m Shadow.Write ~addr:(base + 512) ~size:64 ~beta:5;
-  check_all "after overlapping reads";
-  (* Live-in marks survive the interval reset; so must the count. *)
-  ignore (Shadow.reset_interval m);
-  check_all "after reset";
-  (* Partially-overlapping re-read: bytes 100-149 are already marked
-     (Keep — no double count), 150-299 are fresh. *)
-  Shadow.access m Shadow.Read ~addr:(base + 100) ~size:200 ~beta:3;
-  check_all "after partially-overlapping re-read"
-
 (* ---- interval reset vs the per-byte oracle ------------------------------- *)
 
 (* Page-scale accesses so fully-timestamped shadow pages (the
@@ -521,8 +492,9 @@ let prop_reset_matches_oracle ops =
   f = ref_f && Memory.equal_footprint m.Machine.mem ref_m.Machine.mem
 
 (* The full-page fill writes the page's buffer in place, so it must
-   run on the child's private clone: after a snapshot the parent still
-   shares that buffer and must keep its timestamps. *)
+   run on a private clone: after a snapshot the child still shares the
+   parent's buffer, and when the parent resets its dirty page the
+   child must keep its timestamps. *)
 let test_full_page_reset_spares_snapshot_parent () =
   let parent = Machine.create () in
   Memory.clear_dirty parent.Machine.mem;
@@ -537,15 +509,13 @@ let test_full_page_reset_spares_snapshot_parent () =
     (page_of parent).Memory.timestamp_bytes;
   let before = Bytes.copy (page_of parent).Memory.bytes in
   let child = Machine.snapshot parent in
-  ignore (Shadow.reset_interval child);
-  let p = page_of child in
-  check "child reads all old-write" true
+  ignore (Shadow.reset_interval parent);
+  let p = page_of parent in
+  check "parent reads all old-write" true
     (Bytes.for_all (fun c -> Char.code c = Shadow.old_write) p.Memory.bytes);
-  check_int "child timestamp count cleared" 0 p.Memory.timestamp_bytes;
-  check "parent bytes unchanged" true
-    (Bytes.equal before (page_of parent).Memory.bytes);
-  check_int "parent count unchanged" Memory.page_size
-    (page_of parent).Memory.timestamp_bytes
+  check_int "parent timestamp count cleared" 0 p.Memory.timestamp_bytes;
+  check "child bytes unchanged" true (Bytes.equal before (page_of child).Memory.bytes);
+  check_int "child count unchanged" Memory.page_size (page_of child).Memory.timestamp_bytes
 
 (* The fill is gated on the exact timestamp count.  A page one byte
    short of full takes the scan and keeps its read-live-in mark; a page
@@ -576,7 +546,6 @@ let test_reset_fills_only_full_pages () =
     (Bytes.for_all
        (fun c -> Char.code c = Shadow.old_write)
        (Bytes.sub near_bytes 1 (page - 1)));
-  check_int "live-in count kept" 1 (page_of near).Memory.live_in_bytes;
   check "full page all old-write" true
     (Bytes.for_all
        (fun c -> Char.code c = Shadow.old_write)
@@ -586,27 +555,35 @@ let test_reset_fills_only_full_pages () =
       check_int "timestamp count cleared" 0 (page_of addr).Memory.timestamp_bytes)
     [ near; full ]
 
-(* The reset picks pages by their exact timestamp count.  On a snapshot
-   child, a shadow page holding only read-live-in marks is neither
-   cloned nor dirtied; the stamped page beside it is both. *)
+(* The reset visits only the pages the interval dirtied.  A worker marks
+   one page live-in and writes the next in its first interval, which
+   ends with the reset and [clear_dirty]; a snapshot then shares both
+   pages.  In the second interval the worker writes the second page
+   again, which clones it, and the reset rewrites it; it neither visits
+   nor clones the marked page, which keeps its marks. *)
 let test_reset_skips_unstamped_pages () =
-  let parent = Machine.create () in
-  Memory.clear_dirty parent.Machine.mem;
+  let m = Machine.create () in
+  Memory.clear_dirty m.Machine.mem;
   let base = Heap.base Heap.Private in
   let stamped = base + Memory.page_size in
-  Shadow.access parent Shadow.Read ~addr:base ~size:8 ~beta:3;
-  Shadow.access parent Shadow.Write ~addr:stamped ~size:8 ~beta:3;
-  let child = Machine.snapshot parent in
+  Shadow.access m Shadow.Read ~addr:base ~size:8 ~beta:3;
+  Shadow.access m Shadow.Write ~addr:stamped ~size:8 ~beta:3;
+  ignore (Shadow.reset_interval m);
+  Memory.clear_dirty m.Machine.mem;
+  let other = Machine.snapshot m in
+  Shadow.access m Shadow.Write ~addr:stamped ~size:8 ~beta:4;
   let page_of m addr = Memory.page_for_read m.Machine.mem (Heap.shadow_of_private addr) in
-  check_int "both pages charged" 2 (Shadow.reset_interval child);
-  check "live-in-only page still the parent's" true
-    (page_of child base == page_of parent base);
-  check_int "its marks are kept" 8 (page_of child base).Memory.live_in_bytes;
-  check "stamped page cloned" true (page_of child stamped != page_of parent stamped);
-  check_int "stamped page reset" 0 (page_of child stamped).Memory.timestamp_bytes;
-  check "only the stamped page is dirty" true
-    (Memory.dirty_pages ~heap:Heap.Shadow child.Machine.mem
-    = [ Memory.page_of_addr (Heap.shadow_of_private stamped) ])
+  check "only the rewritten page is dirty" true
+    (Memory.dirty_pages ~heap:Heap.Shadow m.Machine.mem
+    = [ Memory.page_of_addr (Heap.shadow_of_private stamped) ]);
+  check_int "both pages charged" 2 (Shadow.reset_interval m);
+  check "marked page not cloned" true (page_of m base == page_of other base);
+  check_int "its marks are kept" Shadow.read_live_in
+    (Machine.read_byte m (Heap.shadow_of_private base));
+  check "stamped page cloned" true (page_of m stamped != page_of other stamped);
+  check_int "stamped page reset" 0 (page_of m stamped).Memory.timestamp_bytes;
+  check_int "its timestamps are old-write" Shadow.old_write
+    (Machine.read_byte m (Heap.shadow_of_private stamped))
 
 (* The reset's return value is the simulated charge: one [c_reset_page]
    per mapped shadow page.  Filled, scanned and skipped pages all
@@ -650,6 +627,8 @@ let suite =
         big_ops_arb prop_reset_matches_oracle ]
   @ [ Alcotest.test_case "write-free interval: empty table, no clock" `Quick
         test_write_free_interval;
+      Alcotest.test_case "clean live-in marks cost extraction nothing" `Quick
+        test_clean_marks_cost_nothing;
       Alcotest.test_case "full-page reset spares the snapshot parent" `Quick
         test_full_page_reset_spares_snapshot_parent;
       Alcotest.test_case "reset fills only exactly-full pages" `Quick
@@ -663,6 +642,4 @@ let suite =
       Alcotest.test_case "float tag only from one worker's whole word" `Quick
         test_float_tag_needs_one_whole_word;
       Alcotest.test_case "partial word: latest byte each, rest kept" `Quick
-        test_partial_word_bytewise;
-      Alcotest.test_case "live-in byte count stays exact" `Quick
-        test_live_in_count_exact ]
+        test_partial_word_bytewise ]

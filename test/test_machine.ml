@@ -103,25 +103,21 @@ let test_memory_cow_two_children () =
   check_int "c2" 22 (Int64.to_int (fst (Memory.read_word c2 0x100)));
   check_int "parent" 1 (Int64.to_int (fst (Memory.read_word parent 0x100)))
 
-(* A page's exact mark counts describe its content, so a copy-on-write
-   clone starts with them, and a change on either side stays there. *)
+(* A page's exact timestamp count describes its content, so a
+   copy-on-write clone starts with it, and a change on either side
+   stays there. *)
 let test_memory_cow_mark_counts () =
   let parent = Memory.create () in
   let p = Memory.touch_page parent 0x2000 in
   Memory.add_timestamp_bytes p 24;
-  Memory.add_live_in_bytes p 3;
   let child = Memory.snapshot parent in
   let c = Memory.touch_page child 0x2000 in
   check "the child's first write clones the page" true (c != p);
   check_int "clone keeps the timestamp count" 24 c.Memory.timestamp_bytes;
-  check_int "clone keeps the live-in count" 3 c.Memory.live_in_bytes;
   Memory.clear_timestamp_bytes c;
-  Memory.add_live_in_bytes c (-1);
   check_int "child timestamp count cleared" 0 c.Memory.timestamp_bytes;
-  check_int "child live-in count lowered" 2 c.Memory.live_in_bytes;
   let p = Memory.page_for_read parent 0x2000 in
-  check_int "parent timestamp count kept" 24 p.Memory.timestamp_bytes;
-  check_int "parent live-in count kept" 3 p.Memory.live_in_bytes
+  check_int "parent timestamp count kept" 24 p.Memory.timestamp_bytes
 
 let test_memory_dirty_tracking () =
   let m = Memory.create () in
@@ -219,23 +215,29 @@ let test_memory_read_words () =
   check "the third page is unmapped" false (Memory.is_mapped a (base + (8 * (words - 1))));
   check "unaligned" true (agrees (base + 3))
 
+(* Per-heap page counts and dirty pages over the one page table; a
+   snapshot keeps the counts, and its own writes add to its own. *)
 let test_memory_heap_banks () =
   let m = Memory.create () in
   Memory.write_byte m (Heap.base Heap.Private + 5) 1;
   Memory.write_byte m (Heap.base Heap.Private + Memory.page_size) 2;
   Memory.write_byte m (Heap.base Heap.Shadow + 7) 3;
-  check_int "private bank has two pages" 2
-    (Memory.mapped_page_count m ~heap:Heap.Private);
-  check_int "shadow bank has one page" 1 (Memory.mapped_page_count m ~heap:Heap.Shadow);
-  check_int "default bank empty" 0 (Memory.mapped_page_count m ~heap:Heap.Default);
-  check_int "fold visits the bank's pages" 2
-    (Memory.fold_pages m ~heap:Heap.Private ~init:0 ~f:(fun ~key:_ _ acc -> acc + 1));
-  check_int "per-heap dirty index" 1
-    (List.length (Memory.dirty_pages ~heap:Heap.Shadow m));
-  check_int "global dirty count spans banks" 3 (Memory.dirty_count m);
+  check_int "two private pages" 2 (Memory.mapped_page_count m ~heap:Heap.Private);
+  check_int "one shadow page" 1 (Memory.mapped_page_count m ~heap:Heap.Shadow);
+  check_int "no default page" 0 (Memory.mapped_page_count m ~heap:Heap.Default);
+  check "per-heap dirty pages" true
+    (Memory.dirty_pages ~heap:Heap.Shadow m = [ Memory.page_of_addr (Heap.base Heap.Shadow) ]);
+  check_int "global dirty count spans heaps" 3 (Memory.dirty_count m);
   Memory.clear_dirty m;
   check_int "per-heap dirty cleared" 0
-    (List.length (Memory.dirty_pages ~heap:Heap.Shadow m))
+    (List.length (Memory.dirty_pages ~heap:Heap.Shadow m));
+  let child = Memory.snapshot m in
+  Memory.write_byte child (Heap.base Heap.Private + 9) 4;
+  Memory.write_byte child (Heap.base Heap.Private + (2 * Memory.page_size)) 5;
+  check_int "a clone maps no page; a fresh page does" 3
+    (Memory.mapped_page_count child ~heap:Heap.Private);
+  check_int "the parent's count is its own" 2 (Memory.mapped_page_count m ~heap:Heap.Private);
+  check_int "the child's dirty set starts empty" 2 (Memory.dirty_count child)
 
 let test_memory_equal_footprint () =
   let a = Memory.create () in

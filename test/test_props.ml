@@ -11,7 +11,9 @@
      allocator at each snapshot;
    - the shadow metadata machine agrees with an oracle that tracks
      the full access history of a byte (the privatization criterion),
-     and its exact per-page mark counts agree with the page bytes;
+     and its exact per-page timestamp counts agree with the page
+     bytes, every timestamp sits on a dirty page, and each heap's
+     mapped-page count agrees with the page table;
    - pretty-printing and validation are total on generated loop
      programs, whose generator test_contract also runs as one of its
      corpora. *)
@@ -482,7 +484,7 @@ let prop_shadow_vs_oracle history =
 (* ---- range-granular shadow access vs per-byte reference ----------------- *)
 
 (* The refactored Shadow.access resolves pages per contiguous run and
-   keeps exact per-page mark counts; Shadow_reference retains the original
+   keeps exact per-page timestamp counts; Shadow_reference retains the original
    per-byte implementation.  Under random op/addr/size/beta sequences
    (addresses biased to straddle page boundaries, occasional interval
    resets to stress the count-driven reset path) both must produce the
@@ -579,23 +581,40 @@ let prop_range_access_matches_reference ops =
      reasons are pure data), and byte-identical memories afterwards. *)
   f_new = f_ref && Memory.equal_footprint m_new.Machine.mem m_ref.Machine.mem
 
-(* The exact per-page counts behind the reset's full-page fill and the
-   extraction scan's early stop: after every op, each mapped shadow
-   page's timestamp and read-live-in counts equal a recount of its
-   bytes.  The reference keeps no counts, so this is checked against
-   the bytes themselves; failing ops leave their partial updates
-   counted too, so the run goes on past them. *)
+(* What the reset and extraction rely on, after every op of a run
+   whose resets are followed by [clear_dirty], as the commit does:
+   - each mapped shadow page's exact timestamp count, behind the
+     reset's full-page fill and both scans' early stop, equals a
+     recount of its bytes;
+   - every shadow page holding a timestamp is in the dirty set, the
+     only pages the reset and extraction visit;
+   - each heap's mapped-page count, the reset's charge, equals a
+     recount of the page table.
+   The reference keeps no counts, so this is checked against the
+   bytes themselves; failing ops leave their partial updates counted
+   too, so the run goes on past them. *)
 let counts_match (m : Privateer_machine.Machine.t) =
   let open Privateer_machine in
-  Memory.fold_pages m.mem ~heap:Privateer_ir.Heap.Shadow ~init:true ~f:(fun ~key:_ p ok ->
-      let ts = ref 0 and li = ref 0 in
+  let open Privateer_ir in
+  let mapped = Memory.mapped_pages m.mem in
+  let heap_of key = Heap.heap_of_addr (Memory.base_of_page key) in
+  let dirty = Memory.dirty_pages m.mem ~heap:Heap.Shadow in
+  List.for_all
+    (fun key ->
+      (not (Heap.equal_kind (heap_of key) Heap.Shadow))
+      ||
+      let p = Memory.page_for_read m.mem (Memory.base_of_page key) in
+      let ts = ref 0 in
       Bytes.iter
-        (fun c ->
-          let c = Char.code c in
-          if c >= Privateer_runtime.Shadow.first_timestamp then incr ts
-          else if c = Privateer_runtime.Shadow.read_live_in then incr li)
+        (fun c -> if Char.code c >= Privateer_runtime.Shadow.first_timestamp then incr ts)
         p.Memory.bytes;
-      ok && !ts = p.Memory.timestamp_bytes && !li = p.Memory.live_in_bytes)
+      !ts = p.Memory.timestamp_bytes && (!ts = 0 || List.mem key dirty))
+    mapped
+  && List.for_all
+       (fun heap ->
+         Memory.mapped_page_count m.mem ~heap
+         = List.length (List.filter (fun key -> Heap.equal_kind (heap_of key) heap) mapped))
+       Heap.all
 
 let prop_shadow_counts_exact ops =
   let open Privateer_runtime in
@@ -604,7 +623,9 @@ let prop_shadow_counts_exact ops =
   List.for_all
     (fun op ->
       (match op with
-      | Reset -> ignore (Shadow.reset_interval m)
+      | Reset ->
+        ignore (Shadow.reset_interval m);
+        Privateer_machine.Memory.clear_dirty m.mem
       | Access a -> (
         try
           Shadow.access m

@@ -108,7 +108,18 @@ let test_table_render () =
   check "uniform width" true (List.for_all (fun w -> w = List.hd widths) widths);
   Alcotest.check_raises "arity enforced"
     (Invalid_argument "Table.add_row: wrong arity") (fun () ->
-      Table.add_row t [ "only-one" ])
+      Table.add_row t [ "only-one" ]);
+  (* A left-aligned last column and an empty last cell leave no
+     trailing blank on any line. *)
+  let t = Table.create [ "program"; "note" ] in
+  Table.add_row t [ "dijkstra"; "a long note" ];
+  Table.add_row t [ "alvinn"; "short" ];
+  Table.add_row t [ "geomean"; "" ];
+  let lines = String.split_on_char '\n' (Table.render t) in
+  check "no trailing blank" true
+    (List.for_all (fun l -> l = "" || l.[String.length l - 1] <> ' ') lines);
+  Alcotest.(check string) "empty last cell ends at its first column" "geomean"
+    (List.nth lines 4)
 
 let test_table_fmt () =
   Alcotest.(check string) "fx" "2.50x" (Table.fx 2.5);

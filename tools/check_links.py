@@ -21,8 +21,7 @@ and exits 1 listing every one that is dead:
   path ``Privateer_lib.Module``) with no ``module.ml``/``.mli`` in the
   directory of the dune library named ``privateer_lib``;
 - fenced ``bench`` blocks, quotes of the committed evaluation: each
-  must occur in BENCH_paper.txt as consecutive whole lines, compared
-  without trailing blanks (the tables pad their last column).
+  must occur verbatim in BENCH_paper.txt as consecutive whole lines.
 
 Other fenced code blocks are skipped: their contents are illustrative.
 ROADMAP.md and CHANGES.md record history and are not scanned.
@@ -82,10 +81,6 @@ def path_exists(root: Path, path: str) -> bool:
     return True
 
 
-def unpadded(text: str) -> str:
-    return "".join(line.rstrip() + "\n" for line in text.splitlines())
-
-
 def module_exists(libs, library: str, module: str) -> bool:
     d = libs.get(library.lower())
     if d is None:
@@ -98,7 +93,7 @@ def main() -> int:
     root = Path(__file__).resolve().parent.parent
     files = doc_files(root)
     libs = libraries(root)
-    paper = "\n" + unpadded((root / "BENCH_paper.txt").read_text(encoding="utf-8"))
+    paper = "\n" + (root / "BENCH_paper.txt").read_text(encoding="utf-8")
     dead = []
     links = paths = modules = quotes = 0
     for md in files:
@@ -106,7 +101,7 @@ def main() -> int:
         rel = md.relative_to(root)
         for m in BENCH.finditer(raw):
             quotes += 1
-            if "\n" + unpadded(m.group(1)) not in paper:
+            if "\n" + m.group(1) not in paper:
                 line = raw.count("\n", 0, m.start()) + 1
                 dead.append(f"{rel}:{line}: bench excerpt not in BENCH_paper.txt")
         # Strip fenced code blocks: references inside them are illustrative.
