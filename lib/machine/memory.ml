@@ -33,12 +33,25 @@
    - only [touch_page] maps or replaces a page in a memory's own
      table (a fresh page or a copy-on-write clone), and it refills
      the page's slot when it does;
-   - nothing removes a page from a table;
+   - only [release] removes pages from a table, on a retired memory,
+     and it empties that memory's cache with them;
    - [snapshot] gives the child an empty cache, and the parent's
      cached entries stay valid because copy-on-write state lives on
      the page ([shared]), so the parent's next write still clones.
    A read therefore writes the memory's own cache.  That is safe
    because a memory is used only by the domain running its job.
+
+   A run recycles its pages, as the paper's kernel takes back an
+   exited worker's (section 5.1).  [create] makes one list of spare
+   pages and every [snapshot] shares it, so the list stays inside
+   one run, as a memory stays inside the domain running its job.
+   [release] hands a retired memory's unshared pages to the list:
+   only that memory's table maps an unshared page, because
+   [snapshot] flags every page it shares and nothing else hands a
+   page to another memory (checkpoints and commits copy bytes).
+   [touch_page] takes a spare page before it allocates one and blits
+   into it what a new page would hold, so a recycled page is byte for
+   byte the page it stands in for.
 
    [written_this_interval] mirrors dirty-set membership: an unshared
    page is flagged only by its own memory's [touch_page], which adds
@@ -96,14 +109,12 @@ type page = {
          counted pages. *)
 }
 
-let fresh_page () =
-  { bytes = Bytes.make page_size '\000'; ftags = Bytes.make words_per_page int_tag;
-    shared = false; written_this_interval = false; timestamp_bytes = 0 }
-
 (* What the page cache holds for an unmapped page: reads of it see
    zeros, [is_mapped] answers false for it and [touch_page] replaces
-   it. *)
-let absent = fresh_page ()
+   it with a copy of it, which is a fresh page. *)
+let absent =
+  { bytes = Bytes.make page_size '\000'; ftags = Bytes.make words_per_page int_tag;
+    shared = false; written_this_interval = false; timestamp_bytes = 0 }
 
 let cache_slots = 64
 
@@ -119,21 +130,37 @@ type t = {
   mutable live_in_marks : bool; (* the shadow layer made a read-live-in mark *)
   cache_keys : int array; (* slot -> cached page number, -1 when empty *)
   cache_pages : page array; (* slot -> its page, or [absent] *)
+  spares : page list ref; (* the run's released pages, one list per run *)
 }
 
 (* A memory over [pages], with an empty dirty set and page cache. *)
-let of_pages pages ~mapped ~live_in_marks =
+let of_pages pages ~mapped ~live_in_marks ~spares =
   { pages; dirty = Hashtbl.create 16; mapped; live_in_marks;
     cache_keys = Array.make cache_slots (-1);
-    cache_pages = Array.make cache_slots absent }
+    cache_pages = Array.make cache_slots absent; spares }
 
-let create () = of_pages (Hashtbl.create 16) ~mapped:(Array.make n_heaps 0) ~live_in_marks:false
+let create () =
+  of_pages (Hashtbl.create 16) ~mapped:(Array.make n_heaps 0) ~live_in_marks:false
+    ~spares:(ref [])
 
-(* The clone inherits the exact timestamp count: it describes page
-   content, which the copy shares at clone time. *)
-let clone_page p =
-  { bytes = Bytes.copy p.bytes; ftags = Bytes.copy p.ftags; shared = false;
-    written_this_interval = p.written_this_interval; timestamp_bytes = p.timestamp_bytes }
+(* An unshared copy of [src] ([absent] for a fresh page): a spare page
+   with [src] blitted in, or a new one.  The copy inherits the exact
+   timestamp count: it describes page content, which the copy shares
+   at clone time. *)
+let copy_page t src =
+  match !(t.spares) with
+  | p :: rest ->
+    t.spares := rest;
+    Bytes.blit src.bytes 0 p.bytes 0 page_size;
+    Bytes.blit src.ftags 0 p.ftags 0 words_per_page;
+    p.shared <- false;
+    p.written_this_interval <- src.written_this_interval;
+    p.timestamp_bytes <- src.timestamp_bytes;
+    p
+  | [] ->
+    { bytes = Bytes.copy src.bytes; ftags = Bytes.copy src.ftags; shared = false;
+      written_this_interval = src.written_this_interval;
+      timestamp_bytes = src.timestamp_bytes }
 
 (* Copy-on-write child: shares every current page with the parent.
    Both sides will clone a shared page on first write.  The child's
@@ -141,7 +168,18 @@ let clone_page p =
 let snapshot t =
   Hashtbl.iter (fun _ page -> page.shared <- true) t.pages;
   of_pages (Hashtbl.copy t.pages) ~mapped:(Array.copy t.mapped)
-    ~live_in_marks:t.live_in_marks
+    ~live_in_marks:t.live_in_marks ~spares:t.spares
+
+(* Retire [t]: its unshared pages become the run's spares, and [t] an
+   empty memory. *)
+let release t =
+  Hashtbl.iter (fun _ p -> if not p.shared then t.spares := p :: !(t.spares)) t.pages;
+  Hashtbl.reset t.pages;
+  Hashtbl.reset t.dirty;
+  Array.fill t.mapped 0 n_heaps 0;
+  t.live_in_marks <- false;
+  Array.fill t.cache_keys 0 cache_slots (-1);
+  Array.fill t.cache_pages 0 cache_slots absent
 
 let page_of_addr addr = addr lsr page_shift
 let offset_of_addr addr = addr land (page_size - 1)
@@ -175,7 +213,8 @@ let[@inline] lookup t key =
 let page_for_read t addr = lookup t (page_of_addr addr)
 let is_mapped t addr = lookup t (page_of_addr addr) != absent
 
-(* Page for writing: allocates or clones as needed, marks dirty.  A
+(* Page for writing: maps a fresh page or clones a shared one as
+   needed, a spare one when the run has one, and marks it dirty.  A
    page already dirty this interval and not shared is returned as is
    (see the header). *)
 let touch_page t addr =
@@ -186,14 +225,11 @@ let touch_page t addr =
     Hashtbl.replace t.dirty key ();
     let p =
       if p == absent || p.shared then begin
-        let p' =
-          if p == absent then begin
-            let tag = tag_of_key key in
-            t.mapped.(tag) <- t.mapped.(tag) + 1;
-            fresh_page ()
-          end
-          else clone_page p
-        in
+        if p == absent then begin
+          let tag = tag_of_key key in
+          t.mapped.(tag) <- t.mapped.(tag) + 1
+        end;
+        let p' = copy_page t p in
         Hashtbl.replace t.pages key p';
         (* [lookup] left [key] in its slot. *)
         t.cache_pages.(slot_of_key key) <- p';

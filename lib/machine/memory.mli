@@ -19,7 +19,12 @@
     Each memory resolves pages through its own small page cache (a
     software TLB in front of the page tables), so even a read writes
     the memory it reads.  A memory must therefore be used by one domain
-    at a time: the domain running its job. *)
+    at a time: the domain running its job.
+
+    A memory from {!create} and every snapshot descended from it share
+    one list of spare pages: {!release} fills it with a retired
+    memory's pages and {!touch_page} takes from it before it
+    allocates.  The list never leaves the run that made it. *)
 
 val page_shift : int
 (** log2 of the page size (12). *)
@@ -93,13 +98,22 @@ val has_live_in_marks : t -> bool
     phase 2 probes only the shadow words of memories with it. *)
 
 val create : unit -> t
-(** An empty memory (every read sees zero). *)
+(** An empty memory (every read sees zero), with a new, empty list of
+    spare pages. *)
 
 (** Copy-on-write child sharing every current page with the parent;
     either side's first write to a shared page clones it.  The child
     starts with an empty page cache and an empty dirty set, and keeps
-    the parent's per-heap page counts and live-in flag. *)
+    the parent's per-heap page counts, live-in flag and spare list. *)
 val snapshot : t -> t
+
+(** Retire a memory: hand its unshared pages ([shared = false]) to the
+    spare list, then empty its page table, dirty set and page cache,
+    so it reads as zero everywhere.  Only the memory's own table maps
+    an unshared page, so no other memory sees the change; a page
+    returned earlier by {!touch_page} or {!page_for_read} on this
+    memory must not be used again. *)
+val release : t -> unit
 
 val page_of_addr : int -> int
 (** The page number containing an address. *)
@@ -126,12 +140,15 @@ val page_for_read : t -> int -> page
     page with zeros. *)
 val is_mapped : t -> int -> bool
 
-(** The page containing [addr], for writing: allocates or clones
-    (copy-on-write) as needed, marks the page dirty and caches it.  A
-    page already written this interval and not shared is returned
-    without touching the dirty set.  Resolving the page once and then
-    writing its [bytes] (and [ftags]) is the sanctioned bulk write
-    path. *)
+(** The page containing [addr], for writing: maps a fresh page or
+    clones a shared one (copy-on-write) as needed, taking a spare
+    page before allocating one, marks the page dirty and caches it.
+    A spare page gets what a new page would hold: zeros and int tags
+    for a fresh page, the source's bytes, tags and timestamp count for
+    a clone.  A page already written this interval and not shared is
+    returned without touching the dirty set.  Resolving the page once
+    and then writing its [bytes] (and [ftags]) is the sanctioned bulk
+    write path. *)
 val touch_page : t -> int -> page
 
 (** Read one byte (0 for unmapped memory). *)

@@ -12,7 +12,10 @@
    Timing is simulated: workers accumulate cycle clocks (application
    costs from the interpreter's table, runtime costs from Cost_model),
    and the invocation's wall time is the checkpointed maximum, charged
-   back to the main interpreter's cycle counter. *)
+   back to the main interpreter's cycle counter.
+
+   A cohort retires ([Worker.retire]) as soon as nothing reads it again:
+   after the final commit, or after a squash has read its clocks. *)
 
 open Privateer_ir
 open Privateer_machine
@@ -206,6 +209,7 @@ let run_invocation t (st : Interp.t) fr (spec : Manifest.loop_spec) loop ~init_v
               List.fold_left
                 (fun acc (w : Worker.t) -> max acc w.w_clock)
                 !timeline workers;
+            Worker.retire workers;
             timeline :=
               !timeline
               + Recovery.recover env st fr loop ~init_value ~io ~emit_main
@@ -225,6 +229,7 @@ let run_invocation t (st : Interp.t) fr (spec : Manifest.loop_spec) loop ~init_v
               let end_time =
                 Commit.commit_final ctx st fr spec workers ~last ~checkpoint_done
               in
+              Worker.retire workers;
               timeline := max !timeline end_time
             end
             else interval_loop hi

@@ -269,6 +269,12 @@ let spawn (env : env) (st : Interp.t) fr spec ranges n_workers ~now =
     env.stats.cyc_spawn + (n_workers * (n_workers + 1) / 2 * cm.c_fork);
   workers
 
+(* Retire a cohort once nothing reads its workers again: each worker's
+   unshared pages become spares of the run.  The workers must not run
+   after it. *)
+let retire workers =
+  List.iter (fun w -> Memory.release w.w_st.Interp.machine.Machine.mem) workers
+
 (* Execute one iteration on a worker.  Raises Worker_misspec. *)
 let exec_iteration (env : env) w loop ~init_value ~iter ~interval_start ~predictions
     ~io =

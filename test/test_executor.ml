@@ -728,8 +728,10 @@ let words_allocated f =
 
 (* Spawn an 8-worker cohort over the default scenario's main process at
    its hot loop, then run worker 0's iterations of one 64-iteration
-   interval, then extract it and run phase 2.  Allocation, not time, is
-   what the bounds pin: a count is exact and host-independent. *)
+   interval, then extract it and run phase 2, then retire the cohort
+   and spawn a second one over the same main process.  Allocation, not
+   time, is what the bounds pin: a count is exact and
+   host-independent. *)
 let cohort_allocations () =
   let open Privateer_parallel in
   let sc = Privateer_gen.Scenario_gen.generate Privateer_gen.Scenario_gen.default_knobs in
@@ -778,7 +780,11 @@ let cohort_allocations () =
                 ignore (Privateer_runtime.Checkpoint.validate cp);
                 cp)
           in
-          measured := Some (ranges, cp, spawn_words, checkpoint_words)
+          Worker.retire workers;
+          let _, respawn_words =
+            words_allocated (fun () -> Worker.spawn env st fr spec ranges 8 ~now:0)
+          in
+          measured := Some (ranges, cp, spawn_words, checkpoint_words, respawn_words)
         | _ -> ());
         false);
   ignore (Privateer_interp.Interp.run_entry st);
@@ -787,19 +793,16 @@ let cohort_allocations () =
   | None -> Alcotest.fail "the default scenario planned no loop"
 
 (* Each worker of a cohort costs what it touches: the cohort shares the
-   main process's allocators and the executor's per-site tables, and
-   the checkpoint grows one table with what the workers wrote and
-   copies their reduction words flat.  Measured on OCaml 5.1: the spawn
-   allocates 7,594 words (10,762 when each memory kept a page bank and
-   a dirty set per heap, 11,002 when each worker's hooks built a
-   tag-to-heap table, 11,586 with per-worker site tables, 18,130 when
-   every worker deep-copied all eight allocators), and extraction plus
-   phase 2 allocate 856 (866 with per-worker live-in lists; 1,536 =
-   825 + 711 with per-worker write and live-in tables, a separate
-   writer index and an overlay table; extraction alone took 1,352 with
-   a 256-bucket write table and boxed reduction words). *)
+   main process's allocators and the executor's per-site tables, the
+   checkpoint grows one table with what the workers wrote and copies
+   their reduction words flat, and a respawn's reduction identity fill
+   clones into the retired cohort's pages instead of new ones.
+   Measured on OCaml 5.1: the spawn allocates 7,602 words (bound 8,000),
+   8 x 513 of them the page bytes of the identity fill's 8 clones; the
+   respawn over a retired cohort 2,914 (bound 3,500); one
+   worker-interval's extraction plus phase 2, 856 (bound 950). *)
 let test_cohort_allocation_bounds () =
-  let ranges, cp, spawn_words, checkpoint_words = cohort_allocations () in
+  let ranges, cp, spawn_words, checkpoint_words, respawn_words = cohort_allocations () in
   check "the scenario has reduction ranges" true (ranges <> []);
   check "the interval wrote private words" true
     (Hashtbl.length cp.Privateer_runtime.Checkpoint.words > 0);
@@ -810,6 +813,7 @@ let test_cohort_allocation_bounds () =
           Some (Printf.sprintf "%s allocated %d words (bound %d)" what words bound)
         else None)
       [ ("spawning 8 workers", spawn_words, 8_000);
+        ("respawning 8 workers over a retired cohort", respawn_words, 3_500);
         ("one worker-interval's extraction and phase 2", checkpoint_words, 950) ]
   in
   if over <> [] then Alcotest.fail (String.concat "; " over)

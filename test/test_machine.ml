@@ -119,6 +119,81 @@ let test_memory_cow_mark_counts () =
   let p = Memory.page_for_read parent 0x2000 in
   check_int "parent timestamp count kept" 24 p.Memory.timestamp_bytes
 
+(* A retired memory's own pages serve a later snapshot's clones and
+   fresh pages, each holding exactly what a newly allocated page would.
+   Every released page carries bytes, float tags and timestamp counts
+   of its own, so a recycled page that kept any of them would show
+   it. *)
+let test_memory_release_recycles_pages () =
+  let page_size = Memory.page_size in
+  let priv = Heap.base Heap.Private in
+  let shadow = Heap.shadow_of_private priv in
+  let parent = Memory.create () in
+  Memory.write_word parent (priv + 8) (Int64.bits_of_float 1.5) true;
+  Memory.write_word parent (priv + 24) 100L false;
+  Memory.write_byte parent shadow 3;
+  Memory.add_timestamp_bytes (Memory.touch_page parent shadow) 1;
+  let parent_bytes =
+    List.map (fun a -> (a, Bytes.copy (Memory.page_for_read parent a).Memory.bytes))
+      [ priv; shadow ]
+  in
+  let child = Memory.snapshot parent in
+  (* Two clones of the parent's pages and three fresh pages, each with
+     a float word, a byte and timestamp bytes. *)
+  let child_pages =
+    [ priv; shadow; priv + (5 * page_size); shadow + (5 * page_size); Heap.base Heap.Default ]
+  in
+  List.iteri
+    (fun i a ->
+      Memory.write_word child (a + 16) (Int64.bits_of_float (float_of_int i +. 0.25)) true;
+      Memory.write_byte child (a + 40) (i + 3);
+      Memory.add_timestamp_bytes (Memory.touch_page child a) 7)
+    child_pages;
+  let released = List.map (Memory.page_for_read child) child_pages in
+  check "the child's pages are its own" true
+    (List.for_all (fun p -> not p.Memory.shared) released);
+  Memory.release child;
+  let child2 = Memory.snapshot parent in
+  let fresh = Memory.touch_page child2 (priv + (9 * page_size)) in
+  let clone = Memory.touch_page child2 priv in
+  let stamped_clone = Memory.touch_page child2 shadow in
+  check "the fresh page is a released page" true (List.memq fresh released);
+  check "the clones are two others" true
+    (List.memq clone released && List.memq stamped_clone released
+    && clone != fresh && stamped_clone != fresh && clone != stamped_clone);
+  check "fresh page: all zero" true
+    (Bytes.equal fresh.Memory.bytes (Bytes.make page_size '\000'));
+  check "fresh page: int tags" true
+    (Bytes.equal fresh.Memory.ftags (Bytes.make Memory.words_per_page Memory.int_tag));
+  check_int "fresh page: no timestamps" 0 fresh.Memory.timestamp_bytes;
+  check "fresh page: not shared" false fresh.Memory.shared;
+  List.iter
+    (fun (a, (c : Memory.page)) ->
+      let source = Memory.page_for_read parent a in
+      check "clone: the source's bytes" true (Bytes.equal c.bytes source.bytes);
+      check "clone: the source's tags" true (Bytes.equal c.ftags source.ftags);
+      check_int "clone: the source's count" source.timestamp_bytes c.timestamp_bytes;
+      check "clone: not shared" false c.shared)
+    [ (priv, clone); (shadow, stamped_clone) ];
+  check_int "the source counts a timestamp" 1
+    (Memory.page_for_read parent shadow).Memory.timestamp_bytes;
+  check "the source has a float word" true (snd (Memory.read_word parent (priv + 8)));
+  List.iter
+    (fun (a, bytes) ->
+      check "the parent's page keeps its bytes" true
+        (Bytes.equal (Memory.page_for_read parent a).Memory.bytes bytes))
+    parent_bytes;
+  (* The released memory reads as an empty one: no cached slot reaches
+     a page that another memory now maps or may map later. *)
+  List.iter
+    (fun a ->
+      check "released: word reads zero" true (Memory.read_word child (a + 16) = (0L, false));
+      check_int "released: byte reads zero" 0 (Memory.read_byte child (a + 40));
+      check "released: unmapped" false (Memory.is_mapped child a))
+    child_pages;
+  check "released: no mapped page" true (Memory.mapped_pages child = []);
+  check_int "released: nothing dirty" 0 (Memory.dirty_count child)
+
 let test_memory_dirty_tracking () =
   let m = Memory.create () in
   Memory.write_byte m 0x0 1;
@@ -335,6 +410,8 @@ let suite =
     Alcotest.test_case "COW parent/child isolation" `Quick test_memory_cow_isolation;
     Alcotest.test_case "COW sibling isolation" `Quick test_memory_cow_two_children;
     Alcotest.test_case "COW clones keep mark counts" `Quick test_memory_cow_mark_counts;
+    Alcotest.test_case "released pages are recycled exactly" `Quick
+      test_memory_release_recycles_pages;
     Alcotest.test_case "dirty page tracking" `Quick test_memory_dirty_tracking;
     Alcotest.test_case "equal_range across a page boundary" `Quick test_memory_equal_range_page_boundary;
     Alcotest.test_case "equal_range: unmapped vs mapped zeros" `Quick test_memory_equal_range_unmapped_vs_zero;

@@ -6,7 +6,8 @@
      stays within its heap's tagged range;
    - copy-on-write snapshots, snapshots of snapshots included, stay
      isolated and agree with a byte model (reads, float tags, dirty
-     sets) while their page caches share, evict and refill slots;
+     sets) while their page caches share, evict and refill slots and
+     retired snapshots hand their pages on to the others;
    - copy-on-write allocator state agrees with deep-copying every
      allocator at each snapshot;
    - the shadow metadata machine agrees with an oracle that tracks
@@ -106,13 +107,18 @@ let prop_allocator_no_overlap script =
 
 (* ---- COW snapshots and the page cache vs a byte model ------------------- *)
 
-(* Scripts over a parent memory and up to three copy-on-write
-   snapshots (snapshots of snapshots included), checked op by op
-   against a plain model per memory: a byte map, the word float tags,
-   and the dirty and mapped page sets.  Addresses span more than 64
-   pages of the Default, Private and Shadow heaps, and an op may reuse
-   a recent address, its private/shadow twin, or the page 64 pages
-   further on in the same heap, so page-cache slots are shared,
+(* Scripts over a parent memory and copy-on-write snapshots
+   (snapshots of snapshots included), at most four memories live at a
+   time, checked op by op against a plain model per memory: a byte
+   map, the word float tags, and the dirty and mapped page sets.  A
+   [Release] retires a live snapshot ([Memory.release]), whose pages
+   the others' later clones and fresh pages may reuse, and no later op
+   touches a retired memory.  After every op, every live memory reads
+   its model at every address written so far, and a page object that
+   two live memories map is flagged [shared].  Addresses span more
+   than 64 pages of the Default, Private and Shadow heaps, and an op
+   may reuse a recent address, its private/shadow twin, or the page 64
+   pages further on in the same heap, so page-cache slots are shared,
    evicted and refilled while snapshots share and clone pages. *)
 
 type mem_op =
@@ -123,6 +129,7 @@ type mem_op =
   | Fill_words of int * int * int * int64 * bool (* memory, address, words, bits, float *)
   | Clear_dirty of int
   | Snapshot of int (* source memory *)
+  | Release of int (* a live memory; the parent is never retired *)
 
 let max_memories = 4
 
@@ -156,7 +163,7 @@ let mem_ops_gen =
       (map3
          (fun (kind, m, pick) (fresh, align, v) (words, bits, is_float) ->
            (kind, m, pick, fresh, align, v, words, bits, is_float))
-         (triple (int_bound 99) (int_bound (max_memories - 1)) (int_bound 15))
+         (triple (int_bound 104) (int_bound (max_memories - 1)) (int_bound 15))
          (triple cow_addr_gen bool (int_bound 255))
          (triple (int_range 1 6) (map Int64.of_int int) bool))
     >|= fun raw ->
@@ -172,7 +179,8 @@ let mem_ops_gen =
         else if kind < 82 then Write_word (m, a, bits, is_float)
         else if kind < 90 then Fill_words (m, a, words, bits, is_float)
         else if kind < 95 then Clear_dirty m
-        else Snapshot m)
+        else if kind < 100 then Snapshot m
+        else Release m)
       raw)
 
 let mem_ops_arb =
@@ -234,6 +242,28 @@ let dirty_agrees mem md =
          Memory.is_mapped mem a && (Memory.page_for_read mem a).Memory.written_this_interval)
        model_dirty
 
+(* Every page object that two live memories map, or one maps at two
+   page numbers, is flagged [shared]: a write through either clones. *)
+let shared_pages_flagged mems =
+  let open Privateer_machine in
+  let pages =
+    Array.of_list
+      (List.concat_map
+         (fun mem ->
+           List.map
+             (fun key -> Memory.page_for_read mem (Memory.base_of_page key))
+             (Memory.mapped_pages mem))
+         mems)
+  in
+  let ok = ref true in
+  Array.iteri
+    (fun i p ->
+      for j = i + 1 to Array.length pages - 1 do
+        if pages.(j) == p && not p.Memory.shared then ok := false
+      done)
+    pages;
+  !ok
+
 let prop_cow_page_cache ops =
   let open Privateer_machine in
   let mems = ref [| Memory.create () |] in
@@ -242,9 +272,11 @@ let prop_cow_page_cache ops =
       [| { bytes = Hashtbl.create 64; ftags = Hashtbl.create 16; dirty = Hashtbl.create 8;
            mapped = Hashtbl.create 8 } |]
   in
+  (* The indices of the live memories, the parent first. *)
+  let live = ref [ 0 ] in
   let touched = Hashtbl.create 64 in
   let ok = ref true in
-  let pick m = m mod Array.length !mems in
+  let pick m = List.nth !live (m mod List.length !live) in
   List.iter
     (fun op ->
       (match op with
@@ -276,18 +308,25 @@ let prop_cow_page_cache ops =
         Memory.clear_dirty !mems.(m);
         Hashtbl.reset !models.(m).dirty
       | Snapshot m ->
-        if Array.length !mems < max_memories then begin
+        if List.length !live < max_memories then begin
           let m = pick m in
           let md = !models.(m) in
+          live := !live @ [ Array.length !mems ];
           mems := Array.append !mems [| Memory.snapshot !mems.(m) |];
           models :=
             Array.append !models
               [| { bytes = Hashtbl.copy md.bytes; ftags = Hashtbl.copy md.ftags;
                    dirty = Hashtbl.create 8; mapped = Hashtbl.copy md.mapped } |]
+        end
+      | Release m ->
+        let m = pick m in
+        if m <> 0 then begin
+          Memory.release !mems.(m);
+          live := List.filter (( <> ) m) !live
         end);
-      Array.iteri
-        (fun m mem ->
-          let md = !models.(m) in
+      List.iter
+        (fun m ->
+          let mem = !mems.(m) and md = !models.(m) in
           if not (dirty_agrees mem md) then ok := false;
           (* [is_mapped] answers false for an unmapped page even when
              the page cache holds the all-zero stand-in for it. *)
@@ -298,20 +337,25 @@ let prop_cow_page_cache ops =
             (match op with
             | Read_byte (_, a) | Read_word (_, a) | Write_byte (_, a, _)
             | Write_word (_, a, _, _) | Fill_words (_, a, _, _, _) -> [ a; a + 7 ]
-            | Clear_dirty _ | Snapshot _ -> []))
-        !mems)
+            | Clear_dirty _ | Snapshot _ | Release _ -> []);
+          (* The memory reads its model at every address written so
+             far: a page another memory reused would show here. *)
+          Hashtbl.iter
+            (fun a () -> if Memory.read_word mem a <> model_read_word md a then ok := false)
+            touched)
+        !live;
+      if not (shared_pages_flagged (List.map (fun m -> !mems.(m)) !live)) then ok := false)
     ops;
-  (* Every memory still reads the model at every address written. *)
+  (* Every live memory still reads the model at every byte written. *)
   Hashtbl.iter
     (fun a () ->
-      Array.iteri
-        (fun m mem ->
-          let md = !models.(m) in
+      List.iter
+        (fun m ->
+          let mem = !mems.(m) and md = !models.(m) in
           for i = 0 to 7 do
             if Memory.read_byte mem (a + i) <> model_read_byte md (a + i) then ok := false
-          done;
-          if Memory.read_word mem a <> model_read_word md a then ok := false)
-        !mems)
+          done)
+        !live)
     touched;
   !ok
 

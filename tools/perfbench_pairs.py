@@ -11,8 +11,10 @@ BENCHMARK.json declares for that mode (the end-to-end metrics with
 --trace 0, the default; the per-layer metrics with --trace 1), it
 prints the per-pair values, each side's median and quartiles, how many
 pairs the change won, and whether the gap between the medians exceeds
-the parent's interquartile range.  Exits 1 if any run fails or reports
-"correct": false.
+the parent's interquartile range.  The summary also includes the OCaml
+runtime's GC totals per attempted job (`v=0x400` in OCAMLRUNPARAM
+prints them when the benchmark exits).  Exits 1 if any run fails,
+reports "correct": false or prints no GC totals.
 
 Standard library only; it reads perfbench's output and changes nothing.
 """
@@ -25,11 +27,37 @@ import subprocess
 import sys
 
 
+GC_STATS = ("major_words", "major_collections", "minor_words", "promoted_words")
+
+
+def gc_env():
+    """The environment with the runtime's exit statistics (v=0x400) on."""
+    env = dict(os.environ)
+    param = env.get("OCAMLRUNPARAM", "")
+    env["OCAMLRUNPARAM"] = param + ",v=0x400" if param else "v=0x400"
+    return env
+
+
+def gc_stats(stderr):
+    """The runtime's exit totals printed on stderr (the last value of
+    each name), or None unless it printed all of GC_STATS."""
+    stats = {}
+    for line in stderr.splitlines():
+        name, sep, value = line.partition(":")
+        if sep and name.strip() in GC_STATS:
+            try:
+                stats[name.strip()] = float(value)
+            except ValueError:
+                pass
+    return stats if len(stats) == len(GC_STATS) else None
+
+
 def run_once(checkout, args):
     cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload,
            "--seed", str(args.seed), "--seconds", str(args.seconds),
            "--trace", str(args.trace)]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
+                          env=gc_env())
     result = None
     for line in proc.stdout.splitlines():
         try:
@@ -40,8 +68,8 @@ def run_once(checkout, args):
             result = obj
     if proc.returncode != 0 or result is None:
         sys.stderr.write(proc.stdout + proc.stderr)
-        return None
-    return result
+        return None, None
+    return result, gc_stats(proc.stderr)
 
 
 def quartiles(xs):
@@ -55,6 +83,27 @@ def declared_metrics(checkout, trace):
     with open(os.path.join(checkout, "BENCHMARK.json")) as f:
         declared = json.load(f)["per_layer" if trace else "end_to_end"]
     return [(m["name"], m["better"]) for m in declared]
+
+
+def summarise(name, better, par, chg):
+    """Print one metric's per-pair values, medians, quartiles and wins."""
+    pairs = len(par)
+    sign = -1.0 if better == "lower" else 1.0
+    wins = sum(1 for p, c in zip(par, chg) if sign * (c - p) > 0)
+    pq1, pmed, pq3 = quartiles(par)
+    cq1, cmed, cq3 = quartiles(chg)
+    gap = cmed - pmed
+    beyond = abs(gap) > pq3 - pq1
+    verdict = "better" if sign * gap > 0 else "worse" if gap != 0 else "equal"
+    print("%s (%s is better)" % (name, better))
+    print("  parent " + " ".join("%.4g" % x for x in par))
+    print("  change " + " ".join("%.4g" % x for x in chg))
+    print("  median %.4g -> %.4g (%+.1f%%), parent IQR %.4g (q1 %.4g, q3 %.4g),"
+          " change q1 %.4g q3 %.4g"
+          % (pmed, cmed, 100.0 * gap / pmed if pmed else 0.0, pq3 - pq1, pq1, pq3,
+             cq1, cq3))
+    print("  change won %d/%d pairs; median gap %s the parent IQR (%s)"
+          % (wins, pairs, "exceeds" if beyond else "within", verdict))
 
 
 def main():
@@ -73,16 +122,24 @@ def main():
 
     sides = {"parent": args.parent, "change": args.change}
     values = {"parent": [], "change": []}
+    gc = {"parent": [], "change": []}
     ok = True
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            result = run_once(sides[side], args)
+            result, stats = run_once(sides[side], args)
             if result is None or result.get("correct") is not True:
                 print("pair %d: %s run failed or reported correct: false" % (i + 1, side))
                 ok = False
             metrics = result["metrics"] if result else {}
             values[side].append({k: v["value"] for k, v in metrics.items()})
+            if result is not None:
+                if stats is None:
+                    print("pair %d: %s run printed no GC statistics" % (i + 1, side))
+                    ok = False
+                else:
+                    jobs = max(1, result.get("attempted", 0))
+                    gc[side].append({k: v / jobs for k, v in stats.items()})
         print("pair %d done (%s first)" % (i + 1, order[0]), file=sys.stderr, flush=True)
 
     print("%s seed %d, %d pairs of %g-s %s runs; parent %s, change %s"
@@ -94,22 +151,11 @@ def main():
         if len(par) != args.pairs or len(chg) != args.pairs:
             print("%s: missing from some runs" % name)
             continue
-        sign = -1.0 if better == "lower" else 1.0
-        wins = sum(1 for p, c in zip(par, chg) if sign * (c - p) > 0)
-        pq1, pmed, pq3 = quartiles(par)
-        cq1, cmed, cq3 = quartiles(chg)
-        gap = cmed - pmed
-        beyond = abs(gap) > pq3 - pq1
-        verdict = "better" if sign * gap > 0 else "worse" if gap != 0 else "equal"
-        print("%s (%s is better)" % (name, better))
-        print("  parent " + " ".join("%.4g" % x for x in par))
-        print("  change " + " ".join("%.4g" % x for x in chg))
-        print("  median %.4g -> %.4g (%+.1f%%), parent IQR %.4g (q1 %.4g, q3 %.4g),"
-              " change q1 %.4g q3 %.4g"
-              % (pmed, cmed, 100.0 * gap / pmed if pmed else 0.0, pq3 - pq1, pq1, pq3,
-                 cq1, cq3))
-        print("  change won %d/%d pairs; median gap %s the parent IQR (%s)"
-              % (wins, args.pairs, "exceeds" if beyond else "within", verdict))
+        summarise(name, better, par, chg)
+    if len(gc["parent"]) == len(gc["change"]) == args.pairs:
+        for name in GC_STATS:
+            summarise("gc.%s per attempted job" % name, "lower",
+                      [v[name] for v in gc["parent"]], [v[name] for v in gc["change"]])
     return 0 if ok else 1
 
 
